@@ -66,6 +66,7 @@ from .identification import (
     ModeReconstruction,
     QueryKind,
     QueryResult,
+    Reconstructor,
     build_reconstruction,
     build_reconstruction_from_pairs,
     cluster_pairs,

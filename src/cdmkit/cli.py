@@ -5,7 +5,8 @@ Subcommands:
     report <reconstruction>        print a human-readable summary
     viabilize <reconstruction> <vector..>   solve for a viabilized input
 
-Exit codes: 0 success, 2 config or input-file error, 3 identification
+Exit codes: 0 success, 2 config, input-file or command error (a
+non-numeric, non-finite or wrong-dimension vector), 3 identification
 failure, 4 unviable input.  Failures print one machine-parsable line to
 stderr of the form ``<kind>: <message>``.
 """
@@ -17,7 +18,13 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, IdentificationError, ReportParseError, UnviableInputError
+from .errors import (
+    ConfigError,
+    IdentificationError,
+    PreconditionError,
+    ReportParseError,
+    UnviableInputError,
+)
 from .experiment import parse_config, render_report, run_experiment
 from .identification import viabilize
 from .serialization import _fmt, read_reconstruction
@@ -76,15 +83,10 @@ def _cmd_viabilize(args) -> int:
         u_cmd = _parse_vector(args.vector)
     except ValueError:
         return _fail("config-error", "commanded input is not numeric", EXIT_CONFIG)
-    if u_cmd.shape[0] != recon.input_dim:
-        return _fail(
-            "config-error",
-            f"commanded input has dimension {u_cmd.shape[0]}, "
-            f"reconstruction expects {recon.input_dim}",
-            EXIT_CONFIG,
-        )
     try:
         u_v = viabilize(recon, u_cmd)
+    except PreconditionError as exc:
+        return _fail("config-error", f"commanded input rejected: {exc}", EXIT_CONFIG)
     except UnviableInputError as exc:
         return _fail("unviable-input", str(exc), EXIT_UNVIABLE)
     print(" ".join(_fmt(x) for x in u_v))

@@ -3,7 +3,7 @@
 An experiment is described by an INI-style config with blocks for the
 system, the ground-truth degradation, the probe signal, the sampling
 schedule, the identification tunables, and the convergence tracking.  A run
-simulates the degraded system, rebuilds the reconstruction after every
+simulates the degraded system, updates the reconstruction after every
 observation, and writes three artifacts: the sample log, the final
 reconstruction, and a convergence table with one row per observation.
 Runs are fully deterministic for fixed seeds.
@@ -33,7 +33,7 @@ from .identification import (
     CdmReconstruction,
     EffectivePair,
     IdentificationConfig,
-    build_reconstruction_from_pairs,
+    Reconstructor,
     recover_effective_input,
 )
 from .serialization import _fmt, write_reconstruction, write_samples
@@ -321,41 +321,41 @@ def parse_config(path) -> ExperimentConfig:
 def stream_reconstructions(samples: Sequence[ControlSample], model: SystemModel,
                            ident: IdentificationConfig) -> Iterator[CdmReconstruction]:
     """Yield the reconstruction after each successive observation."""
-    pairs: list[EffectivePair] = []
+    reconstructor = Reconstructor(ident)
     for s in samples:
-        pairs.append(EffectivePair(s.input, recover_effective_input(s, model)))
-        yield build_reconstruction_from_pairs(pairs, ident)
+        yield reconstructor.add(EffectivePair(s.input, recover_effective_input(s, model)))
 
 
-def _prepare_regions(config: ExperimentConfig):
-    """Fixed per-region evaluation grids and covering probes for one run."""
-    prepared = []
-    for lo, hi in config.regions:
-        grid = np.linspace(lo, hi, config.region_grid).reshape(-1, 1)
-        probes = _region_probes(
-            interval_region(lo, hi, Side.OUTER), config.probe_count, config.probe_seed
-        )
-        prepared.append(((lo, hi), grid, probes))
-    return prepared
-
-
-def _region_metrics(prepared, coords: np.ndarray):
-    """Directed-distance and covering estimates for each declared region.
+class _RegionMetrics:
+    """Running distance and covering estimates for each declared region.
 
     Observed coordinates lie inside their region, so the distance from a
     dense region grid to the observed set is the Hausdorff distance between
-    the two.  Regions without observations yet report infinity.
+    the two.  Each observation folds its distance column into per-region
+    running minima, so every step costs one column per region.  Regions
+    without observations yet report infinity.
     """
-    hausdorff, covering = [], []
-    for (lo, hi), grid, probes in prepared:
-        members = coords[(coords >= lo) & (coords <= hi)].reshape(-1, 1)
-        if members.size == 0:
-            hausdorff.append(np.inf)
-            covering.append(np.inf)
-            continue
-        hausdorff.append(float(np.max(np.min(cdist(grid, members), axis=1))))
-        covering.append(float(np.max(np.min(cdist(probes, members), axis=1))))
-    return tuple(hausdorff), tuple(covering)
+
+    def __init__(self, config: ExperimentConfig):
+        self.regions = []
+        for lo, hi in config.regions:
+            grid = np.linspace(lo, hi, config.region_grid).reshape(-1, 1)
+            probes = _region_probes(
+                interval_region(lo, hi, Side.OUTER), config.probe_count, config.probe_seed
+            )
+            self.regions.append(((lo, hi), grid, probes, np.full(grid.shape[0], np.inf),
+                                 np.full(probes.shape[0], np.inf)))
+
+    def add(self, coord: float):
+        """Fold in one observed coordinate; return (hausdorff, covering) tuples."""
+        hausdorff, covering = [], []
+        for (lo, hi), grid, probes, grid_min, probe_min in self.regions:
+            if lo <= coord <= hi:
+                np.minimum(grid_min, cdist(grid, [[coord]])[:, 0], out=grid_min)
+                np.minimum(probe_min, cdist(probes, [[coord]])[:, 0], out=probe_min)
+            hausdorff.append(float(np.max(grid_min)))
+            covering.append(float(np.max(probe_min)))
+        return tuple(hausdorff), tuple(covering)
 
 
 def validate_ground_truth_separation(config: ExperimentConfig) -> None:
@@ -385,16 +385,15 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None) -> E
 
     records = []
     reconstruction = None
-    coords = np.array([s.input[config.region_axis] for s in samples])
-    prepared = _prepare_regions(config)
-    for k, recon in enumerate(
-        stream_reconstructions(samples, model, config.identification), start=1
+    regions = _RegionMetrics(config)
+    for sample, recon in zip(
+        samples, stream_reconstructions(samples, model, config.identification)
     ):
         reconstruction = recon
-        hausdorff, covering = _region_metrics(prepared, coords[:k])
+        hausdorff, covering = regions.add(float(sample.input[config.region_axis]))
         records.append(
             ConvergenceRecord(
-                time=samples[k - 1].time,
+                time=sample.time,
                 region_hausdorff=hausdorff,
                 region_covering=covering,
                 modes_identified=sum(1 for m in recon.modes if m.identified),

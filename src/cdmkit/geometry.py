@@ -87,21 +87,48 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 
 def _dedup_samples(directions, radii, side: Side):
-    """Collapse near-identical directions, keeping the most informative radius."""
-    keep_dirs: list[np.ndarray] = []
-    keep_radii: list[float] = []
-    for l, r in zip(directions, radii):
-        for i, lk in enumerate(keep_dirs):
-            if np.linalg.norm(l - lk) <= DIRECTION_DEDUP_TOL:
-                if side is Side.INNER:
-                    keep_radii[i] = max(keep_radii[i], r)
-                else:
-                    keep_radii[i] = min(keep_radii[i], r)
-                break
-        else:
-            keep_dirs.append(l)
-            keep_radii.append(r)
-    return np.array(keep_dirs), np.array(keep_radii)
+    """Collapse near-identical directions, keeping the most informative radius.
+
+    Directions are taken in order: one within ``DIRECTION_DEDUP_TOL`` of a
+    kept direction folds its radius into the first such (max for INNER, min
+    for OUTER); any other is kept.  Repeats of a direction always fold into
+    the same kept one, so the distinct directions are found first by a
+    stable row sort, O(k log k).  When their projections on a fixed generic
+    axis are more than twice the tolerance apart they are all kept; only
+    otherwise does the greedy pass run, over the distinct directions.
+    """
+    if directions.shape[0] < 2:
+        return directions.copy(), radii.copy()
+    order = np.lexsort(directions.T[::-1])  # stable: repeats stay in sample order
+    ordered = directions[order]
+    starts = np.ones(order.shape[0], dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    first = order[starts]  # first sample of each distinct direction
+    rank = np.argsort(np.argsort(first))  # distinct directions by first appearance
+    group = np.empty_like(order)
+    group[order] = rank[np.cumsum(starts) - 1]
+    distinct = directions[np.sort(first)]
+    axis = np.sqrt(np.arange(1.0, distinct.shape[1] + 1.0))
+    spread = np.diff(np.sort(distinct @ (axis / np.linalg.norm(axis))))
+    if not np.all(spread > 2.0 * DIRECTION_DEDUP_TOL):
+        kept: list[int] = []
+        leader = np.empty(distinct.shape[0], dtype=int)
+        for i, l in enumerate(distinct):
+            for j, lead in enumerate(kept):
+                if np.linalg.norm(l - distinct[lead]) <= DIRECTION_DEDUP_TOL:
+                    leader[i] = j
+                    break
+            else:
+                leader[i] = len(kept)
+                kept.append(i)
+        distinct, group = distinct[kept], leader[group]
+    if side is Side.INNER:
+        kept_radii = np.full(distinct.shape[0], -np.inf)
+        np.maximum.at(kept_radii, group, radii)
+    else:
+        kept_radii = np.full(distinct.shape[0], np.inf)
+        np.minimum.at(kept_radii, group, radii)
+    return distinct, kept_radii
 
 
 @dataclass(frozen=True)
@@ -169,13 +196,36 @@ class StarSetApprox:
         |u - center|)``.  Points coinciding with the center carry no
         directional information and are dropped.
         """
-        pts = as_point_set(points)
         center = np.atleast_1d(np.asarray(center, dtype=float))
-        offsets = pts - center
-        norms = np.linalg.norm(offsets, axis=1)
-        mask = norms > 1e-15
-        dirs = offsets[mask] / norms[mask, None]
-        return cls(center, lipschitz, dirs, norms[mask], side)
+        dirs, radii = _witnesses(points, center)
+        return cls(center, lipschitz, dirs, radii, side)
+
+    def with_witness(self, point) -> "StarSetApprox":
+        """This approximation with the witness of one more point appended.
+
+        Equals :meth:`from_points` over the earlier witness points and
+        ``point`` together, since the kept directions are already pairwise
+        apart.
+        """
+        dirs, radii = _witnesses(np.reshape(point, (1, -1)), self.center)
+        return StarSetApprox(
+            self.center,
+            self.lipschitz,
+            np.vstack([self.directions, dirs]),
+            np.concatenate([self.radii, radii]),
+            self.side,
+        )
+
+
+def _witnesses(points, center: np.ndarray):
+    """Unit directions and radii of ``points`` about ``center``.
+
+    Points coinciding with the center carry no direction and are dropped.
+    """
+    offsets = as_point_set(points) - center
+    norms = np.linalg.norm(offsets, axis=1)
+    mask = norms > 1e-15
+    return offsets[mask] / norms[mask, None], norms[mask]
 
 
 def _query_direction(approx: StarSetApprox, direction) -> np.ndarray:

@@ -7,18 +7,21 @@ fit one affine map per cluster, and wrap each cluster in certified
 inner/outer approximations of its affected input region.  A completed
 reconstruction answers point queries, bounds the approximation error of
 Lipschitz degradations, and solves for viabilized inputs that reproduce a
-commanded effective input.
+commanded effective input.  ``build_reconstruction_from_pairs`` builds one
+reconstruction from scratch; ``Reconstructor`` keeps the same result up to
+date one observation at a time.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
+from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import cdist
 
 from .degradation import AffineMap, apply_affine
@@ -97,25 +100,131 @@ class Cluster:
         return np.array([p.effective for p in self.pairs])
 
 
-def _select_basis(inputs: np.ndarray, m: int) -> tuple:
-    """Greedily pick m inputs maximizing the smallest singular value."""
+def _select_basis(inputs: np.ndarray, m: int, known: Sequence = ()):
+    """Greedily pick m inputs maximizing the smallest singular value.
+
+    Round j scores every input by the smallest singular value of the inputs
+    chosen so far stacked over it, in one batched SVD, and picks the first
+    best among the unchosen (chosen ones score -inf).  Returns the basis,
+    empty when rank deficient, and each round's scores.  ``known`` may hold
+    the round scores of a prefix of ``inputs``: while its picks agree, only
+    the rows beyond the prefix are scored.
+    """
     k = inputs.shape[0]
     if k < m:
-        return ()
+        return (), []
     chosen: list[int] = []
-    for _ in range(m):
-        best_idx, best_sv = -1, -1.0
-        for i in range(k):
-            if i in chosen:
-                continue
-            sv = np.linalg.svd(inputs[chosen + [i]], compute_uv=False)
-            if sv[-1] > best_sv:
-                best_idx, best_sv = i, float(sv[-1])
-        chosen.append(best_idx)
+    rounds = []
+    for j in range(m):
+        reuse = j < len(known) and chosen == [int(np.argmax(r)) for r in known[:j]]
+        start = known[j].shape[0] if reuse else 0
+        stacked = np.concatenate([
+            np.broadcast_to(inputs[chosen], (k - start, j, m)),
+            inputs[start:, None, :],
+        ], axis=1)
+        scores = np.linalg.svd(stacked, compute_uv=False)[:, -1]
+        if reuse:
+            scores = np.concatenate([known[j], scores])
+        scores[chosen] = -np.inf
+        chosen.append(int(np.argmax(scores)))
+        rounds.append(scores)
     sv = np.linalg.svd(inputs[chosen], compute_uv=False)
     if sv[0] == 0.0 or sv[-1] <= RANK_TOL * sv[0]:
-        return ()
-    return tuple(chosen)
+        return (), rounds
+    return tuple(chosen), rounds
+
+
+def _pointer_from_linkage(tree: np.ndarray, k: int):
+    """Pointer representation ``(pi, lam)`` of a single-linkage merge list.
+
+    Each merge at height h links the last (largest-index) objects of its
+    two clusters: the smaller one points at the larger with level h.  The
+    partition at any cut then matches the merge list's (``_partition``).
+    """
+    pi = np.arange(k)
+    lam = np.full(k, np.inf)
+    last = list(range(k))
+    for a, b, height, _ in tree:
+        lo, hi = sorted((last[int(a)], last[int(b)]))
+        pi[lo], lam[lo] = hi, height
+        last.append(hi)
+    return pi, lam
+
+
+def _slink_insert(pi: list, lam: list, dist: list) -> None:
+    """Extend a pointer representation by one object (Sibson's SLINK step).
+
+    ``dist`` holds the distances from the new object to objects ``0..n-1``
+    and is used as scratch.  O(n) per inserted object.
+    """
+    n = len(pi)
+    pi.append(n)
+    lam.append(np.inf)
+    for i in range(n):
+        p, li, di = pi[i], lam[i], dist[i]
+        if li >= di:
+            if li < dist[p]:
+                dist[p] = li
+            lam[i] = di
+            pi[i] = n
+        elif di < dist[p]:
+            dist[p] = di
+    for i in range(n):
+        if lam[i] >= lam[pi[i]]:
+            pi[i] = n
+
+
+def _partition(pi, lam, delta: float, n_modes: int, force_merge: bool,
+               points: np.ndarray) -> list[list[int]]:
+    """Flat single-linkage clusters of a pointer representation.
+
+    Object i joins ``pi[i]`` when ``lam[i]`` is at or below the cut, which
+    merges strictly below ``delta``.  With more than ``n_modes`` clusters,
+    ``force_merge`` raises the cut to the merge height that leaves
+    ``n_modes`` (logging each forced merge); otherwise it raises.  Clusters
+    come in order of their first member, members in index order.
+    """
+    lam = np.asarray(lam, dtype=float)
+    k = lam.shape[0]
+    heights = np.sort(lam[np.isfinite(lam)])
+    cut = np.nextafter(delta, 0.0)  # merge strictly below delta
+    n_clusters = k - int(np.sum(heights <= cut))
+    if n_clusters > n_modes:
+        if not force_merge:
+            far = np.argwhere(cdist(points, points) >= delta)
+            detail = tuple(far[0]) if far.size else None
+            raise IdentificationError(
+                f"{n_clusters} clusters remain at separation {delta} "
+                f"with only {n_modes} modes allowed; next merge distance "
+                f"{heights[k - n_clusters]:.6g}",
+                detail=detail,
+            )
+        forced_cut = max(cut, float(heights[k - n_modes - 1]))
+        for height in heights[(heights > cut) & (heights <= forced_cut)]:
+            log.info(
+                "forced merge at height %.6g, at or above separation delta %.6g",
+                height, delta,
+                extra={"event": "forced_merge", "height": float(height), "delta": delta},
+            )
+        cut = forced_cut
+    # pi[i] > i: pointer jumping settles every object on its cluster's last one
+    root = np.where(lam <= cut, np.asarray(pi), np.arange(k))
+    while True:
+        hop = root[root]
+        if np.array_equal(hop, root):
+            break
+        root = hop
+    _, first, label = np.unique(root, return_index=True, return_inverse=True)
+    return [np.flatnonzero(label == c).tolist() for c in np.argsort(first)]
+
+
+def _make_cluster(pairs: Sequence[EffectivePair], members: Sequence[int],
+                  known: Sequence = ()):
+    """The cluster of ``pairs[members]`` and its basis round scores."""
+    cluster_pairs_ = tuple(pairs[i] for i in members)
+    inputs = np.array([p.input for p in cluster_pairs_])
+    basis, rounds = _select_basis(inputs, cluster_pairs_[0].dim, known)
+    return Cluster(pairs=cluster_pairs_, basis_indices=basis), rounds
 
 
 def cluster_pairs(pairs: Sequence[EffectivePair], delta: float, n_modes: int,
@@ -139,40 +248,11 @@ def cluster_pairs(pairs: Sequence[EffectivePair], delta: float, n_modes: int,
     points = np.array([np.concatenate([p.input, p.effective]) for p in pairs])
     k = points.shape[0]
     if k == 1:
-        labels = np.array([1])
+        pi, lam = np.zeros(1, dtype=int), np.full(1, np.inf)
     else:
-        tree = linkage(points, method="single")
-        heights = tree[:, 2]
-        cut = np.nextafter(delta, 0.0)  # merge strictly below delta
-        n_clusters = k - int(np.sum(heights <= cut))
-        if n_clusters > n_modes:
-            if not force_merge:
-                order = np.argsort(heights, kind="stable")
-                next_height = heights[order[k - n_clusters]]
-                far = np.argwhere(cdist(points, points) >= delta)
-                detail = tuple(far[0]) if far.size else None
-                raise IdentificationError(
-                    f"{n_clusters} clusters remain at separation {delta} "
-                    f"with only {n_modes} modes allowed; next merge distance "
-                    f"{next_height:.6g}",
-                    detail=detail,
-                )
-            cut = max(cut, float(np.sort(heights, kind="stable")[k - n_modes - 1]))
-        labels = fcluster(tree, t=cut, criterion="distance")
-    clusters: list[list[int]] = []
-    label_order: dict[int, int] = {}
-    for i, lab in enumerate(labels):
-        if lab not in label_order:
-            label_order[lab] = len(clusters)
-            clusters.append([])
-        clusters[label_order[lab]].append(i)
-    m = pairs[0].dim
-    out = []
-    for members in clusters:
-        cluster_pairs_ = tuple(pairs[i] for i in members)
-        inputs = np.array([p.input for p in cluster_pairs_])
-        out.append(Cluster(pairs=cluster_pairs_, basis_indices=_select_basis(inputs, m)))
-    return out
+        pi, lam = _pointer_from_linkage(linkage(points, method="single"), k)
+    groups = _partition(pi, lam, delta, n_modes, force_merge, points)
+    return [_make_cluster(pairs, members)[0] for members in groups]
 
 
 # ---------------------------------------------------------------------------
@@ -294,20 +374,28 @@ class CdmReconstruction:
     input_dim: int
 
 
+def _is_unaffected(pair: EffectivePair, identity_tol: float) -> bool:
+    dev = np.linalg.norm(pair.effective - pair.input)
+    return bool(dev <= identity_tol * (1.0 + np.linalg.norm(pair.input)))
+
+
 def split_pairs(pairs: Sequence[EffectivePair], identity_tol: float):
     """Partition pairs into (affected, unaffected) by relative deviation."""
     affected, unaffected = [], []
     for p in pairs:
-        dev = np.linalg.norm(p.effective - p.input)
-        if dev <= identity_tol * (1.0 + np.linalg.norm(p.input)):
-            unaffected.append(p)
-        else:
-            affected.append(p)
+        (unaffected if _is_unaffected(p, identity_tol) else affected).append(p)
     return affected, unaffected
 
 
 def _mode_from_cluster(cluster: Cluster, unaffected_inputs: np.ndarray,
-                       config: IdentificationConfig) -> ModeReconstruction:
+                       config: IdentificationConfig,
+                       known: Optional[ModeReconstruction] = None) -> ModeReconstruction:
+    """Bound, fit and score one cluster.
+
+    ``known`` may be the mode of a cluster whose pairs are a prefix of this
+    one's; when the fit reproduces its map exactly, its residuals are kept
+    and only the new pairs are scored.
+    """
     center = cluster.inputs.mean(axis=0)
     inner = StarSetApprox.from_points(cluster.inputs, center, config.lipschitz, Side.INNER)
     if unaffected_inputs.size:
@@ -331,10 +419,16 @@ def _mode_from_cluster(cluster: Cluster, unaffected_inputs: np.ndarray,
             )
     try:
         affine = fit_affine(cluster)
-        residuals = np.array([
+        reused = np.empty(0)
+        if (known is not None and known.identified
+                and np.array_equal(known.map.linear, affine.linear)
+                and np.array_equal(known.map.translation, affine.translation)):
+            reused = known.residuals
+        residuals = np.concatenate([reused, [
             np.linalg.norm(apply_affine(affine, p.input) - p.effective)
-            for p in cluster.pairs
-        ])
+            for p in cluster.pairs[reused.shape[0]:]
+        ]])
+        residuals.setflags(write=False)  # snapshots of a stream share it
     except IdentificationError as exc:
         log.debug("cluster left unidentified: %s", exc)
         affine, residuals = None, None
@@ -365,6 +459,103 @@ def build_reconstruction_from_pairs(pairs: Sequence[EffectivePair],
         mode_count=config.n_modes,
         input_dim=m,
     )
+
+
+class Reconstructor:
+    """Online reconstruction: one immutable snapshot per added pair.
+
+    ``add(pair)`` returns the reconstruction of every pair added so far,
+    equal to ``build_reconstruction_from_pairs`` on them, at the cost of the
+    new pair rather than of a rebuild.  Single linkage is kept in Sibson's
+    pointer representation, updated in O(n) per affected pair.  An
+    unaffected pair appends one outer witness to every mode and reuses
+    everything else; an affected pair rebuilds only the clusters whose
+    membership changed.  When a snapshot cannot be built (too many clusters
+    without ``force_merge``), ``add`` raises and keeps the pair; the next
+    ``add`` covers it.
+    """
+
+    def __init__(self, config: IdentificationConfig):
+        if config.delta <= 0:
+            raise ValueError("separation delta must be positive")
+        if config.n_modes < 1:
+            raise ValueError("n_modes must be at least 1")
+        self.config = config
+        self._dim: Optional[int] = None
+        self._affected: list[EffectivePair] = []
+        self._points = np.empty((0, 0))  # graph points of the affected pairs, grown by doubling
+        self._pi: list[int] = []
+        self._lam: list[float] = []
+        self._unaffected: list[EffectivePair] = []
+        self._unaffected_inputs = np.empty((0, 0))  # grown by doubling
+        # (mode, basis round scores) by member indices, in cluster order
+        self._clusters: dict[tuple, tuple[ModeReconstruction, list]] = {}
+        self._stale = False  # the last partition attempt failed
+
+    def add(self, pair: EffectivePair) -> CdmReconstruction:
+        """Record one pair and return the reconstruction of all pairs so far."""
+        if self._dim is None:
+            self._dim = pair.dim
+            self._points = np.empty((8, 2 * pair.dim))
+            self._unaffected_inputs = np.empty((8, pair.dim))
+        elif pair.dim != self._dim:
+            raise ValueError(f"pair dimension {pair.dim} != {self._dim}")
+        if _is_unaffected(pair, self.config.identity_tol):
+            self._unaffected_inputs = _append_row(
+                self._unaffected_inputs, len(self._unaffected), pair.input)
+            self._unaffected.append(pair)
+            self._clusters = {
+                key: (replace(mode, outer=mode.outer.with_witness(pair.input)), rounds)
+                for key, (mode, rounds) in self._clusters.items()
+            }
+            if self._stale:
+                self._repartition()
+        else:
+            n = len(self._affected)
+            point = np.concatenate([pair.input, pair.effective])
+            dist = cdist(point[None, :], self._points[:n])[0].tolist()
+            self._points = _append_row(self._points, n, point)
+            self._affected.append(pair)
+            _slink_insert(self._pi, self._lam, dist)
+            self._repartition()
+        return CdmReconstruction(
+            modes=tuple(mode for mode, _ in self._clusters.values()),
+            unaffected=tuple(self._unaffected),
+            separation=self.config.delta,
+            mode_count=self.config.n_modes,
+            input_dim=self._dim,
+        )
+
+    def _repartition(self) -> None:
+        """Re-cut the dendrogram; rebuild the modes whose membership changed."""
+        self._stale = True
+        cfg = self.config
+        groups = _partition(self._pi, self._lam, cfg.delta, cfg.n_modes,
+                            cfg.force_merge, self._points[:len(self._affected)])
+        unaffected_inputs = self._unaffected_inputs[:len(self._unaffected)]
+        clusters = {}
+        for members in groups:
+            key = tuple(members)
+            if key not in self._clusters:
+                # a cluster that only gained the newest pair keeps what still holds
+                known_mode, known_rounds = self._clusters.get(key[:-1], (None, ()))
+                cluster, rounds = _make_cluster(self._affected, members, known_rounds)
+                mode = _mode_from_cluster(cluster, unaffected_inputs, cfg, known_mode)
+                clusters[key] = (mode, rounds)
+            else:
+                clusters[key] = self._clusters[key]
+        self._clusters = clusters
+        self._stale = False
+
+
+def _append_row(buffer: np.ndarray, n: int, row: np.ndarray) -> np.ndarray:
+    """Write ``row`` at index ``n``, doubling the buffer when it is full."""
+    if n == buffer.shape[0]:
+        grown = np.empty((2 * n, buffer.shape[1]))
+        grown[:n] = buffer
+        buffer = grown
+    buffer[n] = row
+    return buffer
 
 
 def build_reconstruction(samples: Sequence[ControlSample], model: SystemModel,
@@ -417,14 +608,27 @@ class QueryResult:
     mode_index: Optional[int] = None
 
 
+def _command(recon: CdmReconstruction, u) -> np.ndarray:
+    """``u`` as a finite vector of the reconstruction's input dimension."""
+    point = np.atleast_1d(np.asarray(u, dtype=float))
+    if point.shape != (recon.input_dim,):
+        raise PreconditionError(
+            f"command has shape {point.shape}, reconstruction expects ({recon.input_dim},)"
+        )
+    if not all(map(math.isfinite, point.tolist())):  # cheaper than numpy for short vectors
+        raise PreconditionError("command has non-finite components")
+    return point
+
+
 def query(recon: CdmReconstruction, u) -> QueryResult:
     """Predict the effective input for ``u`` where the reconstruction can.
 
     Passthrough when ``u`` is provably outside every mode's affected set;
     the fitted mode image when ``u`` is provably inside exactly one
-    identified mode; inconclusive otherwise.
+    identified mode; inconclusive otherwise.  A non-finite or
+    wrong-dimension ``u`` raises :class:`PreconditionError`.
     """
-    point = np.atleast_1d(np.asarray(u, dtype=float))
+    point = _command(recon, u)
     inside = []
     outside_all = True
     for i, mode in enumerate(recon.modes):
@@ -475,9 +679,10 @@ def viabilize(recon: CdmReconstruction, u_cmd) -> np.ndarray:
     Returns the command itself when it provably passes through unchanged;
     otherwise inverts each identified affine mode and returns the first
     solution certified inside that mode's affected set.  Non-invertible
-    modes (e.g. constant maps) are skipped with a diagnostic.
+    modes (e.g. constant maps) are skipped with a diagnostic.  A non-finite
+    or wrong-dimension command raises :class:`PreconditionError`.
     """
-    cmd = np.atleast_1d(np.asarray(u_cmd, dtype=float))
+    cmd = _command(recon, u_cmd)
     if query(recon, cmd).kind == QueryKind.PASSTHROUGH:
         return cmd.copy()
     for i, mode in enumerate(recon.modes):

@@ -67,7 +67,7 @@ def read_samples(path) -> list[ControlSample]:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        vals = [float(tok) for tok in line.split(",")]
+        vals = _floats(line, lineno)
         if len(vals) != 1 + 2 * n + m:
             raise ReportParseError("sample row has wrong column count", line=lineno)
         samples.append(
@@ -132,6 +132,23 @@ def _floats(text: str, lineno: int) -> list[float]:
         raise ReportParseError(f"cannot parse numbers from {text!r}", line=lineno)
 
 
+def _float(text: str, lineno: int) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ReportParseError(f"cannot parse a number from {text!r}", line=lineno)
+
+
+def _count(text: str, lineno: int) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise ReportParseError(f"cannot parse a count from {text!r}", line=lineno)
+    if value < 0:
+        raise ReportParseError(f"negative count {value}", line=lineno)
+    return value
+
+
 def star_from_cursor(cur: _Cursor) -> StarSetApprox:
     cur.expect(STAR_HEADER)
     meta_line = cur.next(expect="star metadata")
@@ -149,7 +166,7 @@ def star_from_cursor(cur: _Cursor) -> StarSetApprox:
             line=cur.lineno - 1,
         )
     center = np.array(_floats(",".join(fields[:dim]), cur.lineno - 1))
-    lipschitz = float(fields[dim + 1])
+    lipschitz = _float(fields[dim + 1], cur.lineno - 1)
     side_token = fields[dim + 2]
     try:
         side = Side(side_token)
@@ -158,7 +175,7 @@ def star_from_cursor(cur: _Cursor) -> StarSetApprox:
     count_line = cur.next(expect="samples,<count>")
     if not count_line.startswith("samples,"):
         raise ReportParseError("expected 'samples,<count>'", line=cur.lineno - 1)
-    count = int(count_line.split(",", 1)[1])
+    count = _count(count_line.split(",", 1)[1], cur.lineno - 1)
     dirs, radii = [], []
     for _ in range(count):
         vals = _floats(cur.next(expect="direction,radius row"), cur.lineno - 1)
@@ -242,18 +259,22 @@ def _scalar(cur: _Cursor, key: str) -> str:
     return line.split(",", 1)[1]
 
 
+def _scalar_count(cur: _Cursor, key: str) -> int:
+    return _count(_scalar(cur, key), cur.lineno - 1)
+
+
 def reconstruction_from_lines(lines: Sequence[str]) -> CdmReconstruction:
     cur = _Cursor(lines)
     cur.expect(MAGIC)
-    m = int(_scalar(cur, "input_dim"))
-    mode_count = int(_scalar(cur, "mode_count"))
-    separation = float(_scalar(cur, "separation"))
-    n_modes = int(_scalar(cur, "modes"))
-    n_unaffected = int(_scalar(cur, "unaffected"))
+    m = _scalar_count(cur, "input_dim")
+    mode_count = _scalar_count(cur, "mode_count")
+    separation = _float(_scalar(cur, "separation"), cur.lineno - 1)
+    n_modes = _scalar_count(cur, "modes")
+    n_unaffected = _scalar_count(cur, "unaffected")
     modes = []
     for i in range(n_modes):
         cur.expect(f"[mode {i}]")
-        identified = bool(int(_scalar(cur, "identified")))
+        identified = bool(_scalar_count(cur, "identified"))
         affine = None
         if identified:
             lin = _floats(_scalar(cur, "linear"), cur.lineno - 1)
@@ -261,8 +282,8 @@ def reconstruction_from_lines(lines: Sequence[str]) -> CdmReconstruction:
                 raise ReportParseError("linear row has wrong arity", line=cur.lineno - 1)
             trans = _floats(_scalar(cur, "translation"), cur.lineno - 1)
             affine = AffineMap(np.array(lin).reshape(m, m), np.array(trans))
-            float(_scalar(cur, "residual"))  # informational; recomputed from pairs
-        n_pairs = int(_scalar(cur, "pairs"))
+            _float(_scalar(cur, "residual"), cur.lineno - 1)  # informational; recomputed
+        n_pairs = _scalar_count(cur, "pairs")
         pairs = tuple(
             _parse_pair(cur.next(expect="pair row"), cur.lineno - 1, m)
             for _ in range(n_pairs)

@@ -105,6 +105,20 @@ class TestReport:
         assert main(["report", str(bad)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("parse-error:")
 
+    @pytest.mark.parametrize(
+        "key", ["samples", "input_dim", "mode_count", "modes", "unaffected", "identified",
+                "pairs"])
+    def test_corrupted_count_is_parse_error(self, small_run, tmp_path, capsys, key):
+        _, out = small_run
+        lines = (out / "reconstruction.txt").read_text().splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith(key + ","))
+        lines[idx] = key + ",x"
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["report", str(bad)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("parse-error:") and f"(line {idx + 1})" in err
+
     def test_empty_reconstruction_summary(self, tmp_path, capsys):
         from cdmkit.identification import CdmReconstruction
 
@@ -147,6 +161,13 @@ class TestViabilize:
         _, out = small_run
         code = main(["viabilize", str(out / "reconstruction.txt"), "0.9"])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_vector(self, small_run, capsys, value):
+        _, out = small_run
+        code = main(["viabilize", str(out / "reconstruction.txt"), f"1.0,{value}"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config-error:")
 
     def test_non_numeric_vector(self, small_run, capsys):
         _, out = small_run

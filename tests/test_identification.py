@@ -372,6 +372,14 @@ class TestQuery:
         recon = manual_recon([])
         assert query(recon, [0.3]).kind == QueryKind.PASSTHROUGH
 
+    @pytest.mark.parametrize("u", [[np.nan], [np.inf], [0.1, 0.2], [[0.1]]])
+    def test_invalid_command_rejected(self, u):
+        recon = manual_recon([manual_scalar_mode(0.0, 0.25, 3.0, 0.25)])
+        with pytest.raises(PreconditionError):
+            query(recon, u)
+        with pytest.raises(PreconditionError):
+            viabilize(recon, u)
+
 
 class TestLipschitzErrorBound:
     def make_mode(self):

@@ -146,3 +146,25 @@ class TestReconstructionFormat:
         with pytest.raises(ReportParseError) as err:
             read_reconstruction(path)
         assert err.value.line == idx + 1
+
+    @pytest.mark.parametrize(
+        "key", ["input_dim", "mode_count", "modes", "unaffected", "identified", "pairs",
+                "samples", "separation", "residual"])
+    def test_corrupted_scalar_reports_line(self, tmp_path, recon, key):
+        lines = reconstruction_to_lines(recon)
+        idx = next(i for i, l in enumerate(lines) if l.startswith(key + ","))
+        lines[idx] = key + ",x"
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ReportParseError) as err:
+            read_reconstruction(path)
+        assert err.value.line == idx + 1
+
+    def test_negative_count_rejected(self, tmp_path, recon):
+        lines = reconstruction_to_lines(recon)
+        idx = next(i for i, l in enumerate(lines) if l.startswith("pairs,"))
+        lines[idx] = "pairs,-1"
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ReportParseError, match="negative count"):
+            read_reconstruction(path)
