@@ -22,7 +22,7 @@ from .degradation import (
     apply_partial,
     heat_depth_response,
     heat_example_cdm,
-    sampled_mode_separation,
+    mode_separation,
 )
 from .errors import (
     ConfigError,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.optimize import lsq_linear
 from scipy.spatial.distance import cdist
 
 
@@ -261,19 +262,44 @@ class LipschitzCdm:
         return float(np.max(dv[mask] / du[mask])) if np.any(mask) else 0.0
 
 
-def sampled_mode_separation(cdm: NModeCdm, box_lo, box_hi, n: int = 2000,
-                            seed: int = 0) -> Optional[float]:
-    """Smallest sampled distance between distinct mode graphs ``(u, Q u)``.
+def _clipped_box(region, lo, hi):
+    """Bounds of an interval or box region within ``[lo, hi]``, else None."""
+    if isinstance(region, IntervalRegion):
+        rlo, rhi = lo.copy(), hi.copy()
+        rlo[region.axis] = max(lo[region.axis], region.lo)
+        rhi[region.axis] = min(hi[region.axis], region.hi)
+        return rlo, rhi
+    if isinstance(region, BoxRegion):
+        return np.maximum(lo, region.lo), np.minimum(hi, region.hi)
+    return None
 
-    Draws ``n`` uniform points in the given input box, sorts them into mode
-    regions, and returns the minimum cross-mode distance between the
-    concatenated (input, output) graph points.  Returns None when fewer than
-    two modes receive samples.
+
+def _graph_distance(q1: AffineMap, box1, q2: AffineMap, box2) -> Optional[float]:
+    """Exact distance between the graphs ``(u, Q u)`` of two maps over boxes.
+
+    Minimizes ``|u1 - u2|^2 + |Q1 u1 + c1 - Q2 u2 - c2|^2`` over the closed
+    boxes by bounded-variable least squares (Stark & Parker 1995); None when
+    a box is empty.  Coordinates pinned by ``lo == hi`` are substituted,
+    since the solver needs strict bounds.
     """
-    if len(cdm.modes) < 2:
+    lo = np.concatenate([box1[0], box2[0]])
+    hi = np.concatenate([box1[1], box2[1]])
+    if np.any(lo > hi):
         return None
-    lo = np.atleast_1d(np.asarray(box_lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(box_hi, dtype=float))
+    eye = np.eye(q1.dim)
+    M = np.block([[eye, -eye], [q1.linear, -q2.linear]])
+    b = np.concatenate([np.zeros(q1.dim), q2.translation - q1.translation])
+    z = lo.copy()
+    free = lo < hi
+    if np.any(free):
+        rest = b - M[:, ~free] @ lo[~free]
+        z[free] = lsq_linear(M[:, free], rest, bounds=(lo[free], hi[free]),
+                             method="bvls").x
+    return float(np.linalg.norm(M @ z - b))
+
+
+def _sampled_graphs(cdm: NModeCdm, lo, hi, n: int, seed: int) -> list:
+    """Graph points ``(u, Q u)`` of ``n`` uniform draws, per mode (None if empty)."""
     rng = np.random.default_rng(seed)
     draws = lo + (hi - lo) * rng.random((n, lo.shape[0]))
     graphs = []
@@ -284,13 +310,39 @@ def sampled_mode_separation(cdm: NModeCdm, box_lo, box_hi, n: int = 2000,
             graphs.append(np.hstack([members, members @ q.linear.T + q.translation]))
         else:
             graphs.append(None)
+    return graphs
+
+
+def mode_separation(cdm: NModeCdm, box_lo, box_hi, n: int = 2000,
+                    seed: int = 0) -> Optional[float]:
+    """Smallest distance between distinct mode graphs ``(u, Q u)`` in a box.
+
+    For two interval or box regions (clipped to ``[box_lo, box_hi]``) the
+    distance is exact: the infimum over the closed regions, a bounded
+    least-squares problem.  A pair involving a ball or predicate region is
+    only an *estimate*, the minimum over ``n`` uniform draws in the box,
+    which can over-estimate the true distance.  Returns None when fewer
+    than two modes have inputs in the box.
+    """
+    if len(cdm.modes) < 2:
+        return None
+    lo = np.atleast_1d(np.asarray(box_lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(box_hi, dtype=float))
+    boxes = [_clipped_box(region, lo, hi) for region, _ in cdm.modes]
+    graphs = None
     best = None
-    for i in range(len(graphs)):
-        for j in range(i + 1, len(graphs)):
-            if graphs[i] is None or graphs[j] is None:
-                continue
-            d = float(np.min(cdist(graphs[i], graphs[j])))
-            best = d if best is None else min(best, d)
+    for i in range(len(cdm.modes)):
+        for j in range(i + 1, len(cdm.modes)):
+            if boxes[i] is not None and boxes[j] is not None:
+                d = _graph_distance(cdm.modes[i][1], boxes[i], cdm.modes[j][1], boxes[j])
+            else:
+                if graphs is None:
+                    graphs = _sampled_graphs(cdm, lo, hi, n, seed)
+                if graphs[i] is None or graphs[j] is None:
+                    continue
+                d = float(np.min(cdist(graphs[i], graphs[j])))
+            if d is not None:
+                best = d if best is None else min(best, d)
     return best
 
 

@@ -25,7 +25,7 @@ from .degradation import (
     IntervalRegion,
     NModeCdm,
     heat_example_cdm,
-    sampled_mode_separation,
+    mode_separation,
 )
 from .errors import ConfigError, IdentificationError
 from .geometry import Side, _region_probes, interval_region, mgf_inner_bound
@@ -366,7 +366,7 @@ def validate_ground_truth_separation(config: ExperimentConfig) -> None:
     model = config.model()
     if model.input_lo is None or model.input_hi is None:
         return
-    sep = sampled_mode_separation(
+    sep = mode_separation(
         cdm, model.input_lo, model.input_hi,
         n=SEPARATION_CHECK_SAMPLES, seed=SEPARATION_CHECK_SEED,
     )

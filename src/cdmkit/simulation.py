@@ -47,6 +47,9 @@ class SystemModel:
     ``input_map(x)`` returns the (n, m) matrix of input gains at a state;
     it must have full column rank wherever the system is observed.
     ``stability_limit`` optionally caps the explicit integration step.
+    ``a_matrix``/``b_matrix`` are set on linear systems ``x' = A x + B u``
+    (see :func:`linear_system`) and must agree with ``drift``/``input_map``;
+    :func:`integrate` advances such a system with a precomputed step map.
     """
 
     dim_state: int
@@ -56,6 +59,8 @@ class SystemModel:
     input_lo: Optional[np.ndarray] = None
     input_hi: Optional[np.ndarray] = None
     stability_limit: Optional[float] = None
+    a_matrix: Optional[np.ndarray] = None
+    b_matrix: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.dim_input > self.dim_state:
@@ -64,31 +69,45 @@ class SystemModel:
 
 def linear_system(a_matrix, b_matrix, **kwargs) -> SystemModel:
     """Constant-coefficient system ``x' = A x + B u``."""
-    A = np.atleast_2d(np.asarray(a_matrix, dtype=float))
-    B = np.asarray(b_matrix, dtype=float)
+    A = np.atleast_2d(np.array(a_matrix, dtype=float))
+    B = np.array(b_matrix, dtype=float)
     if B.ndim == 1:
         B = B.reshape(-1, 1)
     if A.shape[0] != A.shape[1] or B.shape[0] != A.shape[0]:
         raise ValueError("A must be square and B conformable")
+    A.setflags(write=False)
+    B.setflags(write=False)
     return SystemModel(
         dim_state=A.shape[0],
         dim_input=B.shape[1],
         drift=lambda x: A @ x,
         input_map=lambda x: B,
+        a_matrix=A,
+        b_matrix=B,
         **kwargs,
     )
+
+
+def _effective_inputs(model: SystemModel, cdm, commands) -> np.ndarray:
+    """Rows ``cdm(u)`` (``u`` without a map), one per command ``u``."""
+    count = len(commands)
+    U = np.array(commands, dtype=float).reshape(count, -1)
+    if U.shape[1] != model.dim_input:
+        raise ValueError("input dimension mismatch")
+    if cdm is None:
+        return U
+    E = np.array([cdm(u) for u in U], dtype=float).reshape(count, -1)
+    if E.shape[1] != model.dim_input:
+        raise ValueError("degradation map changed the input dimension")
+    return E
 
 
 def degraded_rhs(model: SystemModel, cdm, x, u) -> np.ndarray:
     """Right-hand side of the degraded system, ``f(x) + g(x) cdm(u)``."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if x.shape[0] != model.dim_state or u.shape[0] != model.dim_input:
-        raise ValueError("state or input dimension mismatch")
-    effective = u if cdm is None else np.atleast_1d(np.asarray(cdm(u), dtype=float))
-    if effective.shape[0] != model.dim_input:
-        raise ValueError("degradation map changed the input dimension")
-    return model.drift(x) + model.input_map(x) @ effective
+    if x.shape[0] != model.dim_state:
+        raise ValueError("state dimension mismatch")
+    return model.drift(x) + model.input_map(x) @ _effective_inputs(model, cdm, [u])[0]
 
 
 @dataclass(frozen=True)
@@ -155,43 +174,30 @@ class HeatSystem:
 
     def model(self) -> SystemModel:
         G = self.grid_points
-        h2 = self.spacing**2
-        a = self.diffusivity
-        q = self.source_profile()
+        # mirror-boundary (zero-flux) Laplacian on the temperature rows;
+        # the depth row has no drift
+        A = np.zeros((G + 1, G + 1))
+        rows = np.arange(1, G - 1)
+        A[rows, rows - 1] = A[rows, rows + 1] = 1.0
+        A[rows, rows] = -2.0
+        A[0, 0] = A[G - 1, G - 1] = -2.0
+        A[0, 1] = A[G - 1, G - 2] = 2.0
+        A *= self.diffusivity / self.spacing**2
+        B = np.zeros((G + 1, 2))
+        B[:G, 0] = self.source_profile()
+        B[G, 1] = 1.0
+        common = dict(input_lo=np.array([0.0, 0.0]), input_hi=np.array([10.0, 1.0]),
+                      stability_limit=self.stability_limit)
+        if not self.nonlinear_depth:
+            return linear_system(A, B, **common)
 
-        def drift(x):
-            z = x[:G]
-            lap = np.empty(G)
-            lap[1:-1] = z[:-2] - 2.0 * z[1:-1] + z[2:]
-            lap[0] = 2.0 * (z[1] - z[0])
-            lap[-1] = 2.0 * (z[-2] - z[-1])
-            out = np.zeros(G + 1)
-            out[:G] = a * lap / h2
-            return out
+        def input_map(x):
+            g = B.copy()
+            g[G, 1] = x[G - 1]
+            return g
 
-        if self.nonlinear_depth:
-            def input_map(x):
-                g = np.zeros((G + 1, 2))
-                g[:G, 0] = q
-                g[G, 1] = x[G - 1]
-                return g
-        else:
-            g_const = np.zeros((G + 1, 2))
-            g_const[:G, 0] = q
-            g_const[G, 1] = 1.0
-
-            def input_map(x):
-                return g_const
-
-        return SystemModel(
-            dim_state=G + 1,
-            dim_input=2,
-            drift=drift,
-            input_map=input_map,
-            input_lo=np.array([0.0, 0.0]),
-            input_hi=np.array([10.0, 1.0]),
-            stability_limit=self.stability_limit,
-        )
+        return SystemModel(dim_state=G + 1, dim_input=2, drift=lambda x: A @ x,
+                           input_map=input_map, **common)
 
 
 def heat_rhs(sys: HeatSystem, state, u) -> np.ndarray:
@@ -245,6 +251,56 @@ def _rk4_step(rhs, t, x, dt):
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _rk4_advance(rhs):
+    """Generic path: ``n_sub`` classical RK4 steps of length ``dt`` from ``t``."""
+
+    def advance(t, x, dt, n_sub):
+        for _ in range(n_sub):
+            x = _rk4_step(rhs, t, x, dt)
+            t += dt
+        return x
+
+    return advance
+
+
+def _linear_rk4_advance(model: SystemModel, cdm, input_signal):
+    """Linear path: the exact step map of RK4 on ``x' = A x + B e(t)``.
+
+    With ``H = dt A`` one RK4 step is ``x+ = R x + P0 e(t) + Ph e(t + dt/2)
+    + P1 e(t + dt)``, where ``R = I + H + H^2/2 + H^3/6 + H^4/24``,
+    ``P0 = dt/6 (I + H + H^2/2 + H^3/4) B``, ``Ph = dt/6 (4I + 2H + H^2/2) B``
+    and ``P1 = dt/6 B``.  The powers of ``A`` are formed once; per sampling
+    interval ``R`` and the ``P`` are scalar-weighted sums of them, so no
+    matrix product runs inside the step loop.  Each distinct stage time is
+    evaluated once, at the same floats as :func:`_rk4_step`.
+    """
+    A, B = model.a_matrix, model.b_matrix
+    eye = np.eye(A.shape[0])
+    A2 = A @ A
+    A3 = A2 @ A
+    A4 = A3 @ A
+    AB = A @ B
+    A2B = A @ AB
+    A3B = A @ A2B
+
+    def advance(t, x, dt, n_sub):
+        R = eye + dt * A + dt**2 / 2.0 * A2 + dt**3 / 6.0 * A3 + dt**4 / 24.0 * A4
+        P0 = dt / 6.0 * (B + dt * AB + dt**2 / 2.0 * A2B + dt**3 / 4.0 * A3B)
+        Ph = dt / 6.0 * (4.0 * B + 2.0 * dt * AB + dt**2 / 2.0 * A2B)
+        P1 = dt / 6.0 * B
+        starts = np.cumsum(np.concatenate([[t], np.full(n_sub, dt)]))
+        stages = np.empty(2 * n_sub + 1)
+        stages[0::2] = starts
+        stages[1::2] = starts[:-1] + 0.5 * dt
+        E = _effective_inputs(model, cdm, [input_signal(s) for s in stages])
+        forcing = E[0:-1:2] @ P0.T + E[1::2] @ Ph.T + E[2::2] @ P1.T
+        for f in forcing:
+            x = R @ x + f
+        return x
+
+    return advance
+
+
 def integrate(model, cdm, x0, input_signal, schedule: SamplingSchedule,
               max_step: Optional[float] = None,
               velocity_mode: str = "exact") -> list[ControlSample]:
@@ -252,10 +308,13 @@ def integrate(model, cdm, x0, input_signal, schedule: SamplingSchedule,
 
     Accepts a :class:`SystemModel` or a :class:`HeatSystem`.  Fixed-step
     fourth-order integration; the step never exceeds 1 ms or the model's
-    stability limit.  Observed velocities are the exact right-hand side at
-    the sampled state (``velocity_mode="exact"``) or a short forward
-    difference of the trajectory (``velocity_mode="finite_difference"``,
-    for sensitivity studies).  Deterministic for a fixed schedule seed.
+    stability limit.  Linear models (``a_matrix``/``b_matrix`` set) advance
+    by the precomputed RK4 step map, others by generic RK4 steps; both
+    give the classical RK4 solution.  Observed velocities are the exact
+    right-hand side at the sampled state (``velocity_mode="exact"``) or a
+    short forward difference of the trajectory
+    (``velocity_mode="finite_difference"``, for sensitivity studies).
+    Deterministic for a fixed schedule seed.
     """
     if isinstance(model, HeatSystem):
         model = model.model()
@@ -273,6 +332,11 @@ def integrate(model, cdm, x0, input_signal, schedule: SamplingSchedule,
     def rhs(t, x):
         return degraded_rhs(model, cdm, x, input_signal(t))
 
+    if model.a_matrix is None:
+        advance = _rk4_advance(rhs)
+    else:
+        advance = _linear_rk4_advance(model, cdm, input_signal)
+
     times = schedule.sample_times()
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     if x.shape[0] != model.dim_state:
@@ -281,12 +345,9 @@ def integrate(model, cdm, x0, input_signal, schedule: SamplingSchedule,
     t = 0.0
     for tk in times:
         span = tk - t
-        if span > 0:
-            n_sub = int(np.ceil(span / limit - 1e-12))
-            dt = span / n_sub
-            for _ in range(n_sub):
-                x = _rk4_step(rhs, t, x, dt)
-                t += dt
+        n_sub = int(np.ceil(span / limit - 1e-12))
+        if n_sub > 0:
+            x = advance(t, x, span / n_sub, n_sub)
         t = tk
         u = np.atleast_1d(np.asarray(input_signal(tk), dtype=float))
         if velocity_mode == "exact":

@@ -17,7 +17,7 @@ from cdmkit.degradation import (
     apply_partial,
     heat_depth_response,
     heat_example_cdm,
-    sampled_mode_separation,
+    mode_separation,
 )
 
 
@@ -189,8 +189,7 @@ class TestHeatExample:
 
     def test_sampled_separation_matches_declared(self):
         cdm = heat_example_cdm()
-        sep = sampled_mode_separation(cdm, [0.0, 0.0], [10.0, 1.0], n=4000, seed=0)
-        # finite sampling over-estimates the true minimum of 0.5
+        sep = mode_separation(cdm, [0.0, 0.0], [10.0, 1.0], n=4000, seed=0)
         assert sep >= cdm.separation - 1e-9
 
 
@@ -234,9 +233,48 @@ class TestSampledSeparation:
             (IntervalRegion(0, 0.0, 0.4), q1),
             (IntervalRegion(0, 0.45, 1.0), q2),
         ))
-        sep = sampled_mode_separation(cdm, [0.0], [1.0], n=4000, seed=1)
+        sep = mode_separation(cdm, [0.0], [1.0], n=4000, seed=1)
         assert sep < 0.2
 
     def test_single_mode_returns_none(self):
         cdm = NModeCdm(modes=((IntervalRegion(0, 0.0, 1.0), AffineMap.identity(1)),))
-        assert sampled_mode_separation(cdm, [0.0], [1.0]) is None
+        assert mode_separation(cdm, [0.0], [1.0]) is None
+
+
+class TestExactSeparation:
+    def close_modes(self, region):
+        q1 = AffineMap(np.array([[2.0]]), np.array([0.0]))
+        q2 = AffineMap(np.array([[2.0]]), np.array([0.05]))
+        return NModeCdm(modes=((region, q1), (IntervalRegion(0, 0.45, 1.0), q2)))
+
+    def test_heat_modes_exact(self):
+        # both branches approach 1 at the breakpoints 0.25 and 0.75
+        sep = mode_separation(heat_example_cdm(), [0.0, 0.0], [10.0, 1.0])
+        assert abs(sep - 0.5) <= 1e-12
+
+    def test_close_intervals_exact(self):
+        # closest points u1 = 0.4, u2 = 0.45: |(0.05, 0.15)|
+        cdm = self.close_modes(IntervalRegion(0, 0.0, 0.4))
+        np.testing.assert_allclose(mode_separation(cdm, [0.0], [1.0]), np.sqrt(0.025),
+                                   rtol=1e-12)
+
+    def test_regions_clipped_to_input_box(self):
+        # inside [0.2, 1] the first region shrinks to [0.2, 0.4]: unchanged gap;
+        # inside [0.5, 1] it is empty and no pair remains
+        cdm = self.close_modes(IntervalRegion(0, -5.0, 0.4))
+        np.testing.assert_allclose(mode_separation(cdm, [0.2], [1.0]), np.sqrt(0.025),
+                                   rtol=1e-12)
+        assert mode_separation(cdm, [0.5], [1.0]) is None
+
+    def test_pinned_box_coordinate(self):
+        # a one-point box: the distance from (0, 0) to the graph point (0.45, 0.95)
+        cdm = self.close_modes(BoxRegion([0.0], [0.0]))
+        np.testing.assert_allclose(mode_separation(cdm, [0.0], [1.0]), np.hypot(0.45, 0.95),
+                                   rtol=1e-12)
+
+    def test_ball_region_is_sampled_estimate(self):
+        # the ball [0, 0.4] has the exact gap of the interval; samples only over-estimate it
+        exact = mode_separation(self.close_modes(IntervalRegion(0, 0.0, 0.4)), [0.0], [1.0])
+        estimate = mode_separation(self.close_modes(BallRegion([0.2], 0.2)), [0.0], [1.0],
+                                   n=4000, seed=1)
+        assert exact <= estimate < exact + 0.01

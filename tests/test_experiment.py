@@ -140,8 +140,17 @@ class TestSeparationValidation:
         # widen the clustering separation beyond the true inter-mode gap
         bad = DEFAULT_HEAT_CONFIG.replace("delta = 0.4", "delta = 0.6")
         cfg = parse_config_text(bad)
-        with pytest.raises(IdentificationError):
+        with pytest.raises(IdentificationError, match="only 0.5 apart"):
             validate_ground_truth_separation(cfg)
+
+    def test_exact_gap_equal_to_delta_passes(self):
+        # the heat modes sit exactly 0.5 apart: a sampled check could not tell
+        # delta = 0.5 from delta = 0.5016
+        validate_ground_truth_separation(
+            parse_config_text(DEFAULT_HEAT_CONFIG.replace("delta = 0.4", "delta = 0.5")))
+        with pytest.raises(IdentificationError):
+            validate_ground_truth_separation(
+                parse_config_text(DEFAULT_HEAT_CONFIG.replace("delta = 0.4", "delta = 0.501")))
 
 
 class TestRunExperiment:

@@ -1,14 +1,22 @@
 """Tests for the simulator and the heat-conduction testbed."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cdmkit.degradation import heat_example_cdm
+from cdmkit.degradation import AffineMap, IntervalRegion, NModeCdm, heat_example_cdm
 from cdmkit.errors import ConfigError, PreconditionError
+from cdmkit.identification import build_reconstruction
+from cdmkit.serialization import reconstruction_to_lines
 from cdmkit.simulation import (
     ControlSample,
     HeatSystem,
     SamplingSchedule,
+    SystemModel,
     degraded_rhs,
     discretized_pseudo_inverse,
     heat_rhs,
@@ -207,6 +215,147 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(model, None, [1.0], lambda t: np.zeros(1), sched,
                       velocity_mode="spline")
+
+
+def generic(model):
+    """The same system without its matrices: integrated by generic RK4 steps."""
+    return dataclasses.replace(model, a_matrix=None, b_matrix=None)
+
+
+def assert_trajectories_agree(fast, reference, rtol=1e-10):
+    assert [s.time for s in fast] == [s.time for s in reference]
+    for field in ("state", "velocity"):
+        a = np.array([getattr(s, field) for s in fast])
+        b = np.array([getattr(s, field) for s in reference])
+        scale = max(1.0, float(np.max(np.abs(b))))
+        assert np.max(np.abs(a - b)) <= rtol * scale, field
+    for sf, sr in zip(fast, reference):
+        np.testing.assert_array_equal(sf.input, sr.input)
+
+
+@st.composite
+def linear_runs(draw):
+    """A random linear system, degradation, input signal and jittered schedule."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # shift > 0 gives unstable systems, shift < 0 stable ones
+    shift = draw(st.floats(-4.0, 2.0))
+    A = rng.normal(size=(n, n)) * draw(st.floats(0.0, 3.0)) + shift * np.eye(n)
+    B = rng.normal(size=(n, m))
+    amp, freq, phase = rng.uniform(0.5, 2.0, m), rng.uniform(2.0, 20.0, m), rng.uniform(0, 6, m)
+
+    def signal(t):
+        return amp * np.sin(freq * t + phase)
+
+    cdm = None
+    if draw(st.booleans()):
+        # breakpoints inside the signal's range, so the active mode switches
+        # between two stage times of a sub-step, not only at samples
+        cut = sorted(rng.uniform(-0.6, 0.6, 2))
+        cdm = NModeCdm(modes=(
+            (IntervalRegion(0, -10.0, cut[0], closed_hi=False),
+             AffineMap(rng.normal(size=(m, m)), rng.normal(size=m))),
+            (IntervalRegion(0, cut[1], 10.0), AffineMap(rng.normal(size=(m, m)), rng.normal(size=m))),
+        ))
+    rate = draw(st.sampled_from([2.0, 5.0, 20.0]))
+    schedule = SamplingSchedule(rate=rate, jitter=draw(st.floats(0.0, 0.49)) / rate,
+                                seed=draw(st.integers(0, 100)), horizon=1.0)
+    mode = draw(st.sampled_from(["exact", "finite_difference"]))
+    return linear_system(A, B), cdm, rng.normal(size=n), signal, schedule, mode
+
+
+class TestLinearPropagator:
+    """The precomputed RK4 step map against generic RK4 steps."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(linear_runs())
+    def test_matches_generic_rk4(self, run):
+        model, cdm, x0, signal, schedule, mode = run
+        fast = integrate(model, cdm, x0, signal, schedule, velocity_mode=mode)
+        reference = integrate(generic(model), cdm, x0, signal, schedule, velocity_mode=mode)
+        assert_trajectories_agree(fast, reference)
+
+    def test_lambda_model_takes_generic_path(self):
+        A, B = np.array([[0.0, 1.0], [-4.0, -0.1]]), np.array([[0.0], [1.0]])
+        lam = SystemModel(dim_state=2, dim_input=1, drift=lambda x: A @ x,
+                          input_map=lambda x: B)
+        sched = SamplingSchedule(rate=10.0, jitter=0.02, seed=3, horizon=2.0)
+        signal = lambda t: np.array([np.cos(3.0 * t)])
+        fast = integrate(linear_system(A, B), None, [1.0, 0.0], signal, sched)
+        assert_trajectories_agree(fast, integrate(lam, None, [1.0, 0.0], signal, sched))
+
+    def test_bundled_heat_run_matches_generic(self, heat_run):
+        config, result, _ = heat_run
+        model = config.model()
+        assert model.a_matrix is not None
+        reference = integrate(generic(model), config.cdm, config.x0, config.signal,
+                              config.schedule)
+        states = np.array([s.state for s in result.samples])
+        np.testing.assert_allclose(states, [s.state for s in reference], rtol=0, atol=1e-10)
+        assert reconstruction_to_lines(result.reconstruction) == reconstruction_to_lines(
+            build_reconstruction(reference, model, config.identification))
+
+    def test_call_counts(self):
+        counts = {"drift": 0, "cdm": 0}
+        model = HeatSystem(grid_points=21, epsilon=0.1).model()
+        base_cdm = heat_example_cdm()
+
+        def drift(x):
+            counts["drift"] += 1
+            return model.drift(x)
+
+        def cdm(u):
+            counts["cdm"] += 1
+            return base_cdm(u)
+
+        counted = dataclasses.replace(model, drift=drift)
+        sched = SamplingSchedule(rate=20.0, jitter=0.01, seed=2, horizon=1.0)
+        samples = integrate(counted, cdm, np.zeros(model.dim_state), probe_signal, sched)
+        limit = min(1e-3, model.stability_limit)
+        t, sub_steps = 0.0, 0
+        for tk in sched.sample_times():
+            if tk > t:
+                sub_steps += int(np.ceil((tk - t) / limit - 1e-12))
+            t = tk
+        assert counts["drift"] == len(samples) == 20
+        assert counts["cdm"] <= 2 * sub_steps + 2 * len(samples)
+
+    def test_vanishing_interval_takes_no_step(self):
+        # a sample 1e-300 s after the start is below any step: no step, no warning
+        class Times:
+            def sample_times(self):
+                return np.array([1e-300, 0.1])
+
+        model = linear_system([[1.0]], [[1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            samples = integrate(model, None, [1.0], lambda t: np.zeros(1), Times())
+        assert samples[0].state[0] == 1.0
+        np.testing.assert_allclose(samples[1].state[0], np.exp(0.1), rtol=1e-12)
+
+    def test_nonlinear_depth_keeps_generic_path(self):
+        sys = HeatSystem(grid_points=21, epsilon=0.1, nonlinear_depth=True)
+        model = sys.model()
+        assert model.a_matrix is None and model.b_matrix is None
+        x = np.zeros(model.dim_state)
+        x[sys.grid_points - 1] = 3.0
+        np.testing.assert_allclose(model.input_map(x)[-1], [0.0, 3.0])
+
+    def test_heat_stencil_matrix(self):
+        sys = HeatSystem(grid_points=5, diffusivity=0.5, epsilon=0.25)
+        A = sys.model().a_matrix
+        c = 0.5 / sys.spacing**2
+        expected = c * np.array([
+            [-2, 2, 0, 0, 0, 0],
+            [1, -2, 1, 0, 0, 0],
+            [0, 1, -2, 1, 0, 0],
+            [0, 0, 1, -2, 1, 0],
+            [0, 0, 0, 2, -2, 0],
+            [0, 0, 0, 0, 0, 0],
+        ])
+        np.testing.assert_array_equal(A, expected)
+        assert not A.flags.writeable
 
 
 class TestPseudoInverse:
