@@ -8,18 +8,13 @@ degradation.
 """
 
 from .degradation import (
-    Acting,
     AffineMap,
     BallRegion,
     BoxRegion,
     IntervalRegion,
-    LipschitzCdm,
     NModeCdm,
-    PartialCdm,
-    PredicateRegion,
     apply_affine,
     apply_ncdm,
-    apply_partial,
     heat_depth_response,
     heat_example_cdm,
     mode_separation,
@@ -47,7 +42,6 @@ from .geometry import (
     Containment,
     Side,
     StarSetApprox,
-    ball_region,
     covering_radius,
     estimate_mgf_lipschitz,
     hausdorff_distance,
@@ -71,9 +65,7 @@ from .identification import (
     build_reconstruction_from_pairs,
     cluster_pairs,
     fit_affine,
-    fit_linear,
     lipschitz_error_bound,
-    mode_containment,
     query,
     recover_effective_input,
     split_pairs,
@@ -93,8 +85,6 @@ from .simulation import (
     SamplingSchedule,
     SystemModel,
     degraded_rhs,
-    discretized_pseudo_inverse,
-    heat_rhs,
     integrate,
     linear_system,
     probe_signal,

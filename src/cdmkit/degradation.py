@@ -2,17 +2,16 @@
 
 A degradation map remaps a commanded input vector before the system's input
 matrix acts on it.  This module provides the map families used by the
-simulator and as oracles in tests: plain affine maps, partial maps that act
-only inside or outside a region, multi-mode conditional maps (one affine map
-per disjoint region, identity elsewhere), Lipschitz maps, and the bundled
-heat-probe example with a three-branch piecewise-linear depth response.
+simulator and as oracles in tests: plain affine maps, multi-mode conditional
+maps (one affine map per disjoint region, identity elsewhere), and the
+bundled heat-probe example with a three-branch piecewise-linear depth
+response.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import lsq_linear
@@ -119,16 +118,6 @@ class BallRegion:
         return bool(np.linalg.norm(vec - self.center) <= self.radius)
 
 
-@dataclass(frozen=True)
-class PredicateRegion:
-    """Arbitrary membership test; overlap with other regions is unchecked."""
-
-    predicate: Callable[[np.ndarray], bool]
-
-    def contains(self, u) -> bool:
-        return bool(self.predicate(np.atleast_1d(np.asarray(u, dtype=float))))
-
-
 def _intervals_overlap(lo1, hi1, c1lo, c1hi, lo2, hi2, c2lo, c2hi) -> bool:
     lo, hi = max(lo1, lo2), min(hi1, hi2)
     if lo < hi:
@@ -157,37 +146,7 @@ def regions_overlap(a, b) -> Optional[bool]:
 
 
 # ---------------------------------------------------------------------------
-# Partial and multi-mode conditional degradation maps.
-
-
-class Acting(enum.Enum):
-    INTERNAL = "internal"  # degrade inside the region, identity outside
-    EXTERNAL = "external"  # identity inside the region, degrade outside
-
-
-@dataclass(frozen=True)
-class PartialCdm:
-    """Degradation that is switched by membership of a single region."""
-
-    base: Callable[[np.ndarray], np.ndarray]
-    region: object
-    acting: Acting
-
-    def __call__(self, u):
-        return apply_partial(self, u)
-
-
-def apply_partial(pc: PartialCdm, u) -> np.ndarray:
-    """Apply the base map inside (INTERNAL) or outside (EXTERNAL) the region."""
-    vec = np.atleast_1d(np.asarray(u, dtype=float))
-    inside = pc.region.contains(vec)
-    active = inside if pc.acting is Acting.INTERNAL else not inside
-    if not active:
-        return vec.copy()
-    mapped = np.atleast_1d(np.asarray(pc.base(vec), dtype=float))
-    if mapped.shape != vec.shape:
-        raise ValueError("base map changed the input dimension")
-    return mapped
+# Multi-mode conditional degradation maps.
 
 
 @dataclass(frozen=True)
@@ -196,15 +155,10 @@ class NModeCdm:
 
     Inputs in no region pass through unchanged.  ``separation`` is the known
     lower bound on the distance between distinct mode graphs ``(u, Q u)``.
-    ``declared_regions``/``declared_mode_count`` carry experiment metadata
-    (e.g. region lists as published for a test article) without affecting
-    behaviour.
     """
 
     modes: tuple
     separation: float = 0.0
-    declared_regions: Optional[tuple] = None
-    declared_mode_count: Optional[int] = None
 
     def __post_init__(self):
         modes = tuple((region, q) for region, q in self.modes)
@@ -236,30 +190,6 @@ def apply_ncdm(cdm: NModeCdm, u) -> np.ndarray:
     if hits:
         return apply_affine(hits[0], vec)
     return vec.copy()
-
-
-@dataclass(frozen=True)
-class LipschitzCdm:
-    """General degradation map with a declared Lipschitz constant."""
-
-    map: Callable[[np.ndarray], np.ndarray]
-    lipschitz: float
-
-    def __post_init__(self):
-        if self.lipschitz <= 0:
-            raise ValueError("Lipschitz constant must be positive")
-
-    def __call__(self, u):
-        return np.atleast_1d(np.asarray(self.map(np.atleast_1d(np.asarray(u, dtype=float))), dtype=float))
-
-    def max_difference_quotient(self, points) -> float:
-        """Largest sampled quotient |P u - P u'| / |u - u'|; should not exceed the declared constant."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        images = np.array([self(p) for p in pts])
-        du = cdist(pts, pts)
-        dv = cdist(images, images)
-        mask = du > 1e-12
-        return float(np.max(dv[mask] / du[mask])) if np.any(mask) else 0.0
 
 
 def _clipped_box(region, lo, hi):
@@ -319,10 +249,10 @@ def mode_separation(cdm: NModeCdm, box_lo, box_hi, n: int = 2000,
 
     For two interval or box regions (clipped to ``[box_lo, box_hi]``) the
     distance is exact: the infimum over the closed regions, a bounded
-    least-squares problem.  A pair involving a ball or predicate region is
-    only an *estimate*, the minimum over ``n`` uniform draws in the box,
-    which can over-estimate the true distance.  Returns None when fewer
-    than two modes have inputs in the box.
+    least-squares problem.  A pair involving a ball region is only an
+    *estimate*, the minimum over ``n`` uniform draws in the box, which can
+    over-estimate the true distance.  Returns None when fewer than two
+    modes have inputs in the box.
     """
     if len(cdm.modes) < 2:
         return None
@@ -365,11 +295,6 @@ def heat_depth_response(p):
 # toward the breakpoints 0.25 and 0.75, where both branches approach 1.
 HEAT_MODE_SEPARATION = 0.5
 
-# Region list as published for the electrosurgery test article.  The middle
-# entry disagrees with the identity interval of the response formula; it is
-# carried as metadata only, behaviour follows the formula.
-HEAT_DECLARED_REGIONS = ((0.0, 0.25), (0.5, 0.75), (0.75, 1.0))
-
 
 def heat_example_cdm() -> NModeCdm:
     """Two-input degradation of the heat-probe testbed.
@@ -386,6 +311,4 @@ def heat_example_cdm() -> NModeCdm:
             (IntervalRegion(axis=1, lo=0.75, hi=1.0, closed_lo=False, closed_hi=True), deep),
         ),
         separation=HEAT_MODE_SEPARATION,
-        declared_regions=HEAT_DECLARED_REGIONS,
-        declared_mode_count=3,
     )

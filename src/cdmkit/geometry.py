@@ -79,13 +79,6 @@ class Side(enum.Enum):
     OUTER = "outer"
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise ValueError("zero vector has no direction")
-    return v / n
-
-
 def _dedup_samples(directions, radii, side: Side):
     """Collapse near-identical directions, keeping the most informative radius.
 
@@ -277,37 +270,25 @@ def star_contains(inner: StarSetApprox, outer: StarSetApprox, u) -> Containment:
 
     INSIDE_INNER certifies membership of the underlying set, OUTSIDE_OUTER
     certifies non-membership, INCONCLUSIVE is the gap between the bounds.
-    The two approximations must share a center.  At the center itself the
-    direction is undefined; the point is INSIDE_INNER whenever the inner
-    bound is positive at some witness direction.
+    The pair must share a center (checked once by ``ModeReconstruction``,
+    not per call).  An inner side without witnesses certifies nothing and
+    an outer side without witnesses excludes nothing.  At the center itself
+    the direction is undefined; the point is INSIDE_INNER whenever the
+    inner bound is positive at some witness direction.
     """
-    if inner.side is not Side.INNER or outer.side is not Side.OUTER:
-        raise ValueError("expected an (inner, outer) approximation pair")
-    if inner.dim != outer.dim or np.max(np.abs(inner.center - outer.center)) > 1e-12:
-        raise ValueError("inner and outer approximations must share a center")
     point = np.atleast_1d(np.asarray(u, dtype=float))
     offset = point - inner.center
-    r = np.linalg.norm(offset)
+    r = float(np.linalg.norm(offset))
     if r == 0.0:
-        if inner.n_samples and np.max(inner.radii) > 0.0:
+        if inner.n_samples and float(np.max(inner.radii)) > 0.0:
             return Containment.INSIDE_INNER
         return Containment.INCONCLUSIVE
     l = offset / r
-    if r <= mgf_inner_bound(inner, l):
+    if inner.n_samples and r <= mgf_inner_bound(inner, l):
         return Containment.INSIDE_INNER
-    if r > mgf_outer_bound(outer, l):
+    if outer.n_samples and r > mgf_outer_bound(outer, l):
         return Containment.OUTSIDE_OUTER
     return Containment.INCONCLUSIVE
-
-
-def outer_bounds(approx: StarSetApprox, directions: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`mgf_outer_bound` over rows of unit ``directions``."""
-    if approx.side is not Side.OUTER:
-        raise ValueError("outer bound requires an OUTER-side approximation")
-    if approx.n_samples == 0:
-        raise ValueError("approximation has no witness samples")
-    gaps = cdist(np.atleast_2d(directions), approx.directions)
-    return np.min(approx.radii[None, :] + approx.lipschitz * gaps, axis=1)
 
 
 def _region_probes(region: StarSetApprox, probe_count: int, seed: int) -> np.ndarray:
@@ -326,7 +307,7 @@ def _region_probes(region: StarSetApprox, probe_count: int, seed: int) -> np.nda
         norms[norms == 0.0] = 1.0
         dirs = gauss / norms
     frac = raw[:, -1] ** (1.0 / d)
-    radii = outer_bounds(region, dirs)
+    radii = np.min(region.radii + region.lipschitz * cdist(dirs, region.directions), axis=1)
     return region.center + dirs * (frac * radii)[:, None]
 
 
@@ -382,12 +363,3 @@ def interval_region(lo: float, hi: float, side: Side = Side.OUTER) -> StarSetApp
         side=side,
     )
 
-
-def ball_region(center, radius: float, side: Side = Side.OUTER) -> StarSetApprox:
-    """Exact star-set description of a Euclidean ball about its center."""
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    c = np.atleast_1d(np.asarray(center, dtype=float))
-    e = np.zeros_like(c)
-    e[0] = 1.0
-    return StarSetApprox(c, 0.0, e.reshape(1, -1), np.array([radius]), side)

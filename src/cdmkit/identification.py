@@ -31,12 +31,13 @@ from .geometry import (
     Side,
     StarSetApprox,
     estimate_mgf_lipschitz,
-    mgf_inner_bound,
-    mgf_outer_bound,
+    star_contains,
 )
-from .simulation import RANK_TOL, ControlSample, SystemModel
+from .simulation import ControlSample, SystemModel
 
 log = logging.getLogger(__name__)
+
+RANK_TOL = 1e-9  # relative singular-value cutoff of every rank decision
 
 
 @dataclass(frozen=True)
@@ -94,10 +95,6 @@ class Cluster:
     @property
     def inputs(self) -> np.ndarray:
         return np.array([p.input for p in self.pairs])
-
-    @property
-    def effectives(self) -> np.ndarray:
-        return np.array([p.effective for p in self.pairs])
 
 
 def _select_basis(inputs: np.ndarray, m: int, known: Sequence = ()):
@@ -259,39 +256,16 @@ def cluster_pairs(pairs: Sequence[EffectivePair], delta: float, n_modes: int,
 # Affine fitting
 
 
-def fit_linear(inputs: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Unique linear map sending each column of ``inputs`` to input + delta.
-
-    Computed as ``(inputs + deltas) inputs^T (inputs inputs^T)^{-1}`` through
-    a factorization solve.  Requires square, full-rank ``inputs``.
-    """
-    U = np.atleast_2d(np.asarray(inputs, dtype=float))
-    D = np.atleast_2d(np.asarray(deltas, dtype=float))
-    if U.shape[0] != U.shape[1] or U.shape != D.shape:
-        raise ValueError("inputs and deltas must be square matrices of equal shape")
-    sv = np.linalg.svd(U, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= RANK_TOL * sv[0]:
-        cond = np.inf if sv[-1] == 0.0 else sv[0] / sv[-1]
-        raise PreconditionError(
-            f"input columns are rank deficient (condition estimate {cond:.3e})",
-            cond=cond,
-            singular_values=sv,
-        )
-    V = U + D
-    gram = U @ U.T
-    return np.linalg.solve(gram, U @ V.T).T
-
-
 def fit_affine(cluster: Cluster) -> AffineMap:
     """Fit the affine map of one cluster exactly.
 
     Differences from an anchor pair cancel the translation: with anchor
     ``(u_a, v_a)`` and basis pairs ``(u_b, v_b)``, the linear part maps each
     ``u_b - u_a`` to ``v_b - v_a`` and the translation is ``v_a - P u_a``.
-    When the anchored differences span a strict subspace (inputs confined to
-    an affine subspace), the deviation from identity is resolved at minimum
-    norm, which reproduces consistent data exactly and leaves unobserved
-    directions untouched.
+    The deviation from identity is the minimum-norm least-squares solution:
+    exact when the differences have full rank, and when they span a strict
+    subspace (inputs confined to an affine subspace) it still reproduces
+    consistent data exactly and leaves unobserved directions untouched.
     """
     if not cluster.basis_indices:
         raise IdentificationError(
@@ -313,12 +287,8 @@ def fit_affine(cluster: Cluster) -> AffineMap:
     u_a, v_a = cluster.pairs[anchor].input, cluster.pairs[anchor].effective
     U_diff = np.column_stack([cluster.pairs[b].input - u_a for b in basis])
     V_diff = np.column_stack([cluster.pairs[b].effective - v_a for b in basis])
-    sv = np.linalg.svd(U_diff, compute_uv=False)
-    if sv[0] > 0.0 and sv[-1] > RANK_TOL * sv[0]:
-        linear = fit_linear(U_diff, V_diff - U_diff)
-    else:
-        deviation, *_ = np.linalg.lstsq(U_diff.T, (V_diff - U_diff).T, rcond=RANK_TOL)
-        linear = np.eye(m) + deviation.T
+    deviation, *_ = np.linalg.lstsq(U_diff.T, (V_diff - U_diff).T, rcond=RANK_TOL)
+    linear = np.eye(m) + deviation.T
     translation = v_a - linear @ u_a
     return AffineMap(linear, translation)
 
@@ -346,13 +316,24 @@ class IdentificationConfig:
 
 @dataclass(frozen=True)
 class ModeReconstruction:
-    """One identified (or detected but not yet identified) degradation mode."""
+    """One identified (or detected but not yet identified) degradation mode.
+
+    ``inner``/``outer`` must be an (INNER, OUTER) pair about one center;
+    that is checked here, once, so containment queries need not.
+    """
 
     map: Optional[AffineMap]
     inner: StarSetApprox
     outer: StarSetApprox
     pairs: tuple
     residuals: Optional[np.ndarray]
+
+    def __post_init__(self):
+        if self.inner.side is not Side.INNER or self.outer.side is not Side.OUTER:
+            raise ValueError("expected an (inner, outer) approximation pair")
+        if (self.inner.dim != self.outer.dim
+                or np.max(np.abs(self.inner.center - self.outer.center)) > 1e-12):
+            raise ValueError("inner and outer approximations must share a center")
 
     @property
     def identified(self) -> bool:
@@ -385,6 +366,12 @@ def split_pairs(pairs: Sequence[EffectivePair], identity_tol: float):
     for p in pairs:
         (unaffected if _is_unaffected(p, identity_tol) else affected).append(p)
     return affected, unaffected
+
+
+def fit_residuals(affine: AffineMap, pairs: Sequence[EffectivePair]) -> np.ndarray:
+    """Per-pair fit residuals ``|affine(u) - v|``."""
+    gaps = (affine.translation + affine.linear @ p.input - p.effective for p in pairs)
+    return np.array([math.sqrt(g.dot(g)) for g in gaps])  # np.linalg.norm's arithmetic
 
 
 def _mode_from_cluster(cluster: Cluster, unaffected_inputs: np.ndarray,
@@ -424,10 +411,8 @@ def _mode_from_cluster(cluster: Cluster, unaffected_inputs: np.ndarray,
                 and np.array_equal(known.map.linear, affine.linear)
                 and np.array_equal(known.map.translation, affine.translation)):
             reused = known.residuals
-        residuals = np.concatenate([reused, [
-            np.linalg.norm(apply_affine(affine, p.input) - p.effective)
-            for p in cluster.pairs[reused.shape[0]:]
-        ]])
+        fresh = fit_residuals(affine, cluster.pairs[reused.shape[0]:])
+        residuals = np.concatenate([reused, fresh])
         residuals.setflags(write=False)  # snapshots of a stream share it
     except IdentificationError as exc:
         log.debug("cluster left unidentified: %s", exc)
@@ -574,27 +559,6 @@ def build_reconstruction(samples: Sequence[ControlSample], model: SystemModel,
 # Queries against a reconstruction
 
 
-def mode_containment(mode: ModeReconstruction, u) -> Containment:
-    """Classify a point against one mode's inner/outer region approximations.
-
-    An outer approximation without witnesses cannot exclude anything; an
-    inner approximation without witnesses cannot certify anything.
-    """
-    point = np.atleast_1d(np.asarray(u, dtype=float))
-    offset = point - mode.inner.center
-    r = float(np.linalg.norm(offset))
-    if r == 0.0:
-        if mode.inner.n_samples and float(np.max(mode.inner.radii)) > 0.0:
-            return Containment.INSIDE_INNER
-        return Containment.INCONCLUSIVE
-    l = offset / r
-    if mode.inner.n_samples and r <= mgf_inner_bound(mode.inner, l):
-        return Containment.INSIDE_INNER
-    if mode.outer.n_samples and r > mgf_outer_bound(mode.outer, l):
-        return Containment.OUTSIDE_OUTER
-    return Containment.INCONCLUSIVE
-
-
 class QueryKind:
     PASSTHROUGH = "passthrough"
     MAPPED = "mapped"
@@ -632,7 +596,7 @@ def query(recon: CdmReconstruction, u) -> QueryResult:
     inside = []
     outside_all = True
     for i, mode in enumerate(recon.modes):
-        c = mode_containment(mode, point)
+        c = star_contains(mode.inner, mode.outer, point)
         if c is Containment.INSIDE_INNER:
             inside.append(i)
         if c is not Containment.OUTSIDE_OUTER:
@@ -660,7 +624,7 @@ def lipschitz_error_bound(recon: CdmReconstruction, u, l_p: float) -> float:
         raise ValueError("Lipschitz constant must be positive")
     point = np.atleast_1d(np.asarray(u, dtype=float))
     for mode in recon.modes:
-        if mode_containment(mode, point) is not Containment.INSIDE_INNER:
+        if star_contains(mode.inner, mode.outer, point) is not Containment.INSIDE_INNER:
             continue
         if not mode.identified:
             raise PreconditionError(
@@ -693,7 +657,7 @@ def viabilize(recon: CdmReconstruction, u_cmd) -> np.ndarray:
             log.info("mode %d skipped during viabilization: linear part is singular", i)
             continue
         candidate = np.linalg.solve(mode.map.linear, cmd - mode.map.translation)
-        if mode_containment(mode, candidate) is Containment.INSIDE_INNER:
+        if star_contains(mode.inner, mode.outer, candidate) is Containment.INSIDE_INNER:
             return candidate
     raise UnviableInputError(
         "commanded input is outside the reconstructed viable range", u_cmd=cmd

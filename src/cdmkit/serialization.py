@@ -1,11 +1,15 @@
 """Plain-text persistence for samples, star sets, and reconstructions.
 
 All writers format floats with ``repr`` (shortest round-trip form), so a
-fixed computation produces byte-identical files across runs.
+fixed computation produces byte-identical files across runs.  Readers turn
+every malformed or inconsistent file into :class:`ReportParseError` with a
+line number.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 from typing import Sequence
 
 import numpy as np
@@ -13,7 +17,12 @@ import numpy as np
 from .degradation import AffineMap
 from .errors import ReportParseError
 from .geometry import Side, StarSetApprox
-from .identification import CdmReconstruction, EffectivePair, ModeReconstruction
+from .identification import (
+    CdmReconstruction,
+    EffectivePair,
+    ModeReconstruction,
+    fit_residuals,
+)
 from .simulation import ControlSample
 
 MAGIC = "cdm-reconstruction v1"
@@ -127,16 +136,28 @@ class _Cursor:
 
 def _floats(text: str, lineno: int) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok != ""]
+        values = [float(tok) for tok in text.split(",") if tok != ""]
     except ValueError:
         raise ReportParseError(f"cannot parse numbers from {text!r}", line=lineno)
+    if not all(map(math.isfinite, values)):
+        raise ReportParseError(f"non-finite number in {text!r}", line=lineno)
+    return values
 
 
 def _float(text: str, lineno: int) -> float:
-    try:
-        return float(text)
-    except ValueError:
+    values = _floats(text, lineno)
+    if len(values) != 1:
         raise ReportParseError(f"cannot parse a number from {text!r}", line=lineno)
+    return values[0]
+
+
+@contextlib.contextmanager
+def _checked(lineno: int):
+    """Report a value constructor's ``ValueError`` as a parse error at ``lineno``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ReportParseError(str(exc), line=lineno) from exc
 
 
 def _count(text: str, lineno: int) -> int:
@@ -151,45 +172,30 @@ def _count(text: str, lineno: int) -> int:
 
 def star_from_cursor(cur: _Cursor) -> StarSetApprox:
     cur.expect(STAR_HEADER)
-    meta_line = cur.next(expect="star metadata")
-    fields = meta_line.split(",")
+    fields = cur.next(expect="star metadata").split(",")
+    lineno = cur.lineno - 1
     if len(fields) < 4:
-        raise ReportParseError("star metadata line too short", line=cur.lineno - 1)
+        raise ReportParseError("star metadata line too short", line=lineno)
     dim = len(fields) - 3
+    if _count(fields[dim], lineno) != dim:
+        raise ReportParseError(f"star metadata declares dim {fields[dim]}, line implies {dim}",
+                               line=lineno)
+    center = np.array(_floats(",".join(fields[:dim]), lineno))
+    lipschitz = _float(fields[dim + 1], lineno)
     try:
-        declared_dim = int(fields[dim])
+        side = Side(fields[dim + 2])
     except ValueError:
-        raise ReportParseError("star metadata dim is not an integer", line=cur.lineno - 1)
-    if declared_dim != dim:
-        raise ReportParseError(
-            f"star metadata declares dim {declared_dim}, line implies {dim}",
-            line=cur.lineno - 1,
-        )
-    center = np.array(_floats(",".join(fields[:dim]), cur.lineno - 1))
-    lipschitz = _float(fields[dim + 1], cur.lineno - 1)
-    side_token = fields[dim + 2]
-    try:
-        side = Side(side_token)
-    except ValueError:
-        raise ReportParseError(f"unknown side {side_token!r}", line=cur.lineno - 1)
-    count_line = cur.next(expect="samples,<count>")
-    if not count_line.startswith("samples,"):
-        raise ReportParseError("expected 'samples,<count>'", line=cur.lineno - 1)
-    count = _count(count_line.split(",", 1)[1], cur.lineno - 1)
+        raise ReportParseError(f"unknown side {fields[dim + 2]!r}", line=lineno)
     dirs, radii = [], []
-    for _ in range(count):
+    for _ in range(_scalar_count(cur, "samples")):
         vals = _floats(cur.next(expect="direction,radius row"), cur.lineno - 1)
         if len(vals) != dim + 1:
             raise ReportParseError("sample row has wrong arity", line=cur.lineno - 1)
         dirs.append(vals[:dim])
         radii.append(vals[dim])
-    return StarSetApprox(
-        center=center,
-        lipschitz=lipschitz,
-        directions=np.array(dirs) if dirs else np.empty((0, dim)),
-        radii=np.array(radii),
-        side=side,
-    )
+    with _checked(lineno):
+        return StarSetApprox(center=center, lipschitz=lipschitz,
+                             directions=np.reshape(dirs, (-1, dim)), radii=radii, side=side)
 
 
 def write_star(path, approx: StarSetApprox) -> None:
@@ -243,13 +249,17 @@ def write_reconstruction(path, recon: CdmReconstruction) -> None:
         fh.write("\n".join(reconstruction_to_lines(recon)) + "\n")
 
 
-def _parse_pair(line: str, lineno: int, m: int) -> EffectivePair:
-    if not line.startswith("pair,"):
-        raise ReportParseError("expected a 'pair,' row", line=lineno)
-    vals = _floats(line[len("pair,"):], lineno)
-    if len(vals) != 2 * m:
-        raise ReportParseError("pair row has wrong arity", line=lineno)
-    return EffectivePair(np.array(vals[:m]), np.array(vals[m:]))
+def _pairs(cur: _Cursor, count: int, m: int) -> tuple:
+    pairs = []
+    for _ in range(count):
+        line = cur.next(expect="pair row")
+        if not line.startswith("pair,"):
+            raise ReportParseError("expected a 'pair,' row", line=cur.lineno - 1)
+        vals = _floats(line[len("pair,"):], cur.lineno - 1)
+        if len(vals) != 2 * m:
+            raise ReportParseError("pair row has wrong arity", line=cur.lineno - 1)
+        pairs.append(EffectivePair(np.array(vals[:m]), np.array(vals[m:])))
+    return tuple(pairs)
 
 
 def _scalar(cur: _Cursor, key: str) -> str:
@@ -270,6 +280,9 @@ def reconstruction_from_lines(lines: Sequence[str]) -> CdmReconstruction:
     mode_count = _scalar_count(cur, "mode_count")
     separation = _float(_scalar(cur, "separation"), cur.lineno - 1)
     n_modes = _scalar_count(cur, "modes")
+    if n_modes > mode_count:
+        raise ReportParseError(f"{n_modes} modes exceed the mode budget {mode_count}",
+                               line=cur.lineno - 1)
     n_unaffected = _scalar_count(cur, "unaffected")
     modes = []
     for i in range(n_modes):
@@ -281,34 +294,30 @@ def reconstruction_from_lines(lines: Sequence[str]) -> CdmReconstruction:
             if len(lin) != m * m:
                 raise ReportParseError("linear row has wrong arity", line=cur.lineno - 1)
             trans = _floats(_scalar(cur, "translation"), cur.lineno - 1)
-            affine = AffineMap(np.array(lin).reshape(m, m), np.array(trans))
-            _float(_scalar(cur, "residual"), cur.lineno - 1)  # informational; recomputed
-        n_pairs = _scalar_count(cur, "pairs")
-        pairs = tuple(
-            _parse_pair(cur.next(expect="pair row"), cur.lineno - 1, m)
-            for _ in range(n_pairs)
-        )
+            with _checked(cur.lineno - 1):
+                affine = AffineMap(np.array(lin).reshape(m, m), np.array(trans))
+            residual = _float(_scalar(cur, "residual"), cur.lineno - 1)
+            residual_lineno = cur.lineno - 1
+        pairs = _pairs(cur, _scalar_count(cur, "pairs"), m)
         cur.expect("[inner]")
         inner = star_from_cursor(cur)
         cur.expect("[outer]")
         outer = star_from_cursor(cur)
         cur.expect(f"[end mode {i}]")
-        residuals = None
-        if affine is not None:
-            residuals = np.array([
-                np.linalg.norm(affine.translation + affine.linear @ p.input - p.effective)
-                for p in pairs
-            ])
-        modes.append(
-            ModeReconstruction(
+        if inner.dim != m:
+            raise ReportParseError(f"mode {i} region has dim {inner.dim}, not {m}",
+                                   line=cur.lineno - 1)
+        residuals = None if affine is None else fit_residuals(affine, pairs)
+        with _checked(cur.lineno - 1):
+            mode = ModeReconstruction(
                 map=affine, inner=inner, outer=outer, pairs=pairs, residuals=residuals
             )
-        )
+        if affine is not None and not (pairs and mode.residual == residual):
+            raise ReportParseError(f"stored residual {_fmt(residual)} is not the residual "
+                                   "recomputed from the pairs", line=residual_lineno)
+        modes.append(mode)
     cur.expect("[unaffected]")
-    unaffected = tuple(
-        _parse_pair(cur.next(expect="pair row"), cur.lineno - 1, m)
-        for _ in range(n_unaffected)
-    )
+    unaffected = _pairs(cur, n_unaffected, m)
     cur.expect("[end unaffected]")
     return CdmReconstruction(
         modes=tuple(modes),

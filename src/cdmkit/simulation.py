@@ -15,9 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, PreconditionError
-
-RANK_TOL = 1e-9
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -200,14 +198,6 @@ class HeatSystem:
                            input_map=input_map, **common)
 
 
-def heat_rhs(sys: HeatSystem, state, u) -> np.ndarray:
-    """Degradation-free right-hand side of the heat testbed."""
-    state = np.atleast_1d(np.asarray(state, dtype=float))
-    if state.shape[0] != sys.dim_state:
-        raise ValueError("state dimension does not match the grid")
-    return degraded_rhs(sys.model(), None, state, u)
-
-
 def probe_signal(t):
     """Bundled probe command: unit source power, raised-cosine depth rate.
 
@@ -358,20 +348,3 @@ def integrate(model, cdm, x0, input_signal, schedule: SamplingSchedule,
         samples.append(ControlSample(time=float(tk), state=x.copy(), velocity=v, input=u))
     return samples
 
-
-def discretized_pseudo_inverse(model: SystemModel, x) -> np.ndarray:
-    """Left inverse of the input matrix at a state, via SVD.
-
-    Satisfies ``pinv @ g(x) == I`` to high accuracy whenever ``g(x)`` has
-    full column rank; raises with the measured singular values otherwise.
-    """
-    G = np.asarray(model.input_map(np.atleast_1d(np.asarray(x, dtype=float))), dtype=float)
-    sv = np.linalg.svd(G, compute_uv=False)
-    rank = int(np.sum(sv > RANK_TOL * sv[0])) if sv[0] > 0 else 0
-    if rank < model.dim_input:
-        raise PreconditionError(
-            f"input matrix is rank deficient (rank {rank} < {model.dim_input})",
-            rank=rank,
-            singular_values=sv,
-        )
-    return np.linalg.pinv(G, rcond=RANK_TOL)

@@ -32,6 +32,7 @@ from cdmkit.geometry import (
     hausdorff_distance,
     mgf_inner_bound,
     mgf_outer_bound,
+    star_contains,
     within_fattening,
 )
 from cdmkit.identification import (
@@ -39,7 +40,6 @@ from cdmkit.identification import (
     QueryKind,
     build_reconstruction,
     lipschitz_error_bound,
-    mode_containment,
     query,
     viabilize,
 )
@@ -179,7 +179,7 @@ def test_criterion_3_sandwich(trial_bank, heat):
             draws = region.center + rng.uniform(-2.5, 2.5, (10, m)) * region.radius
             for u in draws:
                 checked += 1
-                c = mode_containment(mode, u)
+                c = star_contains(mode.inner, mode.outer, u)
                 if c is Containment.INSIDE_INNER and not region.contains(u):
                     violations += 1
                 if region.contains(u) and c is Containment.OUTSIDE_OUTER:
@@ -192,7 +192,7 @@ def test_criterion_3_sandwich(trial_bank, heat):
         for s in rng.random(1000):
             u = np.array([1.0, s])
             checked += 1
-            c = mode_containment(mode, u)
+            c = star_contains(mode.inner, mode.outer, u)
             if c is Containment.INSIDE_INNER and not region.contains(u):
                 violations += 1
             if region.contains(u) and c is Containment.OUTSIDE_OUTER:

@@ -1,5 +1,10 @@
 """Tests for the command-line front end and its exit codes."""
 
+import contextlib
+import io
+import pathlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -173,6 +178,71 @@ class TestViabilize:
         _, out = small_run
         code = main(["viabilize", str(out / "reconstruction.txt"), "abc"])
         assert code == EXIT_CONFIG
+
+
+class TestCorruptedReconstruction:
+    """Inconsistent reconstruction files are parse errors (exit 2), never tracebacks."""
+
+    def assert_parse_error(self, heat_run, tmp_path, capsys, edit):
+        lines = pathlib.Path(heat_run[1].artifacts["reconstruction"]).read_text().splitlines()
+        edit(lines)
+        bad = tmp_path / "corrupt.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        for argv in (["report", str(bad)], ["viabilize", str(bad), "1.0", "0.9"]):
+            assert main(argv) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("parse-error:") and "(line " in err
+
+    def test_shifted_outer_center(self, heat_run, tmp_path, capsys):
+        def edit(lines):
+            i = lines.index("[outer]") + 2
+            fields = lines[i].split(",")
+            fields[0] = repr(float(fields[0]) + 0.3)
+            lines[i] = ",".join(fields)
+
+        self.assert_parse_error(heat_run, tmp_path, capsys, edit)
+
+    def test_swapped_star_side(self, heat_run, tmp_path, capsys):
+        def edit(lines):
+            i = lines.index("[inner]") + 2
+            lines[i] = lines[i].replace(",inner", ",outer")
+
+        self.assert_parse_error(heat_run, tmp_path, capsys, edit)
+
+    def test_tampered_residual(self, heat_run, tmp_path, capsys):
+        def edit(lines):
+            i = next(i for i, line in enumerate(lines) if line.startswith("residual,"))
+            lines[i] = "residual,0.5"
+
+        self.assert_parse_error(heat_run, tmp_path, capsys, edit)
+
+    def test_modes_beyond_budget(self, heat_run, tmp_path, capsys):
+        def edit(lines):
+            lines[lines.index("mode_count,3")] = "mode_count,1"
+
+        self.assert_parse_error(heat_run, tmp_path, capsys, edit)
+
+    def test_single_token_mutations_never_exit_1(self, heat_run, tmp_path):
+        # every token of every line replaced in turn by each of these values
+        lines = pathlib.Path(heat_run[1].artifacts["reconstruction"]).read_text().splitlines()
+        bad = tmp_path / "mutant.txt"
+        allowed = {EXIT_OK, EXIT_CONFIG, EXIT_IDENTIFICATION, EXIT_UNVIABLE}
+        exits = Counter()
+        sink = io.StringIO()
+        for i, line in enumerate(lines):
+            tokens = line.split(",")
+            for j in range(len(tokens)):
+                for value in ("nan", "inf", "-1", "x", "", "1e400", "0"):
+                    mutant = tokens[:j] + [value] + tokens[j + 1:]
+                    bad.write_text("\n".join(lines[:i] + [",".join(mutant)] + lines[i + 1:]))
+                    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                        codes = (main(["report", str(bad)]),
+                                 main(["viabilize", str(bad), "1.0", "0.9"]))
+                    sink.seek(0)
+                    sink.truncate()
+                    exits.update(codes)
+                    assert set(codes) <= allowed, (i + 1, j, value, codes)
+        assert exits.total() > 10_000 and exits[EXIT_CONFIG] > exits[EXIT_OK]
 
 
 class TestBundledConfig:

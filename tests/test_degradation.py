@@ -4,17 +4,13 @@ import numpy as np
 import pytest
 
 from cdmkit.degradation import (
-    Acting,
     AffineMap,
     BallRegion,
     BoxRegion,
     IntervalRegion,
-    LipschitzCdm,
     NModeCdm,
-    PartialCdm,
     apply_affine,
     apply_ncdm,
-    apply_partial,
     heat_depth_response,
     heat_example_cdm,
     mode_separation,
@@ -67,48 +63,6 @@ class TestRegions:
         assert BoxRegion([0.0, 0.0], [1.0, 2.0]).contains([0.5, 1.5])
 
 
-class TestPartialCdm:
-    def shallow(self):
-        return PartialCdm(
-            base=AffineMap(np.array([[3.0]]), np.array([0.25])),
-            region=IntervalRegion(axis=0, lo=0.0, hi=0.25, closed_hi=False),
-            acting=Acting.INTERNAL,
-        )
-
-    def test_internal_outside_unchanged(self):
-        np.testing.assert_array_equal(apply_partial(self.shallow(), [0.5]), [0.5])
-
-    def test_internal_inside_applies_base(self):
-        np.testing.assert_allclose(apply_partial(self.shallow(), [0.1]), [0.55])
-
-    def test_external_inside_unchanged(self):
-        pc = PartialCdm(
-            base=AffineMap(np.array([[2.0]]), np.array([0.0])),
-            region=IntervalRegion(axis=0, lo=-1.0, hi=1.0),
-            acting=Acting.EXTERNAL,
-        )
-        np.testing.assert_array_equal(apply_partial(pc, [0.3]), [0.3])
-        np.testing.assert_allclose(apply_partial(pc, [2.0]), [4.0])
-
-    def test_internal_on_whole_space_equals_base(self):
-        base = AffineMap(np.array([[2.0, 0.0], [0.5, -1.0]]), np.array([0.1, 0.2]))
-        pc = PartialCdm(base=base, region=BoxRegion([-10, -10], [10, 10]),
-                        acting=Acting.INTERNAL)
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            u = rng.uniform(-10, 10, 2)
-            np.testing.assert_allclose(apply_partial(pc, u), apply_affine(base, u))
-
-    def test_external_on_whole_space_is_identity(self):
-        base = AffineMap(np.array([[5.0]]), np.array([1.0]))
-        pc = PartialCdm(base=base, region=IntervalRegion(axis=0, lo=-10, hi=10),
-                        acting=Acting.EXTERNAL)
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            u = rng.uniform(-10, 10, 1)
-            np.testing.assert_array_equal(apply_partial(pc, u), u)
-
-
 class TestNModeCdm:
     def test_overlapping_intervals_rejected(self):
         q = AffineMap.identity(1)
@@ -157,6 +111,7 @@ class TestNModeCdm:
 class TestHeatExample:
     def test_depth_channel_branches(self):
         cdm = heat_example_cdm()
+        assert len(cdm.modes) == 2  # the identity mid-interval needs no mode
         np.testing.assert_allclose(apply_ncdm(cdm, [1.0, 0.1])[1], 0.55)
         np.testing.assert_allclose(apply_ncdm(cdm, [1.0, 0.5])[1], 0.5)
         np.testing.assert_allclose(apply_ncdm(cdm, [1.0, 0.9])[1], 2.5 - 1.8)
@@ -181,48 +136,10 @@ class TestHeatExample:
             assert out[0] == u[0]
             np.testing.assert_allclose(out[1], heat_depth_response(u[1]))
 
-    def test_declared_metadata(self):
-        cdm = heat_example_cdm()
-        assert cdm.declared_mode_count == 3
-        assert cdm.declared_regions == ((0.0, 0.25), (0.5, 0.75), (0.75, 1.0))
-        assert len(cdm.modes) == 2  # the identity mid-interval needs no mode
-
     def test_sampled_separation_matches_declared(self):
         cdm = heat_example_cdm()
         sep = mode_separation(cdm, [0.0, 0.0], [10.0, 1.0], n=4000, seed=0)
         assert sep >= cdm.separation - 1e-9
-
-
-class TestLipschitzCdm:
-    def saturation(self):
-        # saturate the command to [-1, 1]: continuous two-mode degradation
-        cap_hi = AffineMap(np.zeros((1, 1)), np.array([1.0]))
-        cap_lo = AffineMap(np.zeros((1, 1)), np.array([-1.0]))
-        ncdm = NModeCdm(modes=(
-            (IntervalRegion(0, 1.0, 10.0, closed_lo=False), cap_hi),
-            (IntervalRegion(0, -10.0, -1.0, closed_hi=False), cap_lo),
-        ))
-        return LipschitzCdm(map=ncdm, lipschitz=1.0)
-
-    def test_declared_constant_holds(self):
-        cdm = self.saturation()
-        rng = np.random.default_rng(5)
-        pts = rng.uniform(-3, 3, (200, 1))
-        assert cdm.max_difference_quotient(pts) <= cdm.lipschitz + 1e-12
-
-    def test_quotient_check_catches_violations(self):
-        steep = LipschitzCdm(map=lambda u: 5.0 * u, lipschitz=1.0)
-        pts = np.array([[0.0], [1.0]])
-        assert steep.max_difference_quotient(pts) > steep.lipschitz
-
-    def test_random_pairs_against_declared_constant(self):
-        cdm = self.saturation()
-        rng = np.random.default_rng(6)
-        u = rng.uniform(-5, 5, (10_000, 1))
-        v = rng.uniform(-5, 5, (10_000, 1))
-        lhs = np.abs(np.array([cdm(a)[0] for a in u]) - np.array([cdm(b)[0] for b in v]))
-        rhs = cdm.lipschitz * np.abs(u[:, 0] - v[:, 0])
-        assert np.all(lhs <= rhs + 1e-12)
 
 
 class TestSampledSeparation:

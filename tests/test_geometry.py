@@ -7,7 +7,6 @@ from cdmkit.geometry import (
     Containment,
     Side,
     StarSetApprox,
-    ball_region,
     covering_radius,
     estimate_mgf_lipschitz,
     hausdorff_distance,
@@ -18,6 +17,7 @@ from cdmkit.geometry import (
     star_contains,
     within_fattening,
 )
+from cdmkit.identification import ModeReconstruction
 
 SQRT2 = np.sqrt(2.0)
 
@@ -281,13 +281,27 @@ class TestStarContains:
         inner, outer = self.unit_ball_pair()
         assert star_contains(inner, outer, [0.0, 0.0]) is Containment.INSIDE_INNER
 
+    def test_sides_without_witnesses(self):
+        # an empty inner side certifies nothing, an empty outer side excludes nothing
+        inner, outer = self.unit_ball_pair()
+        empty_inner = star_from_samples(np.empty((0, 2)), [], Side.INNER, 0.0)
+        empty_outer = star_from_samples(np.empty((0, 2)), [], Side.OUTER, 0.0)
+        for u in ([0.5, 0.0], [0.0, 0.0]):
+            assert star_contains(empty_inner, outer, u) is Containment.INCONCLUSIVE
+        assert star_contains(empty_inner, outer, [2.0, 0.0]) is Containment.OUTSIDE_OUTER
+        assert star_contains(inner, empty_outer, [2.0, 0.0]) is Containment.INCONCLUSIVE
+        assert star_contains(inner, empty_outer, [0.5, 0.0]) is Containment.INSIDE_INNER
+
     def test_center_mismatch_rejected(self):
+        # the pair is checked once, where a mode is built, not on every query
         inner, outer = self.unit_ball_pair()
         shifted = StarSetApprox(
             np.array([0.5, 0.0]), 0.0, np.array([[1.0, 0.0]]), np.array([1.0]), Side.OUTER
         )
-        with pytest.raises(ValueError):
-            star_contains(inner, shifted, [0.5, 0.0])
+        with pytest.raises(ValueError, match="share a center"):
+            ModeReconstruction(map=None, inner=inner, outer=shifted, pairs=(), residuals=None)
+        with pytest.raises(ValueError, match="inner, outer"):
+            ModeReconstruction(map=None, inner=outer, outer=inner, pairs=(), residuals=None)
 
 
 class TestCoveringRadius:
@@ -311,7 +325,8 @@ class TestCoveringRadius:
 
     def test_ball_single_center_sample(self):
         r = 2.0
-        region = ball_region([0.0, 0.0], r)
+        # a zero-Lipschitz gauge with one witness: the ball of radius r
+        region = StarSetApprox([0.0, 0.0], 0.0, [[1.0, 0.0]], [r], Side.OUTER)
         est = covering_radius([[0.0, 0.0]], region, probe_count=10_000, seed=3)
         np.testing.assert_allclose(est, r, atol=0.01 * r)
         assert est <= r + 1e-12

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from cdmkit.degradation import AffineMap, BallRegion, NModeCdm, apply_ncdm
+from cdmkit.degradation import AffineMap, BallRegion, NModeCdm, apply_affine, apply_ncdm
 from cdmkit.errors import IdentificationError, PreconditionError, UnviableInputError
-from cdmkit.geometry import Containment, Side, StarSetApprox
+from cdmkit.geometry import Containment, Side, StarSetApprox, star_contains
 from cdmkit.identification import (
     CdmReconstruction,
     Cluster,
@@ -17,9 +17,8 @@ from cdmkit.identification import (
     build_reconstruction_from_pairs,
     cluster_pairs,
     fit_affine,
-    fit_linear,
+    fit_residuals,
     lipschitz_error_bound,
-    mode_containment,
     query,
     recover_effective_input,
     split_pairs,
@@ -132,28 +131,37 @@ class TestClusterPairs:
         assert np.linalg.matrix_rank(basis) == 2
 
 
+def cluster_of(pairs):
+    return cluster_pairs(pairs, delta=1e9, n_modes=1)[0]
+
+
 class TestFitLinear:
+    """The linear part of ``fit_affine`` on full-rank anchor + basis clusters."""
+
+    def fit(self, inputs, truth: AffineMap):
+        return fit_affine(cluster_of([EffectivePair(u, truth(u)) for u in inputs]))
+
     def test_identity(self):
-        np.testing.assert_allclose(fit_linear(np.eye(2), np.zeros((2, 2))), np.eye(2))
+        # the anchor at the origin and the unit basis: differences are the identity
+        q = self.fit([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], AffineMap.identity(2))
+        np.testing.assert_allclose(q.linear, np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(q.translation, np.zeros(2), atol=1e-15)
 
     def test_identity_plus_delta(self):
         d = np.array([[0.1, -0.2], [0.3, 0.4]])
-        np.testing.assert_allclose(fit_linear(np.eye(2), d), np.eye(2) + d)
+        truth = AffineMap(np.eye(2) + d, np.array([0.5, -0.25]))
+        q = self.fit([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], truth)
+        np.testing.assert_allclose(q.linear, np.eye(2) + d, atol=1e-14)
+        np.testing.assert_allclose(q.translation, truth.translation, atol=1e-14)
 
     def test_round_trip_against_ground_truth(self):
-        inputs = np.array([[1.0, 1.0], [0.0, 1.0]])
-        truth = np.diag([2.0, 3.0])
-        deltas = truth @ inputs - inputs
-        np.testing.assert_allclose(fit_linear(inputs, deltas), truth, atol=1e-10)
-
-    def test_rank_deficient_carries_condition(self):
-        with pytest.raises(PreconditionError) as err:
-            fit_linear(np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((2, 2)))
-        assert err.value.cond is not None
-
-
-def cluster_of(pairs):
-    return cluster_pairs(pairs, delta=1e9, n_modes=1)[0]
+        truth = AffineMap(np.diag([2.0, 3.0]), np.array([0.25, -1.0]))
+        cluster = cluster_of([EffectivePair(u, truth(u))
+                              for u in ([1.0, 1.0], [0.0, 1.0], [0.2, -0.3])])
+        assert len(cluster.basis_indices) == 2
+        q = fit_affine(cluster)
+        np.testing.assert_allclose(q.linear, truth.linear, atol=1e-10)
+        np.testing.assert_allclose(q.translation, truth.translation, atol=1e-10)
 
 
 class TestFitAffine:
@@ -189,6 +197,16 @@ class TestFitAffine:
         q = fit_affine(cluster_of(pairs))
         np.testing.assert_allclose(q.linear, truth.linear, atol=1e-10)
         np.testing.assert_allclose(q.translation, truth.translation, atol=1e-10)
+
+    def test_residuals_are_per_pair_norms(self):
+        # the written residuals and the reader's check both come from these bits
+        rng = np.random.default_rng(5)
+        q = AffineMap(rng.normal(size=(3, 3)), rng.normal(size=3))
+        pairs = [EffectivePair(u, q(u) + 1e-9 * rng.normal(size=3))
+                 for u in rng.normal(size=(20, 3))]
+        expected = [np.linalg.norm(apply_affine(q, p.input) - p.effective) for p in pairs]
+        np.testing.assert_array_equal(fit_residuals(q, pairs), expected)
+        assert fit_residuals(q, []).shape == (0,)
 
     def test_missing_basis(self):
         pairs = [EffectivePair([0.0, 0.0], [1.0, 1.0])]
@@ -449,8 +467,9 @@ class TestModeContainment:
     def test_witnesses_are_inside(self):
         mode = manual_scalar_mode(0.0, 0.25, 3.0, 0.25)
         for p in mode.pairs:
-            assert mode_containment(mode, p.input) is Containment.INSIDE_INNER
+            assert star_contains(mode.inner, mode.outer, p.input) is Containment.INSIDE_INNER
 
     def test_center_of_nondegenerate_mode_is_inside(self):
         mode = manual_scalar_mode(0.0, 0.25, 3.0, 0.25)
-        assert mode_containment(mode, mode.inner.center) is Containment.INSIDE_INNER
+        center = mode.inner.center
+        assert star_contains(mode.inner, mode.outer, center) is Containment.INSIDE_INNER

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cdmkit.degradation import AffineMap, IntervalRegion, NModeCdm, heat_example_cdm
 from cdmkit.errors import ConfigError, PreconditionError
-from cdmkit.identification import build_reconstruction
+from cdmkit.identification import build_reconstruction, recover_effective_input
 from cdmkit.serialization import reconstruction_to_lines
 from cdmkit.simulation import (
     ControlSample,
@@ -18,8 +18,6 @@ from cdmkit.simulation import (
     SamplingSchedule,
     SystemModel,
     degraded_rhs,
-    discretized_pseudo_inverse,
-    heat_rhs,
     integrate,
     linear_system,
     probe_signal,
@@ -54,6 +52,11 @@ class TestDegradedRhs:
         model = linear_system([[1.0]], [[1.0]])
         with pytest.raises(ValueError):
             degraded_rhs(model, None, [1.0, 2.0], [0.0])
+
+
+def heat_rhs(sys, state, u):
+    """Degradation-free right-hand side of the heat testbed."""
+    return degraded_rhs(sys.model(), None, state, u)
 
 
 class TestHeatSystem:
@@ -358,41 +361,52 @@ class TestLinearPropagator:
         assert not A.flags.writeable
 
 
+def observed(model, x, effective):
+    """Exact observation at ``x`` whose recovered effective input is ``effective``."""
+    x = np.asarray(x, dtype=float)
+    velocity = degraded_rhs(model, None, x, effective)
+    return ControlSample(time=0.0, state=x, velocity=velocity, input=effective)
+
+
+def assert_left_inverse(model, x, atol):
+    """``recover_effective_input`` maps ``g(x) e_i`` back to ``e_i`` for every column."""
+    for e in np.eye(model.dim_input):
+        np.testing.assert_allclose(recover_effective_input(observed(model, x, e), model), e,
+                                   atol=atol)
+
+
 class TestPseudoInverse:
+    """``recover_effective_input`` is a rank-checked left inverse of ``g(x)``."""
+
     def test_identity(self):
         model = linear_system(np.zeros((2, 2)), np.eye(2))
-        np.testing.assert_allclose(
-            discretized_pseudo_inverse(model, np.zeros(2)), np.eye(2), atol=1e-12
-        )
+        assert_left_inverse(model, np.zeros(2), atol=1e-12)
 
     def test_single_column(self):
+        # a gain of 2: the velocity 2 v recovers v
         model = linear_system([[0.0]], [[2.0]])
-        np.testing.assert_allclose(
-            discretized_pseudo_inverse(model, [0.0]), [[0.5]]
-        )
+        sample = ControlSample(time=0.0, state=[0.0], velocity=[1.0], input=[0.0])
+        np.testing.assert_allclose(recover_effective_input(sample, model), [0.5])
 
     def test_heat_left_inverse(self):
         model = HeatSystem(grid_points=101).model()
-        x = np.zeros(model.dim_state)
-        pinv = discretized_pseudo_inverse(model, x)
-        np.testing.assert_allclose(
-            pinv @ model.input_map(x), np.eye(2), atol=1e-10
-        )
+        assert_left_inverse(model, np.zeros(model.dim_state), atol=1e-10)
 
     def test_left_inverse_along_bundled_run(self, heat_run):
-        # the property holds at every state the bundled experiment visits
+        # every state the bundled experiment visits recovers the degraded input
         config, result, _ = heat_run
         model = config.model()
         for s in result.samples:
-            pinv = discretized_pseudo_inverse(model, s.state)
-            np.testing.assert_allclose(
-                pinv @ model.input_map(s.state), np.eye(2), atol=1e-10
-            )
+            assert_left_inverse(model, s.state, atol=1e-10)
+            np.testing.assert_allclose(recover_effective_input(s, model), config.cdm(s.input),
+                                       atol=1e-10)
 
     def test_rank_deficient_rejected(self):
         model = linear_system(np.zeros((2, 2)), [[1.0, 1.0], [1.0, 1.0]])
+        sample = observed(model, np.zeros(2), np.array([1.0, 0.0]))
         with pytest.raises(PreconditionError) as err:
-            discretized_pseudo_inverse(model, np.zeros(2))
+            recover_effective_input(sample, model)
+        assert err.value.rank == 1
         assert err.value.singular_values is not None
 
     def test_overactuated_rejected(self):
