@@ -60,11 +60,20 @@ def apply_affine(q: AffineMap, u) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Regions: exact membership predicates for ground-truth affected sets.
+# Regions: exact membership predicates for ground-truth affected sets.  Each
+# region tests the rows of a ``(k, m)`` array at once; one vector is a batch
+# of one.
+
+
+class _Region:
+    """Base of the regions: ``contains_rows`` is the one membership predicate."""
+
+    def contains(self, u) -> bool:
+        return bool(self.contains_rows(np.array(u, dtype=float, ndmin=2))[0])
 
 
 @dataclass(frozen=True)
-class IntervalRegion:
+class IntervalRegion(_Region):
     """Slab region testing one input coordinate against an interval."""
 
     axis: int
@@ -73,15 +82,15 @@ class IntervalRegion:
     closed_lo: bool = True
     closed_hi: bool = True
 
-    def contains(self, u) -> bool:
-        c = float(np.atleast_1d(u)[self.axis])
+    def contains_rows(self, U: np.ndarray) -> np.ndarray:
+        c = U[:, self.axis]
         above = c >= self.lo if self.closed_lo else c > self.lo
         below = c <= self.hi if self.closed_hi else c < self.hi
-        return above and below
+        return above & below
 
 
 @dataclass(frozen=True)
-class BoxRegion:
+class BoxRegion(_Region):
     """Closed axis-aligned box."""
 
     lo: np.ndarray
@@ -95,13 +104,12 @@ class BoxRegion:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    def contains(self, u) -> bool:
-        vec = np.atleast_1d(np.asarray(u, dtype=float))
-        return bool(np.all(vec >= self.lo) and np.all(vec <= self.hi))
+    def contains_rows(self, U: np.ndarray) -> np.ndarray:
+        return np.all((U >= self.lo) & (U <= self.hi), axis=1)
 
 
 @dataclass(frozen=True)
-class BallRegion:
+class BallRegion(_Region):
     """Closed Euclidean ball."""
 
     center: np.ndarray
@@ -113,9 +121,8 @@ class BallRegion:
             raise ValueError("radius must be non-negative")
         object.__setattr__(self, "center", center)
 
-    def contains(self, u) -> bool:
-        vec = np.atleast_1d(np.asarray(u, dtype=float))
-        return bool(np.linalg.norm(vec - self.center) <= self.radius)
+    def contains_rows(self, U: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(U - self.center, axis=1) <= self.radius
 
 
 def _intervals_overlap(lo1, hi1, c1lo, c1hi, lo2, hi2, c2lo, c2hi) -> bool:
@@ -182,14 +189,32 @@ class NModeCdm:
 
 
 def apply_ncdm(cdm: NModeCdm, u) -> np.ndarray:
-    """Apply the unique mode whose region contains ``u``, else identity."""
-    vec = np.atleast_1d(np.asarray(u, dtype=float))
-    hits = [q for region, q in cdm.modes if region.contains(vec)]
-    if len(hits) > 1:
-        raise ValueError("input belongs to multiple mode regions")
-    if hits:
-        return apply_affine(hits[0], vec)
-    return vec.copy()
+    """Map each row of a ``(k, m)`` array by the unique mode whose region holds it.
+
+    Rows in no region pass through unchanged.  A single input vector is a
+    batch of one and comes back as a vector.  Each row is evaluated as
+    ``translation + sum_j linear[:, j] * u_j`` with elementwise operations,
+    so its result does not depend on the batch it came in (a BLAS product
+    rounds one row differently from several).
+    """
+    U = np.array(u, dtype=float, ndmin=2)
+    if cdm.dim is not None and U.shape[1] != cdm.dim:
+        raise ValueError(f"input dimension {U.shape[1]} != map dimension {cdm.dim}")
+    E = U.copy()
+    taken = np.zeros(U.shape[0], dtype=bool)
+    for region, q in cdm.modes:
+        mask = region.contains_rows(U)
+        if not mask.any():
+            continue
+        if (taken & mask).any():
+            raise ValueError("input belongs to multiple mode regions")
+        taken |= mask
+        rows = U[mask]
+        image = rows[:, :1] * q.linear[:, 0]
+        for j in range(1, q.dim):
+            image += rows[:, j:j + 1] * q.linear[:, j]
+        E[mask] = q.translation + image
+    return E if np.ndim(u) == 2 else E[0]
 
 
 def _clipped_box(region, lo, hi):
@@ -234,9 +259,8 @@ def _sampled_graphs(cdm: NModeCdm, lo, hi, n: int, seed: int) -> list:
     draws = lo + (hi - lo) * rng.random((n, lo.shape[0]))
     graphs = []
     for region, q in cdm.modes:
-        members = [u for u in draws if region.contains(u)]
-        if members:
-            members = np.array(members)
+        members = draws[region.contains_rows(draws)]
+        if len(members):
             graphs.append(np.hstack([members, members @ q.linear.T + q.translation]))
         else:
             graphs.append(None)

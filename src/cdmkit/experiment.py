@@ -253,14 +253,15 @@ def parse_config_text(text: str) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(str(exc))
 
-    ident = IdentificationConfig(
-        delta=_get(parser, "identification", "delta", float, required=True),
-        n_modes=_get(parser, "identification", "modes", int, required=True),
-        lipschitz=_get(parser, "identification", "lipschitz", float, 1.0),
-        identity_tol=_get(parser, "identification", "identity_tol", float, 1e-7),
-    )
-    if ident.delta <= 0 or ident.n_modes < 1 or ident.lipschitz < 0:
-        raise ConfigError("identification block has out-of-range values")
+    try:
+        ident = IdentificationConfig(
+            delta=_get(parser, "identification", "delta", float, required=True),
+            n_modes=_get(parser, "identification", "modes", int, required=True),
+            lipschitz=_get(parser, "identification", "lipschitz", float, 1.0),
+            identity_tol=_get(parser, "identification", "identity_tol", float, 1e-7),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"[identification] {exc}")
 
     regions: tuple = ()
     axis = 0

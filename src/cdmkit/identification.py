@@ -313,6 +313,17 @@ class IdentificationConfig:
     identity_tol: float = 1e-7
     force_merge: bool = True
 
+    def __post_init__(self):
+        for name in ("delta", "lipschitz"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not (math.isfinite(self.identity_tol) and self.identity_tol >= 0):
+            raise ValueError(
+                f"identity_tol must be finite and non-negative, got {self.identity_tol}")
+        if self.n_modes < 1:
+            raise ValueError(f"modes must be at least 1, got {self.n_modes}")
+
 
 @dataclass(frozen=True)
 class ModeReconstruction:

@@ -87,21 +87,28 @@ def linear_system(a_matrix, b_matrix, **kwargs) -> SystemModel:
 
 
 def _effective_inputs(model: SystemModel, cdm, commands) -> np.ndarray:
-    """Rows ``cdm(u)`` (``u`` without a map), one per command ``u``."""
+    """``cdm(U)`` (``U`` without a map) for the ``(k, m)`` array ``U`` of commands.
+
+    ``cdm`` maps the rows of a ``(k, m)`` array and is called once per batch.
+    """
     count = len(commands)
     U = np.array(commands, dtype=float).reshape(count, -1)
     if U.shape[1] != model.dim_input:
         raise ValueError("input dimension mismatch")
     if cdm is None:
         return U
-    E = np.array([cdm(u) for u in U], dtype=float).reshape(count, -1)
-    if E.shape[1] != model.dim_input:
+    E = np.asarray(cdm(U), dtype=float)
+    if E.shape != U.shape:
         raise ValueError("degradation map changed the input dimension")
     return E
 
 
 def degraded_rhs(model: SystemModel, cdm, x, u) -> np.ndarray:
-    """Right-hand side of the degraded system, ``f(x) + g(x) cdm(u)``."""
+    """Right-hand side of the degraded system, ``f(x) + g(x) cdm(u)``.
+
+    ``cdm`` maps a ``(k, m)`` array of commands row-wise; it gets ``u`` as
+    a batch of one.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape[0] != model.dim_state:
         raise ValueError("state dimension mismatch")
@@ -216,15 +223,25 @@ class SamplingSchedule:
     horizon: float = 1.0
 
     def __post_init__(self):
+        for name in ("rate", "jitter", "horizon"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"sampling {name} must be finite")
         if self.rate <= 0:
             raise ValueError("sampling rate must be positive")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
         if self.jitter < 0 or self.jitter >= 0.5 / self.rate:
             raise ValueError("jitter must lie in [0, 1/(2 rate)) to keep samples ordered")
+        if self.seed < 0:
+            raise ValueError("sampling seed must be non-negative")
+        if self._count() < 1:
+            raise ValueError(f"rate {self.rate} over horizon {self.horizon} gives no samples")
+
+    def _count(self) -> int:
+        return int(np.floor(self.rate * self.horizon + 1e-9))
 
     def sample_times(self) -> np.ndarray:
-        count = int(np.floor(self.rate * self.horizon + 1e-9))
+        count = self._count()
         base = np.arange(count) / self.rate
         if self.jitter == 0.0:
             return base
@@ -262,7 +279,8 @@ def _linear_rk4_advance(model: SystemModel, cdm, input_signal):
     and ``P1 = dt/6 B``.  The powers of ``A`` are formed once; per sampling
     interval ``R`` and the ``P`` are scalar-weighted sums of them, so no
     matrix product runs inside the step loop.  Each distinct stage time is
-    evaluated once, at the same floats as :func:`_rk4_step`.
+    evaluated once, at the same floats as :func:`_rk4_step`, and ``cdm``
+    maps all stage inputs of the interval in one call.
     """
     A, B = model.a_matrix, model.b_matrix
     eye = np.eye(A.shape[0])
@@ -282,7 +300,7 @@ def _linear_rk4_advance(model: SystemModel, cdm, input_signal):
         stages = np.empty(2 * n_sub + 1)
         stages[0::2] = starts
         stages[1::2] = starts[:-1] + 0.5 * dt
-        E = _effective_inputs(model, cdm, [input_signal(s) for s in stages])
+        E = _effective_inputs(model, cdm, [input_signal(s) for s in stages.tolist()])
         forcing = E[0:-1:2] @ P0.T + E[1::2] @ Ph.T + E[2::2] @ P1.T
         for f in forcing:
             x = R @ x + f
@@ -292,19 +310,17 @@ def _linear_rk4_advance(model: SystemModel, cdm, input_signal):
 
 
 def integrate(model, cdm, x0, input_signal, schedule: SamplingSchedule,
-              max_step: Optional[float] = None,
-              velocity_mode: str = "exact") -> list[ControlSample]:
+              max_step: Optional[float] = None) -> list[ControlSample]:
     """Simulate the degraded system and emit jittered observations.
 
-    Accepts a :class:`SystemModel` or a :class:`HeatSystem`.  Fixed-step
-    fourth-order integration; the step never exceeds 1 ms or the model's
-    stability limit.  Linear models (``a_matrix``/``b_matrix`` set) advance
-    by the precomputed RK4 step map, others by generic RK4 steps; both
-    give the classical RK4 solution.  Observed velocities are the exact
-    right-hand side at the sampled state (``velocity_mode="exact"``) or a
-    short forward difference of the trajectory
-    (``velocity_mode="finite_difference"``, for sensitivity studies).
-    Deterministic for a fixed schedule seed.
+    Accepts a :class:`SystemModel` or a :class:`HeatSystem`.  ``cdm`` (or
+    None for no degradation) maps a ``(k, m)`` array of commands row-wise.
+    Fixed-step fourth-order integration; the step never exceeds 1 ms or the
+    model's stability limit.  Linear models (``a_matrix``/``b_matrix`` set)
+    advance by the precomputed RK4 step map, with one ``cdm`` call per
+    sampling interval; others by generic RK4 steps.  Both give the classical
+    RK4 solution.  Observed velocities are the exact right-hand side at the
+    sampled state.  Deterministic for a fixed schedule seed.
     """
     if isinstance(model, HeatSystem):
         model = model.model()
@@ -316,8 +332,6 @@ def integrate(model, cdm, x0, input_signal, schedule: SamplingSchedule,
                 f"{model.stability_limit:.3e} of this system"
             )
         limit = min(limit, max_step)
-    if velocity_mode not in ("exact", "finite_difference"):
-        raise ValueError(f"unknown velocity mode {velocity_mode!r}")
 
     def rhs(t, x):
         return degraded_rhs(model, cdm, x, input_signal(t))
@@ -340,11 +354,7 @@ def integrate(model, cdm, x0, input_signal, schedule: SamplingSchedule,
             x = advance(t, x, span / n_sub, n_sub)
         t = tk
         u = np.atleast_1d(np.asarray(input_signal(tk), dtype=float))
-        if velocity_mode == "exact":
-            v = rhs(tk, x)
-        else:
-            delta = limit * 0.1
-            v = (_rk4_step(rhs, tk, x, delta) - x) / delta
-        samples.append(ControlSample(time=float(tk), state=x.copy(), velocity=v, input=u))
+        samples.append(ControlSample(time=float(tk), state=x.copy(), velocity=rhs(tk, x),
+                                     input=u))
     return samples
 

@@ -245,6 +245,42 @@ class TestCorruptedReconstruction:
         assert exits.total() > 10_000 and exits[EXIT_CONFIG] > exits[EXIT_OK]
 
 
+class TestConfigMutations:
+    # values the method does not admit, which used to run to exit 0
+    SILENT = {("delta", "nan"), ("lipschitz", "nan"), ("lipschitz", "inf"),
+              ("lipschitz", "1e400"), ("lipschitz", "0"), ("identity_tol", "nan"),
+              ("identity_tol", "inf"), ("identity_tol", "-1"), ("identity_tol", "1e400")}
+
+    def test_single_value_mutations_never_exit_1(self, tmp_path):
+        # every [sampling] and [identification] value of the bundled config
+        # (horizon 1) replaced in turn by each of these values, run through the CLI
+        from cdmkit.experiment import DEFAULT_HEAT_CONFIG
+
+        lines = DEFAULT_HEAT_CONFIG.replace("horizon = 10.0", "horizon = 1.0").splitlines()
+        cfg, out = tmp_path / "mutant.cfg", tmp_path / "out"
+        exits = {}
+        section = None
+        sink = io.StringIO()
+        for i, line in enumerate(lines):
+            if line.startswith("["):
+                section = line.strip("[]")
+                continue
+            if section not in ("sampling", "identification") or "=" not in line:
+                continue
+            key = line.split("=")[0].strip()
+            for value in ("nan", "inf", "-1", "x", "", "1e400", "0", "0.5", "7"):
+                cfg.write_text("\n".join(lines[:i] + [f"{key} = {value}"] + lines[i + 1:]))
+                with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                    exits[key, value] = main(["run", str(cfg), "--output", str(out)])
+                sink.seek(0)
+                sink.truncate()
+        assert len(exits) == 72
+        # a finite delta above the ground-truth mode gap is an identification failure
+        assert {k for k, code in exits.items() if code == EXIT_IDENTIFICATION} == {("delta", "7")}
+        assert set(exits.values()) == {EXIT_OK, EXIT_CONFIG, EXIT_IDENTIFICATION}
+        assert all(exits[case] == EXIT_CONFIG for case in self.SILENT)
+
+
 class TestBundledConfig:
     def test_repo_config_matches_default(self):
         import pathlib

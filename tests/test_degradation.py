@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdmkit.degradation import (
     AffineMap,
@@ -195,3 +197,88 @@ class TestExactSeparation:
         estimate = mode_separation(self.close_modes(BallRegion([0.2], 0.2)), [0.0], [1.0],
                                    n=4000, seed=1)
         assert exact <= estimate < exact + 0.01
+
+
+def random_map(rng, m):
+    return AffineMap(rng.normal(size=(m, m)), rng.normal(size=m))
+
+
+@st.composite
+def batches(draw):
+    """A multi-mode map and a ``(k, m)`` batch whose entries often sit on region edges."""
+    m = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["intervals", "box-ball", "undecided"]))
+    if kind == "intervals":
+        axis = draw(st.integers(0, m - 1))
+        lo1, hi1, lo2, hi2 = sorted(rng.uniform(-2.0, 2.0, 4))
+        closed = draw(st.lists(st.booleans(), min_size=4, max_size=4))
+        if draw(st.booleans()):
+            # touching at one point, which at most one of them holds
+            lo2 = hi1
+            closed[2] = closed[2] and not closed[1]
+        regions = [IntervalRegion(axis, lo1, hi1, closed[0], closed[1]),
+                   IntervalRegion(axis, lo2, hi2, closed[2], closed[3])]
+        edges = [lo1, hi1, lo2, hi2]
+    else:
+        # "undecided": a box and a ball that overlap, which regions_overlap cannot tell
+        center = np.full(m, 1.0 if kind == "undecided" else 1.5)
+        radius = 1.0
+        regions = [BoxRegion(np.full(m, -1.0), np.full(m, 1.0 if kind == "undecided" else -0.5)),
+                   BallRegion(center, radius)]
+        edges = [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.5]
+    cdm = NModeCdm(modes=tuple((region, random_map(rng, m)) for region in regions))
+    k = draw(st.integers(0, 12))
+    entry = st.one_of(st.sampled_from(edges), st.floats(-3.0, 3.0))
+    U = np.array(draw(st.lists(entry, min_size=k * m, max_size=k * m)),
+                 dtype=float).reshape(k, m)
+    return cdm, U
+
+
+class TestBatchEvaluation:
+    """``cdm(U)`` on a ``(k, m)`` batch against ``cdm(u)`` row by row."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(batches())
+    def test_batch_equals_stacked_rows(self, case):
+        cdm, U = case
+        try:
+            rows = np.array([cdm(u) for u in U], dtype=float).reshape(U.shape)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                cdm(U)
+            return
+        batch = cdm(U)
+        assert batch.shape == U.shape
+        assert batch.tobytes() == rows.tobytes()
+
+    def test_row_in_two_undecided_regions_raises(self):
+        box, ball = BoxRegion([-1.0, -1.0], [1.0, 1.0]), BallRegion([1.0, 1.0], 1.0)
+        cdm = NModeCdm(modes=((box, AffineMap.identity(2)), (ball, AffineMap.identity(2))))
+        U = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 1.5]])
+        with pytest.raises(ValueError, match="input belongs to multiple mode regions"):
+            cdm(U)
+        with pytest.raises(ValueError, match="input belongs to multiple mode regions"):
+            cdm(U[1])
+        np.testing.assert_array_equal(cdm(U[[0, 2]]), U[[0, 2]])
+
+    def test_empty_batch(self):
+        out = heat_example_cdm()(np.empty((0, 2)))
+        assert out.shape == (0, 2)
+
+    def test_vector_is_batch_of_one(self):
+        cdm = heat_example_cdm()
+        U = np.array([[1.0, 0.1], [1.0, 0.5], [2.0, 0.9]])
+        assert cdm(U[0]).shape == (2,)
+        np.testing.assert_array_equal(cdm(U), [cdm(u) for u in U])
+        np.testing.assert_array_equal(cdm(U), [[1.0, 0.55], [1.0, 0.5], [2.0, 2.5 - 1.8]])
+
+    def test_region_masks(self):
+        U = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [2.0, 2.0]])
+        np.testing.assert_array_equal(
+            IntervalRegion(0, 0.0, 1.0, closed_lo=False).contains_rows(U),
+            [False, True, True, False])
+        np.testing.assert_array_equal(
+            BoxRegion([0.0, 0.0], [1.0, 0.5]).contains_rows(U), [False, True, True, False])
+        np.testing.assert_array_equal(
+            BallRegion([0.0, 0.0], 1.0).contains_rows(U), [True, True, True, False])

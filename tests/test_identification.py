@@ -35,6 +35,22 @@ def scalar_sample(xdot_minus_x, x=1.0, u=0.1):
                          velocity=np.array([x + xdot_minus_x]), input=np.array([u]))
 
 
+class TestIdentificationConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("delta", np.nan), ("delta", np.inf), ("delta", 0.0), ("delta", -1.0),
+        ("lipschitz", np.nan), ("lipschitz", np.inf), ("lipschitz", 0.0),
+        ("identity_tol", np.nan), ("identity_tol", np.inf), ("identity_tol", -1.0),
+        ("n_modes", 0),
+    ])
+    def test_inadmissible_values_rejected(self, field, value):
+        kwargs = dict(delta=0.4, n_modes=3, lipschitz=1.0, identity_tol=1e-7)
+        with pytest.raises(ValueError):
+            IdentificationConfig(**{**kwargs, field: value})
+
+    def test_admissible_edge_values(self):
+        IdentificationConfig(delta=1e-12, n_modes=1, lipschitz=1e-12, identity_tol=0.0)
+
+
 class TestRecoverEffectiveInput:
     def setup_method(self):
         self.model = linear_system([[1.0]], [[2.0]])

@@ -149,6 +149,22 @@ class TestSamplingSchedule:
         with pytest.raises(ValueError):
             SamplingSchedule(rate=20.0, jitter=0.03, seed=0, horizon=1.0)
 
+    @pytest.mark.parametrize("field", ["rate", "jitter", "horizon"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = dict(rate=20.0, jitter=0.01, seed=0, horizon=1.0)
+        with pytest.raises(ValueError, match=f"sampling {field} must be finite"):
+            SamplingSchedule(**{**kwargs, field: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            SamplingSchedule(rate=20.0, jitter=0.01, seed=-1, horizon=1.0)
+
+    def test_schedule_without_samples_rejected(self):
+        with pytest.raises(ValueError, match="no samples"):
+            SamplingSchedule(rate=0.5, horizon=1.0)
+        assert len(SamplingSchedule(rate=0.5, horizon=2.0).sample_times()) == 1
+
     def test_times_ordered_and_nonnegative(self):
         sched = SamplingSchedule(rate=20.0, jitter=0.02499, seed=4, horizon=5.0)
         t = sched.sample_times()
@@ -203,22 +219,6 @@ class TestIntegrate:
             integrate(model, None, np.zeros(model.dim_state), lambda t: np.zeros(2),
                       sched, max_step=10 * sys.stability_limit)
 
-    def test_finite_difference_velocity_mode(self):
-        model = linear_system([[1.0]], [[1.0]])
-        sched = SamplingSchedule(rate=5.0, jitter=0.0, seed=0, horizon=0.4)
-        exact = integrate(model, None, [1.0], lambda t: np.zeros(1), sched)
-        fd = integrate(model, None, [1.0], lambda t: np.zeros(1), sched,
-                       velocity_mode="finite_difference")
-        for se, sf in zip(exact, fd):
-            np.testing.assert_allclose(sf.velocity, se.velocity, rtol=1e-3)
-
-    def test_unknown_velocity_mode(self):
-        model = linear_system([[1.0]], [[1.0]])
-        sched = SamplingSchedule(rate=5.0, jitter=0.0, seed=0, horizon=0.2)
-        with pytest.raises(ValueError):
-            integrate(model, None, [1.0], lambda t: np.zeros(1), sched,
-                      velocity_mode="spline")
-
 
 def generic(model):
     """The same system without its matrices: integrated by generic RK4 steps."""
@@ -264,8 +264,7 @@ def linear_runs(draw):
     rate = draw(st.sampled_from([2.0, 5.0, 20.0]))
     schedule = SamplingSchedule(rate=rate, jitter=draw(st.floats(0.0, 0.49)) / rate,
                                 seed=draw(st.integers(0, 100)), horizon=1.0)
-    mode = draw(st.sampled_from(["exact", "finite_difference"]))
-    return linear_system(A, B), cdm, rng.normal(size=n), signal, schedule, mode
+    return linear_system(A, B), cdm, rng.normal(size=n), signal, schedule
 
 
 class TestLinearPropagator:
@@ -274,9 +273,9 @@ class TestLinearPropagator:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(linear_runs())
     def test_matches_generic_rk4(self, run):
-        model, cdm, x0, signal, schedule, mode = run
-        fast = integrate(model, cdm, x0, signal, schedule, velocity_mode=mode)
-        reference = integrate(generic(model), cdm, x0, signal, schedule, velocity_mode=mode)
+        model, cdm, x0, signal, schedule = run
+        fast = integrate(model, cdm, x0, signal, schedule)
+        reference = integrate(generic(model), cdm, x0, signal, schedule)
         assert_trajectories_agree(fast, reference)
 
     def test_lambda_model_takes_generic_path(self):
@@ -308,21 +307,16 @@ class TestLinearPropagator:
             counts["drift"] += 1
             return model.drift(x)
 
-        def cdm(u):
+        def cdm(U):
             counts["cdm"] += 1
-            return base_cdm(u)
+            return base_cdm(U)
 
         counted = dataclasses.replace(model, drift=drift)
         sched = SamplingSchedule(rate=20.0, jitter=0.01, seed=2, horizon=1.0)
         samples = integrate(counted, cdm, np.zeros(model.dim_state), probe_signal, sched)
-        limit = min(1e-3, model.stability_limit)
-        t, sub_steps = 0.0, 0
-        for tk in sched.sample_times():
-            if tk > t:
-                sub_steps += int(np.ceil((tk - t) / limit - 1e-12))
-            t = tk
         assert counts["drift"] == len(samples) == 20
-        assert counts["cdm"] <= 2 * sub_steps + 2 * len(samples)
+        # one batch per sampling interval, one per observed velocity
+        assert counts["cdm"] <= 2 * len(samples)
 
     def test_vanishing_interval_takes_no_step(self):
         # a sample 1e-300 s after the start is below any step: no step, no warning
