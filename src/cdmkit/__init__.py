@@ -74,10 +74,8 @@ from .identification import (
 from .serialization import (
     read_reconstruction,
     read_samples,
-    read_star,
     write_reconstruction,
     write_samples,
-    write_star,
 )
 from .simulation import (
     ControlSample,

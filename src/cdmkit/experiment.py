@@ -12,6 +12,7 @@ Runs are fully deterministic for fixed seeds.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
@@ -216,6 +217,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(str(exc))
         z0 = _get(parser, "system", "initial_temperature", float, 0.0)
         d0 = _get(parser, "system", "initial_depth", float, 0.0)
+        for key, value in (("initial_temperature", z0), ("initial_depth", d0)):
+            if not math.isfinite(value):
+                raise ConfigError(f"[system] {key} must be finite, got {value}")
         x0 = np.full(system.dim_state, z0)
         x0[-1] = d0
         dim_input = 2
@@ -234,6 +238,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
         x0 = _floats_list(x0_raw) if x0_raw else np.zeros(n)
         if x0.shape[0] != n:
             raise ConfigError("initial state dimension mismatch")
+        if not np.all(np.isfinite(x0)):
+            raise ConfigError("[system] initial state must be finite")
         dim_input = m
     else:
         raise ConfigError(f"unknown system kind {kind!r}")
@@ -274,9 +280,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
         for tok in raw.split():
             lo, _, hi = tok.partition(":")
             try:
-                pairs.append((float(lo), float(hi)))
+                lo, hi = float(lo), float(hi)
             except ValueError:
                 raise ConfigError(f"cannot parse region token {tok!r}")
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+                raise ConfigError(f"region {tok!r} is not a finite interval lo:hi")
+            pairs.append((lo, hi))
         regions = tuple(pairs)
         axis = _get(parser, "convergence", "axis", int, 0)
         grid = _get(parser, "convergence", "grid", int, 401)
@@ -284,6 +293,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
         probe_seed = _get(parser, "convergence", "probe_seed", int, 11)
         if axis < 0 or axis >= dim_input:
             raise ConfigError("convergence axis is outside the input dimensions")
+        for key, value in (("grid", grid), ("probes", probes)):
+            if value < 1:
+                raise ConfigError(f"[convergence] {key} must be at least 1, got {value}")
+        if probe_seed < 0:
+            raise ConfigError(f"[convergence] probe_seed must be non-negative, got {probe_seed}")
 
     output_dir = "out"
     if parser.has_section("output"):

@@ -17,7 +17,9 @@ Lipschitz constant, minimized (outer) or maximized (inner) over witnesses.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -181,6 +183,20 @@ class StarSetApprox:
     def n_samples(self) -> int:
         return self.radii.shape[0]
 
+    @cached_property
+    def rows(self) -> list:
+        """The witnesses as ``(radius, direction)`` pairs of Python floats.
+
+        Built on first use, so approximations that are never queried (the
+        snapshots of a stream) do not pay for it.
+        """
+        return list(zip(self.radii.tolist(), self.directions.tolist()))
+
+    @cached_property
+    def center_coords(self) -> list:
+        """The center as a list of Python floats."""
+        return self.center.tolist()
+
     @classmethod
     def from_points(cls, points, center, lipschitz: float, side: Side) -> "StarSetApprox":
         """Build an approximation from witness points in the ambient space.
@@ -221,14 +237,37 @@ def _witnesses(points, center: np.ndarray):
     return offsets[mask] / norms[mask, None], norms[mask]
 
 
-def _query_direction(approx: StarSetApprox, direction) -> np.ndarray:
-    d = np.atleast_1d(np.asarray(direction, dtype=float))
-    if d.shape != approx.center.shape:
-        raise ValueError("query direction dimension mismatch")
-    n = np.linalg.norm(d)
-    if abs(n - 1.0) > 1e-9:
+def _coords(v, dim: int, what: str) -> list:
+    """``v`` as a list of ``dim`` Python floats; a ``ValueError`` for any other shape.
+
+    Such a list is returned as it is.
+    """
+    if type(v) is list and len(v) == dim and all(type(x) is float for x in v):
+        return v
+    arr = np.atleast_1d(np.asarray(v, dtype=float))
+    if arr.shape != (dim,):
+        raise ValueError(f"{what} dimension mismatch")
+    return arr.tolist()
+
+
+def _norm(v) -> float:
+    """Euclidean norm with ``np.linalg.norm(axis=1)``'s arithmetic.
+
+    The squares are summed in order, as NumPy reduces a short row; on these
+    tiny vectors plain floats avoid NumPy's per-call overhead.
+    """
+    total = 0.0
+    for x in v:
+        total += x * x
+    return math.sqrt(total)
+
+
+def _query_direction(approx: StarSetApprox, direction) -> list:
+    d = _coords(direction, approx.dim, "query direction")
+    n = _norm(d)
+    if not abs(n - 1.0) <= 1e-9:  # also rejects a non-finite direction
         raise ValueError(f"query direction must be a unit vector, |l| = {n}")
-    return d / n
+    return [x / n for x in d]
 
 
 def mgf_outer_bound(approx: StarSetApprox, direction) -> float:
@@ -238,11 +277,11 @@ def mgf_outer_bound(approx: StarSetApprox, direction) -> float:
     """
     if approx.side is not Side.OUTER:
         raise ValueError("outer bound requires an OUTER-side approximation")
-    if approx.n_samples == 0:
+    if not approx.rows:
         raise ValueError("approximation has no witness samples")
     l = _query_direction(approx, direction)
-    gaps = np.linalg.norm(approx.directions - l, axis=1)
-    return float(np.min(approx.radii + approx.lipschitz * gaps))
+    L = approx.lipschitz
+    return min(r + L * _norm([a - b for a, b in zip(d, l)]) for r, d in approx.rows)
 
 
 def mgf_inner_bound(approx: StarSetApprox, direction) -> float:
@@ -252,11 +291,11 @@ def mgf_inner_bound(approx: StarSetApprox, direction) -> float:
     """
     if approx.side is not Side.INNER:
         raise ValueError("inner bound requires an INNER-side approximation")
-    if approx.n_samples == 0:
+    if not approx.rows:
         raise ValueError("approximation has no witness samples")
     l = _query_direction(approx, direction)
-    gaps = np.linalg.norm(approx.directions - l, axis=1)
-    return float(max(0.0, np.max(approx.radii - approx.lipschitz * gaps)))
+    L = approx.lipschitz
+    return max(0.0, max(r - L * _norm([a - b for a, b in zip(d, l)]) for r, d in approx.rows))
 
 
 class Containment(enum.Enum):
@@ -276,17 +315,18 @@ def star_contains(inner: StarSetApprox, outer: StarSetApprox, u) -> Containment:
     the direction is undefined; the point is INSIDE_INNER whenever the
     inner bound is positive at some witness direction.
     """
-    point = np.atleast_1d(np.asarray(u, dtype=float))
-    offset = point - inner.center
-    r = float(np.linalg.norm(offset))
+    center = inner.center_coords
+    point = _coords(u, len(center), "point")
+    offset = [x - c for x, c in zip(point, center)]
+    r = _norm(offset)
     if r == 0.0:
-        if inner.n_samples and float(np.max(inner.radii)) > 0.0:
+        if inner.rows and max(r_i for r_i, _ in inner.rows) > 0.0:
             return Containment.INSIDE_INNER
         return Containment.INCONCLUSIVE
-    l = offset / r
-    if inner.n_samples and r <= mgf_inner_bound(inner, l):
+    l = [x / r for x in offset]
+    if inner.rows and r <= mgf_inner_bound(inner, l):
         return Containment.INSIDE_INNER
-    if outer.n_samples and r > mgf_outer_bound(outer, l):
+    if outer.rows and r > mgf_outer_bound(outer, l):
         return Containment.OUTSIDE_OUTER
     return Containment.INCONCLUSIVE
 

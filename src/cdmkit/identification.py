@@ -18,6 +18,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -354,6 +355,31 @@ class ModeReconstruction:
     def residual(self) -> Optional[float]:
         return float(np.max(self.residuals)) if self.residuals is not None else None
 
+    # Derived on first use: the snapshots of a stream are never queried.
+
+    @cached_property
+    def inputs(self) -> np.ndarray:
+        """The pairs' inputs as one read-only ``(k, m)`` array."""
+        inputs = np.array([p.input for p in self.pairs])
+        inputs.setflags(write=False)
+        return inputs
+
+    @cached_property
+    def inverse(self) -> Optional[np.ndarray]:
+        """Inverse of the map's linear part; None when unidentified or singular.
+
+        Singular means the smallest singular value is at or below
+        ``RANK_TOL`` times the largest.
+        """
+        if self.map is None:
+            return None
+        sv = np.linalg.svd(self.map.linear, compute_uv=False)
+        if sv[0] == 0.0 or sv[-1] <= RANK_TOL * sv[0]:
+            return None
+        inverse = np.linalg.inv(self.map.linear)
+        inverse.setflags(write=False)
+        return inverse
+
 
 @dataclass(frozen=True)
 class CdmReconstruction:
@@ -604,10 +630,11 @@ def query(recon: CdmReconstruction, u) -> QueryResult:
     wrong-dimension ``u`` raises :class:`PreconditionError`.
     """
     point = _command(recon, u)
+    coords = point.tolist()
     inside = []
     outside_all = True
     for i, mode in enumerate(recon.modes):
-        c = star_contains(mode.inner, mode.outer, point)
+        c = star_contains(mode.inner, mode.outer, coords)
         if c is Containment.INSIDE_INNER:
             inside.append(i)
         if c is not Containment.OUTSIDE_OUTER:
@@ -634,14 +661,15 @@ def lipschitz_error_bound(recon: CdmReconstruction, u, l_p: float) -> float:
     if l_p <= 0:
         raise ValueError("Lipschitz constant must be positive")
     point = np.atleast_1d(np.asarray(u, dtype=float))
+    coords = point.tolist()
     for mode in recon.modes:
-        if star_contains(mode.inner, mode.outer, point) is not Containment.INSIDE_INNER:
+        if star_contains(mode.inner, mode.outer, coords) is not Containment.INSIDE_INNER:
             continue
         if not mode.identified:
             raise PreconditionError(
                 "point lies in a detected but unidentified mode; no fit to bound"
             )
-        dists = np.array([np.linalg.norm(p.input - point) for p in mode.pairs])
+        dists = np.linalg.norm(mode.inputs - point, axis=1)
         return float(np.min(mode.residuals + l_p * dists))
     raise PreconditionError(
         "point is not certified inside any mode's inner approximation"
@@ -663,11 +691,10 @@ def viabilize(recon: CdmReconstruction, u_cmd) -> np.ndarray:
     for i, mode in enumerate(recon.modes):
         if not mode.identified:
             continue
-        sv = np.linalg.svd(mode.map.linear, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] <= RANK_TOL * sv[0]:
+        if mode.inverse is None:
             log.info("mode %d skipped during viabilization: linear part is singular", i)
             continue
-        candidate = np.linalg.solve(mode.map.linear, cmd - mode.map.translation)
+        candidate = mode.inverse @ (cmd - mode.map.translation)
         if star_contains(mode.inner, mode.outer, candidate) is Containment.INSIDE_INNER:
             return candidate
     raise UnviableInputError(

@@ -1,4 +1,4 @@
-"""Plain-text persistence for samples, star sets, and reconstructions.
+"""Plain-text persistence for samples and reconstructions.
 
 All writers format floats with ``repr`` (shortest round-trip form), so a
 fixed computation produces byte-identical files across runs.  Readers turn
@@ -91,7 +91,7 @@ def read_samples(path) -> list[ControlSample]:
 
 
 # ---------------------------------------------------------------------------
-# Star-set approximations
+# Star-set approximations: the [inner] and [outer] blocks of a reconstruction
 
 
 def star_to_lines(approx: StarSetApprox) -> list[str]:
@@ -196,17 +196,6 @@ def star_from_cursor(cur: _Cursor) -> StarSetApprox:
     with _checked(lineno):
         return StarSetApprox(center=center, lipschitz=lipschitz,
                              directions=np.reshape(dirs, (-1, dim)), radii=radii, side=side)
-
-
-def write_star(path, approx: StarSetApprox) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(star_to_lines(approx)) + "\n")
-
-
-def read_star(path) -> StarSetApprox:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    return star_from_cursor(_Cursor(lines))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ state/velocity/input observations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -136,10 +137,10 @@ class HeatSystem:
     def __post_init__(self):
         if self.grid_points < 3:
             raise ValueError("need at least 3 grid points")
-        if self.diffusivity <= 0:
-            raise ValueError("diffusivity must be positive")
+        if not (math.isfinite(self.diffusivity) and self.diffusivity > 0):
+            raise ValueError(f"diffusivity must be finite and positive, got {self.diffusivity}")
         h = self.spacing
-        if self.epsilon < h or self.epsilon > 1.0:
+        if not h <= self.epsilon <= 1.0:
             raise ValueError(
                 f"source width {self.epsilon} must lie in [grid spacing {h}, 1]"
             )

@@ -246,14 +246,26 @@ class TestCorruptedReconstruction:
 
 
 class TestConfigMutations:
-    # values the method does not admit, which used to run to exit 0
-    SILENT = {("delta", "nan"), ("lipschitz", "nan"), ("lipschitz", "inf"),
-              ("lipschitz", "1e400"), ("lipschitz", "0"), ("identity_tol", "nan"),
-              ("identity_tol", "inf"), ("identity_tol", "-1"), ("identity_tol", "1e400")}
+    # (section, key, value) mutants the method does not admit, which used to run to exit 0
+    SILENT = {("identification", "delta", "nan")} | {
+        ("identification", key, value)
+        for key, values in (("lipschitz", ("nan", "inf", "1e400", "0")),
+                            ("identity_tol", ("nan", "inf", "-1", "1e400")))
+        for value in values}
+    # mutants that used to escape as a traceback (exit 1)
+    RAISED = {("system", "source_width", "nan"), ("convergence", "probe_seed", "-1")} | {
+        (section, key, value)
+        for section, key, values in (
+            ("system", "diffusivity", ("nan", "inf", "1e400")),
+            ("system", "initial_temperature", ("nan", "inf", "1e400")),
+            ("system", "initial_depth", ("nan", "inf", "1e400")),
+            ("convergence", "grid", ("-1", "0")),
+            ("convergence", "probes", ("-1", "0")))
+        for value in values}
 
     def test_single_value_mutations_never_exit_1(self, tmp_path):
-        # every [sampling] and [identification] value of the bundled config
-        # (horizon 1) replaced in turn by each of these values, run through the CLI
+        # every value of the bundled config (horizon 1) replaced in turn by
+        # each of these values, run through the CLI
         from cdmkit.experiment import DEFAULT_HEAT_CONFIG
 
         lines = DEFAULT_HEAT_CONFIG.replace("horizon = 10.0", "horizon = 1.0").splitlines()
@@ -265,20 +277,22 @@ class TestConfigMutations:
             if line.startswith("["):
                 section = line.strip("[]")
                 continue
-            if section not in ("sampling", "identification") or "=" not in line:
+            if "=" not in line:
                 continue
             key = line.split("=")[0].strip()
             for value in ("nan", "inf", "-1", "x", "", "1e400", "0", "0.5", "7"):
                 cfg.write_text("\n".join(lines[:i] + [f"{key} = {value}"] + lines[i + 1:]))
                 with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-                    exits[key, value] = main(["run", str(cfg), "--output", str(out)])
+                    exits[section, key, value] = main(["run", str(cfg), "--output", str(out)])
                 sink.seek(0)
                 sink.truncate()
-        assert len(exits) == 72
+        assert len(exits) == 22 * 9  # 22 keys in 7 sections
         # a finite delta above the ground-truth mode gap is an identification failure
-        assert {k for k, code in exits.items() if code == EXIT_IDENTIFICATION} == {("delta", "7")}
+        assert {k for k, code in exits.items()
+                if code == EXIT_IDENTIFICATION} == {("identification", "delta", "7")}
         assert set(exits.values()) == {EXIT_OK, EXIT_CONFIG, EXIT_IDENTIFICATION}
-        assert all(exits[case] == EXIT_CONFIG for case in self.SILENT)
+        assert len(self.SILENT) == 9 and len(self.RAISED) == 15
+        assert all(exits[case] == EXIT_CONFIG for case in self.SILENT | self.RAISED)
 
 
 class TestBundledConfig:

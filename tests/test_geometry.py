@@ -1,8 +1,13 @@
 """Tests for point-set distances and star-set gauge bounds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cdmkit.errors import UnviableInputError
 from cdmkit.geometry import (
     Containment,
     Side,
@@ -17,7 +22,13 @@ from cdmkit.geometry import (
     star_contains,
     within_fattening,
 )
-from cdmkit.identification import ModeReconstruction
+from cdmkit.identification import (
+    ModeReconstruction,
+    QueryKind,
+    lipschitz_error_bound,
+    query,
+    viabilize,
+)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -163,6 +174,9 @@ class TestMgfBounds:
         outer = star_from_samples([[1.0, 0.0]], [1.0], Side.OUTER, 1.0)
         with pytest.raises(ValueError):
             mgf_outer_bound(outer, [0.5, 0.0])
+        for l in ([np.nan, 0.0], [np.inf, 0.0]):
+            with pytest.raises(ValueError):
+                mgf_outer_bound(outer, l)
 
 
 def ellipse_gauge(l, a=2.0, b=0.5):
@@ -407,3 +421,166 @@ class TestAffineImagePreservesLipschitzGauge:
         assert all(np.isfinite(e) for e in estimates)
         assert max(estimates) <= 10.0  # unit-scale geometry keeps the slope small
         assert max(estimates) <= estimates[-1] * 1.5 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The scalar gauge path against the NumPy formulas it replaced
+
+
+def ref_direction(direction):
+    d = np.atleast_1d(np.asarray(direction, dtype=float))
+    return d / np.linalg.norm(d)
+
+
+def ref_outer_bound(approx, direction):
+    gaps = np.linalg.norm(approx.directions - ref_direction(direction), axis=1)
+    return float(np.min(approx.radii + approx.lipschitz * gaps))
+
+
+def ref_inner_bound(approx, direction):
+    gaps = np.linalg.norm(approx.directions - ref_direction(direction), axis=1)
+    return float(max(0.0, np.max(approx.radii - approx.lipschitz * gaps)))
+
+
+def ref_star_contains(inner, outer, u):
+    """(containment, radius of ``u``, [(bound, side)] the radius was compared with)."""
+    offset = np.atleast_1d(np.asarray(u, dtype=float)) - inner.center
+    r = float(np.linalg.norm(offset))
+    if r == 0.0:
+        inside = inner.n_samples and float(np.max(inner.radii)) > 0.0
+        return (Containment.INSIDE_INNER if inside else Containment.INCONCLUSIVE), r, []
+    l = offset / r
+    bounds = []
+    if inner.n_samples:
+        bounds.append((ref_inner_bound(inner, l), inner))
+        if r <= bounds[-1][0]:
+            return Containment.INSIDE_INNER, r, bounds
+    if outer.n_samples:
+        bounds.append((ref_outer_bound(outer, l), outer))
+        if r > bounds[-1][0]:
+            return Containment.OUTSIDE_OUTER, r, bounds
+    return Containment.INCONCLUSIVE, r, bounds
+
+
+ULPS = 4
+
+
+def near(a, b, approx):
+    """``a`` within ULPS ulps of ``b`` at the scale of the bound's terms.
+
+    A bound adds ``r_i`` and ``L * gap_i`` with ``gap_i <= 2``, so a rounding
+    of a gap is scaled by ``L``: the scale is the largest of ``|b|``, the
+    largest radius and ``L``.
+    """
+    scale = max(abs(b), float(np.max(approx.radii)), approx.lipschitz)
+    return abs(a - b) <= ULPS * np.spacing(scale)
+
+
+def random_units(rng, k, m):
+    v = rng.normal(size=(k, m))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 6), st.integers(1, 6),
+       st.sampled_from([0.0, 0.3, 1.0, 4.0, 25.0]))
+def test_scalar_gauge_path_matches_numpy_reference(seed, m, k_in, k_out, lipschitz):
+    rng = np.random.default_rng(seed)
+    lipschitz *= rng.uniform(0.5, 1.5)
+    center = rng.uniform(-2, 2, m)
+    inner = StarSetApprox(center, lipschitz, random_units(rng, k_in, m),
+                          rng.uniform(0.1, 2.0, k_in), Side.INNER)
+    outer = StarSetApprox(center, lipschitz, random_units(rng, k_out, m),
+                          rng.uniform(1.0, 4.0, k_out), Side.OUTER)
+    directions = np.vstack([random_units(rng, 8, m), inner.directions, outer.directions])
+    points = []
+    for l in directions:
+        want_in, want_out = ref_inner_bound(inner, l), ref_outer_bound(outer, l)
+        for query_l in (l, l.tolist()):
+            assert near(mgf_inner_bound(inner, query_l), want_in, inner)
+            assert near(mgf_outer_bound(outer, query_l), want_out, outer)
+        # on and near both gauge boundaries, a few ulps apart, and in between
+        for bound in (want_in, want_out):
+            for step in range(-ULPS - 2, ULPS + 3):
+                points.append(center + l * bound * (1.0 + step * np.finfo(float).eps))
+        points.append(center + l * rng.uniform(0.0, 1.2) * want_out)
+    points.append(center)
+    for u in points:
+        want, r, bounds = ref_star_contains(inner, outer, u)
+        if any(near(r, b, side) for b, side in bounds):
+            continue  # a few ulps from a bound either answer is a rounding
+        assert star_contains(inner, outer, u) is want
+        assert star_contains(inner, outer, u.tolist()) is want
+
+
+def test_bundled_reconstruction_sweep_classifies_like_reference(heat_run):
+    recon = heat_run[1].reconstruction
+    grid = [np.array([a, b]) for a in np.linspace(0.5, 1.5, 41)
+            for b in np.linspace(-0.2, 1.2, 141)]
+    counts = {c: 0 for c in Containment}
+    for mode in recon.modes:
+        for u in grid:
+            got = star_contains(mode.inner, mode.outer, u)
+            assert got is ref_star_contains(mode.inner, mode.outer, u)[0], (u, got)
+            counts[got] += 1
+    assert all(counts.values())  # every answer occurs in the sweep
+
+
+def test_replaced_values_never_answer_from_stale_tables(heat_run):
+    # the values the benchmark's self-test derives by dataclasses.replace
+    recon = heat_run[1].reconstruction
+    commands = [np.array([1.0, s]) for s in np.linspace(0.0, 1.0, 201)]
+    grid = [np.array([1.0, s]) for s in np.linspace(-0.2, 1.2, 281)]
+
+    def answers(r):
+        out = []
+        for u in commands:
+            try:
+                v = viabilize(r, u)
+            except UnviableInputError:
+                out.append(None)
+                continue
+            result = query(r, v)
+            bound = (lipschitz_error_bound(r, v, 3.0) if result.kind == QueryKind.MAPPED
+                     else None)
+            out.append((v.tolist(), result.kind, bound))
+        out += [star_contains(m.inner, m.outer, u) for m in r.modes for u in grid]
+        return out
+
+    before = answers(recon)  # fills every derived table of ``recon``
+
+    def with_maps(linear_scale, shift):
+        return dataclasses.replace(recon, modes=tuple(
+            dataclasses.replace(mode, map=dataclasses.replace(
+                mode.map, linear=linear_scale * mode.map.linear,
+                translation=mode.map.translation + shift))
+            if mode.identified else mode
+            for mode in recon.modes))
+
+    moved = with_maps(1.0, np.array([0.0, 1e-3]))
+    scaled = with_maps(1.01, np.zeros(2))
+    tight = dataclasses.replace(recon, modes=tuple(
+        dataclasses.replace(mode, outer=dataclasses.replace(mode.outer,
+                                                            radii=0.9 * mode.outer.radii))
+        for mode in recon.modes))
+    for changed in (moved, scaled, tight):
+        got = answers(changed)
+        assert got != before
+        # a value built afresh, with nothing derived yet, answers the same
+        fresh = dataclasses.replace(changed, modes=tuple(
+            dataclasses.replace(mode, inner=dataclasses.replace(mode.inner),
+                                outer=dataclasses.replace(mode.outer))
+            for mode in changed.modes))
+        assert answers(fresh) == got
+    assert answers(recon) == before
+    # the changed maps are inverted as they are, not as they were
+    for changed in (moved, scaled):
+        for u in commands:
+            try:
+                v = viabilize(changed, u)
+            except UnviableInputError:
+                continue
+            mode = next((m for m in changed.modes if m.identified and star_contains(
+                m.inner, m.outer, v) is Containment.INSIDE_INNER), None)
+            if mode is not None:
+                np.testing.assert_allclose(mode.map(v), u, rtol=0, atol=1e-9)

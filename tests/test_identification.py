@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdmkit.degradation import AffineMap, BallRegion, NModeCdm, apply_affine, apply_ncdm
 from cdmkit.errors import IdentificationError, PreconditionError, UnviableInputError
@@ -489,3 +491,32 @@ class TestModeContainment:
         mode = manual_scalar_mode(0.0, 0.25, 3.0, 0.25)
         center = mode.inner.center
         assert star_contains(mode.inner, mode.outer, center) is Containment.INSIDE_INNER
+
+
+TRIAL_CONFIG = IdentificationConfig(delta=TRIAL_DELTA, n_modes=3, lipschitz=TRIAL_LIPSCHITZ)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+def test_sandwich_on_random_trials(trial_seed, point_seed):
+    # INSIDE_INNER => in the true region => not OUTSIDE_OUTER
+    model, cdm, samples, m, N = make_trial(trial_seed)
+    recon = build_reconstruction(samples, model, TRIAL_CONFIG)
+    rng = np.random.default_rng(point_seed)
+    for mode in recon.modes:
+        region, _ = match_true_mode(cdm, mode)
+        dirs = rng.normal(size=(40, m))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        # spread over the region and beyond it, and a band about its boundary
+        scale = np.concatenate([rng.uniform(0.0, 2.5, 30), 1.0 + rng.uniform(-1e-6, 1e-6, 10)])
+        points = [region.center + dirs * (scale * region.radius)[:, None]]
+        # about the witnesses, where the approximations certify something
+        for approx, lo, hi in ((mode.inner, 0.0, 1.1), (mode.outer, 0.9, 1.5)):
+            for l, r in zip(approx.directions, approx.radii):
+                points.append(approx.center + np.outer(rng.uniform(lo, hi, 5) * r, l))
+        for u in np.vstack(points):
+            c = star_contains(mode.inner, mode.outer, u)
+            if c is Containment.INSIDE_INNER:
+                assert region.contains(u)
+            if region.contains(u):
+                assert c is not Containment.OUTSIDE_OUTER

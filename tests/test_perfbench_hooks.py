@@ -8,7 +8,10 @@ source (no bytecode is written next to it) and only its tables are read.
 
 import importlib
 import runpy
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -25,3 +28,34 @@ def test_traced_star_build_is_a_classmethod():
     module, cls_name, attr = runpy.run_path(str(TRACING))["STAR_BUILD"]
     cls = getattr(importlib.import_module(module), cls_name)
     assert isinstance(vars(cls).get(attr), classmethod)
+
+
+def test_served_commands_call_the_traced_gauge_bounds(heat_run, monkeypatch):
+    # the tracer times geometry.inner_bound/outer_bound by rebinding these
+    # module globals; a command path that stops calling them through the
+    # module would leave both spans absent
+    from cdmkit import geometry, identification, read_reconstruction
+
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in ("mgf_inner_bound", "mgf_outer_bound"):
+        monkeypatch.setattr(geometry, name, counting(name, getattr(geometry, name)))
+    recon = read_reconstruction(heat_run[1].artifacts["reconstruction"])
+    served = {}
+    for s in (0.9, 0.5):  # one mapped and one passthrough command
+        calls.clear()
+        u_v = identification.viabilize(recon, np.array([1.0, s]))
+        kind = identification.query(recon, u_v).kind
+        if kind == identification.QueryKind.MAPPED:
+            identification.lipschitz_error_bound(recon, u_v, 3.0)
+        served[kind] = dict(calls)
+    assert set(served) == {"mapped", "passthrough"}
+    for counts in served.values():
+        assert counts.get("mgf_inner_bound", 0) > 0 and counts.get("mgf_outer_bound", 0) > 0

@@ -19,7 +19,14 @@ from scipy.cluster.hierarchy import fcluster, linkage
 
 import cdmkit as ck
 from cdmkit.errors import IdentificationError
-from cdmkit.geometry import DIRECTION_DEDUP_TOL, Side, StarSetApprox, _dedup_samples
+from cdmkit.geometry import (
+    DIRECTION_DEDUP_TOL,
+    Side,
+    StarSetApprox,
+    _dedup_samples,
+    mgf_inner_bound,
+    mgf_outer_bound,
+)
 from cdmkit.identification import (
     EffectivePair,
     IdentificationConfig,
@@ -134,6 +141,48 @@ def test_random_streams_match_batch_at_every_step(stream):
     pairs, config = stream
     with quiet():
         assert_stream_matches_batch(pairs, config)
+
+
+def gauge_bounds(mode, directions):
+    """Inner and outer bound along each direction; a side without witnesses gives 0 / inf."""
+    inner = [mgf_inner_bound(mode.inner, l) if mode.inner.n_samples else 0.0
+             for l in directions]
+    outer = [mgf_outer_bound(mode.outer, l) if mode.outer.n_samples else np.inf
+             for l in directions]
+    return np.array(inner), np.array(outer)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+def test_trial_streams_refine_bounds_monotonically(trial_seed, order_seed):
+    # A mode is centred on the mean of its members, so its bounds are
+    # compared between consecutive snapshots in which it keeps its members:
+    # then no added pair may lower an inner bound or raise an outer one.
+    model, cdm, samples, m, N = make_trial(trial_seed)
+    pairs = [EffectivePair(s.input, recover_effective_input(s, model)) for s in samples]
+    rng = np.random.default_rng(order_seed)
+    order = rng.permutation(len(pairs)).tolist()
+    order.append(order.pop(order.index(len(pairs) - 1)))  # end on an unaffected anchor
+    directions = rng.normal(size=(12, m))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    config = IdentificationConfig(delta=TRIAL_DELTA, n_modes=3, lipschitz=TRIAL_LIPSCHITZ)
+    rec = Reconstructor(config)
+    previous = {}
+    compared = 0
+    with quiet():
+        for i in order:
+            snapshot = rec.add(pairs[i])
+            current = {}
+            for mode in snapshot.modes:
+                key = tuple(p.input.tobytes() for p in mode.pairs)
+                current[key] = gauge_bounds(mode, directions)
+                if key in previous:
+                    inner, outer = current[key]
+                    assert np.all(inner >= previous[key][0])
+                    assert np.all(outer <= previous[key][1])
+                    compared += 1
+            previous = current
+    assert compared >= N  # the last, unaffected pair keeps every mode's members
 
 
 def test_strict_stream_raises_at_the_batch_step():

@@ -4,27 +4,31 @@ import numpy as np
 import pytest
 
 from cdmkit.errors import ReportParseError
-from cdmkit.geometry import Side, StarSetApprox
-from cdmkit.identification import IdentificationConfig, build_reconstruction
+from cdmkit.geometry import Side
+from cdmkit.identification import (
+    IdentificationConfig,
+    build_reconstruction,
+    build_reconstruction_from_pairs,
+)
 from cdmkit.serialization import (
     read_reconstruction,
     read_samples,
-    read_star,
     reconstruction_to_lines,
     write_reconstruction,
     write_samples,
-    write_star,
 )
 from cdmkit.simulation import ControlSample
 
 from trials import TRIAL_DELTA, TRIAL_LIPSCHITZ, make_trial
 
 
+TRIAL_CONFIG = IdentificationConfig(delta=TRIAL_DELTA, n_modes=3, lipschitz=TRIAL_LIPSCHITZ)
+
+
 @pytest.fixture
 def recon():
     model, cdm, samples, m, N = make_trial(3)
-    cfg = IdentificationConfig(delta=TRIAL_DELTA, n_modes=3, lipschitz=TRIAL_LIPSCHITZ)
-    return build_reconstruction(samples, model, cfg)
+    return build_reconstruction(samples, model, TRIAL_CONFIG)
 
 
 class TestSampleLog:
@@ -59,44 +63,6 @@ class TestSampleLog:
         assert err.value.line == 2
 
 
-class TestStarFormat:
-    def test_round_trip(self, tmp_path):
-        approx = StarSetApprox(
-            center=np.array([0.5, -1.0]),
-            lipschitz=1.5,
-            directions=np.array([[1.0, 0.0], [0.0, -1.0]]),
-            radii=np.array([0.3, 0.7]),
-            side=Side.INNER,
-        )
-        path = tmp_path / "star.txt"
-        write_star(path, approx)
-        back = read_star(path)
-        np.testing.assert_array_equal(back.center, approx.center)
-        np.testing.assert_array_equal(back.directions, approx.directions)
-        np.testing.assert_array_equal(back.radii, approx.radii)
-        assert back.side is Side.INNER and back.lipschitz == 1.5
-
-    def test_round_trip_empty_outer(self, tmp_path):
-        approx = StarSetApprox(np.zeros(1), 0.5, np.empty((0, 1)), np.empty(0),
-                               Side.OUTER)
-        path = tmp_path / "star.txt"
-        write_star(path, approx)
-        back = read_star(path)
-        assert back.n_samples == 0 and back.side is Side.OUTER
-
-    def test_inconsistent_dim_rejected(self, tmp_path):
-        path = tmp_path / "star.txt"
-        path.write_text("center,dim,L,side\n0.0,0.0,7,1.0,inner\nsamples,0\n")
-        with pytest.raises(ReportParseError):
-            read_star(path)
-
-    def test_unknown_side_rejected(self, tmp_path):
-        path = tmp_path / "star.txt"
-        path.write_text("center,dim,L,side\n0.0,1,1.0,sideways\nsamples,0\n")
-        with pytest.raises(ReportParseError):
-            read_star(path)
-
-
 class TestReconstructionFormat:
     def test_round_trip(self, tmp_path, recon):
         path = tmp_path / "recon.txt"
@@ -114,6 +80,36 @@ class TestReconstructionFormat:
             np.testing.assert_array_equal(a.inner.radii, b.inner.radii)
             np.testing.assert_array_equal(a.outer.radii, b.outer.radii)
             np.testing.assert_allclose(a.residuals, b.residuals, atol=1e-15)
+            for star, back in ((a.inner, b.inner), (a.outer, b.outer)):
+                np.testing.assert_array_equal(back.center, star.center)
+                assert back.lipschitz == star.lipschitz and back.side is star.side
+
+    def test_round_trip_empty_outer(self, tmp_path, recon):
+        # without unaffected pairs every outer block has no witness rows
+        affected = [p for mode in recon.modes for p in mode.pairs]
+        alone = build_reconstruction_from_pairs(affected, TRIAL_CONFIG)
+        path = tmp_path / "recon.txt"
+        write_reconstruction(path, alone)
+        back = read_reconstruction(path)
+        assert back.modes and not back.unaffected
+        for mode in back.modes:
+            assert mode.outer.n_samples == 0 and mode.outer.side is Side.OUTER
+        assert reconstruction_to_lines(back) == reconstruction_to_lines(alone)
+
+    @pytest.mark.parametrize("block, edit", [
+        # the declared dimension disagrees with the center's length
+        ("[inner]", lambda f: f[:-3] + ["7"] + f[-2:]),
+        ("[outer]", lambda f: f[:-1] + ["sideways"]),
+    ], ids=["dim", "side"])
+    def test_malformed_star_metadata_reports_line(self, tmp_path, recon, block, edit):
+        lines = reconstruction_to_lines(recon)
+        idx = lines.index(block) + 2  # the header, then the metadata line
+        lines[idx] = ",".join(edit(lines[idx].split(",")))
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ReportParseError) as err:
+            read_reconstruction(path)
+        assert err.value.line == idx + 1
 
     def test_deterministic_bytes(self, tmp_path, recon):
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"

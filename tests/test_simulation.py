@@ -118,6 +118,14 @@ class TestHeatSystem:
         with pytest.raises(ValueError):
             HeatSystem(grid_points=11, epsilon=0.05)  # spacing 0.1 > width
 
+    @pytest.mark.parametrize("field, value", [
+        ("diffusivity", np.nan), ("diffusivity", np.inf), ("diffusivity", 0.0),
+        ("epsilon", np.nan), ("epsilon", np.inf)])
+    def test_non_finite_parameters_rejected(self, field, value):
+        # comparisons with nan are false, so each check must fail on it
+        with pytest.raises(ValueError):
+            HeatSystem(grid_points=101, **{field: value})
+
     def test_conservation_without_input(self):
         sys = HeatSystem(diffusivity=0.1, grid_points=101)
         rng = np.random.default_rng(1)
