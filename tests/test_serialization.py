@@ -63,6 +63,22 @@ class TestSampleLog:
         assert err.value.line == 2
 
 
+class TestStarFormat:
+    def test_round_trip(self, tmp_path, recon):
+        # star blocks are written and read only inside a reconstruction file
+        path = tmp_path / "recon.txt"
+        write_reconstruction(path, recon)
+        back = read_reconstruction(path)
+        stars = [(a.inner, b.inner) for a, b in zip(recon.modes, back.modes)]
+        stars += [(a.outer, b.outer) for a, b in zip(recon.modes, back.modes)]
+        assert stars and {a.side for a, _ in stars} == {Side.INNER, Side.OUTER}
+        for star, got in stars:
+            np.testing.assert_array_equal(got.center, star.center)
+            np.testing.assert_array_equal(got.directions, star.directions)
+            np.testing.assert_array_equal(got.radii, star.radii)
+            assert got.lipschitz == star.lipschitz and got.side is star.side
+
+
 class TestReconstructionFormat:
     def test_round_trip(self, tmp_path, recon):
         path = tmp_path / "recon.txt"
@@ -80,9 +96,6 @@ class TestReconstructionFormat:
             np.testing.assert_array_equal(a.inner.radii, b.inner.radii)
             np.testing.assert_array_equal(a.outer.radii, b.outer.radii)
             np.testing.assert_allclose(a.residuals, b.residuals, atol=1e-15)
-            for star, back in ((a.inner, b.inner), (a.outer, b.outer)):
-                np.testing.assert_array_equal(back.center, star.center)
-                assert back.lipschitz == star.lipschitz and back.side is star.side
 
     def test_round_trip_empty_outer(self, tmp_path, recon):
         # without unaffected pairs every outer block has no witness rows
