@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import lsq_linear
-from scipy.spatial.distance import cdist
+
+from .geometry import pairwise_distances
 
 
 @dataclass(frozen=True)
@@ -237,6 +237,8 @@ def _graph_distance(q1: AffineMap, box1, q2: AffineMap, box2) -> Optional[float]
     a box is empty.  Coordinates pinned by ``lo == hi`` are substituted,
     since the solver needs strict bounds.
     """
+    from scipy.optimize import lsq_linear
+
     lo = np.concatenate([box1[0], box2[0]])
     hi = np.concatenate([box1[1], box2[1]])
     if np.any(lo > hi):
@@ -294,7 +296,7 @@ def mode_separation(cdm: NModeCdm, box_lo, box_hi, n: int = 2000,
                     graphs = _sampled_graphs(cdm, lo, hi, n, seed)
                 if graphs[i] is None or graphs[j] is None:
                     continue
-                d = float(np.min(cdist(graphs[i], graphs[j])))
+                d = float(np.min(pairwise_distances(graphs[i], graphs[j])))
             if d is not None:
                 best = d if best is None else min(best, d)
     return best

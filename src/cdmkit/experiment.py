@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .degradation import (
     AffineMap,
@@ -29,7 +28,7 @@ from .degradation import (
     mode_separation,
 )
 from .errors import ConfigError, IdentificationError
-from .geometry import Side, _region_probes, interval_region, mgf_inner_bound
+from .geometry import Side, _region_probes, interval_region, mgf_inner_bound, pairwise_distances
 from .identification import (
     CdmReconstruction,
     EffectivePair,
@@ -366,8 +365,8 @@ class _RegionMetrics:
         hausdorff, covering = [], []
         for (lo, hi), grid, probes, grid_min, probe_min in self.regions:
             if lo <= coord <= hi:
-                np.minimum(grid_min, cdist(grid, [[coord]])[:, 0], out=grid_min)
-                np.minimum(probe_min, cdist(probes, [[coord]])[:, 0], out=probe_min)
+                np.minimum(grid_min, pairwise_distances(grid, [[coord]])[:, 0], out=grid_min)
+                np.minimum(probe_min, pairwise_distances(probes, [[coord]])[:, 0], out=probe_min)
             hausdorff.append(float(np.max(grid_min)))
             covering.append(float(np.max(probe_min)))
         return tuple(hausdorff), tuple(covering)

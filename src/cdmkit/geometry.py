@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.stats import qmc
 
 DIRECTION_UNIT_TOL = 1e-12
 DIRECTION_DEDUP_TOL = 1e-10
@@ -45,6 +43,21 @@ def as_point_set(points) -> np.ndarray:
     return pts
 
 
+def pairwise_distances(a, b) -> np.ndarray:
+    """Euclidean distances between the rows of ``a`` (n, d) and ``b`` (k, d), shape (n, k).
+
+    Squares are summed column by column, the order of
+    ``scipy.spatial.distance.cdist``, so the two agree bit for bit.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    acc = np.zeros((a.shape[0], b.shape[0]))
+    for j in range(a.shape[1]):
+        d = a[:, j, None] - b[:, j]
+        d *= d
+        acc += d
+    return np.sqrt(acc, out=acc)
+
+
 def set_distance(a, b) -> float:
     """Directed distance between finite point sets.
 
@@ -56,7 +69,7 @@ def set_distance(a, b) -> float:
         raise ValueError(
             f"point sets have mismatched dimensions {pa.shape[1]} != {pb.shape[1]}"
         )
-    return float(np.max(np.min(cdist(pa, pb), axis=1)))
+    return float(np.max(np.min(pairwise_distances(pa, pb), axis=1)))
 
 
 def hausdorff_distance(a, b) -> float:
@@ -333,6 +346,8 @@ def star_contains(inner: StarSetApprox, outer: StarSetApprox, u) -> Containment:
 
 def _region_probes(region: StarSetApprox, probe_count: int, seed: int) -> np.ndarray:
     """Quasi-random probe points filling an OUTER-side region approximation."""
+    from scipy.stats import norm, qmc
+
     d = region.dim
     sampler = qmc.Halton(d=d + 1, scramble=True, seed=seed)
     raw = sampler.random(probe_count)
@@ -340,14 +355,13 @@ def _region_probes(region: StarSetApprox, probe_count: int, seed: int) -> np.nda
         dirs = np.where(raw[:, :1] < 0.5, -1.0, 1.0)
     else:
         # inverse-CDF map to isotropic directions
-        from scipy.stats import norm
-
         gauss = norm.ppf(np.clip(raw[:, :d], 1e-12, 1 - 1e-12))
         norms = np.linalg.norm(gauss, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
         dirs = gauss / norms
     frac = raw[:, -1] ** (1.0 / d)
-    radii = np.min(region.radii + region.lipschitz * cdist(dirs, region.directions), axis=1)
+    gaps = pairwise_distances(dirs, region.directions)
+    radii = np.min(region.radii + region.lipschitz * gaps, axis=1)
     return region.center + dirs * (frac * radii)[:, None]
 
 
@@ -367,7 +381,7 @@ def covering_radius(samples, region: StarSetApprox, probe_count: int, seed: int)
     if pts.shape[1] != region.dim:
         raise ValueError("sample dimension does not match region")
     probes = _region_probes(region, probe_count, seed)
-    return float(np.max(np.min(cdist(probes, pts), axis=1)))
+    return float(np.max(np.min(pairwise_distances(probes, pts), axis=1)))
 
 
 def estimate_mgf_lipschitz(directions, radii) -> float:
@@ -382,7 +396,7 @@ def estimate_mgf_lipschitz(directions, radii) -> float:
     r = np.atleast_1d(np.asarray(radii, dtype=float))
     if dirs.shape[0] != r.shape[0]:
         raise ValueError("directions and radii disagree in length")
-    gaps = cdist(dirs, dirs)
+    gaps = pairwise_distances(dirs, dirs)
     diffs = np.abs(r[:, None] - r[None, :])
     mask = gaps > DIRECTION_DEDUP_TOL
     if not np.any(mask):

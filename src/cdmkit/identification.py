@@ -22,8 +22,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.cluster.hierarchy import linkage
-from scipy.spatial.distance import cdist
 
 from .degradation import AffineMap, apply_affine
 from .errors import IdentificationError, PreconditionError, UnviableInputError
@@ -32,6 +30,7 @@ from .geometry import (
     Side,
     StarSetApprox,
     estimate_mgf_lipschitz,
+    pairwise_distances,
     star_contains,
 )
 from .simulation import ControlSample, SystemModel
@@ -179,8 +178,9 @@ def _partition(pi, lam, delta: float, n_modes: int, force_merge: bool,
     Object i joins ``pi[i]`` when ``lam[i]`` is at or below the cut, which
     merges strictly below ``delta``.  With more than ``n_modes`` clusters,
     ``force_merge`` raises the cut to the merge height that leaves
-    ``n_modes`` (logging each forced merge); otherwise it raises.  Clusters
-    come in order of their first member, members in index order.
+    ``n_modes`` (logging each forced merge); otherwise it raises, naming
+    the closest two objects in different clusters.  Clusters come in order
+    of their first member, members in index order.
     """
     lam = np.asarray(lam, dtype=float)
     k = lam.shape[0]
@@ -189,13 +189,16 @@ def _partition(pi, lam, delta: float, n_modes: int, force_merge: bool,
     n_clusters = k - int(np.sum(heights <= cut))
     if n_clusters > n_modes:
         if not force_merge:
-            far = np.argwhere(cdist(points, points) >= delta)
-            detail = tuple(far[0]) if far.size else None
+            root = _roots(pi, lam, cut)
+            gaps = pairwise_distances(points, points)
+            gaps[root[:, None] == root] = np.inf
+            # the first minimum in row-major order has i < j
+            i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
             raise IdentificationError(
                 f"{n_clusters} clusters remain at separation {delta} "
                 f"with only {n_modes} modes allowed; next merge distance "
                 f"{heights[k - n_clusters]:.6g}",
-                detail=detail,
+                detail=(int(i), int(j)),
             )
         forced_cut = max(cut, float(heights[k - n_modes - 1]))
         for height in heights[(heights > cut) & (heights <= forced_cut)]:
@@ -205,15 +208,20 @@ def _partition(pi, lam, delta: float, n_modes: int, force_merge: bool,
                 extra={"event": "forced_merge", "height": float(height), "delta": delta},
             )
         cut = forced_cut
+    _, first, label = np.unique(_roots(pi, lam, cut), return_index=True, return_inverse=True)
+    return [np.flatnonzero(label == c).tolist() for c in np.argsort(first)]
+
+
+def _roots(pi, lam: np.ndarray, cut: float) -> np.ndarray:
+    """Each object's cluster at ``cut``, named by the cluster's last object."""
     # pi[i] > i: pointer jumping settles every object on its cluster's last one
+    k = lam.shape[0]
     root = np.where(lam <= cut, np.asarray(pi), np.arange(k))
     while True:
         hop = root[root]
         if np.array_equal(hop, root):
-            break
+            return root
         root = hop
-    _, first, label = np.unique(root, return_index=True, return_inverse=True)
-    return [np.flatnonzero(label == c).tolist() for c in np.argsort(first)]
 
 
 def _make_cluster(pairs: Sequence[EffectivePair], members: Sequence[int],
@@ -248,6 +256,8 @@ def cluster_pairs(pairs: Sequence[EffectivePair], delta: float, n_modes: int,
     if k == 1:
         pi, lam = np.zeros(1, dtype=int), np.full(1, np.inf)
     else:
+        from scipy.cluster.hierarchy import linkage
+
         pi, lam = _pointer_from_linkage(linkage(points, method="single"), k)
     groups = _partition(pi, lam, delta, n_modes, force_merge, points)
     return [_make_cluster(pairs, members)[0] for members in groups]
@@ -283,7 +293,7 @@ def fit_affine(cluster: Cluster) -> AffineMap:
         )
     inputs = cluster.inputs
     # anchor on the most distant extra pair to condition the difference fit
-    gaps = cdist(inputs[others], inputs[basis]).min(axis=1)
+    gaps = pairwise_distances(inputs[others], inputs[basis]).min(axis=1)
     anchor = others[int(np.argmax(gaps))]
     u_a, v_a = cluster.pairs[anchor].input, cluster.pairs[anchor].effective
     U_diff = np.column_stack([cluster.pairs[b].input - u_a for b in basis])
@@ -535,7 +545,7 @@ class Reconstructor:
         else:
             n = len(self._affected)
             point = np.concatenate([pair.input, pair.effective])
-            dist = cdist(point[None, :], self._points[:n])[0].tolist()
+            dist = pairwise_distances(point[None, :], self._points[:n])[0].tolist()
             self._points = _append_row(self._points, n, point)
             self._affected.append(pair)
             _slink_insert(self._pi, self._lam, dist)
@@ -656,11 +666,13 @@ def lipschitz_error_bound(recon: CdmReconstruction, u, l_p: float) -> float:
 
     For ``u`` certified inside mode i, every cluster pair j bounds the true
     error by its own fit residual plus ``l_p`` times its distance to ``u``;
-    the minimum over pairs is returned.
+    the minimum over pairs is returned.  ``l_p`` must be finite and
+    positive (``ValueError``); a non-finite or wrong-dimension ``u`` raises
+    :class:`PreconditionError`.
     """
-    if l_p <= 0:
-        raise ValueError("Lipschitz constant must be positive")
-    point = np.atleast_1d(np.asarray(u, dtype=float))
+    if not (math.isfinite(l_p) and l_p > 0):
+        raise ValueError(f"Lipschitz constant must be finite and positive, got {l_p}")
+    point = _command(recon, u)
     coords = point.tolist()
     for mode in recon.modes:
         if star_contains(mode.inner, mode.outer, coords) is not Containment.INSIDE_INNER:

@@ -2,12 +2,17 @@
 
 import contextlib
 import io
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import cdmkit
 from cdmkit.cli import EXIT_CONFIG, EXIT_IDENTIFICATION, EXIT_OK, EXIT_UNVIABLE, main
 from cdmkit.experiment import parse_config_text, run_experiment
 from cdmkit.serialization import reconstruction_to_lines, write_reconstruction
@@ -303,3 +308,31 @@ class TestBundledConfig:
 
         repo_cfg = pathlib.Path(__file__).resolve().parents[1] / "configs" / "heat_electrosurgery.cfg"
         assert repo_cfg.read_text() == DEFAULT_HEAT_CONFIG
+
+
+def test_serving_path_never_loads_scipy(heat_run):
+    # SciPy is imported on first use by the separation check, the region
+    # probes and the batch clustering; parsing, reading and serving need none
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys
+        import numpy as np
+        import cdmkit as ck
+        from cdmkit import cli
+
+        ck.parse_config({str(repo / "configs" / "heat_electrosurgery.cfg")!r})
+        path = {str(heat_run[1].artifacts["reconstruction"])!r}
+        recon = ck.read_reconstruction(path)
+        u_v = ck.viabilize(recon, np.array([1.0, 0.9]))
+        assert ck.query(recon, u_v).kind == ck.QueryKind.MAPPED
+        assert ck.lipschitz_error_bound(recon, u_v, 3.0) >= 0.0
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["report", path]) == cli.EXIT_OK
+            assert cli.main(["viabilize", path, "1.0", "0.9"]) == cli.EXIT_OK
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        assert not loaded, loaded[:5]
+    """)
+    src = str(pathlib.Path(cdmkit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr

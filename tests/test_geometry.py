@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from cdmkit.errors import UnviableInputError
 from cdmkit.geometry import (
@@ -18,6 +19,7 @@ from cdmkit.geometry import (
     interval_region,
     mgf_inner_bound,
     mgf_outer_bound,
+    pairwise_distances,
     set_distance,
     star_contains,
     within_fattening,
@@ -71,6 +73,23 @@ class TestSetDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             set_distance([[1.0, 2.0]], [[1.0]])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 30), st.integers(1, 30),
+       st.integers(0, 5))
+def test_pairwise_distances_bit_equal_to_cdist(seed, d, n, k, n_dup):
+    rng = np.random.default_rng(seed)
+
+    def rows(count):
+        # each entry a signed mantissa times 1e-3 .. 1e3
+        return rng.uniform(-1, 1, (count, d)) * 10.0 ** rng.integers(-3, 4, (count, d))
+
+    a, b = rows(n), rows(k)
+    for _ in range(n_dup):  # shared rows are at distance 0
+        b[rng.integers(k)] = a[rng.integers(n)]
+    assert np.array_equal(pairwise_distances(a, b), cdist(a, b))
+    assert np.array_equal(pairwise_distances(a, a), cdist(a, a))
 
 
 class TestHausdorff:

@@ -129,6 +129,14 @@ class TestClusterPairs:
         with pytest.raises(IdentificationError):
             cluster_pairs(pairs, delta=0.1, n_modes=2, force_merge=False)
 
+    def test_strict_mode_names_closest_pair_across_clusters(self):
+        # 0, 0.3 and 0.6 chain into one cluster at delta 0.5; 5.0 stays apart
+        pairs = [self.pair(u, u + 10.0) for u in (0.0, 0.3, 0.6, 5.0)]
+        with pytest.raises(IdentificationError, match="next merge distance 6.22254") as err:
+            cluster_pairs(pairs, delta=0.5, n_modes=1, force_merge=False)
+        assert err.value.detail == (2, 3)
+        assert all(type(i) is int for i in err.value.detail)
+
     def test_deterministic_given_order(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(10, 2))
@@ -445,6 +453,18 @@ class TestLipschitzErrorBound:
         recon = manual_recon([self.make_mode()])
         with pytest.raises(PreconditionError):
             lipschitz_error_bound(recon, [5.0], 3.0)
+
+    @pytest.mark.parametrize("l_p", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_lipschitz_constant_must_be_finite_and_positive(self, l_p):
+        recon = manual_recon([self.make_mode()])
+        with pytest.raises(ValueError, match="finite and positive"):
+            lipschitz_error_bound(recon, [0.1], l_p)
+
+    @pytest.mark.parametrize("u", [[0.1], [1.0, 0.1, 5.0], [float("nan"), 0.1]])
+    def test_malformed_point_is_precondition_error(self, heat_run, u):
+        _, result, _ = heat_run
+        with pytest.raises(PreconditionError, match="command has"):
+            lipschitz_error_bound(result.reconstruction, u, 3.0)
 
 
 class TestViabilize:

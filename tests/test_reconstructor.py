@@ -200,6 +200,19 @@ def test_strict_stream_raises_at_the_batch_step():
         next(stream)
 
 
+def test_strict_stream_names_the_batch_pair():
+    # the offending pair lies across clusters, in the stream as in the batch
+    pairs = [EffectivePair([u], [u + 10.0]) for u in (0.0, 0.3, 0.6, 5.0)]
+    config = IdentificationConfig(delta=0.5, n_modes=1, force_merge=False)
+    assert_stream_matches_batch(pairs, config)
+    rec = Reconstructor(config)
+    for pair in pairs[:3]:
+        rec.add(pair)
+    with pytest.raises(IdentificationError) as err:
+        rec.add(pairs[3])
+    assert err.value.detail == (2, 3)
+
+
 # ---------------------------------------------------------------------------
 # Structural incrementality
 
