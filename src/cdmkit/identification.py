@@ -390,6 +390,22 @@ class ModeReconstruction:
         inverse.setflags(write=False)
         return inverse
 
+    def containment(self, coords: list) -> Containment:
+        """``star_contains`` of the point ``coords`` (a list of floats).
+
+        The last point asked and its answer are remembered, so a command's
+        ``viabilize``, ``query`` and error bound classify it once.  Key and
+        answer are stored as one tuple, so concurrent callers always read a
+        matching pair; the memo is not a field, so ``replace`` drops it.
+        """
+        key = tuple(coords)
+        last = self.__dict__.get("_last_containment")
+        if last is not None and last[0] == key:
+            return last[1]
+        answer = star_contains(self.inner, self.outer, coords)
+        self.__dict__["_last_containment"] = (key, answer)
+        return answer
+
 
 @dataclass(frozen=True)
 class CdmReconstruction:
@@ -621,7 +637,10 @@ class QueryResult:
 
 def _command(recon: CdmReconstruction, u) -> np.ndarray:
     """``u`` as a finite vector of the reconstruction's input dimension."""
-    point = np.atleast_1d(np.asarray(u, dtype=float))
+    try:
+        point = np.atleast_1d(np.asarray(u, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(f"command is not a vector of real numbers: {exc}") from None
     if point.shape != (recon.input_dim,):
         raise PreconditionError(
             f"command has shape {point.shape}, reconstruction expects ({recon.input_dim},)"
@@ -636,7 +655,7 @@ def query(recon: CdmReconstruction, u) -> QueryResult:
 
     Passthrough when ``u`` is provably outside every mode's affected set;
     the fitted mode image when ``u`` is provably inside exactly one
-    identified mode; inconclusive otherwise.  A non-finite or
+    identified mode; inconclusive otherwise.  A non-numeric, non-finite or
     wrong-dimension ``u`` raises :class:`PreconditionError`.
     """
     point = _command(recon, u)
@@ -644,7 +663,7 @@ def query(recon: CdmReconstruction, u) -> QueryResult:
     inside = []
     outside_all = True
     for i, mode in enumerate(recon.modes):
-        c = star_contains(mode.inner, mode.outer, coords)
+        c = mode.containment(coords)
         if c is Containment.INSIDE_INNER:
             inside.append(i)
         if c is not Containment.OUTSIDE_OUTER:
@@ -666,16 +685,20 @@ def lipschitz_error_bound(recon: CdmReconstruction, u, l_p: float) -> float:
 
     For ``u`` certified inside mode i, every cluster pair j bounds the true
     error by its own fit residual plus ``l_p`` times its distance to ``u``;
-    the minimum over pairs is returned.  ``l_p`` must be finite and
-    positive (``ValueError``); a non-finite or wrong-dimension ``u`` raises
-    :class:`PreconditionError`.
+    the minimum over pairs is returned.  ``l_p`` must be a finite positive
+    real number (``ValueError``); a non-numeric, non-finite or
+    wrong-dimension ``u`` raises :class:`PreconditionError`.
     """
-    if not (math.isfinite(l_p) and l_p > 0):
+    try:
+        admissible = math.isfinite(l_p) and l_p > 0
+    except TypeError:  # not a real number
+        admissible = False
+    if not admissible:
         raise ValueError(f"Lipschitz constant must be finite and positive, got {l_p}")
     point = _command(recon, u)
     coords = point.tolist()
     for mode in recon.modes:
-        if star_contains(mode.inner, mode.outer, coords) is not Containment.INSIDE_INNER:
+        if mode.containment(coords) is not Containment.INSIDE_INNER:
             continue
         if not mode.identified:
             raise PreconditionError(
@@ -694,11 +717,13 @@ def viabilize(recon: CdmReconstruction, u_cmd) -> np.ndarray:
     Returns the command itself when it provably passes through unchanged;
     otherwise inverts each identified affine mode and returns the first
     solution certified inside that mode's affected set.  Non-invertible
-    modes (e.g. constant maps) are skipped with a diagnostic.  A non-finite
-    or wrong-dimension command raises :class:`PreconditionError`.
+    modes (e.g. constant maps) are skipped with a diagnostic.  A non-numeric,
+    non-finite or wrong-dimension command raises :class:`PreconditionError`.
     """
     cmd = _command(recon, u_cmd)
-    if query(recon, cmd).kind == QueryKind.PASSTHROUGH:
+    coords = cmd.tolist()
+    # query's PASSTHROUGH: INSIDE_INNER already implies not OUTSIDE_OUTER
+    if all(mode.containment(coords) is Containment.OUTSIDE_OUTER for mode in recon.modes):
         return cmd.copy()
     for i, mode in enumerate(recon.modes):
         if not mode.identified:
@@ -707,7 +732,7 @@ def viabilize(recon: CdmReconstruction, u_cmd) -> np.ndarray:
             log.info("mode %d skipped during viabilization: linear part is singular", i)
             continue
         candidate = mode.inverse @ (cmd - mode.map.translation)
-        if star_contains(mode.inner, mode.outer, candidate) is Containment.INSIDE_INNER:
+        if mode.containment(candidate.tolist()) is Containment.INSIDE_INNER:
             return candidate
     raise UnviableInputError(
         "commanded input is outside the reconstructed viable range", u_cmd=cmd

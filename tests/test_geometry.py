@@ -592,6 +592,16 @@ def test_replaced_values_never_answer_from_stale_tables(heat_run):
             for mode in changed.modes))
         assert answers(fresh) == got
     assert answers(recon) == before
+    # a mode's remembered answer is not carried into a value replaced from it
+    for mode, shrunk in zip(recon.modes, tight.modes):
+        u = next((u.tolist() for u in grid if star_contains(shrunk.inner, shrunk.outer, u)
+                  is not star_contains(mode.inner, mode.outer, u)), None)
+        assert u is not None
+        answer = mode.containment(u)  # remembered from here on
+        replaced = dataclasses.replace(mode, outer=shrunk.outer)
+        assert replaced.containment(u) is star_contains(shrunk.inner, shrunk.outer, u)
+        assert replaced.containment(u) is not answer
+        assert mode.containment(u) is answer
     # the changed maps are inverted as they are, not as they were
     for changed in (moved, scaled):
         for u in commands:

@@ -1,11 +1,16 @@
 """Tests for effective-input recovery, clustering, fitting, and queries."""
 
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdmkit.degradation import AffineMap, BallRegion, NModeCdm, apply_affine, apply_ncdm
+from cdmkit import identification
 from cdmkit.errors import IdentificationError, PreconditionError, UnviableInputError
 from cdmkit.geometry import Containment, Side, StarSetApprox, star_contains
 from cdmkit.identification import (
@@ -26,6 +31,7 @@ from cdmkit.identification import (
     split_pairs,
     viabilize,
 )
+from cdmkit.serialization import read_reconstruction
 from cdmkit.simulation import ControlSample, linear_system
 
 from trials import TRIAL_DELTA, TRIAL_LIPSCHITZ, make_trial, match_true_mode
@@ -424,6 +430,15 @@ class TestQuery:
         with pytest.raises(PreconditionError):
             viabilize(recon, u)
 
+    @pytest.mark.parametrize("serve", ["query", "viabilize", "error bound"])
+    @pytest.mark.parametrize("u", ["abc", [1 + 1j, 0.5], {"a": 1}])
+    def test_non_numeric_command_is_precondition_error(self, serve, u):
+        recon = manual_recon([manual_scalar_mode(0.0, 0.25, 3.0, 0.25)])
+        call = {"query": query, "viabilize": viabilize,
+                "error bound": lambda r, v: lipschitz_error_bound(r, v, 3.0)}[serve]
+        with pytest.raises(PreconditionError, match="not a vector of real numbers"):
+            call(recon, u)
+
 
 class TestLipschitzErrorBound:
     def make_mode(self):
@@ -456,6 +471,12 @@ class TestLipschitzErrorBound:
 
     @pytest.mark.parametrize("l_p", [float("nan"), float("inf"), 0.0, -1.0])
     def test_lipschitz_constant_must_be_finite_and_positive(self, l_p):
+        recon = manual_recon([self.make_mode()])
+        with pytest.raises(ValueError, match="finite and positive"):
+            lipschitz_error_bound(recon, [0.1], l_p)
+
+    @pytest.mark.parametrize("l_p", ["3", None, 1j, [3.0]])
+    def test_non_real_lipschitz_constant_is_value_error(self, l_p):
         recon = manual_recon([self.make_mode()])
         with pytest.raises(ValueError, match="finite and positive"):
             lipschitz_error_bound(recon, [0.1], l_p)
@@ -540,3 +561,156 @@ def test_sandwich_on_random_trials(trial_seed, point_seed):
                 assert region.contains(u)
             if region.contains(u):
                 assert c is not Containment.OUTSIDE_OUTER
+
+
+# ---------------------------------------------------------------------------
+# Each mode remembers its last classified point
+
+
+def outcome(call, recon, u):
+    """What one call returns or raises, in a form that compares by value and bits."""
+    try:
+        out = call(recon, u)
+    except (PreconditionError, UnviableInputError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, np.ndarray):
+        return out.tobytes()
+    if isinstance(out, float):
+        return repr(out)
+    return out.kind, None if out.value is None else out.value.tobytes(), out.mode_index
+
+
+def error_bound(recon, u):
+    return lipschitz_error_bound(recon, u, 3.0)
+
+
+def served(recon, u):
+    """One command as the benchmark serves it: viabilize, query, error bound."""
+    try:
+        u_v = viabilize(recon, u)
+    except UnviableInputError:
+        return None
+    result = outcome(query, recon, u_v)
+    bound = outcome(error_bound, recon, u_v) if result[0] == QueryKind.MAPPED else None
+    return u_v.tobytes(), result, bound
+
+
+def without_memo(recon):
+    """The same reconstruction with modes that remember nothing yet."""
+    return dataclasses.replace(recon, modes=tuple(dataclasses.replace(m) for m in recon.modes))
+
+
+def command_pool(recon, rng):
+    """Points where the answers differ: centers, witnesses, their images, far away."""
+    m = recon.input_dim
+    pool = [np.zeros(m), np.full(m, 100.0)] + [p.input for p in recon.unaffected]
+    for mode in recon.modes:
+        center = mode.inner.center
+        pool.append(center)
+        for p in mode.pairs:
+            w = center + rng.uniform(0.5, 1.2) * (p.input - center)
+            pool.append(w)
+            if mode.identified:
+                pool.append(mode.map(w))  # a command that viabilize can invert
+    return pool
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_remembered_answers_equal_fresh_answers(trial_seed, data):
+    model, _, samples, m, _ = make_trial(trial_seed)
+    recon = build_reconstruction(samples, model, TRIAL_CONFIG)
+    pool = command_pool(recon, np.random.default_rng(trial_seed))
+    calls = {"query": query, "viabilize": viabilize, "error bound": error_bound,
+             "served": served}
+    index = st.integers(0, len(pool) - 1)
+    step = st.tuples(index, index, st.integers(0, m - 1),
+                     st.sampled_from(["once", "repeat", "alternate", "signed zeros"]),
+                     st.sampled_from(sorted(calls)))
+    for i, j, k, pattern, name in data.draw(st.lists(step, min_size=1, max_size=12)):
+        a, b = pool[i], pool[j]
+        if pattern == "once":
+            points = [a]
+        elif pattern == "repeat":
+            points = [a, a]
+        elif pattern == "alternate":
+            points = [a, b, a, b]
+        else:  # equal keys, different bits
+            zero, minus_zero = a.copy(), a.copy()
+            zero[k], minus_zero[k] = 0.0, -0.0
+            points = [zero, minus_zero, zero]
+        call = calls[name]
+        for u in points:
+            if name == "served":
+                assert call(recon, u) == call(without_memo(recon), u)
+            else:
+                assert outcome(call, recon, u) == outcome(call, without_memo(recon), u)
+
+
+def bundled_commands(count):
+    return [np.array([1.0, s]) for s in np.linspace(0.0, 1.0, count)]
+
+
+def test_a_served_command_classifies_each_point_once(heat_run, monkeypatch):
+    recon = read_reconstruction(heat_run[1].artifacts["reconstruction"])
+    calls = []
+    contains = identification.star_contains
+
+    def counted(*args):
+        calls.append(args)
+        return contains(*args)
+
+    monkeypatch.setattr(identification, "star_contains", counted)
+    total, kinds = 0, set()
+    for u in bundled_commands(1001):
+        calls.clear()
+        try:
+            u_v = viabilize(recon, u)
+        except UnviableInputError:
+            total += len(calls)
+            continue
+        kind = query(recon, u_v).kind
+        kinds.add(kind)
+        if kind == QueryKind.PASSTHROUGH:
+            assert len(calls) == len(recon.modes)
+        elif kind == QueryKind.MAPPED:
+            classified = len(calls)
+            lipschitz_error_bound(recon, u_v, 3.0)
+            assert len(calls) == classified
+        total += len(calls)
+    assert kinds == {QueryKind.PASSTHROUGH, QueryKind.MAPPED}
+    assert total / 1001 <= 4.1
+
+
+def test_concurrent_callers_get_sequential_answers(heat_run):
+    recon = read_reconstruction(heat_run[1].artifacts["reconstruction"])
+    n_threads = 4
+    # each interleaved slice holds every command once, in its own order
+    commands = bundled_commands(101) * n_threads
+    want = [served(recon, u) for u in commands]
+    got, errors = {}, []
+    start = threading.Barrier(n_threads)
+
+    def caller(first):
+        try:
+            start.wait()
+            for i in range(first, len(commands), n_threads):
+                got[i] = served(recon, commands[i])
+        except Exception as exc:  # reported below; a thread cannot fail the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    try:
+        # threads switch every few calls, in a different rhythm each round
+        for switch in (1e-6, 3e-6, 1e-5, 3e-5, 1e-4) * 6:
+            sys.setswitchinterval(switch)
+            got.clear()
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert not errors
+            assert [got[i] for i in range(len(commands))] == want
+    finally:
+        sys.setswitchinterval(interval)
