@@ -57,10 +57,10 @@ def main():
 
     # points certified inside sit on segments from a mode center to a witness
     inside_0 = recon.modes[0].inner.center + 0.8 * (
-        recon.modes[0].pairs[0].input - recon.modes[0].inner.center
+        recon.modes[0].pairs[0, :recon.input_dim] - recon.modes[0].inner.center
     )
     inside_1 = recon.modes[1].inner.center + 0.8 * (
-        recon.modes[1].pairs[0].input - recon.modes[1].inner.center
+        recon.modes[1].pairs[0, :recon.input_dim] - recon.modes[1].inner.center
     )
     print("\npoint queries:")
     for u in (inside_0, inside_1, np.array([0.0, 16.0]), np.array([2.5, 0.0])):

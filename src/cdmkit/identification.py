@@ -48,14 +48,17 @@ class EffectivePair:
     effective: np.ndarray
 
     def __post_init__(self):
-        u = np.atleast_1d(np.asarray(self.input, dtype=float))
-        v = np.atleast_1d(np.asarray(self.effective, dtype=float))
-        if u.shape != v.shape:
+        for name in ("input", "effective"):
+            raw = np.asarray(getattr(self, name))
+            if raw.ndim != 1 or raw.dtype.kind not in "biuf":
+                raise ValueError(f"{name} must be a 1-D vector of real numbers")
+            value = raw.astype(float)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} has non-finite components")
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        if self.input.shape != self.effective.shape:
             raise ValueError("input and effective input dimensions disagree")
-        u.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "input", u)
-        object.__setattr__(self, "effective", v)
 
     @property
     def dim(self) -> int:
@@ -87,14 +90,10 @@ def recover_effective_input(sample: ControlSample, model: SystemModel) -> np.nda
 
 @dataclass(frozen=True)
 class Cluster:
-    """Degraded pairs believed to share one degradation mode."""
+    """Degraded pairs, read-only ``(k, 2m)`` rows ``[u | v]``, sharing one degradation mode."""
 
-    pairs: tuple
+    pairs: np.ndarray
     basis_indices: tuple
-
-    @property
-    def inputs(self) -> np.ndarray:
-        return np.array([p.input for p in self.pairs])
 
 
 def _select_basis(inputs: np.ndarray, m: int, known: Sequence = ()):
@@ -224,18 +223,18 @@ def _roots(pi, lam: np.ndarray, cut: float) -> np.ndarray:
         root = hop
 
 
-def _make_cluster(pairs: Sequence[EffectivePair], members: Sequence[int],
-                  known: Sequence = ()):
-    """The cluster of ``pairs[members]`` and its basis round scores."""
-    cluster_pairs_ = tuple(pairs[i] for i in members)
-    inputs = np.array([p.input for p in cluster_pairs_])
-    basis, rounds = _select_basis(inputs, cluster_pairs_[0].dim, known)
-    return Cluster(pairs=cluster_pairs_, basis_indices=basis), rounds
+def _make_cluster(points: np.ndarray, members: Sequence[int], known: Sequence = ()):
+    """The cluster of ``points[members]`` and its basis round scores."""
+    pairs = points[members]
+    pairs.setflags(write=False)
+    m = pairs.shape[1] // 2
+    basis, rounds = _select_basis(pairs[:, :m], m, known)
+    return Cluster(pairs=pairs, basis_indices=basis), rounds
 
 
-def cluster_pairs(pairs: Sequence[EffectivePair], delta: float, n_modes: int,
+def cluster_pairs(points: np.ndarray, delta: float, n_modes: int,
                   force_merge: bool = True) -> list[Cluster]:
-    """Single-linkage clustering of (input, effective) graph points.
+    """Single-linkage clustering of the graph points ``[u | v]``, a ``(k, 2m)`` table.
 
     Clusters are merged while the nearest pair of clusters is closer than
     ``delta``; the resulting clusters are pairwise at least ``delta`` apart.
@@ -245,14 +244,13 @@ def cluster_pairs(pairs: Sequence[EffectivePair], delta: float, n_modes: int,
     otherwise an error lists the closest offending pair.  Deterministic
     given the input order.
     """
-    if not pairs:
+    k = len(points)
+    if not k:
         raise ValueError("no pairs to cluster")
     if delta <= 0:
         raise ValueError("separation delta must be positive")
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
-    points = np.array([np.concatenate([p.input, p.effective]) for p in pairs])
-    k = points.shape[0]
     if k == 1:
         pi, lam = np.zeros(1, dtype=int), np.full(1, np.inf)
     else:
@@ -260,7 +258,7 @@ def cluster_pairs(pairs: Sequence[EffectivePair], delta: float, n_modes: int,
 
         pi, lam = _pointer_from_linkage(linkage(points, method="single"), k)
     groups = _partition(pi, lam, delta, n_modes, force_merge, points)
-    return [_make_cluster(pairs, members)[0] for members in groups]
+    return [_make_cluster(points, members)[0] for members in groups]
 
 
 # ---------------------------------------------------------------------------
@@ -283,22 +281,22 @@ def fit_affine(cluster: Cluster) -> AffineMap:
             "cluster lacks linearly independent basis inputs",
             detail="basis",
         )
-    m = cluster.pairs[0].dim
+    m = cluster.pairs.shape[1] // 2
+    inputs, effectives = cluster.pairs[:, :m], cluster.pairs[:, m:]
     basis = list(cluster.basis_indices)
-    others = [i for i in range(len(cluster.pairs)) if i not in basis]
+    others = [i for i in range(len(inputs)) if i not in basis]
     if not others:
         raise IdentificationError(
             "cluster has no pair beyond the basis to anchor the translation",
             detail="anchor",
         )
-    inputs = cluster.inputs
     # anchor on the most distant extra pair to condition the difference fit
     gaps = pairwise_distances(inputs[others], inputs[basis]).min(axis=1)
     anchor = others[int(np.argmax(gaps))]
-    u_a, v_a = cluster.pairs[anchor].input, cluster.pairs[anchor].effective
-    U_diff = np.column_stack([cluster.pairs[b].input - u_a for b in basis])
-    V_diff = np.column_stack([cluster.pairs[b].effective - v_a for b in basis])
-    deviation, *_ = np.linalg.lstsq(U_diff.T, (V_diff - U_diff).T, rcond=RANK_TOL)
+    u_a, v_a = inputs[anchor], effectives[anchor]
+    U_diff = inputs[basis] - u_a  # one row per basis pair
+    V_diff = effectives[basis] - v_a
+    deviation, *_ = np.linalg.lstsq(U_diff, V_diff - U_diff, rcond=RANK_TOL)
     linear = np.eye(m) + deviation.T
     translation = v_a - linear @ u_a
     return AffineMap(linear, translation)
@@ -341,13 +339,14 @@ class ModeReconstruction:
     """One identified (or detected but not yet identified) degradation mode.
 
     ``inner``/``outer`` must be an (INNER, OUTER) pair about one center;
-    that is checked here, once, so containment queries need not.
+    that is checked here, once, so containment queries need not.  ``pairs``
+    is the cluster's read-only ``(k, 2m)`` table of graph points ``[u | v]``.
     """
 
     map: Optional[AffineMap]
     inner: StarSetApprox
     outer: StarSetApprox
-    pairs: tuple
+    pairs: np.ndarray
     residuals: Optional[np.ndarray]
 
     def __post_init__(self):
@@ -366,13 +365,6 @@ class ModeReconstruction:
         return float(np.max(self.residuals)) if self.residuals is not None else None
 
     # Derived on first use: the snapshots of a stream are never queried.
-
-    @cached_property
-    def inputs(self) -> np.ndarray:
-        """The pairs' inputs as one read-only ``(k, m)`` array."""
-        inputs = np.array([p.input for p in self.pairs])
-        inputs.setflags(write=False)
-        return inputs
 
     @cached_property
     def inverse(self) -> Optional[np.ndarray]:
@@ -409,31 +401,31 @@ class ModeReconstruction:
 
 @dataclass(frozen=True)
 class CdmReconstruction:
-    """Full reconstruction state: modes plus the unaffected sample pool."""
+    """Full reconstruction state: modes plus the unaffected pairs' ``(k, 2m)`` table."""
 
     modes: tuple
-    unaffected: tuple
+    unaffected: np.ndarray
     separation: float
     mode_count: int
     input_dim: int
 
 
-def _is_unaffected(pair: EffectivePair, identity_tol: float) -> bool:
-    dev = np.linalg.norm(pair.effective - pair.input)
-    return bool(dev <= identity_tol * (1.0 + np.linalg.norm(pair.input)))
+def _is_unaffected(point: np.ndarray, identity_tol: float) -> bool:
+    # one norm per pair, so the stream and the batch decide bit for bit alike
+    m = point.shape[0] // 2
+    dev = np.linalg.norm(point[m:] - point[:m])
+    return bool(dev <= identity_tol * (1.0 + np.linalg.norm(point[:m])))
 
 
-def split_pairs(pairs: Sequence[EffectivePair], identity_tol: float):
-    """Partition pairs into (affected, unaffected) by relative deviation."""
-    affected, unaffected = [], []
-    for p in pairs:
-        (unaffected if _is_unaffected(p, identity_tol) else affected).append(p)
-    return affected, unaffected
+def split_pairs(points: np.ndarray, identity_tol: float):
+    """Partition a pair table into (affected, unaffected) tables by relative deviation."""
+    mask = np.array([_is_unaffected(p, identity_tol) for p in points], dtype=bool)
+    return points[~mask], points[mask]
 
 
-def fit_residuals(affine: AffineMap, pairs: Sequence[EffectivePair]) -> np.ndarray:
-    """Per-pair fit residuals ``|affine(u) - v|``."""
-    gaps = (affine.translation + affine.linear @ p.input - p.effective for p in pairs)
+def fit_residuals(affine: AffineMap, pairs: np.ndarray) -> np.ndarray:
+    """Residuals ``|affine(u) - v|`` of a pair table, row by row: a slice scores like the whole."""
+    gaps = (affine.translation + affine.linear @ u - v for u, v in zip(*np.hsplit(pairs, 2)))
     return np.array([math.sqrt(g.dot(g)) for g in gaps])  # np.linalg.norm's arithmetic
 
 
@@ -446,8 +438,9 @@ def _mode_from_cluster(cluster: Cluster, unaffected_inputs: np.ndarray,
     one's; when the fit reproduces its map exactly, its residuals are kept
     and only the new pairs are scored.
     """
-    center = cluster.inputs.mean(axis=0)
-    inner = StarSetApprox.from_points(cluster.inputs, center, config.lipschitz, Side.INNER)
+    inputs = cluster.pairs[:, :cluster.pairs.shape[1] // 2]
+    center = inputs.mean(axis=0)
+    inner = StarSetApprox.from_points(inputs, center, config.lipschitz, Side.INNER)
     if unaffected_inputs.size:
         outer = StarSetApprox.from_points(
             unaffected_inputs, center, config.lipschitz, Side.OUTER
@@ -491,18 +484,17 @@ def build_reconstruction_from_pairs(pairs: Sequence[EffectivePair],
     if not pairs:
         raise ValueError("cannot build a reconstruction from zero pairs")
     m = pairs[0].dim
-    affected, unaffected = split_pairs(pairs, config.identity_tol)
-    unaffected_inputs = (
-        np.array([p.input for p in unaffected]) if unaffected else np.empty((0, m))
-    )
+    table = np.array([(p.input, p.effective) for p in pairs]).reshape(len(pairs), 2 * m)
+    affected, unaffected = split_pairs(table, config.identity_tol)
+    unaffected.setflags(write=False)
     modes = []
-    if affected:
+    if len(affected):
         for cluster in cluster_pairs(affected, config.delta, config.n_modes,
                                      force_merge=config.force_merge):
-            modes.append(_mode_from_cluster(cluster, unaffected_inputs, config))
+            modes.append(_mode_from_cluster(cluster, unaffected[:, :m], config))
     return CdmReconstruction(
         modes=tuple(modes),
-        unaffected=tuple(unaffected),
+        unaffected=unaffected,
         separation=config.delta,
         mode_count=config.n_modes,
         input_dim=m,
@@ -524,18 +516,16 @@ class Reconstructor:
     """
 
     def __init__(self, config: IdentificationConfig):
-        if config.delta <= 0:
-            raise ValueError("separation delta must be positive")
-        if config.n_modes < 1:
-            raise ValueError("n_modes must be at least 1")
         self.config = config
         self._dim: Optional[int] = None
-        self._affected: list[EffectivePair] = []
-        self._points = np.empty((0, 0))  # graph points of the affected pairs, grown by doubling
-        self._pi: list[int] = []
+        # Graph points [u | v] of the affected and unaffected pairs, grown by doubling.
+        # Snapshots view the unaffected prefix: rows below the count are never
+        # rewritten, and a full buffer is replaced by a copy, not resized in place.
+        self._points = np.empty((0, 0))
+        self._unaffected = np.empty((0, 0))
+        self._n_unaffected = 0
+        self._pi: list[int] = []  # one entry per affected pair
         self._lam: list[float] = []
-        self._unaffected: list[EffectivePair] = []
-        self._unaffected_inputs = np.empty((0, 0))  # grown by doubling
         # (mode, basis round scores) by member indices, in cluster order
         self._clusters: dict[tuple, tuple[ModeReconstruction, list]] = {}
         self._stale = False  # the last partition attempt failed
@@ -545,13 +535,13 @@ class Reconstructor:
         if self._dim is None:
             self._dim = pair.dim
             self._points = np.empty((8, 2 * pair.dim))
-            self._unaffected_inputs = np.empty((8, pair.dim))
+            self._unaffected = np.empty((8, 2 * pair.dim))
         elif pair.dim != self._dim:
             raise ValueError(f"pair dimension {pair.dim} != {self._dim}")
-        if _is_unaffected(pair, self.config.identity_tol):
-            self._unaffected_inputs = _append_row(
-                self._unaffected_inputs, len(self._unaffected), pair.input)
-            self._unaffected.append(pair)
+        point = np.concatenate([pair.input, pair.effective])
+        if _is_unaffected(point, self.config.identity_tol):
+            self._unaffected = _append_row(self._unaffected, self._n_unaffected, point)
+            self._n_unaffected += 1
             self._clusters = {
                 key: (replace(mode, outer=mode.outer.with_witness(pair.input)), rounds)
                 for key, (mode, rounds) in self._clusters.items()
@@ -559,16 +549,16 @@ class Reconstructor:
             if self._stale:
                 self._repartition()
         else:
-            n = len(self._affected)
-            point = np.concatenate([pair.input, pair.effective])
+            n = len(self._pi)
             dist = pairwise_distances(point[None, :], self._points[:n])[0].tolist()
             self._points = _append_row(self._points, n, point)
-            self._affected.append(pair)
             _slink_insert(self._pi, self._lam, dist)
             self._repartition()
+        unaffected = self._unaffected[:self._n_unaffected]
+        unaffected.setflags(write=False)
         return CdmReconstruction(
             modes=tuple(mode for mode, _ in self._clusters.values()),
-            unaffected=tuple(self._unaffected),
+            unaffected=unaffected,
             separation=self.config.delta,
             mode_count=self.config.n_modes,
             input_dim=self._dim,
@@ -578,16 +568,16 @@ class Reconstructor:
         """Re-cut the dendrogram; rebuild the modes whose membership changed."""
         self._stale = True
         cfg = self.config
-        groups = _partition(self._pi, self._lam, cfg.delta, cfg.n_modes,
-                            cfg.force_merge, self._points[:len(self._affected)])
-        unaffected_inputs = self._unaffected_inputs[:len(self._unaffected)]
+        points = self._points[:len(self._pi)]
+        groups = _partition(self._pi, self._lam, cfg.delta, cfg.n_modes, cfg.force_merge, points)
+        unaffected_inputs = self._unaffected[:self._n_unaffected, :self._dim]
         clusters = {}
         for members in groups:
             key = tuple(members)
             if key not in self._clusters:
                 # a cluster that only gained the newest pair keeps what still holds
                 known_mode, known_rounds = self._clusters.get(key[:-1], (None, ()))
-                cluster, rounds = _make_cluster(self._affected, members, known_rounds)
+                cluster, rounds = _make_cluster(points, members, known_rounds)
                 mode = _mode_from_cluster(cluster, unaffected_inputs, cfg, known_mode)
                 clusters[key] = (mode, rounds)
             else:
@@ -638,7 +628,10 @@ class QueryResult:
 def _command(recon: CdmReconstruction, u) -> np.ndarray:
     """``u`` as a finite vector of the reconstruction's input dimension."""
     try:
-        point = np.atleast_1d(np.asarray(u, dtype=float))
+        raw = np.asarray(u)
+        if raw.dtype.kind not in "biuf":  # strings would parse, complex would truncate
+            raise TypeError(f"dtype {raw.dtype}")
+        point = np.atleast_1d(np.asarray(raw, dtype=float))
     except (TypeError, ValueError) as exc:
         raise PreconditionError(f"command is not a vector of real numbers: {exc}") from None
     if point.shape != (recon.input_dim,):
@@ -704,7 +697,7 @@ def lipschitz_error_bound(recon: CdmReconstruction, u, l_p: float) -> float:
             raise PreconditionError(
                 "point lies in a detected but unidentified mode; no fit to bound"
             )
-        dists = np.linalg.norm(mode.inputs - point, axis=1)
+        dists = np.linalg.norm(mode.pairs[:, :recon.input_dim] - point, axis=1)
         return float(np.min(mode.residuals + l_p * dists))
     raise PreconditionError(
         "point is not certified inside any mode's inner approximation"

@@ -17,12 +17,7 @@ import numpy as np
 from .degradation import AffineMap
 from .errors import ReportParseError
 from .geometry import Side, StarSetApprox
-from .identification import (
-    CdmReconstruction,
-    EffectivePair,
-    ModeReconstruction,
-    fit_residuals,
-)
+from .identification import CdmReconstruction, ModeReconstruction, fit_residuals
 from .simulation import ControlSample
 
 MAGIC = "cdm-reconstruction v1"
@@ -219,16 +214,14 @@ def reconstruction_to_lines(recon: CdmReconstruction) -> list[str]:
             lines.append("translation," + _fmt_vec(mode.map.translation))
             lines.append("residual," + _fmt(mode.residual))
         lines.append(f"pairs,{len(mode.pairs)}")
-        for p in mode.pairs:
-            lines.append("pair," + _fmt_vec(p.input) + "," + _fmt_vec(p.effective))
+        lines.extend("pair," + _fmt_vec(row) for row in mode.pairs)
         lines.append("[inner]")
         lines.extend(star_to_lines(mode.inner))
         lines.append("[outer]")
         lines.extend(star_to_lines(mode.outer))
         lines.append(f"[end mode {i}]")
     lines.append("[unaffected]")
-    for p in recon.unaffected:
-        lines.append("pair," + _fmt_vec(p.input) + "," + _fmt_vec(p.effective))
+    lines.extend("pair," + _fmt_vec(row) for row in recon.unaffected)
     lines.append("[end unaffected]")
     return lines
 
@@ -238,8 +231,9 @@ def write_reconstruction(path, recon: CdmReconstruction) -> None:
         fh.write("\n".join(reconstruction_to_lines(recon)) + "\n")
 
 
-def _pairs(cur: _Cursor, count: int, m: int) -> tuple:
-    pairs = []
+def _pairs(cur: _Cursor, count: int, m: int) -> np.ndarray:
+    """A block of ``count`` pair rows as one read-only ``(count, 2m)`` table."""
+    rows = []
     for _ in range(count):
         line = cur.next(expect="pair row")
         if not line.startswith("pair,"):
@@ -247,8 +241,10 @@ def _pairs(cur: _Cursor, count: int, m: int) -> tuple:
         vals = _floats(line[len("pair,"):], cur.lineno - 1)
         if len(vals) != 2 * m:
             raise ReportParseError("pair row has wrong arity", line=cur.lineno - 1)
-        pairs.append(EffectivePair(np.array(vals[:m]), np.array(vals[m:])))
-    return tuple(pairs)
+        rows.append(vals)
+    table = np.array(rows, dtype=float).reshape(count, 2 * m)
+    table.setflags(write=False)
+    return table
 
 
 def _scalar(cur: _Cursor, key: str) -> str:
@@ -301,7 +297,7 @@ def reconstruction_from_lines(lines: Sequence[str]) -> CdmReconstruction:
             mode = ModeReconstruction(
                 map=affine, inner=inner, outer=outer, pairs=pairs, residuals=residuals
             )
-        if affine is not None and not (pairs and mode.residual == residual):
+        if affine is not None and not (len(pairs) and mode.residual == residual):
             raise ReportParseError(f"stored residual {_fmt(residual)} is not the residual "
                                    "recomputed from the pairs", line=residual_lineno)
         modes.append(mode)

@@ -187,7 +187,7 @@ def test_criterion_3_sandwich(trial_bank, heat):
 
     cdm = config.cdm
     for mode in result.reconstruction.modes:
-        witness = mode.pairs[0].input
+        witness = mode.pairs[0, :mode.inner.dim]
         region = next(reg for reg, _ in cdm.modes if reg.contains(witness))
         for s in rng.random(1000):
             u = np.array([1.0, s])
@@ -287,7 +287,7 @@ def test_criterion_6_viabilization_round_trip(trial_bank):
             if rng.random() < 0.5 and recon.modes:
                 k = int(rng.integers(0, len(recon.modes)))
                 mode = recon.modes[k]
-                witness = mode.pairs[int(rng.integers(0, len(mode.pairs)))].input
+                witness = mode.pairs[int(rng.integers(0, len(mode.pairs))), :m]
                 w = mode.inner.center + 0.9 * (witness - mode.inner.center)
                 u_cmd = mode.map(w)
             else:

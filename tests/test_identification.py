@@ -84,41 +84,40 @@ class TestRecoverEffectiveInput:
         assert err.value.rank == 1
 
 
-class TestClusterPairs:
-    def pair(self, u, v):
-        return EffectivePair(np.atleast_1d(u), np.atleast_1d(v))
+def table(pairs):
+    """The ``(k, 2m)`` pair table of ``(input, effective)`` tuples."""
+    return np.array([np.concatenate([np.atleast_1d(u), np.atleast_1d(v)]) for u, v in pairs],
+                    dtype=float)
 
+
+class TestClusterPairs:
     def test_identical_pairs_merge(self):
-        pairs = [self.pair(0.1, 0.55)] * 4
+        pairs = table([(0.1, 0.55)] * 4)
         assert len(cluster_pairs(pairs, delta=0.1, n_modes=3)) == 1
 
     def test_distant_pairs_split(self):
         # shallow- and deep-branch graph points sit ~0.81 apart
-        pairs = [self.pair(0.1, 0.55), self.pair(0.9, 0.7)]
+        pairs = table([(0.1, 0.55), (0.9, 0.7)])
         assert len(cluster_pairs(pairs, delta=0.1, n_modes=2)) == 2
 
     def test_close_pairs_merge(self):
-        pairs = [self.pair(0.1, 0.55), self.pair(0.11, 0.58)]
+        pairs = table([(0.1, 0.55), (0.11, 0.58)])
         assert len(cluster_pairs(pairs, delta=0.1, n_modes=2)) == 1
 
     def test_resulting_clusters_are_separated(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             pts = rng.normal(size=(rng.integers(2, 15), 2))
-            pairs = [self.pair(p[0], p[1]) for p in pts]
             delta = float(rng.uniform(0.2, 2.0))
-            clusters = cluster_pairs(pairs, delta=delta, n_modes=len(pairs))
+            clusters = cluster_pairs(pts, delta=delta, n_modes=len(pts))
             for i in range(len(clusters)):
                 for j in range(i + 1, len(clusters)):
-                    a = np.array([np.concatenate([p.input, p.effective])
-                                  for p in clusters[i].pairs])
-                    b = np.array([np.concatenate([p.input, p.effective])
-                                  for p in clusters[j].pairs])
+                    a, b = clusters[i].pairs, clusters[j].pairs
                     gap = min(np.linalg.norm(x - y) for x in a for y in b)
                     assert gap >= delta - 1e-12
 
     def test_forced_merge_respects_budget(self):
-        pairs = [self.pair(0.0, 0.0), self.pair(1.0, 1.0), self.pair(2.5, 2.5)]
+        pairs = table([(0.0, 0.0), (1.0, 1.0), (2.5, 2.5)])
         clusters = cluster_pairs(pairs, delta=0.1, n_modes=2)
         assert len(clusters) == 2
         # the two closest fragments were the ones joined
@@ -126,18 +125,18 @@ class TestClusterPairs:
 
     def test_forced_merge_with_tied_gaps_stays_within_budget(self):
         # equidistant fragments merge through a tie; never more than the budget
-        pairs = [self.pair(0.0, 0.0), self.pair(1.0, 1.0), self.pair(2.0, 2.0)]
+        pairs = table([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
         clusters = cluster_pairs(pairs, delta=0.1, n_modes=2)
         assert len(clusters) <= 2
 
     def test_strict_mode_raises_beyond_budget(self):
-        pairs = [self.pair(0.0, 0.0), self.pair(1.0, 1.0), self.pair(2.0, 2.0)]
+        pairs = table([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
         with pytest.raises(IdentificationError):
             cluster_pairs(pairs, delta=0.1, n_modes=2, force_merge=False)
 
     def test_strict_mode_names_closest_pair_across_clusters(self):
         # 0, 0.3 and 0.6 chain into one cluster at delta 0.5; 5.0 stays apart
-        pairs = [self.pair(u, u + 10.0) for u in (0.0, 0.3, 0.6, 5.0)]
+        pairs = table([(u, u + 10.0) for u in (0.0, 0.3, 0.6, 5.0)])
         with pytest.raises(IdentificationError, match="next merge distance 6.22254") as err:
             cluster_pairs(pairs, delta=0.5, n_modes=1, force_merge=False)
         assert err.value.detail == (2, 3)
@@ -146,32 +145,30 @@ class TestClusterPairs:
     def test_deterministic_given_order(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(10, 2))
-        pairs = [self.pair(p[0], p[1]) for p in pts]
-        a = cluster_pairs(pairs, delta=0.5, n_modes=5)
-        b = cluster_pairs(pairs, delta=0.5, n_modes=5)
-        assert [c.pairs for c in a] == [c.pairs for c in b]
+        a = cluster_pairs(pts, delta=0.5, n_modes=5)
+        b = cluster_pairs(pts, delta=0.5, n_modes=5)
+        assert len(a) == len(b)
+        for ca, cb in zip(a, b):
+            np.testing.assert_array_equal(ca.pairs, cb.pairs)
 
     def test_basis_indices_are_independent(self):
-        pairs = [
-            EffectivePair(np.array([1.0, 0.0]), np.array([2.0, 0.0])),
-            EffectivePair(np.array([2.0, 0.0]), np.array([4.0, 0.0])),
-            EffectivePair(np.array([0.0, 1.0]), np.array([0.0, 3.0])),
-        ]
+        pairs = table([([1.0, 0.0], [2.0, 0.0]), ([2.0, 0.0], [4.0, 0.0]),
+                       ([0.0, 1.0], [0.0, 3.0])])
         (cluster,) = cluster_pairs(pairs, delta=1000.0, n_modes=1)
         assert len(cluster.basis_indices) == 2
-        basis = cluster.inputs[list(cluster.basis_indices)]
+        basis = cluster.pairs[list(cluster.basis_indices), :2]
         assert np.linalg.matrix_rank(basis) == 2
 
 
 def cluster_of(pairs):
-    return cluster_pairs(pairs, delta=1e9, n_modes=1)[0]
+    return cluster_pairs(table(pairs), delta=1e9, n_modes=1)[0]
 
 
 class TestFitLinear:
     """The linear part of ``fit_affine`` on full-rank anchor + basis clusters."""
 
     def fit(self, inputs, truth: AffineMap):
-        return fit_affine(cluster_of([EffectivePair(u, truth(u)) for u in inputs]))
+        return fit_affine(cluster_of([(u, truth(u)) for u in inputs]))
 
     def test_identity(self):
         # the anchor at the origin and the unit basis: differences are the identity
@@ -188,7 +185,7 @@ class TestFitLinear:
 
     def test_round_trip_against_ground_truth(self):
         truth = AffineMap(np.diag([2.0, 3.0]), np.array([0.25, -1.0]))
-        cluster = cluster_of([EffectivePair(u, truth(u))
+        cluster = cluster_of([(u, truth(u))
                               for u in ([1.0, 1.0], [0.0, 1.0], [0.2, -0.3])])
         assert len(cluster.basis_indices) == 2
         q = fit_affine(cluster)
@@ -199,25 +196,21 @@ class TestFitLinear:
 class TestFitAffine:
     def test_scalar_two_point_fit(self):
         # line through (0.1, 0.55) and (0.2, 0.85): slope 3, intercept 0.25
-        pairs = [EffectivePair([0.1], [0.55]), EffectivePair([0.2], [0.85])]
+        pairs = [([0.1], [0.55]), ([0.2], [0.85])]
         q = fit_affine(cluster_of(pairs))
         np.testing.assert_allclose(q.linear, [[3.0]], atol=1e-12)
         np.testing.assert_allclose(q.translation, [0.25], atol=1e-12)
 
     def test_identity_pairs(self):
         rng = np.random.default_rng(2)
-        pairs = [EffectivePair(u, u) for u in rng.normal(size=(4, 2))]
+        pairs = [(u, u) for u in rng.normal(size=(4, 2))]
         q = fit_affine(cluster_of(pairs))
         np.testing.assert_allclose(q.linear, np.eye(2), atol=1e-10)
         np.testing.assert_allclose(q.translation, np.zeros(2), atol=1e-10)
 
     def test_constant_mode(self):
         c = np.array([0.4, -0.2])
-        pairs = [
-            EffectivePair([1.0, 0.0], c),
-            EffectivePair([0.0, 1.0], c),
-            EffectivePair([0.3, 0.3], c),
-        ]
+        pairs = [([1.0, 0.0], c), ([0.0, 1.0], c), ([0.3, 0.3], c)]
         q = fit_affine(cluster_of(pairs))
         np.testing.assert_allclose(q.linear, np.zeros((2, 2)), atol=1e-10)
         np.testing.assert_allclose(q.translation, c, atol=1e-10)
@@ -225,7 +218,7 @@ class TestFitAffine:
     def test_inputs_on_affine_subspace_resolved_toward_identity(self):
         # all commands share the first channel; the fit leaves it untouched
         truth = AffineMap(np.diag([1.0, 3.0]), np.array([0.0, 0.25]))
-        pairs = [EffectivePair([1.0, s], truth([1.0, s])) for s in (0.05, 0.15, 0.2)]
+        pairs = [([1.0, s], truth([1.0, s])) for s in (0.05, 0.15, 0.2)]
         q = fit_affine(cluster_of(pairs))
         np.testing.assert_allclose(q.linear, truth.linear, atol=1e-10)
         np.testing.assert_allclose(q.translation, truth.translation, atol=1e-10)
@@ -234,30 +227,50 @@ class TestFitAffine:
         # the written residuals and the reader's check both come from these bits
         rng = np.random.default_rng(5)
         q = AffineMap(rng.normal(size=(3, 3)), rng.normal(size=3))
-        pairs = [EffectivePair(u, q(u) + 1e-9 * rng.normal(size=3))
-                 for u in rng.normal(size=(20, 3))]
-        expected = [np.linalg.norm(apply_affine(q, p.input) - p.effective) for p in pairs]
-        np.testing.assert_array_equal(fit_residuals(q, pairs), expected)
-        assert fit_residuals(q, []).shape == (0,)
+        pairs = table([(u, q(u) + 1e-9 * rng.normal(size=3))
+                       for u in rng.normal(size=(20, 3))])
+        expected = [np.linalg.norm(apply_affine(q, row[:3]) - row[3:]) for row in pairs]
+        residuals = fit_residuals(q, pairs)
+        np.testing.assert_array_equal(residuals, expected)
+        # a stream scores one-row slices, the batch whole tables: the same bits
+        for i in range(len(pairs)):
+            np.testing.assert_array_equal(fit_residuals(q, pairs[i:i + 1]), residuals[i:i + 1])
+        assert fit_residuals(q, pairs[:0]).shape == (0,)
 
     def test_missing_basis(self):
-        pairs = [EffectivePair([0.0, 0.0], [1.0, 1.0])]
+        pairs = [([0.0, 0.0], [1.0, 1.0])]
         with pytest.raises(IdentificationError):
             fit_affine(cluster_of(pairs))
 
     def test_missing_anchor(self):
-        pairs = [EffectivePair([1.0, 0.0], [2.0, 0.0]),
-                 EffectivePair([0.0, 1.0], [0.0, 2.0])]
+        pairs = [([1.0, 0.0], [2.0, 0.0]), ([0.0, 1.0], [0.0, 2.0])]
         with pytest.raises(IdentificationError):
             fit_affine(cluster_of(pairs))
 
 
 class TestSplitPairs:
     def test_relative_tolerance(self):
-        near = EffectivePair([100.0], [100.0 + 5e-6])
-        far = EffectivePair([0.1], [0.2])
-        affected, unaffected = split_pairs([near, far], identity_tol=1e-7)
-        assert affected == [far] and unaffected == [near]
+        near, far = [100.0, 100.0 + 5e-6], [0.1, 0.2]
+        affected, unaffected = split_pairs(np.array([near, far]), identity_tol=1e-7)
+        np.testing.assert_array_equal(affected, [far])
+        np.testing.assert_array_equal(unaffected, [near])
+
+
+class TestEffectivePair:
+    @pytest.mark.parametrize("u, v", [
+        ([[1.0, 2.0]], [[3.0, 4.0]]),
+        (1.0, 2.0),
+        ([1.0 + 1.0j], [2.0]),
+        ([1.0], [2.0 + 0.0j]),
+        (["1.0"], [2.0]),
+        ([np.nan], [2.0]),
+        ([1.0], [np.inf]),
+        ([1.0, 2.0], [3.0]),
+    ], ids=["2-D", "0-D", "complex input", "complex effective", "string", "nan", "inf",
+            "dims disagree"])
+    def test_malformed_pair_rejected(self, u, v):
+        with pytest.raises(ValueError):
+            EffectivePair(u, v)
 
 
 class TestBuildReconstruction:
@@ -370,7 +383,7 @@ def manual_scalar_mode(lo, hi, linear, translation, lipschitz=0.5,
     pts = np.linspace(lo, hi, 5).reshape(-1, 1)
     center = pts.mean(axis=0)
     q = AffineMap(np.array([[linear]]), np.array([translation]))
-    pairs = tuple(EffectivePair(p, q(p)) for p in pts)
+    pairs = table([(p, q(p)) for p in pts])
     inner = StarSetApprox.from_points(pts, center, lipschitz, Side.INNER)
     if outer_witnesses:
         outer = StarSetApprox.from_points(
@@ -384,8 +397,8 @@ def manual_scalar_mode(lo, hi, linear, translation, lipschitz=0.5,
                               residuals=residuals)
 
 
-def manual_recon(modes, unaffected=(), n=3):
-    return CdmReconstruction(modes=tuple(modes), unaffected=tuple(unaffected),
+def manual_recon(modes, n=3):
+    return CdmReconstruction(modes=tuple(modes), unaffected=np.empty((0, 2)),
                              separation=0.1, mode_count=n, input_dim=1)
 
 
@@ -431,7 +444,8 @@ class TestQuery:
             viabilize(recon, u)
 
     @pytest.mark.parametrize("serve", ["query", "viabilize", "error bound"])
-    @pytest.mark.parametrize("u", ["abc", [1 + 1j, 0.5], {"a": 1}])
+    @pytest.mark.parametrize("u", ["abc", [1 + 1j, 0.5], {"a": 1}, ["1", "0.5"],
+                                   np.array([1 + 0j, 0.9 + 2j])])
     def test_non_numeric_command_is_precondition_error(self, serve, u):
         recon = manual_recon([manual_scalar_mode(0.0, 0.25, 3.0, 0.25)])
         call = {"query": query, "viabilize": viabilize,
@@ -443,7 +457,7 @@ class TestQuery:
 class TestLipschitzErrorBound:
     def make_mode(self):
         q = AffineMap(np.array([[3.0]]), np.array([0.25]))
-        pairs = (EffectivePair([0.1], [0.55]), EffectivePair([0.2], [0.85]))
+        pairs = table([([0.1], [0.55]), ([0.2], [0.85])])
         pts = np.array([[0.1], [0.2]])
         inner = StarSetApprox.from_points(pts, pts.mean(axis=0), 0.5, Side.INNER)
         outer = StarSetApprox(pts.mean(axis=0), 0.5, np.empty((0, 1)), np.empty(0),
@@ -515,7 +529,7 @@ class TestViabilize:
             model, cdm, samples, m, N = make_trial(100 + seed)
             recon = build_reconstruction(samples, model, cfg)
             for mode in recon.modes:
-                wit = mode.pairs[int(rng.integers(0, len(mode.pairs)))].input
+                wit = mode.pairs[int(rng.integers(0, len(mode.pairs))), :m]
                 w = mode.inner.center + 0.9 * (wit - mode.inner.center)
                 u_cmd = mode.map(w)
                 u_v = viabilize(recon, u_cmd)
@@ -525,8 +539,8 @@ class TestViabilize:
 class TestModeContainment:
     def test_witnesses_are_inside(self):
         mode = manual_scalar_mode(0.0, 0.25, 3.0, 0.25)
-        for p in mode.pairs:
-            assert star_contains(mode.inner, mode.outer, p.input) is Containment.INSIDE_INNER
+        for row in mode.pairs:
+            assert star_contains(mode.inner, mode.outer, row[:1]) is Containment.INSIDE_INNER
 
     def test_center_of_nondegenerate_mode_is_inside(self):
         mode = manual_scalar_mode(0.0, 0.25, 3.0, 0.25)
@@ -603,12 +617,12 @@ def without_memo(recon):
 def command_pool(recon, rng):
     """Points where the answers differ: centers, witnesses, their images, far away."""
     m = recon.input_dim
-    pool = [np.zeros(m), np.full(m, 100.0)] + [p.input for p in recon.unaffected]
+    pool = [np.zeros(m), np.full(m, 100.0)] + list(recon.unaffected[:, :m])
     for mode in recon.modes:
         center = mode.inner.center
         pool.append(center)
-        for p in mode.pairs:
-            w = center + rng.uniform(0.5, 1.2) * (p.input - center)
+        for u in mode.pairs[:, :m]:
+            w = center + rng.uniform(0.5, 1.2) * (u - center)
             pool.append(w)
             if mode.identified:
                 pool.append(mode.map(w))  # a command that viabilize can invert

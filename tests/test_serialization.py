@@ -6,6 +6,7 @@ import pytest
 from cdmkit.errors import ReportParseError
 from cdmkit.geometry import Side
 from cdmkit.identification import (
+    EffectivePair,
     IdentificationConfig,
     build_reconstruction,
     build_reconstruction_from_pairs,
@@ -13,6 +14,7 @@ from cdmkit.identification import (
 from cdmkit.serialization import (
     read_reconstruction,
     read_samples,
+    reconstruction_from_lines,
     reconstruction_to_lines,
     write_reconstruction,
     write_samples,
@@ -99,12 +101,13 @@ class TestReconstructionFormat:
 
     def test_round_trip_empty_outer(self, tmp_path, recon):
         # without unaffected pairs every outer block has no witness rows
-        affected = [p for mode in recon.modes for p in mode.pairs]
+        m = recon.input_dim
+        affected = [EffectivePair(row[:m], row[m:]) for mode in recon.modes for row in mode.pairs]
         alone = build_reconstruction_from_pairs(affected, TRIAL_CONFIG)
         path = tmp_path / "recon.txt"
         write_reconstruction(path, alone)
         back = read_reconstruction(path)
-        assert back.modes and not back.unaffected
+        assert back.modes and len(back.unaffected) == 0
         for mode in back.modes:
             assert mode.outer.n_samples == 0 and mode.outer.side is Side.OUTER
         assert reconstruction_to_lines(back) == reconstruction_to_lines(alone)
@@ -168,6 +171,23 @@ class TestReconstructionFormat:
         with pytest.raises(ReportParseError) as err:
             read_reconstruction(path)
         assert err.value.line == idx + 1
+
+    def test_corrupted_pair_rows_report_line(self, heat_run):
+        # every pair row, in the mode blocks and in [unaffected]
+        with open(heat_run[1].artifacts["reconstruction"]) as fh:
+            lines = fh.read().splitlines()
+        rows = [i for i, line in enumerate(lines) if line.startswith("pair,")]
+        assert len(rows) == 200 and rows[-1] > lines.index("[unaffected]")
+        for i in rows:
+            tokens = lines[i].split(",")
+            mutants = [tokens[:-1]]  # a token dropped
+            for j in (1, len(tokens) - 1):
+                for value in ("nan", "inf", "x", "1e400"):
+                    mutants.append(tokens[:j] + [value] + tokens[j + 1:])
+            for mutant in mutants:
+                with pytest.raises(ReportParseError) as err:
+                    reconstruction_from_lines(lines[:i] + [",".join(mutant)] + lines[i + 1:])
+                assert err.value.line == i + 1, (i, mutant)
 
     def test_negative_count_rejected(self, tmp_path, recon):
         lines = reconstruction_to_lines(recon)

@@ -66,7 +66,7 @@ def make_trial(seed):
 
 def match_true_mode(cdm, mode):
     """Ground-truth (region, map) whose region holds the mode's first witness."""
-    witness = mode.pairs[0].input
+    witness = mode.pairs[0, :mode.inner.dim]
     hits = [(region, q) for region, q in cdm.modes if region.contains(witness)]
     assert len(hits) == 1, "recovered mode does not sit in exactly one true region"
     return hits[0]
