@@ -14,6 +14,7 @@ stderr of the form ``<kind>: <message>``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -93,7 +94,9 @@ def _cmd_viabilize(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser with its subcommands, built once per process."""
     parser = argparse.ArgumentParser(
         prog="cdmkit",
         description="Identify input-degradation maps and viabilize commands.",
@@ -113,8 +116,11 @@ def main(argv=None) -> int:
     p_via.add_argument("reconstruction", help="path to a reconstruction file")
     p_via.add_argument("vector", nargs="+", help="commanded input components")
     p_via.set_defaults(func=_cmd_viabilize)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -11,6 +11,7 @@ Runs are fully deterministic for fixed seeds.
 
 from __future__ import annotations
 
+import bisect
 import configparser
 import math
 import os
@@ -28,7 +29,7 @@ from .degradation import (
     mode_separation,
 )
 from .errors import ConfigError, IdentificationError
-from .geometry import Side, _region_probes, interval_region, mgf_inner_bound, pairwise_distances
+from .geometry import mgf_inner_bound
 from .identification import (
     CdmReconstruction,
     EffectivePair,
@@ -57,7 +58,6 @@ class ConvergenceRecord:
 
     time: float
     region_hausdorff: tuple
-    region_covering: tuple
     modes_identified: int
 
 
@@ -74,9 +74,6 @@ class ExperimentConfig:
     identification: IdentificationConfig
     regions: tuple
     region_axis: int
-    region_grid: int
-    probe_count: int
-    probe_seed: int
     output_dir: str
 
     def model(self) -> SystemModel:
@@ -270,9 +267,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     regions: tuple = ()
     axis = 0
-    grid = 401
-    probes = 512
-    probe_seed = 11
     if parser.has_section("convergence"):
         raw = _get(parser, "convergence", "regions", str, "")
         pairs = []
@@ -287,16 +281,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
             pairs.append((lo, hi))
         regions = tuple(pairs)
         axis = _get(parser, "convergence", "axis", int, 0)
-        grid = _get(parser, "convergence", "grid", int, 401)
-        probes = _get(parser, "convergence", "probes", int, 512)
-        probe_seed = _get(parser, "convergence", "probe_seed", int, 11)
         if axis < 0 or axis >= dim_input:
             raise ConfigError("convergence axis is outside the input dimensions")
-        for key, value in (("grid", grid), ("probes", probes)):
-            if value < 1:
-                raise ConfigError(f"[convergence] {key} must be at least 1, got {value}")
-        if probe_seed < 0:
-            raise ConfigError(f"[convergence] probe_seed must be non-negative, got {probe_seed}")
 
     output_dir = "out"
     if parser.has_section("output"):
@@ -312,9 +298,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
         identification=ident,
         regions=regions,
         region_axis=axis,
-        region_grid=grid,
-        probe_count=probes,
-        probe_seed=probe_seed,
         output_dir=output_dir,
     )
 
@@ -341,35 +324,33 @@ def stream_reconstructions(samples: Sequence[ControlSample], model: SystemModel,
 
 
 class _RegionMetrics:
-    """Running distance and covering estimates for each declared region.
+    """Exact Hausdorff distance from each declared interval to its observations.
 
-    Observed coordinates lie inside their region, so the distance from a
-    dense region grid to the observed set is the Hausdorff distance between
-    the two.  Each observation folds its distance column into per-region
-    running minima, so every step costs one column per region.  Regions
-    without observations yet report infinity.
+    Only coordinates inside a region ``[lo, hi]`` are kept, one sorted list
+    per region.  For such a finite set S every point of S lies in the
+    interval, so the Hausdorff distance is the largest distance from a point
+    of the interval to S.  That distance is piecewise linear in the point,
+    so its maximum sits at an end of the interval or at the midpoint of two
+    consecutive points of S:
+    ``max(min S - lo, hi - max S, largest gap / 2)``.  Regions without
+    observations yet report infinity.
     """
 
-    def __init__(self, config: ExperimentConfig):
-        self.regions = []
-        for lo, hi in config.regions:
-            grid = np.linspace(lo, hi, config.region_grid).reshape(-1, 1)
-            probes = _region_probes(
-                interval_region(lo, hi, Side.OUTER), config.probe_count, config.probe_seed
-            )
-            self.regions.append(((lo, hi), grid, probes, np.full(grid.shape[0], np.inf),
-                                 np.full(probes.shape[0], np.inf)))
+    def __init__(self, regions: Sequence[tuple]):
+        self.regions = [(lo, hi, []) for lo, hi in regions]
 
-    def add(self, coord: float):
-        """Fold in one observed coordinate; return (hausdorff, covering) tuples."""
-        hausdorff, covering = [], []
-        for (lo, hi), grid, probes, grid_min, probe_min in self.regions:
+    def add(self, coord: float) -> tuple:
+        """Fold in one observed coordinate; return the distance of each region."""
+        distances = []
+        for lo, hi, seen in self.regions:
             if lo <= coord <= hi:
-                np.minimum(grid_min, pairwise_distances(grid, [[coord]])[:, 0], out=grid_min)
-                np.minimum(probe_min, pairwise_distances(probes, [[coord]])[:, 0], out=probe_min)
-            hausdorff.append(float(np.max(grid_min)))
-            covering.append(float(np.max(probe_min)))
-        return tuple(hausdorff), tuple(covering)
+                bisect.insort(seen, coord)
+            if not seen:
+                distances.append(math.inf)
+                continue
+            gap = max((b - a for a, b in zip(seen, seen[1:])), default=0.0)
+            distances.append(max(seen[0] - lo, hi - seen[-1], gap / 2))
+        return tuple(distances)
 
 
 def validate_ground_truth_separation(config: ExperimentConfig) -> None:
@@ -399,17 +380,15 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None) -> E
 
     records = []
     reconstruction = None
-    regions = _RegionMetrics(config)
+    regions = _RegionMetrics(config.regions)
     for sample, recon in zip(
         samples, stream_reconstructions(samples, model, config.identification)
     ):
         reconstruction = recon
-        hausdorff, covering = regions.add(float(sample.input[config.region_axis]))
         records.append(
             ConvergenceRecord(
                 time=sample.time,
-                region_hausdorff=hausdorff,
-                region_covering=covering,
+                region_hausdorff=regions.add(float(sample.input[config.region_axis])),
                 modes_identified=sum(1 for m in recon.modes if m.identified),
             )
         )
@@ -435,14 +414,12 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None) -> E
 
 def _write_convergence(path, config: ExperimentConfig, records) -> None:
     header = ["time", "modes_identified"]
-    for i in range(len(config.regions)):
-        header += [f"hausdorff_r{i}", "covering_r{i}".format(i=i)]
+    header += [f"hausdorff_r{i}" for i in range(len(config.regions))]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for rec in records:
             row = [_fmt(rec.time), str(rec.modes_identified)]
-            for h, c in zip(rec.region_hausdorff, rec.region_covering):
-                row += [_fmt(h), _fmt(c)]
+            row += [_fmt(h) for h in rec.region_hausdorff]
             fh.write(",".join(row) + "\n")
 
 
@@ -538,9 +515,6 @@ identity_tol = 1e-7
 [convergence]
 axis = 1
 regions = 0.0:0.25 0.5:0.75 0.75:1.0
-grid = 401
-probes = 512
-probe_seed = 11
 
 [output]
 directory = out

@@ -181,16 +181,23 @@ def star_from_cursor(cur: _Cursor) -> StarSetApprox:
         side = Side(fields[dim + 2])
     except ValueError:
         raise ReportParseError(f"unknown side {fields[dim + 2]!r}", line=lineno)
+    count = _scalar_count(cur, "samples")
+    count_lineno = cur.lineno - 1
     dirs, radii = [], []
-    for _ in range(_scalar_count(cur, "samples")):
+    for _ in range(count):
         vals = _floats(cur.next(expect="direction,radius row"), cur.lineno - 1)
         if len(vals) != dim + 1:
             raise ReportParseError("sample row has wrong arity", line=cur.lineno - 1)
         dirs.append(vals[:dim])
         radii.append(vals[dim])
     with _checked(lineno):
-        return StarSetApprox(center=center, lipschitz=lipschitz,
+        star = StarSetApprox(center=center, lipschitz=lipschitz,
                              directions=np.reshape(dirs, (-1, dim)), radii=radii, side=side)
+    if star.n_samples != count:
+        # the writer emits de-duplicated witnesses, so a fold means a repeated direction
+        raise ReportParseError(f"{count} samples fold to {star.n_samples} distinct directions",
+                               line=count_lineno)
+    return star
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,6 @@ lipschitz = 1.0
 [convergence]
 axis = 1
 regions = 0.0:0.25 0.5:0.75 0.75:1.0
-grid = 101
-probes = 128
 """
 
 
@@ -258,14 +256,12 @@ class TestConfigMutations:
                             ("identity_tol", ("nan", "inf", "-1", "1e400")))
         for value in values}
     # mutants that used to escape as a traceback (exit 1)
-    RAISED = {("system", "source_width", "nan"), ("convergence", "probe_seed", "-1")} | {
+    RAISED = {("system", "source_width", "nan")} | {
         (section, key, value)
         for section, key, values in (
             ("system", "diffusivity", ("nan", "inf", "1e400")),
             ("system", "initial_temperature", ("nan", "inf", "1e400")),
-            ("system", "initial_depth", ("nan", "inf", "1e400")),
-            ("convergence", "grid", ("-1", "0")),
-            ("convergence", "probes", ("-1", "0")))
+            ("system", "initial_depth", ("nan", "inf", "1e400")))
         for value in values}
 
     def test_single_value_mutations_never_exit_1(self, tmp_path):
@@ -291,12 +287,12 @@ class TestConfigMutations:
                     exits[section, key, value] = main(["run", str(cfg), "--output", str(out)])
                 sink.seek(0)
                 sink.truncate()
-        assert len(exits) == 22 * 9  # 22 keys in 7 sections
+        assert len(exits) == 19 * 9  # 19 keys in 7 sections
         # a finite delta above the ground-truth mode gap is an identification failure
         assert {k for k, code in exits.items()
                 if code == EXIT_IDENTIFICATION} == {("identification", "delta", "7")}
         assert set(exits.values()) == {EXIT_OK, EXIT_CONFIG, EXIT_IDENTIFICATION}
-        assert len(self.SILENT) == 9 and len(self.RAISED) == 15
+        assert len(self.SILENT) == 9 and len(self.RAISED) == 10
         assert all(exits[case] == EXIT_CONFIG for case in self.SILENT | self.RAISED)
 
 
@@ -311,8 +307,8 @@ class TestBundledConfig:
 
 
 def test_serving_path_never_loads_scipy(heat_run):
-    # SciPy is imported on first use by the separation check, the region
-    # probes and the batch clustering; parsing, reading and serving need none
+    # SciPy is imported on first use by the separation check and the batch
+    # clustering; parsing, reading and serving need none
     repo = pathlib.Path(__file__).resolve().parents[1]
     script = textwrap.dedent(f"""
         import contextlib, io, sys
@@ -330,6 +326,23 @@ def test_serving_path_never_loads_scipy(heat_run):
             assert cli.main(["report", path]) == cli.EXIT_OK
             assert cli.main(["viabilize", path, "1.0", "0.9"]) == cli.EXIT_OK
         loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        assert not loaded, loaded[:5]
+    """)
+    src = str(pathlib.Path(cdmkit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_bundled_run_never_loads_scipy_stats(tmp_path):
+    # the convergence metric is a closed form: a run needs no quasi-random probes
+    script = textwrap.dedent(f"""
+        import sys
+        import cdmkit as ck
+
+        result = ck.run_experiment(ck.default_heat_config(), out_dir={str(tmp_path)!r})
+        assert len(result.records) == 200
+        loaded = sorted(m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy.stats."))
         assert not loaded, loaded[:5]
     """)
     src = str(pathlib.Path(cdmkit.__file__).resolve().parents[1])

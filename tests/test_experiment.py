@@ -1,17 +1,23 @@
 """Tests for config parsing, experiment orchestration, and report rendering."""
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdmkit.errors import ConfigError, IdentificationError
 from cdmkit.experiment import (
     DEFAULT_HEAT_CONFIG,
+    _RegionMetrics,
     default_heat_config,
     parse_config_text,
     render_report,
     run_experiment,
     validate_ground_truth_separation,
 )
+from cdmkit.geometry import covering_radius, interval_region
 from cdmkit.identification import QueryKind, query
 from cdmkit.serialization import read_reconstruction, read_samples
 
@@ -41,8 +47,6 @@ modes = 3
 [convergence]
 axis = 1
 regions = 0.0:0.25 0.5:0.75 0.75:1.0
-grid = 101
-probes = 128
 """
 
 LINEAR_MODES_CONFIG = """\
@@ -126,6 +130,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text(bad)
 
+    def test_retired_convergence_keys_are_ignored(self):
+        # configs written before the exact metric still parse to the same experiment
+        old = DEFAULT_HEAT_CONFIG.replace(
+            "[convergence]\n", "[convergence]\ngrid = 0\nprobes = x\nprobe_seed = -1\n")
+        new, cfg = parse_config_text(old), default_heat_config()
+        assert (new.regions, new.region_axis) == (cfg.regions, cfg.region_axis)
+
     def test_bad_region_token(self):
         bad = DEFAULT_HEAT_CONFIG.replace("0.0:0.25", "zero:0.25")
         with pytest.raises(ConfigError):
@@ -180,7 +191,93 @@ class TestRunExperiment:
         result = run_experiment(cfg, out_dir=str(tmp_path))
         header = open(result.artifacts["convergence"]).readline().strip().split(",")
         assert header[:2] == ["time", "modes_identified"]
-        assert len(header) == 2 + 2 * len(cfg.regions)
+        assert len(header) == 2 + len(cfg.regions)
+        assert header[2:] == [f"hausdorff_r{i}" for i in range(len(cfg.regions))]
+
+
+def exact_hausdorff(lo, hi, coords) -> float:
+    """Closed-form Hausdorff distance from [lo, hi] to the coordinates inside it."""
+    s = np.sort([c for c in coords if lo <= c <= hi])
+    if s.size == 0:
+        return np.inf
+    gap = float(np.max(np.diff(s))) if s.size > 1 else 0.0
+    return max(float(s[0]) - lo, hi - float(s[-1]), gap / 2)
+
+
+@pytest.fixture(scope="module")
+def long_run(tmp_path_factory):
+    """The bundled experiment at a 40 s horizon (800 observations)."""
+    cfg = parse_config_text(DEFAULT_HEAT_CONFIG.replace("horizon = 10.0", "horizon = 40.0"))
+    return cfg, run_experiment(cfg, out_dir=str(tmp_path_factory.mktemp("long")))
+
+
+class TestConvergenceMetrics:
+    GRID = 401
+
+    @pytest.fixture(params=["bundled", "horizon-40"])
+    def run(self, request, heat_run, long_run):
+        if request.param == "bundled":
+            return heat_run[:2]
+        return long_run
+
+    def test_column_is_the_closed_form(self, run):
+        cfg, result = run
+        coords = [float(s.input[cfg.region_axis]) for s in result.samples]
+        with open(result.artifacts["convergence"], newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["time", "modes_identified"] + [
+            f"hausdorff_r{j}" for j in range(len(cfg.regions))]
+        assert len(rows) == len(result.records) == len(coords)
+        for k, (rec, row) in enumerate(zip(result.records, rows)):
+            expected = tuple(exact_hausdorff(lo, hi, coords[:k + 1]) for lo, hi in cfg.regions)
+            assert rec.region_hausdorff == expected, k
+            assert tuple(float(row[f"hausdorff_r{j}"]) for j in range(len(expected))) == expected
+        assert all(np.isfinite(result.records[-1].region_hausdorff))
+
+    def test_sampled_estimates_never_exceed_it(self, run):
+        # a 401-point grid and 512 scrambled-Halton probes (seed 11) both
+        # under-estimate the distance; the grid by at most half its spacing
+        cfg, result = run
+        coords = [float(s.input[cfg.region_axis]) for s in result.samples]
+        for j, (lo, hi) in enumerate(cfg.regions):
+            grid = np.linspace(lo, hi, self.GRID)
+            grid_min = np.full(self.GRID, np.inf)
+            region = interval_region(lo, hi)
+            seen, probe_est = [], np.inf
+            for k, coord in enumerate(coords):
+                if lo <= coord <= hi:
+                    seen.append(coord)
+                    np.minimum(grid_min, np.abs(grid - coord), out=grid_min)
+                    probe_est = covering_radius(seen, region, probe_count=512, seed=11)
+                exact = result.records[k].region_hausdorff[j]
+                grid_est = float(np.max(grid_min))
+                assert grid_est <= exact and probe_est <= exact, (j, k)
+                if seen:
+                    assert exact - grid_est <= (hi - lo) / (self.GRID - 1) / 2, (j, k)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(-8, 8), st.integers(0, 16),
+       st.lists(st.integers(-12, 28), min_size=1, max_size=25))
+def test_region_metric_matches_brute_force(lo_idx, width, idx):
+    # every observation on a lattice of step h: the distance from [lo, hi] to
+    # the observed set peaks at an end or a midpoint, all on the brute-force
+    # grid of step h / 2, so its maximum is the exact value
+    h = 1.0 / 64
+    lo, hi = lo_idx * h, (lo_idx + width) * h
+    brute_grid = np.arange(2 * lo_idx, 2 * (lo_idx + width) + 1) * (h / 2)
+    metrics = _RegionMetrics([(lo, hi)])
+    inside = []
+    for i in idx:
+        coord = i * h
+        (value,) = metrics.add(coord)
+        if lo <= coord <= hi:
+            inside.append(coord)
+        if not inside:
+            assert value == np.inf
+            continue
+        brute = np.max(np.min(np.abs(brute_grid[:, None] - np.array(inside)[None, :]), axis=1))
+        assert abs(value - brute) <= 1e-12
 
 
 class TestRenderReport:

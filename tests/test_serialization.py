@@ -189,6 +189,31 @@ class TestReconstructionFormat:
                     reconstruction_from_lines(lines[:i] + [",".join(mutant)] + lines[i + 1:])
                 assert err.value.line == i + 1, (i, mutant)
 
+    def test_folding_star_rows_report_line(self, heat_run):
+        # every witness row of every [inner]/[outer] block, repeated (same
+        # radius, another radius, a direction within the de-dup tolerance)
+        # under a raised count: the writer never emits such a block
+        with open(heat_run[1].artifacts["reconstruction"]) as fh:
+            lines = fh.read().splitlines()
+        counts = [i for i, line in enumerate(lines) if line.startswith("samples,")]
+        assert len(counts) == 6
+        assert [lines[i - 3] for i in counts] == ["[inner]", "[outer]"] * 3
+        rows = 0
+        for i in counts:
+            n = int(lines[i].split(",")[1])
+            for r in range(i + 1, i + 1 + n):
+                *direction, radius = lines[r].split(",")
+                nudged = [repr(float(x) + 5e-11) if float(x) == 0.0 else x for x in direction]
+                for copy in (lines[r], ",".join(direction + [repr(2 * float(radius) + 1)]),
+                             ",".join(nudged + [radius])):
+                    mutant = lines[:i] + [f"samples,{n + 1}"] + lines[i + 1:r + 1] + [copy] \
+                        + lines[r + 1:]
+                    with pytest.raises(ReportParseError, match="fold") as err:
+                        reconstruction_from_lines(mutant)
+                    assert err.value.line == i + 1, (i, copy)
+                rows += 1
+        assert rows == 9
+
     def test_negative_count_rejected(self, tmp_path, recon):
         lines = reconstruction_to_lines(recon)
         idx = next(i for i, l in enumerate(lines) if l.startswith("pairs,"))
