@@ -229,16 +229,64 @@ def _clipped_box(region, lo, hi):
     return None
 
 
+def _bvls(A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Minimize ``|A x - b|`` over the box ``lo <= x <= hi`` (``lo <= hi``).
+
+    Bounded-variable least squares (Stark & Parker 1995), an active-set
+    method: each coordinate is free or held at one of its bounds.  The free
+    ones move by the minimum-norm least-squares step toward the best point
+    of their subspace, stopping at the first bound crossed, which then
+    holds that coordinate; at the subspace optimum the held coordinate whose
+    gradient most wants to move inward is freed.  The gradient of a freshly
+    freed coordinate is the only nonzero one of its subspace, so the step
+    moves it inward even when ``A`` is rank deficient.  A coordinate with
+    ``lo == hi`` is never freed.
+
+    Returns ``x`` and its KKT certificate ``g = A^T (A x - b)``: within
+    round-off, ``g`` is zero where ``lo < x < hi``, non-negative where
+    ``x == lo`` and non-positive where ``x == hi`` (no sign at pinned
+    coordinates).  Since the objective is convex, that makes ``x`` optimal.
+    """
+    n = A.shape[1]
+    x = np.clip(np.zeros(n), lo, hi)
+    state = np.where(x == lo, -1, np.where(x == hi, 1, 0))  # held low, held high, free
+    eps = np.finfo(float).eps
+    for _ in range(100 * (n + 1)):
+        free = np.flatnonzero(state == 0)
+        if free.size:
+            z = x[free] + np.linalg.lstsq(A[:, free], b - A @ x, rcond=None)[0]
+            target = np.clip(z, lo[free], hi[free])
+            if np.array_equal(target, z):
+                x[free] = z
+            else:
+                # the largest step along x -> z that keeps every coordinate in its box
+                crossed = target != z
+                ratios = np.full(free.size, np.inf)
+                ratios[crossed] = (target - x[free])[crossed] / (z - x[free])[crossed]
+                alpha = max(0.0, float(ratios.min()))
+                x[free] = np.clip(x[free] + alpha * (z - x[free]), lo[free], hi[free])
+                held = ratios <= alpha
+                x[free[held]] = target[held]
+                state[free[held]] = np.where(target[held] == lo[free[held]], -1, 1)
+                continue
+        g = A.T @ (A @ x - b)
+        violation = np.where(state == -1, -g, np.where(state == 1, g, 0.0))
+        violation[lo == hi] = 0.0
+        scale = np.linalg.norm(A) * (np.linalg.norm(A) * np.linalg.norm(x) + np.linalg.norm(b))
+        j = int(np.argmax(violation))
+        if violation[j] <= 16 * n * eps * scale:
+            return x, g
+        state[j] = 0
+    raise ArithmeticError("bounded least squares did not converge")
+
+
 def _graph_distance(q1: AffineMap, box1, q2: AffineMap, box2) -> Optional[float]:
     """Exact distance between the graphs ``(u, Q u)`` of two maps over boxes.
 
     Minimizes ``|u1 - u2|^2 + |Q1 u1 + c1 - Q2 u2 - c2|^2`` over the closed
-    boxes by bounded-variable least squares (Stark & Parker 1995); None when
-    a box is empty.  Coordinates pinned by ``lo == hi`` are substituted,
-    since the solver needs strict bounds.
+    boxes by bounded-variable least squares (:func:`_bvls`); None when a box
+    is empty.  A coordinate pinned by ``lo == hi`` stays at that value.
     """
-    from scipy.optimize import lsq_linear
-
     lo = np.concatenate([box1[0], box2[0]])
     hi = np.concatenate([box1[1], box2[1]])
     if np.any(lo > hi):
@@ -246,12 +294,7 @@ def _graph_distance(q1: AffineMap, box1, q2: AffineMap, box2) -> Optional[float]
     eye = np.eye(q1.dim)
     M = np.block([[eye, -eye], [q1.linear, -q2.linear]])
     b = np.concatenate([np.zeros(q1.dim), q2.translation - q1.translation])
-    z = lo.copy()
-    free = lo < hi
-    if np.any(free):
-        rest = b - M[:, ~free] @ lo[~free]
-        z[free] = lsq_linear(M[:, free], rest, bounds=(lo[free], hi[free]),
-                             method="bvls").x
+    z, _ = _bvls(M, b, lo, hi)
     return float(np.linalg.norm(M @ z - b))
 
 

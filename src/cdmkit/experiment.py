@@ -16,6 +16,7 @@ import configparser
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -77,9 +78,12 @@ class ExperimentConfig:
     output_dir: str
 
     def model(self) -> SystemModel:
-        if self.system_kind == "heat":
-            return self.system.model()
-        return self.system
+        """The system model, one per config, so repeated runs share its step-map powers."""
+        return self._model
+
+    @cached_property
+    def _model(self) -> SystemModel:
+        return self.system.model() if self.system_kind == "heat" else self.system
 
 
 @dataclass
@@ -113,13 +117,21 @@ def _get(parser, section, key, cast=str, default=None, required=False):
         if cast is bool:
             return raw.strip().lower() in ("1", "true", "yes", "on")
         return cast(raw)
+    except ConfigError:
+        raise
     except ValueError:
         raise ConfigError(f"cannot parse '{key} = {raw}' in [{section}]")
 
 
+def _finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {token!r}")
+    return value
+
+
 def _floats_list(raw: str) -> np.ndarray:
-    toks = [t for t in raw.replace(",", " ").split() if t]
-    return np.array([float(t) for t in toks])
+    return np.array([_finite(t) for t in raw.replace(",", " ").split()])
 
 
 def _parse_region(raw: str):
@@ -130,14 +142,14 @@ def _parse_region(raw: str):
         closed_lo = "open_lo" not in toks[4:]
         closed_hi = "open_hi" not in toks[4:]
         return IntervalRegion(
-            axis=int(toks[1]), lo=float(toks[2]), hi=float(toks[3]),
+            axis=int(toks[1]), lo=_finite(toks[2]), hi=_finite(toks[3]),
             closed_lo=closed_lo, closed_hi=closed_hi,
         )
     if toks[0] == "ball":
         if len(toks) < 3:
             raise ConfigError(f"ball region needs radius and center: {raw!r}")
-        return BallRegion(center=np.array([float(t) for t in toks[2:]]),
-                          radius=float(toks[1]))
+        return BallRegion(center=np.array([_finite(t) for t in toks[2:]]),
+                          radius=_finite(toks[1]))
     raise ConfigError(f"unknown region kind {toks[0]!r}")
 
 
@@ -153,12 +165,18 @@ def _parse_cdm(parser) -> Optional[NModeCdm]:
         index = 1
         while parser.has_section(f"cdm.mode.{index}"):
             sec = f"cdm.mode.{index}"
-            region = _parse_region(_get(parser, sec, "region", required=True))
-            linear = _floats_list(_get(parser, sec, "linear", required=True))
-            translation = _floats_list(_get(parser, sec, "translation", required=True))
+            region = _get(parser, sec, "region", _parse_region, required=True)
+            linear = _get(parser, sec, "linear", _floats_list, required=True)
+            translation = _get(parser, sec, "translation", _floats_list, required=True)
             m = translation.shape[0]
             if linear.shape[0] != m * m:
                 raise ConfigError(f"[{sec}] linear must hold {m}x{m} entries")
+            if isinstance(region, BallRegion):
+                fits = region.center.shape == (m,)
+            else:
+                fits = 0 <= region.axis < m
+            if not fits:
+                raise ConfigError(f"[{sec}] region does not fit the {m}-dimensional input")
             modes.append((region, AffineMap(linear.reshape(m, m), translation)))
             index += 1
         if not modes:
@@ -175,15 +193,17 @@ def _parse_signal(parser, dim_input: int):
     if kind == "heat-probe":
         return probe_signal
     if kind == "constant":
-        values = _floats_list(_get(parser, "signal", "values", required=True))
+        values = _get(parser, "signal", "values", _floats_list, required=True)
         if values.shape[0] != dim_input:
             raise ConfigError("constant signal dimension does not match the system")
         return lambda t: values
     if kind == "raised-cosine":
         # per-channel: value_i(t) = offset_i + amplitude_i * (1 - cos(2 pi t / period)) / 2
-        offset = _floats_list(_get(parser, "signal", "offset", required=True))
-        amplitude = _floats_list(_get(parser, "signal", "amplitude", required=True))
+        offset = _get(parser, "signal", "offset", _floats_list, required=True)
+        amplitude = _get(parser, "signal", "amplitude", _floats_list, required=True)
         period = _get(parser, "signal", "period", float, required=True)
+        if not (math.isfinite(period) and period > 0):
+            raise ConfigError(f"[signal] period must be finite and positive, got {period}")
         if offset.shape[0] != dim_input or amplitude.shape[0] != dim_input:
             raise ConfigError("raised-cosine signal dimension does not match the system")
         return lambda t: offset + amplitude * 0.5 * (1.0 - np.cos(2.0 * np.pi * t / period))
@@ -222,20 +242,19 @@ def parse_config_text(text: str) -> ExperimentConfig:
     elif kind == "linear":
         n = _get(parser, "system", "state_dim", int, required=True)
         m = _get(parser, "system", "input_dim", int, required=True)
-        a = _floats_list(_get(parser, "system", "a", required=True))
-        b = _floats_list(_get(parser, "system", "b", required=True))
+        a = _get(parser, "system", "a", _floats_list, required=True)
+        b = _get(parser, "system", "b", _floats_list, required=True)
         if a.shape[0] != n * n or b.shape[0] != n * m:
             raise ConfigError("A or B entry count does not match declared dimensions")
         try:
             system = linear_system(a.reshape(n, n), b.reshape(n, m))
         except ValueError as exc:
             raise ConfigError(str(exc))
-        x0_raw = _get(parser, "system", "initial", str, None)
-        x0 = _floats_list(x0_raw) if x0_raw else np.zeros(n)
+        x0 = _get(parser, "system", "initial", _floats_list)
+        if x0 is None or not x0.size:
+            x0 = np.zeros(n)
         if x0.shape[0] != n:
             raise ConfigError("initial state dimension mismatch")
-        if not np.all(np.isfinite(x0)):
-            raise ConfigError("[system] initial state must be finite")
         dim_input = m
     else:
         raise ConfigError(f"unknown system kind {kind!r}")

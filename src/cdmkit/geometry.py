@@ -344,18 +344,49 @@ def star_contains(inner: StarSetApprox, outer: StarSetApprox, u) -> Containment:
     return Containment.INCONCLUSIVE
 
 
+def _halton(count: int, dims: int, seed: int) -> np.ndarray:
+    """The first ``count`` points of a digit-permuted Halton sequence in ``[0, 1)^dims``.
+
+    Coordinate j writes the point index in the j-th prime base p and
+    reflects its digits about the radix point, each digit first mapped by
+    one permutation of ``0..p-1`` drawn from ``seed``; the permutation
+    breaks up the correlation of the plain sequence between large bases.
+    """
+    rng = np.random.default_rng(seed)
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < dims:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    points = np.zeros((count, dims))
+    for j, base in enumerate(primes):
+        perm = rng.permutation(base)
+        digits = 1
+        while base**digits < count:
+            digits += 1
+        rest = np.arange(count)
+        weight = 1.0 / base
+        for _ in range(digits):
+            points[:, j] += perm[rest % base] * weight
+            rest //= base
+            weight /= base
+    return points
+
+
 def _region_probes(region: StarSetApprox, probe_count: int, seed: int) -> np.ndarray:
     """Quasi-random probe points filling an OUTER-side region approximation."""
-    from scipy.stats import norm, qmc
-
     d = region.dim
-    sampler = qmc.Halton(d=d + 1, scramble=True, seed=seed)
-    raw = sampler.random(probe_count)
+    pairs = (d + 1) // 2
+    raw = _halton(probe_count, 2 * pairs + 1, seed)
     if d == 1:
         dirs = np.where(raw[:, :1] < 0.5, -1.0, 1.0)
     else:
-        # inverse-CDF map to isotropic directions
-        gauss = norm.ppf(np.clip(raw[:, :d], 1e-12, 1 - 1e-12))
+        # Box-Muller: each pair of uniforms gives two independent normals,
+        # and normalized normals are uniform directions
+        length = np.sqrt(-2.0 * np.log1p(-raw[:, :pairs]))  # 1 - u > 0
+        angle = 2.0 * np.pi * raw[:, pairs:2 * pairs]
+        gauss = np.hstack([length * np.cos(angle), length * np.sin(angle)])[:, :d]
         norms = np.linalg.norm(gauss, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
         dirs = gauss / norms

@@ -130,23 +130,6 @@ def _select_basis(inputs: np.ndarray, m: int, known: Sequence = ()):
     return tuple(chosen), rounds
 
 
-def _pointer_from_linkage(tree: np.ndarray, k: int):
-    """Pointer representation ``(pi, lam)`` of a single-linkage merge list.
-
-    Each merge at height h links the last (largest-index) objects of its
-    two clusters: the smaller one points at the larger with level h.  The
-    partition at any cut then matches the merge list's (``_partition``).
-    """
-    pi = np.arange(k)
-    lam = np.full(k, np.inf)
-    last = list(range(k))
-    for a, b, height, _ in tree:
-        lo, hi = sorted((last[int(a)], last[int(b)]))
-        pi[lo], lam[lo] = hi, height
-        last.append(hi)
-    return pi, lam
-
-
 def _slink_insert(pi: list, lam: list, dist: list) -> None:
     """Extend a pointer representation by one object (Sibson's SLINK step).
 
@@ -251,12 +234,12 @@ def cluster_pairs(points: np.ndarray, delta: float, n_modes: int,
         raise ValueError("separation delta must be positive")
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
-    if k == 1:
-        pi, lam = np.zeros(1, dtype=int), np.full(1, np.inf)
-    else:
-        from scipy.cluster.hierarchy import linkage
-
-        pi, lam = _pointer_from_linkage(linkage(points, method="single"), k)
+    # the pointer representation the stream builds, one object at a time
+    dist = pairwise_distances(points, points)
+    pi: list[int] = []
+    lam: list[float] = []
+    for n in range(k):
+        _slink_insert(pi, lam, dist[n, :n].tolist())
     groups = _partition(pi, lam, delta, n_modes, force_merge, points)
     return [_make_cluster(points, members)[0] for members in groups]
 

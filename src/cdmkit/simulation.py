@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -64,6 +65,19 @@ class SystemModel:
     def __post_init__(self):
         if self.dim_input > self.dim_state:
             raise ValueError("system must not be overactuated (m <= n)")
+
+    @cached_property
+    def _rk4_powers(self) -> tuple:
+        """``A^2, A^3, A^4, A B, A^2 B, A^3 B`` of a linear system, formed on first use.
+
+        Every :func:`integrate` call on this model shares them.
+        """
+        A, B = self.a_matrix, self.b_matrix
+        A2 = A @ A
+        A3 = A2 @ A
+        AB = A @ B
+        A2B = A @ AB
+        return A2, A3, A3 @ A, AB, A2B, A @ A2B
 
 
 def linear_system(a_matrix, b_matrix, **kwargs) -> SystemModel:
@@ -277,20 +291,16 @@ def _linear_rk4_advance(model: SystemModel, cdm, input_signal):
     With ``H = dt A`` one RK4 step is ``x+ = R x + P0 e(t) + Ph e(t + dt/2)
     + P1 e(t + dt)``, where ``R = I + H + H^2/2 + H^3/6 + H^4/24``,
     ``P0 = dt/6 (I + H + H^2/2 + H^3/4) B``, ``Ph = dt/6 (4I + 2H + H^2/2) B``
-    and ``P1 = dt/6 B``.  The powers of ``A`` are formed once; per sampling
-    interval ``R`` and the ``P`` are scalar-weighted sums of them, so no
-    matrix product runs inside the step loop.  Each distinct stage time is
-    evaluated once, at the same floats as :func:`_rk4_step`, and ``cdm``
-    maps all stage inputs of the interval in one call.
+    and ``P1 = dt/6 B``.  The powers of ``A`` are formed once per model
+    (``SystemModel._rk4_powers``); per sampling interval ``R`` and the ``P``
+    are scalar-weighted sums of them, so no matrix product runs inside the
+    step loop.  Each distinct stage time is evaluated once, at the same
+    floats as :func:`_rk4_step`, and ``cdm`` maps all stage inputs of the
+    interval in one call.
     """
     A, B = model.a_matrix, model.b_matrix
     eye = np.eye(A.shape[0])
-    A2 = A @ A
-    A3 = A2 @ A
-    A4 = A3 @ A
-    AB = A @ B
-    A2B = A @ AB
-    A3B = A @ A2B
+    A2, A3, A4, AB, A2B, A3B = model._rk4_powers
 
     def advance(t, x, dt, n_sub):
         R = eye + dt * A + dt**2 / 2.0 * A2 + dt**3 / 6.0 * A3 + dt**4 / 24.0 * A4

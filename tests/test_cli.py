@@ -76,6 +76,15 @@ class TestRun:
         assert main(["run", str(bad)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config-error:")
 
+    def test_malformed_mode_number_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL_HEAT_CONFIG.replace(
+            "kind = heat-threemode",
+            "kind = modes\n\n[cdm.mode.1]\nregion = interval,1,0.0,0.25\n"
+            "linear = 1 0 zero 3\ntranslation = 0.0 0.25"))
+        assert main(["run", str(bad)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config-error:")
+
     def test_delta_beyond_mode_gap_is_identification_failure(self, tmp_path, capsys):
         cfg = tmp_path / "wide.cfg"
         cfg.write_text(SMALL_HEAT_CONFIG.replace("delta = 0.4", "delta = 0.6"))
@@ -307,8 +316,7 @@ class TestBundledConfig:
 
 
 def test_serving_path_never_loads_scipy(heat_run):
-    # SciPy is imported on first use by the separation check and the batch
-    # clustering; parsing, reading and serving need none
+    # parsing, reading and serving need no SciPy
     repo = pathlib.Path(__file__).resolve().parents[1]
     script = textwrap.dedent(f"""
         import contextlib, io, sys
@@ -335,14 +343,26 @@ def test_serving_path_never_loads_scipy(heat_run):
 
 
 def test_bundled_run_never_loads_scipy_stats(tmp_path):
-    # the convergence metric is a closed form: a run needs no quasi-random probes
+    # a run, a batch rebuild from its read-back samples and the CLI's run and
+    # report load no SciPy module at all
+    repo = pathlib.Path(__file__).resolve().parents[1]
     script = textwrap.dedent(f"""
-        import sys
+        import contextlib, io, os, sys
         import cdmkit as ck
+        from cdmkit import cli
 
-        result = ck.run_experiment(ck.default_heat_config(), out_dir={str(tmp_path)!r})
+        config = ck.default_heat_config()
+        result = ck.run_experiment(config, out_dir={str(tmp_path / "api")!r})
         assert len(result.records) == 200
-        loaded = sorted(m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy.stats."))
+        samples = ck.read_samples(result.artifacts["samples"])
+        recon = ck.build_reconstruction(samples, config.model(), config.identification)
+        assert len(recon.modes) == len(result.reconstruction.modes)
+        out = {str(tmp_path / "cli")!r}
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["run", {str(repo / "configs" / "heat_electrosurgery.cfg")!r},
+                             "--output", out]) == cli.EXIT_OK
+            assert cli.main(["report", os.path.join(out, "reconstruction.txt")]) == cli.EXIT_OK
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
         assert not loaded, loaded[:5]
     """)
     src = str(pathlib.Path(cdmkit.__file__).resolve().parents[1])

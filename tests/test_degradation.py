@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import lsq_linear
 
 from cdmkit.degradation import (
     AffineMap,
@@ -11,6 +12,8 @@ from cdmkit.degradation import (
     BoxRegion,
     IntervalRegion,
     NModeCdm,
+    _bvls,
+    _graph_distance,
     apply_affine,
     apply_ncdm,
     heat_depth_response,
@@ -198,6 +201,72 @@ class TestExactSeparation:
                                    n=4000, seed=1)
         assert exact <= estimate < exact + 0.01
 
+
+
+def reference_bvls(A, b, lo, hi):
+    """SciPy's BVLS; it needs ``lo < hi``, so pinned coordinates are substituted."""
+    x = lo.copy()
+    free = lo < hi
+    if free.any():
+        x[free] = lsq_linear(A[:, free], b - A[:, ~free] @ lo[~free],
+                             bounds=(lo[free], hi[free]), method="bvls").x
+    return x
+
+
+@st.composite
+def separation_problems(draw):
+    """Two affine maps and two boxes, as ``_graph_distance`` takes them.
+
+    Equal linear parts make the least-squares matrix rank deficient,
+    integer entries give exact ties, ``lo == hi`` pins a coordinate and
+    ``lo > hi`` empties a box.
+    """
+    m = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q1 = rng.normal(size=(m, m))
+    q2 = q1.copy() if draw(st.booleans()) else rng.normal(size=(m, m))
+    if draw(st.booleans()):
+        q1, q2 = np.round(2 * q1), np.round(2 * q2)
+    scale = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    maps = [AffineMap(q, scale * rng.normal(size=m)) for q in (q1, q2)]
+    lo = rng.uniform(-2.0, 1.0, 2 * m)
+    hi = lo + rng.uniform(0.0, 2.0, 2 * m)
+    pinned = np.array(draw(st.lists(st.booleans(), min_size=2 * m, max_size=2 * m)))
+    hi[pinned] = lo[pinned]
+    if draw(st.integers(0, 9)) == 0:
+        hi[draw(st.integers(0, 2 * m - 1))] -= 3.0
+    return maps[0], (lo[:m], hi[:m]), maps[1], (lo[m:], hi[m:])
+
+
+class TestBoundedLeastSquares:
+    """``_bvls`` against SciPy's ``lsq_linear(method="bvls")``."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(separation_problems())
+    def test_matches_lsq_linear_with_kkt_certificate(self, case):
+        q1, box1, q2, box2 = case
+        lo, hi = np.concatenate([box1[0], box2[0]]), np.concatenate([box1[1], box2[1]])
+        distance = _graph_distance(q1, box1, q2, box2)
+        if np.any(lo > hi):
+            assert distance is None
+            return
+        m = q1.dim
+        A = np.block([[np.eye(m), -np.eye(m)], [q1.linear, -q2.linear]])
+        b = np.concatenate([np.zeros(m), q2.translation - q1.translation])
+        x, g = _bvls(A, b, lo, hi)
+        assert np.all(lo <= x) and np.all(x <= hi)
+        np.testing.assert_array_equal(g, A.T @ (A @ x - b))
+        # KKT to round-off: zero gradient on free coordinates, pointing out of the box at bounds
+        tol = 1e-13 * np.linalg.norm(A) * (np.linalg.norm(A) * np.linalg.norm(x)
+                                           + np.linalg.norm(b))
+        movable = lo < hi
+        assert np.all(np.abs(g[movable & (lo < x) & (x < hi)]) <= tol)
+        assert np.all(g[movable & (x == lo)] >= -tol)
+        assert np.all(g[movable & (x == hi)] <= tol)
+        assert distance == float(np.linalg.norm(A @ x - b))
+        reference = float(np.linalg.norm(A @ reference_bvls(A, b, lo, hi) - b))
+        assert distance <= reference + 1e-12 * (1.0 + reference)
+        np.testing.assert_allclose(distance, reference, rtol=1e-9, atol=1e-12)
 
 def random_map(rng, m):
     return AffineMap(rng.normal(size=(m, m)), rng.normal(size=m))

@@ -137,6 +137,32 @@ class TestConfigParsing:
         new, cfg = parse_config_text(old), default_heat_config()
         assert (new.regions, new.region_axis) == (cfg.regions, cfg.region_axis)
 
+    @pytest.mark.parametrize("old, new", [
+        ("interval,1,0.75,1.0", "interval,x,0.75,1.0"),
+        ("interval,1,0.75,1.0", "interval,1,0.75,one"),
+        ("interval,1,0.75,1.0,open_lo", "ball,r,0.0"),
+        ("interval,1,0.75,1.0,open_lo", "ball,-1,0.0,0.0"),
+        ("interval,1,0.75,1.0,open_lo", "ball,nan,0.0,0.9"),
+        ("interval,1,0.75,1.0,open_lo", "ball,0.1,0.0"),
+        ("interval,1,0.75,1.0,open_lo", "ball,0.1,0.0,0.9,0.0"),
+        ("interval,1,0.75,1.0,open_lo", "interval,2,0.75,1.0"),
+        ("interval,1,0.75,1.0,open_lo", "interval,-1,0.75,1.0"),
+        ("linear = 1.0 0.0 0.0 3.0", "linear = 1 0 zero 3"),
+        ("linear = 1.0 0.0 0.0 3.0", "linear = 1 0 nan 3"),
+        ("translation = 0.0 2.5", "translation = 0.0 y"),
+        ("a = 0.0 0.0 0.0 0.0", "a = 0.0 x 0.0 0.0"),
+        ("b = 1.0 0.0 0.0 1.0", "b = 1.0 0.0 inf 1.0"),
+        ("initial = 0.0 0.0", "initial = 0.0 zero"),
+        ("offset = 1.0 0.0", "offset = 1.0 y"),
+        ("amplitude = 0.0 1.0", "amplitude = 0.0 nan"),
+        ("period = 0.3", "period = 0"),
+        ("kind = raised-cosine", "kind = constant\nvalues = 1.0 x"),
+    ])
+    def test_malformed_mode_or_number_is_config_error(self, old, new):
+        assert old in LINEAR_MODES_CONFIG
+        with pytest.raises(ConfigError):
+            parse_config_text(LINEAR_MODES_CONFIG.replace(old, new, 1))
+
     def test_bad_region_token(self):
         bad = DEFAULT_HEAT_CONFIG.replace("0.0:0.25", "zero:0.25")
         with pytest.raises(ConfigError):
@@ -235,7 +261,7 @@ class TestConvergenceMetrics:
         assert all(np.isfinite(result.records[-1].region_hausdorff))
 
     def test_sampled_estimates_never_exceed_it(self, run):
-        # a 401-point grid and 512 scrambled-Halton probes (seed 11) both
+        # a 401-point grid and 512 quasi-random probes (seed 11) both
         # under-estimate the distance; the grid by at most half its spacing
         cfg, result = run
         coords = [float(s.input[cfg.region_axis]) for s in result.samples]

@@ -380,6 +380,26 @@ class TestCoveringRadius:
             assert est <= prev + 1e-12
             prev = est
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.floats(-5.0, 5.0), st.floats(0.0, 5.0),
+           st.lists(st.floats(-6.0, 11.0), min_size=1, max_size=10), st.integers(0, 2**32 - 1))
+    def test_never_exceeds_exact_radius_and_never_grows(self, lo, width, samples, seed):
+        # on [lo, hi] the distance to the nearest sample peaks at an end or at
+        # a midpoint of two consecutive samples, so the true radius is exact
+        hi = lo + width
+        region = interval_region(lo, hi)
+        previous = np.inf
+        for k in range(1, len(samples) + 1):
+            seen = sorted(samples[:k])
+            peaks = [lo, hi] + [(a + b) / 2 for a, b in zip(seen, seen[1:])
+                                if lo <= (a + b) / 2 <= hi]
+            exact = max(min(abs(p - s) for s in seen) for p in peaks)
+            estimate = covering_radius(samples[:k], region, probe_count=64, seed=seed)
+            assert estimate <= exact + 1e-12
+            assert estimate <= previous
+            assert estimate == covering_radius(samples[:k], region, probe_count=64, seed=seed)
+            previous = estimate
+
     def test_zero_probes_rejected(self):
         with pytest.raises(ValueError):
             covering_radius([0.0], interval_region(0.0, 1.0), probe_count=0, seed=0)
