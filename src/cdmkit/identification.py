@@ -431,18 +431,6 @@ def _mode_from_cluster(cluster: Cluster, unaffected_inputs: np.ndarray,
     else:
         outer = StarSetApprox(center, config.lipschitz, np.empty((0, center.shape[0])),
                               np.empty(0), Side.OUTER)
-    if inner.n_samples >= 2:
-        try:
-            est = estimate_mgf_lipschitz(inner.directions, inner.radii)
-        except ValueError:
-            est = 0.0
-        if est > config.lipschitz * (1.0 + 1e-9):
-            warnings.warn(
-                f"witness radii vary with slope {est:.3g}, above the assumed "
-                f"Lipschitz constant {config.lipschitz:.3g}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
     try:
         affine = fit_affine(cluster)
         reused = np.empty(0)
@@ -461,6 +449,38 @@ def _mode_from_cluster(cluster: Cluster, unaffected_inputs: np.ndarray,
     )
 
 
+def _warn_if_steep(inner: StarSetApprox, config: IdentificationConfig) -> None:
+    """Warn when the inner witness radii vary faster than ``config.lipschitz`` allows."""
+    try:
+        est = estimate_mgf_lipschitz(inner.directions, inner.radii)
+    except ValueError:  # fewer than two distinct directions
+        return
+    if est > config.lipschitz * (1.0 + 1e-9):
+        warnings.warn(
+            f"witness radii vary with slope {est:.3g}, above the assumed "
+            f"Lipschitz constant {config.lipschitz:.3g}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
+def reconstruction_from_clusters(clusters: Sequence[Cluster], unaffected: np.ndarray,
+                                 config: IdentificationConfig) -> CdmReconstruction:
+    """The reconstruction with one mode per cluster and the ``(k, 2m)`` unaffected table.
+
+    The batch build calls it after clustering and the reconstruction reader
+    on each mode's pair table, so a file reads back only as built.
+    """
+    m = unaffected.shape[1] // 2
+    return CdmReconstruction(
+        modes=tuple(_mode_from_cluster(c, unaffected[:, :m], config) for c in clusters),
+        unaffected=unaffected,
+        separation=config.delta,
+        mode_count=config.n_modes,
+        input_dim=m,
+    )
+
+
 def build_reconstruction_from_pairs(pairs: Sequence[EffectivePair],
                                     config: IdentificationConfig) -> CdmReconstruction:
     """Cluster, fit, and bound degradation modes from recovered pairs."""
@@ -470,18 +490,14 @@ def build_reconstruction_from_pairs(pairs: Sequence[EffectivePair],
     table = np.array([(p.input, p.effective) for p in pairs]).reshape(len(pairs), 2 * m)
     affected, unaffected = split_pairs(table, config.identity_tol)
     unaffected.setflags(write=False)
-    modes = []
+    clusters = []
     if len(affected):
-        for cluster in cluster_pairs(affected, config.delta, config.n_modes,
-                                     force_merge=config.force_merge):
-            modes.append(_mode_from_cluster(cluster, unaffected[:, :m], config))
-    return CdmReconstruction(
-        modes=tuple(modes),
-        unaffected=unaffected,
-        separation=config.delta,
-        mode_count=config.n_modes,
-        input_dim=m,
-    )
+        clusters = cluster_pairs(affected, config.delta, config.n_modes,
+                                 force_merge=config.force_merge)
+    recon = reconstruction_from_clusters(clusters, unaffected, config)
+    for mode in recon.modes:
+        _warn_if_steep(mode.inner, config)
+    return recon
 
 
 class Reconstructor:
@@ -562,6 +578,7 @@ class Reconstructor:
                 known_mode, known_rounds = self._clusters.get(key[:-1], (None, ()))
                 cluster, rounds = _make_cluster(points, members, known_rounds)
                 mode = _mode_from_cluster(cluster, unaffected_inputs, cfg, known_mode)
+                _warn_if_steep(mode.inner, cfg)
                 clusters[key] = (mode, rounds)
             else:
                 clusters[key] = self._clusters[key]

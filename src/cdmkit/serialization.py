@@ -10,14 +10,19 @@ from __future__ import annotations
 
 import contextlib
 import math
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
-from .degradation import AffineMap
 from .errors import ReportParseError
-from .geometry import Side, StarSetApprox
-from .identification import CdmReconstruction, ModeReconstruction, fit_residuals
+from .geometry import StarSetApprox
+from .identification import (
+    CdmReconstruction,
+    IdentificationConfig,
+    _make_cluster,
+    reconstruction_from_clusters,
+)
 from .simulation import ControlSample
 
 MAGIC = "cdm-reconstruction v1"
@@ -104,14 +109,13 @@ def star_to_lines(approx: StarSetApprox) -> list[str]:
 class _Cursor:
     """Line reader that tracks line numbers for parse diagnostics."""
 
-    def __init__(self, lines: Sequence[str], start: int = 1):
+    def __init__(self, lines: Sequence[str]):
         self.lines = lines
         self.pos = 0
-        self.start = start
 
     @property
     def lineno(self) -> int:
-        return self.start + self.pos
+        return 1 + self.pos
 
     def next(self, expect: str | None = None) -> str:
         if self.pos >= len(self.lines):
@@ -163,41 +167,6 @@ def _count(text: str, lineno: int) -> int:
     if value < 0:
         raise ReportParseError(f"negative count {value}", line=lineno)
     return value
-
-
-def star_from_cursor(cur: _Cursor) -> StarSetApprox:
-    cur.expect(STAR_HEADER)
-    fields = cur.next(expect="star metadata").split(",")
-    lineno = cur.lineno - 1
-    if len(fields) < 4:
-        raise ReportParseError("star metadata line too short", line=lineno)
-    dim = len(fields) - 3
-    if _count(fields[dim], lineno) != dim:
-        raise ReportParseError(f"star metadata declares dim {fields[dim]}, line implies {dim}",
-                               line=lineno)
-    center = np.array(_floats(",".join(fields[:dim]), lineno))
-    lipschitz = _float(fields[dim + 1], lineno)
-    try:
-        side = Side(fields[dim + 2])
-    except ValueError:
-        raise ReportParseError(f"unknown side {fields[dim + 2]!r}", line=lineno)
-    count = _scalar_count(cur, "samples")
-    count_lineno = cur.lineno - 1
-    dirs, radii = [], []
-    for _ in range(count):
-        vals = _floats(cur.next(expect="direction,radius row"), cur.lineno - 1)
-        if len(vals) != dim + 1:
-            raise ReportParseError("sample row has wrong arity", line=cur.lineno - 1)
-        dirs.append(vals[:dim])
-        radii.append(vals[dim])
-    with _checked(lineno):
-        star = StarSetApprox(center=center, lipschitz=lipschitz,
-                             directions=np.reshape(dirs, (-1, dim)), radii=radii, side=side)
-    if star.n_samples != count:
-        # the writer emits de-duplicated witnesses, so a fold means a repeated direction
-        raise ReportParseError(f"{count} samples fold to {star.n_samples} distinct directions",
-                               line=count_lineno)
-    return star
 
 
 # ---------------------------------------------------------------------------
@@ -266,58 +235,69 @@ def _scalar_count(cur: _Cursor, key: str) -> int:
 
 
 def reconstruction_from_lines(lines: Sequence[str]) -> CdmReconstruction:
+    """Rebuild each mode from its pairs and accept ``lines`` only if the rebuild writes them.
+
+    Only the header, the pair tables and the Lipschitz constant of the first
+    ``[inner]`` block are parsed; maps, residuals and star blocks are
+    stepped over and checked against the rebuild, line by line.
+    """
     cur = _Cursor(lines)
     cur.expect(MAGIC)
     m = _scalar_count(cur, "input_dim")
+    if m < 1:
+        raise ReportParseError("input dimension must be at least 1", line=cur.lineno - 1)
     mode_count = _scalar_count(cur, "mode_count")
+    with _checked(cur.lineno - 1):
+        config = IdentificationConfig(delta=1.0, n_modes=mode_count)
     separation = _float(_scalar(cur, "separation"), cur.lineno - 1)
+    with _checked(cur.lineno - 1):
+        config = replace(config, delta=separation)
     n_modes = _scalar_count(cur, "modes")
+    modes_lineno = cur.lineno - 1
     if n_modes > mode_count:
         raise ReportParseError(f"{n_modes} modes exceed the mode budget {mode_count}",
-                               line=cur.lineno - 1)
+                               line=modes_lineno)
     n_unaffected = _scalar_count(cur, "unaffected")
-    modes = []
+    clusters = []
     for i in range(n_modes):
         cur.expect(f"[mode {i}]")
-        identified = bool(_scalar_count(cur, "identified"))
-        affine = None
-        if identified:
-            lin = _floats(_scalar(cur, "linear"), cur.lineno - 1)
-            if len(lin) != m * m:
-                raise ReportParseError("linear row has wrong arity", line=cur.lineno - 1)
-            trans = _floats(_scalar(cur, "translation"), cur.lineno - 1)
-            with _checked(cur.lineno - 1):
-                affine = AffineMap(np.array(lin).reshape(m, m), np.array(trans))
-            residual = _float(_scalar(cur, "residual"), cur.lineno - 1)
-            residual_lineno = cur.lineno - 1
-        pairs = _pairs(cur, _scalar_count(cur, "pairs"), m)
-        cur.expect("[inner]")
-        inner = star_from_cursor(cur)
-        cur.expect("[outer]")
-        outer = star_from_cursor(cur)
+        if _scalar_count(cur, "identified"):
+            for key in ("linear", "translation", "residual"):
+                _scalar(cur, key)
+        count = _scalar_count(cur, "pairs")
+        if not count:
+            raise ReportParseError("a mode needs at least one pair", line=cur.lineno - 1)
+        clusters.append(_make_cluster(_pairs(cur, count, m), range(count))[0])
+        for block in ("[inner]", "[outer]"):
+            cur.expect(block)
+            cur.expect(STAR_HEADER)
+            fields = cur.next(expect="star metadata").split(",")
+            if i == 0 and block == "[inner]":
+                if len(fields) < 2:
+                    raise ReportParseError("star metadata line too short", line=cur.lineno - 1)
+                lipschitz = _float(fields[-2], cur.lineno - 1)
+                with _checked(cur.lineno - 1):
+                    config = replace(config, lipschitz=lipschitz)
+            for _ in range(_scalar_count(cur, "samples")):
+                cur.next(expect="direction,radius row")
         cur.expect(f"[end mode {i}]")
-        if inner.dim != m:
-            raise ReportParseError(f"mode {i} region has dim {inner.dim}, not {m}",
-                                   line=cur.lineno - 1)
-        residuals = None if affine is None else fit_residuals(affine, pairs)
-        with _checked(cur.lineno - 1):
-            mode = ModeReconstruction(
-                map=affine, inner=inner, outer=outer, pairs=pairs, residuals=residuals
-            )
-        if affine is not None and not (len(pairs) and mode.residual == residual):
-            raise ReportParseError(f"stored residual {_fmt(residual)} is not the residual "
-                                   "recomputed from the pairs", line=residual_lineno)
-        modes.append(mode)
     cur.expect("[unaffected]")
     unaffected = _pairs(cur, n_unaffected, m)
     cur.expect("[end unaffected]")
-    return CdmReconstruction(
-        modes=tuple(modes),
-        unaffected=unaffected,
-        separation=separation,
-        mode_count=mode_count,
-        input_dim=m,
-    )
+    if cur.pos < len(cur.lines):
+        raise ReportParseError("text after '[end unaffected]'", line=cur.lineno)
+    try:
+        with np.errstate(all="ignore"):
+            recon = reconstruction_from_clusters(clusters, unaffected, config)
+    except ValueError as exc:  # pair values near the float range overflow the rebuild
+        raise ReportParseError(f"the modes cannot be rebuilt from their pairs: {exc}",
+                               line=modes_lineno) from exc
+    # the rebuild ends with the one '[end unaffected]' line, like the file
+    for lineno, (found, expected) in enumerate(zip(lines, reconstruction_to_lines(recon)), 1):
+        if found != expected:
+            raise ReportParseError(f"found {found!r}, but the modes rebuilt from the pairs "
+                                   f"write {expected!r}", line=lineno)
+    return recon
 
 
 def read_reconstruction(path) -> CdmReconstruction:

@@ -234,8 +234,10 @@ class TestCorruptedReconstruction:
 
         self.assert_parse_error(heat_run, tmp_path, capsys, edit)
 
+    @pytest.mark.filterwarnings("error")
     def test_single_token_mutations_never_exit_1(self, heat_run, tmp_path):
-        # every token of every line replaced in turn by each of these values
+        # every token of every line replaced in turn by each of these values;
+        # no mutant warns, not even one whose pairs imply a steeper region
         lines = pathlib.Path(heat_run[1].artifacts["reconstruction"]).read_text().splitlines()
         bad = tmp_path / "mutant.txt"
         allowed = {EXIT_OK, EXIT_CONFIG, EXIT_IDENTIFICATION, EXIT_UNVIABLE}

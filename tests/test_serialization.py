@@ -1,8 +1,11 @@
 """Round-trip and parse-error tests for the plain-text file formats."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from cdmkit.degradation import AffineMap
 from cdmkit.errors import ReportParseError
 from cdmkit.geometry import Side
 from cdmkit.identification import (
@@ -10,6 +13,7 @@ from cdmkit.identification import (
     IdentificationConfig,
     build_reconstruction,
     build_reconstruction_from_pairs,
+    fit_residuals,
 )
 from cdmkit.serialization import (
     read_reconstruction,
@@ -208,11 +212,95 @@ class TestReconstructionFormat:
                              ",".join(nudged + [radius])):
                     mutant = lines[:i] + [f"samples,{n + 1}"] + lines[i + 1:r + 1] + [copy] \
                         + lines[r + 1:]
-                    with pytest.raises(ReportParseError, match="fold") as err:
+                    with pytest.raises(ReportParseError, match="rebuilt from the pairs") as err:
                         reconstruction_from_lines(mutant)
                     assert err.value.line == i + 1, (i, copy)
                 rows += 1
         assert rows == 9
+
+    def test_tampered_values_report_line(self, heat_run):
+        # values that still parse but that the pairs do not give, each edit in
+        # its own copy; a rejected file raises no warning
+        with open(heat_run[1].artifacts["reconstruction"]) as fh:
+            lines = fh.read().splitlines()
+        recon = reconstruction_from_lines(lines)
+        m = recon.input_dim
+
+        def scaled_radius(line, factor):
+            *direction, radius = line.split(",")
+            return ",".join(direction + [repr(float(radius) * factor)])
+
+        def shifted_center(line):
+            fields = line.split(",")
+            return ",".join([repr(float(x) + 1e-3) for x in fields[:m]] + fields[m:])
+
+        edits = []  # {line index: new text}, reported at the first edited line
+        modes = iter(recon.modes)
+        for i, line in enumerate(lines):
+            if line in ("[inner]", "[outer]"):
+                n = int(lines[i + 3].split(",")[1])
+                factor = 2.0 if line == "[inner]" else 0.5
+                edits += [{r: scaled_radius(lines[r], factor)} for r in range(i + 4, i + 4 + n)]
+            if line == "[inner]":
+                outer = lines.index("[outer]", i)
+                edits.append({k: shifted_center(lines[k]) for k in (i + 2, outer + 2)})
+            if line.startswith("translation,"):
+                mode = next(modes)
+                moved = mode.map.translation + 1e-3
+                residual = np.max(fit_residuals(AffineMap(mode.map.linear, moved), mode.pairs))
+                assert lines[i + 1] == "residual," + repr(mode.residual)
+                edits.append({i: "translation," + ",".join(map(repr, moved.tolist())),
+                              i + 1: "residual," + repr(float(residual))})
+        assert len(edits) == 9 + 3 + 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for edit in edits:
+                mutant = list(lines)
+                for k, text in edit.items():
+                    mutant[k] = text
+                with pytest.raises(ReportParseError, match="rebuilt from the pairs") as err:
+                    reconstruction_from_lines(mutant)
+                assert err.value.line == min(edit) + 1, edit
+
+    @pytest.mark.parametrize("edit", ["empty mode", "short metadata", "zero L", "negative L",
+                                      "overflowing pair"])
+    def test_unbuildable_blocks_report_line(self, heat_run, edit):
+        # blocks the reader cannot rebuild a mode from fail at their own line,
+        # quietly; an overflowing pair value, at the header line counting the modes
+        with open(heat_run[1].artifacts["reconstruction"]) as fh:
+            lines = fh.read().splitlines()
+        bad = lines.index("[inner]") + 2  # the first star metadata line, which holds L
+        if edit == "empty mode":  # the writer never emits a mode without pairs
+            start = lines.index("identified,1")
+            lines[start:lines.index("[inner]")] = ["identified,0", "pairs,0"]
+            bad = start + 1
+        elif edit == "overflowing pair":
+            row = next(i for i, line in enumerate(lines) if line.startswith("pair,"))
+            lines[row] = "pair,1e200" + lines[row][lines[row].index(",", 5):]
+            bad = next(i for i, line in enumerate(lines) if line.startswith("modes,"))
+        elif edit == "short metadata":
+            lines[bad] = "inner"
+        else:
+            fields = lines[bad].split(",")
+            fields[-2] = "0.0" if edit == "zero L" else "-1.0"
+            lines[bad] = ",".join(fields)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ReportParseError) as err:
+                reconstruction_from_lines(lines)
+        assert err.value.line == bad + 1
+
+    def test_pipeline_files_read_back(self, heat_stream):
+        # the reader's one check rests on this: every file the pipeline writes,
+        # read back and written again, is the same file
+        snapshots = list(heat_stream)
+        for seed in range(100):
+            model, cdm, samples, m, N = make_trial(seed)
+            snapshots.append(build_reconstruction(samples, model, TRIAL_CONFIG))
+        assert len(snapshots) == 300
+        for recon in snapshots:
+            lines = reconstruction_to_lines(recon)
+            assert reconstruction_to_lines(reconstruction_from_lines(lines)) == lines
 
     def test_negative_count_rejected(self, tmp_path, recon):
         lines = reconstruction_to_lines(recon)
