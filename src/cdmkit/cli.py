@@ -114,7 +114,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p_via = sub.add_parser("viabilize", help="solve for a viabilized input")
     p_via.add_argument("reconstruction", help="path to a reconstruction file")
-    p_via.add_argument("vector", nargs="+", help="commanded input components")
+    # every remaining argument is a component, so ``-1e300`` or ``-inf`` is
+    # not mistaken for an option
+    p_via.add_argument("vector", nargs=argparse.REMAINDER, help="commanded input components")
     p_via.set_defaults(func=_cmd_viabilize)
     return parser
 

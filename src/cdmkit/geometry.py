@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -250,12 +251,16 @@ def _witnesses(points, center: np.ndarray):
     return offsets[mask] / norms[mask, None], norms[mask]
 
 
+_FLOAT_ONLY = frozenset((float,))
+_NORMAL_MIN = sys.float_info.min  # smallest normal float
+
+
 def _coords(v, dim: int, what: str) -> list:
     """``v`` as a list of ``dim`` Python floats; a ``ValueError`` for any other shape.
 
     Such a list is returned as it is.
     """
-    if type(v) is list and len(v) == dim and all(type(x) is float for x in v):
+    if type(v) is list and len(v) == dim and set(map(type, v)) == _FLOAT_ONLY:
         return v
     arr = np.atleast_1d(np.asarray(v, dtype=float))
     if arr.shape != (dim,):
@@ -276,11 +281,38 @@ def _norm(v) -> float:
 
 
 def _query_direction(approx: StarSetApprox, direction) -> list:
-    d = _coords(direction, approx.dim, "query direction")
+    d = _coords(direction, approx.center.shape[0], "query direction")
     n = _norm(d)
     if not abs(n - 1.0) <= 1e-9:  # also rejects a non-finite direction
         raise ValueError(f"query direction must be a unit vector, |l| = {n}")
-    return [x / n for x in d]
+    return d if n == 1.0 else [x / n for x in d]  # x / 1.0 is x, bit for bit
+
+
+def _cone_bound(rows: list, l: list, lipschitz: float, inner: bool) -> float:
+    """The gauge bound along the unit direction ``l`` from witness ``rows``.
+
+    Each ``(r_i, l_i)`` row gives ``r_i - L * |l - l_i|`` (inner) or
+    ``r_i + L * |l - l_i|`` (outer), the gap's squares summed in order as
+    :func:`_norm` sums them.  The inner bound is the largest of these and
+    0.0, the outer bound the smallest; ties and NaNs resolve as the
+    builtin ``max``/``min`` resolve them.
+    """
+    bound = None
+    for r, d in rows:
+        total = 0.0
+        for a, b in zip(d, l):
+            a -= b
+            total += a * a
+        gap = lipschitz * math.sqrt(total)
+        if inner:
+            r -= gap
+            if bound is None or r > bound:
+                bound = r
+        else:
+            r += gap
+            if bound is None or r < bound:
+                bound = r
+    return bound if not inner or bound > 0.0 else 0.0
 
 
 def mgf_outer_bound(approx: StarSetApprox, direction) -> float:
@@ -290,11 +322,10 @@ def mgf_outer_bound(approx: StarSetApprox, direction) -> float:
     """
     if approx.side is not Side.OUTER:
         raise ValueError("outer bound requires an OUTER-side approximation")
-    if not approx.rows:
+    rows = approx.rows
+    if not rows:
         raise ValueError("approximation has no witness samples")
-    l = _query_direction(approx, direction)
-    L = approx.lipschitz
-    return min(r + L * _norm([a - b for a, b in zip(d, l)]) for r, d in approx.rows)
+    return _cone_bound(rows, _query_direction(approx, direction), approx.lipschitz, False)
 
 
 def mgf_inner_bound(approx: StarSetApprox, direction) -> float:
@@ -304,11 +335,27 @@ def mgf_inner_bound(approx: StarSetApprox, direction) -> float:
     """
     if approx.side is not Side.INNER:
         raise ValueError("inner bound requires an INNER-side approximation")
-    if not approx.rows:
+    rows = approx.rows
+    if not rows:
         raise ValueError("approximation has no witness samples")
-    l = _query_direction(approx, direction)
-    L = approx.lipschitz
-    return max(0.0, max(r - L * _norm([a - b for a, b in zip(d, l)]) for r, d in approx.rows))
+    return _cone_bound(rows, _query_direction(approx, direction), approx.lipschitz, True)
+
+
+def _polar(point: list, center: list, offset: list):
+    """Radius and unit direction of ``offset = point - center`` whose squares leave float range.
+
+    The offset is divided by its largest component before its norm is
+    taken, so a tiny offset keeps a positive radius and a huge one a
+    direction.  An offset with a component beyond float range is taken
+    from the halved point and center; its radius is ``inf``.
+    """
+    far = not all(map(math.isfinite, offset))
+    if far:
+        offset = [x * 0.5 - c * 0.5 for x, c in zip(point, center)]
+    scale = max(map(abs, offset))
+    unit = [x / scale for x in offset]
+    n = _norm(unit)
+    return math.inf if far else scale * n, [x / n for x in unit]
 
 
 class Containment(enum.Enum):
@@ -326,17 +373,28 @@ def star_contains(inner: StarSetApprox, outer: StarSetApprox, u) -> Containment:
     not per call).  An inner side without witnesses certifies nothing and
     an outer side without witnesses excludes nothing.  At the center itself
     the direction is undefined; the point is INSIDE_INNER whenever the
-    inner bound is positive at some witness direction.
+    inner bound is positive at some witness direction.  Any other point is
+    compared along its own direction, however near or far: one farther
+    than the largest float is OUTSIDE_OUTER of any finite outer bound.  A
+    non-finite point raises ``ValueError``.
     """
     center = inner.center_coords
     point = _coords(u, len(center), "point")
     offset = [x - c for x, c in zip(point, center)]
-    r = _norm(offset)
-    if r == 0.0:
-        if inner.rows and max(r_i for r_i, _ in inner.rows) > 0.0:
-            return Containment.INSIDE_INNER
-        return Containment.INCONCLUSIVE
-    l = [x / r for x in offset]
+    total = 0.0
+    for x in offset:
+        total += x * x
+    if _NORMAL_MIN <= total < math.inf:
+        r = math.sqrt(total)
+        l = [x / r for x in offset]
+    else:  # the center, or squares that underflow, lose precision or overflow
+        if not all(map(math.isfinite, point)):
+            raise ValueError(f"point has non-finite components: {point}")
+        if not any(offset):
+            if inner.rows and max(r_i for r_i, _ in inner.rows) > 0.0:
+                return Containment.INSIDE_INNER
+            return Containment.INCONCLUSIVE
+        r, l = _polar(point, center, offset)
     if inner.rows and r <= mgf_inner_bound(inner, l):
         return Containment.INSIDE_INNER
     if outer.rows and r > mgf_outer_bound(outer, l):

@@ -625,8 +625,19 @@ class QueryResult:
     mode_index: Optional[int] = None
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _command(recon: CdmReconstruction, u) -> np.ndarray:
-    """``u`` as a finite vector of the reconstruction's input dimension."""
+    """``u`` as a finite vector of the reconstruction's input dimension.
+
+    A float64 ``ndarray`` of that shape is returned as it is, as the
+    coercion below would return it.
+    """
+    if type(u) is np.ndarray and u.dtype is _FLOAT64 and u.shape == (recon.input_dim,):
+        if not all(map(math.isfinite, u.tolist())):
+            raise PreconditionError("command has non-finite components")
+        return u
     try:
         raw = np.asarray(u)
         if raw.dtype.kind not in "biuf":  # strings would parse, complex would truncate
@@ -697,7 +708,8 @@ def lipschitz_error_bound(recon: CdmReconstruction, u, l_p: float) -> float:
             raise PreconditionError(
                 "point lies in a detected but unidentified mode; no fit to bound"
             )
-        dists = np.linalg.norm(mode.pairs[:, :recon.input_dim] - point, axis=1)
+        gaps = mode.pairs[:, :recon.input_dim] - point
+        dists = np.sqrt(np.add.reduce(gaps * gaps, axis=1))  # np.linalg.norm's arithmetic
         return float(np.min(mode.residuals + l_p * dists))
     raise PreconditionError(
         "point is not certified inside any mode's inner approximation"
@@ -725,7 +737,9 @@ def viabilize(recon: CdmReconstruction, u_cmd) -> np.ndarray:
             log.info("mode %d skipped during viabilization: linear part is singular", i)
             continue
         candidate = mode.inverse @ (cmd - mode.map.translation)
-        if mode.containment(candidate.tolist()) is Containment.INSIDE_INNER:
+        coords = candidate.tolist()
+        if (all(map(math.isfinite, coords))
+                and mode.containment(coords) is Containment.INSIDE_INNER):
             return candidate
     raise UnviableInputError(
         "commanded input is outside the reconstructed viable range", u_cmd=cmd

@@ -15,6 +15,7 @@ import pytest
 import cdmkit
 from cdmkit.cli import EXIT_CONFIG, EXIT_IDENTIFICATION, EXIT_OK, EXIT_UNVIABLE, main
 from cdmkit.experiment import parse_config_text, run_experiment
+from cdmkit.identification import EffectivePair, build_reconstruction_from_pairs
 from cdmkit.serialization import reconstruction_to_lines, write_reconstruction
 
 SMALL_HEAT_CONFIG = """\
@@ -184,6 +185,30 @@ class TestViabilize:
         _, out = small_run
         code = main(["viabilize", str(out / "reconstruction.txt"), f"1.0,{value}"])
         assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config-error:")
+
+    @pytest.mark.parametrize("vector", [["1e200", "0.5"], ["0.5", "-1e300"]])
+    def test_far_command_passes_through(self, heat_run, capsys, vector):
+        path = heat_run[1].artifacts["reconstruction"]
+        assert main(["viabilize", path, *vector]) == EXIT_OK
+        assert capsys.readouterr().out.split() == [repr(float(v)) for v in vector]
+
+    def test_far_command_without_unaffected_pairs_is_unviable(self, heat_run, tmp_path,
+                                                              capsys):
+        config, result, _ = heat_run
+        m = result.reconstruction.input_dim
+        pairs = [EffectivePair(row[:m], row[m:])
+                 for mode in result.reconstruction.modes for row in mode.pairs]
+        bare = build_reconstruction_from_pairs(pairs, config.identification)
+        assert len(bare.unaffected) == 0 and len(bare.modes) == 3
+        path = tmp_path / "no_unaffected.txt"
+        write_reconstruction(path, bare)
+        assert main(["viabilize", str(path), "1e200", "0.5"]) == EXIT_UNVIABLE
+        assert capsys.readouterr().err.startswith("unviable-input:")
+
+    def test_missing_vector(self, small_run, capsys):
+        _, out = small_run
+        assert main(["viabilize", str(out / "reconstruction.txt")]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config-error:")
 
     def test_non_numeric_vector(self, small_run, capsys):

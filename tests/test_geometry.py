@@ -1,6 +1,7 @@
 """Tests for point-set distances and star-set gauge bounds."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -550,6 +551,158 @@ def test_scalar_gauge_path_matches_numpy_reference(seed, m, k_in, k_out, lipschi
             continue  # a few ulps from a bound either answer is a rounding
         assert star_contains(inner, outer, u) is want
         assert star_contains(inner, outer, u.tolist()) is want
+
+
+# The scalar gauge path as it was written before the witness loop became
+# one evaluator, kept here verbatim in its arithmetic: the evaluator must
+# reproduce these bits, not merely come within a few ulps of them.
+
+
+def plain_norm(v):
+    total = 0.0
+    for x in v:
+        total += x * x
+    return math.sqrt(total)
+
+
+def plain_rows(approx):
+    return list(zip(approx.radii.tolist(), approx.directions.tolist()))
+
+
+def plain_direction(direction):
+    d = np.atleast_1d(np.asarray(direction, dtype=float)).tolist()
+    n = plain_norm(d)
+    return [x / n for x in d]
+
+
+def plain_outer_bound(approx, direction):
+    l, L = plain_direction(direction), approx.lipschitz
+    return min(r + L * plain_norm([a - b for a, b in zip(d, l)]) for r, d in plain_rows(approx))
+
+
+def plain_inner_bound(approx, direction):
+    l, L = plain_direction(direction), approx.lipschitz
+    return max(0.0, max(r - L * plain_norm([a - b for a, b in zip(d, l)])
+                        for r, d in plain_rows(approx)))
+
+
+def plain_star_contains(inner, outer, u):
+    center = inner.center.tolist()
+    offset = [x - c for x, c in zip(np.asarray(u, dtype=float).tolist(), center)]
+    r = plain_norm(offset)
+    if r == 0.0:
+        if inner.n_samples and max(inner.radii.tolist()) > 0.0:
+            return Containment.INSIDE_INNER
+        return Containment.INCONCLUSIVE
+    l = [x / r for x in offset]
+    if inner.n_samples and r <= plain_inner_bound(inner, l):
+        return Containment.INSIDE_INNER
+    if outer.n_samples and r > plain_outer_bound(outer, l):
+        return Containment.OUTSIDE_OUTER
+    return Containment.INCONCLUSIVE
+
+
+def same_bits(a, b):
+    return float(a).hex() == float(b).hex()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 6), st.integers(1, 6),
+       st.sampled_from([0.0, 0.3, 1.0, 4.0, 25.0]), st.booleans(), st.booleans())
+def test_gauge_evaluator_keeps_the_plain_loop_bits(seed, m, k_in, k_out, lipschitz,
+                                                    repeated_radii, at_origin):
+    rng = np.random.default_rng(seed)
+    # at the origin an axis offset t has radius |t| and direction +-e_j
+    # exactly, so points land exactly on a bound and one ulp either side
+    center = np.zeros(m) if at_origin else rng.uniform(-2, 2, m)
+    if repeated_radii:
+        r_in = rng.choice([0.5, 1.0], k_in)
+        r_out = rng.choice([1.0, 2.0], k_out)
+    else:
+        r_in, r_out = rng.uniform(0.1, 2.0, k_in), rng.uniform(1.0, 4.0, k_out)
+    inner = StarSetApprox(center, lipschitz, random_units(rng, k_in, m), r_in, Side.INNER)
+    outer = StarSetApprox(center, lipschitz, random_units(rng, k_out, m), r_out, Side.OUTER)
+    axes = np.vstack([np.eye(m), -np.eye(m)])
+    directions = np.vstack([axes, random_units(rng, 6, m), inner.directions,
+                            outer.directions])
+    points, ties = [center], 0
+    for l in directions:
+        want_in, want_out = plain_inner_bound(inner, l), plain_outer_bound(outer, l)
+        for query_l in (l, l.tolist()):
+            assert same_bits(mgf_inner_bound(inner, query_l), want_in)
+            assert same_bits(mgf_outer_bound(outer, query_l), want_out)
+        for bound in (want_in, want_out):
+            if bound > 0.0:  # a zero bound's neighbours are the center's
+                for t in (np.nextafter(bound, 0.0), bound, np.nextafter(bound, np.inf)):
+                    points.append(center + l * t)
+        points.append(center + l * rng.uniform(0.0, 1.2) * want_out)
+    for u in points:
+        want = plain_star_contains(inner, outer, u)
+        assert star_contains(inner, outer, u) is want
+        assert star_contains(inner, outer, u.tolist()) is want
+        if at_origin and np.count_nonzero(u) == 1:
+            j = int(np.flatnonzero(u)[0])
+            l = np.sign(u[j]) * np.eye(m)[j]
+            r = abs(float(u[j]))
+            ties += r in (plain_inner_bound(inner, l), plain_outer_bound(outer, l))
+    if at_origin:
+        assert ties >= 2 * m  # each axis direction met both its bounds exactly
+
+
+# The outer-bound repro of the underflow fault: the inner bound is 0 along
+# -e_1 and the outer bound 1e-300, so every point on that side beyond 1e-300
+# is certified outside, however close to the center.
+TINY_INNER = StarSetApprox(np.zeros(2), 1.0, [[1.0, 0.0]], [1.0], Side.INNER)
+TINY_OUTER = StarSetApprox(np.zeros(2), 1.0, [[1.0, 0.0], [-1.0, 0.0]], [2.0, 1e-300],
+                           Side.OUTER)
+
+
+@pytest.mark.parametrize("u, want", [
+    ([-1e-150, 0.0], Containment.OUTSIDE_OUTER),  # squares in the normal range
+    ([-1e-160, 0.0], Containment.OUTSIDE_OUTER),  # subnormal sum of squares
+    ([-1e-170, 0.0], Containment.OUTSIDE_OUTER),  # squares underflow to zero
+    ([-3e-300, 0.0], Containment.OUTSIDE_OUTER),
+    ([-1e-300, 0.0], Containment.INCONCLUSIVE),  # exactly on the outer bound
+    ([-5e-324, 0.0], Containment.INCONCLUSIVE),  # within the outer bound, not the inner
+    ([1e-170, 0.0], Containment.INSIDE_INNER),
+    ([0.0, 0.0], Containment.INSIDE_INNER),  # only the exact center takes the center rule
+    ([-0.0, 0.0], Containment.INSIDE_INNER),
+])
+def test_points_near_the_center_are_classified_along_their_direction(u, want):
+    assert star_contains(TINY_INNER, TINY_OUTER, u) is want
+    assert star_contains(TINY_INNER, TINY_OUTER, np.array(u)) is want
+
+
+@pytest.mark.parametrize("center, u", [
+    ([0.0, 0.0], [1e200, 1e200]),  # the sum of squares overflows
+    ([0.0, 0.0], [1e155, 0.5]),
+    ([0.0, 0.0], [-1.7e308, 1.7e308]),
+    ([-1e308, 0.0], [1e308, 0.0]),  # the offset itself overflows
+    ([1e308, -1e308], [-1e308, 1e308]),
+])
+def test_points_beyond_float_range_are_outside_every_finite_bound(center, u):
+    center = np.array(center)
+    inner = StarSetApprox(center, 1.0, [[1.0, 0.0], [0.0, 1.0]], [2.0, 1.0], Side.INNER)
+    outer = StarSetApprox(center, 1.0, [[1.0, 0.0]], [3.0], Side.OUTER)
+    empty = StarSetApprox(center, 1.0, np.empty((0, 2)), np.empty(0), Side.OUTER)
+    assert star_contains(inner, outer, u) is Containment.OUTSIDE_OUTER
+    assert star_contains(inner, empty, u) is Containment.INCONCLUSIVE
+
+
+def test_far_points_are_compared_with_bounds_as_far():
+    # a far point is not assumed outside: it is measured against the bounds
+    inner = StarSetApprox(np.zeros(2), 1.0, [[1.0, 0.0]], [1e300], Side.INNER)
+    outer = StarSetApprox(np.zeros(2), 1.0, [[1.0, 0.0]], [1e301], Side.OUTER)
+    assert star_contains(inner, outer, [1e200, 0.0]) is Containment.INSIDE_INNER
+    assert star_contains(inner, outer, [1e301, 1e200]) is Containment.INCONCLUSIVE
+    assert star_contains(inner, outer, [1e302, 0.0]) is Containment.OUTSIDE_OUTER
+
+
+@pytest.mark.parametrize("u", [[np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]])
+def test_non_finite_point_is_rejected(u):
+    for point in (u, np.array(u)):
+        with pytest.raises(ValueError, match="non-finite"):
+            star_contains(TINY_INNER, TINY_OUTER, point)
 
 
 def test_bundled_reconstruction_sweep_classifies_like_reference(heat_run):

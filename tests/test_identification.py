@@ -454,6 +454,93 @@ class TestQuery:
             call(recon, u)
 
 
+class ArraySubclass(np.ndarray):
+    pass
+
+
+def coerced_command(recon, u):
+    """The command as the general coercion of ``u`` gives it."""
+    try:
+        raw = np.asarray(u)
+        if raw.dtype.kind not in "biuf":
+            raise TypeError(f"dtype {raw.dtype}")
+        point = np.atleast_1d(np.asarray(raw, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(f"command is not a vector of real numbers: {exc}") from None
+    if point.shape != (recon.input_dim,):
+        raise PreconditionError(
+            f"command has shape {point.shape}, reconstruction expects ({recon.input_dim},)"
+        )
+    if not np.all(np.isfinite(point)):
+        raise PreconditionError("command has non-finite components")
+    return point
+
+
+def read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize("u", [
+    np.array([1.0, 0.9]),
+    read_only(np.array([1.0, 0.9])),
+    np.arange(4.0)[::2],  # non-contiguous view
+    np.array([[1.0, 0.2], [0.9, 0.3]])[:, 0],
+    np.array([1.0, 0.9]).view(ArraySubclass),
+    np.array([1.0, 0.9], dtype=np.float32),
+    np.array([1.0, 0.9], dtype=">f8"),  # non-native byte order
+    np.array(0.9),  # 0-d
+    np.array([1.0, 0.9, 0.1]),
+    np.array([[1.0, 0.9]]),
+    np.array([1.0, np.nan]),
+    np.array([np.inf, 0.9])[::-1],
+    np.array([1e200, -1e300]),
+])
+def test_command_fast_path_matches_the_coercion(u):
+    recon = CdmReconstruction(modes=(), unaffected=np.empty((0, 4)), separation=0.1,
+                              mode_count=3, input_dim=2)
+    try:
+        want = coerced_command(recon, u)
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError) as got:
+            identification._command(recon, u)
+        assert str(got.value) == str(exc)
+        return
+    got = identification._command(recon, u)
+    assert type(got) is type(want) and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert (got is u) == (want is u)
+    assert np.shares_memory(got, u) == np.shares_memory(want, u)
+
+
+FAR_COMMANDS = [[1e200, 1e200], [1e155, 0.5], [1e200, 0.5], [0.5, -1e300],
+                [-1.7e308, 1.7e308]]
+
+
+@pytest.mark.parametrize("u", FAR_COMMANDS)
+def test_far_commands_pass_through_the_bundled_reconstruction(heat_run, u):
+    recon = read_reconstruction(heat_run[1].artifacts["reconstruction"])
+    u = np.array(u)
+    result = query(recon, u)
+    assert result.kind == QueryKind.PASSTHROUGH
+    np.testing.assert_array_equal(result.value, u)
+    np.testing.assert_array_equal(viabilize(recon, u), u)
+    with pytest.raises(PreconditionError, match="not certified inside"):
+        lipschitz_error_bound(recon, u, 3.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+def test_far_command_without_outer_witnesses_is_unviable():
+    # no unaffected pairs: nothing is certified outside, so each mode is
+    # inverted; a candidate beyond float range is skipped, not classified
+    mode = manual_scalar_mode(0.0, 0.25, 1e-300, 0.25)
+    recon = manual_recon([mode])
+    for u in ([1e300], [-1e308], [1.0]):
+        with pytest.raises(UnviableInputError):
+            viabilize(recon, u)
+        assert query(recon, u).kind == QueryKind.INCONCLUSIVE
+
+
 class TestLipschitzErrorBound:
     def make_mode(self):
         q = AffineMap(np.array([[3.0]]), np.array([0.25]))
