@@ -70,7 +70,7 @@ class ExperimentConfig:
     system: object
     x0: np.ndarray
     cdm: Optional[NModeCdm]
-    signal: Callable[[float], np.ndarray]
+    signal: Callable[[np.ndarray], np.ndarray]  # k times -> (k, m) commands
     schedule: SamplingSchedule
     identification: IdentificationConfig
     regions: tuple
@@ -196,7 +196,7 @@ def _parse_signal(parser, dim_input: int):
         values = _get(parser, "signal", "values", _floats_list, required=True)
         if values.shape[0] != dim_input:
             raise ConfigError("constant signal dimension does not match the system")
-        return lambda t: values
+        return lambda t: np.tile(values, (len(t), 1))
     if kind == "raised-cosine":
         # per-channel: value_i(t) = offset_i + amplitude_i * (1 - cos(2 pi t / period)) / 2
         offset = _get(parser, "signal", "offset", _floats_list, required=True)
@@ -206,7 +206,8 @@ def _parse_signal(parser, dim_input: int):
             raise ConfigError(f"[signal] period must be finite and positive, got {period}")
         if offset.shape[0] != dim_input or amplitude.shape[0] != dim_input:
             raise ConfigError("raised-cosine signal dimension does not match the system")
-        return lambda t: offset + amplitude * 0.5 * (1.0 - np.cos(2.0 * np.pi * t / period))
+        return lambda t: offset + amplitude * 0.5 * (
+            1.0 - np.cos(2.0 * np.pi * np.asarray(t, dtype=float)[:, None] / period))
     raise ConfigError(f"unknown signal kind {kind!r}")
 
 

@@ -147,11 +147,12 @@ class StarSetApprox:
     Attributes:
         center: star center, shape (d,).
         lipschitz: Lipschitz constant assumed for the set's gauge on the
-            unit sphere (non-negative).
+            unit sphere (finite, non-negative).
         directions: unit witness directions, shape (k, d).
-        radii: directional radius witnesses, shape (k,).  For INNER sides a
-            radius is attainable (witness is a member); for OUTER sides the
-            gauge does not exceed it (witness lies at or past the boundary).
+        radii: finite, non-negative directional radius witnesses, shape
+            (k,).  For INNER sides a radius is attainable (witness is a
+            member); for OUTER sides the gauge does not exceed it (witness
+            lies at or past the boundary).
         side: which bound the witnesses certify.
     """
 
@@ -174,13 +175,14 @@ class StarSetApprox:
             raise ValueError("directions and radii disagree in length")
         if directions.shape[1] != center.shape[0]:
             raise ValueError("direction dimension does not match center")
-        if self.lipschitz < 0:
-            raise ValueError("Lipschitz constant must be non-negative")
+        if not (math.isfinite(self.lipschitz) and self.lipschitz >= 0):
+            raise ValueError(f"Lipschitz constant must be finite and non-negative, "
+                             f"got {self.lipschitz}")
         norms = np.linalg.norm(directions, axis=1)
         if directions.shape[0] and np.max(np.abs(norms - 1.0)) > DIRECTION_UNIT_TOL:
             raise ValueError("witness directions must have unit norm")
-        if np.any(radii < 0):
-            raise ValueError("radii must be non-negative")
+        if not np.all((radii >= 0) & (radii < np.inf)):
+            raise ValueError("radii must be finite and non-negative")
         directions, radii = _dedup_samples(directions, radii, self.side)
         for arr in (center, directions, radii):
             arr.setflags(write=False)

@@ -101,21 +101,22 @@ def linear_system(a_matrix, b_matrix, **kwargs) -> SystemModel:
     )
 
 
-def _effective_inputs(model: SystemModel, cdm, commands) -> np.ndarray:
-    """``cdm(U)`` (``U`` without a map) for the ``(k, m)`` array ``U`` of commands.
+def _effective_inputs(cdm, U: np.ndarray) -> np.ndarray:
+    """``cdm(U)`` (``U`` without a map) for a ``(k, m)`` array ``U`` of commands.
 
     ``cdm`` maps the rows of a ``(k, m)`` array and is called once per batch.
     """
-    count = len(commands)
-    U = np.array(commands, dtype=float).reshape(count, -1)
-    if U.shape[1] != model.dim_input:
-        raise ValueError("input dimension mismatch")
     if cdm is None:
         return U
     E = np.asarray(cdm(U), dtype=float)
     if E.shape != U.shape:
         raise ValueError("degradation map changed the input dimension")
     return E
+
+
+def _velocity(model: SystemModel, x, e) -> np.ndarray:
+    """``f(x) + g(x) e`` for the effective input ``e``."""
+    return model.drift(x) + model.input_map(x) @ e
 
 
 def degraded_rhs(model: SystemModel, cdm, x, u) -> np.ndarray:
@@ -127,7 +128,10 @@ def degraded_rhs(model: SystemModel, cdm, x, u) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape[0] != model.dim_state:
         raise ValueError("state dimension mismatch")
-    return model.drift(x) + model.input_map(x) @ _effective_inputs(model, cdm, [u])[0]
+    U = np.array(u, dtype=float).reshape(1, -1)
+    if U.shape[1] != model.dim_input:
+        raise ValueError("input dimension mismatch")
+    return _velocity(model, x, _effective_inputs(cdm, U)[0])
 
 
 @dataclass(frozen=True)
@@ -221,11 +225,13 @@ class HeatSystem:
 
 
 def probe_signal(t):
-    """Bundled probe command: unit source power, raised-cosine depth rate.
+    """Bundled probe command at each time of ``t``: a ``(k, 2)`` array.
 
-    The depth channel sweeps [0, 1] with period 0.3 s.
+    Unit source power and a raised-cosine depth rate that sweeps [0, 1]
+    with period 0.3 s.
     """
-    return np.array([1.0, 0.5 * (1.0 - np.cos(20.0 * np.pi * t / 3.0))])
+    t = np.asarray(t, dtype=float)
+    return np.column_stack([np.ones_like(t), 0.5 * (1.0 - np.cos(20.0 * np.pi * t / 3.0))])
 
 
 @dataclass(frozen=True)
@@ -265,27 +271,58 @@ class SamplingSchedule:
         return np.maximum(base + eta, 0.0)
 
 
-def _rk4_step(rhs, t, x, dt):
-    k1 = rhs(t, x)
-    k2 = rhs(t + 0.5 * dt, x + 0.5 * dt * k1)
-    k3 = rhs(t + 0.5 * dt, x + 0.5 * dt * k2)
-    k4 = rhs(t + dt, x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _stage_times(t, dt, n_sub: int, tk):
+    """The times at which ``n_sub`` RK4 steps of length ``dt`` from ``t`` need their input.
+
+    Rows ``0, 2, ..., 2 n_sub`` are the step starts (the last one ends the
+    final step), the odd rows the step midpoints, and the last row is the
+    sample time ``tk``.  The starts are summed one step at a time, so each
+    time is the float a step-by-step RK4 loop would use.  With no steps
+    only ``tk`` is left.
+    """
+    if n_sub == 0:
+        return np.array([tk])
+    starts = np.cumsum(np.concatenate([[t], np.full(n_sub, dt)]))
+    times = np.empty(2 * n_sub + 2)
+    times[0:-1:2] = starts
+    times[1:-1:2] = starts[:-1] + 0.5 * dt
+    times[-1] = tk
+    return times
 
 
-def _rk4_advance(rhs):
-    """Generic path: ``n_sub`` classical RK4 steps of length ``dt`` from ``t``."""
+def _rk4_advance(model: SystemModel):
+    """Generic path: classical RK4 steps.
 
-    def advance(t, x, dt, n_sub):
-        for _ in range(n_sub):
-            x = _rk4_step(rhs, t, x, dt)
-            t += dt
+    ``E`` holds the effective inputs at the interval's stage times, in the
+    order of :func:`_stage_times` without its last row.
+    """
+
+    def advance(x, dt, E):
+        for i in range(0, E.shape[0] - 1, 2):
+            k1 = _velocity(model, x, E[i])
+            k2 = _velocity(model, x + 0.5 * dt * k1, E[i + 1])
+            k3 = _velocity(model, x + 0.5 * dt * k2, E[i + 1])
+            k4 = _velocity(model, x + dt * k3, E[i + 2])
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         return x
 
     return advance
 
 
-def _linear_rk4_advance(model: SystemModel, cdm, input_signal):
+def _affine_steps(R: np.ndarray, forcing: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``x = R @ x + f`` for each row ``f`` of ``forcing``, in place in ``x``.
+
+    The products go to one scratch buffer, so the loop allocates nothing;
+    the floats are those of ``R @ x + f``.
+    """
+    y = np.empty_like(x)
+    for f in forcing:
+        np.dot(R, x, out=y)
+        np.add(y, f, out=x)
+    return x
+
+
+def _linear_rk4_advance(model: SystemModel):
     """Linear path: the exact step map of RK4 on ``x' = A x + B e(t)``.
 
     With ``H = dt A`` one RK4 step is ``x+ = R x + P0 e(t) + Ph e(t + dt/2)
@@ -294,30 +331,31 @@ def _linear_rk4_advance(model: SystemModel, cdm, input_signal):
     and ``P1 = dt/6 B``.  The powers of ``A`` are formed once per model
     (``SystemModel._rk4_powers``); per sampling interval ``R`` and the ``P``
     are scalar-weighted sums of them, so no matrix product runs inside the
-    step loop.  Each distinct stage time is evaluated once, at the same
-    floats as :func:`_rk4_step`, and ``cdm`` maps all stage inputs of the
-    interval in one call.
+    step loop.
     """
     A, B = model.a_matrix, model.b_matrix
     eye = np.eye(A.shape[0])
     A2, A3, A4, AB, A2B, A3B = model._rk4_powers
 
-    def advance(t, x, dt, n_sub):
+    def advance(x, dt, E):
         R = eye + dt * A + dt**2 / 2.0 * A2 + dt**3 / 6.0 * A3 + dt**4 / 24.0 * A4
         P0 = dt / 6.0 * (B + dt * AB + dt**2 / 2.0 * A2B + dt**3 / 4.0 * A3B)
         Ph = dt / 6.0 * (4.0 * B + 2.0 * dt * AB + dt**2 / 2.0 * A2B)
         P1 = dt / 6.0 * B
-        starts = np.cumsum(np.concatenate([[t], np.full(n_sub, dt)]))
-        stages = np.empty(2 * n_sub + 1)
-        stages[0::2] = starts
-        stages[1::2] = starts[:-1] + 0.5 * dt
-        E = _effective_inputs(model, cdm, [input_signal(s) for s in stages.tolist()])
         forcing = E[0:-1:2] @ P0.T + E[1::2] @ Ph.T + E[2::2] @ P1.T
-        for f in forcing:
-            x = R @ x + f
-        return x
+        return _affine_steps(R, forcing, x)
 
     return advance
+
+
+def _commands(input_signal, times: np.ndarray, dim_input: int) -> np.ndarray:
+    """The signal's ``(k, m)`` command rows at the ``k`` times, as a C-ordered float array."""
+    U = np.ascontiguousarray(input_signal(times), dtype=float)
+    expected = (times.shape[0], dim_input)
+    if U.shape != expected:
+        raise ValueError(f"input signal returned shape {U.shape} for {times.shape[0]} "
+                         f"times; expected {expected}")
+    return U
 
 
 def integrate(model, cdm, x0, input_signal, schedule: SamplingSchedule,
@@ -326,12 +364,15 @@ def integrate(model, cdm, x0, input_signal, schedule: SamplingSchedule,
 
     Accepts a :class:`SystemModel` or a :class:`HeatSystem`.  ``cdm`` (or
     None for no degradation) maps a ``(k, m)`` array of commands row-wise.
-    Fixed-step fourth-order integration; the step never exceeds 1 ms or the
-    model's stability limit.  Linear models (``a_matrix``/``b_matrix`` set)
-    advance by the precomputed RK4 step map, with one ``cdm`` call per
-    sampling interval; others by generic RK4 steps.  Both give the classical
-    RK4 solution.  Observed velocities are the exact right-hand side at the
-    sampled state.  Deterministic for a fixed schedule seed.
+    ``input_signal`` maps a 1-D array of ``k`` times to the ``(k, m)`` array
+    of the commands at those times.  Fixed-step fourth-order integration;
+    the step never exceeds 1 ms or the model's stability limit.  Each
+    sampling interval makes one signal call and one ``cdm`` call, on all
+    its RK4 stage times and its sample time.  Linear models
+    (``a_matrix``/``b_matrix`` set) advance by the precomputed RK4 step map;
+    others by generic RK4 steps.  Both give the classical RK4 solution.
+    Observed velocities are the exact right-hand side at the sampled state.
+    Deterministic for a fixed schedule seed.
     """
     if isinstance(model, HeatSystem):
         model = model.model()
@@ -344,13 +385,10 @@ def integrate(model, cdm, x0, input_signal, schedule: SamplingSchedule,
             )
         limit = min(limit, max_step)
 
-    def rhs(t, x):
-        return degraded_rhs(model, cdm, x, input_signal(t))
-
     if model.a_matrix is None:
-        advance = _rk4_advance(rhs)
+        advance = _rk4_advance(model)
     else:
-        advance = _linear_rk4_advance(model, cdm, input_signal)
+        advance = _linear_rk4_advance(model)
 
     times = schedule.sample_times()
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
@@ -361,11 +399,13 @@ def integrate(model, cdm, x0, input_signal, schedule: SamplingSchedule,
     for tk in times:
         span = tk - t
         n_sub = int(np.ceil(span / limit - 1e-12))
+        dt = span / n_sub if n_sub > 0 else 0.0
+        U = _commands(input_signal, _stage_times(t, dt, n_sub, tk), model.dim_input)
+        E = _effective_inputs(cdm, U)
         if n_sub > 0:
-            x = advance(t, x, span / n_sub, n_sub)
+            x = advance(x, dt, E[:-1])
         t = tk
-        u = np.atleast_1d(np.asarray(input_signal(tk), dtype=float))
-        samples.append(ControlSample(time=float(tk), state=x.copy(), velocity=rhs(tk, x),
-                                     input=u))
+        # the sample owns its input row: a view would keep the whole batch alive
+        samples.append(ControlSample(time=float(tk), state=x.copy(),
+                                     velocity=_velocity(model, x, E[-1]), input=U[-1].copy()))
     return samples
-

@@ -330,7 +330,7 @@ def test_criterion_7_geometry_and_conservation():
     sys = ck.HeatSystem(diffusivity=0.1, grid_points=101)
     x0 = np.concatenate([rng.random(sys.grid_points), [0.0]])
     schedule = ck.SamplingSchedule(rate=4.0, jitter=0.0, seed=0, horizon=1.0)
-    samples = ck.integrate(sys.model(), None, x0, lambda t: np.zeros(2), schedule)
+    samples = ck.integrate(sys.model(), None, x0, lambda t: np.zeros((len(t), 2)), schedule)
     w = np.full(sys.grid_points, sys.spacing)
     w[0] = w[-1] = sys.spacing / 2
     masses = [float(w @ s.state[: sys.grid_points]) for s in samples]

@@ -20,6 +20,7 @@ from cdmkit.experiment import (
 from cdmkit.geometry import covering_radius, interval_region
 from cdmkit.identification import QueryKind, query
 from cdmkit.serialization import read_reconstruction, read_samples
+from cdmkit.simulation import integrate
 
 IDENTITY_CONFIG = """\
 [system]
@@ -167,6 +168,59 @@ class TestConfigParsing:
         bad = DEFAULT_HEAT_CONFIG.replace("0.0:0.25", "zero:0.25")
         with pytest.raises(ConfigError):
             parse_config_text(bad)
+
+
+def signal_config(signal_section: str):
+    """The linear two-mode config with its ``[signal]`` section replaced."""
+    head, rest = LINEAR_MODES_CONFIG.split("[signal]\n")
+    return parse_config_text(head + signal_section + rest[rest.index("[sampling]"):])
+
+
+# Each config signal kind with a per-time reference: the scalar expression
+# the kind evaluated for one Python float time before signals took arrays.
+OFFSET, AMPLITUDE, PERIOD = np.array([0.2, -1.0]), np.array([0.7, 2.5]), 0.37
+SIGNAL_KINDS = {
+    "heat-probe": (
+        "[signal]\nkind = heat-probe\n\n",
+        lambda t: np.array([1.0, 0.5 * (1.0 - np.cos(20.0 * np.pi * t / 3.0))]),
+    ),
+    "constant": (
+        "[signal]\nkind = constant\nvalues = 0.2 -1.0\n\n",
+        lambda t: OFFSET,
+    ),
+    "raised-cosine": (
+        "[signal]\nkind = raised-cosine\noffset = 0.2 -1.0\namplitude = 0.7 2.5\n"
+        "period = 0.37\n\n",
+        lambda t: OFFSET + AMPLITUDE * 0.5 * (1.0 - np.cos(2.0 * np.pi * t / PERIOD)),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def bundled_stage_times(heat_run):
+    """Every time at which the bundled run evaluates its signal, in call order."""
+    config = heat_run[0]
+    seen = []
+
+    def recording(t):
+        seen.append(t.copy())
+        return config.signal(t)
+
+    integrate(config.model(), config.cdm, config.x0, recording, config.schedule)
+    assert len(seen) == len(config.schedule.sample_times())
+    return np.concatenate(seen)
+
+
+@pytest.mark.parametrize("kind", sorted(SIGNAL_KINDS))
+@pytest.mark.parametrize("times", ["bundled", "uniform"])
+def test_signal_kind_matches_per_time_evaluation(kind, times, bundled_stage_times):
+    section, reference = SIGNAL_KINDS[kind]
+    signal = signal_config(section).signal
+    t = bundled_stage_times if times == "bundled" else np.linspace(0.0, 40.0, 200_001)
+    batch = signal(t)
+    expected = np.array([reference(s) for s in t.tolist()])
+    assert batch.shape == expected.shape == (t.shape[0], 2)
+    np.testing.assert_array_equal(batch.view(np.uint64), expected.view(np.uint64))
 
 
 class TestSeparationValidation:

@@ -278,6 +278,16 @@ class TestStarSetValidation:
         with pytest.raises(ValueError):
             star_from_samples([[1.0, 0.0]], [1.0], Side.INNER, -1.0)
 
+    @pytest.mark.parametrize("side", [Side.INNER, Side.OUTER])
+    @pytest.mark.parametrize("field, value", [
+        ("lipschitz", math.nan), ("lipschitz", math.inf),
+        ("radius", math.nan), ("radius", math.inf), ("radius", -math.inf)])
+    def test_non_finite_lipschitz_or_radius_rejected(self, side, field, value):
+        # comparisons with nan are false, so each check must fail on it
+        radius, lipschitz = (value, 1.0) if field == "radius" else (1.0, value)
+        with pytest.raises(ValueError, match="finite"):
+            star_from_samples([[1.0, 0.0]], [radius], side, lipschitz)
+
     def test_duplicate_directions_keep_best(self):
         inner = star_from_samples([[1.0, 0.0], [1.0, 0.0]], [1.0, 2.0], Side.INNER, 0.0)
         assert inner.n_samples == 1

@@ -20,8 +20,14 @@ from cdmkit.simulation import (
     degraded_rhs,
     integrate,
     linear_system,
+    _affine_steps,
     probe_signal,
 )
+
+
+def zero_signal(m):
+    """The signal that commands zero on each of ``m`` channels at every time."""
+    return lambda t: np.zeros((len(t), m))
 
 
 class TestDegradedRhs:
@@ -131,7 +137,7 @@ class TestHeatSystem:
         rng = np.random.default_rng(1)
         x0 = np.concatenate([rng.random(sys.grid_points), [0.0]])
         schedule = SamplingSchedule(rate=2.0, jitter=0.0, seed=0, horizon=1.0)
-        samples = integrate(sys.model(), None, x0, lambda t: np.zeros(2), schedule)
+        samples = integrate(sys.model(), None, x0, zero_signal(2), schedule)
         w = np.full(sys.grid_points, sys.spacing)
         w[0] = w[-1] = sys.spacing / 2
         masses = [float(w @ s.state[: sys.grid_points]) for s in samples]
@@ -140,12 +146,12 @@ class TestHeatSystem:
 
 class TestProbeSignal:
     def test_endpoint_values(self):
-        np.testing.assert_allclose(probe_signal(0.0), [1.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(probe_signal(0.15), [1.0, 1.0])
+        np.testing.assert_allclose(probe_signal(np.array([0.0, 0.15])),
+                                   [[1.0, 0.0], [1.0, 1.0]], atol=1e-15)
 
     def test_period(self):
-        for t in (0.02, 0.11, 0.27):
-            np.testing.assert_allclose(probe_signal(t), probe_signal(t + 0.3))
+        t = np.array([0.02, 0.11, 0.27])
+        np.testing.assert_allclose(probe_signal(t), probe_signal(t + 0.3))
 
 
 class TestSamplingSchedule:
@@ -192,7 +198,7 @@ class TestIntegrate:
     def test_zero_drift_zero_input(self):
         model = linear_system(np.zeros((2, 2)), np.eye(2))
         sched = SamplingSchedule(rate=10.0, jitter=0.0, seed=0, horizon=0.5)
-        samples = integrate(model, None, [1.0, -1.0], lambda t: np.zeros(2), sched)
+        samples = integrate(model, None, [1.0, -1.0], zero_signal(2), sched)
         for s in samples:
             np.testing.assert_array_equal(s.state, [1.0, -1.0])
             np.testing.assert_array_equal(s.velocity, [0.0, 0.0])
@@ -215,7 +221,7 @@ class TestIntegrate:
         # x' = x with x0 = 1: compare against exp(t)
         model = linear_system([[1.0]], [[1.0]])
         sched = SamplingSchedule(rate=5.0, jitter=0.0, seed=0, horizon=1.0)
-        samples = integrate(model, None, [1.0], lambda t: np.zeros(1), sched)
+        samples = integrate(model, None, [1.0], zero_signal(1), sched)
         for s in samples:
             np.testing.assert_allclose(s.state[0], np.exp(s.time), rtol=1e-9)
 
@@ -224,8 +230,19 @@ class TestIntegrate:
         model = sys.model()
         sched = SamplingSchedule(rate=10.0, jitter=0.0, seed=0, horizon=0.1)
         with pytest.raises(ConfigError):
-            integrate(model, None, np.zeros(model.dim_state), lambda t: np.zeros(2),
+            integrate(model, None, np.zeros(model.dim_state), zero_signal(2),
                       sched, max_step=10 * sys.stability_limit)
+
+    @pytest.mark.parametrize("signal, received", [
+        (lambda t: np.zeros(len(t)), r"\(\d+,\)"),
+        (lambda t: np.zeros((len(t), 2)), r"\(\d+, 2\)"),
+        (lambda t: np.zeros((1, 1)), r"\(1, 1\)"),
+    ])
+    def test_signal_of_wrong_shape_rejected(self, signal, received):
+        model = linear_system([[1.0]], [[1.0]])
+        sched = SamplingSchedule(rate=10.0, jitter=0.0, seed=0, horizon=0.5)
+        with pytest.raises(ValueError, match=received + r".*expected \(\d+, 1\)"):
+            integrate(model, None, [1.0], signal, sched)
 
 
 def generic(model):
@@ -257,7 +274,7 @@ def linear_runs(draw):
     amp, freq, phase = rng.uniform(0.5, 2.0, m), rng.uniform(2.0, 20.0, m), rng.uniform(0, 6, m)
 
     def signal(t):
-        return amp * np.sin(freq * t + phase)
+        return amp * np.sin(freq * t[:, None] + phase)
 
     cdm = None
     if draw(st.booleans()):
@@ -291,7 +308,7 @@ class TestLinearPropagator:
         lam = SystemModel(dim_state=2, dim_input=1, drift=lambda x: A @ x,
                           input_map=lambda x: B)
         sched = SamplingSchedule(rate=10.0, jitter=0.02, seed=3, horizon=2.0)
-        signal = lambda t: np.array([np.cos(3.0 * t)])
+        signal = lambda t: np.cos(3.0 * t)[:, None]
         fast = integrate(linear_system(A, B), None, [1.0, 0.0], signal, sched)
         assert_trajectories_agree(fast, integrate(lam, None, [1.0, 0.0], signal, sched))
 
@@ -307,7 +324,7 @@ class TestLinearPropagator:
             build_reconstruction(reference, model, config.identification))
 
     def test_call_counts(self):
-        counts = {"drift": 0, "cdm": 0}
+        counts = {"drift": 0, "cdm": 0, "signal": 0}
         model = HeatSystem(grid_points=21, epsilon=0.1).model()
         base_cdm = heat_example_cdm()
 
@@ -319,12 +336,28 @@ class TestLinearPropagator:
             counts["cdm"] += 1
             return base_cdm(U)
 
+        def signal(t):
+            counts["signal"] += 1
+            return probe_signal(t)
+
         counted = dataclasses.replace(model, drift=drift)
         sched = SamplingSchedule(rate=20.0, jitter=0.01, seed=2, horizon=1.0)
-        samples = integrate(counted, cdm, np.zeros(model.dim_state), probe_signal, sched)
-        assert counts["drift"] == len(samples) == 20
-        # one batch per sampling interval, one per observed velocity
-        assert counts["cdm"] <= 2 * len(samples)
+        samples = integrate(counted, cdm, np.zeros(model.dim_state), signal, sched)
+        # one batch per sampling interval, which also serves the observed velocity
+        assert counts == {"drift": 20, "cdm": 20, "signal": 20}
+        assert len(samples) == 20
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 101, 102])
+    def test_buffered_steps_match_plain_loop(self, n):
+        rng = np.random.default_rng(n)
+        R = rng.normal(size=(n, n)) / np.sqrt(n)
+        forcing = rng.normal(size=(60, n))
+        x = rng.normal(size=n)
+        reference = x.copy()
+        for f in forcing:
+            reference = R @ reference + f
+        np.testing.assert_array_equal(_affine_steps(R, forcing, x).view(np.uint64),
+                                      reference.view(np.uint64))
 
     def test_vanishing_interval_takes_no_step(self):
         # a sample 1e-300 s after the start is below any step: no step, no warning
@@ -335,7 +368,7 @@ class TestLinearPropagator:
         model = linear_system([[1.0]], [[1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            samples = integrate(model, None, [1.0], lambda t: np.zeros(1), Times())
+            samples = integrate(model, None, [1.0], zero_signal(1), Times())
         assert samples[0].state[0] == 1.0
         np.testing.assert_allclose(samples[1].state[0], np.exp(0.1), rtol=1e-12)
 
