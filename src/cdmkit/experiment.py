@@ -29,7 +29,7 @@ from .degradation import (
     heat_example_cdm,
     mode_separation,
 )
-from .errors import ConfigError, IdentificationError
+from .errors import ConfigError, IdentificationError, PreconditionError
 from .geometry import mgf_inner_bound
 from .identification import (
     CdmReconstruction,
@@ -337,10 +337,20 @@ def parse_config(path) -> ExperimentConfig:
 
 def stream_reconstructions(samples: Sequence[ControlSample], model: SystemModel,
                            ident: IdentificationConfig) -> Iterator[CdmReconstruction]:
-    """Yield the reconstruction after each successive observation."""
+    """Yield the reconstruction after each successive observation.
+
+    An observation whose effective input cannot be recovered (the input
+    matrix is rank deficient at its state) stops the stream with an
+    :class:`IdentificationError` that names its index and time.
+    """
     reconstructor = Reconstructor(ident)
-    for s in samples:
-        yield reconstructor.add(EffectivePair(s.input, recover_effective_input(s, model)))
+    for i, s in enumerate(samples):
+        try:
+            effective = recover_effective_input(s, model)
+        except PreconditionError as exc:
+            raise IdentificationError(
+                f"observation {i} at t = {s.time!r}: {exc}", detail=i) from exc
+        yield reconstructor.add(EffectivePair(s.input, effective))
 
 
 class _RegionMetrics:

@@ -17,6 +17,7 @@ Lipschitz constant, minimized (outer) or maximized (inner) over witnesses.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ def as_point_set(points) -> np.ndarray:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("point set must be a non-empty (k, d) collection")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("point set contains non-finite values")
     return pts
 
@@ -95,6 +96,15 @@ class Side(enum.Enum):
     OUTER = "outer"
 
 
+@functools.cache
+def _generic_axis(dim: int) -> np.ndarray:
+    """A fixed unit axis in ``dim`` dimensions along which no two coordinates weigh alike."""
+    axis = np.sqrt(np.arange(1.0, dim + 1.0))
+    axis /= np.linalg.norm(axis)
+    axis.setflags(write=False)
+    return axis
+
+
 def _dedup_samples(directions, radii, side: Side):
     """Collapse near-identical directions, keeping the most informative radius.
 
@@ -102,42 +112,39 @@ def _dedup_samples(directions, radii, side: Side):
     kept direction folds its radius into the first such (max for INNER, min
     for OUTER); any other is kept.  Repeats of a direction always fold into
     the same kept one, so the distinct directions are found first by a
-    stable row sort, O(k log k).  When their projections on a fixed generic
-    axis are more than twice the tolerance apart they are all kept; only
-    otherwise does the greedy pass run, over the distinct directions.
+    stable row sort, O(k log k), each with the fold of its own radii.  When
+    their projections on a fixed generic axis are more than twice the
+    tolerance apart they are all kept; only otherwise does the greedy pass
+    run, over the distinct directions.
     """
     if directions.shape[0] < 2:
         return directions.copy(), radii.copy()
+    fold = np.maximum if side is Side.INNER else np.minimum
     order = np.lexsort(directions.T[::-1])  # stable: repeats stay in sample order
     ordered = directions[order]
-    starts = np.ones(order.shape[0], dtype=bool)
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    starts = np.flatnonzero(np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1))))
     first = order[starts]  # first sample of each distinct direction
-    rank = np.argsort(np.argsort(first))  # distinct directions by first appearance
-    group = np.empty_like(order)
-    group[order] = rank[np.cumsum(starts) - 1]
-    distinct = directions[np.sort(first)]
-    axis = np.sqrt(np.arange(1.0, distinct.shape[1] + 1.0))
-    spread = np.diff(np.sort(distinct @ (axis / np.linalg.norm(axis))))
-    if not np.all(spread > 2.0 * DIRECTION_DEDUP_TOL):
-        kept: list[int] = []
-        leader = np.empty(distinct.shape[0], dtype=int)
-        for i, l in enumerate(distinct):
-            for j, lead in enumerate(kept):
-                if np.linalg.norm(l - distinct[lead]) <= DIRECTION_DEDUP_TOL:
-                    leader[i] = j
-                    break
-            else:
-                leader[i] = len(kept)
-                kept.append(i)
-        distinct, group = distinct[kept], leader[group]
-    if side is Side.INNER:
-        kept_radii = np.full(distinct.shape[0], -np.inf)
-        np.maximum.at(kept_radii, group, radii)
-    else:
-        kept_radii = np.full(distinct.shape[0], np.inf)
-        np.minimum.at(kept_radii, group, radii)
-    return distinct, kept_radii
+    by_first = np.argsort(first)  # distinct directions by first appearance
+    distinct = directions[first[by_first]]
+    distinct_radii = fold.reduceat(radii[order], starts)[by_first]
+    if distinct.shape[0] < 2:
+        return distinct, distinct_radii
+    spread = np.diff(np.sort(distinct @ _generic_axis(distinct.shape[1])))
+    if (spread > 2.0 * DIRECTION_DEDUP_TOL).all():
+        return distinct, distinct_radii
+    kept: list[int] = []
+    leader = np.empty(distinct.shape[0], dtype=int)
+    for i, l in enumerate(distinct):
+        for j, lead in enumerate(kept):
+            if np.linalg.norm(l - distinct[lead]) <= DIRECTION_DEDUP_TOL:
+                leader[i] = j
+                break
+        else:
+            leader[i] = len(kept)
+            kept.append(i)
+    kept_radii = np.full(len(kept), -np.inf if side is Side.INNER else np.inf)
+    fold.at(kept_radii, leader, distinct_radii)
+    return distinct[kept], kept_radii
 
 
 @dataclass(frozen=True)
@@ -175,21 +182,14 @@ class StarSetApprox:
             raise ValueError("directions and radii disagree in length")
         if directions.shape[1] != center.shape[0]:
             raise ValueError("direction dimension does not match center")
-        if not (math.isfinite(self.lipschitz) and self.lipschitz >= 0):
-            raise ValueError(f"Lipschitz constant must be finite and non-negative, "
-                             f"got {self.lipschitz}")
+        _check_lipschitz(self.lipschitz)
         norms = np.linalg.norm(directions, axis=1)
         if directions.shape[0] and np.max(np.abs(norms - 1.0)) > DIRECTION_UNIT_TOL:
             raise ValueError("witness directions must have unit norm")
         if not np.all((radii >= 0) & (radii < np.inf)):
             raise ValueError("radii must be finite and non-negative")
-        directions, radii = _dedup_samples(directions, radii, self.side)
-        for arr in (center, directions, radii):
-            arr.setflags(write=False)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "directions", directions)
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "lipschitz", float(self.lipschitz))
+        _set_fields(self, center, self.lipschitz,
+                    *_dedup_samples(directions, radii, self.side), self.side)
 
     @property
     def dim(self) -> int:
@@ -219,38 +219,83 @@ class StarSetApprox:
 
         Each point ``u`` contributes the pair ``((u - center)/|u - center|,
         |u - center|)``.  Points coinciding with the center carry no
-        directional information and are dropped.
+        directional information and are dropped.  The witnesses are unit
+        by construction, so only what a point can break is checked.
         """
         center = np.atleast_1d(np.asarray(center, dtype=float))
+        _check_lipschitz(lipschitz)
         dirs, radii = _witnesses(points, center)
-        return cls(center, lipschitz, dirs, radii, side)
+        return _set_fields(object.__new__(cls), center, lipschitz,
+                           *_dedup_samples(dirs, radii, side), side)
 
     def with_witness(self, point) -> "StarSetApprox":
-        """This approximation with the witness of one more point appended.
+        """This approximation with the witness of one more point folded in.
 
         Equals :meth:`from_points` over the earlier witness points and
-        ``point`` together, since the kept directions are already pairwise
-        apart.
+        ``point`` together, at the cost of one direction: the new direction
+        folds into the first kept direction within ``DIRECTION_DEDUP_TOL``
+        by the test :func:`_dedup_samples` applies (an exact repeat is
+        within it), and is appended otherwise.  Returns ``self`` when the
+        point changes nothing: it is the center, or its radius does not
+        improve the one it folds into.
         """
         dirs, radii = _witnesses(np.reshape(point, (1, -1)), self.center)
-        return StarSetApprox(
-            self.center,
-            self.lipschitz,
-            np.vstack([self.directions, dirs]),
-            np.concatenate([self.radii, radii]),
-            self.side,
-        )
+        if not radii.shape[0]:
+            return self
+        l, r = dirs[0], radii[0]
+        # a row's largest component gap never exceeds its computed norm, so
+        # the rows it rules out fail the norm test too
+        gaps = np.abs(self.directions - l).max(axis=1)
+        for j in np.flatnonzero(gaps <= DIRECTION_DEDUP_TOL).tolist():
+            if gaps[j] == 0.0 or np.linalg.norm(l - self.directions[j]) <= DIRECTION_DEDUP_TOL:
+                kept = self.radii[j]
+                if (r > kept) if self.side is Side.INNER else (r < kept):
+                    radii = self.radii.copy()
+                    radii[j] = r
+                    return _set_fields(object.__new__(StarSetApprox), self.center,
+                                       self.lipschitz, self.directions, radii, self.side)
+                return self
+        return _set_fields(object.__new__(StarSetApprox), self.center, self.lipschitz,
+                           np.concatenate([self.directions, dirs]),
+                           np.concatenate([self.radii, radii]), self.side)
+
+
+def _check_lipschitz(lipschitz) -> None:
+    if not (math.isfinite(lipschitz) and lipschitz >= 0):
+        raise ValueError(f"Lipschitz constant must be finite and non-negative, "
+                         f"got {lipschitz}")
+
+
+def _set_fields(star: StarSetApprox, center, lipschitz, directions, radii, side: Side):
+    """Store checked, de-duplicated witnesses in ``star``, read-only; return it."""
+    for arr in (center, directions, radii):
+        arr.setflags(write=False)
+    object.__setattr__(star, "center", center)
+    object.__setattr__(star, "lipschitz", float(lipschitz))
+    object.__setattr__(star, "directions", directions)
+    object.__setattr__(star, "radii", radii)
+    object.__setattr__(star, "side", side)
+    return star
 
 
 def _witnesses(points, center: np.ndarray):
     """Unit directions and radii of ``points`` about ``center``.
 
-    Points coinciding with the center carry no direction and are dropped.
+    Points coinciding with the center carry no direction and are dropped;
+    an offset beyond float range is a ``ValueError``.
     """
-    offsets = as_point_set(points) - center
-    norms = np.linalg.norm(offsets, axis=1)
-    mask = norms > 1e-15
-    return offsets[mask] / norms[mask, None], norms[mask]
+    offsets = as_point_set(points)
+    if offsets.shape[1] != center.shape[0]:
+        raise ValueError("direction dimension does not match center")
+    offsets = offsets - center
+    norms = np.sqrt(np.add.reduce(offsets * offsets, axis=1))  # np.linalg.norm's arithmetic
+    if np.isinf(norms).any():
+        raise ValueError("radii must be finite and non-negative")
+    keep = norms > 1e-15
+    if not keep.all():
+        offsets, norms = offsets[keep], norms[keep]
+    offsets /= norms[:, None]
+    return offsets, norms
 
 
 _FLOAT_ONLY = frozenset((float,))

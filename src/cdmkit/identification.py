@@ -114,11 +114,10 @@ def _select_basis(inputs: np.ndarray, m: int, known: Sequence = ()):
     for j in range(m):
         reuse = j < len(known) and chosen == [int(np.argmax(r)) for r in known[:j]]
         start = known[j].shape[0] if reuse else 0
-        stacked = np.concatenate([
-            np.broadcast_to(inputs[chosen], (k - start, j, m)),
-            inputs[start:, None, :],
-        ], axis=1)
-        scores = np.linalg.svd(stacked, compute_uv=False)[:, -1]
+        stacked = np.empty((k - start, j + 1), dtype=np.intp)  # row indices
+        stacked[:, :j] = chosen
+        stacked[:, j] = np.arange(start, k)
+        scores = np.linalg.svd(inputs[stacked], compute_uv=False)[:, -1]
         if reuse:
             scores = np.concatenate([known[j], scores])
         scores[chosen] = -np.inf
@@ -154,22 +153,24 @@ def _slink_insert(pi: list, lam: list, dist: list) -> None:
 
 
 def _partition(pi, lam, delta: float, n_modes: int, force_merge: bool,
-               points: np.ndarray) -> list[list[int]]:
+               points: np.ndarray) -> list[np.ndarray]:
     """Flat single-linkage clusters of a pointer representation.
 
     Object i joins ``pi[i]`` when ``lam[i]`` is at or below the cut, which
-    merges strictly below ``delta``.  With more than ``n_modes`` clusters,
-    ``force_merge`` raises the cut to the merge height that leaves
-    ``n_modes`` (logging each forced merge); otherwise it raises, naming
-    the closest two objects in different clusters.  Clusters come in order
-    of their first member, members in index order.
+    merges strictly below ``delta``; the objects above it end their
+    clusters.  With more than ``n_modes`` clusters, ``force_merge`` raises
+    the cut to the merge height that leaves ``n_modes`` (logging each
+    forced merge); otherwise it raises, naming the closest two objects in
+    different clusters.  Clusters come in order of their first member, each
+    an index array in increasing order.
     """
-    lam = np.asarray(lam, dtype=float)
-    k = lam.shape[0]
-    heights = np.sort(lam[np.isfinite(lam)])
-    cut = np.nextafter(delta, 0.0)  # merge strictly below delta
-    n_clusters = k - int(np.sum(heights <= cut))
+    lam = np.array(lam)
+    cut = math.nextafter(delta, 0.0)  # merge strictly below delta
+    last = np.flatnonzero(lam > cut)  # the last object of each cluster
+    n_clusters = last.shape[0]
     if n_clusters > n_modes:
+        k = lam.shape[0]
+        heights = np.sort(lam[np.isfinite(lam)])
         if not force_merge:
             root = _roots(pi, lam, cut)
             gaps = pairwise_distances(points, points)
@@ -190,18 +191,19 @@ def _partition(pi, lam, delta: float, n_modes: int, force_merge: bool,
                 extra={"event": "forced_merge", "height": float(height), "delta": delta},
             )
         cut = forced_cut
-    _, first, label = np.unique(_roots(pi, lam, cut), return_index=True, return_inverse=True)
-    return [np.flatnonzero(label == c).tolist() for c in np.argsort(first)]
+        last = np.flatnonzero(lam > cut)
+    root = _roots(pi, lam, cut)
+    return sorted((np.flatnonzero(root == r) for r in last.tolist()),
+                  key=lambda members: members[0])
 
 
 def _roots(pi, lam: np.ndarray, cut: float) -> np.ndarray:
     """Each object's cluster at ``cut``, named by the cluster's last object."""
     # pi[i] > i: pointer jumping settles every object on its cluster's last one
-    k = lam.shape[0]
-    root = np.where(lam <= cut, np.asarray(pi), np.arange(k))
+    root = np.where(lam <= cut, np.array(pi), np.arange(lam.shape[0]))
     while True:
         hop = root[root]
-        if np.array_equal(hop, root):
+        if (hop == root).all():
             return root
         root = hop
 
@@ -267,15 +269,15 @@ def fit_affine(cluster: Cluster) -> AffineMap:
     m = cluster.pairs.shape[1] // 2
     inputs, effectives = cluster.pairs[:, :m], cluster.pairs[:, m:]
     basis = list(cluster.basis_indices)
-    others = [i for i in range(len(inputs)) if i not in basis]
-    if not others:
+    if len(inputs) == len(basis):
         raise IdentificationError(
             "cluster has no pair beyond the basis to anchor the translation",
             detail="anchor",
         )
     # anchor on the most distant extra pair to condition the difference fit
-    gaps = pairwise_distances(inputs[others], inputs[basis]).min(axis=1)
-    anchor = others[int(np.argmax(gaps))]
+    gaps = pairwise_distances(inputs[basis], inputs).min(axis=0)
+    gaps[basis] = -np.inf
+    anchor = int(np.argmax(gaps))
     u_a, v_a = inputs[anchor], effectives[anchor]
     U_diff = inputs[basis] - u_a  # one row per basis pair
     V_diff = effectives[basis] - v_a
@@ -365,6 +367,23 @@ class ModeReconstruction:
         inverse.setflags(write=False)
         return inverse
 
+    @cached_property
+    def _command_limit(self) -> float:
+        """Commands within this bound in every component invert without overflow.
+
+        ``|inverse @ (cmd - translation)|`` is at most the inverse's largest
+        absolute row sum times ``max|cmd| + max|translation|``; the bound
+        keeps both that and ``max|cmd| + max|translation|`` below 1e300, far
+        enough from the float range to absorb rounding.  -inf when the mode
+        is not invertible or its inverse is not finite.
+        """
+        if self.inverse is None:
+            return -math.inf
+        gain = float(np.abs(self.inverse).sum(axis=1).max())
+        if not gain < math.inf:
+            return -math.inf
+        return 1e300 / max(gain, 1.0) - float(np.abs(self.map.translation).max())
+
     def containment(self, coords: list) -> Containment:
         """``star_contains`` of the point ``coords`` (a list of floats).
 
@@ -408,7 +427,8 @@ def split_pairs(points: np.ndarray, identity_tol: float):
 
 def fit_residuals(affine: AffineMap, pairs: np.ndarray) -> np.ndarray:
     """Residuals ``|affine(u) - v|`` of a pair table, row by row: a slice scores like the whole."""
-    gaps = (affine.translation + affine.linear @ u - v for u, v in zip(*np.hsplit(pairs, 2)))
+    m = pairs.shape[1] // 2
+    gaps = (affine.translation + affine.linear @ u - v for u, v in zip(pairs[:, :m], pairs[:, m:]))
     return np.array([math.sqrt(g.dot(g)) for g in gaps])  # np.linalg.norm's arithmetic
 
 
@@ -507,11 +527,11 @@ class Reconstructor:
     equal to ``build_reconstruction_from_pairs`` on them, at the cost of the
     new pair rather than of a rebuild.  Single linkage is kept in Sibson's
     pointer representation, updated in O(n) per affected pair.  An
-    unaffected pair appends one outer witness to every mode and reuses
-    everything else; an affected pair rebuilds only the clusters whose
-    membership changed.  When a snapshot cannot be built (too many clusters
-    without ``force_merge``), ``add`` raises and keeps the pair; the next
-    ``add`` covers it.
+    unaffected pair folds one outer witness into every mode and keeps each
+    mode whose outer approximation that leaves unchanged; an affected pair
+    rebuilds only the clusters whose membership changed.  When a snapshot
+    cannot be built (too many clusters without ``force_merge``), ``add``
+    raises and keeps the pair; the next ``add`` covers it.
     """
 
     def __init__(self, config: IdentificationConfig):
@@ -541,10 +561,10 @@ class Reconstructor:
         if _is_unaffected(point, self.config.identity_tol):
             self._unaffected = _append_row(self._unaffected, self._n_unaffected, point)
             self._n_unaffected += 1
-            self._clusters = {
-                key: (replace(mode, outer=mode.outer.with_witness(pair.input)), rounds)
-                for key, (mode, rounds) in self._clusters.items()
-            }
+            for key, (mode, rounds) in self._clusters.items():
+                outer = mode.outer.with_witness(pair.input)
+                if outer is not mode.outer:
+                    self._clusters[key] = (replace(mode, outer=outer), rounds)
             if self._stale:
                 self._repartition()
         else:
@@ -572,7 +592,7 @@ class Reconstructor:
         unaffected_inputs = self._unaffected[:self._n_unaffected, :self._dim]
         clusters = {}
         for members in groups:
-            key = tuple(members)
+            key = tuple(members.tolist())
             if key not in self._clusters:
                 # a cluster that only gained the newest pair keeps what still holds
                 known_mode, known_rounds = self._clusters.get(key[:-1], (None, ()))
@@ -730,16 +750,23 @@ def viabilize(recon: CdmReconstruction, u_cmd) -> np.ndarray:
     # query's PASSTHROUGH: INSIDE_INNER already implies not OUTSIDE_OUTER
     if all(mode.containment(coords) is Containment.OUTSIDE_OUTER for mode in recon.modes):
         return cmd.copy()
+    size = max(map(abs, coords))
     for i, mode in enumerate(recon.modes):
-        if not mode.identified:
+        inverse = mode.inverse  # None for an unidentified mode too
+        if inverse is None:
+            if mode.identified:
+                log.info("mode %d skipped during viabilization: linear part is singular", i)
             continue
-        if mode.inverse is None:
-            log.info("mode %d skipped during viabilization: linear part is singular", i)
-            continue
-        candidate = mode.inverse @ (cmd - mode.map.translation)
-        coords = candidate.tolist()
-        if (all(map(math.isfinite, coords))
-                and mode.containment(coords) is Containment.INSIDE_INNER):
+        if size <= mode._command_limit:  # the candidate is finite
+            candidate = inverse @ (cmd - mode.map.translation)
+            coords = candidate.tolist()
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                candidate = inverse @ (cmd - mode.map.translation)
+            coords = candidate.tolist()
+            if not all(map(math.isfinite, coords)):  # overflowed
+                continue
+        if mode.containment(coords) is Containment.INSIDE_INNER:
             return candidate
     raise UnviableInputError(
         "commanded input is outside the reconstructed viable range", u_cmd=cmd

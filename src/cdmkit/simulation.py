@@ -322,6 +322,22 @@ def _affine_steps(R: np.ndarray, forcing: np.ndarray, x: np.ndarray) -> np.ndarr
     return x
 
 
+def _step_matrix(dt: float, powers: tuple, out: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """``R = I + dt A + dt^2/2 A^2 + dt^3/6 A^3 + dt^4/24 A^4`` into ``out``.
+
+    ``powers`` is ``(I, A, A^2, A^3, A^4)``.  The terms go through the
+    ``term`` buffer and are summed left to right, so nothing is allocated
+    and the floats are those of the expression.
+    """
+    eye, A, A2, A3, A4 = powers
+    np.multiply(dt, A, out=out)
+    np.add(eye, out, out=out)
+    for weight, power in ((dt**2 / 2.0, A2), (dt**3 / 6.0, A3), (dt**4 / 24.0, A4)):
+        np.multiply(weight, power, out=term)
+        out += term
+    return out
+
+
 def _linear_rk4_advance(model: SystemModel):
     """Linear path: the exact step map of RK4 on ``x' = A x + B e(t)``.
 
@@ -330,15 +346,16 @@ def _linear_rk4_advance(model: SystemModel):
     ``P0 = dt/6 (I + H + H^2/2 + H^3/4) B``, ``Ph = dt/6 (4I + 2H + H^2/2) B``
     and ``P1 = dt/6 B``.  The powers of ``A`` are formed once per model
     (``SystemModel._rk4_powers``); per sampling interval ``R`` and the ``P``
-    are scalar-weighted sums of them, so no matrix product runs inside the
-    step loop.
+    are scalar-weighted sums of them, ``R`` in two buffers of this advance,
+    so no matrix product runs inside the step loop.
     """
     A, B = model.a_matrix, model.b_matrix
-    eye = np.eye(A.shape[0])
     A2, A3, A4, AB, A2B, A3B = model._rk4_powers
+    powers = (np.eye(A.shape[0]), A, A2, A3, A4)
+    R, term = np.empty_like(A), np.empty_like(A)
 
     def advance(x, dt, E):
-        R = eye + dt * A + dt**2 / 2.0 * A2 + dt**3 / 6.0 * A3 + dt**4 / 24.0 * A4
+        _step_matrix(dt, powers, R, term)
         P0 = dt / 6.0 * (B + dt * AB + dt**2 / 2.0 * A2B + dt**3 / 4.0 * A3B)
         Ph = dt / 6.0 * (4.0 * B + 2.0 * dt * AB + dt**2 / 2.0 * A2B)
         P1 = dt / 6.0 * B

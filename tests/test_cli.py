@@ -92,6 +92,22 @@ class TestRun:
         assert main(["run", str(cfg)]) == EXIT_IDENTIFICATION
         assert capsys.readouterr().err.startswith("identification-failure:")
 
+    def test_rank_deficient_observation_is_identification_failure(self, tmp_path, capsys):
+        # the depth column of g(x) is the boundary temperature, 0 at the first
+        # sample, so its effective input cannot be recovered
+        cfg = tmp_path / "cold.cfg"
+        cfg.write_text(SMALL_HEAT_CONFIG
+                       .replace("grid_points = 51", "grid_points = 21\nnonlinear_depth = true\n"
+                                "initial_temperature = 0.0")
+                       .replace("source_width = 0.05", "source_width = 0.1")
+                       .replace("horizon = 4.0", "horizon = 2.0"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output", str(out)]) == EXIT_IDENTIFICATION
+        err = capsys.readouterr().err
+        assert err.startswith("identification-failure: observation 0 at t = 0.0025")
+        assert "rank 1 < 2" in err and err.count("\n") == 1
+        assert not out.exists()  # the run stops before writing any artifact
+
     def test_repeat_runs_byte_identical(self, small_run, tmp_path):
         cfg_path, out = small_run
         again = tmp_path / "again"

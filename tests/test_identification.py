@@ -529,7 +529,7 @@ def test_far_commands_pass_through_the_bundled_reconstruction(heat_run, u):
         lipschitz_error_bound(recon, u, 3.0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_far_command_without_outer_witnesses_is_unviable():
     # no unaffected pairs: nothing is certified outside, so each mode is
     # inverted; a candidate beyond float range is skipped, not classified
@@ -539,6 +539,18 @@ def test_far_command_without_outer_witnesses_is_unviable():
         with pytest.raises(UnviableInputError):
             viabilize(recon, u)
         assert query(recon, u).kind == QueryKind.INCONCLUSIVE
+
+
+@pytest.mark.filterwarnings("error")
+def test_command_whose_offset_overflows_is_unviable_without_warning():
+    # a small inverse, but cmd - translation leaves the float range first
+    mode = manual_scalar_mode(0.0, 0.25, 1e10, -1e308)
+    recon = manual_recon([mode])
+    with pytest.raises(UnviableInputError):
+        viabilize(recon, [1.7e308])
+    # a command past the overflow-free bound that still inverts into the mode
+    shifted = manual_recon([manual_scalar_mode(0.0, 0.25, 1.0, 1e300)])
+    assert viabilize(shifted, [1e300]).tolist() == [0.0]
 
 
 class TestLipschitzErrorBound:

@@ -9,6 +9,7 @@ direction de-duplication) are checked against the loops they replace.
 
 import contextlib
 import logging
+from collections import Counter
 import warnings
 
 import numpy as np
@@ -200,6 +201,21 @@ def test_strict_stream_raises_at_the_batch_step():
         next(stream)
 
 
+def test_rank_failure_stops_the_stream_at_its_observation():
+    # g(x) = [[x]] loses rank at x = 0: the third observation
+    model = ck.SystemModel(dim_state=1, dim_input=1, drift=lambda x: 0.0 * x,
+                           input_map=lambda x: np.array([[x[0]]]))
+    samples = [ck.ControlSample(time=0.05 * i, state=np.array([x]), velocity=np.array([x]),
+                                input=np.array([1.0])) for i, x in enumerate((2.0, 1.0, 0.0))]
+    stream = ck.stream_reconstructions(samples, model, IdentificationConfig(delta=0.1, n_modes=1))
+    for _ in range(2):
+        next(stream)
+    with pytest.raises(IdentificationError, match=r"observation 2 at t = 0\.1: input matrix "
+                                                  r"rank 0 < 1") as err:
+        next(stream)
+    assert err.value.detail == 2 and isinstance(err.value.__cause__, ck.PreconditionError)
+
+
 def test_strict_stream_names_the_batch_pair():
     # the offending pair lies across clusters, in the stream as in the batch
     pairs = [EffectivePair([u], [u + 10.0]) for u in (0.0, 0.3, 0.6, 5.0)]
@@ -217,30 +233,59 @@ def test_strict_stream_names_the_batch_pair():
 # Structural incrementality
 
 
-def test_adds_rebuild_only_what_changed(heat_run):
+def test_adds_rebuild_only_what_changed(heat_run, monkeypatch):
+    """Mode objects and star builds per step of the bundled stream.
+
+    An unaffected step folds one outer witness into each mode and builds no
+    star; a mode whose outer side did not change is the same object, and
+    every other keeps its map, inner side, pairs and residuals.  An affected
+    step keeps each mode whose members did not change and builds the inner
+    and the outer star of each rebuilt cluster (only the inner one before
+    the first unaffected pair).
+    """
     config, _, _ = heat_run
+    calls = Counter()
+    from_points, with_witness = StarSetApprox.from_points.__func__, StarSetApprox.with_witness
+
+    def counted_from_points(cls, *args):
+        calls["from_points"] += 1
+        return from_points(cls, *args)
+
+    def counted_with_witness(self, point):
+        calls["with_witness"] += 1
+        return with_witness(self, point)
+
+    monkeypatch.setattr(StarSetApprox, "from_points", classmethod(counted_from_points))
+    monkeypatch.setattr(StarSetApprox, "with_witness", counted_with_witness)
     rec = Reconstructor(config.identification)
-    previous = None
-    unaffected_steps = affected_reused = 0
+    modes, n_unaffected = (), 0
+    unaffected_steps = kept = affected_reused = rebuilt_steps = 0
     for pair in heat_pairs(heat_run):
+        calls.clear()
         snapshot = rec.add(pair)
-        if previous is not None:
-            if len(snapshot.unaffected) > len(previous.unaffected):
-                unaffected_steps += 1
-                assert len(snapshot.modes) == len(previous.modes)
-                for new, old in zip(snapshot.modes, previous.modes):
-                    assert new.map is old.map and new.inner is old.inner
-                    assert new.pairs is old.pairs and new.residuals is old.residuals
-                    assert new.outer.n_samples >= old.outer.n_samples
-            else:
-                for new in snapshot.modes:
-                    same = [old for old in previous.modes
-                            if np.array_equal(old.pairs, new.pairs)]
-                    if same:
-                        assert new is same[0]  # membership unchanged: not rebuilt
-                        affected_reused += 1
-        previous = snapshot
-    assert unaffected_steps > 0 and affected_reused > 0
+        if len(snapshot.unaffected) > n_unaffected:
+            unaffected_steps += 1
+            assert calls == Counter(with_witness=len(modes))
+            assert len(snapshot.modes) == len(modes)
+            for new, old in zip(snapshot.modes, modes):
+                assert (new is old) == (new.outer is old.outer)
+                assert new.map is old.map and new.inner is old.inner
+                assert new.pairs is old.pairs and new.residuals is old.residuals
+                assert new.outer.n_samples >= old.outer.n_samples
+                kept += new is old
+        else:
+            rebuilt = []
+            for new in snapshot.modes:
+                same = [old for old in modes if np.array_equal(old.pairs, new.pairs)]
+                if same:
+                    assert new is same[0]  # membership unchanged: not rebuilt
+                    affected_reused += 1
+                else:
+                    rebuilt.append(new)
+            assert calls == Counter(from_points=(2 if n_unaffected else 1) * len(rebuilt))
+            rebuilt_steps += bool(rebuilt)
+        modes, n_unaffected = snapshot.modes, len(snapshot.unaffected)
+    assert min(unaffected_steps, kept, affected_reused, rebuilt_steps) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +435,68 @@ def test_dedup_matches_greedy_loop(seed, d, k, side, pattern):
     np.testing.assert_array_equal(got_radii, want_radii)
 
 
-def test_with_witness_equals_rebuild():
-    rng = np.random.default_rng(3)
-    pts = rng.normal(size=(25, 2))
-    pts[10:15] = pts[0]  # repeats fold into one direction
-    center = np.array([0.1, -0.2])
-    grown = StarSetApprox.from_points(pts[:1], center, 1.0, Side.OUTER)
-    for p in pts[1:]:
-        grown = grown.with_witness(p)
-    whole = StarSetApprox.from_points(pts, center, 1.0, Side.OUTER)
-    np.testing.assert_array_equal(grown.directions, whole.directions)
-    np.testing.assert_array_equal(grown.radii, whole.radii)
+def star_bits(star):
+    """A star's witnesses as exact text: shape, then every float by ``float.hex``."""
+    return (star.directions.shape, [x.hex() for x in star.directions.ravel().tolist()],
+            [x.hex() for x in star.radii.tolist()])
+
+
+WITNESS_KINDS = ("fresh", "repeat", "ray", "gap", "center")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from(list(Side)),
+       st.lists(st.sampled_from(WITNESS_KINDS), min_size=1, max_size=25),
+       st.sampled_from([1e-10, 2e-10]))
+def test_with_witness_equals_rebuild(seed, d, side, kinds, gap):
+    """Folding points one at a time gives ``from_points`` over all of them, bit for bit.
+
+    Points repeat earlier ones exactly, lie on an earlier ray, sit a
+    direction gap of about ``gap`` from an earlier direction (where the
+    de-duplication tolerance decides), or are the center itself.
+    """
+    rng = np.random.default_rng(seed)
+    center = rng.normal(size=d)
+    points = []
+    for kind in kinds:
+        if not points or kind == "fresh":
+            p = center + rng.normal(size=d) * rng.choice([1e-3, 1.0, 1e3])
+        elif kind == "repeat":
+            p = points[rng.integers(len(points))]
+        elif kind == "ray":
+            p = center + rng.uniform(0.1, 3.0) * (points[rng.integers(len(points))] - center)
+        elif kind == "gap":
+            offset = points[rng.integers(len(points))] - center
+            if d == 1 or not offset.any():
+                p = center - offset
+            else:
+                l = offset / np.linalg.norm(offset)
+                e = rng.normal(size=d)
+                e -= (e @ l) * l
+                p = center + rng.uniform(0.5, 2.0) * (l + gap * e / np.linalg.norm(e))
+        else:
+            p = center.copy()
+        points.append(p)
+    star = StarSetApprox.from_points(points[:1], center, 1.0, side)
+    for k in range(2, len(points) + 1):
+        grown = star.with_witness(points[k - 1])
+        whole = StarSetApprox.from_points(points[:k], center, 1.0, side)
+        assert star_bits(grown) == star_bits(whole)
+        # self exactly when the point changed nothing
+        assert (grown is star) == (star_bits(star) == star_bits(whole))
+        # the kept witnesses are what the checked constructor keeps
+        rebuilt = StarSetApprox(grown.center, 1.0, grown.directions, grown.radii, side)
+        assert star_bits(rebuilt) == star_bits(grown)
+        star = grown
+
+
+def test_with_witness_folds_at_exactly_the_tolerance():
+    # (1, tol) has norm 1.0, so its gap to the kept (1, 0) is exactly tol
+    for side in Side:
+        star = StarSetApprox.from_points([[2.0, 0.0]], np.zeros(2), 1.0, side)
+        for y, kept in ((DIRECTION_DEDUP_TOL, 1), (np.nextafter(DIRECTION_DEDUP_TOL, 1.0), 2)):
+            grown = star.with_witness([1.0, y])
+            whole = StarSetApprox.from_points([[2.0, 0.0], [1.0, y]], np.zeros(2), 1.0, side)
+            assert grown.n_samples == kept and star_bits(grown) == star_bits(whole)
+            # folded, the inner side keeps its larger radius; the outer side takes 1.0
+            assert (grown is star) == (kept == 1 and side is Side.INNER)

@@ -21,6 +21,7 @@ from cdmkit.simulation import (
     integrate,
     linear_system,
     _affine_steps,
+    _step_matrix,
     probe_signal,
 )
 
@@ -358,6 +359,24 @@ class TestLinearPropagator:
             reference = R @ reference + f
         np.testing.assert_array_equal(_affine_steps(R, forcing, x).view(np.uint64),
                                       reference.view(np.uint64))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_buffered_step_matrix_matches_expression(self, seed):
+        # the bundled heat model's A and a random one, over sub-step lengths
+        # from far below to above the 1 ms cap, and the last buffers reused
+        A = HeatSystem().model().a_matrix if seed == 0 else \
+            np.random.default_rng(seed).normal(size=(102, 102))
+        A2 = A @ A
+        A3 = A2 @ A
+        powers = (np.eye(A.shape[0]), A, A2, A3, A3 @ A)
+        out, term = np.empty_like(A), np.empty_like(A)
+        rng = np.random.default_rng(seed)
+        for dt in [*np.geomspace(1e-9, 2e-3, 40), *rng.uniform(0.0, 1e-3, 40), 0.0]:
+            dt = float(dt)
+            want = (np.eye(A.shape[0]) + dt * A + dt**2 / 2.0 * A2 + dt**3 / 6.0 * A3
+                    + dt**4 / 24.0 * powers[4])
+            assert _step_matrix(dt, powers, out, term) is out
+            np.testing.assert_array_equal(out.view(np.uint64), want.view(np.uint64))
 
     def test_vanishing_interval_takes_no_step(self):
         # a sample 1e-300 s after the start is below any step: no step, no warning
