@@ -13,8 +13,7 @@ import numpy as np
 from cdmkit.geometry import (
     Side,
     StarSetApprox,
-    covering_radius,
-    interval_region,
+    interval_hausdorff,
     mgf_inner_bound,
     mgf_outer_bound,
 )
@@ -54,10 +53,10 @@ def main():
         assert lo <= true_value <= hi
         print(f"{count:>9} | {lo:>11.4f} | {hi:>11.4f}")
 
+    points = [0.0, 0.5, 1.0]
     print("\ncovering radius of {0, 0.5, 1} over [0, 1]:")
-    est = covering_radius([0.0, 0.5, 1.0], interval_region(0.0, 1.0),
-                          probe_count=10_000, seed=1)
-    print(f"  estimated {est:.4f} (the farthest points, 0.25 and 0.75, "
+    exact = interval_hausdorff(0.0, 1.0, min(points), max(points), max(np.diff(points)))
+    print(f"  exactly {exact:.4f} (the farthest points, 0.25 and 0.75, "
           "sit 0.25 from the nearest sample)")
 
 

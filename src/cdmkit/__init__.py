@@ -42,10 +42,9 @@ from .geometry import (
     Containment,
     Side,
     StarSetApprox,
-    covering_radius,
     estimate_mgf_lipschitz,
     hausdorff_distance,
-    interval_region,
+    interval_hausdorff,
     mgf_inner_bound,
     mgf_outer_bound,
     set_distance,

@@ -10,12 +10,11 @@ response.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-
-from .geometry import pairwise_distances
 
 
 @dataclass(frozen=True)
@@ -82,6 +81,10 @@ class IntervalRegion(_Region):
     closed_lo: bool = True
     closed_hi: bool = True
 
+    def __post_init__(self):
+        if not (self.lo < self.hi or self.lo == self.hi and self.closed_lo and self.closed_hi):
+            raise ValueError(f"interval region [{self.lo}, {self.hi}] is empty")
+
     def contains_rows(self, U: np.ndarray) -> np.ndarray:
         c = U[:, self.axis]
         above = c >= self.lo if self.closed_lo else c > self.lo
@@ -125,31 +128,44 @@ class BallRegion(_Region):
         return np.linalg.norm(U - self.center, axis=1) <= self.radius
 
 
-def _intervals_overlap(lo1, hi1, c1lo, c1hi, lo2, hi2, c2lo, c2hi) -> bool:
-    lo, hi = max(lo1, lo2), min(hi1, hi2)
-    if lo < hi:
-        return True
-    if lo > hi:
-        return False
-    # single shared point: present only if closed on the meeting sides
-    p_in_1 = (c1lo if lo1 == lo else True) and (c1hi if hi1 == hi else True)
-    p_in_2 = (c2lo if lo2 == lo else True) and (c2hi if hi2 == hi else True)
-    return p_in_1 and p_in_2
+def _ball_meets(ball: BallRegion, lo, hi, closed_lo, closed_hi) -> bool:
+    """Whether ``ball`` meets the box ``[lo, hi]`` (ends closed as given), by its clipped center.
+
+    Strictly inside the ball, a neighbourhood of it is too and meets the box's interior.
+    """
+    nearest = np.clip(ball.center, lo, hi)
+    gap = float(np.linalg.norm(nearest - ball.center))
+    held = np.all(((nearest > lo) | closed_lo) & ((nearest < hi) | closed_hi))
+    return bool(gap < ball.radius and np.all(lo < hi) or gap <= ball.radius and held)
 
 
-def regions_overlap(a, b) -> Optional[bool]:
-    """Exact overlap test where region geometry allows one, else None."""
-    if isinstance(a, IntervalRegion) and isinstance(b, IntervalRegion):
-        if a.axis != b.axis:
-            return True  # distinct-axis slabs always cross
-        return _intervals_overlap(
-            a.lo, a.hi, a.closed_lo, a.closed_hi, b.lo, b.hi, b.closed_lo, b.closed_hi
-        )
-    if isinstance(a, BallRegion) and isinstance(b, BallRegion):
+def _bounds(region, dim: int):
+    """``(lo, hi, closed_lo, closed_hi)`` of the region's bounding box; an interval is a slab."""
+    if isinstance(region, IntervalRegion):
+        on = np.arange(dim) == region.axis
+        return (np.where(on, region.lo, -np.inf), np.where(on, region.hi, np.inf),
+                ~on | region.closed_lo, ~on | region.closed_hi)
+    closed = np.ones(dim, dtype=bool)
+    if isinstance(region, BallRegion):
+        return region.center - region.radius, region.center + region.radius, closed, closed
+    return region.lo, region.hi, closed, closed
+
+
+def regions_overlap(a, b) -> bool:
+    """Whether two regions share a point, decided exactly for every pair of kinds."""
+    if isinstance(b, BallRegion):
+        a, b = b, a
+    if isinstance(b, BallRegion):
         return bool(np.linalg.norm(a.center - b.center) <= a.radius + b.radius)
-    if isinstance(a, BoxRegion) and isinstance(b, BoxRegion):
-        return bool(np.all(np.maximum(a.lo, b.lo) <= np.minimum(a.hi, b.hi)))
-    return None
+    if isinstance(a, BallRegion):
+        return _ball_meets(a, *_bounds(b, a.center.shape[0]))
+    dim = max(r.lo.shape[0] if isinstance(r, BoxRegion) else r.axis + 1 for r in (a, b))
+    (lo1, hi1, clo1, chi1), (lo2, hi2, clo2, chi2) = _bounds(a, dim), _bounds(b, dim)
+    lo, hi = np.maximum(lo1, lo2), np.minimum(hi1, hi2)
+    # an end of the common interval is closed when each box holding it there is
+    closed_lo = (clo1 | (lo1 < lo)) & (clo2 | (lo2 < lo))
+    closed_hi = (chi1 | (hi1 > hi)) & (chi2 | (hi2 > hi))
+    return bool(np.all((lo < hi) | ((lo == hi) & closed_lo & closed_hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +234,12 @@ def apply_ncdm(cdm: NModeCdm, u) -> np.ndarray:
 
 
 def _clipped_box(region, lo, hi):
-    """Bounds of an interval or box region within ``[lo, hi]``, else None."""
-    if isinstance(region, IntervalRegion):
-        rlo, rhi = lo.copy(), hi.copy()
-        rlo[region.axis] = max(lo[region.axis], region.lo)
-        rhi[region.axis] = min(hi[region.axis], region.hi)
-        return rlo, rhi
-    if isinstance(region, BoxRegion):
-        return np.maximum(lo, region.lo), np.minimum(hi, region.hi)
-    return None
+    """Closed bounding box of ``region`` within ``[lo, hi]``; None when the region misses it."""
+    if isinstance(region, BallRegion) and not _ball_meets(region, lo, hi, True, True):
+        return None
+    rlo, rhi, _, _ = _bounds(region, lo.shape[0])
+    rlo, rhi = np.maximum(lo, rlo), np.minimum(hi, rhi)
+    return None if np.any(rlo > rhi) else (rlo, rhi)
 
 
 def _bvls(A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -280,69 +293,131 @@ def _bvls(A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     raise ArithmeticError("bounded least squares did not converge")
 
 
-def _graph_distance(q1: AffineMap, box1, q2: AffineMap, box2) -> Optional[float]:
-    """Exact distance between the graphs ``(u, Q u)`` of two maps over boxes.
+def _graph_system(q1: AffineMap, box1, q2: AffineMap, box2):
+    """``M, b, lo, hi`` of the distance between two graphs: ``|M z - b|`` over ``lo <= z <= hi``.
 
-    Minimizes ``|u1 - u2|^2 + |Q1 u1 + c1 - Q2 u2 - c2|^2`` over the closed
-    boxes by bounded-variable least squares (:func:`_bvls`); None when a box
-    is empty.  A coordinate pinned by ``lo == hi`` stays at that value.
+    For ``z = (u1, u2)``, ``M z - b = (u1 - u2, Q1 u1 + c1 - Q2 u2 - c2)``.
     """
-    lo = np.concatenate([box1[0], box2[0]])
-    hi = np.concatenate([box1[1], box2[1]])
-    if np.any(lo > hi):
-        return None
     eye = np.eye(q1.dim)
     M = np.block([[eye, -eye], [q1.linear, -q2.linear]])
     b = np.concatenate([np.zeros(q1.dim), q2.translation - q1.translation])
-    z, _ = _bvls(M, b, lo, hi)
-    return float(np.linalg.norm(M @ z - b))
+    return M, b, np.concatenate([box1[0], box2[0]]), np.concatenate([box1[1], box2[1]])
 
 
-def _sampled_graphs(cdm: NModeCdm, lo, hi, n: int, seed: int) -> list:
-    """Graph points ``(u, Q u)`` of ``n`` uniform draws, per mode (None if empty)."""
-    rng = np.random.default_rng(seed)
-    draws = lo + (hi - lo) * rng.random((n, lo.shape[0]))
-    graphs = []
-    for region, q in cdm.modes:
-        members = draws[region.contains_rows(draws)]
-        if len(members):
-            graphs.append(np.hstack([members, members @ q.linear.T + q.translation]))
-        else:
-            graphs.append(None)
-    return graphs
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_STEPS = 44  # golden-section steps per multiplier: GOLDEN^44 < 1e-9
+SEPARATION_GAP_TOL = 1e-9
 
 
-def mode_separation(cdm: NModeCdm, box_lo, box_hi, n: int = 2000,
-                    seed: int = 0) -> Optional[float]:
-    """Smallest distance between distinct mode graphs ``(u, Q u)`` in a box.
+def _into_ball(u, p, ball: BallRegion):
+    """The point nearest ``u`` on the segment to ``p`` (in ``ball``) that passes the ball's test.
 
-    For two interval or box regions (clipped to ``[box_lo, box_hi]``) the
-    distance is exact: the infimum over the closed regions, a bounded
-    least-squares problem.  A pair involving a ball region is only an
-    *estimate*, the minimum over ``n`` uniform draws in the box, which can
-    over-estimate the true distance.  Returns None when fewer than two
-    modes have inputs in the box.
+    The segment is cut at a sphere a hair inside the ball, against rounding.
     """
-    if len(cdm.modes) < 2:
-        return None
+    c, r = ball.center, ball.radius
+    if np.linalg.norm(u - c) <= r:
+        return u
+    d, e = p - u, u - c
+    h, k = e @ d, e @ e - (r * (1.0 - 1e-12)) ** 2
+    root = -h + math.sqrt(max(h * h - (d @ d) * k, 0.0))  # k / root is the smaller root
+    w = u + min(1.0, k / root) * d if root > 0.0 else p
+    return w if np.linalg.norm(w - c) <= r else p
+
+
+def _graph_bounds(M, b, lo, hi, balls) -> tuple:
+    """Lower and upper bound on ``min |M z - b|`` over the box ``[lo, hi]`` and ``balls``.
+
+    Without a ball this is one exact :func:`_bvls` solve, and both bounds
+    are its value.  Each of ``balls``, ``(columns, ball, p)``,
+    constrains ``z[columns]``; ``p`` is a point of the box in the ball.  By
+    weak duality one solve with the rows ``sqrt(lam_k) (z_k - c_k)``
+    appended, less ``sum lam_k r_k^2``, bounds the squared minimum from below
+    for any ``lam >= 0``; the KKT certificate ``g`` keeps that safe for an
+    inexact minimizer, since over the box ``F >= F(z) + 2 sum_i min(g_i (lo_i
+    - z_i), g_i (hi_i - z_i))``.  ``z`` pulled into the balls bounds it from
+    above.  A golden-section search over ``lam = |M|^2 t / (1 - t)``, nested
+    for two balls, stops once the two meet within ``SEPARATION_GAP_TOL``.
+    """
+    scale = np.linalg.norm(M) ** 2
+    rows = [np.eye(M.shape[1])[columns] for columns, _, _ in balls]
+    bounds = [0.0, math.inf]
+
+    def done():
+        return bounds[1] - bounds[0] <= SEPARATION_GAP_TOL * max(1.0, bounds[1])
+
+    def dual(lams):
+        roots = np.sqrt(lams)
+        A = np.vstack([M] + [root * row for root, row in zip(roots, rows)])
+        y = np.concatenate([b] + [root * ball.center for root, (_, ball, _) in zip(roots, balls)])
+        z, g = _bvls(A, y, lo, hi)
+        res = A @ z - y
+        value = (res @ res + 2.0 * np.minimum(g * (lo - z), g * (hi - z)).sum()
+                 - sum(lam * ball.radius ** 2 for lam, (_, ball, _) in zip(lams, balls)))
+        w = z.copy()
+        for columns, ball, p in balls:
+            w[columns] = _into_ball(z[columns], p, ball)
+        bounds[0] = max(bounds[0], math.sqrt(max(value, 0.0)))
+        bounds[1] = min(bounds[1], float(np.linalg.norm(M @ w - b)))
+        return value
+
+    def search(lams):
+        """Best dual value over the multipliers after ``lams``; at ``t = 0`` first."""
+        if len(lams) == len(balls):
+            return dual(lams)
+
+        def f(t):
+            return search(lams + [scale * t / (1.0 - t)])
+
+        lo_t, hi_t, best = 0.0, 1.0, f(0.0)
+        x1, x2 = 1.0 - GOLDEN, GOLDEN
+        f1, f2 = f(x1), f(x2)
+        for _ in range(GOLDEN_STEPS):
+            if done():
+                break
+            if f1 < f2:
+                lo_t, x1, f1 = x1, x2, f2
+                x2 = lo_t + GOLDEN * (hi_t - lo_t)
+                f2 = f(x2)
+            else:
+                hi_t, x2, f2 = x2, x1, f1
+                x1 = hi_t - GOLDEN * (hi_t - lo_t)
+                f1 = f(x1)
+        return max(best, f1, f2)
+
+    search([])
+    # without a ball the one solve is exact; with one, rounding can lift the
+    # lower bound past the upper one
+    return min(bounds) if balls else bounds[1], bounds[1]
+
+
+def _pair_bounds(mode1, box1, mode2, box2) -> tuple:
+    """Bounds on the distance between two mode graphs in their boxes (:func:`_graph_bounds`).
+
+    A ball that holds its whole box (a 1-D ball does) adds no constraint.
+    """
+    (region1, q1), (region2, q2) = mode1, mode2
+    balls = [(slice(k * q1.dim, (k + 1) * q1.dim), region, np.clip(region.center, blo, bhi))
+             for k, (region, (blo, bhi)) in enumerate(((region1, box1), (region2, box2)))
+             if isinstance(region, BallRegion) and np.linalg.norm(
+                 np.maximum(region.center - blo, bhi - region.center)) > region.radius]
+    return _graph_bounds(*_graph_system(q1, box1, q2, box2), balls)
+
+
+def mode_separation(cdm: NModeCdm, box_lo, box_hi) -> Optional[tuple]:
+    """Lower and upper bound on the distance between distinct mode graphs in a box.
+
+    The distance is the least over mode pairs of the infimum of ``|(u1, Q1 u1)
+    - (u2, Q2 u2)|``, each ``u`` in its region within ``[box_lo, box_hi]``:
+    exact (both bounds equal) for interval and box regions, within
+    ``SEPARATION_GAP_TOL`` with a ball.  None when under two modes meet the box.
+    """
     lo = np.atleast_1d(np.asarray(box_lo, dtype=float))
     hi = np.atleast_1d(np.asarray(box_hi, dtype=float))
     boxes = [_clipped_box(region, lo, hi) for region, _ in cdm.modes]
-    graphs = None
-    best = None
-    for i in range(len(cdm.modes)):
-        for j in range(i + 1, len(cdm.modes)):
-            if boxes[i] is not None and boxes[j] is not None:
-                d = _graph_distance(cdm.modes[i][1], boxes[i], cdm.modes[j][1], boxes[j])
-            else:
-                if graphs is None:
-                    graphs = _sampled_graphs(cdm, lo, hi, n, seed)
-                if graphs[i] is None or graphs[j] is None:
-                    continue
-                d = float(np.min(pairwise_distances(graphs[i], graphs[j])))
-            if d is not None:
-                best = d if best is None else min(best, d)
-    return best
+    pairs = [_pair_bounds(cdm.modes[i], boxes[i], cdm.modes[j], boxes[j])
+             for i in range(len(boxes)) for j in range(i + 1, len(boxes))
+             if boxes[i] is not None and boxes[j] is not None]
+    return (min(p[0] for p in pairs), min(p[1] for p in pairs)) if pairs else None
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import configparser
+import heapq
 import math
 import os
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from .degradation import (
     mode_separation,
 )
 from .errors import ConfigError, IdentificationError, PreconditionError
-from .geometry import mgf_inner_bound
+from .geometry import interval_hausdorff, mgf_inner_bound
 from .identification import (
     CdmReconstruction,
     EffectivePair,
@@ -48,10 +49,6 @@ from .simulation import (
     linear_system,
     probe_signal,
 )
-
-SEPARATION_CHECK_SAMPLES = 4000
-SEPARATION_CHECK_SEED = 13
-
 
 @dataclass(frozen=True)
 class ConvergenceRecord:
@@ -115,7 +112,7 @@ def _get(parser, section, key, cast=str, default=None, required=False):
     raw = parser.get(section, key)
     try:
         if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
+            return parser.getboolean(section, key)
         return cast(raw)
     except ConfigError:
         raise
@@ -139,11 +136,12 @@ def _parse_region(raw: str):
     if toks[0] == "interval":
         if len(toks) < 4:
             raise ConfigError(f"interval region needs axis, lo, hi: {raw!r}")
-        closed_lo = "open_lo" not in toks[4:]
-        closed_hi = "open_hi" not in toks[4:]
+        flags = set(toks[4:])
+        if not flags <= {"open_lo", "open_hi"}:
+            raise ConfigError(f"unknown interval flag in {raw!r}")
         return IntervalRegion(
             axis=int(toks[1]), lo=_finite(toks[2]), hi=_finite(toks[3]),
-            closed_lo=closed_lo, closed_hi=closed_hi,
+            closed_lo="open_lo" not in flags, closed_hi="open_hi" not in flags,
         )
     if toks[0] == "ball":
         if len(toks) < 3:
@@ -356,50 +354,51 @@ def stream_reconstructions(samples: Sequence[ControlSample], model: SystemModel,
 class _RegionMetrics:
     """Exact Hausdorff distance from each declared interval to its observations.
 
-    Only coordinates inside a region ``[lo, hi]`` are kept, one sorted list
-    per region.  For such a finite set S every point of S lies in the
-    interval, so the Hausdorff distance is the largest distance from a point
-    of the interval to S.  That distance is piecewise linear in the point,
-    so its maximum sits at an end of the interval or at the midpoint of two
-    consecutive points of S:
-    ``max(min S - lo, hi - max S, largest gap / 2)``.  Regions without
-    observations yet report infinity.
+    Each region keeps its coordinates sorted and a heap of the gaps between
+    neighbours, a split gap dropped when it reaches the top: an observation
+    costs O(log n) heap work.  Regions without observations report infinity.
     """
 
     def __init__(self, regions: Sequence[tuple]):
-        self.regions = [(lo, hi, []) for lo, hi in regions]
+        self.regions = [(lo, hi, [], []) for lo, hi in regions]
 
     def add(self, coord: float) -> tuple:
         """Fold in one observed coordinate; return the distance of each region."""
         distances = []
-        for lo, hi, seen in self.regions:
+        for lo, hi, seen, gaps in self.regions:
             if lo <= coord <= hi:
-                bisect.insort(seen, coord)
-            if not seen:
-                distances.append(math.inf)
-                continue
-            gap = max((b - a for a, b in zip(seen, seen[1:])), default=0.0)
-            distances.append(max(seen[0] - lo, hi - seen[-1], gap / 2))
+                i = bisect.bisect_right(seen, coord)
+                seen.insert(i, coord)
+                j = max(i - 1, 0)
+                for a, b in zip(seen[j:i + 1], seen[j + 1:i + 2]):  # the new neighbour pairs
+                    if a < b:
+                        heapq.heappush(gaps, (a - b, a, b))
+                # a gap is current while its ends are still neighbours
+                while gaps and seen[bisect.bisect_right(seen, gaps[0][1])] != gaps[0][2]:
+                    heapq.heappop(gaps)
+            gap = -gaps[0][0] if gaps else 0.0
+            distances.append(interval_hausdorff(lo, hi, seen[0], seen[-1], gap)
+                             if seen else math.inf)
         return tuple(distances)
 
 
 def validate_ground_truth_separation(config: ExperimentConfig) -> None:
-    """Reject configs whose declared modes sit closer than the clustering delta."""
-    cdm = config.cdm
-    if cdm is None or len(cdm.modes) < 2:
-        return
+    """Reject configs whose modes are not certified ``delta`` apart in the model's input box.
+
+    The error's ``detail`` is the ``(lower, upper)`` of :func:`mode_separation`.
+    """
     model = config.model()
-    if model.input_lo is None or model.input_hi is None:
+    if config.cdm is None or model.input_lo is None or model.input_hi is None:
         return
-    sep = mode_separation(
-        cdm, model.input_lo, model.input_hi,
-        n=SEPARATION_CHECK_SAMPLES, seed=SEPARATION_CHECK_SEED,
-    )
-    if sep is not None and sep < config.identification.delta:
-        raise IdentificationError(
-            f"ground-truth modes are only {sep:.6g} apart, below the "
-            f"declared separation delta={config.identification.delta}"
-        )
+    bounds = mode_separation(config.cdm, model.input_lo, model.input_hi)
+    delta = config.identification.delta
+    if bounds is None or bounds[0] >= delta:
+        return
+    lower, upper = bounds
+    apart, verdict = ((f"only {upper:.6g}", "below") if upper < delta else
+                      (f"between {lower:.6g} and {upper:.6g}", "not certified to reach"))
+    raise IdentificationError(f"ground-truth modes are {apart} apart, {verdict} the "
+                              f"declared separation delta={delta}", detail=bounds)
 
 
 def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None) -> ExperimentResult:

@@ -449,75 +449,15 @@ def star_contains(inner: StarSetApprox, outer: StarSetApprox, u) -> Containment:
     return Containment.INCONCLUSIVE
 
 
-def _halton(count: int, dims: int, seed: int) -> np.ndarray:
-    """The first ``count`` points of a digit-permuted Halton sequence in ``[0, 1)^dims``.
+def interval_hausdorff(lo: float, hi: float, first: float, last: float, gap: float) -> float:
+    """Hausdorff distance between ``[lo, hi]`` and a finite set S inside it.
 
-    Coordinate j writes the point index in the j-th prime base p and
-    reflects its digits about the radix point, each digit first mapped by
-    one permutation of ``0..p-1`` drawn from ``seed``; the permutation
-    breaks up the correlation of the plain sequence between large bases.
+    ``first`` and ``last`` are the least and greatest point of S, ``gap`` the
+    widest gap between neighbours (0 for one point).  S lies in the interval,
+    so the distance is the farthest a point of the interval is from S, which
+    peaks at an end or midway between neighbours.
     """
-    rng = np.random.default_rng(seed)
-    primes: list[int] = []
-    candidate = 2
-    while len(primes) < dims:
-        if all(candidate % p for p in primes):
-            primes.append(candidate)
-        candidate += 1
-    points = np.zeros((count, dims))
-    for j, base in enumerate(primes):
-        perm = rng.permutation(base)
-        digits = 1
-        while base**digits < count:
-            digits += 1
-        rest = np.arange(count)
-        weight = 1.0 / base
-        for _ in range(digits):
-            points[:, j] += perm[rest % base] * weight
-            rest //= base
-            weight /= base
-    return points
-
-
-def _region_probes(region: StarSetApprox, probe_count: int, seed: int) -> np.ndarray:
-    """Quasi-random probe points filling an OUTER-side region approximation."""
-    d = region.dim
-    pairs = (d + 1) // 2
-    raw = _halton(probe_count, 2 * pairs + 1, seed)
-    if d == 1:
-        dirs = np.where(raw[:, :1] < 0.5, -1.0, 1.0)
-    else:
-        # Box-Muller: each pair of uniforms gives two independent normals,
-        # and normalized normals are uniform directions
-        length = np.sqrt(-2.0 * np.log1p(-raw[:, :pairs]))  # 1 - u > 0
-        angle = 2.0 * np.pi * raw[:, pairs:2 * pairs]
-        gauss = np.hstack([length * np.cos(angle), length * np.sin(angle)])[:, :d]
-        norms = np.linalg.norm(gauss, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        dirs = gauss / norms
-    frac = raw[:, -1] ** (1.0 / d)
-    gaps = pairwise_distances(dirs, region.directions)
-    radii = np.min(region.radii + region.lipschitz * gaps, axis=1)
-    return region.center + dirs * (frac * radii)[:, None]
-
-
-def covering_radius(samples, region: StarSetApprox, probe_count: int, seed: int) -> float:
-    """Estimate the smallest radius at which balls on ``samples`` cover ``region``.
-
-    Probes the region at ``probe_count`` quasi-random points and returns the
-    largest probe-to-sample distance.  The estimate never exceeds the true
-    covering radius and is non-increasing as samples are added for a fixed
-    region, probe count, and seed.
-    """
-    if probe_count <= 0:
-        raise ValueError("probe_count must be positive")
-    if region.side is not Side.OUTER:
-        raise ValueError("region must be an OUTER-side approximation")
-    pts = as_point_set(samples)
-    if pts.shape[1] != region.dim:
-        raise ValueError("sample dimension does not match region")
-    probes = _region_probes(region, probe_count, seed)
-    return float(np.max(np.min(pairwise_distances(probes, pts), axis=1)))
+    return max(first - lo, hi - last, gap / 2)
 
 
 def estimate_mgf_lipschitz(directions, radii) -> float:
@@ -538,18 +478,3 @@ def estimate_mgf_lipschitz(directions, radii) -> float:
     if not np.any(mask):
         raise ValueError("need at least two distinct directions")
     return float(np.max(diffs[mask] / gaps[mask]))
-
-
-def interval_region(lo: float, hi: float, side: Side = Side.OUTER) -> StarSetApprox:
-    """Exact star-set description of the interval [lo, hi] about its midpoint."""
-    if hi < lo:
-        raise ValueError("interval is empty")
-    half = (hi - lo) / 2.0
-    return StarSetApprox(
-        center=np.array([(lo + hi) / 2.0]),
-        lipschitz=0.0,
-        directions=np.array([[1.0], [-1.0]]),
-        radii=np.array([half, half]),
-        side=side,
-    )
-

@@ -92,6 +92,29 @@ class TestRun:
         assert main(["run", str(cfg)]) == EXIT_IDENTIFICATION
         assert capsys.readouterr().err.startswith("identification-failure:")
 
+    def test_overlapping_regions_are_config_error(self, tmp_path, capsys):
+        # an interval and a ball that share inputs are rejected before the run starts
+        cfg = tmp_path / "overlap.cfg"
+        cfg.write_text(SMALL_HEAT_CONFIG.replace(
+            "kind = heat-threemode",
+            "kind = modes\n\n[cdm.mode.1]\nregion = interval, 1, 0.0, 0.5\n"
+            "linear = 1 0 0 3\ntranslation = 0 0.25\n\n[cdm.mode.2]\n"
+            "region = ball, 0.3, 1.0, 0.4\nlinear = 1 0 0 -2\ntranslation = 0 2.5"))
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config-error: mode regions 0 and 1 overlap\n"
+
+    def test_modes_closer_than_delta_in_tiny_balls_are_identification_failure(
+            self, tmp_path, capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(SMALL_HEAT_CONFIG.replace(
+            "kind = heat-threemode",
+            "kind = modes\n\n[cdm.mode.1]\nregion = ball, 0.02, 5.0, 0.5\n"
+            "linear = 1 0 0 1\ntranslation = 0 0\n\n[cdm.mode.2]\n"
+            "region = ball, 0.02, 5.05, 0.5\nlinear = 1 0 0 1\ntranslation = 0 0"))
+        assert main(["run", str(cfg)]) == EXIT_IDENTIFICATION
+        assert capsys.readouterr().err.startswith(
+            "identification-failure: ground-truth modes are only 0.0141421 apart")
+
     def test_rank_deficient_observation_is_identification_failure(self, tmp_path, capsys):
         # the depth column of g(x) is the boundary temperature, 0 at the first
         # sample, so its effective input cannot be recovered

@@ -13,13 +13,16 @@ from cdmkit.degradation import (
     IntervalRegion,
     NModeCdm,
     _bvls,
-    _graph_distance,
+    _graph_bounds,
+    _graph_system,
     apply_affine,
     apply_ncdm,
     heat_depth_response,
     heat_example_cdm,
     mode_separation,
+    regions_overlap,
 )
+from cdmkit.geometry import pairwise_distances
 
 
 class TestAffineMap:
@@ -100,6 +103,34 @@ class TestNModeCdm:
                 (BallRegion([1.5, 0.0], 1.0), q),
             ))
 
+    @pytest.mark.parametrize("a, b, overlap", [
+        # a ball against an interval: its clipped center, against open ends
+        (IntervalRegion(0, 0.0, 0.5), BallRegion([0.3, 1.0], 0.4), True),
+        (IntervalRegion(0, 0.0, 0.5), BallRegion([0.9, 0.0], 0.4), True),
+        (IntervalRegion(0, 0.0, 0.5, closed_hi=False), BallRegion([0.9, 0.0], 0.4), False),
+        (IntervalRegion(0, 0.0, 0.5, closed_hi=False), BallRegion([0.9, 0.0], 0.41), True),
+        (IntervalRegion(1, 0.0, 0.0), BallRegion([0.0, 0.5], 0.5), True),
+        (IntervalRegion(1, 0.0, 0.0), BallRegion([0.0, 0.5], 0.25), False),
+        (IntervalRegion(1, 0.0, 0.5, closed_lo=False), BallRegion([0.0, 0.0], 0.0), False),
+        # a ball against a box
+        (BoxRegion([-1.0, -1.0], [1.0, 1.0]), BallRegion([1.0, 1.0], 1.0), True),
+        (BoxRegion([-1.0, -1.0], [-0.5, -0.5]), BallRegion([1.5, 1.5], 1.0), False),
+        (BoxRegion([0.0, 0.0], [1.0, 1.0]), BallRegion([2.0, 0.5], 1.0), True),
+        # a box against an interval
+        (BoxRegion([-1.0, -1.0], [1.0, 1.0]), IntervalRegion(1, 1.0, 2.0), True),
+        (BoxRegion([-1.0, -1.0], [1.0, 1.0]), IntervalRegion(1, 1.0, 2.0, closed_lo=False), False),
+        (BoxRegion([-1.0, -1.0], [1.0, 1.0]), IntervalRegion(0, -3.0, -1.5), False),
+    ])
+    def test_mixed_kinds_decided_exactly(self, a, b, overlap):
+        assert regions_overlap(a, b) is overlap and regions_overlap(b, a) is overlap
+
+    def test_empty_interval_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            IntervalRegion(0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="empty"):
+            IntervalRegion(0, 0.5, 0.5, closed_hi=False)
+        assert IntervalRegion(0, 0.5, 0.5).contains([0.5])
+
     def test_single_global_mode_equals_affine(self):
         q = AffineMap(np.array([[2.0, 1.0], [0.0, -1.0]]), np.array([0.3, 0.0]))
         cdm = NModeCdm(modes=((BoxRegion([-50, -50], [50, 50]), q),))
@@ -141,13 +172,12 @@ class TestHeatExample:
             assert out[0] == u[0]
             np.testing.assert_allclose(out[1], heat_depth_response(u[1]))
 
-    def test_sampled_separation_matches_declared(self):
+    def test_separation_matches_declared(self):
         cdm = heat_example_cdm()
-        sep = mode_separation(cdm, [0.0, 0.0], [10.0, 1.0], n=4000, seed=0)
-        assert sep >= cdm.separation - 1e-9
+        assert mode_separation(cdm, [0.0, 0.0], [10.0, 1.0]) == (cdm.separation,) * 2
 
 
-class TestSampledSeparation:
+class TestSeparation:
     def test_close_modes_detected(self):
         q1 = AffineMap(np.array([[2.0]]), np.array([0.0]))
         q2 = AffineMap(np.array([[2.0]]), np.array([0.05]))
@@ -155,8 +185,8 @@ class TestSampledSeparation:
             (IntervalRegion(0, 0.0, 0.4), q1),
             (IntervalRegion(0, 0.45, 1.0), q2),
         ))
-        sep = mode_separation(cdm, [0.0], [1.0], n=4000, seed=1)
-        assert sep < 0.2
+        lower, upper = mode_separation(cdm, [0.0], [1.0])
+        assert lower == upper < 0.2
 
     def test_single_mode_returns_none(self):
         cdm = NModeCdm(modes=((IntervalRegion(0, 0.0, 1.0), AffineMap.identity(1)),))
@@ -171,36 +201,96 @@ class TestExactSeparation:
 
     def test_heat_modes_exact(self):
         # both branches approach 1 at the breakpoints 0.25 and 0.75
-        sep = mode_separation(heat_example_cdm(), [0.0, 0.0], [10.0, 1.0])
-        assert abs(sep - 0.5) <= 1e-12
+        assert mode_separation(heat_example_cdm(), [0.0, 0.0], [10.0, 1.0]) == (0.5, 0.5)
 
     def test_close_intervals_exact(self):
         # closest points u1 = 0.4, u2 = 0.45: |(0.05, 0.15)|
         cdm = self.close_modes(IntervalRegion(0, 0.0, 0.4))
-        np.testing.assert_allclose(mode_separation(cdm, [0.0], [1.0]), np.sqrt(0.025),
-                                   rtol=1e-12)
+        lower, upper = mode_separation(cdm, [0.0], [1.0])
+        assert lower == upper
+        np.testing.assert_allclose(lower, np.sqrt(0.025), rtol=1e-12)
 
     def test_regions_clipped_to_input_box(self):
         # inside [0.2, 1] the first region shrinks to [0.2, 0.4]: unchanged gap;
         # inside [0.5, 1] it is empty and no pair remains
         cdm = self.close_modes(IntervalRegion(0, -5.0, 0.4))
-        np.testing.assert_allclose(mode_separation(cdm, [0.2], [1.0]), np.sqrt(0.025),
+        np.testing.assert_allclose(mode_separation(cdm, [0.2], [1.0]), [np.sqrt(0.025)] * 2,
                                    rtol=1e-12)
         assert mode_separation(cdm, [0.5], [1.0]) is None
 
     def test_pinned_box_coordinate(self):
         # a one-point box: the distance from (0, 0) to the graph point (0.45, 0.95)
         cdm = self.close_modes(BoxRegion([0.0], [0.0]))
-        np.testing.assert_allclose(mode_separation(cdm, [0.0], [1.0]), np.hypot(0.45, 0.95),
-                                   rtol=1e-12)
+        np.testing.assert_allclose(mode_separation(cdm, [0.0], [1.0]),
+                                   [np.hypot(0.45, 0.95)] * 2, rtol=1e-12)
 
-    def test_ball_region_is_sampled_estimate(self):
-        # the ball [0, 0.4] has the exact gap of the interval; samples only over-estimate it
+    def test_one_dimensional_ball_is_its_interval(self):
+        # the ball of radius 0.2 about 0.2 is the interval [0, 0.4]
         exact = mode_separation(self.close_modes(IntervalRegion(0, 0.0, 0.4)), [0.0], [1.0])
-        estimate = mode_separation(self.close_modes(BallRegion([0.2], 0.2)), [0.0], [1.0],
-                                   n=4000, seed=1)
-        assert exact <= estimate < exact + 0.01
+        ball = mode_separation(self.close_modes(BallRegion([0.2], 0.2)), [0.0], [1.0])
+        assert ball == exact and exact[0] == exact[1]
 
+    def test_ball_outside_input_box_is_ignored(self):
+        cdm = self.close_modes(BallRegion([-0.3], 0.2))
+        assert mode_separation(cdm, [0.0], [1.0]) is None
+
+    def test_tiny_balls_are_not_missed(self):
+        # two balls of radius 0.02 that sample draws would never hit: under
+        # one map their graphs are |(0.01, 0.01)| apart
+        q = AffineMap(np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([0.0, 1.0]))
+        cdm = NModeCdm(modes=((BallRegion([5.0, 0.5], 0.02), q),
+                              (BallRegion([5.05, 0.5], 0.02), q)))
+        lower, upper = mode_separation(cdm, [0.0, 0.0], [10.0, 1.0])
+        assert lower <= upper <= lower + 1e-9
+        np.testing.assert_allclose(lower, 0.01 * np.sqrt(2.0), rtol=1e-9)
+
+
+def dense_graph(region, q, lo, hi, count):
+    """Graph points ``(u, Q u)`` of the grid points with ``count`` per axis in the region."""
+    axes = np.meshgrid(*[np.linspace(a, b, count) for a, b in zip(lo, hi)])
+    U = np.stack([a.ravel() for a in axes], axis=1)
+    U = U[region.contains_rows(U)]
+    return np.hstack([U, U @ q.linear.T + q.translation])
+
+
+@pytest.mark.parametrize("m, balls, seed", [
+    (1, 1, 0), (1, 1, 1), (1, 2, 2), (1, 2, 3),
+    (2, 1, 4), (2, 1, 5), (2, 1, 6), (2, 2, 7), (2, 2, 8),
+])
+def test_ball_pair_bounds_against_brute_force(m, balls, seed):
+    # lower <= the minimum over a dense grid of each region, which is at most
+    # the true distance plus |M| times the grid's reach into the region
+    rng = np.random.default_rng(seed)
+    lo, hi = np.zeros(m), np.ones(m)
+    while True:
+        regions = [BallRegion(rng.uniform(-0.1, 1.1, m), rng.uniform(0.1, 0.4))]
+        if balls == 2:
+            regions.append(BallRegion(rng.uniform(-0.1, 1.1, m), rng.uniform(0.1, 0.4)))
+        else:
+            a, b = np.sort(rng.uniform(-0.1, 1.1, 2))
+            regions.append(IntervalRegion(int(rng.integers(m)), a, b, *rng.random(2) < 0.5))
+        if not regions_overlap(*regions):
+            break
+    maps = [random_map(rng, m) for _ in regions]
+    cdm = NModeCdm(modes=tuple(zip(regions, maps)))
+    bounds = mode_separation(cdm, lo, hi)
+    count = 20001 if m == 1 else 121
+    graphs = [dense_graph(region, q, lo, hi, count) for region, q in cdm.modes]
+    if bounds is None:
+        assert min(len(g) for g in graphs) == 0
+        return
+    lower, upper = bounds
+    brute = min(float(pairwise_distances(graphs[0][k:k + 2000], graphs[1]).min())
+                for k in range(0, len(graphs[0]), 2000))
+    M = np.block([[np.eye(m), -np.eye(m)], [maps[0].linear, -maps[1].linear]])
+    reach = 2.0 * np.sqrt(m) / (count - 1)
+    assert brute - 2.0 * reach * np.linalg.norm(M, 2) <= lower <= brute
+    assert lower <= upper <= lower + 1e-9 * max(1.0, upper)
+
+
+
+def random_map(rng, m):
+    return AffineMap(rng.normal(size=(m, m)), rng.normal(size=m))
 
 
 def reference_bvls(A, b, lo, hi):
@@ -215,11 +305,10 @@ def reference_bvls(A, b, lo, hi):
 
 @st.composite
 def separation_problems(draw):
-    """Two affine maps and two boxes, as ``_graph_distance`` takes them.
+    """Two affine maps and two non-empty boxes, as ``_graph_system`` takes them.
 
     Equal linear parts make the least-squares matrix rank deficient,
-    integer entries give exact ties, ``lo == hi`` pins a coordinate and
-    ``lo > hi`` empties a box.
+    integer entries give exact ties and ``lo == hi`` pins a coordinate.
     """
     m = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -233,8 +322,6 @@ def separation_problems(draw):
     hi = lo + rng.uniform(0.0, 2.0, 2 * m)
     pinned = np.array(draw(st.lists(st.booleans(), min_size=2 * m, max_size=2 * m)))
     hi[pinned] = lo[pinned]
-    if draw(st.integers(0, 9)) == 0:
-        hi[draw(st.integers(0, 2 * m - 1))] -= 3.0
     return maps[0], (lo[:m], hi[:m]), maps[1], (lo[m:], hi[m:])
 
 
@@ -246,10 +333,8 @@ class TestBoundedLeastSquares:
     def test_matches_lsq_linear_with_kkt_certificate(self, case):
         q1, box1, q2, box2 = case
         lo, hi = np.concatenate([box1[0], box2[0]]), np.concatenate([box1[1], box2[1]])
-        distance = _graph_distance(q1, box1, q2, box2)
-        if np.any(lo > hi):
-            assert distance is None
-            return
+        lower, distance = _graph_bounds(*_graph_system(q1, box1, q2, box2), [])
+        assert lower == distance  # without a ball the one solve is exact
         m = q1.dim
         A = np.block([[np.eye(m), -np.eye(m)], [q1.linear, -q2.linear]])
         b = np.concatenate([np.zeros(m), q2.translation - q1.translation])
@@ -268,16 +353,12 @@ class TestBoundedLeastSquares:
         assert distance <= reference + 1e-12 * (1.0 + reference)
         np.testing.assert_allclose(distance, reference, rtol=1e-9, atol=1e-12)
 
-def random_map(rng, m):
-    return AffineMap(rng.normal(size=(m, m)), rng.normal(size=m))
-
-
 @st.composite
 def batches(draw):
     """A multi-mode map and a ``(k, m)`` batch whose entries often sit on region edges."""
     m = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["intervals", "box-ball", "undecided"]))
+    kind = draw(st.sampled_from(["intervals", "box-ball", "overlapping"]))
     if kind == "intervals":
         axis = draw(st.integers(0, m - 1))
         lo1, hi1, lo2, hi2 = sorted(rng.uniform(-2.0, 2.0, 4))
@@ -290,18 +371,18 @@ def batches(draw):
                    IntervalRegion(axis, lo2, hi2, closed[2], closed[3])]
         edges = [lo1, hi1, lo2, hi2]
     else:
-        # "undecided": a box and a ball that overlap, which regions_overlap cannot tell
-        center = np.full(m, 1.0 if kind == "undecided" else 1.5)
+        # "overlapping": a box and a ball that share points, which construction rejects
+        center = np.full(m, 1.0 if kind == "overlapping" else 1.5)
         radius = 1.0
-        regions = [BoxRegion(np.full(m, -1.0), np.full(m, 1.0 if kind == "undecided" else -0.5)),
+        regions = [BoxRegion(np.full(m, -1.0), np.full(m, 1.0 if kind == "overlapping" else -0.5)),
                    BallRegion(center, radius)]
         edges = [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.5]
-    cdm = NModeCdm(modes=tuple((region, random_map(rng, m)) for region in regions))
+    modes = tuple((region, random_map(rng, m)) for region in regions)
     k = draw(st.integers(0, 12))
     entry = st.one_of(st.sampled_from(edges), st.floats(-3.0, 3.0))
     U = np.array(draw(st.lists(entry, min_size=k * m, max_size=k * m)),
                  dtype=float).reshape(k, m)
-    return cdm, U
+    return kind, modes, U
 
 
 class TestBatchEvaluation:
@@ -310,7 +391,12 @@ class TestBatchEvaluation:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(batches())
     def test_batch_equals_stacked_rows(self, case):
-        cdm, U = case
+        kind, modes, U = case
+        if kind == "overlapping":
+            with pytest.raises(ValueError, match="mode regions 0 and 1 overlap"):
+                NModeCdm(modes=modes)
+            return
+        cdm = NModeCdm(modes=modes)
         try:
             rows = np.array([cdm(u) for u in U], dtype=float).reshape(U.shape)
         except ValueError as exc:
@@ -321,9 +407,14 @@ class TestBatchEvaluation:
         assert batch.shape == U.shape
         assert batch.tobytes() == rows.tobytes()
 
-    def test_row_in_two_undecided_regions_raises(self):
+    def test_row_in_two_overlapping_regions_raises(self):
         box, ball = BoxRegion([-1.0, -1.0], [1.0, 1.0]), BallRegion([1.0, 1.0], 1.0)
-        cdm = NModeCdm(modes=((box, AffineMap.identity(2)), (ball, AffineMap.identity(2))))
+        modes = ((box, AffineMap.identity(2)), (ball, AffineMap.identity(2)))
+        with pytest.raises(ValueError, match="mode regions 0 and 1 overlap"):
+            NModeCdm(modes=modes)
+        # the evaluation still guards a map whose regions were swapped after construction
+        cdm = NModeCdm(modes=((box, AffineMap.identity(2)),))
+        object.__setattr__(cdm, "modes", modes)
         U = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 1.5]])
         with pytest.raises(ValueError, match="input belongs to multiple mode regions"):
             cdm(U)

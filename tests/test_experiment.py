@@ -17,7 +17,6 @@ from cdmkit.experiment import (
     run_experiment,
     validate_ground_truth_separation,
 )
-from cdmkit.geometry import covering_radius, interval_region
 from cdmkit.identification import QueryKind, query
 from cdmkit.serialization import read_reconstruction, read_samples
 from cdmkit.simulation import integrate
@@ -64,7 +63,7 @@ kind = modes
 separation = 0.5
 
 [cdm.mode.1]
-region = interval,1,0.0,0.25,closed,open_hi
+region = interval,1,0.0,0.25,open_hi
 linear = 1.0 0.0 0.0 3.0
 translation = 0.0 0.25
 
@@ -164,6 +163,31 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text(LINEAR_MODES_CONFIG.replace(old, new, 1))
 
+    def test_unknown_boolean_word_is_config_error(self):
+        def depth(word):
+            text = DEFAULT_HEAT_CONFIG.replace("[cdm]", f"nonlinear_depth = {word}\n\n[cdm]")
+            return parse_config_text(text).system.nonlinear_depth
+
+        assert depth("yes") is True and depth("Off") is False
+        with pytest.raises(ConfigError, match="nonlinear_depth = ture"):
+            depth("ture")
+
+    def test_unknown_interval_flag_is_config_error(self):
+        with pytest.raises(ConfigError, match="opn_hi"):
+            parse_config_text(LINEAR_MODES_CONFIG.replace("0.25,open_hi", "0.25,opn_hi"))
+
+    def test_reversed_interval_is_config_error(self):
+        with pytest.raises(ConfigError):
+            parse_config_text(LINEAR_MODES_CONFIG.replace("1,0.75,1.0,open_lo", "1,1.0,0.75"))
+
+    def test_ball_overlapping_interval_is_config_error(self):
+        # these regions share the inputs with u_2 in [0.1, 0.5] near u_1 = 1
+        bad = (LINEAR_MODES_CONFIG
+               .replace("region = interval,1,0.0,0.25,open_hi", "region = interval, 1, 0.0, 0.5")
+               .replace("region = interval,1,0.75,1.0,open_lo", "region = ball, 0.3, 1.0, 0.4"))
+        with pytest.raises(ConfigError, match="mode regions 0 and 1 overlap"):
+            parse_config_text(bad)
+
     def test_bad_region_token(self):
         bad = DEFAULT_HEAT_CONFIG.replace("0.0:0.25", "zero:0.25")
         with pytest.raises(ConfigError):
@@ -223,7 +247,43 @@ def test_signal_kind_matches_per_time_evaluation(kind, times, bundled_stage_time
     np.testing.assert_array_equal(batch.view(np.uint64), expected.view(np.uint64))
 
 
+TINY_BALLS_CONFIG = DEFAULT_HEAT_CONFIG.replace("kind = heat-threemode", """kind = modes
+
+[cdm.mode.1]
+region = ball, 0.02, 5.0, 0.5
+linear = 1 0 0 1
+translation = 0 0
+
+[cdm.mode.2]
+region = ball, 0.02, 5.05, 0.5
+linear = 1 0 0 1
+translation = 0 0""")
+
+
 class TestSeparationValidation:
+    def test_tiny_balls_fail(self):
+        # the balls cover 0.025 % of the input box [0, 10] x [0, 1], so a sampled
+        # check can miss them; their graphs are 0.01 * sqrt(2) apart
+        with pytest.raises(IdentificationError, match="only 0.0141421 apart") as info:
+            validate_ground_truth_separation(parse_config_text(TINY_BALLS_CONFIG))
+        lower, upper = info.value.detail
+        assert lower <= upper <= lower + 1e-9
+
+    @pytest.mark.parametrize("bounds, message", [
+        ((0.4, 0.5), None),
+        ((0.3, 0.39), "only 0.39 apart"),
+        ((0.3, 0.5), "between 0.3 and 0.5 apart"),
+    ])
+    def test_decision_on_the_bounds(self, monkeypatch, bounds, message):
+        # delta = 0.4: accepted when certified, rejected when refuted or undecided
+        monkeypatch.setattr("cdmkit.experiment.mode_separation", lambda *args: bounds)
+        if message is None:
+            validate_ground_truth_separation(default_heat_config())
+            return
+        with pytest.raises(IdentificationError, match=message) as info:
+            validate_ground_truth_separation(default_heat_config())
+        assert info.value.detail == bounds
+
     def test_default_config_passes(self):
         validate_ground_truth_separation(default_heat_config())
 
@@ -315,20 +375,24 @@ class TestConvergenceMetrics:
         assert all(np.isfinite(result.records[-1].region_hausdorff))
 
     def test_sampled_estimates_never_exceed_it(self, run):
-        # a 401-point grid and 512 quasi-random probes (seed 11) both
+        # a 401-point grid and 512 uniform probes (seed 11) both
         # under-estimate the distance; the grid by at most half its spacing
         cfg, result = run
         coords = [float(s.input[cfg.region_axis]) for s in result.samples]
+        rng = np.random.default_rng(11)
         for j, (lo, hi) in enumerate(cfg.regions):
             grid = np.linspace(lo, hi, self.GRID)
             grid_min = np.full(self.GRID, np.inf)
-            region = interval_region(lo, hi)
-            seen, probe_est = [], np.inf
+            probes = rng.uniform(lo, hi, 512)
+            probe_min = np.full(probes.shape, np.inf)
+            probe_est = np.inf
+            seen = []
             for k, coord in enumerate(coords):
                 if lo <= coord <= hi:
                     seen.append(coord)
                     np.minimum(grid_min, np.abs(grid - coord), out=grid_min)
-                    probe_est = covering_radius(seen, region, probe_count=512, seed=11)
+                    np.minimum(probe_min, np.abs(probes - coord), out=probe_min)
+                    probe_est = float(np.max(probe_min))
                 exact = result.records[k].region_hausdorff[j]
                 grid_est = float(np.max(grid_min))
                 assert grid_est <= exact and probe_est <= exact, (j, k)

@@ -14,10 +14,9 @@ from cdmkit.geometry import (
     Containment,
     Side,
     StarSetApprox,
-    covering_radius,
     estimate_mgf_lipschitz,
     hausdorff_distance,
-    interval_region,
+    interval_hausdorff,
     mgf_inner_bound,
     mgf_outer_bound,
     pairwise_distances,
@@ -348,72 +347,26 @@ class TestStarContains:
             ModeReconstruction(map=None, inner=outer, outer=inner, pairs=(), residuals=None)
 
 
-class TestCoveringRadius:
-    def test_unit_interval_three_samples(self):
-        # midpoints 0.25 and 0.75 are farthest from {0, 0.5, 1}; verified on a grid
-        region = interval_region(0.0, 1.0)
-        samples = [0.0, 0.5, 1.0]
-        grid = np.linspace(0.0, 1.0, 100001)
-        oracle = max(min(abs(g - s) for s in samples) for g in grid[:: 500])
-        np.testing.assert_allclose(oracle, 0.25, atol=1e-2)
-        est = covering_radius(samples, region, probe_count=10_000, seed=1)
-        np.testing.assert_allclose(est, 0.25, atol=0.01)
-        assert est <= 0.25 + 1e-12  # probe estimate never exceeds the true radius
-
-    def test_dense_grid_cover(self):
-        h = 0.05
-        region = interval_region(0.0, 1.0)
-        grid = np.arange(0.0, 1.0 + h / 2, h)
-        est = covering_radius(grid, region, probe_count=4000, seed=2)
-        assert est <= h / 2 + 1e-3
-
-    def test_ball_single_center_sample(self):
-        r = 2.0
-        # a zero-Lipschitz gauge with one witness: the ball of radius r
-        region = StarSetApprox([0.0, 0.0], 0.0, [[1.0, 0.0]], [r], Side.OUTER)
-        est = covering_radius([[0.0, 0.0]], region, probe_count=10_000, seed=3)
-        np.testing.assert_allclose(est, r, atol=0.01 * r)
-        assert est <= r + 1e-12
-
-    def test_deterministic(self):
-        region = interval_region(0.0, 1.0)
-        a = covering_radius([0.2, 0.9], region, probe_count=500, seed=42)
-        b = covering_radius([0.2, 0.9], region, probe_count=500, seed=42)
-        assert a == b
-
-    def test_monotone_in_samples(self):
-        region = interval_region(0.0, 1.0)
-        rng = np.random.default_rng(9)
-        pts = list(rng.random(12))
-        prev = np.inf
-        for k in range(1, len(pts) + 1):
-            est = covering_radius(pts[:k], region, probe_count=800, seed=4)
-            assert est <= prev + 1e-12
-            prev = est
-
-    @settings(max_examples=100, deadline=None, derandomize=True)
+class TestIntervalHausdorff:
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.floats(-5.0, 5.0), st.floats(0.0, 5.0),
-           st.lists(st.floats(-6.0, 11.0), min_size=1, max_size=10), st.integers(0, 2**32 - 1))
-    def test_never_exceeds_exact_radius_and_never_grows(self, lo, width, samples, seed):
-        # on [lo, hi] the distance to the nearest sample peaks at an end or at
-        # a midpoint of two consecutive samples, so the true radius is exact
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10))
+    def test_equals_the_distance_at_its_peaks(self, lo, width, fractions):
+        # on [lo, hi] the distance to the nearest point peaks at an end or at
+        # a midpoint of two consecutive points, so the largest of those is exact
         hi = lo + width
-        region = interval_region(lo, hi)
-        previous = np.inf
-        for k in range(1, len(samples) + 1):
-            seen = sorted(samples[:k])
-            peaks = [lo, hi] + [(a + b) / 2 for a, b in zip(seen, seen[1:])
-                                if lo <= (a + b) / 2 <= hi]
-            exact = max(min(abs(p - s) for s in seen) for p in peaks)
-            estimate = covering_radius(samples[:k], region, probe_count=64, seed=seed)
-            assert estimate <= exact + 1e-12
-            assert estimate <= previous
-            assert estimate == covering_radius(samples[:k], region, probe_count=64, seed=seed)
-            previous = estimate
+        seen = sorted(min(lo + f * width, hi) for f in fractions)
+        peaks = [lo, hi] + [(a + b) / 2 for a, b in zip(seen, seen[1:])]
+        exact = max(min(abs(p - s) for s in seen) for p in peaks)
+        gap = max((b - a for a, b in zip(seen, seen[1:])), default=0.0)
+        value = interval_hausdorff(lo, hi, seen[0], seen[-1], gap)
+        assert abs(value - exact) <= 1e-12 * (1.0 + width)
+        probes = np.linspace(lo, hi, 1001)
+        assert np.max(np.min(np.abs(probes[:, None] - np.array(seen)), axis=1)) <= value
 
-    def test_zero_probes_rejected(self):
-        with pytest.raises(ValueError):
-            covering_radius([0.0], interval_region(0.0, 1.0), probe_count=0, seed=0)
+    def test_three_points_in_unit_interval(self):
+        # the midpoints 0.25 and 0.75 are farthest from {0, 0.5, 1}
+        assert interval_hausdorff(0.0, 1.0, 0.0, 1.0, 0.5) == 0.25
 
 
 class TestLipschitzEstimate:

@@ -1,7 +1,9 @@
 """Tests for the simulator and the heat-conduction testbed."""
 
+import ast
 import dataclasses
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,6 +195,41 @@ class TestSamplingSchedule:
     def test_no_jitter_is_exact(self):
         t = SamplingSchedule(rate=4.0, jitter=0.0, seed=0, horizon=1.0).sample_times()
         np.testing.assert_allclose(t, [0.0, 0.25, 0.5, 0.75])
+
+
+# names through which Python or NumPy hand out random numbers
+RANDOM_NAMES = {"random", "default_rng", "RandomState", "Generator", "SeedSequence", "secrets"}
+
+
+def random_uses(tree) -> list:
+    """``(line, enclosing class)`` of each import, name or attribute in ``RANDOM_NAMES``."""
+    uses = []
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+            hit = any(part in RANDOM_NAMES for name in names for part in name.split("."))
+        else:
+            hit = getattr(node, "attr", getattr(node, "id", None)) in RANDOM_NAMES
+        if hit:
+            uses.append((node.lineno, cls))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    visit(tree, None)
+    return uses
+
+
+def test_only_the_sampling_schedule_draws_random_numbers():
+    # the schedule's jitter is a model input; every quantity the package
+    # computes from a model is exact, never a sampled estimate
+    package = Path(__file__).resolve().parents[1] / "src" / "cdmkit"
+    uses = {path.name: random_uses(ast.parse(path.read_text()))
+            for path in sorted(package.glob("*.py"))}
+    assert {(name, cls) for name, found in uses.items() for _, cls in found} == {
+        ("simulation.py", "SamplingSchedule")}
 
 
 class TestIntegrate:
