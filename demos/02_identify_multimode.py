@@ -31,7 +31,6 @@ def main():
             (BallRegion([5.0, 0.0], 1.0), squeeze),
             (BallRegion([-5.0, 0.0], 1.0), swap),
         ),
-        separation=5.0,
     )
     print("ground truth: inputs near (5, 0) are halved and shifted;")
     print("inputs near (-5, 0) have their channels swapped; all else passes.\n")

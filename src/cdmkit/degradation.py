@@ -176,12 +176,10 @@ def regions_overlap(a, b) -> bool:
 class NModeCdm:
     """Finitely many affine modes acting on pairwise disjoint regions.
 
-    Inputs in no region pass through unchanged.  ``separation`` is the known
-    lower bound on the distance between distinct mode graphs ``(u, Q u)``.
+    Inputs in no region pass through unchanged.
     """
 
     modes: tuple
-    separation: float = 0.0
 
     def __post_init__(self):
         modes = tuple((region, q) for region, q in self.modes)
@@ -192,8 +190,6 @@ class NModeCdm:
             for j in range(i + 1, len(modes)):
                 if regions_overlap(modes[i][0], modes[j][0]):
                     raise ValueError(f"mode regions {i} and {j} overlap")
-        if self.separation < 0:
-            raise ValueError("separation must be non-negative")
         object.__setattr__(self, "modes", modes)
 
     @property
@@ -434,18 +430,14 @@ def heat_depth_response(p):
     return np.where(p < 0.25, 0.25 + 3.0 * p, np.where(p > 0.75, 2.5 - 2.0 * p, p))
 
 
-# Shared lower bound on the distance between the two non-identity branch
-# graphs (u2, response(u2)) over the unit depth range; attained in the limit
-# toward the breakpoints 0.25 and 0.75, where both branches approach 1.
-HEAT_MODE_SEPARATION = 0.5
-
-
 def heat_example_cdm() -> NModeCdm:
     """Two-input degradation of the heat-probe testbed.
 
     Channel 0 (source power) passes through; channel 1 (depth rate) follows
     :func:`heat_depth_response`.  The two non-identity branches become the
-    affine modes; the identity mid-interval needs no mode.
+    affine modes; the identity mid-interval needs no mode.  Their graphs
+    are 0.5 apart over the unit depth range, in the limit toward the
+    breakpoints 0.25 and 0.75, where both branches approach 1.
     """
     shallow = AffineMap(np.diag([1.0, 3.0]), np.array([0.0, 0.25]))
     deep = AffineMap(np.diag([1.0, -2.0]), np.array([0.0, 2.5]))
@@ -454,5 +446,4 @@ def heat_example_cdm() -> NModeCdm:
             (IntervalRegion(axis=1, lo=0.0, hi=0.25, closed_lo=True, closed_hi=False), shallow),
             (IntervalRegion(axis=1, lo=0.75, hi=1.0, closed_lo=False, closed_hi=True), deep),
         ),
-        separation=HEAT_MODE_SEPARATION,
     )

@@ -152,13 +152,15 @@ def _parse_region(raw: str):
 
 
 def _parse_cdm(parser) -> Optional[NModeCdm]:
+    if parser.has_option("cdm", "separation"):
+        raise ConfigError("[cdm] separation is not used: the separation check compares "
+                          "the modes against [identification] delta")
     kind = _get(parser, "cdm", "kind", required=True)
     if kind == "identity":
         return None
     if kind == "heat-threemode":
         return heat_example_cdm()
     if kind == "modes":
-        separation = _get(parser, "cdm", "separation", float, 0.0)
         modes = []
         index = 1
         while parser.has_section(f"cdm.mode.{index}"):
@@ -180,7 +182,7 @@ def _parse_cdm(parser) -> Optional[NModeCdm]:
         if not modes:
             raise ConfigError("cdm kind 'modes' but no [cdm.mode.N] sections found")
         try:
-            return NModeCdm(modes=tuple(modes), separation=separation)
+            return NModeCdm(modes=tuple(modes))
         except ValueError as exc:
             raise ConfigError(str(exc))
     raise ConfigError(f"unknown cdm kind {kind!r}")
@@ -334,12 +336,14 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def stream_reconstructions(samples: Sequence[ControlSample], model: SystemModel,
-                           ident: IdentificationConfig) -> Iterator[CdmReconstruction]:
-    """Yield the reconstruction after each successive observation.
+                           ident: IdentificationConfig) -> Iterator[Reconstructor]:
+    """Push each successive observation and yield the :class:`Reconstructor`.
 
-    An observation whose effective input cannot be recovered (the input
-    matrix is rank deficient at its state) stops the stream with an
-    :class:`IdentificationError` that names its index and time.
+    The same reconstructor comes back after every observation; a caller
+    that wants the reconstruction of a prefix calls ``snapshot()`` before
+    advancing.  An observation whose effective input cannot be recovered
+    (the input matrix is rank deficient at its state) stops the stream with
+    an :class:`IdentificationError` that names its index and time.
     """
     reconstructor = Reconstructor(ident)
     for i, s in enumerate(samples):
@@ -348,7 +352,8 @@ def stream_reconstructions(samples: Sequence[ControlSample], model: SystemModel,
         except PreconditionError as exc:
             raise IdentificationError(
                 f"observation {i} at t = {s.time!r}: {exc}", detail=i) from exc
-        yield reconstructor.add(EffectivePair(s.input, effective))
+        reconstructor.push(EffectivePair(s.input, effective))
+        yield reconstructor
 
 
 class _RegionMetrics:
@@ -408,19 +413,18 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None) -> E
     samples = integrate(model, config.cdm, config.x0, config.signal, config.schedule)
 
     records = []
-    reconstruction = None
     regions = _RegionMetrics(config.regions)
-    for sample, recon in zip(
+    for sample, reconstructor in zip(
         samples, stream_reconstructions(samples, model, config.identification)
     ):
-        reconstruction = recon
         records.append(
             ConvergenceRecord(
                 time=sample.time,
                 region_hausdorff=regions.add(float(sample.input[config.region_axis])),
-                modes_identified=sum(1 for m in recon.modes if m.identified),
+                modes_identified=reconstructor.modes_identified,
             )
         )
+    reconstruction = reconstructor.snapshot()
 
     target = out_dir if out_dir is not None else config.output_dir
     os.makedirs(target, exist_ok=True)

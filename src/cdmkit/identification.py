@@ -250,6 +250,15 @@ def cluster_pairs(points: np.ndarray, delta: float, n_modes: int,
 # Affine fitting
 
 
+def _unidentifiable(cluster: Cluster) -> Optional[tuple[str, str]]:
+    """Why :func:`fit_affine` cannot identify ``cluster``, as (message, detail); None if it can."""
+    if not cluster.basis_indices:
+        return "cluster lacks linearly independent basis inputs", "basis"
+    if cluster.pairs.shape[0] == len(cluster.basis_indices):
+        return "cluster has no pair beyond the basis to anchor the translation", "anchor"
+    return None
+
+
 def fit_affine(cluster: Cluster) -> AffineMap:
     """Fit the affine map of one cluster exactly.
 
@@ -261,19 +270,13 @@ def fit_affine(cluster: Cluster) -> AffineMap:
     subspace (inputs confined to an affine subspace) it still reproduces
     consistent data exactly and leaves unobserved directions untouched.
     """
-    if not cluster.basis_indices:
-        raise IdentificationError(
-            "cluster lacks linearly independent basis inputs",
-            detail="basis",
-        )
+    reason = _unidentifiable(cluster)
+    if reason is not None:
+        message, detail = reason
+        raise IdentificationError(message, detail=detail)
     m = cluster.pairs.shape[1] // 2
     inputs, effectives = cluster.pairs[:, :m], cluster.pairs[:, m:]
     basis = list(cluster.basis_indices)
-    if len(inputs) == len(basis):
-        raise IdentificationError(
-            "cluster has no pair beyond the basis to anchor the translation",
-            detail="anchor",
-        )
     # anchor on the most distant extra pair to condition the difference fit
     gaps = pairwise_distances(inputs[basis], inputs).min(axis=0)
     gaps[basis] = -np.inf
@@ -521,17 +524,23 @@ def build_reconstruction_from_pairs(pairs: Sequence[EffectivePair],
 
 
 class Reconstructor:
-    """Online reconstruction: one immutable snapshot per added pair.
+    """Online reconstruction: pairs pushed one at a time, snapshots built on demand.
 
-    ``add(pair)`` returns the reconstruction of every pair added so far,
-    equal to ``build_reconstruction_from_pairs`` on them, at the cost of the
-    new pair rather than of a rebuild.  Single linkage is kept in Sibson's
-    pointer representation, updated in O(n) per affected pair.  An
-    unaffected pair folds one outer witness into every mode and keeps each
-    mode whose outer approximation that leaves unchanged; an affected pair
-    rebuilds only the clusters whose membership changed.  When a snapshot
-    cannot be built (too many clusters without ``force_merge``), ``add``
-    raises and keeps the pair; the next ``add`` covers it.
+    ``push(pair)`` records a pair at the cost of clustering it: single
+    linkage is kept in Sibson's pointer representation, updated in O(n) per
+    affected pair, and the clusters whose membership changed get their
+    basis; no star set is built and no map is fitted.  ``modes_identified``
+    counts the current clusters that :func:`fit_affine` identifies.
+    ``snapshot()`` returns the reconstruction of every pair pushed so far,
+    equal to ``build_reconstruction_from_pairs`` on them: it bounds, fits
+    and scores only the clusters whose membership changed since the last
+    snapshot, reusing the residuals of a prefix of their pairs, and folds
+    the unaffected pairs pushed since into the outer side of every other
+    mode.  Lipschitz-slope warnings fire for the modes a snapshot builds.
+    ``add(pair)`` is a push followed by a snapshot.  When the clusters
+    cannot be cut (too many without ``force_merge``), ``push`` raises but
+    keeps the pair; every snapshot, and every push that leaves the cut as
+    it is, raises the same until a push makes it possible.
     """
 
     def __init__(self, config: IdentificationConfig):
@@ -545,12 +554,15 @@ class Reconstructor:
         self._n_unaffected = 0
         self._pi: list[int] = []  # one entry per affected pair
         self._lam: list[float] = []
-        # (mode, basis round scores) by member indices, in cluster order
-        self._clusters: dict[tuple, tuple[ModeReconstruction, list]] = {}
+        # (cluster, basis round scores) by member indices, in cluster order
+        self._clusters: dict[tuple, tuple[Cluster, list]] = {}
         self._stale = False  # the last partition attempt failed
+        # the last snapshot's modes by member indices, and its unaffected count
+        self._modes: dict[tuple, ModeReconstruction] = {}
+        self._folded = 0
 
-    def add(self, pair: EffectivePair) -> CdmReconstruction:
-        """Record one pair and return the reconstruction of all pairs so far."""
+    def push(self, pair: EffectivePair) -> None:
+        """Record one pair and re-cut the clusters it changes."""
         if self._dim is None:
             self._dim = pair.dim
             self._points = np.empty((8, 2 * pair.dim))
@@ -561,10 +573,6 @@ class Reconstructor:
         if _is_unaffected(point, self.config.identity_tol):
             self._unaffected = _append_row(self._unaffected, self._n_unaffected, point)
             self._n_unaffected += 1
-            for key, (mode, rounds) in self._clusters.items():
-                outer = mode.outer.with_witness(pair.input)
-                if outer is not mode.outer:
-                    self._clusters[key] = (replace(mode, outer=outer), rounds)
             if self._stale:
                 self._repartition()
         else:
@@ -573,37 +581,75 @@ class Reconstructor:
             self._points = _append_row(self._points, n, point)
             _slink_insert(self._pi, self._lam, dist)
             self._repartition()
+
+    @property
+    def modes_identified(self) -> int:
+        """How many current clusters :func:`fit_affine` identifies."""
+        return sum(_unidentifiable(c) is None for c, _ in self._clusters.values())
+
+    def snapshot(self) -> CdmReconstruction:
+        """The reconstruction of all pairs pushed so far."""
+        if self._dim is None:
+            raise ValueError("cannot build a reconstruction from zero pairs")
+        if self._stale:
+            self._repartition()
+        cfg = self.config
         unaffected = self._unaffected[:self._n_unaffected]
         unaffected.setflags(write=False)
+        folds = unaffected[self._folded:, :self._dim]
+        modes = {}
+        for key, (cluster, _) in self._clusters.items():
+            mode = self._modes.get(key)
+            if mode is None:
+                mode = _mode_from_cluster(cluster, unaffected[:, :self._dim], cfg,
+                                          _prefix_entry(self._modes, key))
+                _warn_if_steep(mode.inner, cfg)
+            else:
+                outer = mode.outer
+                for u in folds:
+                    outer = outer.with_witness(u)
+                if outer is not mode.outer:
+                    mode = replace(mode, outer=outer)
+            modes[key] = mode
+        self._modes, self._folded = modes, self._n_unaffected
         return CdmReconstruction(
-            modes=tuple(mode for mode, _ in self._clusters.values()),
+            modes=tuple(modes.values()),
             unaffected=unaffected,
-            separation=self.config.delta,
-            mode_count=self.config.n_modes,
+            separation=cfg.delta,
+            mode_count=cfg.n_modes,
             input_dim=self._dim,
         )
 
+    def add(self, pair: EffectivePair) -> CdmReconstruction:
+        """Record one pair and return the reconstruction of all pairs so far."""
+        self.push(pair)
+        return self.snapshot()
+
     def _repartition(self) -> None:
-        """Re-cut the dendrogram; rebuild the modes whose membership changed."""
+        """Re-cut the dendrogram; remake the clusters whose membership changed."""
         self._stale = True
         cfg = self.config
         points = self._points[:len(self._pi)]
         groups = _partition(self._pi, self._lam, cfg.delta, cfg.n_modes, cfg.force_merge, points)
-        unaffected_inputs = self._unaffected[:self._n_unaffected, :self._dim]
         clusters = {}
         for members in groups:
             key = tuple(members.tolist())
-            if key not in self._clusters:
-                # a cluster that only gained the newest pair keeps what still holds
-                known_mode, known_rounds = self._clusters.get(key[:-1], (None, ()))
-                cluster, rounds = _make_cluster(points, members, known_rounds)
-                mode = _mode_from_cluster(cluster, unaffected_inputs, cfg, known_mode)
-                _warn_if_steep(mode.inner, cfg)
-                clusters[key] = (mode, rounds)
-            else:
-                clusters[key] = self._clusters[key]
+            entry = self._clusters.get(key)
+            if entry is None:
+                # a cluster that only gained pairs keeps the basis scores that still hold
+                _, known_rounds = _prefix_entry(self._clusters, key) or (None, ())
+                entry = _make_cluster(points, members, known_rounds)
+            clusters[key] = entry
         self._clusters = clusters
         self._stale = False
+
+
+def _prefix_entry(entries: dict, key: tuple):
+    """The value of the entry whose key is a proper prefix of ``key``; None if none is."""
+    for known, value in entries.items():
+        if len(known) < len(key) and key[:len(known)] == known:
+            return value
+    return None
 
 
 def _append_row(buffer: np.ndarray, n: int, row: np.ndarray) -> np.ndarray:

@@ -20,7 +20,8 @@ def heat_run(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def heat_stream(heat_run):
-    """Per-observation reconstruction stream of the bundled experiment."""
+    """Per-observation reconstruction snapshots of the bundled experiment."""
     config, result, _ = heat_run
     model = config.model()
-    return list(ck.stream_reconstructions(result.samples, model, config.identification))
+    return [r.snapshot()
+            for r in ck.stream_reconstructions(result.samples, model, config.identification)]

@@ -86,6 +86,15 @@ class TestRun:
         assert main(["run", str(bad)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config-error:")
 
+    def test_cdm_separation_is_config_error(self, tmp_path, capsys):
+        # a declared gap the check would ignore is rejected, naming the value it uses
+        cfg = tmp_path / "gap.cfg"
+        cfg.write_text(SMALL_HEAT_CONFIG.replace("kind = heat-threemode",
+                                                 "kind = heat-threemode\nseparation = 0.5"))
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config-error: [cdm] separation") and "[identification] delta" in err
+
     def test_delta_beyond_mode_gap_is_identification_failure(self, tmp_path, capsys):
         cfg = tmp_path / "wide.cfg"
         cfg.write_text(SMALL_HEAT_CONFIG.replace("delta = 0.4", "delta = 0.6"))

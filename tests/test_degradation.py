@@ -172,10 +172,6 @@ class TestHeatExample:
             assert out[0] == u[0]
             np.testing.assert_allclose(out[1], heat_depth_response(u[1]))
 
-    def test_separation_matches_declared(self):
-        cdm = heat_example_cdm()
-        assert mode_separation(cdm, [0.0, 0.0], [10.0, 1.0]) == (cdm.separation,) * 2
-
 
 class TestSeparation:
     def test_close_modes_detected(self):

@@ -1,6 +1,8 @@
 """Tests for config parsing, experiment orchestration, and report rendering."""
 
 import csv
+import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -15,9 +17,10 @@ from cdmkit.experiment import (
     parse_config_text,
     render_report,
     run_experiment,
+    stream_reconstructions,
     validate_ground_truth_separation,
 )
-from cdmkit.identification import QueryKind, query
+from cdmkit.identification import QueryKind, build_reconstruction, query
 from cdmkit.serialization import read_reconstruction, read_samples
 from cdmkit.simulation import integrate
 
@@ -60,7 +63,6 @@ initial = 0.0 0.0
 
 [cdm]
 kind = modes
-separation = 0.5
 
 [cdm.mode.1]
 region = interval,1,0.0,0.25,open_hi
@@ -325,6 +327,33 @@ class TestRunExperiment:
             if m.identified
         }
         assert (3.0, 0.25) in coeffs and (-2.0, 2.5) in coeffs
+
+    def test_run_warns_like_the_batch_build_of_its_samples(self, tmp_path):
+        # a two-dimensional sweep of the linear modes: the inner witness radii of
+        # many intermediate snapshots vary faster than lipschitz = 1 allows
+        def sweep(t):
+            return np.stack([1.0 + 0.5 * np.sin(2.0 * np.pi * t / 0.37),
+                             0.5 - 0.5 * np.cos(2.0 * np.pi * t / 0.3)], axis=1)
+
+        cfg = dataclasses.replace(parse_config_text(LINEAR_MODES_CONFIG), signal=sweep)
+
+        def slope_warnings(fn):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out = fn()
+            assert all(w.category is RuntimeWarning for w in caught)
+            return out, [str(w.message) for w in caught]
+
+        result, run = slope_warnings(lambda: run_experiment(cfg, out_dir=str(tmp_path)))
+        model, ident = cfg.model(), cfg.identification
+        _, batch = slope_warnings(lambda: build_reconstruction(result.samples, model, ident))
+        assert run == batch and run
+        _, pushed = slope_warnings(
+            lambda: list(stream_reconstructions(result.samples, model, ident)))
+        assert pushed == []
+        _, every_step = slope_warnings(
+            lambda: [r.snapshot() for r in stream_reconstructions(result.samples, model, ident)])
+        assert len(every_step) > len(run)
 
     def test_convergence_header_matches_regions(self, tmp_path):
         cfg = parse_config_text(IDENTITY_CONFIG)

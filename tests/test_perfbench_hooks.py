@@ -59,3 +59,23 @@ def test_served_commands_call_the_traced_gauge_bounds(heat_run, monkeypatch):
     assert set(served) == {"mapped", "passthrough"}
     for counts in served.values():
         assert counts.get("mgf_inner_bound", 0) > 0 and counts.get("mgf_outer_bound", 0) > 0
+
+
+def test_run_draws_every_step_through_the_traced_stream(heat_run, tmp_path, monkeypatch):
+    # the tracer times experiment.stream_step by rebinding this module
+    # global; a run that stops iterating it would leave experiment.stream_s
+    # and experiment.stream_late_step_ms absent
+    from cdmkit import experiment
+
+    steps = []
+    stream = experiment.stream_reconstructions
+
+    def counting(*args, **kwargs):
+        for item in stream(*args, **kwargs):
+            steps.append(item)
+            yield item
+
+    monkeypatch.setattr(experiment, "stream_reconstructions", counting)
+    config = heat_run[0]
+    result = experiment.run_experiment(config, out_dir=str(tmp_path))
+    assert len(steps) == len(result.samples) > 0

@@ -1,8 +1,9 @@
 """The incremental Reconstructor against the batch reference build.
 
-Every snapshot of a stream must serialize exactly like
-``build_reconstruction_from_pairs`` on the same prefix, and an add must
-leave untouched what its pair does not change.  The fast paths behind it
+Every snapshot of a stream, whichever steps it is taken at, must
+serialize exactly like ``build_reconstruction_from_pairs`` on the same
+prefix, and must leave untouched what the pairs pushed since the last
+snapshot do not change.  The fast paths behind it
 (pointer-representation clustering, batched basis selection, grouped
 direction de-duplication) are checked against the loops they replace.
 """
@@ -51,18 +52,26 @@ def assert_same(snapshot, batch):
             np.testing.assert_array_equal(a.residuals, b.residuals)
 
 
-def assert_stream_matches_batch(pairs, config):
-    """Every snapshot equals the batch build of its prefix, errors included."""
+def assert_snapshots_match_batch(pairs, config, steps=None):
+    """Push every pair, snapshot at ``steps`` (default: all); both agree with the batch build.
+
+    ``modes_identified`` is compared at every step.  A failed push must
+    raise the batch's error, and so must the snapshot taken after it.
+    """
     rec = Reconstructor(config)
     for k, pair in enumerate(pairs, start=1):
         try:
             expected = build_reconstruction_from_pairs(pairs[:k], config)
         except IdentificationError as exc:
-            with pytest.raises(IdentificationError) as err:
-                rec.add(pair)
-            assert str(err.value) == str(exc) and err.value.detail == exc.detail
+            for attempt in (lambda: rec.push(pair), rec.snapshot):
+                with pytest.raises(IdentificationError) as err:
+                    attempt()
+                assert str(err.value) == str(exc) and err.value.detail == exc.detail
             continue
-        assert_same(rec.add(pair), expected)
+        rec.push(pair)
+        assert rec.modes_identified == sum(m.identified for m in expected.modes)
+        if steps is None or k in steps:
+            assert_same(rec.snapshot(), expected)
 
 
 @contextlib.contextmanager
@@ -96,7 +105,7 @@ def test_trial_bank_streams_match_batch_at_every_step():
     for seed in range(100):
         model, _, samples, _, _ = make_trial(seed)
         pairs = [EffectivePair(s.input, recover_effective_input(s, model)) for s in samples]
-        assert_stream_matches_batch(pairs, cfg)
+        assert_snapshots_match_batch(pairs, cfg)
 
 
 @st.composite
@@ -141,7 +150,7 @@ def pair_streams(draw):
 def test_random_streams_match_batch_at_every_step(stream):
     pairs, config = stream
     with quiet():
-        assert_stream_matches_batch(pairs, config)
+        assert_snapshots_match_batch(pairs, config)
 
 
 def gauge_bounds(mode, directions):
@@ -190,7 +199,7 @@ def test_strict_stream_raises_at_the_batch_step():
     # three fragments at delta 0.1 with a budget of two: the third pair fails
     pairs = [EffectivePair([x], [x + 5.0]) for x in (0.0, 1.0, 2.5, 1.7)]
     config = IdentificationConfig(delta=0.1, n_modes=2, force_merge=False)
-    assert_stream_matches_batch(pairs, config)
+    assert_snapshots_match_batch(pairs, config)
     stream = ck.stream_reconstructions(
         [ck.ControlSample(time=0.0, state=np.zeros(1), velocity=np.array(p.effective),
                           input=p.input) for p in pairs],
@@ -220,13 +229,99 @@ def test_strict_stream_names_the_batch_pair():
     # the offending pair lies across clusters, in the stream as in the batch
     pairs = [EffectivePair([u], [u + 10.0]) for u in (0.0, 0.3, 0.6, 5.0)]
     config = IdentificationConfig(delta=0.5, n_modes=1, force_merge=False)
-    assert_stream_matches_batch(pairs, config)
+    assert_snapshots_match_batch(pairs, config)
     rec = Reconstructor(config)
     for pair in pairs[:3]:
         rec.add(pair)
     with pytest.raises(IdentificationError) as err:
         rec.add(pairs[3])
     assert err.value.detail == (2, 3)
+
+
+def snapshot_steps(n, seed):
+    """Seeded irregular snapshot steps in 1..n: single pushes and long runs between."""
+    rng = np.random.default_rng(seed)
+    steps, k = set(), 0
+    while k < n:
+        k += int(rng.choice([1, 1, 2, 3, 5, 8, 13, 21]))
+        steps.add(min(k, n))
+    return steps
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pair_streams(), st.integers(0, 2**32 - 1))
+def test_random_streams_match_batch_at_sparse_snapshots(stream, seed):
+    pairs, config = stream
+    with quiet():
+        assert_snapshots_match_batch(pairs, config, snapshot_steps(len(pairs), seed))
+
+
+def test_bundled_sparse_snapshots_reuse_residuals_and_fold_witnesses(heat_run, monkeypatch):
+    """Snapshots every few pushes of the bundled stream match the batch build.
+
+    Between two snapshots a kept mode folds in every unaffected pair pushed
+    since, one ``with_witness`` each, and a grown cluster whose map is
+    unchanged scores only the pairs beyond the last built prefix.
+    """
+    config, _, _ = heat_run
+    ident = config.identification
+    pairs = heat_pairs(heat_run)
+    for seed in range(3):
+        assert_snapshots_match_batch(pairs, ident, snapshot_steps(len(pairs), seed))
+    scored, folds = [], []
+    fit_residuals, with_witness = ck.identification.fit_residuals, StarSetApprox.with_witness
+
+    def counted_fit_residuals(affine, table):
+        scored.append(len(table))
+        return fit_residuals(affine, table)
+
+    def counted_with_witness(self, point):
+        folds.append(point)
+        return with_witness(self, point)
+
+    monkeypatch.setattr(ck.identification, "fit_residuals", counted_fit_residuals)
+    monkeypatch.setattr(StarSetApprox, "with_witness", counted_with_witness)
+    rec = Reconstructor(ident)
+    multi_fold = partial_rescore = False
+    previous = None
+    for k, pair in enumerate(pairs, start=1):
+        rec.push(pair)
+        if k % 9:
+            continue
+        folds.clear()
+        scored.clear()
+        snapshot = rec.snapshot()
+        if previous is not None:
+            old_tables = [m.pairs for m in previous.modes]
+            kept = [any(m.pairs is t for t in old_tables) for m in snapshot.modes]
+            new_unaffected = len(snapshot.unaffected) - len(previous.unaffected)
+            assert len(folds) == sum(kept) * new_unaffected
+            multi_fold |= new_unaffected > 1 and any(kept)
+            built = [m for m, was_kept in zip(snapshot.modes, kept)
+                     if not was_kept and m.identified]
+            partial_rescore |= any(n < len(m.pairs) for n, m in zip(scored, built))
+        previous = snapshot
+    assert multi_fold and partial_rescore
+
+
+def test_strict_snapshot_raises_until_a_push_recovers():
+    # at delta 0.8 the first two pairs are two clusters for a budget of one;
+    # the third lies within delta of both and joins them
+    pairs = [EffectivePair([u], [u + 5.0]) for u in (0.0, 1.0, 0.5)]
+    unaffected = EffectivePair([9.0], [9.0])
+    config = IdentificationConfig(delta=0.8, n_modes=1, force_merge=False)
+    rec = Reconstructor(config)
+    rec.push(pairs[0])
+    with pytest.raises(IdentificationError) as pushed:
+        rec.push(pairs[1])
+    for attempt in (rec.snapshot, lambda: rec.push(unaffected), rec.snapshot):
+        with pytest.raises(IdentificationError) as err:
+            attempt()
+        assert str(err.value) == str(pushed.value) and err.value.detail == pushed.value.detail
+    rec.push(pairs[2])
+    assert rec.modes_identified == 1
+    assert_same(rec.snapshot(), build_reconstruction_from_pairs(pairs[:2] + [unaffected, pairs[2]],
+                                                                config))
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +381,34 @@ def test_adds_rebuild_only_what_changed(heat_run, monkeypatch):
             rebuilt_steps += bool(rebuilt)
         modes, n_unaffected = snapshot.modes, len(snapshot.unaffected)
     assert min(unaffected_steps, kept, affected_reused, rebuilt_steps) > 0
+
+
+def test_run_bounds_and_fits_each_final_mode_once(heat_run, tmp_path, monkeypatch):
+    """A run pushes every observation and builds only its final reconstruction.
+
+    Each final mode gets one inner and one outer star and one fit; no
+    witness is folded into a mode, since no mode outlives a snapshot.
+    """
+    config, result, _ = heat_run
+    calls = Counter()
+    from_points, with_witness = StarSetApprox.from_points.__func__, StarSetApprox.with_witness
+    fit_affine = ck.identification.fit_affine
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(StarSetApprox, "from_points",
+                        classmethod(counted("from_points", from_points)))
+    monkeypatch.setattr(StarSetApprox, "with_witness", counted("with_witness", with_witness))
+    monkeypatch.setattr(ck.identification, "fit_affine", counted("fit_affine", fit_affine))
+    again = ck.run_experiment(config, out_dir=str(tmp_path))
+    n_modes = len(again.reconstruction.modes)
+    assert n_modes == len(result.reconstruction.modes) > 0
+    assert calls == Counter(from_points=2 * n_modes, fit_affine=n_modes)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ def make_trial(seed):
             break
         modes.append((BallRegion(centers[k], R), qmap))
         mode_samples.append(pts)
-    cdm = NModeCdm(tuple(modes), separation=TRIAL_DELTA)
+    cdm = NModeCdm(tuple(modes))
 
     anchors = rng.uniform(-1, 1, (max(m, 2), m)) - 15.0  # far outside every region
     samples = []
