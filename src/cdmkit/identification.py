@@ -96,33 +96,39 @@ class Cluster:
     basis_indices: tuple
 
 
-def _select_basis(inputs: np.ndarray, m: int, known: Sequence = ()):
+def _select_basis(inputs: np.ndarray, m: int, known: tuple = ((), ())):
     """Greedily pick m inputs maximizing the smallest singular value.
 
     Round j scores every input by the smallest singular value of the inputs
     chosen so far stacked over it, in one batched SVD, and picks the first
     best among the unchosen (chosen ones score -inf).  Returns the basis,
-    empty when rank deficient, and each round's scores.  ``known`` may hold
-    the round scores of a prefix of ``inputs``: while its picks agree, only
-    the rows beyond the prefix are scored.
+    empty when rank deficient, and each round's scores.  ``known`` may be
+    what this returned for a prefix of ``inputs``: while its picks agree,
+    only the rows beyond the prefix are scored, and when all m agree the
+    prefix's rank decision, made on the same rows, is returned without
+    another SVD.
     """
     k = inputs.shape[0]
     if k < m:
         return (), []
+    known_basis, known_rounds = known
+    picks = [int(np.argmax(r)) for r in known_rounds]
     chosen: list[int] = []
     rounds = []
     for j in range(m):
-        reuse = j < len(known) and chosen == [int(np.argmax(r)) for r in known[:j]]
-        start = known[j].shape[0] if reuse else 0
+        reuse = j < len(picks) and chosen == picks[:j]
+        start = known_rounds[j].shape[0] if reuse else 0
         stacked = np.empty((k - start, j + 1), dtype=np.intp)  # row indices
         stacked[:, :j] = chosen
         stacked[:, j] = np.arange(start, k)
         scores = np.linalg.svd(inputs[stacked], compute_uv=False)[:, -1]
         if reuse:
-            scores = np.concatenate([known[j], scores])
+            scores = np.concatenate([known_rounds[j], scores])
         scores[chosen] = -np.inf
         chosen.append(int(np.argmax(scores)))
         rounds.append(scores)
+    if chosen == picks:
+        return known_basis, rounds
     sv = np.linalg.svd(inputs[chosen], compute_uv=False)
     if sv[0] == 0.0 or sv[-1] <= RANK_TOL * sv[0]:
         return (), rounds
@@ -208,8 +214,12 @@ def _roots(pi, lam: np.ndarray, cut: float) -> np.ndarray:
         root = hop
 
 
-def _make_cluster(points: np.ndarray, members: Sequence[int], known: Sequence = ()):
-    """The cluster of ``points[members]`` and its basis round scores."""
+def _make_cluster(points: np.ndarray, members: Sequence[int], known: tuple = ((), ())):
+    """The cluster of ``points[members]`` and its basis round scores.
+
+    ``known`` is passed to :func:`_select_basis`: the basis and round scores
+    of a prefix of ``members``, if any.
+    """
     pairs = points[members]
     pairs.setflags(write=False)
     m = pairs.shape[1] // 2
@@ -636,9 +646,10 @@ class Reconstructor:
             key = tuple(members.tolist())
             entry = self._clusters.get(key)
             if entry is None:
-                # a cluster that only gained pairs keeps the basis scores that still hold
-                _, known_rounds = _prefix_entry(self._clusters, key) or (None, ())
-                entry = _make_cluster(points, members, known_rounds)
+                # a cluster that only gained pairs keeps the basis work that still holds
+                prefix, known_rounds = _prefix_entry(self._clusters, key) or (None, ())
+                known = (prefix.basis_indices, known_rounds) if prefix else ((), ())
+                entry = _make_cluster(points, members, known)
             clusters[key] = entry
         self._clusters = clusters
         self._stale = False

@@ -56,9 +56,10 @@ def write_samples(path, samples: Sequence[ControlSample]) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for s in samples:
-            row = [_fmt(s.time)] + [_fmt(x) for x in s.state] \
-                + [_fmt(x) for x in s.velocity] + [_fmt(x) for x in s.input]
-            fh.write(",".join(row) + "\n")
+            # one tolist() per row gives the floats _fmt would format, without
+            # a NumPy call per value; a table-wide tolist() would hold every row
+            row = np.concatenate([[s.time], s.state, s.velocity, s.input]).tolist()
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def read_samples(path) -> list[ControlSample]:

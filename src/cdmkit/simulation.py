@@ -271,30 +271,59 @@ class SamplingSchedule:
         return np.maximum(base + eta, 0.0)
 
 
-def _stage_times(t, dt, n_sub: int, tk):
-    """The times at which ``n_sub`` RK4 steps of length ``dt`` from ``t`` need their input.
+# Padded stage rows a batch of intervals may hold (see _batches); it bounds
+# the batch arrays, so memory stays flat as the horizon grows.
+_BATCH_ROWS = 4096
 
-    Rows ``0, 2, ..., 2 n_sub`` are the step starts (the last one ends the
-    final step), the odd rows the step midpoints, and the last row is the
-    sample time ``tk``.  The starts are summed one step at a time, so each
-    time is the float a step-by-step RK4 loop would use.  With no steps
-    only ``tk`` is left.
+
+def _batches(n_subs: list[int]):
+    """Split the intervals into runs ``(start, stop)`` of at most ``_BATCH_ROWS`` padded rows.
+
+    An interval of ``n`` sub-steps takes ``2 n + 2`` rows; a run of ``k``
+    intervals whose longest has ``n`` sub-steps takes ``k (2 n + 2)`` in
+    the padded table of :func:`_stage_times`.  An interval longer than the
+    bound is a run of its own.
     """
-    if n_sub == 0:
-        return np.array([tk])
-    starts = np.cumsum(np.concatenate([[t], np.full(n_sub, dt)]))
-    times = np.empty(2 * n_sub + 2)
-    times[0:-1:2] = starts
-    times[1:-1:2] = starts[:-1] + 0.5 * dt
-    times[-1] = tk
-    return times
+    start, width = 0, 0
+    for i, n in enumerate(n_subs):
+        width = max(width, 2 * n + 2)
+        if i > start and (i + 1 - start) * width > _BATCH_ROWS:
+            yield start, i
+            start, width = i, 2 * n + 2
+    if start < len(n_subs):
+        yield start, len(n_subs)
+
+
+def _stage_times(starts, dts, n_subs, tks) -> np.ndarray:
+    """The times at which a run of intervals needs its input, interval after interval.
+
+    Interval ``i`` takes ``n_subs[i]`` RK4 steps of length ``dts[i]`` from
+    ``starts[i]``.  Its times are the step starts and midpoints in turn
+    (the last start ends the final step), then the sample time ``tks[i]``;
+    with no steps only ``tks[i]`` is left.  Each interval is one row of a
+    padded table whose starts are summed one step at a time along the row,
+    so each time is the float a step-by-step RK4 loop would use.
+    """
+    k, width = len(starts), int(n_subs.max()) + 1
+    steps = np.where(np.arange(1, width) <= n_subs[:, None], dts[:, None], 0.0)
+    step_starts = np.cumsum(np.column_stack([starts, steps]), axis=1)
+    table = np.empty((k, 2 * width))
+    table[:, 0::2] = step_starts
+    table[:, 1:-1:2] = step_starts[:, :-1] + (0.5 * dts)[:, None]
+    last = 2 * n_subs + 1
+    table[np.arange(k), last] = tks
+    col = np.arange(2 * width)
+    # an interval without steps keeps only its sample time
+    used = (col >= (n_subs == 0)[:, None]) & (col <= last[:, None])
+    return table[used]
 
 
 def _rk4_advance(model: SystemModel):
     """Generic path: classical RK4 steps.
 
-    ``E`` holds the effective inputs at the interval's stage times, in the
-    order of :func:`_stage_times` without its last row.
+    ``E`` is one interval's slice of its batch's effective inputs: those
+    at the interval's step starts and midpoints in turn (the order of
+    :func:`_stage_times`), without the one at its sample time.
     """
 
     def advance(x, dt, E):
@@ -347,7 +376,10 @@ def _linear_rk4_advance(model: SystemModel):
     and ``P1 = dt/6 B``.  The powers of ``A`` are formed once per model
     (``SystemModel._rk4_powers``); per sampling interval ``R`` and the ``P``
     are scalar-weighted sums of them, ``R`` in two buffers of this advance,
-    so no matrix product runs inside the step loop.
+    so no matrix product runs inside the step loop.  ``E`` is the
+    interval's slice of the effective inputs of its batch, as for
+    :func:`_rk4_advance`; the signal and ``cdm`` calls are made once per
+    batch of intervals, not here.
     """
     A, B = model.a_matrix, model.b_matrix
     A2, A3, A4, AB, A2B, A3B = model._rk4_powers
@@ -375,6 +407,28 @@ def _commands(input_signal, times: np.ndarray, dim_input: int) -> np.ndarray:
     return U
 
 
+def _checked_times(times) -> np.ndarray:
+    """The sample times as a float array; ``ValueError`` at the first bad one.
+
+    A time is bad when it is not finite, negative, or earlier than the one
+    before it (equal times are an empty interval).
+    """
+    times = np.asarray(times, dtype=float)
+    previous = np.concatenate([[0.0], times[:-1]])
+    bad = np.flatnonzero(~np.isfinite(times) | (times < previous))
+    if bad.size:
+        i = int(bad[0])
+        t = float(times[i])
+        if not math.isfinite(t):
+            why = "is not finite"
+        elif t < 0.0:
+            why = "is negative"
+        else:
+            why = f"is earlier than sample time {float(times[i - 1])!r} at index {i - 1}"
+        raise ValueError(f"sample time {t!r} at index {i} {why}")
+    return times
+
+
 def integrate(model, cdm, x0, input_signal, schedule: SamplingSchedule,
               max_step: Optional[float] = None) -> list[ControlSample]:
     """Simulate the degraded system and emit jittered observations.
@@ -383,18 +437,25 @@ def integrate(model, cdm, x0, input_signal, schedule: SamplingSchedule,
     None for no degradation) maps a ``(k, m)`` array of commands row-wise.
     ``input_signal`` maps a 1-D array of ``k`` times to the ``(k, m)`` array
     of the commands at those times.  Fixed-step fourth-order integration;
-    the step never exceeds 1 ms or the model's stability limit.  Each
-    sampling interval makes one signal call and one ``cdm`` call, on all
-    its RK4 stage times and its sample time.  Linear models
+    the step never exceeds 1 ms or the model's stability limit.  The
+    sampling intervals are taken in batches of whole intervals, each within
+    a private bound on stage rows unless one interval alone exceeds it.
+    Each batch makes one signal call and one ``cdm`` call, on the RK4 stage
+    times and sample times of all its intervals, so a signal may receive
+    times spanning several intervals.  Linear models
     (``a_matrix``/``b_matrix`` set) advance by the precomputed RK4 step map;
     others by generic RK4 steps.  Both give the classical RK4 solution.
     Observed velocities are the exact right-hand side at the sampled state.
+    Sample times that are not finite, negative or decreasing, and a
+    ``max_step`` that is not finite and positive, raise ``ValueError``.
     Deterministic for a fixed schedule seed.
     """
     if isinstance(model, HeatSystem):
         model = model.model()
     limit = min(1e-3, model.stability_limit) if model.stability_limit else 1e-3
     if max_step is not None:
+        if not (math.isfinite(max_step) and max_step > 0.0):
+            raise ValueError(f"max_step must be finite and positive, got {max_step!r}")
         if model.stability_limit and max_step > model.stability_limit:
             raise ConfigError(
                 f"step {max_step} exceeds the stability limit "
@@ -407,22 +468,27 @@ def integrate(model, cdm, x0, input_signal, schedule: SamplingSchedule,
     else:
         advance = _linear_rk4_advance(model)
 
-    times = schedule.sample_times()
+    times = _checked_times(schedule.sample_times())
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     if x.shape[0] != model.dim_state:
         raise ValueError("initial state dimension mismatch")
+    starts = np.concatenate([[0.0], times[:-1]])
+    spans = times - starts
+    n_subs = np.ceil(spans / limit - 1e-12).astype(np.intp)
+    dts = np.where(n_subs > 0, spans / np.maximum(n_subs, 1), 0.0)
+    n_list = n_subs.tolist()
     samples = []
-    t = 0.0
-    for tk in times:
-        span = tk - t
-        n_sub = int(np.ceil(span / limit - 1e-12))
-        dt = span / n_sub if n_sub > 0 else 0.0
-        U = _commands(input_signal, _stage_times(t, dt, n_sub, tk), model.dim_input)
+    for a, b in _batches(n_list):
+        U = _commands(input_signal, _stage_times(starts[a:b], dts[a:b], n_subs[a:b], times[a:b]),
+                      model.dim_input)
         E = _effective_inputs(cdm, U)
-        if n_sub > 0:
-            x = advance(x, dt, E[:-1])
-        t = tk
-        # the sample owns its input row: a view would keep the whole batch alive
-        samples.append(ControlSample(time=float(tk), state=x.copy(),
-                                     velocity=_velocity(model, x, E[-1]), input=U[-1].copy()))
+        end = 0
+        for n_sub, dt, tk in zip(n_list[a:b], dts[a:b], times[a:b]):
+            begin, end = end, end + (2 * n_sub + 2 if n_sub else 1)
+            if n_sub:
+                x = advance(x, dt, E[begin:end - 1])
+            # the sample owns its input row: a view would keep the whole batch alive
+            samples.append(ControlSample(time=float(tk), state=x.copy(),
+                                         velocity=_velocity(model, x, E[end - 1]),
+                                         input=U[end - 1].copy()))
     return samples

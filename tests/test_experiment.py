@@ -24,6 +24,8 @@ from cdmkit.identification import QueryKind, build_reconstruction, query
 from cdmkit.serialization import read_reconstruction, read_samples
 from cdmkit.simulation import integrate
 
+from interval_loop import assert_batched_calls
+
 IDENTITY_CONFIG = """\
 [system]
 kind = heat
@@ -233,7 +235,8 @@ def bundled_stage_times(heat_run):
         return config.signal(t)
 
     integrate(config.model(), config.cdm, config.x0, recording, config.schedule)
-    assert len(seen) == len(config.schedule.sample_times())
+    # one call per batch of whole intervals, together the per-interval stage times
+    assert_batched_calls(seen, config.model(), config.schedule)
     return np.concatenate(seen)
 
 

@@ -518,9 +518,10 @@ def test_select_basis_matches_greedy_loop(seed, m, k, grid):
         return
     basis, _ = _select_basis(inputs, m)
     assert basis == reference_basis(inputs, m)
-    # scoring only the rows beyond a prefix picks the same basis
+    # scoring only the rows beyond a prefix, and taking its rank decision
+    # when its picks agree, picks the same basis
     for cut in range(m, k):
-        _, known = _select_basis(inputs[:cut], m)
+        known = _select_basis(inputs[:cut], m)
         assert _select_basis(inputs, m, known)[0] == basis
 
 

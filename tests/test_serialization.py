@@ -55,6 +55,20 @@ class TestSampleLog:
             np.testing.assert_array_equal(a.velocity, b.velocity)
             np.testing.assert_array_equal(a.input, b.input)
 
+    def test_rows_match_per_value_repr(self, tmp_path):
+        edge = [-0.0, 5e-324, 1e16, 1e308, np.nan, np.inf, -np.inf, 0.1, -2.5e-7]
+        samples = [
+            ControlSample(time=t, state=np.roll(edge, i)[:4], velocity=np.roll(edge, i)[4:8],
+                          input=np.roll(edge, i)[7:])
+            for i, t in enumerate([0.0, 5e-324, 1e16, 1e308, 0.1])
+        ]
+        path = tmp_path / "samples.csv"
+        write_samples(path, samples)
+        rows = [",".join(repr(float(x)) for x in [s.time, *s.state, *s.velocity, *s.input])
+                for s in samples]
+        header = "time,x0,x1,x2,x3,dx0,dx1,dx2,dx3,u0,u1"
+        assert path.read_text() == "\n".join([header, *rows]) + "\n"
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("nope\n1,2,3\n")

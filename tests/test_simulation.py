@@ -22,10 +22,13 @@ from cdmkit.simulation import (
     degraded_rhs,
     integrate,
     linear_system,
+    _BATCH_ROWS,
     _affine_steps,
     _step_matrix,
     probe_signal,
 )
+
+from interval_loop import assert_batched_calls, assert_samples_identical, integrate_per_interval
 
 
 def zero_signal(m):
@@ -283,6 +286,16 @@ class TestIntegrate:
             integrate(model, None, [1.0], signal, sched)
 
 
+class FixedTimes:
+    """A schedule with the given sample times."""
+
+    def __init__(self, *times):
+        self.times = np.array(times, dtype=float)
+
+    def sample_times(self):
+        return self.times
+
+
 def generic(model):
     """The same system without its matrices: integrated by generic RK4 steps."""
     return dataclasses.replace(model, a_matrix=None, b_matrix=None)
@@ -362,7 +375,8 @@ class TestLinearPropagator:
             build_reconstruction(reference, model, config.identification))
 
     def test_call_counts(self):
-        counts = {"drift": 0, "cdm": 0, "signal": 0}
+        counts = {"drift": 0, "cdm": 0}
+        calls = []
         model = HeatSystem(grid_points=21, epsilon=0.1).model()
         base_cdm = heat_example_cdm()
 
@@ -375,15 +389,18 @@ class TestLinearPropagator:
             return base_cdm(U)
 
         def signal(t):
-            counts["signal"] += 1
+            calls.append(t.copy())
             return probe_signal(t)
 
         counted = dataclasses.replace(model, drift=drift)
-        sched = SamplingSchedule(rate=20.0, jitter=0.01, seed=2, horizon=1.0)
+        # 100 intervals of about 102 stage rows: several batches
+        sched = SamplingSchedule(rate=20.0, jitter=0.01, seed=2, horizon=5.0)
         samples = integrate(counted, cdm, np.zeros(model.dim_state), signal, sched)
-        # one batch per sampling interval, which also serves the observed velocity
-        assert counts == {"drift": 20, "cdm": 20, "signal": 20}
-        assert len(samples) == 20
+        # one signal and one cdm call per batch of whole intervals; the
+        # batch also serves the observed velocities
+        assert len(samples) == counts["drift"] == 100
+        assert counts["cdm"] == len(calls) > 1
+        assert_batched_calls(calls, model, sched)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 101, 102])
     def test_buffered_steps_match_plain_loop(self, n):
@@ -417,14 +434,10 @@ class TestLinearPropagator:
 
     def test_vanishing_interval_takes_no_step(self):
         # a sample 1e-300 s after the start is below any step: no step, no warning
-        class Times:
-            def sample_times(self):
-                return np.array([1e-300, 0.1])
-
         model = linear_system([[1.0]], [[1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            samples = integrate(model, None, [1.0], zero_signal(1), Times())
+            samples = integrate(model, None, [1.0], zero_signal(1), FixedTimes(1e-300, 0.1))
         assert samples[0].state[0] == 1.0
         np.testing.assert_allclose(samples[1].state[0], np.exp(0.1), rtol=1e-12)
 
@@ -450,6 +463,88 @@ class TestLinearPropagator:
         ])
         np.testing.assert_array_equal(A, expected)
         assert not A.flags.writeable
+
+
+def heat_args(schedule, max_step=None, nonlinear_depth=False):
+    """``integrate`` arguments: a small heat model, the three-mode map and the probe signal."""
+    sys = HeatSystem(grid_points=21, epsilon=0.1, nonlinear_depth=nonlinear_depth)
+    return sys.model(), heat_example_cdm(), np.ones(sys.dim_state), probe_signal, schedule, \
+        max_step
+
+
+RUNS = {
+    "nonlinear_depth": lambda: heat_args(SamplingSchedule(20.0, 0.01, 4, 0.5),
+                                         nonlinear_depth=True),
+    "max_step_without_jitter": lambda: heat_args(SamplingSchedule(20.0, 0.0, 0, 1.0), 3e-4),
+    # 100 intervals of about 102 stage rows: batches split mid-horizon
+    "split_batches": lambda: heat_args(SamplingSchedule(20.0, 0.01, 2, 5.0)),
+    # 2,990 steps of 1 ms between the second and third sample: 5,982 rows
+    "long_interval": lambda: heat_args(FixedTimes(0.0, 0.01, 3.0, 3.05, 3.1)),
+    "vanishing_first_interval": lambda: (linear_system([[1.0]], [[1.0]]), None, [1.0],
+                                         lambda t: np.sin(t)[:, None],
+                                         FixedTimes(1e-300, 0.1), None),
+}
+
+
+class TestBatchedIntegrate:
+    """``integrate`` against the per-interval loop it replaced, bit for bit."""
+
+    def test_bundled_heat_run(self, heat_run):
+        config, result, _ = heat_run
+        reference = integrate_per_interval(config.model(), config.cdm, config.x0,
+                                           config.signal, config.schedule)
+        assert_samples_identical(result.samples, reference)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(linear_runs())
+    def test_linear_runs(self, run):
+        assert_samples_identical(integrate(*run), integrate_per_interval(*run))
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_run(self, name):
+        model, cdm, x0, signal, schedule, max_step = RUNS[name]()
+        calls = []
+
+        def recording(t):
+            calls.append(t.copy())
+            return signal(t)
+
+        assert_samples_identical(integrate(model, cdm, x0, recording, schedule, max_step),
+                                 integrate_per_interval(model, cdm, x0, signal, schedule,
+                                                        max_step))
+        assert_batched_calls(calls, model, schedule, max_step)
+
+    def test_long_interval_is_its_own_batch(self):
+        model, cdm, x0, signal, schedule, _ = RUNS["long_interval"]()
+        calls = []
+        integrate(model, cdm, x0, lambda t: calls.append(len(t)) or signal(t), schedule)
+        assert calls == [23, 5982, 204] and 5982 > _BATCH_ROWS
+
+    @pytest.mark.parametrize("times, message", [
+        ([0.1, 0.05, 0.2], r"0\.05 at index 1 is earlier than sample time 0\.1 at index 0"),
+        ([-0.1, 0.2], r"-0\.1 at index 0 is negative"),
+        ([0.1, np.nan], r"nan at index 1 is not finite"),
+        ([0.1, np.inf], r"inf at index 1 is not finite"),
+        ([0.0, 0.1, -np.inf], r"-inf at index 2 is not finite"),
+    ])
+    def test_bad_sample_times_rejected(self, times, message):
+        model = linear_system([[1.0]], [[1.0]])
+        with pytest.raises(ValueError, match=message):
+            integrate(model, None, [1.0], zero_signal(1), FixedTimes(*times))
+
+    @pytest.mark.parametrize("max_step", [0.0, -1e-3, np.nan, np.inf])
+    def test_bad_max_step_rejected(self, max_step):
+        model = linear_system([[1.0]], [[1.0]])
+        sched = SamplingSchedule(rate=10.0, horizon=0.3)
+        with pytest.raises(ValueError, match="max_step must be finite and positive"):
+            integrate(model, None, [1.0], zero_signal(1), sched, max_step=max_step)
+
+    def test_repeated_sample_time_is_an_empty_interval(self):
+        model = linear_system([[1.0]], [[1.0]])
+        run = (model, None, [1.0], zero_signal(1), FixedTimes(0.0, 0.1, 0.1, 0.2))
+        samples = integrate(*run)
+        assert_samples_identical(samples, integrate_per_interval(*run))
+        assert samples[1].state[0] == samples[2].state[0]
 
 
 def observed(model, x, effective):
