@@ -5,14 +5,13 @@ class PreconditionError(ValueError):
     """An operation was called on data that violates its stated preconditions.
 
     Carries optional numeric diagnostics so callers can report what was
-    actually measured (rank, singular values, condition numbers).
+    actually measured (rank, singular values).
     """
 
-    def __init__(self, message, *, rank=None, singular_values=None, cond=None):
+    def __init__(self, message, *, rank=None, singular_values=None):
         super().__init__(message)
         self.rank = rank
         self.singular_values = singular_values
-        self.cond = cond
 
 
 class IdentificationError(RuntimeError):

@@ -342,17 +342,18 @@ def stream_reconstructions(samples: Sequence[ControlSample], model: SystemModel,
     The same reconstructor comes back after every observation; a caller
     that wants the reconstruction of a prefix calls ``snapshot()`` before
     advancing.  An observation whose effective input cannot be recovered
-    (the input matrix is rank deficient at its state) stops the stream with
-    an :class:`IdentificationError` that names its index and time.
+    (the input matrix is rank deficient at its state), or whose pair has a
+    component beyond the range :class:`EffectivePair` accepts, stops the
+    stream with an :class:`IdentificationError` that names its index and
+    time.
     """
     reconstructor = Reconstructor(ident)
     for i, s in enumerate(samples):
         try:
-            effective = recover_effective_input(s, model)
+            reconstructor.push(EffectivePair(s.input, recover_effective_input(s, model)))
         except PreconditionError as exc:
             raise IdentificationError(
                 f"observation {i} at t = {s.time!r}: {exc}", detail=i) from exc
-        reconstructor.push(EffectivePair(s.input, effective))
         yield reconstructor
 
 

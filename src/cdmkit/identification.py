@@ -39,10 +39,18 @@ log = logging.getLogger(__name__)
 
 RANK_TOL = 1e-9  # relative singular-value cutoff of every rank decision
 
+# Largest pair component accepted: below it every square, distance and
+# star offset computed from pairs stays finite.
+_PAIR_LIMIT = 1e150
+
 
 @dataclass(frozen=True)
 class EffectivePair:
-    """A commanded input and the effective input recovered for it."""
+    """A commanded input and the effective input recovered for it.
+
+    A component that is not finite or exceeds 1e150 in magnitude raises
+    :class:`PreconditionError`.
+    """
 
     input: np.ndarray
     effective: np.ndarray
@@ -53,8 +61,10 @@ class EffectivePair:
             if raw.ndim != 1 or raw.dtype.kind not in "biuf":
                 raise ValueError(f"{name} must be a 1-D vector of real numbers")
             value = raw.astype(float)
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"{name} has non-finite components")
+            if not np.abs(value).max(initial=0.0) <= _PAIR_LIMIT:  # False for NaN
+                raise PreconditionError(
+                    f"{name} has a component that is not finite or beyond "
+                    f"{_PAIR_LIMIT:g} in magnitude")
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         if self.input.shape != self.effective.shape:
@@ -158,38 +168,22 @@ def _slink_insert(pi: list, lam: list, dist: list) -> None:
             pi[i] = n
 
 
-def _partition(pi, lam, delta: float, n_modes: int, force_merge: bool,
-               points: np.ndarray) -> list[np.ndarray]:
+def _partition(pi, lam, delta: float, n_modes: int) -> list[np.ndarray]:
     """Flat single-linkage clusters of a pointer representation.
 
     Object i joins ``pi[i]`` when ``lam[i]`` is at or below the cut, which
     merges strictly below ``delta``; the objects above it end their
-    clusters.  With more than ``n_modes`` clusters, ``force_merge`` raises
-    the cut to the merge height that leaves ``n_modes`` (logging each
-    forced merge); otherwise it raises, naming the closest two objects in
-    different clusters.  Clusters come in order of their first member, each
-    an index array in increasing order.
+    clusters.  With more than ``n_modes`` clusters the cut rises to the
+    merge height that leaves ``n_modes``, logging each forced merge.
+    Clusters come in order of their first member, each an index array in
+    increasing order.
     """
     lam = np.array(lam)
     cut = math.nextafter(delta, 0.0)  # merge strictly below delta
     last = np.flatnonzero(lam > cut)  # the last object of each cluster
-    n_clusters = last.shape[0]
-    if n_clusters > n_modes:
-        k = lam.shape[0]
+    if last.shape[0] > n_modes:
         heights = np.sort(lam[np.isfinite(lam)])
-        if not force_merge:
-            root = _roots(pi, lam, cut)
-            gaps = pairwise_distances(points, points)
-            gaps[root[:, None] == root] = np.inf
-            # the first minimum in row-major order has i < j
-            i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
-            raise IdentificationError(
-                f"{n_clusters} clusters remain at separation {delta} "
-                f"with only {n_modes} modes allowed; next merge distance "
-                f"{heights[k - n_clusters]:.6g}",
-                detail=(int(i), int(j)),
-            )
-        forced_cut = max(cut, float(heights[k - n_modes - 1]))
+        forced_cut = max(cut, float(heights[lam.shape[0] - n_modes - 1]))
         for height in heights[(heights > cut) & (heights <= forced_cut)]:
             log.info(
                 "forced merge at height %.6g, at or above separation delta %.6g",
@@ -227,17 +221,15 @@ def _make_cluster(points: np.ndarray, members: Sequence[int], known: tuple = (()
     return Cluster(pairs=pairs, basis_indices=basis), rounds
 
 
-def cluster_pairs(points: np.ndarray, delta: float, n_modes: int,
-                  force_merge: bool = True) -> list[Cluster]:
+def cluster_pairs(points: np.ndarray, delta: float, n_modes: int) -> list[Cluster]:
     """Single-linkage clustering of the graph points ``[u | v]``, a ``(k, 2m)`` table.
 
     Clusters are merged while the nearest pair of clusters is closer than
     ``delta``; the resulting clusters are pairwise at least ``delta`` apart.
     If more than ``n_modes`` clusters remain, under-sampled modes are still
-    fragmented; with ``force_merge`` the closest clusters keep merging until
-    the count reaches ``n_modes`` (fragments rejoin as sampling fills in),
-    otherwise an error lists the closest offending pair.  Deterministic
-    given the input order.
+    fragmented, and the closest clusters keep merging until the count
+    reaches ``n_modes`` (fragments rejoin as sampling fills in).
+    Deterministic given the input order.
     """
     k = len(points)
     if not k:
@@ -252,7 +244,7 @@ def cluster_pairs(points: np.ndarray, delta: float, n_modes: int,
     lam: list[float] = []
     for n in range(k):
         _slink_insert(pi, lam, dist[n, :n].tolist())
-    groups = _partition(pi, lam, delta, n_modes, force_merge, points)
+    groups = _partition(pi, lam, delta, n_modes)
     return [_make_cluster(points, members)[0] for members in groups]
 
 
@@ -318,7 +310,6 @@ class IdentificationConfig:
     n_modes: int
     lipschitz: float = 1.0
     identity_tol: float = 1e-7
-    force_merge: bool = True
 
     def __post_init__(self):
         for name in ("delta", "lipschitz"):
@@ -525,8 +516,7 @@ def build_reconstruction_from_pairs(pairs: Sequence[EffectivePair],
     unaffected.setflags(write=False)
     clusters = []
     if len(affected):
-        clusters = cluster_pairs(affected, config.delta, config.n_modes,
-                                 force_merge=config.force_merge)
+        clusters = cluster_pairs(affected, config.delta, config.n_modes)
     recon = reconstruction_from_clusters(clusters, unaffected, config)
     for mode in recon.modes:
         _warn_if_steep(mode.inner, config)
@@ -547,10 +537,7 @@ class Reconstructor:
     snapshot, reusing the residuals of a prefix of their pairs, and folds
     the unaffected pairs pushed since into the outer side of every other
     mode.  Lipschitz-slope warnings fire for the modes a snapshot builds.
-    ``add(pair)`` is a push followed by a snapshot.  When the clusters
-    cannot be cut (too many without ``force_merge``), ``push`` raises but
-    keeps the pair; every snapshot, and every push that leaves the cut as
-    it is, raises the same until a push makes it possible.
+    ``add(pair)`` is a push followed by a snapshot.
     """
 
     def __init__(self, config: IdentificationConfig):
@@ -566,7 +553,6 @@ class Reconstructor:
         self._lam: list[float] = []
         # (cluster, basis round scores) by member indices, in cluster order
         self._clusters: dict[tuple, tuple[Cluster, list]] = {}
-        self._stale = False  # the last partition attempt failed
         # the last snapshot's modes by member indices, and its unaffected count
         self._modes: dict[tuple, ModeReconstruction] = {}
         self._folded = 0
@@ -583,8 +569,6 @@ class Reconstructor:
         if _is_unaffected(point, self.config.identity_tol):
             self._unaffected = _append_row(self._unaffected, self._n_unaffected, point)
             self._n_unaffected += 1
-            if self._stale:
-                self._repartition()
         else:
             n = len(self._pi)
             dist = pairwise_distances(point[None, :], self._points[:n])[0].tolist()
@@ -601,8 +585,6 @@ class Reconstructor:
         """The reconstruction of all pairs pushed so far."""
         if self._dim is None:
             raise ValueError("cannot build a reconstruction from zero pairs")
-        if self._stale:
-            self._repartition()
         cfg = self.config
         unaffected = self._unaffected[:self._n_unaffected]
         unaffected.setflags(write=False)
@@ -637,10 +619,9 @@ class Reconstructor:
 
     def _repartition(self) -> None:
         """Re-cut the dendrogram; remake the clusters whose membership changed."""
-        self._stale = True
         cfg = self.config
         points = self._points[:len(self._pi)]
-        groups = _partition(self._pi, self._lam, cfg.delta, cfg.n_modes, cfg.force_merge, points)
+        groups = _partition(self._pi, self._lam, cfg.delta, cfg.n_modes)
         clusters = {}
         for members in groups:
             key = tuple(members.tolist())
@@ -652,7 +633,6 @@ class Reconstructor:
                 entry = _make_cluster(points, members, known)
             clusters[key] = entry
         self._clusters = clusters
-        self._stale = False
 
 
 def _prefix_entry(entries: dict, key: tuple):

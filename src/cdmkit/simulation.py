@@ -17,8 +17,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError
-
 
 @dataclass(frozen=True)
 class ControlSample:
@@ -429,39 +427,27 @@ def _checked_times(times) -> np.ndarray:
     return times
 
 
-def integrate(model, cdm, x0, input_signal, schedule: SamplingSchedule,
-              max_step: Optional[float] = None) -> list[ControlSample]:
+def integrate(model: SystemModel, cdm, x0, input_signal,
+              schedule: SamplingSchedule) -> list[ControlSample]:
     """Simulate the degraded system and emit jittered observations.
 
-    Accepts a :class:`SystemModel` or a :class:`HeatSystem`.  ``cdm`` (or
-    None for no degradation) maps a ``(k, m)`` array of commands row-wise.
-    ``input_signal`` maps a 1-D array of ``k`` times to the ``(k, m)`` array
-    of the commands at those times.  Fixed-step fourth-order integration;
-    the step never exceeds 1 ms or the model's stability limit.  The
-    sampling intervals are taken in batches of whole intervals, each within
-    a private bound on stage rows unless one interval alone exceeds it.
-    Each batch makes one signal call and one ``cdm`` call, on the RK4 stage
-    times and sample times of all its intervals, so a signal may receive
-    times spanning several intervals.  Linear models
-    (``a_matrix``/``b_matrix`` set) advance by the precomputed RK4 step map;
-    others by generic RK4 steps.  Both give the classical RK4 solution.
-    Observed velocities are the exact right-hand side at the sampled state.
-    Sample times that are not finite, negative or decreasing, and a
-    ``max_step`` that is not finite and positive, raise ``ValueError``.
-    Deterministic for a fixed schedule seed.
+    ``cdm`` (or None for no degradation) maps a ``(k, m)`` array of
+    commands row-wise.  ``input_signal`` maps a 1-D array of ``k`` times to
+    the ``(k, m)`` array of the commands at those times.  Fixed-step
+    fourth-order integration; the step never exceeds 1 ms or the model's
+    stability limit.  The sampling intervals are taken in batches of whole
+    intervals, each within a private bound on stage rows unless one
+    interval alone exceeds it.  Each batch makes one signal call and one
+    ``cdm`` call, on the RK4 stage times and sample times of all its
+    intervals, so a signal may receive times spanning several intervals.
+    Linear models (``a_matrix``/``b_matrix`` set) advance by the
+    precomputed RK4 step map; others by generic RK4 steps.  Both give the
+    classical RK4 solution.  Observed velocities are the exact right-hand
+    side at the sampled state.  Sample times that are not finite, negative
+    or decreasing raise ``ValueError``.  Deterministic for a fixed schedule
+    seed.
     """
-    if isinstance(model, HeatSystem):
-        model = model.model()
     limit = min(1e-3, model.stability_limit) if model.stability_limit else 1e-3
-    if max_step is not None:
-        if not (math.isfinite(max_step) and max_step > 0.0):
-            raise ValueError(f"max_step must be finite and positive, got {max_step!r}")
-        if model.stability_limit and max_step > model.stability_limit:
-            raise ConfigError(
-                f"step {max_step} exceeds the stability limit "
-                f"{model.stability_limit:.3e} of this system"
-            )
-        limit = min(limit, max_step)
 
     if model.a_matrix is None:
         advance = _rk4_advance(model)

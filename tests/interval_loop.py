@@ -9,7 +9,6 @@ import numpy as np
 
 from cdmkit.simulation import (
     ControlSample,
-    HeatSystem,
     _BATCH_ROWS,
     _commands,
     _effective_inputs,
@@ -31,14 +30,9 @@ def stage_times(t, dt, n_sub: int, tk):
     return times
 
 
-def _limit(model, max_step):
-    limit = min(1e-3, model.stability_limit) if model.stability_limit else 1e-3
-    return limit if max_step is None else min(limit, max_step)
-
-
-def intervals(model, schedule, max_step=None):
+def intervals(model, schedule):
     """``(t, dt, n_sub, tk)`` of each sampling interval."""
-    limit = _limit(model, max_step)
+    limit = min(1e-3, model.stability_limit) if model.stability_limit else 1e-3
     t = 0.0
     for tk in schedule.sample_times():
         span = tk - t
@@ -48,14 +42,12 @@ def intervals(model, schedule, max_step=None):
         t = tk
 
 
-def integrate_per_interval(model, cdm, x0, input_signal, schedule, max_step=None):
+def integrate_per_interval(model, cdm, x0, input_signal, schedule):
     """``integrate`` as one signal and one ``cdm`` call per sampling interval."""
-    if isinstance(model, HeatSystem):
-        model = model.model()
     advance = _rk4_advance(model) if model.a_matrix is None else _linear_rk4_advance(model)
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     samples = []
-    for t, dt, n_sub, tk in intervals(model, schedule, max_step):
+    for t, dt, n_sub, tk in intervals(model, schedule):
         U = _commands(input_signal, stage_times(t, dt, n_sub, tk), model.dim_input)
         E = _effective_inputs(cdm, U)
         if n_sub > 0:
@@ -74,14 +66,14 @@ def assert_samples_identical(got, want):
         np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64), err_msg=field)
 
 
-def assert_batched_calls(calls, model, schedule, max_step=None):
+def assert_batched_calls(calls, model, schedule):
     """``calls``, the time arrays a signal received, are batches of whole intervals.
 
     Each batch holds at most ``_BATCH_ROWS`` times unless it is a single
     interval, and together they are the per-interval stage times element
     for element.
     """
-    per_interval = [stage_times(*iv) for iv in intervals(model, schedule, max_step)]
+    per_interval = [stage_times(*iv) for iv in intervals(model, schedule)]
     sizes = [len(t) for t in per_interval]
     ends = np.cumsum(sizes).tolist()
     cuts = np.cumsum([len(c) for c in calls]).tolist()

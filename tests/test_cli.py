@@ -140,6 +140,44 @@ class TestRun:
         assert "rank 1 < 2" in err and err.count("\n") == 1
         assert not out.exists()  # the run stops before writing any artifact
 
+    def test_pair_beyond_range_is_identification_failure(self, tmp_path, capsys):
+        # every command is 1e200: its squared norm would overflow the unaffected test
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(textwrap.dedent("""\
+            [system]
+            kind = linear
+            state_dim = 1
+            input_dim = 1
+            a = 0.0
+            b = 1.0
+
+            [cdm]
+            kind = modes
+
+            [cdm.mode.1]
+            region = interval,0,1e199,1e201
+            linear = -1.0
+            translation = 0.0
+
+            [signal]
+            kind = constant
+            values = 1e200
+
+            [sampling]
+            rate = 10.0
+            horizon = 0.5
+
+            [identification]
+            delta = 0.5
+            modes = 1
+            """))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output", str(out)]) == EXIT_IDENTIFICATION
+        err = capsys.readouterr().err
+        assert err == ("identification-failure: observation 0 at t = 0.0: input has a "
+                       "component that is not finite or beyond 1e+150 in magnitude\n")
+        assert not out.exists()
+
     def test_repeat_runs_byte_identical(self, small_run, tmp_path):
         cfg_path, out = small_run
         again = tmp_path / "again"

@@ -20,7 +20,12 @@ from cdmkit.experiment import (
     stream_reconstructions,
     validate_ground_truth_separation,
 )
-from cdmkit.identification import QueryKind, build_reconstruction, query
+from cdmkit.identification import (
+    IdentificationConfig,
+    QueryKind,
+    build_reconstruction,
+    query,
+)
 from cdmkit.serialization import read_reconstruction, read_samples
 from cdmkit.simulation import integrate
 
@@ -121,6 +126,16 @@ class TestConfigParsing:
         bad = DEFAULT_HEAT_CONFIG.replace("grid_points = 101", "grid_points = 11")
         with pytest.raises(ConfigError):
             parse_config_text(bad)
+
+    def test_every_identification_field_is_read_from_its_section(self):
+        # a field that no config key sets is an option no run can use
+        head = LINEAR_MODES_CONFIG[:LINEAR_MODES_CONFIG.index("[identification]")]
+        section = "[identification]\ndelta = 0.3\nmodes = 2\nlipschitz = 2.5\nidentity_tol = 1e-5\n"
+        parsed = parse_config_text(head + section).identification
+        assert parsed == IdentificationConfig(delta=0.3, n_modes=2, lipschitz=2.5,
+                                              identity_tol=1e-5)
+        for field in dataclasses.fields(IdentificationConfig):
+            assert getattr(parsed, field.name) != field.default, field.name
 
     def test_mode_list_config(self):
         cfg = parse_config_text(LINEAR_MODES_CONFIG)

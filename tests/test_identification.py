@@ -3,6 +3,7 @@
 import dataclasses
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -129,19 +130,6 @@ class TestClusterPairs:
         clusters = cluster_pairs(pairs, delta=0.1, n_modes=2)
         assert len(clusters) <= 2
 
-    def test_strict_mode_raises_beyond_budget(self):
-        pairs = table([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
-        with pytest.raises(IdentificationError):
-            cluster_pairs(pairs, delta=0.1, n_modes=2, force_merge=False)
-
-    def test_strict_mode_names_closest_pair_across_clusters(self):
-        # 0, 0.3 and 0.6 chain into one cluster at delta 0.5; 5.0 stays apart
-        pairs = table([(u, u + 10.0) for u in (0.0, 0.3, 0.6, 5.0)])
-        with pytest.raises(IdentificationError, match="next merge distance 6.22254") as err:
-            cluster_pairs(pairs, delta=0.5, n_modes=1, force_merge=False)
-        assert err.value.detail == (2, 3)
-        assert all(type(i) is int for i in err.value.detail)
-
     def test_deterministic_given_order(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(10, 2))
@@ -266,11 +254,33 @@ class TestEffectivePair:
         ([np.nan], [2.0]),
         ([1.0], [np.inf]),
         ([1.0, 2.0], [3.0]),
+        ([1.0, 1e151], [2.0, 3.0]),
+        ([1.0, np.nan], [2.0, 3.0]),
     ], ids=["2-D", "0-D", "complex input", "complex effective", "string", "nan", "inf",
-            "dims disagree"])
+            "dims disagree", "beyond 1e150", "nan not first"])
     def test_malformed_pair_rejected(self, u, v):
         with pytest.raises(ValueError):
             EffectivePair(u, v)
+
+    @pytest.mark.parametrize("u, v, half", [
+        ([1.0, 1e151], [2.0, 3.0], "input"),
+        ([1.0], [-np.inf], "effective"),
+    ])
+    def test_out_of_range_half_is_named(self, u, v, half):
+        with pytest.raises(PreconditionError, match=f"^{half} has a component that is not "
+                                                    r"finite or beyond 1e\+150"):
+            EffectivePair(u, v)
+
+    def test_range_limit_itself_accepted(self):
+        # at the limit the unaffected test and the merge heights stay finite
+        pairs = [EffectivePair([1e150], [-1e150]), EffectivePair([-1e150], [1e150])]
+        points = np.array([np.concatenate([p.input, p.effective]) for p in pairs])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            affected, unaffected = split_pairs(points, 1e-7)
+            (cluster,) = cluster_pairs(affected, delta=0.5, n_modes=1)
+        assert len(unaffected) == 0
+        np.testing.assert_array_equal(cluster.pairs, points)
 
 
 class TestBuildReconstruction:

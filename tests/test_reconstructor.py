@@ -55,19 +55,11 @@ def assert_same(snapshot, batch):
 def assert_snapshots_match_batch(pairs, config, steps=None):
     """Push every pair, snapshot at ``steps`` (default: all); both agree with the batch build.
 
-    ``modes_identified`` is compared at every step.  A failed push must
-    raise the batch's error, and so must the snapshot taken after it.
+    ``modes_identified`` is compared at every step.
     """
     rec = Reconstructor(config)
     for k, pair in enumerate(pairs, start=1):
-        try:
-            expected = build_reconstruction_from_pairs(pairs[:k], config)
-        except IdentificationError as exc:
-            for attempt in (lambda: rec.push(pair), rec.snapshot):
-                with pytest.raises(IdentificationError) as err:
-                    attempt()
-                assert str(err.value) == str(exc) and err.value.detail == exc.detail
-            continue
+        expected = build_reconstruction_from_pairs(pairs[:k], config)
         rec.push(pair)
         assert rec.modes_identified == sum(m.identified for m in expected.modes)
         if steps is None or k in steps:
@@ -140,7 +132,6 @@ def pair_streams(draw):
         delta=1.0,
         n_modes=draw(st.integers(1, 4)),
         lipschitz=draw(st.sampled_from([0.5, 4.0])),
-        force_merge=draw(st.booleans()),
     )
     return pairs, config
 
@@ -195,21 +186,6 @@ def test_trial_streams_refine_bounds_monotonically(trial_seed, order_seed):
     assert compared >= N  # the last, unaffected pair keeps every mode's members
 
 
-def test_strict_stream_raises_at_the_batch_step():
-    # three fragments at delta 0.1 with a budget of two: the third pair fails
-    pairs = [EffectivePair([x], [x + 5.0]) for x in (0.0, 1.0, 2.5, 1.7)]
-    config = IdentificationConfig(delta=0.1, n_modes=2, force_merge=False)
-    assert_snapshots_match_batch(pairs, config)
-    stream = ck.stream_reconstructions(
-        [ck.ControlSample(time=0.0, state=np.zeros(1), velocity=np.array(p.effective),
-                          input=p.input) for p in pairs],
-        ck.linear_system([[0.0]], [[1.0]]), config)
-    for _ in range(2):
-        next(stream)
-    with pytest.raises(IdentificationError, match="3 clusters remain"):
-        next(stream)
-
-
 def test_rank_failure_stops_the_stream_at_its_observation():
     # g(x) = [[x]] loses rank at x = 0: the third observation
     model = ck.SystemModel(dim_state=1, dim_input=1, drift=lambda x: 0.0 * x,
@@ -225,17 +201,17 @@ def test_rank_failure_stops_the_stream_at_its_observation():
     assert err.value.detail == 2 and isinstance(err.value.__cause__, ck.PreconditionError)
 
 
-def test_strict_stream_names_the_batch_pair():
-    # the offending pair lies across clusters, in the stream as in the batch
-    pairs = [EffectivePair([u], [u + 10.0]) for u in (0.0, 0.3, 0.6, 5.0)]
-    config = IdentificationConfig(delta=0.5, n_modes=1, force_merge=False)
-    assert_snapshots_match_batch(pairs, config)
-    rec = Reconstructor(config)
-    for pair in pairs[:3]:
-        rec.add(pair)
-    with pytest.raises(IdentificationError) as err:
-        rec.add(pairs[3])
-    assert err.value.detail == (2, 3)
+def test_pair_out_of_range_stops_the_stream_at_its_observation():
+    # x' = u: the second observation's effective input is beyond the pair range
+    samples = [ck.ControlSample(time=0.1 * i, state=np.zeros(1), velocity=np.array([v]),
+                                input=np.array([1.0])) for i, v in enumerate((2.0, -2e150))]
+    stream = ck.stream_reconstructions(samples, ck.linear_system([[0.0]], [[1.0]]),
+                                       IdentificationConfig(delta=0.1, n_modes=1))
+    assert next(stream).modes_identified == 0
+    with pytest.raises(IdentificationError, match=r"observation 1 at t = 0\.1: effective has "
+                                                  r"a component that is not finite") as err:
+        next(stream)
+    assert err.value.detail == 1 and isinstance(err.value.__cause__, ck.PreconditionError)
 
 
 def snapshot_steps(n, seed):
@@ -302,26 +278,6 @@ def test_bundled_sparse_snapshots_reuse_residuals_and_fold_witnesses(heat_run, m
             partial_rescore |= any(n < len(m.pairs) for n, m in zip(scored, built))
         previous = snapshot
     assert multi_fold and partial_rescore
-
-
-def test_strict_snapshot_raises_until_a_push_recovers():
-    # at delta 0.8 the first two pairs are two clusters for a budget of one;
-    # the third lies within delta of both and joins them
-    pairs = [EffectivePair([u], [u + 5.0]) for u in (0.0, 1.0, 0.5)]
-    unaffected = EffectivePair([9.0], [9.0])
-    config = IdentificationConfig(delta=0.8, n_modes=1, force_merge=False)
-    rec = Reconstructor(config)
-    rec.push(pairs[0])
-    with pytest.raises(IdentificationError) as pushed:
-        rec.push(pairs[1])
-    for attempt in (rec.snapshot, lambda: rec.push(unaffected), rec.snapshot):
-        with pytest.raises(IdentificationError) as err:
-            attempt()
-        assert str(err.value) == str(pushed.value) and err.value.detail == pushed.value.detail
-    rec.push(pairs[2])
-    assert rec.modes_identified == 1
-    assert_same(rec.snapshot(), build_reconstruction_from_pairs(pairs[:2] + [unaffected, pairs[2]],
-                                                                config))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdmkit.degradation import AffineMap, IntervalRegion, NModeCdm, heat_example_cdm
-from cdmkit.errors import ConfigError, PreconditionError
+from cdmkit.errors import PreconditionError
 from cdmkit.identification import build_reconstruction, recover_effective_input
 from cdmkit.serialization import reconstruction_to_lines
 from cdmkit.simulation import (
@@ -266,13 +266,26 @@ class TestIntegrate:
         for s in samples:
             np.testing.assert_allclose(s.state[0], np.exp(s.time), rtol=1e-9)
 
-    def test_stability_limit_enforced(self):
-        sys = HeatSystem(grid_points=101, diffusivity=0.1)
+    @pytest.mark.parametrize("nonlinear_depth", [False, True])
+    def test_steps_stay_within_stability_limit(self, nonlinear_depth):
+        # at 101 grid points the diffusion limit, 5e-4 s, is below the 1 ms cap
+        sys = HeatSystem(grid_points=101, nonlinear_depth=nonlinear_depth)
         model = sys.model()
-        sched = SamplingSchedule(rate=10.0, jitter=0.0, seed=0, horizon=0.1)
-        with pytest.raises(ConfigError):
-            integrate(model, None, np.zeros(model.dim_state), zero_signal(2),
-                      sched, max_step=10 * sys.stability_limit)
+        limit = min(1e-3, sys.stability_limit)
+        assert limit == sys.stability_limit < 1e-3
+        calls = []
+
+        def recording(t):
+            calls.append(t.copy())
+            return probe_signal(t)
+
+        sched = SamplingSchedule(rate=20.0, jitter=0.01, seed=3, horizon=0.3)
+        integrate(model, heat_example_cdm(), np.zeros(model.dim_state), recording, sched)
+        # consecutive stage times are half a step apart (a step start and its
+        # midpoint, a midpoint and the next start) or, at a sample time, equal
+        # up to rounding: twice the widest gap is the longest step
+        longest = 2.0 * np.diff(np.concatenate(calls)).max()
+        assert 0.9 * limit < longest <= limit * (1.0 + 1e-9)
 
     @pytest.mark.parametrize("signal, received", [
         (lambda t: np.zeros(len(t)), r"\(\d+,\)"),
@@ -465,24 +478,23 @@ class TestLinearPropagator:
         assert not A.flags.writeable
 
 
-def heat_args(schedule, max_step=None, nonlinear_depth=False):
+def heat_args(schedule, nonlinear_depth=False):
     """``integrate`` arguments: a small heat model, the three-mode map and the probe signal."""
     sys = HeatSystem(grid_points=21, epsilon=0.1, nonlinear_depth=nonlinear_depth)
-    return sys.model(), heat_example_cdm(), np.ones(sys.dim_state), probe_signal, schedule, \
-        max_step
+    return sys.model(), heat_example_cdm(), np.ones(sys.dim_state), probe_signal, schedule
 
 
 RUNS = {
     "nonlinear_depth": lambda: heat_args(SamplingSchedule(20.0, 0.01, 4, 0.5),
                                          nonlinear_depth=True),
-    "max_step_without_jitter": lambda: heat_args(SamplingSchedule(20.0, 0.0, 0, 1.0), 3e-4),
+    "without_jitter": lambda: heat_args(SamplingSchedule(20.0, 0.0, 0, 1.0)),
     # 100 intervals of about 102 stage rows: batches split mid-horizon
     "split_batches": lambda: heat_args(SamplingSchedule(20.0, 0.01, 2, 5.0)),
     # 2,990 steps of 1 ms between the second and third sample: 5,982 rows
     "long_interval": lambda: heat_args(FixedTimes(0.0, 0.01, 3.0, 3.05, 3.1)),
     "vanishing_first_interval": lambda: (linear_system([[1.0]], [[1.0]]), None, [1.0],
                                          lambda t: np.sin(t)[:, None],
-                                         FixedTimes(1e-300, 0.1), None),
+                                         FixedTimes(1e-300, 0.1)),
 }
 
 
@@ -502,20 +514,19 @@ class TestBatchedIntegrate:
 
     @pytest.mark.parametrize("name", sorted(RUNS))
     def test_run(self, name):
-        model, cdm, x0, signal, schedule, max_step = RUNS[name]()
+        model, cdm, x0, signal, schedule = RUNS[name]()
         calls = []
 
         def recording(t):
             calls.append(t.copy())
             return signal(t)
 
-        assert_samples_identical(integrate(model, cdm, x0, recording, schedule, max_step),
-                                 integrate_per_interval(model, cdm, x0, signal, schedule,
-                                                        max_step))
-        assert_batched_calls(calls, model, schedule, max_step)
+        assert_samples_identical(integrate(model, cdm, x0, recording, schedule),
+                                 integrate_per_interval(model, cdm, x0, signal, schedule))
+        assert_batched_calls(calls, model, schedule)
 
     def test_long_interval_is_its_own_batch(self):
-        model, cdm, x0, signal, schedule, _ = RUNS["long_interval"]()
+        model, cdm, x0, signal, schedule = RUNS["long_interval"]()
         calls = []
         integrate(model, cdm, x0, lambda t: calls.append(len(t)) or signal(t), schedule)
         assert calls == [23, 5982, 204] and 5982 > _BATCH_ROWS
@@ -531,13 +542,6 @@ class TestBatchedIntegrate:
         model = linear_system([[1.0]], [[1.0]])
         with pytest.raises(ValueError, match=message):
             integrate(model, None, [1.0], zero_signal(1), FixedTimes(*times))
-
-    @pytest.mark.parametrize("max_step", [0.0, -1e-3, np.nan, np.inf])
-    def test_bad_max_step_rejected(self, max_step):
-        model = linear_system([[1.0]], [[1.0]])
-        sched = SamplingSchedule(rate=10.0, horizon=0.3)
-        with pytest.raises(ValueError, match="max_step must be finite and positive"):
-            integrate(model, None, [1.0], zero_signal(1), sched, max_step=max_step)
 
     def test_repeated_sample_time_is_an_empty_interval(self):
         model = linear_system([[1.0]], [[1.0]])
