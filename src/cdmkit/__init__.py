@@ -49,7 +49,6 @@ from .geometry import (
     mgf_outer_bound,
     set_distance,
     star_contains,
-    within_fattening,
 )
 from .identification import (
     CdmReconstruction,
@@ -81,7 +80,6 @@ from .simulation import (
     HeatSystem,
     SamplingSchedule,
     SystemModel,
-    degraded_rhs,
     integrate,
     linear_system,
     probe_signal,

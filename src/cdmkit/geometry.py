@@ -79,16 +79,6 @@ def hausdorff_distance(a, b) -> float:
     return max(set_distance(a, b), set_distance(b, a))
 
 
-def within_fattening(a, b, rho: float) -> bool:
-    """True iff each set lies inside the rho-fattening of the other.
-
-    Equivalent on finite sets to ``hausdorff_distance(a, b) <= rho``.
-    """
-    if rho < 0:
-        raise ValueError(f"fattening radius must be non-negative, got {rho}")
-    return set_distance(a, b) <= rho and set_distance(b, a) <= rho
-
-
 class Side(enum.Enum):
     """Whether directional radii under-estimate (INNER) or over-estimate (OUTER)."""
 

@@ -44,6 +44,14 @@ RANK_TOL = 1e-9  # relative singular-value cutoff of every rank decision
 _PAIR_LIMIT = 1e150
 
 
+def _check_range(values: np.ndarray, name: str) -> None:
+    """Raise :class:`PreconditionError` unless every component is within ``_PAIR_LIMIT``."""
+    if not np.abs(values).max(initial=0.0) <= _PAIR_LIMIT:  # False for NaN
+        raise PreconditionError(
+            f"{name} has a component that is not finite or beyond "
+            f"{_PAIR_LIMIT:g} in magnitude")
+
+
 @dataclass(frozen=True)
 class EffectivePair:
     """A commanded input and the effective input recovered for it.
@@ -61,10 +69,7 @@ class EffectivePair:
             if raw.ndim != 1 or raw.dtype.kind not in "biuf":
                 raise ValueError(f"{name} must be a 1-D vector of real numbers")
             value = raw.astype(float)
-            if not np.abs(value).max(initial=0.0) <= _PAIR_LIMIT:  # False for NaN
-                raise PreconditionError(
-                    f"{name} has a component that is not finite or beyond "
-                    f"{_PAIR_LIMIT:g} in magnitude")
+            _check_range(value, name)
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         if self.input.shape != self.effective.shape:
@@ -145,80 +150,168 @@ def _select_basis(inputs: np.ndarray, m: int, known: tuple = ((), ())):
     return tuple(chosen), rounds
 
 
-def _slink_insert(pi: list, lam: list, dist: list) -> None:
-    """Extend a pointer representation by one object (Sibson's SLINK step).
-
-    ``dist`` holds the distances from the new object to objects ``0..n-1``
-    and is used as scratch.  O(n) per inserted object.
-    """
-    n = len(pi)
-    pi.append(n)
-    lam.append(np.inf)
-    for i in range(n):
-        p, li, di = pi[i], lam[i], dist[i]
-        if li >= di:
-            if li < dist[p]:
-                dist[p] = li
-            lam[i] = di
-            pi[i] = n
-        elif di < dist[p]:
-            dist[p] = di
-    for i in range(n):
-        if lam[i] >= lam[pi[i]]:
-            pi[i] = n
-
-
-def _partition(pi, lam, delta: float, n_modes: int) -> list[np.ndarray]:
-    """Flat single-linkage clusters of a pointer representation.
-
-    Object i joins ``pi[i]`` when ``lam[i]`` is at or below the cut, which
-    merges strictly below ``delta``; the objects above it end their
-    clusters.  With more than ``n_modes`` clusters the cut rises to the
-    merge height that leaves ``n_modes``, logging each forced merge.
-    Clusters come in order of their first member, each an index array in
-    increasing order.
-    """
-    lam = np.array(lam)
-    cut = math.nextafter(delta, 0.0)  # merge strictly below delta
-    last = np.flatnonzero(lam > cut)  # the last object of each cluster
-    if last.shape[0] > n_modes:
-        heights = np.sort(lam[np.isfinite(lam)])
-        forced_cut = max(cut, float(heights[lam.shape[0] - n_modes - 1]))
-        for height in heights[(heights > cut) & (heights <= forced_cut)]:
-            log.info(
-                "forced merge at height %.6g, at or above separation delta %.6g",
-                height, delta,
-                extra={"event": "forced_merge", "height": float(height), "delta": delta},
-            )
-        cut = forced_cut
-        last = np.flatnonzero(lam > cut)
-    root = _roots(pi, lam, cut)
-    return sorted((np.flatnonzero(root == r) for r in last.tolist()),
-                  key=lambda members: members[0])
-
-
-def _roots(pi, lam: np.ndarray, cut: float) -> np.ndarray:
-    """Each object's cluster at ``cut``, named by the cluster's last object."""
-    # pi[i] > i: pointer jumping settles every object on its cluster's last one
-    root = np.where(lam <= cut, np.array(pi), np.arange(lam.shape[0]))
-    while True:
-        hop = root[root]
-        if (hop == root).all():
-            return root
-        root = hop
-
-
-def _make_cluster(points: np.ndarray, members: Sequence[int], known: tuple = ((), ())):
-    """The cluster of ``points[members]`` and its basis round scores.
+def _make_cluster(pairs: np.ndarray, known: tuple = ((), ())):
+    """The cluster of the table ``pairs``, made read-only, and its basis round scores.
 
     ``known`` is passed to :func:`_select_basis`: the basis and round scores
-    of a prefix of ``members``, if any.
+    of a prefix of ``pairs``, if any.
     """
-    pairs = points[members]
     pairs.setflags(write=False)
     m = pairs.shape[1] // 2
     basis, rounds = _select_basis(pairs[:, :m], m, known)
     return Cluster(pairs=pairs, basis_indices=basis), rounds
+
+
+class _Rows:
+    """One cluster's ``[u | v]`` rows in pair order, grown by appending.
+
+    Rows below the count are never rewritten, and a full buffer is replaced
+    by a copy, so every :class:`Cluster` handed out keeps its table.  The
+    basis is chosen on demand, scoring only the rows appended since the
+    last choice.  ``mode`` is what a snapshot built from the first
+    ``mode_rows`` rows.
+    """
+
+    def __init__(self, table: np.ndarray):
+        self.table, self.count = table, table.shape[0]
+        self._cluster: Optional[Cluster] = None
+        self._rounds: list = []
+        self.mode: Optional[ModeReconstruction] = None
+        self.mode_rows = 0
+
+    def append(self, row: np.ndarray) -> None:
+        self.table = _append_row(self.table, self.count, row)
+        self.count += 1
+
+    @property
+    def cluster(self) -> Cluster:
+        known = self._cluster
+        if known is None or known.pairs.shape[0] != self.count:
+            prefix = (known.basis_indices, self._rounds) if known else ((), ())
+            self._cluster, self._rounds = _make_cluster(self.table[:self.count], prefix)
+        return self._cluster
+
+
+class _Linkage:
+    """Single-linkage clusters of a growing table of graph points.
+
+    Points closer than ``delta`` share a threshold component: a new point
+    joins the one it is near, starts one, or merges those it is near.
+    ``between`` holds the smallest distance between every two components,
+    updated from the new point's distance row by one reduction by label.
+    Components are kept in order of their first point, which names them.
+    :meth:`cut` makes the clusters: the components, or with more than
+    ``n_modes`` of them, their unions along the component graph's minimum
+    spanning tree up to the merge height that leaves ``n_modes``.  A
+    cluster is keyed by the names of its components; one whose components
+    merged only among themselves keeps its table, and one whose component
+    merged with another cluster's is dropped, to be built anew.
+    """
+
+    def __init__(self, delta: float, n_modes: int, width: int):
+        self.delta, self.n_modes = delta, n_modes
+        self.points = np.empty((8, width))
+        self.labels = np.empty(8, dtype=np.intp)  # each point's component
+        self.n = 0
+        self.between = np.empty((0, 0))
+        self.firsts: list[int] = []  # per component: its first point
+        self.clusters: dict[frozenset, _Rows] = {}  # by component names, in cluster order
+        self._cut_at = 0  # points at the last cut
+
+    def add(self, point: np.ndarray, dist: np.ndarray) -> None:
+        """Add ``point``, whose distances to the points so far are ``dist``."""
+        n, k = self.n, len(self.firsts)
+        row = np.full(k, np.inf)
+        np.minimum.at(row, self.labels[:n], dist)
+        near = [c for c, d in enumerate(row.tolist()) if d < self.delta]
+        self.points = _append_row(self.points, n, point)
+        if not near:  # a component of its own
+            self.between = np.pad(self.between, (0, 1), constant_values=np.inf)
+            self.between[k, :k] = self.between[:k, k] = row
+            self.firsts.append(n)
+            label = k
+        else:
+            label = near[0]
+            joined = row
+            for c in near:
+                joined = np.minimum(joined, self.between[c])
+            joined[label] = np.inf  # the diagonal; the other near components are dropped below
+            self.between[label] = self.between[:, label] = joined
+            if len(near) > 1:  # the merged component keeps the first one's name
+                keep = np.ones(k, dtype=bool)
+                keep[near[1:]] = False
+                renumber = np.cumsum(keep) - 1
+                renumber[near[1:]] = label
+                self.labels[:n] = renumber[self.labels[:n]]
+                self.between = self.between[np.ix_(keep, keep)]
+                gone = {self.firsts[i] for i in near[1:]}
+                for i in reversed(near[1:]):
+                    del self.firsts[i]
+                touched = [key for key in self.clusters if key & (gone | {self.firsts[label]})]
+                for key in touched:
+                    rows = self.clusters.pop(key)
+                    if len(touched) == 1:
+                        self.clusters[key - gone] = rows
+        self.labels = _append_row(self.labels, n, label)
+        self.n += 1
+
+    def cut(self) -> None:
+        """Re-cut the clusters; remake those whose components merged or regrouped."""
+        labels = self.labels[:self.n]
+        added = labels[self._cut_at:].tolist()
+        old, self.clusters = self.clusters, {}
+        for group in self._groups():
+            names = [self.firsts[c] for c in group]
+            rows = old.get(frozenset(name for name in names if name < self._cut_at))
+            if rows is None:
+                rows = _Rows(self.points[:self.n][np.isin(labels, group)])
+            else:
+                for i, c in enumerate(added):
+                    if c in group:
+                        rows.append(self.points[self._cut_at + i])
+            self.clusters[frozenset(names)] = rows
+        self._cut_at = self.n
+
+    def _groups(self) -> list[list[int]]:
+        """The components of each cluster at the cut, in order of first point.
+
+        Kruskal's pass over the component graph merges its shortest edges up
+        to the (k - n_modes)-th merge height, and every edge tied with it;
+        each such forced merge is logged in ascending order.
+        """
+        k = len(self.firsts)
+        if k <= self.n_modes:
+            return [[c] for c in range(k)]
+        a, b = np.triu_indices(k, 1)
+        heights = self.between[a, b]
+        order = np.argsort(heights).tolist()
+        heights, a, b = heights.tolist(), a.tolist(), b.tolist()
+        root = list(range(k))
+
+        def find(c):
+            while root[c] != c:
+                c = root[c]
+            return c
+
+        merged: list[float] = []
+        for e in order:
+            height = heights[e]
+            if len(merged) >= k - self.n_modes and height > merged[-1]:
+                break
+            ra, rb = find(a[e]), find(b[e])
+            if ra != rb:
+                root[max(ra, rb)] = min(ra, rb)  # a cluster is named by its first component
+                merged.append(height)
+        for height in merged:
+            log.info(
+                "forced merge at height %.6g, at or above separation delta %.6g",
+                height, self.delta,
+                extra={"event": "forced_merge", "height": height, "delta": self.delta},
+            )
+        groups: dict[int, list[int]] = {}
+        for c in range(k):
+            groups.setdefault(find(c), []).append(c)
+        return list(groups.values())
 
 
 def cluster_pairs(points: np.ndarray, delta: float, n_modes: int) -> list[Cluster]:
@@ -238,14 +331,14 @@ def cluster_pairs(points: np.ndarray, delta: float, n_modes: int) -> list[Cluste
         raise ValueError("separation delta must be positive")
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
-    # the pointer representation the stream builds, one object at a time
+    _check_range(points, "pair table")
+    # the structure the stream grows, one point at a time, cut once
     dist = pairwise_distances(points, points)
-    pi: list[int] = []
-    lam: list[float] = []
+    linkage = _Linkage(delta, n_modes, points.shape[1])
     for n in range(k):
-        _slink_insert(pi, lam, dist[n, :n].tolist())
-    groups = _partition(pi, lam, delta, n_modes)
-    return [_make_cluster(points, members)[0] for members in groups]
+        linkage.add(points[n], dist[n, :n])
+    linkage.cut()
+    return [rows.cluster for rows in linkage.clusters.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +517,11 @@ def _is_unaffected(point: np.ndarray, identity_tol: float) -> bool:
 
 
 def split_pairs(points: np.ndarray, identity_tol: float):
-    """Partition a pair table into (affected, unaffected) tables by relative deviation."""
+    """Partition a pair table into (affected, unaffected) tables by relative deviation.
+
+    A component not finite or beyond 1e150 raises :class:`PreconditionError`.
+    """
+    _check_range(points, "pair table")
     mask = np.array([_is_unaffected(p, identity_tol) for p in points], dtype=bool)
     return points[~mask], points[mask]
 
@@ -526,15 +623,16 @@ def build_reconstruction_from_pairs(pairs: Sequence[EffectivePair],
 class Reconstructor:
     """Online reconstruction: pairs pushed one at a time, snapshots built on demand.
 
-    ``push(pair)`` records a pair at the cost of clustering it: single
-    linkage is kept in Sibson's pointer representation, updated in O(n) per
-    affected pair, and the clusters whose membership changed get their
-    basis; no star set is built and no map is fitted.  ``modes_identified``
+    ``push(pair)`` records a pair at the cost of clustering it: it joins,
+    starts or merges threshold components, the clusters are re-cut from
+    them, a cluster that only gains the pair appends it to its table, and
+    the basis of a grown cluster is picked by scoring only its new inputs;
+    no star set is built and no map is fitted.  ``modes_identified``
     counts the current clusters that :func:`fit_affine` identifies.
     ``snapshot()`` returns the reconstruction of every pair pushed so far,
     equal to ``build_reconstruction_from_pairs`` on them: it bounds, fits
-    and scores only the clusters whose membership changed since the last
-    snapshot, reusing the residuals of a prefix of their pairs, and folds
+    and scores only the clusters that changed since the last snapshot,
+    reusing the residuals of the rows a grown cluster had then, and folds
     the unaffected pairs pushed since into the outer side of every other
     mode.  Lipschitz-slope warnings fire for the modes a snapshot builds.
     ``add(pair)`` is a push followed by a snapshot.
@@ -543,26 +641,22 @@ class Reconstructor:
     def __init__(self, config: IdentificationConfig):
         self.config = config
         self._dim: Optional[int] = None
-        # Graph points [u | v] of the affected and unaffected pairs, grown by doubling.
-        # Snapshots view the unaffected prefix: rows below the count are never
+        # Graph points [u | v] of the unaffected pairs, grown by doubling.
+        # Snapshots view the prefix: rows below the count are never
         # rewritten, and a full buffer is replaced by a copy, not resized in place.
-        self._points = np.empty((0, 0))
         self._unaffected = np.empty((0, 0))
         self._n_unaffected = 0
-        self._pi: list[int] = []  # one entry per affected pair
-        self._lam: list[float] = []
-        # (cluster, basis round scores) by member indices, in cluster order
-        self._clusters: dict[tuple, tuple[Cluster, list]] = {}
-        # the last snapshot's modes by member indices, and its unaffected count
-        self._modes: dict[tuple, ModeReconstruction] = {}
-        self._folded = 0
+        # the affected pairs; sized by the first pair
+        self._linkage = _Linkage(config.delta, config.n_modes, 0)
+        self._folded = 0  # the unaffected count at the last snapshot
+        self._identified = 0
 
     def push(self, pair: EffectivePair) -> None:
         """Record one pair and re-cut the clusters it changes."""
         if self._dim is None:
             self._dim = pair.dim
-            self._points = np.empty((8, 2 * pair.dim))
             self._unaffected = np.empty((8, 2 * pair.dim))
+            self._linkage = _Linkage(self.config.delta, self.config.n_modes, 2 * pair.dim)
         elif pair.dim != self._dim:
             raise ValueError(f"pair dimension {pair.dim} != {self._dim}")
         point = np.concatenate([pair.input, pair.effective])
@@ -570,16 +664,17 @@ class Reconstructor:
             self._unaffected = _append_row(self._unaffected, self._n_unaffected, point)
             self._n_unaffected += 1
         else:
-            n = len(self._pi)
-            dist = pairwise_distances(point[None, :], self._points[:n])[0].tolist()
-            self._points = _append_row(self._points, n, point)
-            _slink_insert(self._pi, self._lam, dist)
-            self._repartition()
+            linkage = self._linkage
+            linkage.add(point, pairwise_distances(point[None, :], linkage.points[:linkage.n])[0])
+            linkage.cut()
+            # picks the basis of each changed cluster
+            self._identified = sum(_unidentifiable(rows.cluster) is None
+                                   for rows in linkage.clusters.values())
 
     @property
     def modes_identified(self) -> int:
         """How many current clusters :func:`fit_affine` identifies."""
-        return sum(_unidentifiable(c) is None for c, _ in self._clusters.values())
+        return self._identified
 
     def snapshot(self) -> CdmReconstruction:
         """The reconstruction of all pairs pushed so far."""
@@ -589,12 +684,11 @@ class Reconstructor:
         unaffected = self._unaffected[:self._n_unaffected]
         unaffected.setflags(write=False)
         folds = unaffected[self._folded:, :self._dim]
-        modes = {}
-        for key, (cluster, _) in self._clusters.items():
-            mode = self._modes.get(key)
-            if mode is None:
-                mode = _mode_from_cluster(cluster, unaffected[:, :self._dim], cfg,
-                                          _prefix_entry(self._modes, key))
+        modes = []
+        for rows in self._linkage.clusters.values():
+            mode = rows.mode
+            if rows.mode_rows != rows.count:
+                mode = _mode_from_cluster(rows.cluster, unaffected[:, :self._dim], cfg, mode)
                 _warn_if_steep(mode.inner, cfg)
             else:
                 outer = mode.outer
@@ -602,10 +696,11 @@ class Reconstructor:
                     outer = outer.with_witness(u)
                 if outer is not mode.outer:
                     mode = replace(mode, outer=outer)
-            modes[key] = mode
-        self._modes, self._folded = modes, self._n_unaffected
+            rows.mode, rows.mode_rows = mode, rows.count
+            modes.append(mode)
+        self._folded = self._n_unaffected
         return CdmReconstruction(
-            modes=tuple(modes.values()),
+            modes=tuple(modes),
             unaffected=unaffected,
             separation=cfg.delta,
             mode_count=cfg.n_modes,
@@ -617,36 +712,11 @@ class Reconstructor:
         self.push(pair)
         return self.snapshot()
 
-    def _repartition(self) -> None:
-        """Re-cut the dendrogram; remake the clusters whose membership changed."""
-        cfg = self.config
-        points = self._points[:len(self._pi)]
-        groups = _partition(self._pi, self._lam, cfg.delta, cfg.n_modes)
-        clusters = {}
-        for members in groups:
-            key = tuple(members.tolist())
-            entry = self._clusters.get(key)
-            if entry is None:
-                # a cluster that only gained pairs keeps the basis work that still holds
-                prefix, known_rounds = _prefix_entry(self._clusters, key) or (None, ())
-                known = (prefix.basis_indices, known_rounds) if prefix else ((), ())
-                entry = _make_cluster(points, members, known)
-            clusters[key] = entry
-        self._clusters = clusters
 
-
-def _prefix_entry(entries: dict, key: tuple):
-    """The value of the entry whose key is a proper prefix of ``key``; None if none is."""
-    for known, value in entries.items():
-        if len(known) < len(key) and key[:len(known)] == known:
-            return value
-    return None
-
-
-def _append_row(buffer: np.ndarray, n: int, row: np.ndarray) -> np.ndarray:
+def _append_row(buffer: np.ndarray, n: int, row) -> np.ndarray:
     """Write ``row`` at index ``n``, doubling the buffer when it is full."""
     if n == buffer.shape[0]:
-        grown = np.empty((2 * n, buffer.shape[1]))
+        grown = np.empty((2 * n,) + buffer.shape[1:], dtype=buffer.dtype)
         grown[:n] = buffer
         buffer = grown
     buffer[n] = row

@@ -268,7 +268,7 @@ def reconstruction_from_lines(lines: Sequence[str]) -> CdmReconstruction:
         count = _scalar_count(cur, "pairs")
         if not count:
             raise ReportParseError("a mode needs at least one pair", line=cur.lineno - 1)
-        clusters.append(_make_cluster(_pairs(cur, count, m), range(count))[0])
+        clusters.append(_make_cluster(_pairs(cur, count, m))[0])
         for block in ("[inner]", "[outer]"):
             cur.expect(block)
             cur.expect(STAR_HEADER)

@@ -117,21 +117,6 @@ def _velocity(model: SystemModel, x, e) -> np.ndarray:
     return model.drift(x) + model.input_map(x) @ e
 
 
-def degraded_rhs(model: SystemModel, cdm, x, u) -> np.ndarray:
-    """Right-hand side of the degraded system, ``f(x) + g(x) cdm(u)``.
-
-    ``cdm`` maps a ``(k, m)`` array of commands row-wise; it gets ``u`` as
-    a batch of one.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape[0] != model.dim_state:
-        raise ValueError("state dimension mismatch")
-    U = np.array(u, dtype=float).reshape(1, -1)
-    if U.shape[1] != model.dim_input:
-        raise ValueError("input dimension mismatch")
-    return _velocity(model, x, _effective_inputs(cdm, U)[0])
-
-
 @dataclass(frozen=True)
 class HeatSystem:
     """Insulated 1-D slab with a boundary heat source and a depth channel.

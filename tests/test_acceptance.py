@@ -33,7 +33,6 @@ from cdmkit.geometry import (
     mgf_inner_bound,
     mgf_outer_bound,
     star_contains,
-    within_fattening,
 )
 from cdmkit.identification import (
     IdentificationConfig,
@@ -299,6 +298,12 @@ def test_criterion_6_viabilization_round_trip(trial_bank):
     report(6, ok, f"{count} round trips, worst error {worst:.2e}")
     assert count == 1000
     assert worst <= 1e-9
+
+
+def within_fattening(a, b, rho):
+    """Each finite set lies within ``rho`` of some point of the other, by brute force."""
+    dists = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+    return bool((dists.min(axis=1) <= rho).all() and (dists.min(axis=0) <= rho).all())
 
 
 def test_criterion_7_geometry_and_conservation():

@@ -22,7 +22,6 @@ from cdmkit.geometry import (
     pairwise_distances,
     set_distance,
     star_contains,
-    within_fattening,
 )
 from cdmkit.identification import (
     ModeReconstruction,
@@ -115,31 +114,6 @@ class TestHausdorff:
             assert dab == hausdorff_distance(b, a)
             assert hausdorff_distance(a, a) == 0.0
             assert dab <= hausdorff_distance(a, c) + hausdorff_distance(c, b) + 1e-12
-
-
-class TestFattening:
-    def test_zero_radius_identity(self):
-        pts = [[1.0], [2.0]]
-        assert within_fattening(pts, pts, 0.0)
-
-    def test_too_small(self):
-        assert not within_fattening([0.0], [1.0], 0.5)
-
-    def test_exactly_hausdorff(self):
-        assert within_fattening([0.0], [1.0], 1.0)
-
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            within_fattening([0.0], [1.0], -0.1)
-
-    def test_characterizes_hausdorff(self):
-        rng = np.random.default_rng(3)
-        for _ in range(300):
-            a, b = random_sets(rng, int(rng.integers(1, 4)))
-            d = hausdorff_distance(a, b)
-            assert within_fattening(a, b, d + 1e-12)
-            if d > 1e-9:
-                assert not within_fattening(a, b, d * (1 - 1e-9) - 1e-12)
 
 
 def star_from_samples(dirs, radii, side, lipschitz):

@@ -139,6 +139,16 @@ class TestClusterPairs:
         for ca, cb in zip(a, b):
             np.testing.assert_array_equal(ca.pairs, cb.pairs)
 
+    @pytest.mark.parametrize("bad", [1e200, -1e151, np.nan, np.inf])
+    def test_table_out_of_range_rejected(self, bad):
+        # rows beyond the pair range would overflow the distances and the forced cut
+        pairs = np.array([[bad, -1e200], [-1e200, 1e200], [0.0, 5.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match=r"^pair table has a component that is "
+                                                        r"not finite or beyond 1e\+150"):
+                cluster_pairs(pairs, delta=0.5, n_modes=1)
+
     def test_basis_indices_are_independent(self):
         pairs = table([([1.0, 0.0], [2.0, 0.0]), ([2.0, 0.0], [4.0, 0.0]),
                        ([0.0, 1.0], [0.0, 3.0])])
@@ -242,6 +252,14 @@ class TestSplitPairs:
         affected, unaffected = split_pairs(np.array([near, far]), identity_tol=1e-7)
         np.testing.assert_array_equal(affected, [far])
         np.testing.assert_array_equal(unaffected, [near])
+
+    @pytest.mark.parametrize("bad", [1e200, np.nan])
+    def test_table_out_of_range_rejected(self, bad):
+        # both norms of [1e200, 1e200] overflow, and inf <= tol * inf would pass it as unaffected
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match=r"^pair table has a component"):
+                split_pairs(np.array([[0.1, 0.2], [bad, 1e200]]), identity_tol=1e-7)
 
 
 class TestEffectivePair:

@@ -3,8 +3,9 @@
 Every snapshot of a stream, whichever steps it is taken at, must
 serialize exactly like ``build_reconstruction_from_pairs`` on the same
 prefix, and must leave untouched what the pairs pushed since the last
-snapshot do not change.  The fast paths behind it
-(pointer-representation clustering, batched basis selection, grouped
+snapshot do not change.  The stream and the batch share their clustering,
+so both are checked against SciPy's single linkage, the stream after every
+push.  The other fast paths behind it (batched basis selection, grouped
 direction de-duplication) are checked against the loops they replace.
 """
 
@@ -339,6 +340,39 @@ def test_adds_rebuild_only_what_changed(heat_run, monkeypatch):
     assert min(unaffected_steps, kept, affected_reused, rebuilt_steps) > 0
 
 
+def test_a_push_that_grows_one_cluster_scores_only_its_new_pair(heat_run, monkeypatch):
+    """Basis selection after a push that appends the pair to one cluster of the bundled stream.
+
+    The cluster keeps the round scores of its earlier rows and scores the
+    new one alone; below the basis size it has none, and is scored whole.
+    """
+    config, _, _ = heat_run
+    pairs = heat_pairs(heat_run)
+    m = pairs[0].dim
+    scored = []
+    select_basis = ck.identification._select_basis
+
+    def counted(inputs, size, known=((), ())):
+        scored.append((inputs.shape[0], known[1][0].shape[0] if known[1] else 0))
+        return select_basis(inputs, size, known)
+
+    monkeypatch.setattr(ck.identification, "_select_basis", counted)
+    rec = Reconstructor(config.identification)
+    tables, appends = [], 0
+    for pair in pairs:
+        scored.clear()
+        rec.push(pair)
+        now = [mode.pairs for mode in rec.snapshot().modes]
+        grown = [len(new) - len(old) for old, new in zip(tables, now)
+                 if np.array_equal(new[:len(old)], old)]
+        if len(now) == len(tables) == len(grown) and sorted(grown)[-2:] in ([1], [0, 1]):
+            k = len(now[grown.index(1)])
+            assert scored == [(k, k - 1 if k > m else 0)]
+            appends += 1
+        tables = now
+    assert appends > 100
+
+
 def test_run_bounds_and_fits_each_final_mode_once(heat_run, tmp_path, monkeypatch):
     """A run pushes every observation and builds only its final reconstruction.
 
@@ -413,14 +447,31 @@ def test_logging_leaves_artifacts_unchanged(heat_run, tmp_path, caplog):
 # Fast paths against the loops they replace
 
 
-def reference_labels(points, delta, n_modes):
-    """The former clustering: scipy linkage cut by fcluster."""
+def reference_cut(points, delta, n_modes):
+    """SciPy's single-linkage tree and the cut that merges below delta, then down to n_modes."""
     tree = linkage(points, method="single")
     heights = tree[:, 2]
     cut = np.nextafter(delta, 0.0)
     k = points.shape[0]
     if k - int(np.sum(heights <= cut)) > n_modes:
         cut = max(cut, float(np.sort(heights, kind="stable")[k - n_modes - 1]))
+    return tree, cut
+
+
+def reference_forced_heights(points, delta, n_modes):
+    """The tree's merge heights in (delta's cut, forced cut], ascending."""
+    if points.shape[0] < 2:
+        return []
+    tree, cut = reference_cut(points, delta, n_modes)
+    heights = np.sort(tree[:, 2])
+    return heights[(heights > np.nextafter(delta, 0.0)) & (heights <= cut)].tolist()
+
+
+def reference_labels(points, delta, n_modes):
+    """The former clustering: scipy linkage cut by fcluster."""
+    if points.shape[0] < 2:
+        return [[0]]
+    tree, cut = reference_cut(points, delta, n_modes)
     labels = fcluster(tree, t=cut, criterion="distance")
     groups = {}
     for i, lab in enumerate(labels):
@@ -436,11 +487,113 @@ def test_clusters_match_linkage_and_fcluster(seed, k, d, grid, n_modes):
     pts = rng.uniform(-3, 3, (k, 2 * d))
     if grid:
         pts = np.round(pts / grid) * grid
-    clusters = cluster_pairs(pts, delta=1.0, n_modes=n_modes)
+    with forced_merges() as heights:
+        clusters = cluster_pairs(pts, delta=1.0, n_modes=n_modes)
+    assert heights == reference_forced_heights(pts, 1.0, n_modes)
     expected = reference_labels(pts, 1.0, n_modes)
     assert len(clusters) == len(expected)
     for cluster, members in zip(clusters, expected):
         np.testing.assert_array_equal(cluster.pairs, pts[members])  # same rows, same order
+
+
+class ForcedMerges(logging.Handler):
+    """Collects the heights of the forced merges ``cdmkit.identification`` logs."""
+
+    def __init__(self):
+        super().__init__()
+        self.heights = []
+
+    def emit(self, record):
+        if getattr(record, "event", None) == "forced_merge":
+            self.heights.append(record.height)
+
+
+@contextlib.contextmanager
+def forced_merges():
+    logger = logging.getLogger("cdmkit.identification")
+    handler, level = ForcedMerges(), logger.level
+    logger.setLevel(logging.INFO)
+    logger.addHandler(handler)
+    try:
+        yield handler.heights
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 3),
+       st.sampled_from([0.0, 0.5]), st.integers(1, 5))
+def test_stream_clusters_match_linkage_after_every_push(seed, k, d, grid, n_modes):
+    """After every push the clusters are SciPy's single linkage at the same cut.
+
+    Each cluster holds the same rows in the same order, and the push logs
+    one forced merge for each merge height of SciPy's tree above delta's
+    cut and at or below the forced cut, in ascending order.
+    """
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-3, 3, (k, 2 * d))
+    if grid:
+        pts = np.round(pts / grid) * grid  # tied distances
+    pts = pts[(pts[:, :d] != pts[:, d:]).any(axis=1)]  # affected pairs only
+    rec = Reconstructor(IdentificationConfig(delta=1.0, n_modes=n_modes))
+    with quiet(), forced_merges() as heights:
+        for n in range(1, len(pts) + 1):
+            heights.clear()
+            rec.push(EffectivePair(pts[n - 1, :d], pts[n - 1, d:]))
+            prefix = pts[:n]
+            assert heights == reference_forced_heights(prefix, 1.0, n_modes)
+            tables = [mode.pairs for mode in rec.snapshot().modes]
+            expected = reference_labels(prefix, 1.0, n_modes)
+            assert len(tables) == len(expected)
+            for table, members in zip(tables, expected):
+                np.testing.assert_array_equal(table, prefix[members])  # same rows, same order
+
+
+def test_snapshots_stay_unchanged_as_their_clusters_grow_and_merge():
+    """A snapshot's pair tables and residuals stay bit for bit as taken.
+
+    One cluster grows from 3 to 20 rows, past several doublings of its
+    table, a second cluster starts, and a bridge of two pairs then merges
+    the two; the merged cluster grows on.
+    """
+    rec = Reconstructor(IdentificationConfig(delta=1.0, n_modes=3))
+    taken = []
+
+    def bits(snapshot):
+        return [(m.pairs.tobytes(), m.residuals.tobytes()) for m in snapshot.modes]
+
+    def push(u):
+        # graph points (u, 2u + 1): inputs 0.1 apart are 0.1 * sqrt(5) apart
+        rec.push(EffectivePair([u], [2.0 * u + 1.0]))
+        for snapshot, before in taken:
+            assert bits(snapshot) == before
+            for mode in snapshot.modes:
+                assert not mode.pairs.flags.writeable and not mode.residuals.flags.writeable
+
+    def take():
+        snapshot = rec.snapshot()
+        taken.append((snapshot, bits(snapshot)))
+        return [len(m.pairs) for m in snapshot.modes]
+
+    for i in range(3):
+        push(0.1 * i)
+    assert take() == [3]
+    for i in range(3, 20):
+        push(0.1 * i)
+        take()
+    for u in (3.0, 3.1):  # 1.1 * sqrt(5) from the first cluster
+        push(u)
+    assert take() == [20, 2]
+    push(2.3)  # joins the first cluster
+    assert take() == [21, 2]
+    push(2.65)  # near both: merges them
+    assert take() == [24]
+    push(2.7)
+    assert take() == [25]
+    (mode,) = taken[-1][0].modes
+    expected = [0.1 * i for i in range(20)] + [3.0, 3.1, 2.3, 2.65, 2.7]  # in push order
+    np.testing.assert_array_equal(mode.pairs[:, 0], expected)
 
 
 def reference_basis(inputs, m):

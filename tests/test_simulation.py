@@ -19,7 +19,6 @@ from cdmkit.simulation import (
     HeatSystem,
     SamplingSchedule,
     SystemModel,
-    degraded_rhs,
     integrate,
     linear_system,
     _BATCH_ROWS,
@@ -36,39 +35,14 @@ def zero_signal(m):
     return lambda t: np.zeros((len(t), m))
 
 
-class TestDegradedRhs:
-    def test_identity_cdm_matches_nominal(self):
-        model = linear_system([[0.5]], [[2.0]])
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            x, u = rng.normal(size=1), rng.normal(size=1)
-            np.testing.assert_allclose(
-                degraded_rhs(model, None, x, u), 0.5 * x + 2.0 * u
-            )
-
-    def test_scalar_example(self):
-        # x' = x + 2u with input tripled: at x=1, u=0.5 the velocity is 1 + 3
-        model = linear_system([[1.0]], [[2.0]])
-        np.testing.assert_allclose(
-            degraded_rhs(model, lambda u: 3.0 * u, [1.0], [0.5]), [4.0]
-        )
-
-    def test_zero_input_fixed_by_cdm_gives_drift(self):
-        model = linear_system([[1.0, 0.0], [0.0, -2.0]], [[1.0], [1.0]])
-        x = np.array([0.3, -0.7])
-        np.testing.assert_allclose(
-            degraded_rhs(model, lambda u: 5.0 * u, x, [0.0]), model.drift(x)
-        )
-
-    def test_dimension_mismatch(self):
-        model = linear_system([[1.0]], [[1.0]])
-        with pytest.raises(ValueError):
-            degraded_rhs(model, None, [1.0, 2.0], [0.0])
+def velocity(model, x, u):
+    """``f(x) + g(x) u``: the right-hand side under the effective input ``u``."""
+    return model.drift(x) + model.input_map(x) @ np.asarray(u, dtype=float)
 
 
 def heat_rhs(sys, state, u):
     """Degradation-free right-hand side of the heat testbed."""
-    return degraded_rhs(sys.model(), None, state, u)
+    return velocity(sys.model(), state, u)
 
 
 class TestHeatSystem:
@@ -554,8 +528,8 @@ class TestBatchedIntegrate:
 def observed(model, x, effective):
     """Exact observation at ``x`` whose recovered effective input is ``effective``."""
     x = np.asarray(x, dtype=float)
-    velocity = degraded_rhs(model, None, x, effective)
-    return ControlSample(time=0.0, state=x, velocity=velocity, input=effective)
+    return ControlSample(time=0.0, state=x, velocity=velocity(model, x, effective),
+                         input=effective)
 
 
 def assert_left_inverse(model, x, atol):
