@@ -5,8 +5,8 @@ Subcommands:
     report <reconstruction>        print a human-readable summary
     viabilize <reconstruction> <vector..>   solve for a viabilized input
 
-Exit codes: 0 success, 2 config, input-file or command error (a
-non-numeric, non-finite or wrong-dimension vector), 3 identification
+Exit codes: 0 success, 2 config, input-file, output-directory or command
+error (a non-numeric, non-finite or wrong-dimension vector), 3 identification
 failure, 4 unviable input.  Failures print one machine-parsable line to
 stderr of the form ``<kind>: <message>``.
 """
@@ -49,6 +49,8 @@ def _cmd_run(args) -> int:
         return _fail("config-error", str(exc), EXIT_CONFIG)
     except IdentificationError as exc:
         return _fail("identification-failure", str(exc), EXIT_IDENTIFICATION)
+    except OSError as exc:  # the output directory cannot be made or written
+        return _fail("config-error", f"cannot write artifacts: {exc}", EXIT_CONFIG)
     print(result.summary())
     for name in ("samples", "reconstruction", "convergence"):
         print(f"{name}: {result.artifacts[name]}")

@@ -324,10 +324,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 def parse_config(path) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}") from None
     return parse_config_text(text)
 
 

@@ -317,7 +317,18 @@ def _norm(v) -> float:
     return math.sqrt(total)
 
 
+class _UnitDirection(list):
+    """A unit direction of Python floats that :func:`_classify` made and normalized.
+
+    The gauge bounds take it as it is; any other direction is checked.
+    """
+
+    __slots__ = ()
+
+
 def _query_direction(approx: StarSetApprox, direction) -> list:
+    if type(direction) is _UnitDirection:
+        return direction
     d = _coords(direction, approx.center.shape[0], "query direction")
     n = _norm(d)
     if not abs(n - 1.0) <= 1e-9:  # also rejects a non-finite direction
@@ -413,10 +424,22 @@ def star_contains(inner: StarSetApprox, outer: StarSetApprox, u) -> Containment:
     inner bound is positive at some witness direction.  Any other point is
     compared along its own direction, however near or far: one farther
     than the largest float is OUTSIDE_OUTER of any finite outer bound.  A
-    non-finite point raises ``ValueError``.
+    point of another dimension or with a non-finite component raises
+    ``ValueError``.
+    """
+    return _classify(inner, outer, _coords(u, inner.dim, "point"))
+
+
+def _classify(inner: StarSetApprox, outer: StarSetApprox, point: list) -> Containment:
+    """:func:`star_contains` of ``point``, a list of ``inner.dim`` Python floats.
+
+    The offset, radius and unit direction are computed once; the direction
+    is normalized as :func:`_query_direction` normalizes it and handed to
+    both gauge bounds as a :class:`_UnitDirection`, so neither checks it
+    again.  The bounds are called through this module's names, so a
+    profiler that rebinds them still sees every call.
     """
     center = inner.center_coords
-    point = _coords(u, len(center), "point")
     offset = [x - c for x, c in zip(point, center)]
     total = 0.0
     for x in offset:
@@ -432,6 +455,8 @@ def star_contains(inner: StarSetApprox, outer: StarSetApprox, u) -> Containment:
                 return Containment.INSIDE_INNER
             return Containment.INCONCLUSIVE
         r, l = _polar(point, center, offset)
+    n = _norm(l)
+    l = _UnitDirection(l if n == 1.0 else [x / n for x in l])  # x / 1.0 is x, bit for bit
     if inner.rows and r <= mgf_inner_bound(inner, l):
         return Containment.INSIDE_INNER
     if outer.rows and r > mgf_outer_bound(outer, l):

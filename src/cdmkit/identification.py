@@ -30,8 +30,8 @@ from .geometry import (
     Side,
     StarSetApprox,
     estimate_mgf_lipschitz,
+    _classify,
     pairwise_distances,
-    star_contains,
 )
 from .simulation import ControlSample, SystemModel
 
@@ -482,7 +482,10 @@ class ModeReconstruction:
         return 1e300 / max(gain, 1.0) - float(np.abs(self.map.translation).max())
 
     def containment(self, coords: list) -> Containment:
-        """``star_contains`` of the point ``coords`` (a list of floats).
+        """``star_contains`` of the point ``coords``, a list of ``inner.dim`` floats.
+
+        ``coords`` is not checked again: callers pass a command that
+        ``_command`` checked, or a finite candidate made from one.
 
         The last point asked and its answer are remembered, so a command's
         ``viabilize``, ``query`` and error bound classify it once.  Key and
@@ -493,20 +496,30 @@ class ModeReconstruction:
         last = self.__dict__.get("_last_containment")
         if last is not None and last[0] == key:
             return last[1]
-        answer = star_contains(self.inner, self.outer, coords)
+        answer = _classify(self.inner, self.outer, coords)
         self.__dict__["_last_containment"] = (key, answer)
         return answer
 
 
 @dataclass(frozen=True)
 class CdmReconstruction:
-    """Full reconstruction state: modes plus the unaffected pairs' ``(k, 2m)`` table."""
+    """Full reconstruction state: modes plus the unaffected pairs' ``(k, 2m)`` table.
+
+    Every mode must be of dimension ``input_dim``; that is checked here,
+    once, so a served command checked against ``input_dim`` fits each mode.
+    """
 
     modes: tuple
     unaffected: np.ndarray
     separation: float
     mode_count: int
     input_dim: int
+
+    def __post_init__(self):
+        for i, mode in enumerate(self.modes):
+            if mode.inner.dim != self.input_dim:
+                raise ValueError(f"mode {i} has dimension {mode.inner.dim}, "
+                                 f"reconstruction expects {self.input_dim}")
 
 
 def _is_unaffected(point: np.ndarray, identity_tol: float) -> bool:

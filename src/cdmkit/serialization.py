@@ -64,8 +64,7 @@ def write_samples(path, samples: Sequence[ControlSample]) -> None:
 
 def read_samples(path) -> list[ControlSample]:
     """Read a sample log written by :func:`write_samples`."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise ReportParseError("empty sample log", line=1)
     header = lines[0].split(",")
@@ -302,6 +301,13 @@ def reconstruction_from_lines(lines: Sequence[str]) -> CdmReconstruction:
 
 
 def read_reconstruction(path) -> CdmReconstruction:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    return reconstruction_from_lines(lines)
+    return reconstruction_from_lines(_read_lines(path))
+
+
+def _read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; any other bytes are a ``ReportParseError``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ReportParseError(f"file is not UTF-8 text: {exc}") from None

@@ -60,6 +60,12 @@ def small_run(tmp_path_factory):
     return cfg_path, out
 
 
+def not_utf8(path):
+    """Write 300 random bytes that are not UTF-8 text to ``path``; return it."""
+    path.write_bytes(b"\xff" + np.random.default_rng(300).bytes(299))  # 0xff is never UTF-8
+    return path
+
+
 class TestRun:
     def test_artifacts_written(self, small_run):
         _, out = small_run
@@ -76,6 +82,26 @@ class TestRun:
         bad.write_text("[system]\nkind = heat\n")
         assert main(["run", str(bad)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config-error:")
+
+    def test_config_not_utf8_is_config_error(self, tmp_path, capsys):
+        assert main(["run", str(not_utf8(tmp_path / "bad.cfg"))]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config-error:") and "not UTF-8" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_unusable_output_directory_is_config_error(self, small_run, tmp_path, capsys,
+                                                       below):
+        # a regular file where the directory, or one of its parents, should be
+        cfg_path, _ = small_run
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        target = blocker / "out" if below else blocker
+        assert main(["run", str(cfg_path), "--output", str(target)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config-error: cannot write artifacts:")
+        assert err.count("\n") == 1
+        assert blocker.read_text() == "not a directory\n"
 
     def test_malformed_mode_number_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -223,6 +249,12 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("parse-error:") and f"(line {idx + 1})" in err
 
+    def test_file_not_utf8_is_parse_error(self, tmp_path, capsys):
+        assert main(["report", str(not_utf8(tmp_path / "bad.txt"))]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("parse-error:") and "not UTF-8" in err
+        assert err.count("\n") == 1
+
     def test_empty_reconstruction_summary(self, tmp_path, capsys):
         from cdmkit.identification import CdmReconstruction
 
@@ -291,6 +323,13 @@ class TestViabilize:
         write_reconstruction(path, bare)
         assert main(["viabilize", str(path), "1e200", "0.5"]) == EXIT_UNVIABLE
         assert capsys.readouterr().err.startswith("unviable-input:")
+
+    def test_file_not_utf8_is_parse_error(self, tmp_path, capsys):
+        path = not_utf8(tmp_path / "bad.txt")
+        assert main(["viabilize", str(path), "1.0", "0.5"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("parse-error:") and "not UTF-8" in err
+        assert err.count("\n") == 1
 
     def test_missing_vector(self, small_run, capsys):
         _, out = small_run

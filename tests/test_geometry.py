@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from cdmkit import geometry
 from cdmkit.errors import UnviableInputError
 from cdmkit.geometry import (
     Containment,
@@ -170,6 +171,43 @@ class TestMgfBounds:
         for l in ([np.nan, 0.0], [np.inf, 0.0]):
             with pytest.raises(ValueError):
                 mgf_outer_bound(outer, l)
+
+    @pytest.mark.parametrize("bound, side", [(mgf_inner_bound, Side.INNER),
+                                             (mgf_outer_bound, Side.OUTER)])
+    def test_only_the_core_direction_skips_the_checks(self, bound, side):
+        # a list of floats, or a list subtype of the caller's own, is checked
+        # whatever its type; only the core's direction is taken as it is
+        class Floats(list):
+            pass
+
+        star = star_from_samples([[1.0, 0.0]], [1.0], side, 1.0)
+        for make in (list, Floats, tuple, np.array):
+            for l in ([0.5, 0.0], [2.0, 0.0], [np.nan, 0.0], [1.0, 0.0, 0.0], [1.0]):
+                with pytest.raises(ValueError):
+                    bound(star, make(l))
+            assert bound(star, make([0.6, 0.8])) == bound(star, [0.6, 0.8])
+        unit = geometry._UnitDirection([0.6, 0.8])
+        assert geometry._query_direction(star, unit) is unit
+        assert bound(star, unit) == bound(star, [0.6, 0.8])
+
+    def test_the_core_normalizes_as_the_bounds_do(self, monkeypatch):
+        # offsets whose quotient by the radius is a few ulps from unit norm
+        rng = np.random.default_rng(4)
+        inner = star_from_samples([[1.0, 0.0]], [1.0], Side.INNER, 1.0)
+        captured = []
+        monkeypatch.setattr(geometry, "mgf_inner_bound",
+                            lambda approx, d: captured.append(d) or math.inf)
+        seen = set()
+        for offset in rng.normal(size=(500, 2)).tolist():
+            r = math.sqrt(offset[0] * offset[0] + offset[1] * offset[1])
+            l = [x / r for x in offset]
+            direction = geometry._query_direction(inner, l)
+            seen.add(direction is l)
+            captured.clear()
+            geometry._classify(inner, inner, offset)  # the center is the origin
+            assert type(captured[0]) is geometry._UnitDirection
+            assert np.array(captured[0]).tobytes() == np.array(direction).tobytes()
+        assert seen == {True, False}  # both the kept and the divided direction occur
 
 
 def ellipse_gauge(l, a=2.0, b=0.5):

@@ -1,6 +1,7 @@
 """Tests for effective-input recovery, clustering, fitting, and queries."""
 
 import dataclasses
+import math
 import sys
 import threading
 import warnings
@@ -35,6 +36,7 @@ from cdmkit.identification import (
 from cdmkit.serialization import read_reconstruction
 from cdmkit.simulation import ControlSample, linear_system
 
+from test_geometry import near, ref_inner_bound, ref_outer_bound, ref_star_contains
 from trials import TRIAL_DELTA, TRIAL_LIPSCHITZ, make_trial, match_true_mode
 
 
@@ -463,6 +465,23 @@ class TestQuery:
         recon = manual_recon([])
         assert query(recon, [0.3]).kind == QueryKind.PASSTHROUGH
 
+    def test_mode_of_another_dimension_is_rejected_when_built(self):
+        # the served path checks a command against input_dim only, once
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        center = pts.mean(axis=0)
+        mode = ModeReconstruction(
+            map=None, inner=StarSetApprox.from_points(pts, center, 1.0, Side.INNER),
+            outer=StarSetApprox.from_points(2.0 * pts, center, 1.0, Side.OUTER),
+            pairs=np.hstack([pts, pts]), residuals=None)
+        with pytest.raises(ValueError, match="mode 0 has dimension 3, reconstruction "
+                                             "expects 2"):
+            CdmReconstruction(modes=(mode,), unaffected=np.empty((0, 4)), separation=0.1,
+                              mode_count=3, input_dim=2)
+        recon = CdmReconstruction(modes=(mode,), unaffected=np.empty((0, 6)),
+                                  separation=0.1, mode_count=3, input_dim=3)
+        with pytest.raises(ValueError, match="mode 0 has dimension 3"):
+            dataclasses.replace(recon, input_dim=2)
+
     @pytest.mark.parametrize("u", [[np.nan], [np.inf], [0.1, 0.2], [[0.1]]])
     def test_invalid_command_rejected(self, u):
         recon = manual_recon([manual_scalar_mode(0.0, 0.25, 3.0, 0.25)])
@@ -795,13 +814,13 @@ def bundled_commands(count):
 def test_a_served_command_classifies_each_point_once(heat_run, monkeypatch):
     recon = read_reconstruction(heat_run[1].artifacts["reconstruction"])
     calls = []
-    contains = identification.star_contains
+    contains = identification._classify
 
     def counted(*args):
         calls.append(args)
         return contains(*args)
 
-    monkeypatch.setattr(identification, "star_contains", counted)
+    monkeypatch.setattr(identification, "_classify", counted)
     total, kinds = 0, set()
     for u in bundled_commands(1001):
         calls.clear()
@@ -855,3 +874,80 @@ def test_concurrent_callers_get_sequential_answers(heat_run):
             assert [got[i] for i in range(len(commands))] == want
     finally:
         sys.setswitchinterval(interval)
+
+
+# ---------------------------------------------------------------------------
+# The classification core against a NumPy reference
+
+
+def ref_containment(inner, outer, coords):
+    """(containment, whether a rounding could flip it) by ``ref_star_contains``.
+
+    A point whose squared offset leaves the normal float range is measured
+    along its own direction at its ``math.hypot`` radius instead, with the
+    same reference bounds.
+    """
+    offset = np.asarray(coords, dtype=float) - inner.center
+    if sys.float_info.min <= sum(x * x for x in offset.tolist()) < math.inf or not offset.any():
+        want, r, bounds = ref_star_contains(inner, outer, coords)
+    else:
+        r = math.hypot(*offset.tolist())
+        l = offset / r
+        want, bounds = Containment.INCONCLUSIVE, []
+        if inner.n_samples:
+            bounds.append((ref_inner_bound(inner, l), inner))
+            if r <= bounds[-1][0]:
+                want = Containment.INSIDE_INNER
+        if outer.n_samples and want is Containment.INCONCLUSIVE:
+            bounds.append((ref_outer_bound(outer, l), outer))
+            if r > bounds[-1][0]:
+                want = Containment.OUTSIDE_OUTER
+    return want, any(near(r, b, side) for b, side in bounds)
+
+
+def core_corpus(recon):
+    """Five stratified blocks of 1,000 served commands, then the edge points."""
+    rng = np.random.default_rng([22, 1])
+    commands = []
+    for _ in range(5):
+        s = (rng.permutation(1000) + rng.random(1000)) / 1000
+        commands += [np.array([1.0, x]) for x in s]
+    for mode in recon.modes:
+        center = mode.inner.center
+        commands += [center.copy(), center + np.array([0.0, 1e-170])]
+    return commands + [np.array(u) for u in ([1e200, 0.5], [1e-320, 0.3], [-1e308, 1e308])]
+
+
+def test_the_classification_core_answers_as_the_reference(heat_run, monkeypatch):
+    path = heat_run[1].artifacts["reconstruction"]
+    recon = read_reconstruction(path)
+    corpus = core_corpus(recon)
+    rounded = 0
+    for u in corpus:
+        for mode in recon.modes:
+            want, close = ref_containment(mode.inner, mode.outer, u)
+            if close:  # a few ulps from a bound either answer is a rounding
+                rounded += 1
+                continue
+            assert mode.containment(u.tolist()) is want, (u, want)
+    got = [served(recon, u) for u in corpus]
+    assert {g[1][0] for g in got if g is not None} == {QueryKind.PASSTHROUGH,
+                                                      QueryKind.MAPPED}
+    close_calls = []
+
+    def reference(inner, outer, coords):
+        want, close = ref_containment(inner, outer, coords)
+        close_calls.append(close)
+        return want
+
+    monkeypatch.setattr(identification, "_classify", reference)
+    reference_recon = read_reconstruction(path)  # remembers only reference answers
+    compared = 0
+    for u, answer in zip(corpus, got):
+        close_calls.clear()
+        want = served(reference_recon, u)
+        if not any(close_calls):
+            assert answer == want, u
+            compared += 1
+    assert rounded <= 5 and compared >= len(corpus) - 5
+

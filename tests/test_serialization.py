@@ -82,6 +82,13 @@ class TestSampleLog:
             read_samples(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("read", [read_samples, read_reconstruction])
+    def test_file_not_utf8_is_parse_error(self, tmp_path, read):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"time,x0,dx0,u0\n0.0,1.0,2.0,\xff\n")
+        with pytest.raises(ReportParseError, match="not UTF-8"):
+            read(path)
+
 
 class TestStarFormat:
     def test_round_trip(self, tmp_path, recon):
