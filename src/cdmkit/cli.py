@@ -9,15 +9,20 @@ Exit codes: 0 success, 2 config, input-file, output-directory or command
 error (a non-numeric, non-finite or wrong-dimension vector), 3 identification
 failure, 4 unviable input.  Failures print one machine-parsable line to
 stderr of the form ``<kind>: <message>``.
+
+The console entry :func:`entry` sets ``OPENBLAS_NUM_THREADS`` and
+``OMP_NUM_THREADS`` to 1 where the caller left them unset: the bundled
+run's largest matrix is 102 x 102, too small to gain from BLAS worker
+threads.  The setting must precede the first NumPy import, so this module
+imports nothing that loads NumPy until a command runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
-
-import numpy as np
 
 from .errors import (
     ConfigError,
@@ -26,9 +31,6 @@ from .errors import (
     ReportParseError,
     UnviableInputError,
 )
-from .experiment import parse_config, render_report, run_experiment
-from .identification import viabilize
-from .serialization import _fmt, read_reconstruction
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,6 +44,8 @@ def _fail(kind: str, message: str, code: int) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .experiment import parse_config, run_experiment
+
     try:
         config = parse_config(args.config)
         result = run_experiment(config, out_dir=args.output)
@@ -58,6 +62,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .experiment import render_report
+    from .serialization import read_reconstruction
+
     try:
         recon = read_reconstruction(args.reconstruction)
     except ReportParseError as exc:
@@ -68,14 +75,18 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _parse_vector(tokens) -> np.ndarray:
+def _parse_vector(tokens) -> list:
+    """The commanded components as floats; ``ValueError`` on a non-numeric token."""
     values = []
     for tok in tokens:
         values.extend(float(t) for t in tok.replace(",", " ").split() if t)
-    return np.array(values)
+    return values
 
 
 def _cmd_viabilize(args) -> int:
+    from .identification import viabilize
+    from .serialization import _fmt, read_reconstruction
+
     try:
         recon = read_reconstruction(args.reconstruction)
     except ReportParseError as exc:
@@ -129,6 +140,13 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    """Console entry: one BLAS thread unless the caller set the count, then :func:`main`.
+
+    Only this entry touches the environment; importing the package or
+    calling :func:`main` does not.
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
     sys.exit(main())
 
 

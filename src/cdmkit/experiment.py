@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import bisect
 import configparser
+import errno
 import heapq
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -75,11 +75,11 @@ class ExperimentConfig:
     output_dir: str
 
     def model(self) -> SystemModel:
-        """The system model, one per config, so repeated runs share its step-map powers."""
-        return self._model
+        """The system model: a linear system itself, or its heat system's shared model.
 
-    @cached_property
-    def _model(self) -> SystemModel:
+        Every config of one heat system gets the same model
+        (:meth:`HeatSystem.model`), so runs share its step-map powers.
+        """
         return self.system.model() if self.system_kind == "heat" else self.system
 
 
@@ -409,8 +409,27 @@ def validate_ground_truth_separation(config: ExperimentConfig) -> None:
                               f"declared separation delta={delta}", detail=bounds)
 
 
+def _check_output_dir(target: str) -> None:
+    """``NotADirectoryError`` if ``target`` cannot become a directory; creates nothing.
+
+    ``target``, if it exists, and otherwise its nearest existing ancestor
+    must be a directory.
+    """
+    path = os.path.abspath(target)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+
+
 def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None) -> ExperimentResult:
-    """Simulate, identify incrementally, and write the three artifacts."""
+    """Simulate, identify incrementally, and write the three artifacts.
+
+    An output directory that is, or lies below, a file raises
+    ``NotADirectoryError`` before the simulation starts.
+    """
+    target = out_dir if out_dir is not None else config.output_dir
+    _check_output_dir(target)
     validate_ground_truth_separation(config)
     model = config.model()
     samples = integrate(model, config.cdm, config.x0, config.signal, config.schedule)
@@ -429,7 +448,6 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None) -> E
         )
     reconstruction = reconstructor.snapshot()
 
-    target = out_dir if out_dir is not None else config.output_dir
     os.makedirs(target, exist_ok=True)
     paths = {
         "samples": os.path.join(target, "samples.csv"),

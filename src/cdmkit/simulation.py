@@ -10,6 +10,7 @@ state/velocity/input observations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -68,14 +69,19 @@ class SystemModel:
     def _rk4_powers(self) -> tuple:
         """``A^2, A^3, A^4, A B, A^2 B, A^3 B`` of a linear system, formed on first use.
 
-        Every :func:`integrate` call on this model shares them.
+        Every :func:`integrate` call on this model shares them, and so does
+        every config of one heat system (:meth:`HeatSystem.model`), so the
+        arrays are read-only.
         """
         A, B = self.a_matrix, self.b_matrix
         A2 = A @ A
         A3 = A2 @ A
         AB = A @ B
         A2B = A @ AB
-        return A2, A3, A3 @ A, AB, A2B, A @ A2B
+        powers = A2, A3, A3 @ A, AB, A2B, A @ A2B
+        for power in powers:
+            power.setflags(write=False)
+        return powers
 
 
 def linear_system(a_matrix, b_matrix, **kwargs) -> SystemModel:
@@ -180,31 +186,45 @@ class HeatSystem:
         return overlap / (cell_hi - cell_lo) / self.epsilon
 
     def model(self) -> SystemModel:
-        G = self.grid_points
-        # mirror-boundary (zero-flux) Laplacian on the temperature rows;
-        # the depth row has no drift
-        A = np.zeros((G + 1, G + 1))
-        rows = np.arange(1, G - 1)
-        A[rows, rows - 1] = A[rows, rows + 1] = 1.0
-        A[rows, rows] = -2.0
-        A[0, 0] = A[G - 1, G - 1] = -2.0
-        A[0, 1] = A[G - 1, G - 2] = 2.0
-        A *= self.diffusivity / self.spacing**2
-        B = np.zeros((G + 1, 2))
-        B[:G, 0] = self.source_profile()
-        B[G, 1] = 1.0
-        common = dict(input_lo=np.array([0.0, 0.0]), input_hi=np.array([10.0, 1.0]),
-                      stability_limit=self.stability_limit)
-        if not self.nonlinear_depth:
-            return linear_system(A, B, **common)
+        """The system model, shared by every equal ``HeatSystem`` in the process.
 
-        def input_map(x):
-            g = B.copy()
-            g[G, 1] = x[G - 1]
-            return g
+        The 8 most recently used distinct systems keep one model each, so
+        configs parsed from one ``[system]`` block share its step-map
+        powers.  Its arrays are read-only.
+        """
+        return _heat_model(self)
 
-        return SystemModel(dim_state=G + 1, dim_input=2, drift=lambda x: A @ x,
-                           input_map=input_map, **common)
+
+@functools.lru_cache(maxsize=8)
+def _heat_model(system: HeatSystem) -> SystemModel:
+    """:meth:`HeatSystem.model`, built once per distinct system value."""
+    G = system.grid_points
+    # mirror-boundary (zero-flux) Laplacian on the temperature rows;
+    # the depth row has no drift
+    A = np.zeros((G + 1, G + 1))
+    rows = np.arange(1, G - 1)
+    A[rows, rows - 1] = A[rows, rows + 1] = 1.0
+    A[rows, rows] = -2.0
+    A[0, 0] = A[G - 1, G - 1] = -2.0
+    A[0, 1] = A[G - 1, G - 2] = 2.0
+    A *= system.diffusivity / system.spacing**2
+    B = np.zeros((G + 1, 2))
+    B[:G, 0] = system.source_profile()
+    B[G, 1] = 1.0
+    lo, hi = np.array([0.0, 0.0]), np.array([10.0, 1.0])
+    lo.setflags(write=False)
+    hi.setflags(write=False)
+    common = dict(input_lo=lo, input_hi=hi, stability_limit=system.stability_limit)
+    if not system.nonlinear_depth:
+        return linear_system(A, B, **common)
+
+    def input_map(x):
+        g = B.copy()
+        g[G, 1] = x[G - 1]
+        return g
+
+    return SystemModel(dim_state=G + 1, dim_input=2, drift=lambda x: A @ x,
+                       input_map=input_map, **common)
 
 
 def probe_signal(t):

@@ -1,6 +1,7 @@
 """Tests for the command-line front end and its exit codes."""
 
 import contextlib
+import hashlib
 import io
 import os
 import pathlib
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import cdmkit
-from cdmkit.cli import EXIT_CONFIG, EXIT_IDENTIFICATION, EXIT_OK, EXIT_UNVIABLE, main
+from cdmkit.cli import EXIT_CONFIG, EXIT_IDENTIFICATION, EXIT_OK, EXIT_UNVIABLE, entry, main
 from cdmkit.experiment import parse_config_text, run_experiment
 from cdmkit.identification import EffectivePair, build_reconstruction_from_pairs
 from cdmkit.serialization import reconstruction_to_lines, write_reconstruction
@@ -102,6 +103,15 @@ class TestRun:
         assert err.startswith("config-error: cannot write artifacts:")
         assert err.count("\n") == 1
         assert blocker.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_unusable_output_directory_fails_before_simulating(self, small_run, tmp_path,
+                                                               capsys, monkeypatch, below):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("integrate ran before the output directory was checked")
+
+        monkeypatch.setattr("cdmkit.experiment.integrate", no_simulation)
+        self.test_unusable_output_directory_is_config_error(small_run, tmp_path, capsys, below)
 
     def test_malformed_mode_number_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -521,3 +531,78 @@ def test_bundled_run_never_loads_scipy_stats(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def fresh_env(**settings):
+    """The test's environment with ``src`` importable, no BLAS thread count, then ``settings``."""
+    src = str(pathlib.Path(cdmkit.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    return {**env, "PYTHONPATH": src, **settings}
+
+
+def test_help_and_argument_errors_never_load_numpy():
+    # the console entry pins BLAS threads only if NumPy is not loaded yet
+    script = textwrap.dedent("""
+        import contextlib, io, os, sys
+        import cdmkit
+        from cdmkit import cli
+
+        # importing the package and the CLI sets nothing; only entry() does
+        assert not any(os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+        codes = []
+        for argv in (["--help"], ["run"], ["viabilize"], ["frobnicate"]):
+            sys.argv = ["cdmkit", *argv]
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                try:
+                    cli.entry()
+                except SystemExit as exc:
+                    codes.append(exc.code)
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+        assert not loaded, loaded[:5]
+        print(codes, os.environ["OPENBLAS_NUM_THREADS"], os.environ["OMP_NUM_THREADS"])
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=fresh_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 2, 2, 2] 1 1"
+
+
+def test_entry_keeps_the_callers_thread_count(monkeypatch, capsys):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setattr(sys, "argv", ["cdmkit", "--help"])
+    with pytest.raises(SystemExit) as stop:
+        entry()
+    assert stop.value.code == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+    assert os.environ["OMP_NUM_THREADS"] == "1"
+
+
+def test_main_leaves_the_environment_alone(tmp_path, capsys):
+    before = dict(os.environ)
+    assert main(["report", str(tmp_path / "missing.txt")]) == EXIT_CONFIG
+    assert main(["run", str(tmp_path / "missing.cfg")]) == EXIT_CONFIG
+    assert dict(os.environ) == before
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at 101 grid points the state has 102 components, enough for OpenBLAS
+    # to split the step map's products across threads; the CLI's pin of one
+    # thread must not change a byte
+    cfg = tmp_path / "heat.cfg"
+    cfg.write_text(SMALL_HEAT_CONFIG.replace("grid_points = 51", "grid_points = 101"))
+    digests = []
+    for name, settings in (("pinned", {}), ("threads2", {"OPENBLAS_NUM_THREADS": "2"})):
+        out = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, "-m", "cdmkit.cli", "run", str(cfg), "--output", str(out)],
+            capture_output=True, text=True, env=fresh_env(**settings), timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        digests.append({artifact: hashlib.sha256((out / artifact).read_bytes()).hexdigest()
+                        for artifact in ("samples.csv", "reconstruction.txt",
+                                         "convergence.csv")})
+    assert digests[0] == digests[1]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from cdmkit.degradation import AffineMap, IntervalRegion, NModeCdm, heat_example_cdm
 from cdmkit.errors import PreconditionError
+from cdmkit.experiment import parse_config, parse_config_text
 from cdmkit.identification import build_reconstruction, recover_effective_input
 from cdmkit.serialization import reconstruction_to_lines
 from cdmkit.simulation import (
@@ -23,6 +24,7 @@ from cdmkit.simulation import (
     linear_system,
     _BATCH_ROWS,
     _affine_steps,
+    _heat_model,
     _step_matrix,
     probe_signal,
 )
@@ -122,6 +124,70 @@ class TestHeatSystem:
         w[0] = w[-1] = sys.spacing / 2
         masses = [float(w @ s.state[: sys.grid_points]) for s in samples]
         assert max(masses) - min(masses) <= 1e-8
+
+
+SMALL_HEAT_SYSTEM = """\
+[system]
+kind = heat
+diffusivity = 0.1
+grid_points = 21
+source_width = 0.1
+nonlinear_depth = false
+
+[cdm]
+kind = heat-threemode
+
+[signal]
+kind = heat-probe
+
+[sampling]
+rate = 20.0
+horizon = 1.0
+
+[identification]
+delta = 0.4
+modes = 3
+"""
+
+
+class TestHeatModelMemo:
+    """One model per distinct heat system, shared by every config of it."""
+
+    def test_configs_parsed_from_one_file_share_the_model(self):
+        path = Path(__file__).resolve().parents[1] / "configs" / "heat_electrosurgery.cfg"
+        first, second = parse_config(path), parse_config(path)
+        assert first is not second
+        assert first.model() is second.model()
+        assert first.model()._rk4_powers is second.model()._rk4_powers
+
+    @pytest.mark.parametrize("line, changed", [
+        ("diffusivity = 0.1", "diffusivity = 0.2"),
+        ("grid_points = 21", "grid_points = 41"),
+        ("source_width = 0.1", "source_width = 0.2"),
+        ("nonlinear_depth = false", "nonlinear_depth = true")])
+    def test_a_different_system_gets_its_own_model(self, line, changed):
+        base = parse_config_text(SMALL_HEAT_SYSTEM)
+        other = parse_config_text(SMALL_HEAT_SYSTEM.replace(line, changed))
+        assert other.model() is not base.model()
+        assert other.model() is parse_config_text(SMALL_HEAT_SYSTEM.replace(line, changed)).model()
+
+    def test_memo_holds_a_fixed_number_of_models(self):
+        size = _heat_model.cache_info().maxsize
+        assert size is not None and size <= 16
+        for g in range(11, 11 + size + 3):
+            HeatSystem(grid_points=g, epsilon=0.1).model()
+        assert _heat_model.cache_info().currsize == size
+
+    @pytest.mark.parametrize("nonlinear_depth", [False, True])
+    def test_shared_arrays_are_read_only(self, nonlinear_depth):
+        model = HeatSystem(grid_points=21, epsilon=0.1, nonlinear_depth=nonlinear_depth).model()
+        shared = [model.input_lo, model.input_hi]
+        if not nonlinear_depth:
+            shared += model._rk4_powers
+            assert len(model._rk4_powers) == 6
+        for array in shared:
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1.0
 
 
 class TestProbeSignal:
