@@ -45,7 +45,8 @@ class SystemModel:
 
     ``input_map(x)`` returns the (n, m) matrix of input gains at a state;
     it must have full column rank wherever the system is observed.
-    ``stability_limit`` optionally caps the explicit integration step.
+    ``stability_limit`` optionally caps the explicit integration step; it
+    must be finite and positive.
     ``a_matrix``/``b_matrix`` are set on linear systems ``x' = A x + B u``
     (see :func:`linear_system`) and must agree with ``drift``/``input_map``;
     :func:`integrate` advances such a system with a precomputed step map.
@@ -64,6 +65,9 @@ class SystemModel:
     def __post_init__(self):
         if self.dim_input > self.dim_state:
             raise ValueError("system must not be overactuated (m <= n)")
+        limit = self.stability_limit
+        if limit is not None and not (math.isfinite(limit) and limit > 0):
+            raise ValueError(f"stability limit must be None or finite and positive, got {limit}")
 
     @cached_property
     def _rk4_powers(self) -> tuple:
@@ -123,6 +127,11 @@ def _velocity(model: SystemModel, x, e) -> np.ndarray:
     return model.drift(x) + model.input_map(x) @ e
 
 
+# The heat model keeps A, A^2, A^3 and A^4 as dense (G + 1) x (G + 1) float
+# arrays: at 2,047 grid points they take 4 x 32 MiB = 128 MiB.
+_MAX_GRID_POINTS = 2047
+
+
 @dataclass(frozen=True)
 class HeatSystem:
     """Insulated 1-D slab with a boundary heat source and a depth channel.
@@ -142,8 +151,9 @@ class HeatSystem:
     nonlinear_depth: bool = False
 
     def __post_init__(self):
-        if self.grid_points < 3:
-            raise ValueError("need at least 3 grid points")
+        if not 3 <= self.grid_points <= _MAX_GRID_POINTS:
+            raise ValueError(f"grid_points must lie in [3, {_MAX_GRID_POINTS}], "
+                             f"got {self.grid_points}")
         if not (math.isfinite(self.diffusivity) and self.diffusivity > 0):
             raise ValueError(f"diffusivity must be finite and positive, got {self.diffusivity}")
         h = self.spacing
@@ -344,22 +354,26 @@ def _rk4_advance(model: SystemModel):
 def _affine_steps(R: np.ndarray, forcing: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``x = R @ x + f`` for each row ``f`` of ``forcing``, in place in ``x``.
 
-    The products go to one scratch buffer, so the loop allocates nothing;
-    the floats are those of ``R @ x + f``.
+    Each step is one dense BLAS mat-vec on ``R``.  The products go to one
+    scratch buffer, so the loop allocates nothing; ``R.dot`` and ``np.add``
+    are bound once and given their outputs by position, which skips NumPy's
+    per-call dispatch.  The floats are those of ``R @ x + f``.
     """
     y = np.empty_like(x)
+    dot, add = R.dot, np.add
     for f in forcing:
-        np.dot(R, x, out=y)
-        np.add(y, f, out=x)
+        dot(x, y)
+        add(y, f, x)
     return x
 
 
 def _step_matrix(dt: float, powers: tuple, out: np.ndarray, term: np.ndarray) -> np.ndarray:
     """``R = I + dt A + dt^2/2 A^2 + dt^3/6 A^3 + dt^4/24 A^4`` into ``out``.
 
-    ``powers`` is ``(I, A, A^2, A^3, A^4)``.  The terms go through the
-    ``term`` buffer and are summed left to right, so nothing is allocated
-    and the floats are those of the expression.
+    ``powers`` is ``(I, A, A^2, A^3, A^4)``, as matrices or as the same
+    entries of each (see :func:`_supported_step_matrix`).  The terms go
+    through the ``term`` buffer and are summed left to right, so nothing is
+    allocated and the floats are those of the expression.
     """
     eye, A, A2, A3, A4 = powers
     np.multiply(dt, A, out=out)
@@ -370,6 +384,34 @@ def _step_matrix(dt: float, powers: tuple, out: np.ndarray, term: np.ndarray) ->
     return out
 
 
+def _support(powers: tuple) -> np.ndarray:
+    """The flat indices of the entries where any of ``powers`` is nonzero (NaN and inf count)."""
+    return np.flatnonzero(np.logical_or.reduce([p.reshape(-1) != 0 for p in powers]))
+
+
+def _supported_step_matrix(powers: tuple):
+    """``dt -> R`` for ``powers = (I, A, A^2, A^3, A^4)``, assembled on their support.
+
+    :func:`_step_matrix` runs on the entries of :func:`_support` only (at
+    most 9 per row for a tridiagonal ``A``), and they are scattered into
+    one ``R`` that is zero everywhere else and is returned by every call.
+    Off the support every term is ``±0`` and the identity's is ``+0``, so
+    for ``dt >= 0`` the whole expression is ``+0`` there and ``R`` is the
+    dense expression bit for bit.  A dense ``A`` has full support.
+    """
+    support = _support(powers)
+    packed = tuple(p.reshape(-1)[support] for p in powers)
+    R = np.zeros(powers[0].shape)
+    flat = R.reshape(-1)
+    values, term = np.empty(support.size), np.empty(support.size)
+
+    def step_matrix(dt):
+        flat[support] = _step_matrix(dt, packed, values, term)
+        return R
+
+    return step_matrix
+
+
 def _linear_rk4_advance(model: SystemModel):
     """Linear path: the exact step map of RK4 on ``x' = A x + B e(t)``.
 
@@ -378,23 +420,26 @@ def _linear_rk4_advance(model: SystemModel):
     ``P0 = dt/6 (I + H + H^2/2 + H^3/4) B``, ``Ph = dt/6 (4I + 2H + H^2/2) B``
     and ``P1 = dt/6 B``.  The powers of ``A`` are formed once per model
     (``SystemModel._rk4_powers``); per sampling interval ``R`` and the ``P``
-    are scalar-weighted sums of them, ``R`` in two buffers of this advance,
-    so no matrix product runs inside the step loop.  ``E`` is the
-    interval's slice of the effective inputs of its batch, as for
-    :func:`_rk4_advance`; the signal and ``cdm`` calls are made once per
-    batch of intervals, not here.
+    are scalar-weighted sums of them, so no matrix product runs inside the
+    step loop.  ``R`` is assembled on the support of the powers, found once
+    per advance (:func:`_supported_step_matrix`), into one dense matrix;
+    each sub-step is still one dense BLAS mat-vec on it
+    (:func:`_affine_steps`).  ``E`` is the interval's slice of the effective
+    inputs of its batch, as for :func:`_rk4_advance`; the signal and
+    ``cdm`` calls are made once per batch of intervals, not here.
     """
     A, B = model.a_matrix, model.b_matrix
     A2, A3, A4, AB, A2B, A3B = model._rk4_powers
-    powers = (np.eye(A.shape[0]), A, A2, A3, A4)
-    R, term = np.empty_like(A), np.empty_like(A)
+    step_matrix = _supported_step_matrix((np.eye(A.shape[0]), A, A2, A3, A4))
 
     def advance(x, dt, E):
-        _step_matrix(dt, powers, R, term)
+        R = step_matrix(dt)
         P0 = dt / 6.0 * (B + dt * AB + dt**2 / 2.0 * A2B + dt**3 / 4.0 * A3B)
         Ph = dt / 6.0 * (4.0 * B + 2.0 * dt * AB + dt**2 / 2.0 * A2B)
         P1 = dt / 6.0 * B
-        forcing = E[0:-1:2] @ P0.T + E[1::2] @ Ph.T + E[2::2] @ P1.T
+        forcing = E[0:-1:2] @ P0.T
+        forcing += E[1::2] @ Ph.T
+        forcing += E[2::2] @ P1.T
         return _affine_steps(R, forcing, x)
 
     return advance
@@ -449,8 +494,9 @@ def integrate(model: SystemModel, cdm, x0, input_signal,
     precomputed RK4 step map; others by generic RK4 steps.  Both give the
     classical RK4 solution.  Observed velocities are the exact right-hand
     side at the sampled state.  Sample times that are not finite, negative
-    or decreasing raise ``ValueError``.  Deterministic for a fixed schedule
-    seed.
+    or decreasing raise ``ValueError``, and so does an interval whose step
+    count is not finite (a tiny stability limit).  Deterministic for a
+    fixed schedule seed.
     """
     limit = min(1e-3, model.stability_limit) if model.stability_limit else 1e-3
 
@@ -465,7 +511,16 @@ def integrate(model: SystemModel, cdm, x0, input_signal,
         raise ValueError("initial state dimension mismatch")
     starts = np.concatenate([[0.0], times[:-1]])
     spans = times - starts
-    n_subs = np.ceil(spans / limit - 1e-12).astype(np.intp)
+    with np.errstate(over="ignore"):
+        counts = np.ceil(spans / limit - 1e-12)
+    # the largest intp, as a float, is the first count that does not convert
+    bad = np.flatnonzero(~(counts < float(np.iinfo(np.intp).max)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"sampling interval {i} ({float(starts[i])!r} to {float(times[i])!r} s) "
+                         f"needs {float(counts[i])!r} steps of at most {float(limit)!r} s; a step "
+                         "count must be finite and fit an index")
+    n_subs = counts.astype(np.intp)
     dts = np.where(n_subs > 0, spans / np.maximum(n_subs, 1), 0.0)
     n_list = n_subs.tolist()
     samples = []

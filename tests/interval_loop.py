@@ -1,8 +1,9 @@
 """The per-interval simulation loop that batched ``integrate`` replaced, kept as a reference.
 
 It makes one ``stage_times``, one signal call and one ``cdm`` call per
-sampling interval and advances with the package's own step-map and
-generic RK4 paths, so ``integrate`` must reproduce it bit for bit.
+sampling interval.  Linear models advance by its own dense step map
+(:func:`dense_linear_advance`), other models by the package's generic RK4
+path, so ``integrate`` must reproduce it bit for bit.
 """
 
 import numpy as np
@@ -12,10 +13,30 @@ from cdmkit.simulation import (
     _BATCH_ROWS,
     _commands,
     _effective_inputs,
-    _linear_rk4_advance,
     _rk4_advance,
     _velocity,
 )
+
+
+def dense_linear_advance(model):
+    """The RK4 step map with ``R`` summed over every entry and ``np.dot``/``np.add`` steps."""
+    A, B = model.a_matrix, model.b_matrix
+    A2, A3, A4, AB, A2B, A3B = model._rk4_powers
+    eye = np.eye(A.shape[0])
+
+    def advance(x, dt, E):
+        R = eye + dt * A + dt**2 / 2.0 * A2 + dt**3 / 6.0 * A3 + dt**4 / 24.0 * A4
+        P0 = dt / 6.0 * (B + dt * AB + dt**2 / 2.0 * A2B + dt**3 / 4.0 * A3B)
+        Ph = dt / 6.0 * (4.0 * B + 2.0 * dt * AB + dt**2 / 2.0 * A2B)
+        P1 = dt / 6.0 * B
+        forcing = E[0:-1:2] @ P0.T + E[1::2] @ Ph.T + E[2::2] @ P1.T
+        y = np.empty_like(x)
+        for f in forcing:
+            np.dot(R, x, out=y)
+            np.add(y, f, out=x)
+        return x
+
+    return advance
 
 
 def stage_times(t, dt, n_sub: int, tk):
@@ -44,7 +65,7 @@ def intervals(model, schedule):
 
 def integrate_per_interval(model, cdm, x0, input_signal, schedule):
     """``integrate`` as one signal and one ``cdm`` call per sampling interval."""
-    advance = _rk4_advance(model) if model.a_matrix is None else _linear_rk4_advance(model)
+    advance = _rk4_advance(model) if model.a_matrix is None else dense_linear_advance(model)
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     samples = []
     for t, dt, n_sub, tk in intervals(model, schedule):

@@ -113,6 +113,14 @@ class TestRun:
         monkeypatch.setattr("cdmkit.experiment.integrate", no_simulation)
         self.test_unusable_output_directory_is_config_error(small_run, tmp_path, capsys, below)
 
+    def test_huge_grid_is_config_error(self, tmp_path, capsys):
+        # the dense 1000001 x 1000001 stencil would need 7.28 TiB
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL_HEAT_CONFIG.replace("grid_points = 51", "grid_points = 1000000"))
+        assert main(["run", str(bad), "--output", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config-error: grid_points must lie in [3, 2047], got 1000000\n")
+
     def test_malformed_mode_number_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(SMALL_HEAT_CONFIG.replace(

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdmkit import simulation
 from cdmkit.degradation import AffineMap, IntervalRegion, NModeCdm, heat_example_cdm
 from cdmkit.errors import PreconditionError
 from cdmkit.experiment import parse_config, parse_config_text
@@ -23,9 +24,12 @@ from cdmkit.simulation import (
     integrate,
     linear_system,
     _BATCH_ROWS,
+    _MAX_GRID_POINTS,
     _affine_steps,
     _heat_model,
     _step_matrix,
+    _support,
+    _supported_step_matrix,
     probe_signal,
 )
 
@@ -113,6 +117,14 @@ class TestHeatSystem:
         # comparisons with nan are false, so each check must fail on it
         with pytest.raises(ValueError):
             HeatSystem(grid_points=101, **{field: value})
+
+    @pytest.mark.parametrize("grid_points", [2, _MAX_GRID_POINTS + 1, 1_000_000])
+    def test_grid_points_outside_bounds_rejected(self, grid_points):
+        with pytest.raises(ValueError, match=r"grid_points must lie in \[3, 2047\]"):
+            HeatSystem(grid_points=grid_points, epsilon=0.5)
+
+    def test_largest_grid_accepted(self):
+        assert HeatSystem(grid_points=_MAX_GRID_POINTS).dim_state == _MAX_GRID_POINTS + 1
 
     def test_conservation_without_input(self):
         sys = HeatSystem(diffusivity=0.1, grid_points=101)
@@ -298,6 +310,19 @@ class TestIntegrate:
             residual = np.linalg.norm(G @ np.linalg.lstsq(G, b, rcond=None)[0] - b)
             assert residual < 1e-10
 
+    @pytest.mark.parametrize("limit", [-1.0, 0.0, np.nan, np.inf, -np.inf])
+    def test_unusable_stability_limit_rejected(self, limit):
+        with pytest.raises(ValueError, match="stability limit must be None or finite and positive"):
+            linear_system([[1.0]], [[1.0]], stability_limit=limit)
+
+    @pytest.mark.parametrize("limit", [1e-320, 1e-300])
+    def test_step_count_beyond_an_index_names_the_interval(self, limit):
+        # 0.1 / 1e-320 is inf and 0.1 / 1e-300 is finite but beyond any intp
+        model = linear_system([[1.0]], [[1.0]], stability_limit=limit)
+        sched = SamplingSchedule(rate=10.0, horizon=0.3)
+        with pytest.raises(ValueError, match=r"sampling interval 1 \(0\.0 to 0\.1 s\) needs"):
+            integrate(model, None, [1.0], zero_signal(1), sched)
+
     def test_linear_growth_accuracy(self):
         # x' = x with x0 = 1: compare against exp(t)
         model = linear_system([[1.0]], [[1.0]])
@@ -396,6 +421,39 @@ def linear_runs(draw):
     return linear_system(A, B), cdm, rng.normal(size=n), signal, schedule
 
 
+def step_lengths(seed):
+    """Sub-step lengths from far below to above the 1 ms cap, and 0."""
+    rng = np.random.default_rng(seed)
+    return [float(dt) for dt in [*np.geomspace(1e-9, 2e-3, 40), *rng.uniform(0.0, 1e-3, 40), 0.0]]
+
+
+def sparse_matrix():
+    """A random sparse ``A`` with negative entries, ``-0.0`` entries and an all-zero row."""
+    rng = np.random.default_rng(7)
+    A = np.where(rng.random((40, 40)) < 0.08, rng.normal(size=(40, 40)), 0.0)
+    A[(A == 0.0) & (rng.random((40, 40)) < 0.3)] = -0.0
+    A[11] = 0.0
+    A[11, ::3] = -0.0
+    assert (A < 0).any() and np.signbit(A[A == 0.0]).any()
+    return A
+
+
+def matrix_with_inf():
+    """The 21-point heat ``A`` with one infinite entry."""
+    A = HeatSystem(grid_points=21, epsilon=0.1).model().a_matrix.copy()
+    A[3, 4] = np.inf
+    return A
+
+
+STEP_MATRIX_CASES = {
+    **{f"heat_{g}": lambda g=g: HeatSystem(grid_points=g, epsilon=0.1).model().a_matrix
+       for g in (21, 51, 101)},
+    "dense": lambda: np.random.default_rng(3).normal(size=(30, 30)),
+    "sparse": sparse_matrix,
+    "inf": matrix_with_inf,
+}
+
+
 class TestLinearPropagator:
     """The precomputed RK4 step map against generic RK4 steps."""
 
@@ -477,13 +535,42 @@ class TestLinearPropagator:
         A3 = A2 @ A
         powers = (np.eye(A.shape[0]), A, A2, A3, A3 @ A)
         out, term = np.empty_like(A), np.empty_like(A)
-        rng = np.random.default_rng(seed)
-        for dt in [*np.geomspace(1e-9, 2e-3, 40), *rng.uniform(0.0, 1e-3, 40), 0.0]:
-            dt = float(dt)
+        for dt in step_lengths(seed):
             want = (np.eye(A.shape[0]) + dt * A + dt**2 / 2.0 * A2 + dt**3 / 6.0 * A3
                     + dt**4 / 24.0 * powers[4])
             assert _step_matrix(dt, powers, out, term) is out
             np.testing.assert_array_equal(out.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("case", sorted(STEP_MATRIX_CASES))
+    def test_supported_step_matrix_matches_expression(self, case):
+        # the buffer is reused across the sweep, so stale entries would show
+        A = STEP_MATRIX_CASES[case]()
+        eye = np.eye(A.shape[0])
+        with np.errstate(invalid="ignore", over="ignore"):
+            A2 = A @ A
+            A3 = A2 @ A
+            A4 = A3 @ A
+            step_matrix = _supported_step_matrix((eye, A, A2, A3, A4))
+            for dt in step_lengths(A.shape[0]):
+                want = eye + dt * A + dt**2 / 2.0 * A2 + dt**3 / 6.0 * A3 + dt**4 / 24.0 * A4
+                np.testing.assert_array_equal(step_matrix(dt).view(np.uint64),
+                                              want.view(np.uint64), err_msg=f"dt={dt!r}")
+
+    def test_bundled_step_matrix_is_built_on_the_band(self, monkeypatch):
+        # a silent fall-back to the dense sum would show in both counts
+        model = HeatSystem().model()
+        n = model.dim_state
+        support = _support((np.eye(n), model.a_matrix, *model._rk4_powers[:3]))
+        assert np.bincount(support // n, minlength=n).max() <= 9
+        sizes = []
+
+        def recording(dt, powers, out, term):
+            sizes.append(out.size)
+            return _step_matrix(dt, powers, out, term)
+
+        monkeypatch.setattr(simulation, "_step_matrix", recording)
+        integrate(model, None, np.zeros(n), probe_signal, SamplingSchedule(20.0, horizon=0.2))
+        assert len(sizes) == 3 and set(sizes) == {support.size}
 
     def test_vanishing_interval_takes_no_step(self):
         # a sample 1e-300 s after the start is below any step: no step, no warning
