@@ -3,9 +3,10 @@
 An experiment is described by an INI-style config with blocks for the
 system, the ground-truth degradation, the probe signal, the sampling
 schedule, the identification tunables, and the convergence tracking.  A run
-simulates the degraded system, updates the reconstruction after every
-observation, and writes three artifacts: the sample log, the final
-reconstruction, and a convergence table with one row per observation.
+simulates the degraded system, pushes every observation into the
+reconstruction as it arrives, and writes three artifacts: the sample log,
+the final reconstruction (built once, after the last observation), and a
+convergence table with one row per observation.
 Runs are fully deterministic for fixed seeds.
 """
 
@@ -45,6 +46,7 @@ from .simulation import (
     HeatSystem,
     SamplingSchedule,
     SystemModel,
+    _interval_steps,
     integrate,
     linear_system,
     probe_signal,
@@ -243,6 +245,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
     elif kind == "linear":
         n = _get(parser, "system", "state_dim", int, required=True)
         m = _get(parser, "system", "input_dim", int, required=True)
+        if n < 1 or m < 1:
+            raise ConfigError(f"[system] state_dim and input_dim must be at least 1, "
+                              f"got {n} and {m}")
         a = _get(parser, "system", "a", _floats_list, required=True)
         b = _get(parser, "system", "b", _floats_list, required=True)
         if a.shape[0] != n * n or b.shape[0] != n * m:
@@ -272,6 +277,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
             seed=_get(parser, "sampling", "seed", int, 0),
             horizon=_get(parser, "sampling", "horizon", float, required=True),
         )
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    try:  # a HeatSystem gives its limit without building its model
+        _interval_steps(schedule.sample_times(), system.stability_limit)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -343,11 +352,13 @@ def stream_reconstructions(samples: Sequence[ControlSample], model: SystemModel,
 
     The same reconstructor comes back after every observation; a caller
     that wants the reconstruction of a prefix calls ``snapshot()`` before
-    advancing.  An observation whose effective input cannot be recovered
-    (the input matrix is rank deficient at its state), or whose pair has a
-    component beyond the range :class:`EffectivePair` accepts, stops the
-    stream with an :class:`IdentificationError` that names its index and
-    time.
+    advancing, which builds every mode of the prefix anew.  A run reads
+    ``modes_identified`` at each step and takes one snapshot, after the
+    last observation.  An observation whose effective input cannot be
+    recovered (the input matrix is rank deficient at its state), or whose
+    pair has a component beyond the range :class:`EffectivePair` accepts,
+    stops the stream with an :class:`IdentificationError` that names its
+    index and time.
     """
     reconstructor = Reconstructor(ident)
     for i, s in enumerate(samples):

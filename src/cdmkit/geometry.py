@@ -193,8 +193,8 @@ class StarSetApprox:
     def rows(self) -> list:
         """The witnesses as ``(radius, direction)`` pairs of Python floats.
 
-        Built on first use, so approximations that are never queried (the
-        snapshots of a stream) do not pay for it.
+        Built on first use, so approximations that are written but never
+        queried (those of a run's reconstruction) do not pay for it.
         """
         return list(zip(self.radii.tolist(), self.directions.tolist()))
 
@@ -217,37 +217,6 @@ class StarSetApprox:
         dirs, radii = _witnesses(points, center)
         return _set_fields(object.__new__(cls), center, lipschitz,
                            *_dedup_samples(dirs, radii, side), side)
-
-    def with_witness(self, point) -> "StarSetApprox":
-        """This approximation with the witness of one more point folded in.
-
-        Equals :meth:`from_points` over the earlier witness points and
-        ``point`` together, at the cost of one direction: the new direction
-        folds into the first kept direction within ``DIRECTION_DEDUP_TOL``
-        by the test :func:`_dedup_samples` applies (an exact repeat is
-        within it), and is appended otherwise.  Returns ``self`` when the
-        point changes nothing: it is the center, or its radius does not
-        improve the one it folds into.
-        """
-        dirs, radii = _witnesses(np.reshape(point, (1, -1)), self.center)
-        if not radii.shape[0]:
-            return self
-        l, r = dirs[0], radii[0]
-        # a row's largest component gap never exceeds its computed norm, so
-        # the rows it rules out fail the norm test too
-        gaps = np.abs(self.directions - l).max(axis=1)
-        for j in np.flatnonzero(gaps <= DIRECTION_DEDUP_TOL).tolist():
-            if gaps[j] == 0.0 or np.linalg.norm(l - self.directions[j]) <= DIRECTION_DEDUP_TOL:
-                kept = self.radii[j]
-                if (r > kept) if self.side is Side.INNER else (r < kept):
-                    radii = self.radii.copy()
-                    radii[j] = r
-                    return _set_fields(object.__new__(StarSetApprox), self.center,
-                                       self.lipschitz, self.directions, radii, self.side)
-                return self
-        return _set_fields(object.__new__(StarSetApprox), self.center, self.lipschitz,
-                           np.concatenate([self.directions, dirs]),
-                           np.concatenate([self.radii, radii]), self.side)
 
 
 def _check_lipschitz(lipschitz) -> None:

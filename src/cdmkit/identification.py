@@ -8,8 +8,8 @@ inner/outer approximations of its affected input region.  A completed
 reconstruction answers point queries, bounds the approximation error of
 Lipschitz degradations, and solves for viabilized inputs that reproduce a
 commanded effective input.  ``build_reconstruction_from_pairs`` builds one
-reconstruction from scratch; ``Reconstructor`` keeps the same result up to
-date one observation at a time.
+reconstruction from scratch; ``Reconstructor`` clusters one observation at
+a time and builds the same result on demand.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -168,16 +168,13 @@ class _Rows:
     Rows below the count are never rewritten, and a full buffer is replaced
     by a copy, so every :class:`Cluster` handed out keeps its table.  The
     basis is chosen on demand, scoring only the rows appended since the
-    last choice.  ``mode`` is what a snapshot built from the first
-    ``mode_rows`` rows.
+    last choice.
     """
 
     def __init__(self, table: np.ndarray):
         self.table, self.count = table, table.shape[0]
         self._cluster: Optional[Cluster] = None
         self._rounds: list = []
-        self.mode: Optional[ModeReconstruction] = None
-        self.mode_rows = 0
 
     def append(self, row: np.ndarray) -> None:
         self.table = _append_row(self.table, self.count, row)
@@ -446,7 +443,7 @@ class ModeReconstruction:
     def residual(self) -> Optional[float]:
         return float(np.max(self.residuals)) if self.residuals is not None else None
 
-    # Derived on first use: the snapshots of a stream are never queried.
+    # Derived on first use: a run writes its reconstruction without querying it.
 
     @cached_property
     def inverse(self) -> Optional[np.ndarray]:
@@ -540,21 +537,19 @@ def split_pairs(points: np.ndarray, identity_tol: float):
 
 
 def fit_residuals(affine: AffineMap, pairs: np.ndarray) -> np.ndarray:
-    """Residuals ``|affine(u) - v|`` of a pair table, row by row: a slice scores like the whole."""
+    """Residuals ``|affine(u) - v|`` of a pair table, row by row.
+
+    The row-by-row arithmetic fixes the floats of every ``residual,`` line
+    of a written reconstruction, so it is kept as it is.
+    """
     m = pairs.shape[1] // 2
     gaps = (affine.translation + affine.linear @ u - v for u, v in zip(pairs[:, :m], pairs[:, m:]))
     return np.array([math.sqrt(g.dot(g)) for g in gaps])  # np.linalg.norm's arithmetic
 
 
 def _mode_from_cluster(cluster: Cluster, unaffected_inputs: np.ndarray,
-                       config: IdentificationConfig,
-                       known: Optional[ModeReconstruction] = None) -> ModeReconstruction:
-    """Bound, fit and score one cluster.
-
-    ``known`` may be the mode of a cluster whose pairs are a prefix of this
-    one's; when the fit reproduces its map exactly, its residuals are kept
-    and only the new pairs are scored.
-    """
+                       config: IdentificationConfig) -> ModeReconstruction:
+    """Bound, fit and score one cluster."""
     inputs = cluster.pairs[:, :cluster.pairs.shape[1] // 2]
     center = inputs.mean(axis=0)
     inner = StarSetApprox.from_points(inputs, center, config.lipschitz, Side.INNER)
@@ -567,14 +562,8 @@ def _mode_from_cluster(cluster: Cluster, unaffected_inputs: np.ndarray,
                               np.empty(0), Side.OUTER)
     try:
         affine = fit_affine(cluster)
-        reused = np.empty(0)
-        if (known is not None and known.identified
-                and np.array_equal(known.map.linear, affine.linear)
-                and np.array_equal(known.map.translation, affine.translation)):
-            reused = known.residuals
-        fresh = fit_residuals(affine, cluster.pairs[reused.shape[0]:])
-        residuals = np.concatenate([reused, fresh])
-        residuals.setflags(write=False)  # snapshots of a stream share it
+        residuals = fit_residuals(affine, cluster.pairs)
+        residuals.setflags(write=False)  # read-only, like the mode's pairs
     except IdentificationError as exc:
         log.debug("cluster left unidentified: %s", exc)
         affine, residuals = None, None
@@ -602,8 +591,10 @@ def reconstruction_from_clusters(clusters: Sequence[Cluster], unaffected: np.nda
                                  config: IdentificationConfig) -> CdmReconstruction:
     """The reconstruction with one mode per cluster and the ``(k, 2m)`` unaffected table.
 
-    The batch build calls it after clustering and the reconstruction reader
-    on each mode's pair table, so a file reads back only as built.
+    It is the one mode builder: the batch build calls it after clustering,
+    ``Reconstructor.snapshot`` on the stream's current clusters, and the
+    reconstruction reader on each mode's pair table, so a file reads back
+    only as built.
     """
     m = unaffected.shape[1] // 2
     return CdmReconstruction(
@@ -643,12 +634,10 @@ class Reconstructor:
     no star set is built and no map is fitted.  ``modes_identified``
     counts the current clusters that :func:`fit_affine` identifies.
     ``snapshot()`` returns the reconstruction of every pair pushed so far,
-    equal to ``build_reconstruction_from_pairs`` on them: it bounds, fits
-    and scores only the clusters that changed since the last snapshot,
-    reusing the residuals of the rows a grown cluster had then, and folds
-    the unaffected pairs pushed since into the outer side of every other
-    mode.  Lipschitz-slope warnings fire for the modes a snapshot builds.
-    ``add(pair)`` is a push followed by a snapshot.
+    equal to ``build_reconstruction_from_pairs`` on them: it builds every
+    mode anew by :func:`reconstruction_from_clusters` and raises the
+    Lipschitz-slope warnings of the batch build.  A run takes one snapshot,
+    after its last observation.
     """
 
     def __init__(self, config: IdentificationConfig):
@@ -661,7 +650,6 @@ class Reconstructor:
         self._n_unaffected = 0
         # the affected pairs; sized by the first pair
         self._linkage = _Linkage(config.delta, config.n_modes, 0)
-        self._folded = 0  # the unaffected count at the last snapshot
         self._identified = 0
 
     def push(self, pair: EffectivePair) -> None:
@@ -693,37 +681,13 @@ class Reconstructor:
         """The reconstruction of all pairs pushed so far."""
         if self._dim is None:
             raise ValueError("cannot build a reconstruction from zero pairs")
-        cfg = self.config
         unaffected = self._unaffected[:self._n_unaffected]
         unaffected.setflags(write=False)
-        folds = unaffected[self._folded:, :self._dim]
-        modes = []
-        for rows in self._linkage.clusters.values():
-            mode = rows.mode
-            if rows.mode_rows != rows.count:
-                mode = _mode_from_cluster(rows.cluster, unaffected[:, :self._dim], cfg, mode)
-                _warn_if_steep(mode.inner, cfg)
-            else:
-                outer = mode.outer
-                for u in folds:
-                    outer = outer.with_witness(u)
-                if outer is not mode.outer:
-                    mode = replace(mode, outer=outer)
-            rows.mode, rows.mode_rows = mode, rows.count
-            modes.append(mode)
-        self._folded = self._n_unaffected
-        return CdmReconstruction(
-            modes=tuple(modes),
-            unaffected=unaffected,
-            separation=cfg.delta,
-            mode_count=cfg.n_modes,
-            input_dim=self._dim,
-        )
-
-    def add(self, pair: EffectivePair) -> CdmReconstruction:
-        """Record one pair and return the reconstruction of all pairs so far."""
-        self.push(pair)
-        return self.snapshot()
+        clusters = [rows.cluster for rows in self._linkage.clusters.values()]
+        recon = reconstruction_from_clusters(clusters, unaffected, self.config)
+        for mode in recon.modes:
+            _warn_if_steep(mode.inner, self.config)
+        return recon
 
 
 def _append_row(buffer: np.ndarray, n: int, row) -> np.ndarray:

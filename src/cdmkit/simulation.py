@@ -477,6 +477,31 @@ def _checked_times(times) -> np.ndarray:
     return times
 
 
+def _interval_steps(times: np.ndarray, stability_limit: Optional[float]):
+    """The RK4 steps of each sampling interval, as ``(starts, n_subs, dts)``.
+
+    Interval ``i`` runs from ``starts[i]`` (0 for the first) to ``times[i]``
+    in ``n_subs[i]`` steps of ``dts[i]`` s, each at most 1 ms and at most
+    ``stability_limit``.  A step count that is not finite or does not fit
+    an index raises ``ValueError`` naming the interval.
+    """
+    limit = min(1e-3, stability_limit) if stability_limit else 1e-3
+    starts = np.concatenate([[0.0], times[:-1]])
+    spans = times - starts
+    with np.errstate(over="ignore"):
+        counts = np.ceil(spans / limit - 1e-12)
+    # the largest intp, as a float, is the first count that does not convert
+    bad = np.flatnonzero(~(counts < float(np.iinfo(np.intp).max)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"sampling interval {i} ({float(starts[i])!r} to {float(times[i])!r} s) "
+                         f"needs {float(counts[i])!r} steps of at most {float(limit)!r} s; a step "
+                         "count must be finite and fit an index")
+    n_subs = counts.astype(np.intp)
+    dts = np.where(n_subs > 0, spans / np.maximum(n_subs, 1), 0.0)
+    return starts, n_subs, dts
+
+
 def integrate(model: SystemModel, cdm, x0, input_signal,
               schedule: SamplingSchedule) -> list[ControlSample]:
     """Simulate the degraded system and emit jittered observations.
@@ -495,11 +520,9 @@ def integrate(model: SystemModel, cdm, x0, input_signal,
     classical RK4 solution.  Observed velocities are the exact right-hand
     side at the sampled state.  Sample times that are not finite, negative
     or decreasing raise ``ValueError``, and so does an interval whose step
-    count is not finite (a tiny stability limit).  Deterministic for a
-    fixed schedule seed.
+    count is not finite (a tiny stability limit, see :func:`_interval_steps`).
+    Deterministic for a fixed schedule seed.
     """
-    limit = min(1e-3, model.stability_limit) if model.stability_limit else 1e-3
-
     if model.a_matrix is None:
         advance = _rk4_advance(model)
     else:
@@ -509,19 +532,7 @@ def integrate(model: SystemModel, cdm, x0, input_signal,
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     if x.shape[0] != model.dim_state:
         raise ValueError("initial state dimension mismatch")
-    starts = np.concatenate([[0.0], times[:-1]])
-    spans = times - starts
-    with np.errstate(over="ignore"):
-        counts = np.ceil(spans / limit - 1e-12)
-    # the largest intp, as a float, is the first count that does not convert
-    bad = np.flatnonzero(~(counts < float(np.iinfo(np.intp).max)))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"sampling interval {i} ({float(starts[i])!r} to {float(times[i])!r} s) "
-                         f"needs {float(counts[i])!r} steps of at most {float(limit)!r} s; a step "
-                         "count must be finite and fit an index")
-    n_subs = counts.astype(np.intp)
-    dts = np.where(n_subs > 0, spans / np.maximum(n_subs, 1), 0.0)
+    starts, n_subs, dts = _interval_steps(times, model.stability_limit)
     n_list = n_subs.tolist()
     samples = []
     for a, b in _batches(n_list):

@@ -121,6 +121,53 @@ class TestRun:
         assert capsys.readouterr().err == (
             "config-error: grid_points must lie in [3, 2047], got 1000000\n")
 
+    def test_empty_input_is_config_error(self, tmp_path, capsys):
+        # a system without inputs has no pair to recover
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(textwrap.dedent("""\
+            [system]
+            kind = linear
+            state_dim = 1
+            input_dim = 0
+            a = 0.0
+            b =
+
+            [cdm]
+            kind = identity
+
+            [signal]
+            kind = constant
+            values =
+
+            [sampling]
+            rate = 10.0
+            horizon = 0.5
+
+            [identification]
+            delta = 0.5
+            modes = 1
+            """))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config-error: [system] state_dim and input_dim must be at least 1, got 1 and 0\n")
+        assert not out.exists()
+
+    def test_huge_diffusivity_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # a stability limit of 2e-304 s would need some 1e302 steps per sampling interval
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("integrate ran on a config whose step count overflows")
+
+        monkeypatch.setattr("cdmkit.experiment.integrate", no_simulation)
+        cfg = tmp_path / "hot.cfg"
+        cfg.write_text(SMALL_HEAT_CONFIG.replace("diffusivity = 0.1", "diffusivity = 1e300"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config-error: sampling interval ") and err.count("\n") == 1
+        assert "steps of at most 2e-304 s; a step count must be finite and fit an index" in err
+        assert not out.exists()
+
     def test_malformed_mode_number_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(SMALL_HEAT_CONFIG.replace(

@@ -2,16 +2,20 @@
 
 Every snapshot of a stream, whichever steps it is taken at, must
 serialize exactly like ``build_reconstruction_from_pairs`` on the same
-prefix, and must leave untouched what the pairs pushed since the last
-snapshot do not change.  The stream and the batch share their clustering,
-so both are checked against SciPy's single linkage, the stream after every
-push.  The other fast paths behind it (batched basis selection, grouped
+prefix, and must stay bit for bit as taken while the stream grows on.  A
+push clusters its pair and picks the basis of the cluster it changes; a
+snapshot builds every mode through the batch build's own builder, and a
+run takes one.  The stream and the batch share their clustering, so both
+are checked against SciPy's single linkage, the stream after every push.
+The other fast paths behind it (batched basis selection, grouped
 direction de-duplication) are checked against the loops they replace.
 """
 
+import ast
 import contextlib
 import logging
 from collections import Counter
+from pathlib import Path
 import warnings
 
 import numpy as np
@@ -173,7 +177,8 @@ def test_trial_streams_refine_bounds_monotonically(trial_seed, order_seed):
     compared = 0
     with quiet():
         for i in order:
-            snapshot = rec.add(pairs[i])
+            rec.push(pairs[i])
+            snapshot = rec.snapshot()
             current = {}
             for mode in snapshot.modes:
                 key = mode.pairs.tobytes()
@@ -185,6 +190,18 @@ def test_trial_streams_refine_bounds_monotonically(trial_seed, order_seed):
                     compared += 1
             previous = current
     assert compared >= N  # the last, unaffected pair keeps every mode's members
+
+
+def test_snapshot_warnings_point_at_its_caller():
+    # witness radii that vary far faster than the assumed slope
+    rec = Reconstructor(IdentificationConfig(delta=1e6, n_modes=1, lipschitz=1e-6))
+    for u, v in (([1.0, 0.0], [3.0, 0.0]), ([0.0, 0.2], [0.0, 2.4]), ([0.4, 0.0], [1.4, 0.0])):
+        rec.push(EffectivePair(u, v))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rec.snapshot()
+    assert caught and all(w.category is RuntimeWarning and w.filename == __file__
+                          for w in caught)
 
 
 def test_rank_failure_stops_the_stream_at_its_observation():
@@ -233,111 +250,17 @@ def test_random_streams_match_batch_at_sparse_snapshots(stream, seed):
         assert_snapshots_match_batch(pairs, config, snapshot_steps(len(pairs), seed))
 
 
-def test_bundled_sparse_snapshots_reuse_residuals_and_fold_witnesses(heat_run, monkeypatch):
-    """Snapshots every few pushes of the bundled stream match the batch build.
-
-    Between two snapshots a kept mode folds in every unaffected pair pushed
-    since, one ``with_witness`` each, and a grown cluster whose map is
-    unchanged scores only the pairs beyond the last built prefix.
-    """
+def test_bundled_stream_matches_batch_at_sparse_snapshots(heat_run):
+    """Snapshots every few pushes of the bundled stream match the batch build."""
     config, _, _ = heat_run
     ident = config.identification
     pairs = heat_pairs(heat_run)
     for seed in range(3):
         assert_snapshots_match_batch(pairs, ident, snapshot_steps(len(pairs), seed))
-    scored, folds = [], []
-    fit_residuals, with_witness = ck.identification.fit_residuals, StarSetApprox.with_witness
-
-    def counted_fit_residuals(affine, table):
-        scored.append(len(table))
-        return fit_residuals(affine, table)
-
-    def counted_with_witness(self, point):
-        folds.append(point)
-        return with_witness(self, point)
-
-    monkeypatch.setattr(ck.identification, "fit_residuals", counted_fit_residuals)
-    monkeypatch.setattr(StarSetApprox, "with_witness", counted_with_witness)
-    rec = Reconstructor(ident)
-    multi_fold = partial_rescore = False
-    previous = None
-    for k, pair in enumerate(pairs, start=1):
-        rec.push(pair)
-        if k % 9:
-            continue
-        folds.clear()
-        scored.clear()
-        snapshot = rec.snapshot()
-        if previous is not None:
-            old_tables = [m.pairs for m in previous.modes]
-            kept = [any(m.pairs is t for t in old_tables) for m in snapshot.modes]
-            new_unaffected = len(snapshot.unaffected) - len(previous.unaffected)
-            assert len(folds) == sum(kept) * new_unaffected
-            multi_fold |= new_unaffected > 1 and any(kept)
-            built = [m for m, was_kept in zip(snapshot.modes, kept)
-                     if not was_kept and m.identified]
-            partial_rescore |= any(n < len(m.pairs) for n, m in zip(scored, built))
-        previous = snapshot
-    assert multi_fold and partial_rescore
 
 
 # ---------------------------------------------------------------------------
 # Structural incrementality
-
-
-def test_adds_rebuild_only_what_changed(heat_run, monkeypatch):
-    """Mode objects and star builds per step of the bundled stream.
-
-    An unaffected step folds one outer witness into each mode and builds no
-    star; a mode whose outer side did not change is the same object, and
-    every other keeps its map, inner side, pairs and residuals.  An affected
-    step keeps each mode whose members did not change and builds the inner
-    and the outer star of each rebuilt cluster (only the inner one before
-    the first unaffected pair).
-    """
-    config, _, _ = heat_run
-    calls = Counter()
-    from_points, with_witness = StarSetApprox.from_points.__func__, StarSetApprox.with_witness
-
-    def counted_from_points(cls, *args):
-        calls["from_points"] += 1
-        return from_points(cls, *args)
-
-    def counted_with_witness(self, point):
-        calls["with_witness"] += 1
-        return with_witness(self, point)
-
-    monkeypatch.setattr(StarSetApprox, "from_points", classmethod(counted_from_points))
-    monkeypatch.setattr(StarSetApprox, "with_witness", counted_with_witness)
-    rec = Reconstructor(config.identification)
-    modes, n_unaffected = (), 0
-    unaffected_steps = kept = affected_reused = rebuilt_steps = 0
-    for pair in heat_pairs(heat_run):
-        calls.clear()
-        snapshot = rec.add(pair)
-        if len(snapshot.unaffected) > n_unaffected:
-            unaffected_steps += 1
-            assert calls == Counter(with_witness=len(modes))
-            assert len(snapshot.modes) == len(modes)
-            for new, old in zip(snapshot.modes, modes):
-                assert (new is old) == (new.outer is old.outer)
-                assert new.map is old.map and new.inner is old.inner
-                assert new.pairs is old.pairs and new.residuals is old.residuals
-                assert new.outer.n_samples >= old.outer.n_samples
-                kept += new is old
-        else:
-            rebuilt = []
-            for new in snapshot.modes:
-                same = [old for old in modes if np.array_equal(old.pairs, new.pairs)]
-                if same:
-                    assert new is same[0]  # membership unchanged: not rebuilt
-                    affected_reused += 1
-                else:
-                    rebuilt.append(new)
-            assert calls == Counter(from_points=(2 if n_unaffected else 1) * len(rebuilt))
-            rebuilt_steps += bool(rebuilt)
-        modes, n_unaffected = snapshot.modes, len(snapshot.unaffected)
-    assert min(unaffected_steps, kept, affected_reused, rebuilt_steps) > 0
 
 
 def test_a_push_that_grows_one_cluster_scores_only_its_new_pair(heat_run, monkeypatch):
@@ -376,12 +299,11 @@ def test_a_push_that_grows_one_cluster_scores_only_its_new_pair(heat_run, monkey
 def test_run_bounds_and_fits_each_final_mode_once(heat_run, tmp_path, monkeypatch):
     """A run pushes every observation and builds only its final reconstruction.
 
-    Each final mode gets one inner and one outer star and one fit; no
-    witness is folded into a mode, since no mode outlives a snapshot.
+    Each final mode gets one inner and one outer star and one fit.
     """
     config, result, _ = heat_run
     calls = Counter()
-    from_points, with_witness = StarSetApprox.from_points.__func__, StarSetApprox.with_witness
+    from_points = StarSetApprox.from_points.__func__
     fit_affine = ck.identification.fit_affine
 
     def counted(name, fn):
@@ -393,12 +315,41 @@ def test_run_bounds_and_fits_each_final_mode_once(heat_run, tmp_path, monkeypatc
 
     monkeypatch.setattr(StarSetApprox, "from_points",
                         classmethod(counted("from_points", from_points)))
-    monkeypatch.setattr(StarSetApprox, "with_witness", counted("with_witness", with_witness))
     monkeypatch.setattr(ck.identification, "fit_affine", counted("fit_affine", fit_affine))
     again = ck.run_experiment(config, out_dir=str(tmp_path))
     n_modes = len(again.reconstruction.modes)
     assert n_modes == len(result.reconstruction.modes) > 0
     assert calls == Counter(from_points=2 * n_modes, fit_affine=n_modes)
+
+
+def name_uses(tree, names) -> list:
+    """``(name, enclosing function)`` of each name or attribute in ``names`` that the code uses."""
+    uses = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        used = getattr(node, "attr", getattr(node, "id", None))
+        if isinstance(node, (ast.Name, ast.Attribute)) and used in names:
+            uses.append((used, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return uses
+
+
+def test_only_reconstruction_from_clusters_builds_modes():
+    # the batch build, the stream's snapshot and the reader all build their
+    # modes through reconstruction_from_clusters, and only the mode builder
+    # makes star sets
+    package = Path(__file__).resolve().parents[1] / "src" / "cdmkit"
+    uses = {(path.name, name, func)
+            for path in sorted(package.glob("*.py"))
+            for name, func in name_uses(ast.parse(path.read_text()),
+                                        {"_mode_from_cluster", "from_points"})}
+    assert uses == {("identification.py", "_mode_from_cluster", "reconstruction_from_clusters"),
+                    ("identification.py", "from_points", "_mode_from_cluster")}
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +371,8 @@ def test_forced_merges_logged_like_batch(heat_run, caplog):
     rec = Reconstructor(ident)
     logged, unaffected = [], 0
     for k, pair in enumerate(pairs, start=1):
-        snapshot = rec.add(pair)
+        rec.push(pair)
+        snapshot = rec.snapshot()
         step = events()
         build_reconstruction_from_pairs(pairs[:k], ident)
         batch = events()
@@ -666,70 +618,3 @@ def test_dedup_matches_greedy_loop(seed, d, k, side, pattern):
     want_dirs, want_radii = reference_dedup(dirs, radii, side)
     np.testing.assert_array_equal(got_dirs, want_dirs)
     np.testing.assert_array_equal(got_radii, want_radii)
-
-
-def star_bits(star):
-    """A star's witnesses as exact text: shape, then every float by ``float.hex``."""
-    return (star.directions.shape, [x.hex() for x in star.directions.ravel().tolist()],
-            [x.hex() for x in star.radii.tolist()])
-
-
-WITNESS_KINDS = ("fresh", "repeat", "ray", "gap", "center")
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from(list(Side)),
-       st.lists(st.sampled_from(WITNESS_KINDS), min_size=1, max_size=25),
-       st.sampled_from([1e-10, 2e-10]))
-def test_with_witness_equals_rebuild(seed, d, side, kinds, gap):
-    """Folding points one at a time gives ``from_points`` over all of them, bit for bit.
-
-    Points repeat earlier ones exactly, lie on an earlier ray, sit a
-    direction gap of about ``gap`` from an earlier direction (where the
-    de-duplication tolerance decides), or are the center itself.
-    """
-    rng = np.random.default_rng(seed)
-    center = rng.normal(size=d)
-    points = []
-    for kind in kinds:
-        if not points or kind == "fresh":
-            p = center + rng.normal(size=d) * rng.choice([1e-3, 1.0, 1e3])
-        elif kind == "repeat":
-            p = points[rng.integers(len(points))]
-        elif kind == "ray":
-            p = center + rng.uniform(0.1, 3.0) * (points[rng.integers(len(points))] - center)
-        elif kind == "gap":
-            offset = points[rng.integers(len(points))] - center
-            if d == 1 or not offset.any():
-                p = center - offset
-            else:
-                l = offset / np.linalg.norm(offset)
-                e = rng.normal(size=d)
-                e -= (e @ l) * l
-                p = center + rng.uniform(0.5, 2.0) * (l + gap * e / np.linalg.norm(e))
-        else:
-            p = center.copy()
-        points.append(p)
-    star = StarSetApprox.from_points(points[:1], center, 1.0, side)
-    for k in range(2, len(points) + 1):
-        grown = star.with_witness(points[k - 1])
-        whole = StarSetApprox.from_points(points[:k], center, 1.0, side)
-        assert star_bits(grown) == star_bits(whole)
-        # self exactly when the point changed nothing
-        assert (grown is star) == (star_bits(star) == star_bits(whole))
-        # the kept witnesses are what the checked constructor keeps
-        rebuilt = StarSetApprox(grown.center, 1.0, grown.directions, grown.radii, side)
-        assert star_bits(rebuilt) == star_bits(grown)
-        star = grown
-
-
-def test_with_witness_folds_at_exactly_the_tolerance():
-    # (1, tol) has norm 1.0, so its gap to the kept (1, 0) is exactly tol
-    for side in Side:
-        star = StarSetApprox.from_points([[2.0, 0.0]], np.zeros(2), 1.0, side)
-        for y, kept in ((DIRECTION_DEDUP_TOL, 1), (np.nextafter(DIRECTION_DEDUP_TOL, 1.0), 2)):
-            grown = star.with_witness([1.0, y])
-            whole = StarSetApprox.from_points([[2.0, 0.0], [1.0, y]], np.zeros(2), 1.0, side)
-            assert grown.n_samples == kept and star_bits(grown) == star_bits(whole)
-            # folded, the inner side keeps its larger radius; the outer side takes 1.0
-            assert (grown is star) == (kept == 1 and side is Side.INNER)
