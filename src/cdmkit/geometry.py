@@ -86,6 +86,11 @@ class Side(enum.Enum):
     OUTER = "outer"
 
 
+# Enum members are looked up through the class on every access; the served
+# path compares against these plain module globals instead.
+_INNER, _OUTER = Side.INNER, Side.OUTER
+
+
 @functools.cache
 def _generic_axis(dim: int) -> np.ndarray:
     """A fixed unit axis in ``dim`` dimensions along which no two coordinates weigh alike."""
@@ -312,24 +317,30 @@ def _cone_bound(rows: list, l: list, lipschitz: float, inner: bool) -> float:
     ``r_i + L * |l - l_i|`` (outer), the gap's squares summed in order as
     :func:`_norm` sums them.  The inner bound is the largest of these and
     0.0, the outer bound the smallest; ties and NaNs resolve as the
-    builtin ``max``/``min`` resolve them.
+    builtin ``max``/``min`` resolve them: the first row is kept until a
+    later one compares strictly beyond it.
     """
+    sqrt = math.sqrt
     bound = None
+    if inner:
+        for r, d in rows:
+            total = 0.0
+            for a, b in zip(d, l):
+                a -= b
+                total += a * a
+            r -= lipschitz * sqrt(total)
+            if bound is None or r > bound:
+                bound = r
+        return bound if bound > 0.0 else 0.0
     for r, d in rows:
         total = 0.0
         for a, b in zip(d, l):
             a -= b
             total += a * a
-        gap = lipschitz * math.sqrt(total)
-        if inner:
-            r -= gap
-            if bound is None or r > bound:
-                bound = r
-        else:
-            r += gap
-            if bound is None or r < bound:
-                bound = r
-    return bound if not inner or bound > 0.0 else 0.0
+        r += lipschitz * sqrt(total)
+        if bound is None or r < bound:
+            bound = r
+    return bound
 
 
 def mgf_outer_bound(approx: StarSetApprox, direction) -> float:
@@ -337,12 +348,14 @@ def mgf_outer_bound(approx: StarSetApprox, direction) -> float:
 
     Minimum over witnesses of ``r_i + L * |direction - l_i|``.
     """
-    if approx.side is not Side.OUTER:
+    if approx.side is not _OUTER:
         raise ValueError("outer bound requires an OUTER-side approximation")
     rows = approx.rows
     if not rows:
         raise ValueError("approximation has no witness samples")
-    return _cone_bound(rows, _query_direction(approx, direction), approx.lipschitz, False)
+    if type(direction) is not _UnitDirection:
+        direction = _query_direction(approx, direction)
+    return _cone_bound(rows, direction, approx.lipschitz, False)
 
 
 def mgf_inner_bound(approx: StarSetApprox, direction) -> float:
@@ -350,12 +363,14 @@ def mgf_inner_bound(approx: StarSetApprox, direction) -> float:
 
     Maximum over witnesses of ``max(0, r_i - L * |direction - l_i|)``.
     """
-    if approx.side is not Side.INNER:
+    if approx.side is not _INNER:
         raise ValueError("inner bound requires an INNER-side approximation")
     rows = approx.rows
     if not rows:
         raise ValueError("approximation has no witness samples")
-    return _cone_bound(rows, _query_direction(approx, direction), approx.lipschitz, True)
+    if type(direction) is not _UnitDirection:
+        direction = _query_direction(approx, direction)
+    return _cone_bound(rows, direction, approx.lipschitz, True)
 
 
 def _polar(point: list, center: list, offset: list):
@@ -381,6 +396,11 @@ class Containment(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+_INSIDE_INNER = Containment.INSIDE_INNER
+_OUTSIDE_OUTER = Containment.OUTSIDE_OUTER
+_INCONCLUSIVE = Containment.INCONCLUSIVE
+
+
 def star_contains(inner: StarSetApprox, outer: StarSetApprox, u) -> Containment:
     """Classify a point against paired inner/outer approximations.
 
@@ -403,34 +423,39 @@ def _classify(inner: StarSetApprox, outer: StarSetApprox, point: list) -> Contai
     """:func:`star_contains` of ``point``, a list of ``inner.dim`` Python floats.
 
     The offset, radius and unit direction are computed once; the direction
-    is normalized as :func:`_query_direction` normalizes it and handed to
-    both gauge bounds as a :class:`_UnitDirection`, so neither checks it
-    again.  The bounds are called through this module's names, so a
-    profiler that rebinds them still sees every call.
+    is normalized as :func:`_query_direction` normalizes it, its norm
+    summed in :func:`_norm`'s order, and handed to both gauge bounds as a
+    :class:`_UnitDirection`, so neither checks it again.  The bounds are
+    called through this module's names, so a profiler that rebinds them
+    still sees every call.
     """
+    sqrt = math.sqrt
     center = inner.center_coords
     offset = [x - c for x, c in zip(point, center)]
     total = 0.0
     for x in offset:
         total += x * x
     if _NORMAL_MIN <= total < math.inf:
-        r = math.sqrt(total)
+        r = sqrt(total)
         l = [x / r for x in offset]
     else:  # the center, or squares that underflow, lose precision or overflow
         if not all(map(math.isfinite, point)):
             raise ValueError(f"point has non-finite components: {point}")
         if not any(offset):
             if inner.rows and max(r_i for r_i, _ in inner.rows) > 0.0:
-                return Containment.INSIDE_INNER
-            return Containment.INCONCLUSIVE
+                return _INSIDE_INNER
+            return _INCONCLUSIVE
         r, l = _polar(point, center, offset)
-    n = _norm(l)
+    total = 0.0
+    for x in l:
+        total += x * x
+    n = sqrt(total)
     l = _UnitDirection(l if n == 1.0 else [x / n for x in l])  # x / 1.0 is x, bit for bit
     if inner.rows and r <= mgf_inner_bound(inner, l):
-        return Containment.INSIDE_INNER
+        return _INSIDE_INNER
     if outer.rows and r > mgf_outer_bound(outer, l):
-        return Containment.OUTSIDE_OUTER
-    return Containment.INCONCLUSIVE
+        return _OUTSIDE_OUTER
+    return _INCONCLUSIVE
 
 
 def interval_hausdorff(lo: float, hi: float, first: float, last: float, gap: float) -> float:

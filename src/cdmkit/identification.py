@@ -23,9 +23,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .degradation import AffineMap, apply_affine
+from .degradation import AffineMap
 from .errors import IdentificationError, PreconditionError, UnviableInputError
 from .geometry import (
+    _INSIDE_INNER,
+    _OUTSIDE_OUTER,
     Containment,
     Side,
     StarSetApprox,
@@ -732,16 +734,18 @@ class QueryResult:
 _FLOAT64 = np.dtype(np.float64)
 
 
-def _command(recon: CdmReconstruction, u) -> np.ndarray:
+def _command(recon: CdmReconstruction, u) -> tuple[np.ndarray, list]:
     """``u`` as a finite vector of the reconstruction's input dimension.
 
-    A float64 ``ndarray`` of that shape is returned as it is, as the
+    Returns the vector and its components as a list of Python floats.  A
+    float64 ``ndarray`` of that shape is returned as it is, as the
     coercion below would return it.
     """
     if type(u) is np.ndarray and u.dtype is _FLOAT64 and u.shape == (recon.input_dim,):
-        if not all(map(math.isfinite, u.tolist())):
+        coords = u.tolist()
+        if not all(map(math.isfinite, coords)):
             raise PreconditionError("command has non-finite components")
-        return u
+        return u, coords
     try:
         raw = np.asarray(u)
         if raw.dtype.kind not in "biuf":  # strings would parse, complex would truncate
@@ -753,9 +757,10 @@ def _command(recon: CdmReconstruction, u) -> np.ndarray:
         raise PreconditionError(
             f"command has shape {point.shape}, reconstruction expects ({recon.input_dim},)"
         )
-    if not all(map(math.isfinite, point.tolist())):  # cheaper than numpy for short vectors
+    coords = point.tolist()
+    if not all(map(math.isfinite, coords)):  # cheaper than numpy for short vectors
         raise PreconditionError("command has non-finite components")
-    return point
+    return point, coords
 
 
 def query(recon: CdmReconstruction, u) -> QueryResult:
@@ -766,23 +771,21 @@ def query(recon: CdmReconstruction, u) -> QueryResult:
     identified mode; inconclusive otherwise.  A non-numeric, non-finite or
     wrong-dimension ``u`` raises :class:`PreconditionError`.
     """
-    point = _command(recon, u)
-    coords = point.tolist()
+    point, coords = _command(recon, u)
     inside = []
     outside_all = True
     for i, mode in enumerate(recon.modes):
         c = mode.containment(coords)
-        if c is Containment.INSIDE_INNER:
+        if c is _INSIDE_INNER:
             inside.append(i)
-        if c is not Containment.OUTSIDE_OUTER:
+        if c is not _OUTSIDE_OUTER:
             outside_all = False
     if len(inside) == 1 and recon.modes[inside[0]].identified:
         idx = inside[0]
-        return QueryResult(
-            kind=QueryKind.MAPPED,
-            value=apply_affine(recon.modes[idx].map, point),
-            mode_index=idx,
-        )
+        q = recon.modes[idx].map
+        # apply_affine's arithmetic on the command checked above
+        return QueryResult(kind=QueryKind.MAPPED, value=q.translation + q.linear @ point,
+                           mode_index=idx)
     if not inside and outside_all:
         return QueryResult(kind=QueryKind.PASSTHROUGH, value=point.copy())
     return QueryResult(kind=QueryKind.INCONCLUSIVE)
@@ -803,18 +806,20 @@ def lipschitz_error_bound(recon: CdmReconstruction, u, l_p: float) -> float:
         admissible = False
     if not admissible:
         raise ValueError(f"Lipschitz constant must be finite and positive, got {l_p}")
-    point = _command(recon, u)
-    coords = point.tolist()
+    point, coords = _command(recon, u)
     for mode in recon.modes:
-        if mode.containment(coords) is not Containment.INSIDE_INNER:
+        if mode.containment(coords) is not _INSIDE_INNER:
             continue
         if not mode.identified:
             raise PreconditionError(
                 "point lies in a detected but unidentified mode; no fit to bound"
             )
         gaps = mode.pairs[:, :recon.input_dim] - point
-        dists = np.sqrt(np.add.reduce(gaps * gaps, axis=1))  # np.linalg.norm's arithmetic
-        return float(np.min(mode.residuals + l_p * dists))
+        gaps *= gaps
+        dists = np.sqrt(np.add.reduce(gaps, axis=1))  # np.linalg.norm's arithmetic
+        dists = l_p * dists  # not in place: a Fraction l_p makes an object array
+        dists += mode.residuals
+        return float(dists.min())
     raise PreconditionError(
         "point is not certified inside any mode's inner approximation"
     )
@@ -829,10 +834,12 @@ def viabilize(recon: CdmReconstruction, u_cmd) -> np.ndarray:
     modes (e.g. constant maps) are skipped with a diagnostic.  A non-numeric,
     non-finite or wrong-dimension command raises :class:`PreconditionError`.
     """
-    cmd = _command(recon, u_cmd)
-    coords = cmd.tolist()
+    cmd, coords = _command(recon, u_cmd)
     # query's PASSTHROUGH: INSIDE_INNER already implies not OUTSIDE_OUTER
-    if all(mode.containment(coords) is Containment.OUTSIDE_OUTER for mode in recon.modes):
+    for mode in recon.modes:
+        if mode.containment(coords) is not _OUTSIDE_OUTER:
+            break
+    else:
         return cmd.copy()
     size = max(map(abs, coords))
     for i, mode in enumerate(recon.modes):
@@ -850,7 +857,7 @@ def viabilize(recon: CdmReconstruction, u_cmd) -> np.ndarray:
             coords = candidate.tolist()
             if not all(map(math.isfinite, coords)):  # overflowed
                 continue
-        if mode.containment(coords) is Containment.INSIDE_INNER:
+        if mode.containment(coords) is _INSIDE_INNER:
             return candidate
     raise UnviableInputError(
         "commanded input is outside the reconstructed viable range", u_cmd=cmd

@@ -272,7 +272,12 @@ class SamplingSchedule:
             raise ValueError(f"rate {self.rate} over horizon {self.horizon} gives no samples")
 
     def _count(self) -> int:
-        return int(np.floor(self.rate * self.horizon + 1e-9))
+        count = np.floor(self.rate * self.horizon + 1e-9)
+        # the largest intp, as a float, is the first count that does not convert
+        if not count < float(np.iinfo(np.intp).max):
+            raise ValueError(f"rate {self.rate} over horizon {self.horizon} gives {float(count)!r} "
+                             "samples; a sample count must be finite and fit an index")
+        return int(count)
 
     def sample_times(self) -> np.ndarray:
         count = self._count()

@@ -168,6 +168,19 @@ class TestRun:
         assert "steps of at most 2e-304 s; a step count must be finite and fit an index" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit", [("horizon = 4.0", "horizon = 1e308"),
+                                      ("rate = 20.0\njitter = 0.01", "rate = 1e308\njitter = 0.0")])
+    def test_overflowing_sample_count_is_config_error(self, tmp_path, capsys, edit):
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(SMALL_HEAT_CONFIG.replace(*edit))
+        assert cfg.read_text() != SMALL_HEAT_CONFIG
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config-error: rate ") and err.count("\n") == 1
+        assert "gives inf samples; a sample count must be finite and fit an index" in err
+        assert not out.exists()
+
     def test_malformed_mode_number_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(SMALL_HEAT_CONFIG.replace(

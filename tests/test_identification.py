@@ -553,7 +553,8 @@ def test_command_fast_path_matches_the_coercion(u):
             identification._command(recon, u)
         assert str(got.value) == str(exc)
         return
-    got = identification._command(recon, u)
+    got, coords = identification._command(recon, u)
+    assert coords == want.tolist() and all(type(x) is float for x in coords)
     assert type(got) is type(want) and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
     assert (got is u) == (want is u)

@@ -4,16 +4,25 @@
 name and reports a missing one as an absent metric rather than failing, so
 a rename would silently drop per-layer timings.  The file is executed from
 source (no bytecode is written next to it) and only its tables are read.
+One short traced pass of each workload shows that every per-layer metric
+still arrives.
 """
 
 import importlib
+import json
+import math
+import os
 import runpy
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_traced_functions_resolve():
@@ -79,3 +88,27 @@ def test_run_draws_every_step_through_the_traced_stream(heat_run, tmp_path, monk
     config = heat_run[0]
     result = experiment.run_experiment(config, out_dir=str(tmp_path))
     assert len(steps) == len(result.samples) > 0
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("workload", ["heat-bundled", "heat-long", "command-serving"])
+def test_traced_pass_ends_with_a_complete_result_line(workload):
+    # a traced pass whose last line is not a strict-JSON result holding every
+    # per-layer metric of BENCHMARK.json, finite and positive, is an unusable run
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                          "--seed", "1", "--seconds", "1", "--trace", "1"],
+                         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+    result = json.loads(run.stdout.splitlines()[-1], parse_constant=_reject_constant)
+    assert result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    metrics = result["metrics"]
+    assert set(metrics) == {m["name"] for m in declared}
+    for name, metric in metrics.items():
+        value = metric["value"]
+        assert math.isfinite(value) and value > 0, (name, value)
