@@ -16,9 +16,8 @@ __version__ = "0.1.0"
 # submodule, and the console entry can pin BLAS threads before NumPy loads.
 _PUBLIC = {
     "degradation": (
-        "AffineMap", "BallRegion", "BoxRegion", "IntervalRegion", "NModeCdm",
-        "apply_affine", "apply_ncdm", "heat_depth_response", "heat_example_cdm",
-        "mode_separation",
+        "AffineMap", "BallRegion", "IntervalRegion", "NModeCdm", "heat_depth_response",
+        "heat_example_cdm", "mode_separation",
     ),
     "errors": (
         "ConfigError", "IdentificationError", "PreconditionError", "ReportParseError",
@@ -31,8 +30,7 @@ _PUBLIC = {
     ),
     "geometry": (
         "Containment", "Side", "StarSetApprox", "estimate_mgf_lipschitz",
-        "hausdorff_distance", "interval_hausdorff", "mgf_inner_bound",
-        "mgf_outer_bound", "set_distance", "star_contains",
+        "interval_hausdorff", "mgf_inner_bound", "mgf_outer_bound", "star_contains",
     ),
     "identification": (
         "CdmReconstruction", "Cluster", "EffectivePair", "IdentificationConfig",

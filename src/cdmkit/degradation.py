@@ -42,37 +42,22 @@ class AffineMap:
     def dim(self) -> int:
         return self.linear.shape[0]
 
-    @classmethod
-    def identity(cls, dim: int) -> "AffineMap":
-        return cls(np.eye(dim), np.zeros(dim))
-
-    def __call__(self, u):
-        return apply_affine(self, u)
-
-
-def apply_affine(q: AffineMap, u) -> np.ndarray:
-    """Evaluate ``translation + linear @ u``."""
-    vec = np.atleast_1d(np.asarray(u, dtype=float))
-    if vec.shape[0] != q.dim:
-        raise ValueError(f"input dimension {vec.shape[0]} != map dimension {q.dim}")
-    return q.translation + q.linear @ vec
+    def __call__(self, u) -> np.ndarray:
+        """Evaluate ``translation + linear @ u``."""
+        vec = np.atleast_1d(np.asarray(u, dtype=float))
+        if vec.shape[0] != self.dim:
+            raise ValueError(f"input dimension {vec.shape[0]} != map dimension {self.dim}")
+        return self.translation + self.linear @ vec
 
 
 # ---------------------------------------------------------------------------
-# Regions: exact membership predicates for ground-truth affected sets.  Each
-# region tests the rows of a ``(k, m)`` array at once; one vector is a batch
-# of one.
-
-
-class _Region:
-    """Base of the regions: ``contains_rows`` is the one membership predicate."""
-
-    def contains(self, u) -> bool:
-        return bool(self.contains_rows(np.array(u, dtype=float, ndmin=2))[0])
+# Regions: exact membership predicates for ground-truth affected sets, the
+# two kinds a config declares.  Each region tests the rows of a ``(k, m)``
+# array at once.
 
 
 @dataclass(frozen=True)
-class IntervalRegion(_Region):
+class IntervalRegion:
     """Slab region testing one input coordinate against an interval."""
 
     axis: int
@@ -93,26 +78,7 @@ class IntervalRegion(_Region):
 
 
 @dataclass(frozen=True)
-class BoxRegion(_Region):
-    """Closed axis-aligned box."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        if lo.shape != hi.shape or np.any(lo > hi):
-            raise ValueError("box bounds are inconsistent")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    def contains_rows(self, U: np.ndarray) -> np.ndarray:
-        return np.all((U >= self.lo) & (U <= self.hi), axis=1)
-
-
-@dataclass(frozen=True)
-class BallRegion(_Region):
+class BallRegion:
     """Closed Euclidean ball."""
 
     center: np.ndarray
@@ -146,9 +112,7 @@ def _bounds(region, dim: int):
         return (np.where(on, region.lo, -np.inf), np.where(on, region.hi, np.inf),
                 ~on | region.closed_lo, ~on | region.closed_hi)
     closed = np.ones(dim, dtype=bool)
-    if isinstance(region, BallRegion):
-        return region.center - region.radius, region.center + region.radius, closed, closed
-    return region.lo, region.hi, closed, closed
+    return region.center - region.radius, region.center + region.radius, closed, closed
 
 
 def regions_overlap(a, b) -> bool:
@@ -159,13 +123,13 @@ def regions_overlap(a, b) -> bool:
         return bool(np.linalg.norm(a.center - b.center) <= a.radius + b.radius)
     if isinstance(a, BallRegion):
         return _ball_meets(a, *_bounds(b, a.center.shape[0]))
-    dim = max(r.lo.shape[0] if isinstance(r, BoxRegion) else r.axis + 1 for r in (a, b))
-    (lo1, hi1, clo1, chi1), (lo2, hi2, clo2, chi2) = _bounds(a, dim), _bounds(b, dim)
-    lo, hi = np.maximum(lo1, lo2), np.minimum(hi1, hi2)
-    # an end of the common interval is closed when each box holding it there is
-    closed_lo = (clo1 | (lo1 < lo)) & (clo2 | (lo2 < lo))
-    closed_hi = (chi1 | (hi1 > hi)) & (chi2 | (hi2 > hi))
-    return bool(np.all((lo < hi) | ((lo == hi) & closed_lo & closed_hi)))
+    if a.axis != b.axis:
+        return True  # slabs across two axes always cross
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    # an end of the common interval is closed when each interval holding it there is
+    closed_lo = (a.closed_lo or a.lo < lo) and (b.closed_lo or b.lo < lo)
+    closed_hi = (a.closed_hi or a.hi > hi) and (b.closed_hi or b.hi > hi)
+    return bool(lo < hi or lo == hi and closed_lo and closed_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -196,37 +160,33 @@ class NModeCdm:
     def dim(self) -> Optional[int]:
         return self.modes[0][1].dim if self.modes else None
 
-    def __call__(self, u):
-        return apply_ncdm(self, u)
+    def __call__(self, u) -> np.ndarray:
+        """Map each row of a ``(k, m)`` array by the unique mode whose region holds it.
 
-
-def apply_ncdm(cdm: NModeCdm, u) -> np.ndarray:
-    """Map each row of a ``(k, m)`` array by the unique mode whose region holds it.
-
-    Rows in no region pass through unchanged.  A single input vector is a
-    batch of one and comes back as a vector.  Each row is evaluated as
-    ``translation + sum_j linear[:, j] * u_j`` with elementwise operations,
-    so its result does not depend on the batch it came in (a BLAS product
-    rounds one row differently from several).
-    """
-    U = np.array(u, dtype=float, ndmin=2)
-    if cdm.dim is not None and U.shape[1] != cdm.dim:
-        raise ValueError(f"input dimension {U.shape[1]} != map dimension {cdm.dim}")
-    E = U.copy()
-    taken = np.zeros(U.shape[0], dtype=bool)
-    for region, q in cdm.modes:
-        mask = region.contains_rows(U)
-        if not mask.any():
-            continue
-        if (taken & mask).any():
-            raise ValueError("input belongs to multiple mode regions")
-        taken |= mask
-        rows = U[mask]
-        image = rows[:, :1] * q.linear[:, 0]
-        for j in range(1, q.dim):
-            image += rows[:, j:j + 1] * q.linear[:, j]
-        E[mask] = q.translation + image
-    return E if np.ndim(u) == 2 else E[0]
+        Rows in no region pass through unchanged.  A single input vector is a
+        batch of one and comes back as a vector.  Each row is evaluated as
+        ``translation + sum_j linear[:, j] * u_j`` with elementwise operations,
+        so its result does not depend on the batch it came in (a BLAS product
+        rounds one row differently from several).
+        """
+        U = np.array(u, dtype=float, ndmin=2)
+        if self.dim is not None and U.shape[1] != self.dim:
+            raise ValueError(f"input dimension {U.shape[1]} != map dimension {self.dim}")
+        E = U.copy()
+        taken = np.zeros(U.shape[0], dtype=bool)
+        for region, q in self.modes:
+            mask = region.contains_rows(U)
+            if not mask.any():
+                continue
+            if (taken & mask).any():
+                raise ValueError("input belongs to multiple mode regions")
+            taken |= mask
+            rows = U[mask]
+            image = rows[:, :1] * q.linear[:, 0]
+            for j in range(1, q.dim):
+                image += rows[:, j:j + 1] * q.linear[:, j]
+            E[mask] = q.translation + image
+        return E if np.ndim(u) == 2 else E[0]
 
 
 def _clipped_box(region, lo, hi):
@@ -404,7 +364,7 @@ def mode_separation(cdm: NModeCdm, box_lo, box_hi) -> Optional[tuple]:
 
     The distance is the least over mode pairs of the infimum of ``|(u1, Q1 u1)
     - (u2, Q2 u2)|``, each ``u`` in its region within ``[box_lo, box_hi]``:
-    exact (both bounds equal) for interval and box regions, within
+    exact (both bounds equal) for interval regions, within
     ``SEPARATION_GAP_TOL`` with a ball.  None when under two modes meet the box.
     """
     lo = np.atleast_1d(np.asarray(box_lo, dtype=float))

@@ -65,7 +65,6 @@ class ConvergenceRecord:
 class ExperimentConfig:
     """Validated experiment description."""
 
-    system_kind: str
     system: object
     x0: np.ndarray
     cdm: Optional[NModeCdm]
@@ -82,7 +81,7 @@ class ExperimentConfig:
         Every config of one heat system gets the same model
         (:meth:`HeatSystem.model`), so runs share its step-map powers.
         """
-        return self.system.model() if self.system_kind == "heat" else self.system
+        return self.system.model() if isinstance(self.system, HeatSystem) else self.system
 
 
 @dataclass
@@ -153,10 +152,44 @@ def _parse_region(raw: str):
     raise ConfigError(f"unknown region kind {toks[0]!r}")
 
 
-def _parse_cdm(parser) -> Optional[NModeCdm]:
+# The keys each section reads; every [cdm.mode.N] section reads _MODE_KEYS.
+# [convergence] still accepts the retired keys grid, probes and probe_seed.
+_SECTION_KEYS = {
+    "system": {"kind", "diffusivity", "grid_points", "source_width", "nonlinear_depth",
+               "initial_temperature", "initial_depth", "state_dim", "input_dim", "a", "b",
+               "initial"},
+    "cdm": {"kind"},
+    "signal": {"kind", "values", "offset", "amplitude", "period"},
+    "sampling": {"rate", "jitter", "seed", "horizon"},
+    "identification": {"delta", "modes", "lipschitz", "identity_tol"},
+    "convergence": {"axis", "regions", "grid", "probes", "probe_seed"},
+    "output": {"directory"},
+}
+_MODE_KEYS = {"region", "linear", "translation"}
+
+
+def _check_keys(parser) -> None:
+    """Reject every section and key that no part of the parse would read."""
     if parser.has_option("cdm", "separation"):
         raise ConfigError("[cdm] separation is not used: the separation check compares "
                           "the modes against [identification] delta")
+    mode_sections = {s for s in parser.sections() if s.startswith("cdm.mode.")}
+    if mode_sections and parser.get("cdm", "kind", fallback=None) != "modes":
+        raise ConfigError(f"[{min(mode_sections)}] is read only when [cdm] kind = modes")
+    if mode_sections != {f"cdm.mode.{i}" for i in range(1, len(mode_sections) + 1)}:
+        raise ConfigError(f"[cdm.mode.N] sections must be numbered 1, 2, ... without a gap, "
+                          f"found {', '.join(sorted(mode_sections))}")
+    for section in parser.sections():
+        known = _MODE_KEYS if section in mode_sections else _SECTION_KEYS.get(section)
+        if known is None:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in parser.options(section):  # configparser copies [DEFAULT] keys in
+            if key not in known:
+                origin = " (set in [DEFAULT])" if key in parser.defaults() else ""
+                raise ConfigError(f"unknown key '{key}' in [{section}]{origin}")
+
+
+def _parse_cdm(parser) -> Optional[NModeCdm]:
     kind = _get(parser, "cdm", "kind", required=True)
     if kind == "identity":
         return None
@@ -222,6 +255,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     for section in ("system", "cdm", "signal", "sampling", "identification"):
         if not parser.has_section(section):
             raise ConfigError(f"missing [{section}] section")
+    _check_keys(parser)
 
     kind = _get(parser, "system", "kind", required=True)
     if kind == "heat":
@@ -318,7 +352,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
         output_dir = _get(parser, "output", "directory", str, "out")
 
     return ExperimentConfig(
-        system_kind=kind,
         system=system,
         x0=x0,
         cdm=cdm,

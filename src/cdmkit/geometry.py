@@ -1,4 +1,4 @@
-"""Star-shaped set approximations and point-set distances.
+"""Star-shaped set approximations and the interval Hausdorff distance.
 
 A compact star-shaped set is described by a center and a directional
 radius function (its gauge): the set is the union of segments from the
@@ -58,25 +58,6 @@ def pairwise_distances(a, b) -> np.ndarray:
         d *= d
         acc += d
     return np.sqrt(acc, out=acc)
-
-
-def set_distance(a, b) -> float:
-    """Directed distance between finite point sets.
-
-    Largest distance from a point of ``a`` to its nearest point of ``b``;
-    exact for finite sets.
-    """
-    pa, pb = as_point_set(a), as_point_set(b)
-    if pa.shape[1] != pb.shape[1]:
-        raise ValueError(
-            f"point sets have mismatched dimensions {pa.shape[1]} != {pb.shape[1]}"
-        )
-    return float(np.max(np.min(pairwise_distances(pa, pb), axis=1)))
-
-
-def hausdorff_distance(a, b) -> float:
-    """Symmetric max of the two directed set distances."""
-    return max(set_distance(a, b), set_distance(b, a))
 
 
 class Side(enum.Enum):

@@ -783,7 +783,7 @@ def query(recon: CdmReconstruction, u) -> QueryResult:
     if len(inside) == 1 and recon.modes[inside[0]].identified:
         idx = inside[0]
         q = recon.modes[idx].map
-        # apply_affine's arithmetic on the command checked above
+        # AffineMap.__call__'s arithmetic on the command checked above
         return QueryResult(kind=QueryKind.MAPPED, value=q.translation + q.linear @ point,
                            mode_index=idx)
     if not inside and outside_all:

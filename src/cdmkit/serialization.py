@@ -41,20 +41,21 @@ def _fmt_vec(v) -> str:
 # Sample logs
 
 
+def _samples_header(n: int, m: int) -> str:
+    """Header line of a sample log with ``n`` states and ``m`` inputs."""
+    columns = (["time"] + [f"x{i}" for i in range(n)] + [f"dx{i}" for i in range(n)]
+               + [f"u{i}" for i in range(m)])
+    return ",".join(columns)
+
+
 def write_samples(path, samples: Sequence[ControlSample]) -> None:
     """Write observations as CSV rows ``time, state.., velocity.., input..``."""
     if not samples:
         raise ValueError("no samples to write")
     n = samples[0].state.shape[0]
     m = samples[0].input.shape[0]
-    header = (
-        ["time"]
-        + [f"x{i}" for i in range(n)]
-        + [f"dx{i}" for i in range(n)]
-        + [f"u{i}" for i in range(m)]
-    )
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(_samples_header(n, m) + "\n")
         for s in samples:
             # one tolist() per row gives the floats _fmt would format, without
             # a NumPy call per value; a table-wide tolist() would hold every row
@@ -63,14 +64,14 @@ def write_samples(path, samples: Sequence[ControlSample]) -> None:
 
 
 def read_samples(path) -> list[ControlSample]:
-    """Read a sample log written by :func:`write_samples`."""
+    """Read a sample log written by :func:`write_samples`, whose exact header it requires."""
     lines = _read_lines(path)
     if not lines:
         raise ReportParseError("empty sample log", line=1)
     header = lines[0].split(",")
-    n = sum(1 for c in header if c.startswith("x") and not c.startswith("dx"))
+    n = sum(1 for c in header if c.startswith("x"))
     m = sum(1 for c in header if c.startswith("u"))
-    if n == 0 or m == 0 or len(header) != 1 + 2 * n + m:
+    if n == 0 or m == 0 or lines[0] != _samples_header(n, m):
         raise ReportParseError("malformed sample log header", line=1)
     samples = []
     for lineno, line in enumerate(lines[1:], start=2):

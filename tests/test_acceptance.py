@@ -13,7 +13,8 @@ lines.  Criteria:
 5. the error bound dominates the true deviation of the piecewise response
    treated as a 3-Lipschitz degradation,
 6. 1000 viabilization round trips at 1e-9,
-7. distance-metric axioms, fattening characterization, heat conservation,
+7. the interval Hausdorff distance against brute force, with its fattening,
+   monotonicity and triangle properties, and heat conservation,
 8. byte-identical artifacts for repeated runs of the bundled experiment.
 """
 
@@ -29,7 +30,7 @@ from cdmkit.geometry import (
     Containment,
     Side,
     StarSetApprox,
-    hausdorff_distance,
+    interval_hausdorff,
     mgf_inner_bound,
     mgf_outer_bound,
     star_contains,
@@ -43,7 +44,7 @@ from cdmkit.identification import (
     viabilize,
 )
 
-from trials import TRIAL_DELTA, TRIAL_LIPSCHITZ, make_trial, match_true_mode
+from trials import TRIAL_DELTA, TRIAL_LIPSCHITZ, in_region, make_trial, match_true_mode
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 BUNDLED_CONFIG = REPO_ROOT / "configs" / "heat_electrosurgery.cfg"
@@ -177,22 +178,22 @@ def test_criterion_3_sandwich(trial_bank, heat):
             for u in draws:
                 checked += 1
                 c = star_contains(mode.inner, mode.outer, u)
-                if c is Containment.INSIDE_INNER and not region.contains(u):
+                if c is Containment.INSIDE_INNER and not in_region(region, u):
                     violations += 1
-                if region.contains(u) and c is Containment.OUTSIDE_OUTER:
+                if in_region(region, u) and c is Containment.OUTSIDE_OUTER:
                     violations += 1
 
     cdm = config.cdm
     for mode in result.reconstruction.modes:
         witness = mode.pairs[0, :mode.inner.dim]
-        region = next(reg for reg, _ in cdm.modes if reg.contains(witness))
+        region = next(reg for reg, _ in cdm.modes if in_region(reg, witness))
         for s in rng.random(1000):
             u = np.array([1.0, s])
             checked += 1
             c = star_contains(mode.inner, mode.outer, u)
-            if c is Containment.INSIDE_INNER and not region.contains(u):
+            if c is Containment.INSIDE_INNER and not in_region(region, u):
                 violations += 1
-            if region.contains(u) and c is Containment.OUTSIDE_OUTER:
+            if in_region(region, u) and c is Containment.OUTSIDE_OUTER:
                 violations += 1
 
     ok = violations == 0 and checked >= 1000
@@ -306,31 +307,57 @@ def within_fattening(a, b, rho):
     return bool((dists.min(axis=1) <= rho).all() and (dists.min(axis=0) <= rho).all())
 
 
+def interval_metric(lo, hi, points):
+    """``interval_hausdorff`` of ``[lo, hi]`` and the finite set ``points`` inside it."""
+    seen = np.sort(points)
+    gap = float(np.diff(seen).max()) if len(seen) > 1 else 0.0
+    return interval_hausdorff(lo, hi, seen[0], seen[-1], gap)
+
+
+def dense_interval(lo, hi, points):
+    """A dense grid of ``[lo, hi]`` with its ends, ``points`` and their neighbour midpoints."""
+    seen = np.sort(points)
+    return np.concatenate([np.linspace(lo, hi, 1001), [lo, hi], seen,
+                           (seen[1:] + seen[:-1]) / 2])
+
+
+def brute_interval_metric(lo, hi, points):
+    """The largest distance from the dense interval to the nearest of ``points``."""
+    grid = dense_interval(lo, hi, points)
+    return float(np.abs(grid[:, None] - np.asarray(points)[None, :]).min(axis=1).max())
+
+
+def brute_set_metric(a, b):
+    """Hausdorff distance of two finite sets of reals, by all pairs."""
+    dists = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
+    return float(max(dists.min(axis=1).max(), dists.min(axis=0).max()))
+
+
 def test_criterion_7_geometry_and_conservation():
     rng = np.random.default_rng(55)
 
-    def random_set():
-        return rng.normal(size=(int(rng.integers(1, 7)), 2))
+    def random_set(lo, hi):
+        return rng.uniform(lo, hi, int(rng.integers(1, 7)))
 
-    axiom_failures = 0
+    mismatches = axiom_failures = fattening_failures = 0
     for _ in range(1000):
-        a, b, c = random_set(), random_set(), random_set()
-        dab = hausdorff_distance(a, b)
-        if dab < 0 or dab != hausdorff_distance(b, a):
-            axiom_failures += 1
-        if hausdorff_distance(a, a) != 0.0:
-            axiom_failures += 1
-        if dab > hausdorff_distance(a, c) + hausdorff_distance(c, b) + 1e-12:
-            axiom_failures += 1
-
-    fattening_failures = 0
-    for _ in range(1000):
-        a, b = random_set(), random_set()
-        d = hausdorff_distance(a, b)
-        if not within_fattening(a, b, d + 1e-12):
+        lo = float(rng.normal())
+        hi = lo + float(rng.exponential())
+        s, other = random_set(lo, hi), random_set(lo, hi)
+        d = interval_metric(lo, hi, s)
+        if abs(d - brute_interval_metric(lo, hi, s)) > 1e-12:
+            mismatches += 1
+        grid = dense_interval(lo, hi, s)[:, None]
+        if not within_fattening(grid, s[:, None], d + 1e-12):
             fattening_failures += 1
-        if d > 1e-9 and within_fattening(a, b, d * (1 - 1e-9) - 1e-12):
+        if d > 1e-9 and within_fattening(grid, s[:, None], d * (1 - 1e-9) - 1e-12):
             fattening_failures += 1
+        if d < 0:
+            axiom_failures += 1
+        if interval_metric(lo, hi, np.append(s, rng.uniform(lo, hi))) > d:
+            axiom_failures += 1
+        if d > interval_metric(lo, hi, other) + brute_set_metric(other, s) + 1e-12:
+            axiom_failures += 1
 
     sys = ck.HeatSystem(diffusivity=0.1, grid_points=101)
     x0 = np.concatenate([rng.random(sys.grid_points), [0.0]])
@@ -341,13 +368,14 @@ def test_criterion_7_geometry_and_conservation():
     masses = [float(w @ s.state[: sys.grid_points]) for s in samples]
     drift = max(masses) - min(masses)
 
-    ok = axiom_failures == 0 and fattening_failures == 0 and drift <= 1e-8
+    ok = mismatches == 0 and axiom_failures == 0 and fattening_failures == 0 and drift <= 1e-8
     report(
         7,
         ok,
-        f"axiom failures {axiom_failures}, fattening failures {fattening_failures}, "
-        f"mass drift {drift:.2e}/s",
+        f"brute-force mismatches {mismatches}, axiom failures {axiom_failures}, "
+        f"fattening failures {fattening_failures}, mass drift {drift:.2e}/s",
     )
+    assert mismatches == 0
     assert axiom_failures == 0
     assert fattening_failures == 0
     assert drift <= 1e-8

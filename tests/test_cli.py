@@ -181,6 +181,12 @@ class TestRun:
         assert "gives inf samples; a sample count must be finite and fit an index" in err
         assert not out.exists()
 
+    def test_unknown_key_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "typo.cfg"
+        bad.write_text(SMALL_HEAT_CONFIG.replace("horizon =", "horizn ="))
+        assert main(["run", str(bad)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config-error: unknown key 'horizn' in [sampling]\n"
+
     def test_malformed_mode_number_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(SMALL_HEAT_CONFIG.replace(

@@ -9,14 +9,11 @@ from scipy.optimize import lsq_linear
 from cdmkit.degradation import (
     AffineMap,
     BallRegion,
-    BoxRegion,
     IntervalRegion,
     NModeCdm,
     _bvls,
     _graph_bounds,
     _graph_system,
-    apply_affine,
-    apply_ncdm,
     heat_depth_response,
     heat_example_cdm,
     mode_separation,
@@ -24,16 +21,18 @@ from cdmkit.degradation import (
 )
 from cdmkit.geometry import pairwise_distances
 
+from trials import in_region
+
+
+def identity(dim):
+    return AffineMap(np.eye(dim), np.zeros(dim))
+
 
 class TestAffineMap:
-    def test_identity(self):
-        q = AffineMap.identity(2)
-        np.testing.assert_array_equal(apply_affine(q, [1.0, 2.0]), [1.0, 2.0])
-
     def test_scalar_branch(self):
         # shallow-region branch of the heat example: 0.25 + 3 * 0.1 = 0.55
         q = AffineMap(np.array([[3.0]]), np.array([0.25]))
-        np.testing.assert_allclose(apply_affine(q, [0.1]), [0.55])
+        np.testing.assert_allclose(q([0.1]), [0.55])
 
     def test_constant_map(self):
         # zero linear part models a stuck actuator: output independent of input
@@ -41,12 +40,12 @@ class TestAffineMap:
         q = AffineMap(np.zeros((2, 2)), c)
         rng = np.random.default_rng(0)
         for _ in range(5):
-            np.testing.assert_array_equal(apply_affine(q, rng.normal(size=2)), c)
+            np.testing.assert_array_equal(q(rng.normal(size=2)), c)
 
     def test_dimension_mismatch(self):
-        q = AffineMap.identity(2)
+        q = identity(2)
         with pytest.raises(ValueError):
-            apply_affine(q, [1.0])
+            q([1.0])
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -56,24 +55,23 @@ class TestAffineMap:
 class TestRegions:
     def test_interval_open_closed(self):
         closed = IntervalRegion(axis=0, lo=0.0, hi=1.0)
-        assert closed.contains([0.0]) and closed.contains([1.0])
+        assert in_region(closed, [0.0]) and in_region(closed, [1.0])
         half_open = IntervalRegion(axis=0, lo=0.0, hi=1.0, closed_hi=False)
-        assert half_open.contains([0.0]) and not half_open.contains([1.0])
+        assert in_region(half_open, [0.0]) and not in_region(half_open, [1.0])
 
     def test_interval_on_axis(self):
         slab = IntervalRegion(axis=1, lo=0.75, hi=1.0, closed_lo=False)
-        assert slab.contains([99.0, 0.9])
-        assert not slab.contains([0.9, 0.75])
+        assert in_region(slab, [99.0, 0.9])
+        assert not in_region(slab, [0.9, 0.75])
 
-    def test_ball_and_box(self):
-        assert BallRegion([0.0, 0.0], 1.0).contains([0.6, 0.8])
-        assert not BallRegion([0.0, 0.0], 1.0).contains([0.8, 0.8])
-        assert BoxRegion([0.0, 0.0], [1.0, 2.0]).contains([0.5, 1.5])
+    def test_ball(self):
+        assert in_region(BallRegion([0.0, 0.0], 1.0), [0.6, 0.8])
+        assert not in_region(BallRegion([0.0, 0.0], 1.0), [0.8, 0.8])
 
 
 class TestNModeCdm:
     def test_overlapping_intervals_rejected(self):
-        q = AffineMap.identity(1)
+        q = identity(1)
         with pytest.raises(ValueError):
             NModeCdm(modes=(
                 (IntervalRegion(0, 0.0, 0.5), q),
@@ -81,7 +79,7 @@ class TestNModeCdm:
             ))
 
     def test_touching_closed_intervals_rejected(self):
-        q = AffineMap.identity(1)
+        q = identity(1)
         with pytest.raises(ValueError):
             NModeCdm(modes=(
                 (IntervalRegion(0, 0.0, 0.5), q),
@@ -89,14 +87,14 @@ class TestNModeCdm:
             ))
 
     def test_touching_half_open_intervals_accepted(self):
-        q = AffineMap.identity(1)
+        q = identity(1)
         NModeCdm(modes=(
             (IntervalRegion(0, 0.0, 0.5, closed_hi=False), q),
             (IntervalRegion(0, 0.5, 1.0), q),
         ))
 
     def test_overlapping_balls_rejected(self):
-        q = AffineMap.identity(2)
+        q = identity(2)
         with pytest.raises(ValueError):
             NModeCdm(modes=(
                 (BallRegion([0.0, 0.0], 1.0), q),
@@ -112,14 +110,16 @@ class TestNModeCdm:
         (IntervalRegion(1, 0.0, 0.0), BallRegion([0.0, 0.5], 0.5), True),
         (IntervalRegion(1, 0.0, 0.0), BallRegion([0.0, 0.5], 0.25), False),
         (IntervalRegion(1, 0.0, 0.5, closed_lo=False), BallRegion([0.0, 0.0], 0.0), False),
-        # a ball against a box
-        (BoxRegion([-1.0, -1.0], [1.0, 1.0]), BallRegion([1.0, 1.0], 1.0), True),
-        (BoxRegion([-1.0, -1.0], [-0.5, -0.5]), BallRegion([1.5, 1.5], 1.0), False),
-        (BoxRegion([0.0, 0.0], [1.0, 1.0]), BallRegion([2.0, 0.5], 1.0), True),
-        # a box against an interval
-        (BoxRegion([-1.0, -1.0], [1.0, 1.0]), IntervalRegion(1, 1.0, 2.0), True),
-        (BoxRegion([-1.0, -1.0], [1.0, 1.0]), IntervalRegion(1, 1.0, 2.0, closed_lo=False), False),
-        (BoxRegion([-1.0, -1.0], [1.0, 1.0]), IntervalRegion(0, -3.0, -1.5), False),
+        # a ball against a ball: touching counts
+        (BallRegion([-1.0, 0.0], 1.0), BallRegion([1.0, 0.0], 1.0), True),
+        (BallRegion([-1.0, 0.0], 1.0), BallRegion([1.0, 0.5], 1.0), False),
+        # an interval against an interval: across axes always, on one axis by its ends
+        (IntervalRegion(0, 0.0, 0.5), IntervalRegion(1, 5.0, 6.0), True),
+        (IntervalRegion(1, -1.0, 1.0), IntervalRegion(1, 1.0, 2.0), True),
+        (IntervalRegion(1, -1.0, 1.0), IntervalRegion(1, 1.0, 2.0, closed_lo=False), False),
+        (IntervalRegion(1, -1.0, 1.0, closed_hi=False), IntervalRegion(1, 1.0, 2.0), False),
+        (IntervalRegion(0, -1.0, 1.0), IntervalRegion(0, -3.0, -1.5), False),
+        (IntervalRegion(0, 0.5, 0.5), IntervalRegion(0, 0.0, 1.0, closed_lo=False), True),
     ])
     def test_mixed_kinds_decided_exactly(self, a, b, overlap):
         assert regions_overlap(a, b) is overlap and regions_overlap(b, a) is overlap
@@ -129,35 +129,35 @@ class TestNModeCdm:
             IntervalRegion(0, 1.0, 0.0)
         with pytest.raises(ValueError, match="empty"):
             IntervalRegion(0, 0.5, 0.5, closed_hi=False)
-        assert IntervalRegion(0, 0.5, 0.5).contains([0.5])
+        assert in_region(IntervalRegion(0, 0.5, 0.5), [0.5])
 
     def test_single_global_mode_equals_affine(self):
         q = AffineMap(np.array([[2.0, 1.0], [0.0, -1.0]]), np.array([0.3, 0.0]))
-        cdm = NModeCdm(modes=((BoxRegion([-50, -50], [50, 50]), q),))
+        cdm = NModeCdm(modes=((BallRegion([0.0, 0.0], 75.0), q),))
         rng = np.random.default_rng(3)
         for _ in range(1000):
             u = rng.uniform(-50, 50, 2)
-            np.testing.assert_allclose(apply_ncdm(cdm, u), apply_affine(q, u))
+            np.testing.assert_allclose(cdm(u), q(u))
 
     def test_identity_off_all_regions(self):
         cdm = heat_example_cdm()
-        np.testing.assert_array_equal(apply_ncdm(cdm, [1.0, 0.5]), [1.0, 0.5])
+        np.testing.assert_array_equal(cdm([1.0, 0.5]), [1.0, 0.5])
 
 
 class TestHeatExample:
     def test_depth_channel_branches(self):
         cdm = heat_example_cdm()
         assert len(cdm.modes) == 2  # the identity mid-interval needs no mode
-        np.testing.assert_allclose(apply_ncdm(cdm, [1.0, 0.1])[1], 0.55)
-        np.testing.assert_allclose(apply_ncdm(cdm, [1.0, 0.5])[1], 0.5)
-        np.testing.assert_allclose(apply_ncdm(cdm, [1.0, 0.9])[1], 2.5 - 1.8)
+        np.testing.assert_allclose(cdm([1.0, 0.1])[1], 0.55)
+        np.testing.assert_allclose(cdm([1.0, 0.5])[1], 0.5)
+        np.testing.assert_allclose(cdm([1.0, 0.9])[1], 2.5 - 1.8)
 
     def test_branch_values_at_breakpoints(self):
         # both non-identity branches reach 1 at their region edges
         shallow = heat_example_cdm().modes[0][1]
         deep = heat_example_cdm().modes[1][1]
-        np.testing.assert_allclose(apply_affine(shallow, [1.0, 0.25])[1], 1.0)
-        np.testing.assert_allclose(apply_affine(deep, [1.0, 0.75])[1], 1.0)
+        np.testing.assert_allclose(shallow([1.0, 0.25])[1], 1.0)
+        np.testing.assert_allclose(deep([1.0, 0.75])[1], 1.0)
 
     def test_endpoint_values(self):
         np.testing.assert_allclose(heat_depth_response(0.0), 0.25)
@@ -168,7 +168,7 @@ class TestHeatExample:
         rng = np.random.default_rng(4)
         for _ in range(500):
             u = np.array([rng.uniform(0, 10), rng.uniform(0, 1)])
-            out = apply_ncdm(cdm, u)
+            out = cdm(u)
             assert out[0] == u[0]
             np.testing.assert_allclose(out[1], heat_depth_response(u[1]))
 
@@ -185,7 +185,7 @@ class TestSeparation:
         assert lower == upper < 0.2
 
     def test_single_mode_returns_none(self):
-        cdm = NModeCdm(modes=((IntervalRegion(0, 0.0, 1.0), AffineMap.identity(1)),))
+        cdm = NModeCdm(modes=((IntervalRegion(0, 0.0, 1.0), identity(1)),))
         assert mode_separation(cdm, [0.0], [1.0]) is None
 
 
@@ -215,8 +215,8 @@ class TestExactSeparation:
         assert mode_separation(cdm, [0.5], [1.0]) is None
 
     def test_pinned_box_coordinate(self):
-        # a one-point box: the distance from (0, 0) to the graph point (0.45, 0.95)
-        cdm = self.close_modes(BoxRegion([0.0], [0.0]))
+        # a one-point interval: the distance from (0, 0) to the graph point (0.45, 0.95)
+        cdm = self.close_modes(IntervalRegion(0, 0.0, 0.0))
         np.testing.assert_allclose(mode_separation(cdm, [0.0], [1.0]),
                                    [np.hypot(0.45, 0.95)] * 2, rtol=1e-12)
 
@@ -354,7 +354,7 @@ def batches(draw):
     """A multi-mode map and a ``(k, m)`` batch whose entries often sit on region edges."""
     m = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["intervals", "box-ball", "overlapping"]))
+    kind = draw(st.sampled_from(["intervals", "interval-ball", "overlapping"]))
     if kind == "intervals":
         axis = draw(st.integers(0, m - 1))
         lo1, hi1, lo2, hi2 = sorted(rng.uniform(-2.0, 2.0, 4))
@@ -367,10 +367,10 @@ def batches(draw):
                    IntervalRegion(axis, lo2, hi2, closed[2], closed[3])]
         edges = [lo1, hi1, lo2, hi2]
     else:
-        # "overlapping": a box and a ball that share points, which construction rejects
+        # "overlapping": an interval and a ball that share points, which construction rejects
         center = np.full(m, 1.0 if kind == "overlapping" else 1.5)
         radius = 1.0
-        regions = [BoxRegion(np.full(m, -1.0), np.full(m, 1.0 if kind == "overlapping" else -0.5)),
+        regions = [IntervalRegion(0, -1.0, 1.0 if kind == "overlapping" else -0.5),
                    BallRegion(center, radius)]
         edges = [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.5]
     modes = tuple((region, random_map(rng, m)) for region in regions)
@@ -404,12 +404,12 @@ class TestBatchEvaluation:
         assert batch.tobytes() == rows.tobytes()
 
     def test_row_in_two_overlapping_regions_raises(self):
-        box, ball = BoxRegion([-1.0, -1.0], [1.0, 1.0]), BallRegion([1.0, 1.0], 1.0)
-        modes = ((box, AffineMap.identity(2)), (ball, AffineMap.identity(2)))
+        slab, ball = IntervalRegion(0, -1.0, 1.0), BallRegion([1.0, 1.0], 1.0)
+        modes = ((slab, identity(2)), (ball, identity(2)))
         with pytest.raises(ValueError, match="mode regions 0 and 1 overlap"):
             NModeCdm(modes=modes)
         # the evaluation still guards a map whose regions were swapped after construction
-        cdm = NModeCdm(modes=((box, AffineMap.identity(2)),))
+        cdm = NModeCdm(modes=((slab, identity(2)),))
         object.__setattr__(cdm, "modes", modes)
         U = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 1.5]])
         with pytest.raises(ValueError, match="input belongs to multiple mode regions"):
@@ -434,7 +434,5 @@ class TestBatchEvaluation:
         np.testing.assert_array_equal(
             IntervalRegion(0, 0.0, 1.0, closed_lo=False).contains_rows(U),
             [False, True, True, False])
-        np.testing.assert_array_equal(
-            BoxRegion([0.0, 0.0], [1.0, 0.5]).contains_rows(U), [False, True, True, False])
         np.testing.assert_array_equal(
             BallRegion([0.0, 0.0], 1.0).contains_rows(U), [True, True, True, False])

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -27,7 +28,7 @@ from cdmkit.identification import (
     query,
 )
 from cdmkit.serialization import read_reconstruction, read_samples
-from cdmkit.simulation import integrate
+from cdmkit.simulation import HeatSystem, integrate
 
 from interval_loop import assert_batched_calls
 
@@ -103,7 +104,7 @@ lipschitz = 1.0
 class TestConfigParsing:
     def test_default_heat_config_parses(self):
         cfg = default_heat_config()
-        assert cfg.system_kind == "heat"
+        assert isinstance(cfg.system, HeatSystem)
         assert cfg.schedule.rate == 20.0 and cfg.schedule.horizon == 10.0
         assert cfg.identification.n_modes == 3
         assert cfg.regions == ((0.0, 0.25), (0.5, 0.75), (0.75, 1.0))
@@ -155,6 +156,26 @@ class TestConfigParsing:
             "[convergence]\n", "[convergence]\ngrid = 0\nprobes = x\nprobe_seed = -1\n")
         new, cfg = parse_config_text(old), default_heat_config()
         assert (new.regions, new.region_axis) == (cfg.regions, cfg.region_axis)
+
+    @pytest.mark.parametrize("old, new, message", [
+        # a typo that parsed as the default
+        ("jitter = 0.01", "jiter = 0.01", "unknown key 'jiter' in [sampling]"),
+        ("translation = 0.0 0.25", "translation = 0.0 0.25\nscale = 2.0",
+         "unknown key 'scale' in [cdm.mode.1]"),
+        ("[identification]", "[identifcation]\ndelta = 0.4\n\n[identification]",
+         "unknown section [identifcation]"),
+        # configparser copies each [DEFAULT] key into every section
+        ("[system]", "[DEFAULT]\nseed = 3\n\n[system]",
+         "unknown key 'seed' in [system] (set in [DEFAULT])"),
+        # numbering with a gap dropped every mode after it
+        ("[cdm.mode.2]", "[cdm.mode.3]", "numbered 1, 2, ... without a gap"),
+        ("[cdm.mode.1]", "[cdm.mode.0]", "numbered 1, 2, ... without a gap"),
+        ("kind = modes", "kind = identity", "[cdm.mode.1] is read only when [cdm] kind = modes"),
+    ])
+    def test_unread_section_or_key_is_config_error(self, old, new, message):
+        assert old in LINEAR_MODES_CONFIG
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config_text(LINEAR_MODES_CONFIG.replace(old, new, 1))
 
     @pytest.mark.parametrize("old, new", [
         ("interval,1,0.75,1.0", "interval,x,0.75,1.0"),

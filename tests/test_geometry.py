@@ -1,4 +1,4 @@
-"""Tests for point-set distances and star-set gauge bounds."""
+"""Tests for point distances, the interval Hausdorff distance and star-set gauge bounds."""
 
 import dataclasses
 import math
@@ -16,12 +16,10 @@ from cdmkit.geometry import (
     Side,
     StarSetApprox,
     estimate_mgf_lipschitz,
-    hausdorff_distance,
     interval_hausdorff,
     mgf_inner_bound,
     mgf_outer_bound,
     pairwise_distances,
-    set_distance,
     star_contains,
 )
 from cdmkit.identification import (
@@ -33,46 +31,6 @@ from cdmkit.identification import (
 )
 
 SQRT2 = np.sqrt(2.0)
-
-
-def brute_set_distance(a, b):
-    """Independent oracle: nested max-min loops."""
-    a = np.atleast_2d(np.asarray(a, dtype=float).reshape(len(a), -1))
-    b = np.atleast_2d(np.asarray(b, dtype=float).reshape(len(b), -1))
-    return max(min(float(np.linalg.norm(x - y)) for y in b) for x in a)
-
-
-def random_sets(rng, dim):
-    k1, k2 = rng.integers(1, 7, size=2)
-    return rng.normal(size=(k1, dim)), rng.normal(size=(k2, dim))
-
-
-class TestSetDistance:
-    def test_identical_singletons(self):
-        assert set_distance([[0.0, 0.0]], [[0.0, 0.0]]) == 0.0
-
-    def test_single_pair(self):
-        assert set_distance([[0.0, 0.0]], [[3.0, 4.0]]) == 5.0
-
-    def test_scalar_sets(self):
-        # brute force over all pairs: farthest point of a from b is 2 -> 1
-        a, b = [0.0, 1.0, 2.0], [0.0, 1.0]
-        assert brute_set_distance(a, b) == 1.0
-        assert set_distance(a, b) == 1.0
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            a, b = random_sets(rng, int(rng.integers(1, 4)))
-            np.testing.assert_allclose(set_distance(a, b), brute_set_distance(a, b))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            set_distance([], [[1.0]])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            set_distance([[1.0, 2.0]], [[1.0]])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -90,31 +48,6 @@ def test_pairwise_distances_bit_equal_to_cdist(seed, d, n, k, n_dup):
         b[rng.integers(k)] = a[rng.integers(n)]
     assert np.array_equal(pairwise_distances(a, b), cdist(a, b))
     assert np.array_equal(pairwise_distances(a, a), cdist(a, a))
-
-
-class TestHausdorff:
-    def test_identity(self):
-        pts = [[0.0, 1.0], [2.0, -1.0]]
-        assert hausdorff_distance(pts, pts) == 0.0
-
-    def test_asymmetric_example(self):
-        # directed distances are 0 and 1; brute force gives 1
-        assert hausdorff_distance([0.0], [0.0, 1.0]) == 1.0
-
-    def test_between_example(self):
-        assert hausdorff_distance([0.0, 2.0], [1.0]) == 1.0
-
-    def test_metric_axioms(self):
-        rng = np.random.default_rng(11)
-        for _ in range(1000):
-            dim = int(rng.integers(1, 4))
-            a, b = random_sets(rng, dim)
-            c, _ = random_sets(rng, dim)
-            dab = hausdorff_distance(a, b)
-            assert dab >= 0.0
-            assert dab == hausdorff_distance(b, a)
-            assert hausdorff_distance(a, a) == 0.0
-            assert dab <= hausdorff_distance(a, c) + hausdorff_distance(c, b) + 1e-12
 
 
 def star_from_samples(dirs, radii, side, lipschitz):

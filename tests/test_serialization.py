@@ -75,6 +75,21 @@ class TestSampleLog:
         with pytest.raises(ReportParseError):
             read_samples(path)
 
+    @pytest.mark.parametrize("header", [
+        "time,x0,u0,dx0",  # the columns of a valid log, in another order
+        "time,x0,dx0,u0,",
+        "time,x0,dx0,u1",
+        "time, x0, dx0, u0",
+        "t,x0,dx0,u0",
+    ])
+    def test_header_other_than_the_written_one(self, tmp_path, header):
+        # the columns are read by position, so a reordered header would swap them
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n0.0,1.0,2.0,3.0\n")
+        with pytest.raises(ReportParseError, match="header") as err:
+            read_samples(path)
+        assert err.value.line == 1
+
     def test_bad_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,x0,dx0,u0\n0.0,1.0,2.0\n")

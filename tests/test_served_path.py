@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from cdmkit import geometry, identification, read_reconstruction
-from cdmkit.degradation import apply_affine
 from cdmkit.errors import PreconditionError, UnviableInputError
 from cdmkit.geometry import (
     _NORMAL_MIN,
@@ -155,7 +154,7 @@ def old_query(recon: CdmReconstruction, u) -> QueryResult:
         idx = inside[0]
         return QueryResult(
             kind=QueryKind.MAPPED,
-            value=apply_affine(recon.modes[idx].map, point),
+            value=recon.modes[idx].map(point),
             mode_index=idx,
         )
     if not inside and outside_all:

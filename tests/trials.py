@@ -64,9 +64,14 @@ def make_trial(seed):
     return model, cdm, samples, m, N
 
 
+def in_region(region, u) -> bool:
+    """Whether the ground-truth region holds the one input ``u``."""
+    return bool(region.contains_rows(np.array(u, dtype=float, ndmin=2))[0])
+
+
 def match_true_mode(cdm, mode):
     """Ground-truth (region, map) whose region holds the mode's first witness."""
     witness = mode.pairs[0, :mode.inner.dim]
-    hits = [(region, q) for region, q in cdm.modes if region.contains(witness)]
+    hits = [(region, q) for region, q in cdm.modes if in_region(region, witness)]
     assert len(hits) == 1, "recovered mode does not sit in exactly one true region"
     return hits[0]
