@@ -152,14 +152,18 @@ def _parse_region(raw: str):
     raise ConfigError(f"unknown region kind {toks[0]!r}")
 
 
-# The keys each section reads; every [cdm.mode.N] section reads _MODE_KEYS.
+# The keys each section reads; [system] and [signal] read "kind" and the keys
+# of their kind, and every [cdm.mode.N] section reads _MODE_KEYS.
 # [convergence] still accepts the retired keys grid, probes and probe_seed.
+_KIND_KEYS = {
+    "system": {"heat": {"diffusivity", "grid_points", "source_width", "nonlinear_depth",
+                        "initial_temperature", "initial_depth"},
+               "linear": {"state_dim", "input_dim", "a", "b", "initial"}},
+    "signal": {"heat-probe": set(), "constant": {"values"},
+               "raised-cosine": {"offset", "amplitude", "period"}},
+}
 _SECTION_KEYS = {
-    "system": {"kind", "diffusivity", "grid_points", "source_width", "nonlinear_depth",
-               "initial_temperature", "initial_depth", "state_dim", "input_dim", "a", "b",
-               "initial"},
     "cdm": {"kind"},
-    "signal": {"kind", "values", "offset", "amplitude", "period"},
     "sampling": {"rate", "jitter", "seed", "horizon"},
     "identification": {"delta", "modes", "lipschitz", "identity_tol"},
     "convergence": {"axis", "regions", "grid", "probes", "probe_seed"},
@@ -180,12 +184,22 @@ def _check_keys(parser) -> None:
         raise ConfigError(f"[cdm.mode.N] sections must be numbered 1, 2, ... without a gap, "
                           f"found {', '.join(sorted(mode_sections))}")
     for section in parser.sections():
-        known = _MODE_KEYS if section in mode_sections else _SECTION_KEYS.get(section)
+        kinds = _KIND_KEYS.get(section, {})
+        every = set().union(*kinds.values())
+        if section in mode_sections:
+            known = _MODE_KEYS
+        elif kinds:  # an unknown kind reads every kind's keys and fails on its own
+            kind = parser.get(section, "kind", fallback=None)
+            known = {"kind"} | kinds.get(kind, every)
+        else:
+            known = _SECTION_KEYS.get(section)
         if known is None:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser.options(section):  # configparser copies [DEFAULT] keys in
             if key not in known:
                 origin = " (set in [DEFAULT])" if key in parser.defaults() else ""
+                if key in every:
+                    raise ConfigError(f"[{section}] kind {kind!r} does not read '{key}'{origin}")
                 raise ConfigError(f"unknown key '{key}' in [{section}]{origin}")
 
 
@@ -247,7 +261,7 @@ def _parse_signal(parser, dim_input: int):
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are literal
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -454,11 +468,13 @@ def validate_ground_truth_separation(config: ExperimentConfig) -> None:
 
 
 def _check_output_dir(target: str) -> None:
-    """``NotADirectoryError`` if ``target`` cannot become a directory; creates nothing.
+    """``OSError`` if ``target`` cannot become a directory; creates nothing.
 
-    ``target``, if it exists, and otherwise its nearest existing ancestor
-    must be a directory.
+    An empty ``target`` is ``FileNotFoundError``.  Otherwise ``target``, if
+    it exists, and else its nearest existing ancestor must be a directory.
     """
+    if not target:
+        raise FileNotFoundError(errno.ENOENT, "empty output directory name", target)
     path = os.path.abspath(target)
     while not os.path.exists(path):
         path = os.path.dirname(path)
@@ -469,8 +485,8 @@ def _check_output_dir(target: str) -> None:
 def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None) -> ExperimentResult:
     """Simulate, identify incrementally, and write the three artifacts.
 
-    An output directory that is, or lies below, a file raises
-    ``NotADirectoryError`` before the simulation starts.
+    An empty output directory name, or one that is or lies below a file,
+    raises ``OSError`` before the simulation starts.
     """
     target = out_dir if out_dir is not None else config.output_dir
     _check_output_dir(target)

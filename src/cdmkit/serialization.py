@@ -9,6 +9,7 @@ line number.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 from dataclasses import replace
 from typing import Sequence
@@ -107,33 +108,6 @@ def star_to_lines(approx: StarSetApprox) -> list[str]:
     return lines
 
 
-class _Cursor:
-    """Line reader that tracks line numbers for parse diagnostics."""
-
-    def __init__(self, lines: Sequence[str]):
-        self.lines = lines
-        self.pos = 0
-
-    @property
-    def lineno(self) -> int:
-        return 1 + self.pos
-
-    def next(self, expect: str | None = None) -> str:
-        if self.pos >= len(self.lines):
-            what = f"expected {expect!r}" if expect else "unexpected end of file"
-            raise ReportParseError(f"truncated input, {what}", line=self.lineno)
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def expect(self, literal: str) -> None:
-        line = self.next(expect=literal)
-        if line != literal:
-            raise ReportParseError(
-                f"expected {literal!r}, found {line!r}", line=self.lineno - 1
-            )
-
-
 def _floats(text: str, lineno: int) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok != ""]
@@ -208,96 +182,87 @@ def write_reconstruction(path, recon: CdmReconstruction) -> None:
         fh.write("\n".join(reconstruction_to_lines(recon)) + "\n")
 
 
-def _pairs(cur: _Cursor, count: int, m: int) -> np.ndarray:
-    """A block of ``count`` pair rows as one read-only ``(count, 2m)`` table."""
+def _pairs(lines: Sequence[str], start: int, count: int, m: int) -> np.ndarray:
+    """The ``count`` pair rows from index ``start`` as one read-only ``(count, 2m)`` table."""
     rows = []
-    for _ in range(count):
-        line = cur.next(expect="pair row")
-        if not line.startswith("pair,"):
-            raise ReportParseError("expected a 'pair,' row", line=cur.lineno - 1)
-        vals = _floats(line[len("pair,"):], cur.lineno - 1)
+    for i in range(start, start + count):
+        if i >= len(lines) or not lines[i].startswith("pair,"):
+            raise ReportParseError("expected a 'pair,' row", line=i + 1)
+        vals = _floats(lines[i][len("pair,"):], i + 1)
         if len(vals) != 2 * m:
-            raise ReportParseError("pair row has wrong arity", line=cur.lineno - 1)
+            raise ReportParseError("pair row has wrong arity", line=i + 1)
         rows.append(vals)
     table = np.array(rows, dtype=float).reshape(count, 2 * m)
     table.setflags(write=False)
     return table
 
 
-def _scalar(cur: _Cursor, key: str) -> str:
-    line = cur.next(expect=f"{key},<value>")
+def _field(lines: Sequence[str], index: int, key: str, parse=_count):
+    """The value of the ``key,<value>`` line at ``index``, read by ``parse(text, lineno)``."""
+    line = lines[index] if index < len(lines) else ""
     if not line.startswith(key + ","):
-        raise ReportParseError(f"expected '{key},<value>'", line=cur.lineno - 1)
-    return line.split(",", 1)[1]
-
-
-def _scalar_count(cur: _Cursor, key: str) -> int:
-    return _count(_scalar(cur, key), cur.lineno - 1)
+        raise ReportParseError(f"expected '{key},<value>'", line=index + 1)
+    return parse(line[len(key) + 1:], index + 1)
 
 
 def reconstruction_from_lines(lines: Sequence[str]) -> CdmReconstruction:
     """Rebuild each mode from its pairs and accept ``lines`` only if the rebuild writes them.
 
-    Only the header, the pair tables and the Lipschitz constant of the first
-    ``[inner]`` block are parsed; maps, residuals and star blocks are
-    stepped over and checked against the rebuild, line by line.
+    Only the header, the first ``modes,N`` of the ``pairs,k`` tables, the
+    ``[unaffected]`` table and the Lipschitz constant on the first star
+    metadata line are parsed.  Every other line is judged by the rewrite:
+    the first line that differs from it is the one reported.
     """
-    cur = _Cursor(lines)
-    cur.expect(MAGIC)
-    m = _scalar_count(cur, "input_dim")
+    if lines[:1] != [MAGIC]:
+        raise ReportParseError(f"expected {MAGIC!r}", line=1)
+    m = _field(lines, 1, "input_dim")
     if m < 1:
-        raise ReportParseError("input dimension must be at least 1", line=cur.lineno - 1)
-    mode_count = _scalar_count(cur, "mode_count")
-    with _checked(cur.lineno - 1):
+        raise ReportParseError("input dimension must be at least 1", line=2)
+    mode_count = _field(lines, 2, "mode_count")
+    with _checked(3):
         config = IdentificationConfig(delta=1.0, n_modes=mode_count)
-    separation = _float(_scalar(cur, "separation"), cur.lineno - 1)
-    with _checked(cur.lineno - 1):
+    separation = _field(lines, 3, "separation", _float)
+    with _checked(4):
         config = replace(config, delta=separation)
-    n_modes = _scalar_count(cur, "modes")
-    modes_lineno = cur.lineno - 1
+    n_modes = _field(lines, 4, "modes")
     if n_modes > mode_count:
-        raise ReportParseError(f"{n_modes} modes exceed the mode budget {mode_count}",
-                               line=modes_lineno)
-    n_unaffected = _scalar_count(cur, "unaffected")
-    clusters = []
-    for i in range(n_modes):
-        cur.expect(f"[mode {i}]")
-        if _scalar_count(cur, "identified"):
-            for key in ("linear", "translation", "residual"):
-                _scalar(cur, key)
-        count = _scalar_count(cur, "pairs")
-        if not count:
-            raise ReportParseError("a mode needs at least one pair", line=cur.lineno - 1)
-        clusters.append(_make_cluster(_pairs(cur, count, m))[0])
-        for block in ("[inner]", "[outer]"):
-            cur.expect(block)
-            cur.expect(STAR_HEADER)
-            fields = cur.next(expect="star metadata").split(",")
-            if i == 0 and block == "[inner]":
-                if len(fields) < 2:
-                    raise ReportParseError("star metadata line too short", line=cur.lineno - 1)
-                lipschitz = _float(fields[-2], cur.lineno - 1)
-                with _checked(cur.lineno - 1):
-                    config = replace(config, lipschitz=lipschitz)
-            for _ in range(_scalar_count(cur, "samples")):
-                cur.next(expect="direction,radius row")
-        cur.expect(f"[end mode {i}]")
-    cur.expect("[unaffected]")
-    unaffected = _pairs(cur, n_unaffected, m)
-    cur.expect("[end unaffected]")
-    if cur.pos < len(cur.lines):
-        raise ReportParseError("text after '[end unaffected]'", line=cur.lineno)
+        raise ReportParseError(f"{n_modes} modes exceed the mode budget {mode_count}", line=5)
+    n_unaffected = _field(lines, 5, "unaffected")
+    clusters, unaffected, star_seen = [], None, False
+    marker = i = 6  # '[unaffected]' belongs after the last '[end mode i]' line
+    while unaffected is None:
+        if i >= len(lines):
+            raise ReportParseError("expected '[unaffected]'", line=marker + 1)
+        line = lines[i]
+        if line.startswith("pairs,") and len(clusters) < n_modes:
+            count = _count(line[len("pairs,"):], i + 1)
+            if not count:
+                raise ReportParseError("a mode needs at least one pair", line=i + 1)
+            clusters.append(_make_cluster(_pairs(lines, i + 1, count, m))[0])
+            i += count
+        elif not star_seen and lines[i - 1] == STAR_HEADER:  # center..,dim,L,side
+            star_seen = True
+            lipschitz = _float(["", *line.split(",")][-2], i + 1)
+            with _checked(i + 1):
+                config = replace(config, lipschitz=lipschitz)
+        elif line.startswith("[end mode "):
+            marker = i + 1
+        elif line == "[unaffected]":
+            unaffected = _pairs(lines, i + 1, n_unaffected, m)
+        i += 1
     try:
         with np.errstate(all="ignore"):
             recon = reconstruction_from_clusters(clusters, unaffected, config)
     except ValueError as exc:  # pair values near the float range overflow the rebuild
         raise ReportParseError(f"the modes cannot be rebuilt from their pairs: {exc}",
-                               line=modes_lineno) from exc
-    # the rebuild ends with the one '[end unaffected]' line, like the file
-    for lineno, (found, expected) in enumerate(zip(lines, reconstruction_to_lines(recon)), 1):
+                               line=5) from exc
+    rewrite = reconstruction_to_lines(recon)
+    for lineno, (found, expected) in enumerate(itertools.zip_longest(lines, rewrite), 1):
         if found != expected:
-            raise ReportParseError(f"found {found!r}, but the modes rebuilt from the pairs "
-                                   f"write {expected!r}", line=lineno)
+            found, expected = ("the end of the file" if s is None else repr(s)
+                               for s in (found, expected))
+            raise ReportParseError(f"found {found}, but the modes rebuilt from the pairs "
+                                   f"write {expected}", line=lineno)
     return recon
 
 

@@ -90,6 +90,40 @@ class TestRun:
         assert err.startswith("config-error:") and "not UTF-8" in err
         assert err.count("\n") == 1
 
+    def test_percent_in_a_value_is_literal(self, tmp_path, monkeypatch):
+        from cdmkit.experiment import DEFAULT_HEAT_CONFIG
+
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "percent.cfg"
+        cfg.write_text(DEFAULT_HEAT_CONFIG.replace("horizon = 10.0", "horizon = 1.0")
+                       .replace("directory = out", "directory = out%1"))
+        assert main(["run", str(cfg)]) == EXIT_OK
+        assert (tmp_path / "out%1" / "reconstruction.txt").is_file()
+
+    def test_percent_in_a_number_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "percent.cfg"
+        cfg.write_text(SMALL_HEAT_CONFIG.replace("kind = heat-probe",
+                                                 "kind = constant\nvalues = 1 %"))
+        assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config-error: cannot parse 'values = 1 %' in [signal]\n"
+
+    @pytest.mark.parametrize("option", [False, True])
+    def test_empty_output_directory_fails_before_simulating(self, tmp_path, capsys, monkeypatch,
+                                                           option):
+        # an empty name from [output] directory or from --output
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("integrate ran before the output directory was checked")
+
+        monkeypatch.setattr("cdmkit.experiment.integrate", no_simulation)
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(SMALL_HEAT_CONFIG + "\n[output]\ndirectory =" + " out" * option + "\n")
+        assert main(["run", str(cfg)] + ["--output", ""] * option) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config-error: cannot write artifacts:") and err.count("\n") == 1
+        assert "empty output directory name" in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     @pytest.mark.parametrize("below", [False, True])
     def test_unusable_output_directory_is_config_error(self, small_run, tmp_path, capsys,
                                                        below):

@@ -171,6 +171,16 @@ class TestConfigParsing:
         ("[cdm.mode.2]", "[cdm.mode.3]", "numbered 1, 2, ... without a gap"),
         ("[cdm.mode.1]", "[cdm.mode.0]", "numbered 1, 2, ... without a gap"),
         ("kind = modes", "kind = identity", "[cdm.mode.1] is read only when [cdm] kind = modes"),
+        # a key of another kind than the section's
+        ("initial = 0.0 0.0", "initial = 0.0 0.0\ndiffusivity = 5.0",
+         "[system] kind 'linear' does not read 'diffusivity'"),
+        ("initial = 0.0 0.0", "initial = 0.0 0.0\ngrid_points = 3",
+         "[system] kind 'linear' does not read 'grid_points'"),
+        ("period = 0.3", "period = 0.3\nvalues = 9 9",
+         "[signal] kind 'raised-cosine' does not read 'values'"),
+        # an unknown kind is reported as such, whatever keys its section holds
+        ("kind = linear", "kind = quadratic", "unknown system kind 'quadratic'"),
+        ("kind = raised-cosine", "kind = sawtooth", "unknown signal kind 'sawtooth'"),
     ])
     def test_unread_section_or_key_is_config_error(self, old, new, message):
         assert old in LINEAR_MODES_CONFIG

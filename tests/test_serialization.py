@@ -1,6 +1,7 @@
 """Round-trip and parse-error tests for the plain-text file formats."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,11 +12,19 @@ from cdmkit.geometry import Side
 from cdmkit.identification import (
     EffectivePair,
     IdentificationConfig,
+    _make_cluster,
     build_reconstruction,
     build_reconstruction_from_pairs,
     fit_residuals,
+    reconstruction_from_clusters,
 )
 from cdmkit.serialization import (
+    MAGIC,
+    STAR_HEADER,
+    _checked,
+    _count,
+    _float,
+    _floats,
     read_reconstruction,
     read_samples,
     reconstruction_from_lines,
@@ -326,6 +335,18 @@ class TestReconstructionFormat:
                 reconstruction_from_lines(lines)
         assert err.value.line == bad + 1
 
+    def test_extra_mode_block_reports_line(self, heat_run):
+        # a pair table beyond the header's mode count is not rebuilt, so the
+        # compare stops at the block that holds it
+        with open(heat_run[1].artifacts["reconstruction"]) as fh:
+            lines = fh.read().splitlines()
+        at = lines.index("[unaffected]")
+        mutant = lines[:at] + lines[lines.index("[mode 0]"):lines.index("[end mode 0]") + 1] \
+            + lines[at:]
+        with pytest.raises(ReportParseError, match="rebuilt from the pairs") as err:
+            reconstruction_from_lines(mutant)
+        assert err.value.line == at + 1
+
     def test_pipeline_files_read_back(self, heat_stream):
         # the reader's one check rests on this: every file the pipeline writes,
         # read back and written again, is the same file
@@ -346,3 +367,150 @@ class TestReconstructionFormat:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ReportParseError, match="negative count"):
             read_reconstruction(path)
+
+
+# ---------------------------------------------------------------------------
+# The block-by-block reader that walked the whole layout before the reader
+# parsed only the data; kept as the reference the equivalence test runs.
+
+
+class _Cursor:
+    def __init__(self, lines):
+        self.lines, self.pos = lines, 0
+
+    @property
+    def lineno(self):
+        return 1 + self.pos
+
+    def next(self, expect=None):
+        if self.pos >= len(self.lines):
+            what = f"expected {expect!r}" if expect else "unexpected end of file"
+            raise ReportParseError(f"truncated input, {what}", line=self.lineno)
+        self.pos += 1
+        return self.lines[self.pos - 1]
+
+    def expect(self, literal):
+        line = self.next(expect=literal)
+        if line != literal:
+            raise ReportParseError(f"expected {literal!r}, found {line!r}", line=self.lineno - 1)
+
+
+def _walked_pairs(cur, count, m):
+    rows = []
+    for _ in range(count):
+        line = cur.next(expect="pair row")
+        if not line.startswith("pair,"):
+            raise ReportParseError("expected a 'pair,' row", line=cur.lineno - 1)
+        vals = _floats(line[len("pair,"):], cur.lineno - 1)
+        if len(vals) != 2 * m:
+            raise ReportParseError("pair row has wrong arity", line=cur.lineno - 1)
+        rows.append(vals)
+    table = np.array(rows, dtype=float).reshape(count, 2 * m)
+    table.setflags(write=False)
+    return table
+
+
+def _scalar(cur, key):
+    line = cur.next(expect=f"{key},<value>")
+    if not line.startswith(key + ","):
+        raise ReportParseError(f"expected '{key},<value>'", line=cur.lineno - 1)
+    return line.split(",", 1)[1]
+
+
+def _scalar_count(cur, key):
+    return _count(_scalar(cur, key), cur.lineno - 1)
+
+
+def walked_reconstruction_from_lines(lines):
+    cur = _Cursor(lines)
+    cur.expect(MAGIC)
+    m = _scalar_count(cur, "input_dim")
+    if m < 1:
+        raise ReportParseError("input dimension must be at least 1", line=cur.lineno - 1)
+    mode_count = _scalar_count(cur, "mode_count")
+    with _checked(cur.lineno - 1):
+        config = IdentificationConfig(delta=1.0, n_modes=mode_count)
+    separation = _float(_scalar(cur, "separation"), cur.lineno - 1)
+    with _checked(cur.lineno - 1):
+        config = replace(config, delta=separation)
+    n_modes = _scalar_count(cur, "modes")
+    modes_lineno = cur.lineno - 1
+    if n_modes > mode_count:
+        raise ReportParseError(f"{n_modes} modes exceed the mode budget {mode_count}",
+                               line=modes_lineno)
+    n_unaffected = _scalar_count(cur, "unaffected")
+    clusters = []
+    for i in range(n_modes):
+        cur.expect(f"[mode {i}]")
+        if _scalar_count(cur, "identified"):
+            for key in ("linear", "translation", "residual"):
+                _scalar(cur, key)
+        count = _scalar_count(cur, "pairs")
+        if not count:
+            raise ReportParseError("a mode needs at least one pair", line=cur.lineno - 1)
+        clusters.append(_make_cluster(_walked_pairs(cur, count, m))[0])
+        for block in ("[inner]", "[outer]"):
+            cur.expect(block)
+            cur.expect(STAR_HEADER)
+            fields = cur.next(expect="star metadata").split(",")
+            if i == 0 and block == "[inner]":
+                if len(fields) < 2:
+                    raise ReportParseError("star metadata line too short", line=cur.lineno - 1)
+                lipschitz = _float(fields[-2], cur.lineno - 1)
+                with _checked(cur.lineno - 1):
+                    config = replace(config, lipschitz=lipschitz)
+            for _ in range(_scalar_count(cur, "samples")):
+                cur.next(expect="direction,radius row")
+        cur.expect(f"[end mode {i}]")
+    cur.expect("[unaffected]")
+    unaffected = _walked_pairs(cur, n_unaffected, m)
+    cur.expect("[end unaffected]")
+    if cur.pos < len(cur.lines):
+        raise ReportParseError("text after '[end unaffected]'", line=cur.lineno)
+    try:
+        with np.errstate(all="ignore"):
+            recon = reconstruction_from_clusters(clusters, unaffected, config)
+    except ValueError as exc:
+        raise ReportParseError(f"the modes cannot be rebuilt from their pairs: {exc}",
+                               line=modes_lineno) from exc
+    for lineno, (found, expected) in enumerate(zip(lines, reconstruction_to_lines(recon)), 1):
+        if found != expected:
+            raise ReportParseError(f"found {found!r}, but the modes rebuilt from the pairs "
+                                   f"write {expected!r}", line=lineno)
+    return recon
+
+
+def _rejected_at(read, lines):
+    """The line ``read`` reports for ``lines``, or ``None`` if it accepts them."""
+    try:
+        read(lines)
+    except ReportParseError as exc:
+        assert exc.line is not None
+        return exc.line
+    return None
+
+
+def test_reader_matches_walked_reader_on_single_token_mutants(heat_run):
+    # every token of every line but the inner pair rows of each table, replaced
+    # in turn by each value: both readers decide alike, and the reader that
+    # parses only the data never reports a line later than the walk did
+    with open(heat_run[1].artifacts["reconstruction"]) as fh:
+        lines = fh.read().splitlines()
+    rows = [i for i, line in enumerate(lines) if not line.startswith("pair,")
+            or not (lines[i - 1].startswith("pair,") and lines[i + 1].startswith("pair,"))]
+    mutants = earlier = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i in rows:
+            tokens = lines[i].split(",")
+            for j in range(len(tokens)):
+                for value in ("nan", "inf", "-1", "x", "", "1e400", "0"):
+                    mutant = lines[:i] + [",".join(tokens[:j] + [value] + tokens[j + 1:])] \
+                        + lines[i + 1:]
+                    walked = _rejected_at(walked_reconstruction_from_lines, mutant)
+                    found = _rejected_at(reconstruction_from_lines, mutant)
+                    assert (walked is None) == (found is None), (i + 1, j, value)
+                    assert found is None or found <= walked, (i + 1, j, value, found, walked)
+                    mutants += 1
+                    earlier += found is not None and found < walked
+    assert mutants > 1000 and earlier <= mutants // 20
