@@ -8,7 +8,8 @@ Subcommands:
 Exit codes: 0 success, 2 config, input-file, output-directory or command
 error (a non-numeric, non-finite or wrong-dimension vector), 3 identification
 failure, 4 unviable input.  Failures print one machine-parsable line to
-stderr of the form ``<kind>: <message>``.
+stderr of the form ``<kind>: <message>``.  A command whose stdout is closed
+before it is written exits 0 once its work is done, without a message.
 
 The console entry :func:`entry` sets ``OPENBLAS_NUM_THREADS`` and
 ``OMP_NUM_THREADS`` to 1 where the caller left them unset: the bundled
@@ -147,7 +148,13 @@ def entry() -> None:
     """
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         os.environ.setdefault(name, "1")
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+    except BrokenPipeError:  # the reader stopped reading: nothing else is lost
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -105,22 +105,6 @@ class ExperimentResult:
 # Config parsing
 
 
-def _get(parser, section, key, cast=str, default=None, required=False):
-    if not parser.has_option(section, key):
-        if required:
-            raise ConfigError(f"missing key '{key}' in [{section}]")
-        return default
-    raw = parser.get(section, key)
-    try:
-        if cast is bool:
-            return parser.getboolean(section, key)
-        return cast(raw)
-    except ConfigError:
-        raise
-    except ValueError:
-        raise ConfigError(f"cannot parse '{key} = {raw}' in [{section}]")
-
-
 def _finite(token: str) -> float:
     value = float(token)
     if not math.isfinite(value):
@@ -130,6 +114,13 @@ def _finite(token: str) -> float:
 
 def _floats_list(raw: str) -> np.ndarray:
     return np.array([_finite(t) for t in raw.replace(",", " ").split()])
+
+
+def _bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
 
 
 def _parse_region(raw: str):
@@ -152,24 +143,53 @@ def _parse_region(raw: str):
     raise ConfigError(f"unknown region kind {toks[0]!r}")
 
 
-# The keys each section reads; [system] and [signal] read "kind" and the keys
-# of their kind, and every [cdm.mode.N] section reads _MODE_KEYS.
-# [convergence] still accepts the retired keys grid, probes and probe_seed.
-_KIND_KEYS = {
-    "system": {"heat": {"diffusivity", "grid_points", "source_width", "nonlinear_depth",
-                        "initial_temperature", "initial_depth"},
-               "linear": {"state_dim", "input_dim", "a", "b", "initial"}},
-    "signal": {"heat-probe": set(), "constant": {"values"},
-               "raised-cosine": {"offset", "amplitude", "period"}},
+def _intervals(raw: str) -> tuple:
+    pairs = []
+    for tok in raw.split():
+        lo, _, hi = tok.partition(":")
+        try:
+            lo, hi = float(lo), float(hi)
+        except ValueError:
+            raise ConfigError(f"cannot parse region token {tok!r}")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ConfigError(f"region {tok!r} is not a finite interval lo:hi")
+        pairs.append((lo, hi))
+    return tuple(pairs)
+
+
+_REQUIRED = object()  # the default of a key that every config must set
+
+# Every key a config may set: (section, kind) -> key -> (parse, default).  A section reads
+# its (section, None) keys and those of its kind; [cdm.mode.N] reads ("cdm.mode.N", None).
+# A parse raises ValueError for a value outside its key's domain, or a ConfigError that
+# says more.  [convergence] still accepts the retired keys grid, probes and probe_seed.
+_KEYS = {
+    ("system", None): {"kind": (str, _REQUIRED)},
+    ("system", "heat"): {"diffusivity": (float, 0.1), "grid_points": (int, 101),
+                         "source_width": (float, 0.05), "nonlinear_depth": (_bool, False),
+                         "initial_temperature": (_finite, 0.0), "initial_depth": (_finite, 0.0)},
+    ("system", "linear"): {"state_dim": (int, _REQUIRED), "input_dim": (int, _REQUIRED),
+                           "a": (_floats_list, _REQUIRED), "b": (_floats_list, _REQUIRED),
+                           "initial": (_floats_list, None)},
+    ("cdm", None): {"kind": (str, _REQUIRED)},
+    ("cdm", "identity"): {}, ("cdm", "heat-threemode"): {}, ("cdm", "modes"): {},
+    ("cdm.mode.N", None): {"region": (_parse_region, _REQUIRED),
+                           "linear": (_floats_list, _REQUIRED),
+                           "translation": (_floats_list, _REQUIRED)},
+    ("signal", None): {"kind": (str, _REQUIRED)},
+    ("signal", "heat-probe"): {},
+    ("signal", "constant"): {"values": (_floats_list, _REQUIRED)},
+    ("signal", "raised-cosine"): {"offset": (_floats_list, _REQUIRED),
+                                  "amplitude": (_floats_list, _REQUIRED),
+                                  "period": (float, _REQUIRED)},
+    ("sampling", None): {"rate": (float, _REQUIRED), "jitter": (float, 0.0), "seed": (int, 0),
+                         "horizon": (float, _REQUIRED)},
+    ("identification", None): {"delta": (float, _REQUIRED), "modes": (int, _REQUIRED),
+                               "lipschitz": (float, 1.0), "identity_tol": (float, 1e-7)},
+    ("convergence", None): {"regions": (_intervals, ()), "axis": (int, 0),
+                            "grid": (str, None), "probes": (str, None), "probe_seed": (str, None)},
+    ("output", None): {"directory": (str, "out")},
 }
-_SECTION_KEYS = {
-    "cdm": {"kind"},
-    "sampling": {"rate", "jitter", "seed", "horizon"},
-    "identification": {"delta", "modes", "lipschitz", "identity_tol"},
-    "convergence": {"axis", "regions", "grid", "probes", "probe_seed"},
-    "output": {"directory"},
-}
-_MODE_KEYS = {"region", "linear", "translation"}
 
 
 def _check_keys(parser) -> None:
@@ -184,17 +204,14 @@ def _check_keys(parser) -> None:
         raise ConfigError(f"[cdm.mode.N] sections must be numbered 1, 2, ... without a gap, "
                           f"found {', '.join(sorted(mode_sections))}")
     for section in parser.sections():
-        kinds = _KIND_KEYS.get(section, {})
-        every = set().union(*kinds.values())
-        if section in mode_sections:
-            known = _MODE_KEYS
-        elif kinds:  # an unknown kind reads every kind's keys and fails on its own
-            kind = parser.get(section, "kind", fallback=None)
-            known = {"kind"} | kinds.get(kind, every)
-        else:
-            known = _SECTION_KEYS.get(section)
-        if known is None:
+        name = "cdm.mode.N" if section in mode_sections else section
+        if (name, None) not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
+        kinds = {k: keys for (s, k), keys in _KEYS.items() if s == name and k is not None}
+        every = {key for keys in kinds.values() for key in keys}
+        kind = parser.get(section, "kind", fallback=None)
+        # a missing or unknown kind reads every kind's keys and fails on its own
+        known = {*_KEYS[name, None], *kinds.get(kind, every)}
         for key in parser.options(section):  # configparser copies [DEFAULT] keys in
             if key not in known:
                 origin = " (set in [DEFAULT])" if key in parser.defaults() else ""
@@ -203,61 +220,72 @@ def _check_keys(parser) -> None:
                 raise ConfigError(f"unknown key '{key}' in [{section}]{origin}")
 
 
+def _read(parser, section: str) -> dict:
+    """Each key ``_KEYS`` declares for ``section`` and its kind: parsed, or its default if unset."""
+    name = section if (section, None) in _KEYS else "cdm.mode.N"
+    kind = parser.get(section, "kind", fallback=None)
+    if (name, kind) not in _KEYS:
+        raise ConfigError(f"unknown {section} kind {kind!r}")
+    values = {}
+    for key, (parse, default) in (_KEYS[name, None] | _KEYS[name, kind]).items():
+        raw = parser.get(section, key, fallback=None)
+        if raw is None and default is _REQUIRED:
+            raise ConfigError(f"missing key '{key}' in [{section}]")
+        try:
+            values[key] = default if raw is None else parse(raw)
+        except ConfigError:
+            raise
+        except ValueError:
+            raise ConfigError(f"cannot parse '{key} = {raw}' in [{section}]")
+    return values
+
+
 def _parse_cdm(parser) -> Optional[NModeCdm]:
-    kind = _get(parser, "cdm", "kind", required=True)
+    kind = _read(parser, "cdm")["kind"]
     if kind == "identity":
         return None
     if kind == "heat-threemode":
         return heat_example_cdm()
-    if kind == "modes":
-        modes = []
-        index = 1
-        while parser.has_section(f"cdm.mode.{index}"):
-            sec = f"cdm.mode.{index}"
-            region = _get(parser, sec, "region", _parse_region, required=True)
-            linear = _get(parser, sec, "linear", _floats_list, required=True)
-            translation = _get(parser, sec, "translation", _floats_list, required=True)
-            m = translation.shape[0]
-            if linear.shape[0] != m * m:
-                raise ConfigError(f"[{sec}] linear must hold {m}x{m} entries")
-            if isinstance(region, BallRegion):
-                fits = region.center.shape == (m,)
-            else:
-                fits = 0 <= region.axis < m
-            if not fits:
-                raise ConfigError(f"[{sec}] region does not fit the {m}-dimensional input")
-            modes.append((region, AffineMap(linear.reshape(m, m), translation)))
-            index += 1
-        if not modes:
-            raise ConfigError("cdm kind 'modes' but no [cdm.mode.N] sections found")
-        try:
-            return NModeCdm(modes=tuple(modes))
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-    raise ConfigError(f"unknown cdm kind {kind!r}")
+    modes = []
+    for index in range(1, 1 + sum(s.startswith("cdm.mode.") for s in parser.sections())):
+        sec = f"cdm.mode.{index}"
+        mode = _read(parser, sec)
+        region, linear, translation = mode["region"], mode["linear"], mode["translation"]
+        m = translation.shape[0]
+        if linear.shape[0] != m * m:
+            raise ConfigError(f"[{sec}] linear must hold {m}x{m} entries")
+        if isinstance(region, BallRegion):
+            fits = region.center.shape == (m,)
+        else:
+            fits = 0 <= region.axis < m
+        if not fits:
+            raise ConfigError(f"[{sec}] region does not fit the {m}-dimensional input")
+        modes.append((region, AffineMap(linear.reshape(m, m), translation)))
+    if not modes:
+        raise ConfigError("cdm kind 'modes' but no [cdm.mode.N] sections found")
+    try:
+        return NModeCdm(modes=tuple(modes))
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def _parse_signal(parser, dim_input: int):
-    kind = _get(parser, "signal", "kind", required=True)
-    if kind == "heat-probe":
+    spec = _read(parser, "signal")
+    if spec["kind"] == "heat-probe":
         return probe_signal
-    if kind == "constant":
-        values = _get(parser, "signal", "values", _floats_list, required=True)
+    if spec["kind"] == "constant":
+        values = spec["values"]
         if values.shape[0] != dim_input:
             raise ConfigError("constant signal dimension does not match the system")
         return lambda t: np.tile(values, (len(t), 1))
-    if kind == "raised-cosine":
-        # per-channel: value_i(t) = offset_i + amplitude_i * (1 - cos(2 pi t / period)) / 2
-        offset = _get(parser, "signal", "offset", _floats_list, required=True)
-        amplitude = _get(parser, "signal", "amplitude", _floats_list, required=True)
-        period = _get(parser, "signal", "period", float, required=True)
-        if not (math.isfinite(period) and period > 0):
-            raise ConfigError(f"[signal] period must be finite and positive, got {period}")
-        if offset.shape[0] != dim_input or amplitude.shape[0] != dim_input:
-            raise ConfigError("raised-cosine signal dimension does not match the system")
-        return lambda t: offset + amplitude * 0.5 * (
-            1.0 - np.cos(2.0 * np.pi * np.asarray(t, dtype=float)[:, None] / period))
-    raise ConfigError(f"unknown signal kind {kind!r}")
+    # per-channel: value_i(t) = offset_i + amplitude_i * (1 - cos(2 pi t / period)) / 2
+    offset, amplitude, period = spec["offset"], spec["amplitude"], spec["period"]
+    if not (math.isfinite(period) and period > 0):
+        raise ConfigError(f"[signal] period must be finite and positive, got {period}")
+    if offset.shape[0] != dim_input or amplitude.shape[0] != dim_input:
+        raise ConfigError("raised-cosine signal dimension does not match the system")
+    return lambda t: offset + amplitude * 0.5 * (
+        1.0 - np.cos(2.0 * np.pi * np.asarray(t, dtype=float)[:, None] / period))
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -271,60 +299,43 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"missing [{section}] section")
     _check_keys(parser)
 
-    kind = _get(parser, "system", "kind", required=True)
-    if kind == "heat":
+    spec = _read(parser, "system")
+    if spec["kind"] == "heat":
         try:
-            system = HeatSystem(
-                diffusivity=_get(parser, "system", "diffusivity", float, 0.1),
-                grid_points=_get(parser, "system", "grid_points", int, 101),
-                epsilon=_get(parser, "system", "source_width", float, 0.05),
-                nonlinear_depth=_get(parser, "system", "nonlinear_depth", bool, False),
-            )
+            system = HeatSystem(diffusivity=spec["diffusivity"], grid_points=spec["grid_points"],
+                                epsilon=spec["source_width"],
+                                nonlinear_depth=spec["nonlinear_depth"])
         except ValueError as exc:
             raise ConfigError(str(exc))
-        z0 = _get(parser, "system", "initial_temperature", float, 0.0)
-        d0 = _get(parser, "system", "initial_depth", float, 0.0)
-        for key, value in (("initial_temperature", z0), ("initial_depth", d0)):
-            if not math.isfinite(value):
-                raise ConfigError(f"[system] {key} must be finite, got {value}")
-        x0 = np.full(system.dim_state, z0)
-        x0[-1] = d0
+        x0 = np.full(system.dim_state, spec["initial_temperature"])
+        x0[-1] = spec["initial_depth"]
         dim_input = 2
-    elif kind == "linear":
-        n = _get(parser, "system", "state_dim", int, required=True)
-        m = _get(parser, "system", "input_dim", int, required=True)
+    else:  # linear
+        n, m = spec["state_dim"], spec["input_dim"]
         if n < 1 or m < 1:
             raise ConfigError(f"[system] state_dim and input_dim must be at least 1, "
                               f"got {n} and {m}")
-        a = _get(parser, "system", "a", _floats_list, required=True)
-        b = _get(parser, "system", "b", _floats_list, required=True)
-        if a.shape[0] != n * n or b.shape[0] != n * m:
+        if spec["a"].shape[0] != n * n or spec["b"].shape[0] != n * m:
             raise ConfigError("A or B entry count does not match declared dimensions")
         try:
-            system = linear_system(a.reshape(n, n), b.reshape(n, m))
+            system = linear_system(spec["a"].reshape(n, n), spec["b"].reshape(n, m))
         except ValueError as exc:
             raise ConfigError(str(exc))
-        x0 = _get(parser, "system", "initial", _floats_list)
+        x0 = spec["initial"]
         if x0 is None or not x0.size:
             x0 = np.zeros(n)
         if x0.shape[0] != n:
             raise ConfigError("initial state dimension mismatch")
         dim_input = m
-    else:
-        raise ConfigError(f"unknown system kind {kind!r}")
 
     cdm = _parse_cdm(parser)
     if cdm is not None and cdm.dim is not None and cdm.dim != dim_input:
         raise ConfigError("cdm input dimension does not match the system")
     signal = _parse_signal(parser, dim_input)
 
+    sampling = _read(parser, "sampling")
     try:
-        schedule = SamplingSchedule(
-            rate=_get(parser, "sampling", "rate", float, required=True),
-            jitter=_get(parser, "sampling", "jitter", float, 0.0),
-            seed=_get(parser, "sampling", "seed", int, 0),
-            horizon=_get(parser, "sampling", "horizon", float, required=True),
-        )
+        schedule = SamplingSchedule(**sampling)
     except ValueError as exc:
         raise ConfigError(str(exc))
     try:  # a HeatSystem gives its limit without building its model
@@ -332,38 +343,17 @@ def parse_config_text(text: str) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(str(exc))
 
+    spec = _read(parser, "identification")
     try:
-        ident = IdentificationConfig(
-            delta=_get(parser, "identification", "delta", float, required=True),
-            n_modes=_get(parser, "identification", "modes", int, required=True),
-            lipschitz=_get(parser, "identification", "lipschitz", float, 1.0),
-            identity_tol=_get(parser, "identification", "identity_tol", float, 1e-7),
-        )
+        ident = IdentificationConfig(delta=spec["delta"], n_modes=spec["modes"],
+                                     lipschitz=spec["lipschitz"],
+                                     identity_tol=spec["identity_tol"])
     except ValueError as exc:
         raise ConfigError(f"[identification] {exc}")
 
-    regions: tuple = ()
-    axis = 0
-    if parser.has_section("convergence"):
-        raw = _get(parser, "convergence", "regions", str, "")
-        pairs = []
-        for tok in raw.split():
-            lo, _, hi = tok.partition(":")
-            try:
-                lo, hi = float(lo), float(hi)
-            except ValueError:
-                raise ConfigError(f"cannot parse region token {tok!r}")
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise ConfigError(f"region {tok!r} is not a finite interval lo:hi")
-            pairs.append((lo, hi))
-        regions = tuple(pairs)
-        axis = _get(parser, "convergence", "axis", int, 0)
-        if axis < 0 or axis >= dim_input:
-            raise ConfigError("convergence axis is outside the input dimensions")
-
-    output_dir = "out"
-    if parser.has_section("output"):
-        output_dir = _get(parser, "output", "directory", str, "out")
+    convergence = _read(parser, "convergence")
+    if not 0 <= convergence["axis"] < dim_input:
+        raise ConfigError("convergence axis is outside the input dimensions")
 
     return ExperimentConfig(
         system=system,
@@ -372,9 +362,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         signal=signal,
         schedule=schedule,
         identification=ident,
-        regions=regions,
-        region_axis=axis,
-        output_dir=output_dir,
+        regions=convergence["regions"],
+        region_axis=convergence["axis"],
+        output_dir=_read(parser, "output")["directory"],
     )
 
 

@@ -1,10 +1,12 @@
 """Tests for the command-line front end and its exit codes."""
 
+import configparser
 import contextlib
 import hashlib
 import io
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -575,6 +577,79 @@ class TestConfigMutations:
         assert all(exits[case] == EXIT_CONFIG for case in self.SILENT | self.RAISED)
 
 
+def _numbers(path):
+    """Every token of a text artifact that parses as a float."""
+    for token in re.split(r"[\s,]+", path.read_text()):
+        try:
+            yield float(token)
+        except ValueError:
+            pass
+
+
+def test_every_declared_key_mutated_never_exits_1(tmp_path, monkeypatch):
+    # each key of the config key table, set in turn to each value in a base
+    # config of its kind (horizon 1) and run through the CLI; a key is
+    # mutated in the first base that sets it
+    from cdmkit.experiment import _KEYS, DEFAULT_HEAT_CONFIG
+    from test_experiment import LINEAR_MODES_CONFIG
+
+    linear = LINEAR_MODES_CONFIG.replace("horizon = 4.0", "horizon = 1.0") + textwrap.dedent("""
+        [convergence]
+        axis = 1
+        regions = 0.0:0.25 0.75:1.0
+        grid = 0
+        probes = 3
+        probe_seed = 1
+
+        [output]
+        directory = out
+        """)
+    constant = linear.replace("kind = raised-cosine\noffset = 1.0 0.0\namplitude = 0.0 1.0\n"
+                              "period = 0.3", "kind = constant\nvalues = 1.0 0.5")
+    heat = DEFAULT_HEAT_CONFIG.replace("horizon = 10.0", "horizon = 1.0").replace(
+        "initial_depth = 0.0", "initial_depth = 0.0\nnonlinear_depth = false")
+    assert len({linear, constant, heat, LINEAR_MODES_CONFIG, DEFAULT_HEAT_CONFIG}) == 5
+    monkeypatch.chdir(tmp_path)  # each run writes to its config's directory
+    mutated, exits = set(), Counter()
+    sink = io.StringIO()
+    for base in (linear, constant, heat):
+        lines = base.splitlines()
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(base)
+        for i, line in enumerate(lines):
+            if line.startswith("["):
+                section = line.strip("[]")
+                name = "cdm.mode.N" if section.startswith("cdm.mode.") else section
+                continue
+            if "=" not in line:
+                continue
+            key = line.split("=")[0].strip()
+            kind = None if key in _KEYS[name, None] else parser.get(section, "kind")
+            if (name, kind, key) in mutated:
+                continue
+            mutated.add((name, kind, key))
+            for value in ("nan", "inf", "-1", "x", "", "1e400", "0", "0.5", "7"):
+                pathlib.Path("mutant.cfg").write_text(
+                    "\n".join(lines[:i] + [f"{key} = {value}"] + lines[i + 1:]))
+                with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                    code = main(["run", "mutant.cfg"])
+                exits[code] += 1
+                assert code in {EXIT_OK, EXIT_CONFIG, EXIT_IDENTIFICATION}, (section, key, value)
+                if code == EXIT_OK:  # the last three lines name the artifacts
+                    paths = [pathlib.Path(printed.split(": ", 1)[1])
+                             for printed in sink.getvalue().splitlines()[-3:]]
+                    for path in paths[:2]:
+                        numbers = list(_numbers(path))
+                        assert numbers and np.isfinite(numbers).all(), (path, key, value)
+                    # a region not yet observed is at distance inf, by definition
+                    table = np.genfromtxt(paths[2], delimiter=",", skip_header=1, ndmin=2)
+                    assert np.isfinite(table[:, :2]).all() and not np.isnan(table).any()
+                sink.seek(0)
+                sink.truncate()
+    assert mutated == {(name, kind, key) for (name, kind), keys in _KEYS.items() for key in keys}
+    assert sum(exits.values()) == 9 * len(mutated) and exits[EXIT_OK] and exits[EXIT_CONFIG]
+
+
 class TestBundledConfig:
     def test_repo_config_matches_default(self):
         import pathlib
@@ -688,6 +763,25 @@ def test_entry_keeps_the_callers_thread_count(monkeypatch, capsys):
     assert stop.value.code == 0
     assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
     assert os.environ["OMP_NUM_THREADS"] == "1"
+
+
+def test_closed_stdout_exits_0_silently(tmp_path):
+    # a reader that stops reading (``cdmkit report FILE | head -0``) loses
+    # only the output it chose not to read
+    cfg, out = tmp_path / "small.cfg", tmp_path / "out"
+    cfg.write_text(SMALL_HEAT_CONFIG.replace("horizon = 4.0", "horizon = 1.0"))
+    for argv in (["run", str(cfg), "--output", str(out)],
+                 ["report", str(out / "reconstruction.txt")]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "cdmkit.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, env=fresh_env(), timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, ""), argv[0]
+        assert all((out / name).is_file()
+                   for name in ("samples.csv", "reconstruction.txt", "convergence.csv"))
 
 
 def test_main_leaves_the_environment_alone(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import pathlib
 import re
 import warnings
 
@@ -138,6 +139,17 @@ class TestConfigParsing:
         for field in dataclasses.fields(IdentificationConfig):
             assert getattr(parsed, field.name) != field.default, field.name
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("delta = 0.4", "delta = x", "cannot parse 'delta = x' in [identification]"),
+        ("modes = 3", "modes = 0.5", "cannot parse 'modes = 0.5' in [identification]"),
+        ("modes = 3\n", "", "missing key 'modes' in [identification]"),
+    ], ids=["delta-x", "modes-0.5", "modes-deleted"])
+    def test_identification_key_error_names_its_section_once(self, old, new, message):
+        assert old in LINEAR_MODES_CONFIG
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(LINEAR_MODES_CONFIG.replace(old, new, 1))
+        assert str(info.value) == message
+
     def test_mode_list_config(self):
         cfg = parse_config_text(LINEAR_MODES_CONFIG)
         assert len(cfg.cdm.modes) == 2
@@ -242,6 +254,26 @@ class TestConfigParsing:
         bad = DEFAULT_HEAT_CONFIG.replace("0.0:0.25", "zero:0.25")
         with pytest.raises(ConfigError):
             parse_config_text(bad)
+
+
+def test_readme_config_reference_is_the_key_table():
+    from cdmkit.experiment import _KEYS, _REQUIRED
+
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in readme.read_text().splitlines() if line.startswith("| `[")]
+    listed = set()
+    for section, kind, key, default in rows:
+        section, kind, key = section.strip("`[]"), kind.strip("`") or None, key.strip("`")
+        listed.add((section, kind, key))
+        parse, value = _KEYS[section, kind][key]
+        assert default.startswith("required") == (value is _REQUIRED), key
+        if default.startswith("`"):  # a literal, as a config would write it
+            assert parse(default.strip("`")) == value, key
+        if key == "kind":
+            assert set(re.findall(r"`([^`]+)`", default)) == {
+                k for s, k in _KEYS if s == section and k is not None}
+    assert listed == {(s, k, key) for (s, k), keys in _KEYS.items() for key in keys}
 
 
 def signal_config(signal_section: str):
