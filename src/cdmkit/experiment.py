@@ -162,7 +162,7 @@ _REQUIRED = object()  # the default of a key that every config must set
 # Every key a config may set: (section, kind) -> key -> (parse, default).  A section reads
 # its (section, None) keys and those of its kind; [cdm.mode.N] reads ("cdm.mode.N", None).
 # A parse raises ValueError for a value outside its key's domain, or a ConfigError that
-# says more.  [convergence] still accepts the retired keys grid, probes and probe_seed.
+# says more.
 _KEYS = {
     ("system", None): {"kind": (str, _REQUIRED)},
     ("system", "heat"): {"diffusivity": (float, 0.1), "grid_points": (int, 101),
@@ -186,8 +186,7 @@ _KEYS = {
                          "horizon": (float, _REQUIRED)},
     ("identification", None): {"delta": (float, _REQUIRED), "modes": (int, _REQUIRED),
                                "lipschitz": (float, 1.0), "identity_tol": (float, 1e-7)},
-    ("convergence", None): {"regions": (_intervals, ()), "axis": (int, 0),
-                            "grid": (str, None), "probes": (str, None), "probe_seed": (str, None)},
+    ("convergence", None): {"regions": (_intervals, ()), "axis": (int, 0)},
     ("output", None): {"directory": (str, "out")},
 }
 

@@ -158,14 +158,21 @@ class StarSetApprox:
             raise ValueError("directions and radii disagree in length")
         if directions.shape[1] != center.shape[0]:
             raise ValueError("direction dimension does not match center")
-        _check_lipschitz(self.lipschitz)
+        if not (math.isfinite(self.lipschitz) and self.lipschitz >= 0):
+            raise ValueError(f"Lipschitz constant must be finite and non-negative, "
+                             f"got {self.lipschitz}")
         norms = np.linalg.norm(directions, axis=1)
         if directions.shape[0] and np.max(np.abs(norms - 1.0)) > DIRECTION_UNIT_TOL:
             raise ValueError("witness directions must have unit norm")
         if not np.all((radii >= 0) & (radii < np.inf)):
             raise ValueError("radii must be finite and non-negative")
-        _set_fields(self, center, self.lipschitz,
-                    *_dedup_samples(directions, radii, self.side), self.side)
+        directions, radii = _dedup_samples(directions, radii, self.side)
+        for arr in (center, directions, radii):
+            arr.setflags(write=False)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "lipschitz", float(self.lipschitz))
+        object.__setattr__(self, "directions", directions)
+        object.__setattr__(self, "radii", radii)
 
     @property
     def dim(self) -> int:
@@ -195,32 +202,11 @@ class StarSetApprox:
 
         Each point ``u`` contributes the pair ``((u - center)/|u - center|,
         |u - center|)``.  Points coinciding with the center carry no
-        directional information and are dropped.  The witnesses are unit
-        by construction, so only what a point can break is checked.
+        directional information and are dropped.  The witnesses go through
+        the constructor and its checks like any others.
         """
         center = np.atleast_1d(np.asarray(center, dtype=float))
-        _check_lipschitz(lipschitz)
-        dirs, radii = _witnesses(points, center)
-        return _set_fields(object.__new__(cls), center, lipschitz,
-                           *_dedup_samples(dirs, radii, side), side)
-
-
-def _check_lipschitz(lipschitz) -> None:
-    if not (math.isfinite(lipschitz) and lipschitz >= 0):
-        raise ValueError(f"Lipschitz constant must be finite and non-negative, "
-                         f"got {lipschitz}")
-
-
-def _set_fields(star: StarSetApprox, center, lipschitz, directions, radii, side: Side):
-    """Store checked, de-duplicated witnesses in ``star``, read-only; return it."""
-    for arr in (center, directions, radii):
-        arr.setflags(write=False)
-    object.__setattr__(star, "center", center)
-    object.__setattr__(star, "lipschitz", float(lipschitz))
-    object.__setattr__(star, "directions", directions)
-    object.__setattr__(star, "radii", radii)
-    object.__setattr__(star, "side", side)
-    return star
+        return cls(center, lipschitz, *_witnesses(points, center), side)
 
 
 def _witnesses(points, center: np.ndarray):

@@ -105,14 +105,6 @@ def recover_effective_input(sample: ControlSample, model: SystemModel) -> np.nda
 # Clustering
 
 
-@dataclass(frozen=True)
-class Cluster:
-    """Degraded pairs, read-only ``(k, 2m)`` rows ``[u | v]``, sharing one degradation mode."""
-
-    pairs: np.ndarray
-    basis_indices: tuple
-
-
 def _select_basis(inputs: np.ndarray, m: int, known: tuple = ((), ())):
     """Greedily pick m inputs maximizing the smallest singular value.
 
@@ -152,43 +144,39 @@ def _select_basis(inputs: np.ndarray, m: int, known: tuple = ((), ())):
     return tuple(chosen), rounds
 
 
-def _make_cluster(pairs: np.ndarray, known: tuple = ((), ())):
-    """The cluster of the table ``pairs``, made read-only, and its basis round scores.
-
-    ``known`` is passed to :func:`_select_basis`: the basis and round scores
-    of a prefix of ``pairs``, if any.
-    """
-    pairs.setflags(write=False)
-    m = pairs.shape[1] // 2
-    basis, rounds = _select_basis(pairs[:, :m], m, known)
-    return Cluster(pairs=pairs, basis_indices=basis), rounds
-
-
 class _Rows:
-    """One cluster's ``[u | v]`` rows in pair order, grown by appending.
+    """A table of ``[u | v]`` rows in pair order, grown by appending.
 
     Rows below the count are never rewritten, and a full buffer is replaced
-    by a copy, so every :class:`Cluster` handed out keeps its table.  The
-    basis is chosen on demand, scoring only the rows appended since the
-    last choice.
+    by a copy, so every table :attr:`pairs` hands out keeps its rows.  The
+    basis behind :attr:`identified` is chosen on demand, scoring only the
+    rows appended since the last choice.
     """
 
     def __init__(self, table: np.ndarray):
         self.table, self.count = table, table.shape[0]
-        self._cluster: Optional[Cluster] = None
-        self._rounds: list = []
+        self._basis, self._rounds, self._scored = (), [], 0
 
     def append(self, row: np.ndarray) -> None:
         self.table = _append_row(self.table, self.count, row)
         self.count += 1
 
     @property
-    def cluster(self) -> Cluster:
-        known = self._cluster
-        if known is None or known.pairs.shape[0] != self.count:
-            prefix = (known.basis_indices, self._rounds) if known else ((), ())
-            self._cluster, self._rounds = _make_cluster(self.table[:self.count], prefix)
-        return self._cluster
+    def pairs(self) -> np.ndarray:
+        """The rows so far, as a read-only ``(count, 2m)`` table."""
+        pairs = self.table[:self.count]
+        pairs.setflags(write=False)
+        return pairs
+
+    @property
+    def identified(self) -> bool:
+        """Whether :func:`fit_affine` identifies the rows so far."""
+        if self._scored != self.count:
+            m = self.table.shape[1] // 2
+            self._basis, self._rounds = _select_basis(
+                self.table[:self.count, :m], m, (self._basis, self._rounds))
+            self._scored = self.count
+        return _unidentifiable(self.count, self._basis) is None
 
 
 class _Linkage:
@@ -313,7 +301,7 @@ class _Linkage:
         return list(groups.values())
 
 
-def cluster_pairs(points: np.ndarray, delta: float, n_modes: int) -> list[Cluster]:
+def cluster_pairs(points: np.ndarray, delta: float, n_modes: int) -> list[np.ndarray]:
     """Single-linkage clustering of the graph points ``[u | v]``, a ``(k, 2m)`` table.
 
     Clusters are merged while the nearest pair of clusters is closer than
@@ -321,7 +309,8 @@ def cluster_pairs(points: np.ndarray, delta: float, n_modes: int) -> list[Cluste
     If more than ``n_modes`` clusters remain, under-sampled modes are still
     fragmented, and the closest clusters keep merging until the count
     reaches ``n_modes`` (fragments rejoin as sampling fills in).
-    Deterministic given the input order.
+    Deterministic given the input order; each cluster is returned as its
+    read-only table of rows, in input order.
     """
     k = len(points)
     if not k:
@@ -337,26 +326,27 @@ def cluster_pairs(points: np.ndarray, delta: float, n_modes: int) -> list[Cluste
     for n in range(k):
         linkage.add(points[n], dist[n, :n])
     linkage.cut()
-    return [rows.cluster for rows in linkage.clusters.values()]
+    return [rows.pairs for rows in linkage.clusters.values()]
 
 
 # ---------------------------------------------------------------------------
 # Affine fitting
 
 
-def _unidentifiable(cluster: Cluster) -> Optional[tuple[str, str]]:
-    """Why :func:`fit_affine` cannot identify ``cluster``, as (message, detail); None if it can."""
-    if not cluster.basis_indices:
+def _unidentifiable(k: int, basis: Sequence) -> Optional[tuple[str, str]]:
+    """Why :func:`fit_affine` cannot fit ``k`` pairs with ``basis``: (message, detail), or None."""
+    if not basis:
         return "cluster lacks linearly independent basis inputs", "basis"
-    if cluster.pairs.shape[0] == len(cluster.basis_indices):
+    if k == len(basis):
         return "cluster has no pair beyond the basis to anchor the translation", "anchor"
     return None
 
 
-def fit_affine(cluster: Cluster) -> AffineMap:
-    """Fit the affine map of one cluster exactly.
+def fit_affine(pairs: np.ndarray) -> AffineMap:
+    """Fit the affine map of one cluster, a ``(k, 2m)`` table of rows ``[u | v]``, exactly.
 
-    Differences from an anchor pair cancel the translation: with anchor
+    The basis is the greedy pick of :func:`_select_basis`.  Differences
+    from an anchor pair cancel the translation: with anchor
     ``(u_a, v_a)`` and basis pairs ``(u_b, v_b)``, the linear part maps each
     ``u_b - u_a`` to ``v_b - v_a`` and the translation is ``v_a - P u_a``.
     The deviation from identity is the minimum-norm least-squares solution:
@@ -364,13 +354,13 @@ def fit_affine(cluster: Cluster) -> AffineMap:
     subspace (inputs confined to an affine subspace) it still reproduces
     consistent data exactly and leaves unobserved directions untouched.
     """
-    reason = _unidentifiable(cluster)
+    m = pairs.shape[1] // 2
+    inputs, effectives = pairs[:, :m], pairs[:, m:]
+    basis = list(_select_basis(inputs, m)[0])
+    reason = _unidentifiable(pairs.shape[0], basis)
     if reason is not None:
         message, detail = reason
         raise IdentificationError(message, detail=detail)
-    m = cluster.pairs.shape[1] // 2
-    inputs, effectives = cluster.pairs[:, :m], cluster.pairs[:, m:]
-    basis = list(cluster.basis_indices)
     # anchor on the most distant extra pair to condition the difference fit
     gaps = pairwise_distances(inputs[basis], inputs).min(axis=0)
     gaps[basis] = -np.inf
@@ -549,10 +539,10 @@ def fit_residuals(affine: AffineMap, pairs: np.ndarray) -> np.ndarray:
     return np.array([math.sqrt(g.dot(g)) for g in gaps])  # np.linalg.norm's arithmetic
 
 
-def _mode_from_cluster(cluster: Cluster, unaffected_inputs: np.ndarray,
+def _mode_from_cluster(pairs: np.ndarray, unaffected_inputs: np.ndarray,
                        config: IdentificationConfig) -> ModeReconstruction:
-    """Bound, fit and score one cluster."""
-    inputs = cluster.pairs[:, :cluster.pairs.shape[1] // 2]
+    """Bound, fit and score one cluster, its read-only ``(k, 2m)`` table ``pairs``."""
+    inputs = pairs[:, :pairs.shape[1] // 2]
     center = inputs.mean(axis=0)
     inner = StarSetApprox.from_points(inputs, center, config.lipschitz, Side.INNER)
     if unaffected_inputs.size:
@@ -563,14 +553,14 @@ def _mode_from_cluster(cluster: Cluster, unaffected_inputs: np.ndarray,
         outer = StarSetApprox(center, config.lipschitz, np.empty((0, center.shape[0])),
                               np.empty(0), Side.OUTER)
     try:
-        affine = fit_affine(cluster)
-        residuals = fit_residuals(affine, cluster.pairs)
+        affine = fit_affine(pairs)
+        residuals = fit_residuals(affine, pairs)
         residuals.setflags(write=False)  # read-only, like the mode's pairs
     except IdentificationError as exc:
         log.debug("cluster left unidentified: %s", exc)
         affine, residuals = None, None
     return ModeReconstruction(
-        map=affine, inner=inner, outer=outer, pairs=cluster.pairs, residuals=residuals
+        map=affine, inner=inner, outer=outer, pairs=pairs, residuals=residuals
     )
 
 
@@ -589,9 +579,9 @@ def _warn_if_steep(inner: StarSetApprox, config: IdentificationConfig) -> None:
         )
 
 
-def reconstruction_from_clusters(clusters: Sequence[Cluster], unaffected: np.ndarray,
+def reconstruction_from_clusters(clusters: Sequence[np.ndarray], unaffected: np.ndarray,
                                  config: IdentificationConfig) -> CdmReconstruction:
-    """The reconstruction with one mode per cluster and the ``(k, 2m)`` unaffected table.
+    """The reconstruction with one mode per cluster table and the ``(k, 2m)`` unaffected table.
 
     It is the one mode builder: the batch build calls it after clustering,
     ``Reconstructor.snapshot`` on the stream's current clusters, and the
@@ -645,12 +635,8 @@ class Reconstructor:
     def __init__(self, config: IdentificationConfig):
         self.config = config
         self._dim: Optional[int] = None
-        # Graph points [u | v] of the unaffected pairs, grown by doubling.
-        # Snapshots view the prefix: rows below the count are never
-        # rewritten, and a full buffer is replaced by a copy, not resized in place.
-        self._unaffected = np.empty((0, 0))
-        self._n_unaffected = 0
-        # the affected pairs; sized by the first pair
+        # the unaffected pairs and the affected ones' clusters; sized by the first pair
+        self._unaffected = _Rows(np.empty((0, 0)))
         self._linkage = _Linkage(config.delta, config.n_modes, 0)
         self._identified = 0
 
@@ -658,21 +644,19 @@ class Reconstructor:
         """Record one pair and re-cut the clusters it changes."""
         if self._dim is None:
             self._dim = pair.dim
-            self._unaffected = np.empty((8, 2 * pair.dim))
+            self._unaffected = _Rows(np.empty((0, 2 * pair.dim)))
             self._linkage = _Linkage(self.config.delta, self.config.n_modes, 2 * pair.dim)
         elif pair.dim != self._dim:
             raise ValueError(f"pair dimension {pair.dim} != {self._dim}")
         point = np.concatenate([pair.input, pair.effective])
         if _is_unaffected(point, self.config.identity_tol):
-            self._unaffected = _append_row(self._unaffected, self._n_unaffected, point)
-            self._n_unaffected += 1
+            self._unaffected.append(point)
         else:
             linkage = self._linkage
             linkage.add(point, pairwise_distances(point[None, :], linkage.points[:linkage.n])[0])
             linkage.cut()
             # picks the basis of each changed cluster
-            self._identified = sum(_unidentifiable(rows.cluster) is None
-                                   for rows in linkage.clusters.values())
+            self._identified = sum(rows.identified for rows in linkage.clusters.values())
 
     @property
     def modes_identified(self) -> int:
@@ -683,19 +667,17 @@ class Reconstructor:
         """The reconstruction of all pairs pushed so far."""
         if self._dim is None:
             raise ValueError("cannot build a reconstruction from zero pairs")
-        unaffected = self._unaffected[:self._n_unaffected]
-        unaffected.setflags(write=False)
-        clusters = [rows.cluster for rows in self._linkage.clusters.values()]
-        recon = reconstruction_from_clusters(clusters, unaffected, self.config)
+        clusters = [rows.pairs for rows in self._linkage.clusters.values()]
+        recon = reconstruction_from_clusters(clusters, self._unaffected.pairs, self.config)
         for mode in recon.modes:
             _warn_if_steep(mode.inner, self.config)
         return recon
 
 
 def _append_row(buffer: np.ndarray, n: int, row) -> np.ndarray:
-    """Write ``row`` at index ``n``, doubling the buffer when it is full."""
+    """Write ``row`` at index ``n``, doubling the buffer when it is full (an empty one to 8)."""
     if n == buffer.shape[0]:
-        grown = np.empty((2 * n,) + buffer.shape[1:], dtype=buffer.dtype)
+        grown = np.empty((2 * n or 8,) + buffer.shape[1:], dtype=buffer.dtype)
         grown[:n] = buffer
         buffer = grown
     buffer[n] = row

@@ -18,16 +18,14 @@ import numpy as np
 
 from .errors import ReportParseError
 from .geometry import StarSetApprox
-from .identification import (
-    CdmReconstruction,
-    IdentificationConfig,
-    _make_cluster,
-    reconstruction_from_clusters,
-)
+from .identification import CdmReconstruction, IdentificationConfig, reconstruction_from_clusters
 from .simulation import ControlSample
 
 MAGIC = "cdm-reconstruction v1"
 STAR_HEADER = "center,dim,L,side"
+
+# The largest input dimension whose pair row of 2 * input_dim floats NumPy can shape.
+_MAX_INPUT_DIM = np.iinfo(np.intp).max // 16
 
 
 def _fmt(x: float) -> str:
@@ -35,7 +33,7 @@ def _fmt(x: float) -> str:
 
 
 def _fmt_vec(v) -> str:
-    return ",".join(_fmt(x) for x in np.atleast_1d(v))
+    return ",".join(map(repr, np.atleast_1d(v).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -58,10 +56,7 @@ def write_samples(path, samples: Sequence[ControlSample]) -> None:
     with open(path, "w") as fh:
         fh.write(_samples_header(n, m) + "\n")
         for s in samples:
-            # one tolist() per row gives the floats _fmt would format, without
-            # a NumPy call per value; a table-wide tolist() would hold every row
-            row = np.concatenate([[s.time], s.state, s.velocity, s.input]).tolist()
-            fh.write(",".join(map(repr, row)) + "\n")
+            fh.write(_fmt_vec(np.concatenate([[s.time], s.state, s.velocity, s.input])) + "\n")
 
 
 def read_samples(path) -> list[ControlSample]:
@@ -218,6 +213,9 @@ def reconstruction_from_lines(lines: Sequence[str]) -> CdmReconstruction:
     m = _field(lines, 1, "input_dim")
     if m < 1:
         raise ReportParseError("input dimension must be at least 1", line=2)
+    if m > _MAX_INPUT_DIM:
+        raise ReportParseError(f"input dimension {m} is beyond {_MAX_INPUT_DIM}, the largest "
+                               f"whose pair row an array can hold", line=2)
     mode_count = _field(lines, 2, "mode_count")
     with _checked(3):
         config = IdentificationConfig(delta=1.0, n_modes=mode_count)
@@ -238,7 +236,7 @@ def reconstruction_from_lines(lines: Sequence[str]) -> CdmReconstruction:
             count = _count(line[len("pairs,"):], i + 1)
             if not count:
                 raise ReportParseError("a mode needs at least one pair", line=i + 1)
-            clusters.append(_make_cluster(_pairs(lines, i + 1, count, m))[0])
+            clusters.append(_pairs(lines, i + 1, count, m))
             i += count
         elif not star_seen and lines[i - 1] == STAR_HEADER:  # center..,dim,L,side
             star_seen = True

@@ -504,6 +504,23 @@ class TestCorruptedReconstruction:
 
         self.assert_parse_error(heat_run, tmp_path, capsys, edit)
 
+    @pytest.mark.parametrize("dim", ["1000000000000000000", "99999999999999999999999"])
+    def test_input_dim_beyond_an_array_row_is_parse_error(self, tmp_path, capsys, dim):
+        # no NumPy array holds a pair row of 2 * input_dim floats; 1e10 still reads
+        def write(dim):
+            path = tmp_path / f"dim{dim}.txt"
+            path.write_text(f"cdm-reconstruction v1\ninput_dim,{dim}\nmode_count,1\n"
+                            "separation,1.0\nmodes,0\nunaffected,0\n[unaffected]\n"
+                            "[end unaffected]\n")
+            return str(path)
+
+        assert main(["report", write(10_000_000_000)]) == EXIT_OK
+        capsys.readouterr()
+        for argv in (["report", write(dim)], ["viabilize", write(dim), "1.0", "0.9"]):
+            assert main(argv) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("parse-error:") and "(line 2)" in err
+
     @pytest.mark.filterwarnings("error")
     def test_single_token_mutations_never_exit_1(self, heat_run, tmp_path):
         # every token of every line replaced in turn by each of these values;
@@ -597,9 +614,6 @@ def test_every_declared_key_mutated_never_exits_1(tmp_path, monkeypatch):
         [convergence]
         axis = 1
         regions = 0.0:0.25 0.75:1.0
-        grid = 0
-        probes = 3
-        probe_seed = 1
 
         [output]
         directory = out

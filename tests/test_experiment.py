@@ -162,13 +162,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text(bad)
 
-    def test_retired_convergence_keys_are_ignored(self):
-        # configs written before the exact metric still parse to the same experiment
-        old = DEFAULT_HEAT_CONFIG.replace(
-            "[convergence]\n", "[convergence]\ngrid = 0\nprobes = x\nprobe_seed = -1\n")
-        new, cfg = parse_config_text(old), default_heat_config()
-        assert (new.regions, new.region_axis) == (cfg.regions, cfg.region_axis)
-
     @pytest.mark.parametrize("old, new, message", [
         # a typo that parsed as the default
         ("jitter = 0.01", "jiter = 0.01", "unknown key 'jiter' in [sampling]"),
@@ -190,6 +183,13 @@ class TestConfigParsing:
          "[system] kind 'linear' does not read 'grid_points'"),
         ("period = 0.3", "period = 0.3\nvalues = 9 9",
          "[signal] kind 'raised-cosine' does not read 'values'"),
+        # the retired [convergence] keys, which nothing reads
+        ("lipschitz = 1.0", "lipschitz = 1.0\n\n[convergence]\ngrid = 0",
+         "unknown key 'grid' in [convergence]"),
+        ("lipschitz = 1.0", "lipschitz = 1.0\n\n[convergence]\nprobes = 5000",
+         "unknown key 'probes' in [convergence]"),
+        ("lipschitz = 1.0", "lipschitz = 1.0\n\n[convergence]\nprobe_seed = 1",
+         "unknown key 'probe_seed' in [convergence]"),
         # an unknown kind is reported as such, whatever keys its section holds
         ("kind = linear", "kind = quadratic", "unknown system kind 'quadratic'"),
         ("kind = raised-cosine", "kind = sawtooth", "unknown signal kind 'sawtooth'"),

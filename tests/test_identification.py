@@ -17,11 +17,11 @@ from cdmkit.errors import IdentificationError, PreconditionError, UnviableInputE
 from cdmkit.geometry import Containment, Side, StarSetApprox, star_contains
 from cdmkit.identification import (
     CdmReconstruction,
-    Cluster,
     EffectivePair,
     IdentificationConfig,
     ModeReconstruction,
     QueryKind,
+    _select_basis,
     build_reconstruction,
     build_reconstruction_from_pairs,
     cluster_pairs,
@@ -115,7 +115,7 @@ class TestClusterPairs:
             clusters = cluster_pairs(pts, delta=delta, n_modes=len(pts))
             for i in range(len(clusters)):
                 for j in range(i + 1, len(clusters)):
-                    a, b = clusters[i].pairs, clusters[j].pairs
+                    a, b = clusters[i], clusters[j]
                     gap = min(np.linalg.norm(x - y) for x in a for y in b)
                     assert gap >= delta - 1e-12
 
@@ -124,7 +124,7 @@ class TestClusterPairs:
         clusters = cluster_pairs(pairs, delta=0.1, n_modes=2)
         assert len(clusters) == 2
         # the two closest fragments were the ones joined
-        assert len(clusters[0].pairs) == 2 and len(clusters[1].pairs) == 1
+        assert len(clusters[0]) == 2 and len(clusters[1]) == 1
 
     def test_forced_merge_with_tied_gaps_stays_within_budget(self):
         # equidistant fragments merge through a tie; never more than the budget
@@ -139,7 +139,7 @@ class TestClusterPairs:
         b = cluster_pairs(pts, delta=0.5, n_modes=5)
         assert len(a) == len(b)
         for ca, cb in zip(a, b):
-            np.testing.assert_array_equal(ca.pairs, cb.pairs)
+            np.testing.assert_array_equal(ca, cb)
 
     @pytest.mark.parametrize("bad", [1e200, -1e151, np.nan, np.inf])
     def test_table_out_of_range_rejected(self, bad):
@@ -155,8 +155,9 @@ class TestClusterPairs:
         pairs = table([([1.0, 0.0], [2.0, 0.0]), ([2.0, 0.0], [4.0, 0.0]),
                        ([0.0, 1.0], [0.0, 3.0])])
         (cluster,) = cluster_pairs(pairs, delta=1000.0, n_modes=1)
-        assert len(cluster.basis_indices) == 2
-        basis = cluster.pairs[list(cluster.basis_indices), :2]
+        basis_indices, _ = _select_basis(cluster[:, :2], 2)
+        assert len(basis_indices) == 2
+        basis = cluster[list(basis_indices), :2]
         assert np.linalg.matrix_rank(basis) == 2
 
 
@@ -187,7 +188,7 @@ class TestFitLinear:
         truth = AffineMap(np.diag([2.0, 3.0]), np.array([0.25, -1.0]))
         cluster = cluster_of([(u, truth(u))
                               for u in ([1.0, 1.0], [0.0, 1.0], [0.2, -0.3])])
-        assert len(cluster.basis_indices) == 2
+        assert len(_select_basis(cluster[:, :2], 2)[0]) == 2
         q = fit_affine(cluster)
         np.testing.assert_allclose(q.linear, truth.linear, atol=1e-10)
         np.testing.assert_allclose(q.translation, truth.translation, atol=1e-10)
@@ -300,7 +301,7 @@ class TestEffectivePair:
             affected, unaffected = split_pairs(points, 1e-7)
             (cluster,) = cluster_pairs(affected, delta=0.5, n_modes=1)
         assert len(unaffected) == 0
-        np.testing.assert_array_equal(cluster.pairs, points)
+        np.testing.assert_array_equal(cluster, points)
 
 
 class TestBuildReconstruction:

@@ -12,7 +12,6 @@ from cdmkit.geometry import Side
 from cdmkit.identification import (
     EffectivePair,
     IdentificationConfig,
-    _make_cluster,
     build_reconstruction,
     build_reconstruction_from_pairs,
     fit_residuals,
@@ -448,7 +447,7 @@ def walked_reconstruction_from_lines(lines):
         count = _scalar_count(cur, "pairs")
         if not count:
             raise ReportParseError("a mode needs at least one pair", line=cur.lineno - 1)
-        clusters.append(_make_cluster(_walked_pairs(cur, count, m))[0])
+        clusters.append(_walked_pairs(cur, count, m))
         for block in ("[inner]", "[outer]"):
             cur.expect(block)
             cur.expect(STAR_HEADER)
