@@ -146,7 +146,7 @@ class StarSetApprox:
     side: Side
 
     def __post_init__(self):
-        center = np.atleast_1d(np.asarray(self.center, dtype=float))
+        center = np.array(self.center, dtype=float, ndmin=1)  # a copy: the caller's stays writable
         directions = np.asarray(self.directions, dtype=float)
         radii = np.atleast_1d(np.asarray(self.radii, dtype=float))
         if directions.size == 0:
@@ -195,6 +195,18 @@ class StarSetApprox:
     def center_coords(self) -> list:
         """The center as a list of Python floats."""
         return self.center.tolist()
+
+    @cached_property
+    def reach(self) -> float:
+        """The largest witness radius of an INNER side, the smallest of an OUTER side.
+
+        No inner bound exceeds it and no outer bound falls below it, in
+        any direction.  A side without witnesses has ``-inf`` (INNER) or
+        ``inf`` (OUTER): it certifies nothing and excludes nothing.
+        """
+        if self.side is _INNER:
+            return max(self.radii.tolist(), default=-math.inf)
+        return min(self.radii.tolist(), default=math.inf)
 
     @classmethod
     def from_points(cls, points, center, lipschitz: float, side: Side) -> "StarSetApprox":
@@ -392,9 +404,12 @@ def _classify(inner: StarSetApprox, outer: StarSetApprox, point: list) -> Contai
     The offset, radius and unit direction are computed once; the direction
     is normalized as :func:`_query_direction` normalizes it, its norm
     summed in :func:`_norm`'s order, and handed to both gauge bounds as a
-    :class:`_UnitDirection`, so neither checks it again.  The bounds are
-    called through this module's names, so a profiler that rebinds them
-    still sees every call.
+    :class:`_UnitDirection`, so neither checks it again.  A bound is
+    evaluated only where its side's ``reach`` leaves the answer open: an
+    inner bound is at most ``inner.reach`` and an outer bound at least
+    ``outer.reach``, since ``L·|l − l_i|`` is finite and non-negative and
+    rounding is monotone.  The bounds are called through this module's
+    names, so a profiler that rebinds them still sees every call.
     """
     sqrt = math.sqrt
     center = inner.center_coords
@@ -404,23 +419,23 @@ def _classify(inner: StarSetApprox, outer: StarSetApprox, point: list) -> Contai
         total += x * x
     if _NORMAL_MIN <= total < math.inf:
         r = sqrt(total)
+        if inner.reach < r <= outer.reach:  # neither cone can change the answer
+            return _INCONCLUSIVE
         l = [x / r for x in offset]
     else:  # the center, or squares that underflow, lose precision or overflow
         if not all(map(math.isfinite, point)):
             raise ValueError(f"point has non-finite components: {point}")
         if not any(offset):
-            if inner.rows and max(r_i for r_i, _ in inner.rows) > 0.0:
-                return _INSIDE_INNER
-            return _INCONCLUSIVE
+            return _INSIDE_INNER if inner.reach > 0.0 else _INCONCLUSIVE
         r, l = _polar(point, center, offset)
     total = 0.0
     for x in l:
         total += x * x
     n = sqrt(total)
     l = _UnitDirection(l if n == 1.0 else [x / n for x in l])  # x / 1.0 is x, bit for bit
-    if inner.rows and r <= mgf_inner_bound(inner, l):
+    if r <= inner.reach and r <= mgf_inner_bound(inner, l):
         return _INSIDE_INNER
-    if outer.rows and r > mgf_outer_bound(outer, l):
+    if r > outer.reach and r > mgf_outer_bound(outer, l):
         return _OUTSIDE_OUTER
     return _INCONCLUSIVE
 

@@ -126,7 +126,8 @@ class TestMgfBounds:
     def test_the_core_normalizes_as_the_bounds_do(self, monkeypatch):
         # offsets whose quotient by the radius is a few ulps from unit norm
         rng = np.random.default_rng(4)
-        inner = star_from_samples([[1.0, 0.0]], [1.0], Side.INNER, 1.0)
+        # a witness radius beyond every drawn offset, so each call reaches the inner bound
+        inner = star_from_samples([[1.0, 0.0]], [100.0], Side.INNER, 1.0)
         captured = []
         monkeypatch.setattr(geometry, "mgf_inner_bound",
                             lambda approx, d: captured.append(d) or math.inf)
@@ -244,6 +245,16 @@ class TestStarSetValidation:
             [[0.0, 0.0], [1.0, 0.0]], [0.0, 0.0], 1.0, Side.INNER
         )
         assert approx.n_samples == 1
+
+    def test_a_star_copies_its_center(self):
+        # the star keeps a read-only copy; the caller's array stays writable
+        c = np.zeros(2)
+        inner = StarSetApprox(c, 1.0, [[1.0, 0.0]], [1.0], Side.INNER)
+        outer = StarSetApprox.from_points([[2.0, 0.0]], c, 1.0, Side.OUTER)
+        c[0] = 1.0
+        for star in (inner, outer):
+            assert star.center.tolist() == [0.0, 0.0]
+            assert not star.center.flags.writeable
 
 
 class TestStarContains:

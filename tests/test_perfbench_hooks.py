@@ -42,7 +42,9 @@ def test_traced_star_build_is_a_classmethod():
 def test_served_commands_call_the_traced_gauge_bounds(heat_run, monkeypatch):
     # the tracer times geometry.inner_bound/outer_bound by rebinding these
     # module globals; a command path that stops calling them through the
-    # module would leave both spans absent
+    # module would leave both spans absent.  A bound is evaluated only where
+    # the witness radii leave the answer open, so the mapped command reaches
+    # both and the passthrough, beyond every outer radius, the outer one.
     from cdmkit import geometry, identification, read_reconstruction
 
     calls = Counter()
@@ -66,8 +68,11 @@ def test_served_commands_call_the_traced_gauge_bounds(heat_run, monkeypatch):
             identification.lipschitz_error_bound(recon, u_v, 3.0)
         served[kind] = dict(calls)
     assert set(served) == {"mapped", "passthrough"}
-    for counts in served.values():
-        assert counts.get("mgf_inner_bound", 0) > 0 and counts.get("mgf_outer_bound", 0) > 0
+    assert served["mapped"].get("mgf_inner_bound", 0) > 0
+    assert served["mapped"].get("mgf_outer_bound", 0) > 0
+    assert served["passthrough"].get("mgf_outer_bound", 0) > 0
+    assert set(served["mapped"]) | set(served["passthrough"]) == {"mgf_inner_bound",
+                                                                   "mgf_outer_bound"}
 
 
 def test_run_draws_every_step_through_the_traced_stream(heat_run, tmp_path, monkeypatch):

@@ -320,6 +320,53 @@ def test_classify_matches_the_reference_bit_for_bit(bundled):
     assert any(key[0] is ValueError for key in seen)
 
 
+def reach_pairs():
+    """Pairs about the origin whose witnesses lie along the axes.
+
+    A point ``v * e`` on an axis has radius exactly ``v``, since
+    ``sqrt(v * v) == v``, so it can sit at a side's reach and one ulp either
+    side of it.  The pairs take every Lipschitz constant from 0 up, sides
+    without witnesses, and inner radii of 0.
+    """
+    rng = np.random.default_rng(12)
+    pairs = []
+    for dim in (1, 2, 3):
+        axes = np.vstack([np.eye(dim), -np.eye(dim)])
+        for lipschitz in (0.0, 1e-3, 0.5, 1.0, 10.0):
+            for k_in, k_out in ((0, 2), (2, 0), (1, 1), (2 * dim, 2 * dim), (dim, 2 * dim)):
+                inner_r = rng.uniform(0.0, 1.0, size=k_in)
+                inner_r[::3] = 0.0
+                outer_r = rng.uniform(0.0, 2.0, size=k_out)
+                pairs.append((
+                    StarSetApprox(np.zeros(dim), lipschitz, axes[rng.permutation(2 * dim)[:k_in]],
+                                  inner_r, Side.INNER),
+                    StarSetApprox(np.zeros(dim), lipschitz, axes[rng.permutation(2 * dim)[:k_out]],
+                                  outer_r, Side.OUTER)))
+    return pairs
+
+
+def test_classify_at_each_reach_matches_the_reference_bit_for_bit():
+    seen = set()
+    at_reach = 0
+    pairs = reach_pairs()
+    for inner, outer in pairs:
+        dim = inner.dim
+        radii = {r for r, _ in inner.rows + outer.rows}
+        for v in radii:
+            for r in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)):
+                for k in range(dim):
+                    for sign in (1.0, -1.0):
+                        point = [0.0] * dim
+                        point[k] = sign * r
+                        assert r * r < _NORMAL_MIN or math.sqrt(r * r) == r  # radius r
+                        at_reach += r in (inner.reach, outer.reach)
+                        seen.add(assert_same(geometry._classify, old_classify,
+                                             inner, outer, point))
+    assert at_reach >= 2 * len(pairs)  # each pair has a side with witnesses
+    assert {Containment.INSIDE_INNER, Containment.OUTSIDE_OUTER,
+            Containment.INCONCLUSIVE} == {key[1] for key in seen}
+
+
 def test_public_bounds_match_the_reference_bit_for_bit(bundled):
     rng = np.random.default_rng(6)
     stars = [star for mode in bundled.modes for star in (mode.inner, mode.outer)]
@@ -381,6 +428,25 @@ def test_served_commands_match_the_reference_bit_for_bit(bundled):
         served += 1
     assert served >= 10_000
     assert {"array", UnviableInputError, PreconditionError, "float",
+            QueryKind.MAPPED, QueryKind.PASSTHROUGH} <= seen
+
+
+def test_served_commands_over_the_input_box_match_the_reference_bit_for_bit(bundled):
+    # the heat model's whole input box [0, 10] x [0, 1], not only the line u0 = 1
+    rng = np.random.default_rng(10)
+    box = [np.array([p, s]) for p in np.linspace(0.0, 10.0, 41) for s in np.linspace(0.0, 1.0, 41)]
+    box += list(rng.uniform([0.0, 0.0], [10.0, 1.0], size=(2000, 2)))
+    seen = set()
+    for u in box:
+        viable = assert_same(identification.viabilize, old_viabilize, bundled, u)
+        seen.add(viable[0])
+        targets = [u] + ([old_viabilize(bundled, u)] if viable[0] == "array" else [])
+        for target in targets:
+            result = assert_same(identification.query, old_query, bundled, target)
+            seen.add(result[1])
+            seen.add(assert_same(identification.lipschitz_error_bound,
+                                 old_lipschitz_error_bound, bundled, target, 3.0)[0])
+    assert {"array", UnviableInputError, "float", PreconditionError,
             QueryKind.MAPPED, QueryKind.PASSTHROUGH} <= seen
 
 
