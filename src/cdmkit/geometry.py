@@ -246,13 +246,16 @@ _NORMAL_MIN = sys.float_info.min  # smallest normal float
 
 
 def _coords(v, dim: int, what: str) -> list:
-    """``v`` as a list of ``dim`` Python floats; a ``ValueError`` for any other shape.
+    """``v`` as a list of ``dim`` Python floats; a ``ValueError`` for any other shape or dtype.
 
     Such a list is returned as it is.
     """
     if type(v) is list and len(v) == dim and set(map(type, v)) == _FLOAT_ONLY:
         return v
-    arr = np.atleast_1d(np.asarray(v, dtype=float))
+    arr = np.asarray(v)
+    if arr.dtype.kind not in "biuf":  # strings would parse, complex would truncate
+        raise ValueError(f"{what} is not a vector of real numbers: dtype {arr.dtype}")
+    arr = np.atleast_1d(arr.astype(float, copy=False))
     if arr.shape != (dim,):
         raise ValueError(f"{what} dimension mismatch")
     return arr.tolist()

@@ -69,6 +69,18 @@ class TestRegions:
         assert not in_region(BallRegion([0.0, 0.0], 1.0), [0.8, 0.8])
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: AffineMap(np.eye(2), np.zeros(3)), "translation dimension does not match linear part"),
+    (lambda: NModeCdm(modes=((IntervalRegion(0, 0.0, 1.0), identity(1)),
+                             (IntervalRegion(0, 2.0, 3.0), identity(2)))),
+     "all mode maps must share one input dimension"),
+    (lambda: heat_example_cdm()(np.zeros((4, 3))), r"input dimension 3 != map dimension 2"),
+])
+def test_maps_of_mismatched_dimensions_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestNModeCdm:
     def test_overlapping_intervals_rejected(self):
         q = identity(1)

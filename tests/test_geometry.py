@@ -15,6 +15,7 @@ from cdmkit.geometry import (
     Containment,
     Side,
     StarSetApprox,
+    as_point_set,
     estimate_mgf_lipschitz,
     interval_hausdorff,
     mgf_inner_bound,
@@ -104,6 +105,16 @@ class TestMgfBounds:
         for l in ([np.nan, 0.0], [np.inf, 0.0]):
             with pytest.raises(ValueError):
                 mgf_outer_bound(outer, l)
+
+    @pytest.mark.parametrize("l", [["0", "1"], np.array([0.0 + 0j, 1.0 + 0j]),
+                                   np.array([0.0, 1.0], dtype=object)])
+    @pytest.mark.parametrize("bound, side", [(mgf_inner_bound, Side.INNER),
+                                             (mgf_outer_bound, Side.OUTER)])
+    def test_non_real_direction_rejected(self, bound, side, l):
+        # numeric strings would parse and a complex part would be dropped
+        star = star_from_samples([[1.0, 0.0]], [1.0], side, 1.0)
+        with pytest.raises(ValueError, match="query direction is not a vector of real numbers"):
+            bound(star, l)
 
     @pytest.mark.parametrize("bound, side", [(mgf_inner_bound, Side.INNER),
                                              (mgf_outer_bound, Side.OUTER)])
@@ -290,6 +301,14 @@ class TestStarContains:
         assert star_contains(empty_inner, outer, [2.0, 0.0]) is Containment.OUTSIDE_OUTER
         assert star_contains(inner, empty_outer, [2.0, 0.0]) is Containment.INCONCLUSIVE
         assert star_contains(inner, empty_outer, [0.5, 0.0]) is Containment.INSIDE_INNER
+
+    @pytest.mark.parametrize("u", [["1", "0.1"], np.array([1 + 0j, 0.1 + 5j]),
+                                   np.array([0.5, 0.0], dtype=object)])
+    def test_non_real_point_rejected(self, u):
+        # numeric strings would parse and a complex part would be dropped
+        inner, outer = self.unit_ball_pair()
+        with pytest.raises(ValueError, match="point is not a vector of real numbers"):
+            star_contains(inner, outer, u)
 
     def test_center_mismatch_rejected(self):
         # the pair is checked once, where a mode is built, not on every query
@@ -622,6 +641,22 @@ def test_non_finite_point_is_rejected(u):
     for point in (u, np.array(u)):
         with pytest.raises(ValueError, match="non-finite"):
             star_contains(TINY_INNER, TINY_OUTER, point)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: as_point_set([[0.0, 1.0], [np.nan, 0.0]]), "point set contains non-finite values"),
+    (lambda: StarSetApprox(np.zeros(2), 1.0, [[1.0, 0.0], [0.0, 1.0]], [1.0], Side.INNER),
+     "directions and radii disagree in length"),
+    (lambda: StarSetApprox(np.zeros(2), 1.0, [[1.0, 0.0, 0.0]], [1.0], Side.OUTER),
+     "direction dimension does not match center"),
+    (lambda: StarSetApprox.from_points([[1.0, 0.0, 0.0]], np.zeros(2), 1.0, Side.INNER),
+     "direction dimension does not match center"),
+    (lambda: estimate_mgf_lipschitz([[1.0, 0.0], [0.0, 1.0]], [1.0]),
+     "directions and radii disagree in length"),
+])
+def test_malformed_witnesses_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_bundled_reconstruction_sweep_classifies_like_reference(heat_run):

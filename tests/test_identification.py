@@ -21,6 +21,7 @@ from cdmkit.identification import (
     IdentificationConfig,
     ModeReconstruction,
     QueryKind,
+    Reconstructor,
     _select_basis,
     build_reconstruction,
     build_reconstruction_from_pairs,
@@ -431,6 +432,46 @@ def manual_scalar_mode(lo, hi, linear, translation, lipschitz=0.5,
 def manual_recon(modes, n=3):
     return CdmReconstruction(modes=tuple(modes), unaffected=np.empty((0, 2)),
                              separation=0.1, mode_count=n, input_dim=1)
+
+
+CHECK_CONFIG = IdentificationConfig(delta=0.1, n_modes=1)
+
+
+def pushed(*dims):
+    """A stream that was pushed one pair of each dimension in turn."""
+    stream = Reconstructor(CHECK_CONFIG)
+    for dim in dims:
+        stream.push(EffectivePair(np.ones(dim), np.full(dim, 2.0)))
+    return stream
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cluster_pairs(np.empty((0, 2)), 0.1, 1), "no pairs to cluster"),
+    (lambda: cluster_pairs(np.ones((2, 2)), 0.0, 1), "separation delta must be positive"),
+    (lambda: cluster_pairs(np.ones((2, 2)), -1.0, 1), "separation delta must be positive"),
+    (lambda: cluster_pairs(np.ones((2, 2)), 0.1, 0), "n_modes must be at least 1"),
+    (lambda: build_reconstruction_from_pairs([], CHECK_CONFIG),
+     "cannot build a reconstruction from zero pairs"),
+    (lambda: Reconstructor(CHECK_CONFIG).snapshot(),
+     "cannot build a reconstruction from zero pairs"),
+    (lambda: pushed(1, 2), "pair dimension 2 != 1"),
+])
+def test_empty_or_mismatched_pairs_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_viabilize_skips_an_unidentified_mode_silently(caplog):
+    # only an identified mode with a singular linear part is worth a log line
+    mode = manual_scalar_mode(0.0, 0.25, 3.0, 0.25)
+    unidentified = ModeReconstruction(map=None, inner=mode.inner, outer=mode.outer,
+                                      pairs=mode.pairs, residuals=None)
+    caplog.set_level("DEBUG", logger="cdmkit.identification")
+    with pytest.raises(UnviableInputError, match="outside the reconstructed viable range"):
+        viabilize(manual_recon([unidentified]), [0.1])
+    assert caplog.records == []
+    np.testing.assert_allclose(viabilize(manual_recon([unidentified, mode]), [0.55]), [0.1])
+    assert caplog.records == []
 
 
 class TestQuery:

@@ -45,6 +45,24 @@ def recon():
     return build_reconstruction(samples, model, TRIAL_CONFIG)
 
 
+def write_no_samples(path):
+    write_samples(path, [])
+
+
+def read_empty_log(path):
+    path.write_text("")
+    read_samples(path)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (write_no_samples, ValueError, "no samples to write"),
+    (read_empty_log, ReportParseError, r"empty sample log \(line 1\)"),
+])
+def test_empty_sample_logs_rejected(tmp_path, call, error, message):
+    with pytest.raises(error, match=message):
+        call(tmp_path / "samples.csv")
+
+
 class TestSampleLog:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)

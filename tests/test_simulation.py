@@ -27,9 +27,7 @@ from cdmkit.simulation import (
     _MAX_GRID_POINTS,
     _affine_steps,
     _heat_model,
-    _step_matrix,
     _support,
-    _supported_step_matrix,
     probe_signal,
 )
 
@@ -100,11 +98,16 @@ class TestHeatSystem:
         rhs = heat_rhs(sys, state, [0.0, 0.5])
         np.testing.assert_allclose(rhs[-1], 1.0)
 
-    def test_source_mass_is_unit(self):
-        for eps in (0.05, 0.033, 0.2):
-            sys = HeatSystem(grid_points=101, epsilon=eps)
+    @pytest.mark.parametrize("grid_points", [3, 4, 5, 7, 11, 101, 2047])
+    def test_source_mass_is_unit(self, grid_points):
+        # the cell-averaged profile has unit trapezoid mass for every width
+        # the system accepts, so no check at construction needs to recompute it
+        h = 1.0 / (grid_points - 1)
+        widths = [*np.linspace(h, 1.0, 997).tolist(), *(e for e in (0.05, 0.033, 0.2) if e >= h)]
+        for eps in widths:
+            sys = HeatSystem(grid_points=grid_points, epsilon=eps)
             mass = np.trapezoid(sys.source_profile(), dx=sys.spacing)
-            np.testing.assert_allclose(mass, 1.0, atol=1e-12)
+            np.testing.assert_allclose(mass, 1.0, rtol=0, atol=1e-12, err_msg=f"epsilon={eps!r}")
 
     def test_unresolvable_source_rejected(self):
         with pytest.raises(ValueError):
@@ -451,7 +454,11 @@ STEP_MATRIX_CASES = {
     "dense": lambda: np.random.default_rng(3).normal(size=(30, 30)),
     "sparse": sparse_matrix,
     "inf": matrix_with_inf,
+    "heat_bundled": lambda: HeatSystem().model().a_matrix,
+    "dense_102": lambda: np.random.default_rng(1).normal(size=(102, 102)),
 }
+# the sweep seed of a case, where it is not the dimension of its A
+STEP_MATRIX_SEEDS = {"heat_bundled": 0, "dense_102": 1}
 
 
 class TestLinearPropagator:
@@ -525,52 +532,52 @@ class TestLinearPropagator:
         np.testing.assert_array_equal(_affine_steps(R, forcing, x).view(np.uint64),
                                       reference.view(np.uint64))
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_buffered_step_matrix_matches_expression(self, seed):
-        # the bundled heat model's A and a random one, over sub-step lengths
-        # from far below to above the 1 ms cap, and the last buffers reused
-        A = HeatSystem().model().a_matrix if seed == 0 else \
-            np.random.default_rng(seed).normal(size=(102, 102))
-        A2 = A @ A
-        A3 = A2 @ A
-        powers = (np.eye(A.shape[0]), A, A2, A3, A3 @ A)
-        out, term = np.empty_like(A), np.empty_like(A)
-        for dt in step_lengths(seed):
-            want = (np.eye(A.shape[0]) + dt * A + dt**2 / 2.0 * A2 + dt**3 / 6.0 * A3
-                    + dt**4 / 24.0 * powers[4])
-            assert _step_matrix(dt, powers, out, term) is out
-            np.testing.assert_array_equal(out.view(np.uint64), want.view(np.uint64))
-
     @pytest.mark.parametrize("case", sorted(STEP_MATRIX_CASES))
-    def test_supported_step_matrix_matches_expression(self, case):
-        # the buffer is reused across the sweep, so stale entries would show
+    def test_step_matrix_matches_expression(self, case, monkeypatch):
+        # each R that one advance hands to the mat-vec loop, over sub-step
+        # lengths from far below to above the 1 ms cap and 0; the advance
+        # and its R are reused across the sweep, so stale entries would show
         A = STEP_MATRIX_CASES[case]()
-        eye = np.eye(A.shape[0])
+        n = A.shape[0]
+        eye = np.eye(n)
+        seen = []
+        monkeypatch.setattr(simulation, "_affine_steps",
+                            lambda R, forcing, x: seen.append(R.copy()) or x)
         with np.errstate(invalid="ignore", over="ignore"):
             A2 = A @ A
             A3 = A2 @ A
             A4 = A3 @ A
-            step_matrix = _supported_step_matrix((eye, A, A2, A3, A4))
-            for dt in step_lengths(A.shape[0]):
+            advance = simulation._linear_rk4_advance(linear_system(A, np.zeros((n, 1))))
+            for dt in step_lengths(STEP_MATRIX_SEEDS.get(case, n)):
+                advance(np.zeros(n), dt, np.zeros((3, 1)))
                 want = eye + dt * A + dt**2 / 2.0 * A2 + dt**3 / 6.0 * A3 + dt**4 / 24.0 * A4
-                np.testing.assert_array_equal(step_matrix(dt).view(np.uint64),
-                                              want.view(np.uint64), err_msg=f"dt={dt!r}")
+                np.testing.assert_array_equal(seen.pop().view(np.uint64), want.view(np.uint64),
+                                              err_msg=f"dt={dt!r}")
 
     def test_bundled_step_matrix_is_built_on_the_band(self, monkeypatch):
-        # a silent fall-back to the dense sum would show in both counts
+        # the spied support leaves out the diagonal, so a sum over the dense
+        # matrix would show there; the support is found once per integrate
         model = HeatSystem().model()
         n = model.dim_state
         support = _support((np.eye(n), model.a_matrix, *model._rk4_powers[:3]))
         assert np.bincount(support // n, minlength=n).max() <= 9
-        sizes = []
+        band = support[support % (n + 1) != 0]
+        supports, seen = [], []
 
-        def recording(dt, powers, out, term):
-            sizes.append(out.size)
-            return _step_matrix(dt, powers, out, term)
+        def spied(powers):
+            supports.append(_support(powers))
+            return band
 
-        monkeypatch.setattr(simulation, "_step_matrix", recording)
+        monkeypatch.setattr(simulation, "_support", spied)
+        monkeypatch.setattr(simulation, "_affine_steps",
+                            lambda R, forcing, x: seen.append(R.copy()) or x)
         integrate(model, None, np.zeros(n), probe_signal, SamplingSchedule(20.0, horizon=0.2))
-        assert len(sizes) == 3 and set(sizes) == {support.size}
+        assert len(supports) == 1 and np.array_equal(supports[0], support)
+        off_band = np.ones(n * n, dtype=bool)
+        off_band[band] = False
+        assert len(seen) == 3
+        for R in seen:
+            assert R.reshape(-1)[band].any() and not R.reshape(-1)[off_band].any()
 
     def test_vanishing_interval_takes_no_step(self):
         # a sample 1e-300 s after the start is below any step: no step, no warning
@@ -729,6 +736,21 @@ class TestPseudoInverse:
     def test_overactuated_rejected(self):
         with pytest.raises(ValueError):
             linear_system([[1.0]], [[1.0, 2.0]])  # m=2 > n=1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: linear_system(np.ones((2, 3)), np.ones((2, 1))), "A must be square and B conformable"),
+    (lambda: linear_system(np.eye(2), np.ones((3, 1))), "A must be square and B conformable"),
+    (lambda: integrate(linear_system(np.eye(2), np.ones((2, 1))), lambda U: np.column_stack([U, U]),
+                       np.zeros(2), zero_signal(1), SamplingSchedule(10.0)),
+     "degradation map changed the input dimension"),
+    (lambda: integrate(linear_system(np.eye(2), np.ones((2, 1))), None, np.zeros(3),
+                       zero_signal(1), SamplingSchedule(10.0)),
+     "initial state dimension mismatch"),
+])
+def test_mismatched_dimensions_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestControlSample:
