@@ -33,7 +33,7 @@ _PUBLIC = {
         "interval_hausdorff", "mgf_inner_bound", "mgf_outer_bound", "star_contains",
     ),
     "identification": (
-        "CdmReconstruction", "EffectivePair", "IdentificationConfig", "ModeReconstruction",
+        "CdmReconstruction", "IdentificationConfig", "ModeReconstruction",
         "QueryKind", "QueryResult", "Reconstructor", "build_reconstruction",
         "build_reconstruction_from_pairs", "cluster_pairs", "fit_affine",
         "lipschitz_error_bound", "query", "recover_effective_input", "split_pairs",

@@ -35,7 +35,6 @@ from .errors import ConfigError, IdentificationError, PreconditionError
 from .geometry import interval_hausdorff, mgf_inner_bound
 from .identification import (
     CdmReconstruction,
-    EffectivePair,
     IdentificationConfig,
     Reconstructor,
     recover_effective_input,
@@ -392,14 +391,14 @@ def stream_reconstructions(samples: Sequence[ControlSample], model: SystemModel,
     ``modes_identified`` at each step and takes one snapshot, after the
     last observation.  An observation whose effective input cannot be
     recovered (the input matrix is rank deficient at its state), or whose
-    pair has a component beyond the range :class:`EffectivePair` accepts,
+    pair has a component beyond the range ``Reconstructor.push`` accepts,
     stops the stream with an :class:`IdentificationError` that names its
     index and time.
     """
     reconstructor = Reconstructor(ident)
     for i, s in enumerate(samples):
         try:
-            reconstructor.push(EffectivePair(s.input, recover_effective_input(s, model)))
+            reconstructor.push(s.input, recover_effective_input(s, model))
         except PreconditionError as exc:
             raise IdentificationError(
                 f"observation {i} at t = {s.time!r}: {exc}", detail=i) from exc

@@ -88,10 +88,11 @@ def _dedup_samples(directions, radii, side: Side):
     kept direction folds its radius into the first such (max for INNER, min
     for OUTER); any other is kept.  Repeats of a direction always fold into
     the same kept one, so the distinct directions are found first by a
-    stable row sort, O(k log k), each with the fold of its own radii.  When
-    their projections on a fixed generic axis are more than twice the
-    tolerance apart they are all kept; only otherwise does the greedy pass
-    run, over the distinct directions.
+    stable row sort, O(k log k), each with the fold of its own radii.  Two
+    directions within the tolerance project within it on a fixed generic
+    axis, so they lie in one run of projections no more than twice the
+    tolerance apart; the greedy pass runs over the distinct directions of
+    each run of two or more, in order, and every other one is kept.
     """
     if directions.shape[0] < 2:
         return directions.copy(), radii.copy()
@@ -103,24 +104,26 @@ def _dedup_samples(directions, radii, side: Side):
     by_first = np.argsort(first)  # distinct directions by first appearance
     distinct = directions[first[by_first]]
     distinct_radii = fold.reduceat(radii[order], starts)[by_first]
-    if distinct.shape[0] < 2:
+    projection = distinct @ _generic_axis(distinct.shape[1])
+    by_projection = np.argsort(projection, kind="stable")
+    breaks = np.diff(projection[by_projection]) > 2.0 * DIRECTION_DEDUP_TOL
+    if breaks.all():  # also a single distinct direction
         return distinct, distinct_radii
-    spread = np.diff(np.sort(distinct @ _generic_axis(distinct.shape[1])))
-    if (spread > 2.0 * DIRECTION_DEDUP_TOL).all():
-        return distinct, distinct_radii
-    kept: list[int] = []
-    leader = np.empty(distinct.shape[0], dtype=int)
-    for i, l in enumerate(distinct):
-        for j, lead in enumerate(kept):
-            if np.linalg.norm(l - distinct[lead]) <= DIRECTION_DEDUP_TOL:
-                leader[i] = j
-                break
-        else:
-            leader[i] = len(kept)
-            kept.append(i)
-    kept_radii = np.full(len(kept), -np.inf if side is Side.INNER else np.inf)
-    fold.at(kept_radii, leader, distinct_radii)
-    return distinct[kept], kept_radii
+    runs = np.flatnonzero(np.concatenate(([True], breaks, [True])))  # run bounds in by_projection
+    leader = np.arange(distinct.shape[0])  # the kept direction each one folds into
+    for r in np.flatnonzero(np.diff(runs) > 1).tolist():
+        kept: list[int] = []
+        for i in np.sort(by_projection[runs[r]:runs[r + 1]]).tolist():  # in first-appearance order
+            for lead in kept:
+                if np.linalg.norm(distinct[i] - distinct[lead]) <= DIRECTION_DEDUP_TOL:
+                    leader[i] = lead
+                    break
+            else:
+                kept.append(i)
+    is_kept = leader == np.arange(leader.shape[0])
+    kept_radii = np.full(int(is_kept.sum()), -np.inf if side is Side.INNER else np.inf)
+    fold.at(kept_radii, (np.cumsum(is_kept) - 1)[leader], distinct_radii)
+    return distinct[is_kept], kept_radii
 
 
 @dataclass(frozen=True)
@@ -243,6 +246,26 @@ def _witnesses(points, center: np.ndarray):
 
 _FLOAT_ONLY = frozenset((float,))
 _NORMAL_MIN = sys.float_info.min  # smallest normal float
+_REAL_SCALARS = (int, float, np.bool_, np.integer, np.floating)  # a bool is an int
+
+
+def _real(v) -> np.ndarray:
+    """``v`` as a float array; a ``TypeError`` unless every entry is a real number in float range.
+
+    Strings would parse and complex values would lose their imaginary
+    part, so bool, integer and float arrays qualify, and so do object
+    arrays (an int beyond int64 makes one) of Python or NumPy ints, bools
+    and floats.  The message names the dtype, or an int too large for a float.
+    """
+    arr = np.asarray(v)
+    if arr.dtype.kind in "biuf":
+        return arr.astype(float, copy=False)
+    if arr.dtype.kind == "O" and all(isinstance(x, _REAL_SCALARS) for x in arr.flat):
+        try:
+            return arr.astype(float)
+        except OverflowError as exc:  # an int beyond the float range
+            raise TypeError(str(exc)) from None
+    raise TypeError(f"dtype {arr.dtype}")
 
 
 def _coords(v, dim: int, what: str) -> list:
@@ -252,10 +275,10 @@ def _coords(v, dim: int, what: str) -> list:
     """
     if type(v) is list and len(v) == dim and set(map(type, v)) == _FLOAT_ONLY:
         return v
-    arr = np.asarray(v)
-    if arr.dtype.kind not in "biuf":  # strings would parse, complex would truncate
-        raise ValueError(f"{what} is not a vector of real numbers: dtype {arr.dtype}")
-    arr = np.atleast_1d(arr.astype(float, copy=False))
+    try:
+        arr = np.atleast_1d(_real(v))
+    except TypeError as exc:
+        raise ValueError(f"{what} is not a vector of real numbers: {exc}") from None
     if arr.shape != (dim,):
         raise ValueError(f"{what} dimension mismatch")
     return arr.tolist()

@@ -33,6 +33,7 @@ from .geometry import (
     StarSetApprox,
     estimate_mgf_lipschitz,
     _classify,
+    _real,
     pairwise_distances,
 )
 from .simulation import ControlSample, SystemModel
@@ -54,32 +55,38 @@ def _check_range(values: np.ndarray, name: str) -> None:
             f"{_PAIR_LIMIT:g} in magnitude")
 
 
-@dataclass(frozen=True)
-class EffectivePair:
-    """A commanded input and the effective input recovered for it.
+def _pair_row(u, v) -> np.ndarray:
+    """``[u | v]`` as floats, if both are 1-D real vectors of one dimension within 1e150."""
+    halves = []
+    for name, value in (("input", u), ("effective", v)):
+        try:
+            value = _real(value)
+        except TypeError:
+            value = None
+        if value is None or value.ndim != 1:
+            raise ValueError(f"{name} must be a 1-D vector of real numbers")
+        _check_range(value, name)
+        halves.append(value)
+    if halves[0].shape != halves[1].shape:
+        raise ValueError("input and effective input dimensions disagree")
+    return np.concatenate(halves)
 
-    A component that is not finite or exceeds 1e150 in magnitude raises
-    :class:`PreconditionError`.
+
+def _pair_table(points) -> np.ndarray:
+    """``points`` as a float ``(k, 2m)`` table of rows ``[u | v]``, ``m >= 1``.
+
+    Any other shape, or an entry that is not a real number, raises
+    ``ValueError``; a component that is not finite or beyond 1e150 raises
+    :class:`PreconditionError`.  A float table is returned as it is.
     """
-
-    input: np.ndarray
-    effective: np.ndarray
-
-    def __post_init__(self):
-        for name in ("input", "effective"):
-            raw = np.asarray(getattr(self, name))
-            if raw.ndim != 1 or raw.dtype.kind not in "biuf":
-                raise ValueError(f"{name} must be a 1-D vector of real numbers")
-            value = raw.astype(float)
-            _check_range(value, name)
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
-        if self.input.shape != self.effective.shape:
-            raise ValueError("input and effective input dimensions disagree")
-
-    @property
-    def dim(self) -> int:
-        return self.input.shape[0]
+    try:
+        table = _real(points)
+    except TypeError as exc:
+        raise ValueError(f"pair table is not a table of real numbers: {exc}") from None
+    if table.ndim != 2 or table.shape[1] < 2 or table.shape[1] % 2:
+        raise ValueError(f"pair table must have shape (k, 2m) with m >= 1, got {table.shape}")
+    _check_range(table, "pair table")
+    return table
 
 
 def recover_effective_input(sample: ControlSample, model: SystemModel) -> np.ndarray:
@@ -319,7 +326,7 @@ def cluster_pairs(points: np.ndarray, delta: float, n_modes: int) -> list[np.nda
         raise ValueError("separation delta must be positive")
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
-    _check_range(points, "pair table")
+    points = _pair_table(points)
     # the structure the stream grows, one point at a time, cut once
     dist = pairwise_distances(points, points)
     linkage = _Linkage(delta, n_modes, points.shape[1])
@@ -354,6 +361,7 @@ def fit_affine(pairs: np.ndarray) -> AffineMap:
     subspace (inputs confined to an affine subspace) it still reproduces
     consistent data exactly and leaves unobserved directions untouched.
     """
+    pairs = _pair_table(pairs)
     m = pairs.shape[1] // 2
     inputs, effectives = pairs[:, :m], pairs[:, m:]
     basis = list(_select_basis(inputs, m)[0])
@@ -523,7 +531,7 @@ def split_pairs(points: np.ndarray, identity_tol: float):
 
     A component not finite or beyond 1e150 raises :class:`PreconditionError`.
     """
-    _check_range(points, "pair table")
+    points = _pair_table(points)
     mask = np.array([_is_unaffected(p, identity_tol) for p in points], dtype=bool)
     return points[~mask], points[mask]
 
@@ -598,13 +606,12 @@ def reconstruction_from_clusters(clusters: Sequence[np.ndarray], unaffected: np.
     )
 
 
-def build_reconstruction_from_pairs(pairs: Sequence[EffectivePair],
+def build_reconstruction_from_pairs(pairs: Sequence[tuple],
                                     config: IdentificationConfig) -> CdmReconstruction:
-    """Cluster, fit, and bound degradation modes from recovered pairs."""
+    """Cluster, fit, and bound degradation modes from recovered ``(u, v)`` pairs."""
     if not pairs:
         raise ValueError("cannot build a reconstruction from zero pairs")
-    m = pairs[0].dim
-    table = np.array([(p.input, p.effective) for p in pairs]).reshape(len(pairs), 2 * m)
+    table = np.array([_pair_row(u, v) for u, v in pairs])
     affected, unaffected = split_pairs(table, config.identity_tol)
     unaffected.setflags(write=False)
     clusters = []
@@ -619,7 +626,7 @@ def build_reconstruction_from_pairs(pairs: Sequence[EffectivePair],
 class Reconstructor:
     """Online reconstruction: pairs pushed one at a time, snapshots built on demand.
 
-    ``push(pair)`` records a pair at the cost of clustering it: it joins,
+    ``push(u, v)`` records a pair at the cost of clustering it: it joins,
     starts or merges threshold components, the clusters are re-cut from
     them, a cluster that only gains the pair appends it to its table, and
     the basis of a grown cluster is picked by scoring only its new inputs;
@@ -640,15 +647,15 @@ class Reconstructor:
         self._linkage = _Linkage(config.delta, config.n_modes, 0)
         self._identified = 0
 
-    def push(self, pair: EffectivePair) -> None:
-        """Record one pair and re-cut the clusters it changes."""
+    def push(self, u, v) -> None:
+        """Record the command ``u`` with its recovered effective input ``v``; re-cut the clusters."""
+        point = _pair_row(u, v)
         if self._dim is None:
-            self._dim = pair.dim
-            self._unaffected = _Rows(np.empty((0, 2 * pair.dim)))
-            self._linkage = _Linkage(self.config.delta, self.config.n_modes, 2 * pair.dim)
-        elif pair.dim != self._dim:
-            raise ValueError(f"pair dimension {pair.dim} != {self._dim}")
-        point = np.concatenate([pair.input, pair.effective])
+            self._dim = point.shape[0] // 2
+            self._unaffected = _Rows(np.empty((0, point.shape[0])))
+            self._linkage = _Linkage(self.config.delta, self.config.n_modes, point.shape[0])
+        elif point.shape[0] != 2 * self._dim:
+            raise ValueError(f"pair dimension {point.shape[0] // 2} != {self._dim}")
         if _is_unaffected(point, self.config.identity_tol):
             self._unaffected.append(point)
         else:
@@ -690,9 +697,7 @@ def build_reconstruction(samples: Sequence[ControlSample], model: SystemModel,
 
     Re-running on the same samples yields an identical reconstruction.
     """
-    pairs = [
-        EffectivePair(s.input, recover_effective_input(s, model)) for s in samples
-    ]
+    pairs = [(s.input, recover_effective_input(s, model)) for s in samples]
     return build_reconstruction_from_pairs(pairs, config)
 
 
@@ -729,10 +734,7 @@ def _command(recon: CdmReconstruction, u) -> tuple[np.ndarray, list]:
             raise PreconditionError("command has non-finite components")
         return u, coords
     try:
-        raw = np.asarray(u)
-        if raw.dtype.kind not in "biuf":  # strings would parse, complex would truncate
-            raise TypeError(f"dtype {raw.dtype}")
-        point = np.atleast_1d(np.asarray(raw, dtype=float))
+        point = np.atleast_1d(_real(u))
     except (TypeError, ValueError) as exc:
         raise PreconditionError(f"command is not a vector of real numbers: {exc}") from None
     if point.shape != (recon.input_dim,):

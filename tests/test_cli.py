@@ -18,7 +18,7 @@ import pytest
 import cdmkit
 from cdmkit.cli import EXIT_CONFIG, EXIT_IDENTIFICATION, EXIT_OK, EXIT_UNVIABLE, entry, main
 from cdmkit.experiment import parse_config_text, run_experiment
-from cdmkit.identification import EffectivePair, build_reconstruction_from_pairs
+from cdmkit.identification import build_reconstruction_from_pairs
 from cdmkit.serialization import reconstruction_to_lines, write_reconstruction
 
 SMALL_HEAT_CONFIG = """\
@@ -435,7 +435,7 @@ class TestViabilize:
                                                               capsys):
         config, result, _ = heat_run
         m = result.reconstruction.input_dim
-        pairs = [EffectivePair(row[:m], row[m:])
+        pairs = [(row[:m], row[m:])
                  for mode in result.reconstruction.modes for row in mode.pairs]
         bare = build_reconstruction_from_pairs(pairs, config.identification)
         assert len(bare.unaffected) == 0 and len(bare.modes) == 3

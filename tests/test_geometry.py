@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ class TestMgfBounds:
                 mgf_outer_bound(outer, l)
 
     @pytest.mark.parametrize("l", [["0", "1"], np.array([0.0 + 0j, 1.0 + 0j]),
-                                   np.array([0.0, 1.0], dtype=object)])
+                                   np.array([Fraction(0), 1.0], dtype=object)])
     @pytest.mark.parametrize("bound, side", [(mgf_inner_bound, Side.INNER),
                                              (mgf_outer_bound, Side.OUTER)])
     def test_non_real_direction_rejected(self, bound, side, l):
@@ -303,7 +304,7 @@ class TestStarContains:
         assert star_contains(inner, empty_outer, [0.5, 0.0]) is Containment.INSIDE_INNER
 
     @pytest.mark.parametrize("u", [["1", "0.1"], np.array([1 + 0j, 0.1 + 5j]),
-                                   np.array([0.5, 0.0], dtype=object)])
+                                   np.array([Fraction(1, 2), 0.0], dtype=object)])
     def test_non_real_point_rejected(self, u):
         # numeric strings would parse and a complex part would be dropped
         inner, outer = self.unit_ball_pair()

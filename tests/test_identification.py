@@ -2,9 +2,11 @@
 
 import dataclasses
 import math
+import re
 import sys
 import threading
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from cdmkit.errors import IdentificationError, PreconditionError, UnviableInputE
 from cdmkit.geometry import Containment, Side, StarSetApprox, star_contains
 from cdmkit.identification import (
     CdmReconstruction,
-    EffectivePair,
     IdentificationConfig,
     ModeReconstruction,
     QueryKind,
@@ -266,7 +267,15 @@ class TestSplitPairs:
                 split_pairs(np.array([[0.1, 0.2], [bad, 1e200]]), identity_tol=1e-7)
 
 
-class TestEffectivePair:
+# the two entry points of a recovered pair (u, v): each checks it as its [u | v] row
+PAIR_ENTRIES = {
+    "push": lambda u, v: Reconstructor(CHECK_CONFIG).push(u, v),
+    "batch": lambda u, v: build_reconstruction_from_pairs([(u, v)], CHECK_CONFIG),
+}
+
+
+class TestPairRow:
+    @pytest.mark.parametrize("entry", PAIR_ENTRIES)
     @pytest.mark.parametrize("u, v", [
         ([[1.0, 2.0]], [[3.0, 4.0]]),
         (1.0, 2.0),
@@ -280,23 +289,24 @@ class TestEffectivePair:
         ([1.0, np.nan], [2.0, 3.0]),
     ], ids=["2-D", "0-D", "complex input", "complex effective", "string", "nan", "inf",
             "dims disagree", "beyond 1e150", "nan not first"])
-    def test_malformed_pair_rejected(self, u, v):
+    def test_malformed_pair_rejected(self, u, v, entry):
         with pytest.raises(ValueError):
-            EffectivePair(u, v)
+            PAIR_ENTRIES[entry](u, v)
 
+    @pytest.mark.parametrize("entry", PAIR_ENTRIES)
     @pytest.mark.parametrize("u, v, half", [
         ([1.0, 1e151], [2.0, 3.0], "input"),
         ([1.0], [-np.inf], "effective"),
     ])
-    def test_out_of_range_half_is_named(self, u, v, half):
+    def test_out_of_range_half_is_named(self, u, v, half, entry):
         with pytest.raises(PreconditionError, match=f"^{half} has a component that is not "
                                                     r"finite or beyond 1e\+150"):
-            EffectivePair(u, v)
+            PAIR_ENTRIES[entry](u, v)
 
     def test_range_limit_itself_accepted(self):
         # at the limit the unaffected test and the merge heights stay finite
-        pairs = [EffectivePair([1e150], [-1e150]), EffectivePair([-1e150], [1e150])]
-        points = np.array([np.concatenate([p.input, p.effective]) for p in pairs])
+        pairs = [([1e150], [-1e150]), ([-1e150], [1e150])]
+        points = np.array([np.concatenate([u, v]) for u, v in pairs])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             affected, unaffected = split_pairs(points, 1e-7)
@@ -358,8 +368,8 @@ class TestBuildReconstruction:
     def test_rank_deficient_cluster_detected_not_identified(self):
         # two pairs cannot anchor a 2-D fit; degradation is still flagged
         pairs = [
-            EffectivePair([1.0, 0.0], [2.0, 0.0]),
-            EffectivePair([0.0, 1.0], [0.0, 2.0]),
+            ([1.0, 0.0], [2.0, 0.0]),
+            ([0.0, 1.0], [0.0, 2.0]),
         ]
         cfg = IdentificationConfig(delta=0.1, n_modes=2)
         recon = build_reconstruction_from_pairs(pairs, cfg)
@@ -383,9 +393,9 @@ class TestBuildReconstruction:
         # witness radii vary strongly with direction; a near-zero assumed
         # slope cannot be consistent with them
         pairs = [
-            EffectivePair([1.0, 0.0], [3.0, 0.0]),
-            EffectivePair([0.0, 0.2], [0.0, 2.4]),
-            EffectivePair([0.4, 0.0], [1.4, 0.0]),
+            ([1.0, 0.0], [3.0, 0.0]),
+            ([0.0, 0.2], [0.0, 2.4]),
+            ([0.4, 0.0], [1.4, 0.0]),
         ]
         cfg = IdentificationConfig(delta=1e6, n_modes=1, lipschitz=1e-6)
         with pytest.warns(RuntimeWarning):
@@ -441,7 +451,7 @@ def pushed(*dims):
     """A stream that was pushed one pair of each dimension in turn."""
     stream = Reconstructor(CHECK_CONFIG)
     for dim in dims:
-        stream.push(EffectivePair(np.ones(dim), np.full(dim, 2.0)))
+        stream.push(np.ones(dim), np.full(dim, 2.0))
     return stream
 
 
@@ -459,6 +469,70 @@ def pushed(*dims):
 def test_empty_or_mismatched_pairs_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# tables that are not (k, 2m) tables of real numbers, and each one's message
+MALFORMED_TABLES = {
+    "complex": (np.array([[1 + 1j, 2.0], [3.0, 4.0]]),
+                "pair table is not a table of real numbers: dtype complex128"),
+    "string": (np.array([["1", "2"], ["3", "4"]]),
+               "pair table is not a table of real numbers: dtype <U1"),
+    "object": (np.array([[Fraction(1), 2.0], [3.0, 4.0]], dtype=object),
+               "pair table is not a table of real numbers: dtype object"),
+    "1-D": (np.array([1.0, 2.0]), "pair table must have shape (k, 2m) with m >= 1, got (2,)"),
+    "odd width": (np.array([[1.0, 2.0, 3.0], [1.0, 5.0, 1.0]]),
+                  "pair table must have shape (k, 2m) with m >= 1, got (2, 3)"),
+}
+TABLE_FUNCTIONS = {
+    "split_pairs": lambda points: split_pairs(points, 1e-7),
+    "cluster_pairs": lambda points: cluster_pairs(points, 0.1, 1),
+    "fit_affine": fit_affine,
+}
+
+
+@pytest.mark.parametrize("kind", MALFORMED_TABLES)
+@pytest.mark.parametrize("function", TABLE_FUNCTIONS)
+def test_malformed_pair_table_rejected(function, kind):
+    # a complex part would be dropped or kept, and a misshaped table split or indexed wrongly
+    points, message = MALFORMED_TABLES[kind]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TABLE_FUNCTIONS[function](points)
+
+
+def test_an_object_vector_of_real_numbers_is_served_as_its_floats(heat_run):
+    # an int beyond int64 makes an object array; each entry converts with float
+    recon = heat_run[1].reconstruction
+    commands = [[2**70, 0], [-2**70, 2**64], np.array([1, 0.5], dtype=object),
+                np.array([np.int64(1), np.float32(0.25)], dtype=object),
+                np.array([True, 0.75], dtype=object)]
+    commands += [np.array(mode.inner.center.tolist(), dtype=object) for mode in recon.modes]
+    kinds = set()
+    for u in commands:
+        assert np.asarray(u).dtype == object
+        floats = [float(x) for x in u]
+        kinds.add(outcome(query, recon, u)[0])
+        for call in (query, viabilize, error_bound):
+            assert outcome(call, recon, u) == outcome(call, recon, floats)
+        for mode in recon.modes:
+            assert star_contains(mode.inner, mode.outer, u) is \
+                star_contains(mode.inner, mode.outer, floats)
+    assert {QueryKind.MAPPED, QueryKind.PASSTHROUGH} <= kinds
+
+
+@pytest.mark.parametrize("u, reason", [
+    ([10**400, 0], "int too large to convert to float"),
+    (np.array([Fraction(1, 2), 0.5], dtype=object), "dtype object"),
+    ([None, 0.5], "dtype object"),
+    (["1", 0.5], "dtype <U32"),
+])
+def test_an_object_vector_of_anything_else_is_rejected(heat_run, u, reason):
+    recon = heat_run[1].reconstruction
+    for call in (query, viabilize, error_bound):
+        assert outcome(call, recon, u) == (
+            "PreconditionError", f"command is not a vector of real numbers: {reason}")
+    mode = recon.modes[0]
+    with pytest.raises(ValueError, match=f"^point is not a vector of real numbers: {reason}$"):
+        star_contains(mode.inner, mode.outer, u)
 
 
 def test_viabilize_skips_an_unidentified_mode_silently(caplog):

@@ -28,7 +28,7 @@ PUBLIC = {
         "Containment", "Side", "StarSetApprox", "estimate_mgf_lipschitz", "interval_hausdorff",
         "mgf_inner_bound", "mgf_outer_bound", "star_contains"],
     "identification": [
-        "CdmReconstruction", "EffectivePair", "IdentificationConfig", "ModeReconstruction",
+        "CdmReconstruction", "IdentificationConfig", "ModeReconstruction",
         "QueryKind", "QueryResult", "Reconstructor", "build_reconstruction",
         "build_reconstruction_from_pairs", "cluster_pairs", "fit_affine",
         "lipschitz_error_bound", "query", "recover_effective_input", "split_pairs",
@@ -86,6 +86,7 @@ PRIVATE_IMPORTS = {
     ("identification", "geometry", "_INSIDE_INNER"),
     ("identification", "geometry", "_OUTSIDE_OUTER"),
     ("identification", "geometry", "_classify"),
+    ("identification", "geometry", "_real"),
 }
 
 

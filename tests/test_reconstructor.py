@@ -14,6 +14,7 @@ direction de-duplication) are checked against the loops they replace.
 import ast
 import contextlib
 import logging
+import time
 from collections import Counter
 from pathlib import Path
 import warnings
@@ -31,11 +32,11 @@ from cdmkit.geometry import (
     Side,
     StarSetApprox,
     _dedup_samples,
+    _generic_axis,
     mgf_inner_bound,
     mgf_outer_bound,
 )
 from cdmkit.identification import (
-    EffectivePair,
     IdentificationConfig,
     Reconstructor,
     _select_basis,
@@ -65,7 +66,7 @@ def assert_snapshots_match_batch(pairs, config, steps=None):
     rec = Reconstructor(config)
     for k, pair in enumerate(pairs, start=1):
         expected = build_reconstruction_from_pairs(pairs[:k], config)
-        rec.push(pair)
+        rec.push(*pair)
         assert rec.modes_identified == sum(m.identified for m in expected.modes)
         if steps is None or k in steps:
             assert_same(rec.snapshot(), expected)
@@ -82,7 +83,7 @@ def quiet():
 def heat_pairs(heat_run):
     config, result, _ = heat_run
     model = config.model()
-    return [EffectivePair(s.input, recover_effective_input(s, model)) for s in result.samples]
+    return [(s.input, recover_effective_input(s, model)) for s in result.samples]
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +102,7 @@ def test_trial_bank_streams_match_batch_at_every_step():
     cfg = IdentificationConfig(delta=TRIAL_DELTA, n_modes=3, lipschitz=TRIAL_LIPSCHITZ)
     for seed in range(100):
         model, _, samples, _, _ = make_trial(seed)
-        pairs = [EffectivePair(s.input, recover_effective_input(s, model)) for s in samples]
+        pairs = [(s.input, recover_effective_input(s, model)) for s in samples]
         assert_snapshots_match_batch(pairs, cfg)
 
 
@@ -125,14 +126,14 @@ def pair_streams(draw):
             u = rng.uniform(-3, 3, m) - 10.0
             if grid:
                 u = np.round(u / grid) * grid
-            pairs.append(EffectivePair(u, u.copy()))  # unaffected
+            pairs.append((u, u.copy()))  # unaffected
             continue
         k = int(rng.integers(n_true))
         u = centers[k] + rng.uniform(-spread, spread, m)
         if grid:
             u = np.round(u / grid) * grid
         P, p = maps[k]
-        pairs.append(EffectivePair(u, P @ u + p))
+        pairs.append((u, P @ u + p))
     config = IdentificationConfig(
         delta=1.0,
         n_modes=draw(st.integers(1, 4)),
@@ -165,7 +166,7 @@ def test_trial_streams_refine_bounds_monotonically(trial_seed, order_seed):
     # compared between consecutive snapshots in which it keeps its members:
     # then no added pair may lower an inner bound or raise an outer one.
     model, cdm, samples, m, N = make_trial(trial_seed)
-    pairs = [EffectivePair(s.input, recover_effective_input(s, model)) for s in samples]
+    pairs = [(s.input, recover_effective_input(s, model)) for s in samples]
     rng = np.random.default_rng(order_seed)
     order = rng.permutation(len(pairs)).tolist()
     order.append(order.pop(order.index(len(pairs) - 1)))  # end on an unaffected anchor
@@ -177,7 +178,7 @@ def test_trial_streams_refine_bounds_monotonically(trial_seed, order_seed):
     compared = 0
     with quiet():
         for i in order:
-            rec.push(pairs[i])
+            rec.push(*pairs[i])
             snapshot = rec.snapshot()
             current = {}
             for mode in snapshot.modes:
@@ -196,7 +197,7 @@ def test_snapshot_warnings_point_at_its_caller():
     # witness radii that vary far faster than the assumed slope
     rec = Reconstructor(IdentificationConfig(delta=1e6, n_modes=1, lipschitz=1e-6))
     for u, v in (([1.0, 0.0], [3.0, 0.0]), ([0.0, 0.2], [0.0, 2.4]), ([0.4, 0.0], [1.4, 0.0])):
-        rec.push(EffectivePair(u, v))
+        rec.push(u, v)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rec.snapshot()
@@ -271,7 +272,7 @@ def test_a_push_that_grows_one_cluster_scores_only_its_new_pair(heat_run, monkey
     """
     config, _, _ = heat_run
     pairs = heat_pairs(heat_run)
-    m = pairs[0].dim
+    m = len(pairs[0][0])
     scored = []
     select_basis = ck.identification._select_basis
 
@@ -284,7 +285,7 @@ def test_a_push_that_grows_one_cluster_scores_only_its_new_pair(heat_run, monkey
     tables, appends = [], 0
     for pair in pairs:
         scored.clear()
-        rec.push(pair)
+        rec.push(*pair)
         pushed = list(scored)  # the snapshot's fits score their tables anew
         now = [mode.pairs for mode in rec.snapshot().modes]
         grown = [len(new) - len(old) for old, new in zip(tables, now)
@@ -372,7 +373,7 @@ def test_forced_merges_logged_like_batch(heat_run, caplog):
     rec = Reconstructor(ident)
     logged, unaffected = [], 0
     for k, pair in enumerate(pairs, start=1):
-        rec.push(pair)
+        rec.push(*pair)
         snapshot = rec.snapshot()
         step = events()
         build_reconstruction_from_pairs(pairs[:k], ident)
@@ -493,7 +494,7 @@ def test_stream_clusters_match_linkage_after_every_push(seed, k, d, grid, n_mode
     with quiet(), forced_merges() as heights:
         for n in range(1, len(pts) + 1):
             heights.clear()
-            rec.push(EffectivePair(pts[n - 1, :d], pts[n - 1, d:]))
+            rec.push(pts[n - 1, :d], pts[n - 1, d:])
             prefix = pts[:n]
             assert heights == reference_forced_heights(prefix, 1.0, n_modes)
             tables = [mode.pairs for mode in rec.snapshot().modes]
@@ -518,7 +519,7 @@ def test_snapshots_stay_unchanged_as_their_clusters_grow_and_merge():
 
     def push(u):
         # graph points (u, 2u + 1): inputs 0.1 apart are 0.1 * sqrt(5) apart
-        rec.push(EffectivePair([u], [2.0 * u + 1.0]))
+        rec.push([u], [2.0 * u + 1.0])
         for snapshot, before in taken:
             assert bits(snapshot) == before
             for mode in snapshot.modes:
@@ -619,3 +620,86 @@ def test_dedup_matches_greedy_loop(seed, d, k, side, pattern):
     want_dirs, want_radii = reference_dedup(dirs, radii, side)
     np.testing.assert_array_equal(got_dirs, want_dirs)
     np.testing.assert_array_equal(got_radii, want_radii)
+
+
+def single_pass_dedup(directions, radii, side):
+    """``_dedup_samples`` as it was before runs: one greedy pass over every distinct direction."""
+    if directions.shape[0] < 2:
+        return directions.copy(), radii.copy()
+    fold = np.maximum if side is Side.INNER else np.minimum
+    order = np.lexsort(directions.T[::-1])
+    ordered = directions[order]
+    starts = np.flatnonzero(np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1))))
+    first = order[starts]
+    by_first = np.argsort(first)
+    distinct = directions[first[by_first]]
+    distinct_radii = fold.reduceat(radii[order], starts)[by_first]
+    if distinct.shape[0] < 2:
+        return distinct, distinct_radii
+    spread = np.diff(np.sort(distinct @ _generic_axis(distinct.shape[1])))
+    if (spread > 2.0 * DIRECTION_DEDUP_TOL).all():
+        return distinct, distinct_radii
+    kept = []
+    leader = np.empty(distinct.shape[0], dtype=int)
+    for i, l in enumerate(distinct):
+        for j, lead in enumerate(kept):
+            if np.linalg.norm(l - distinct[lead]) <= DIRECTION_DEDUP_TOL:
+                leader[i] = j
+                break
+        else:
+            leader[i] = len(kept)
+            kept.append(i)
+    kept_radii = np.full(len(kept), -np.inf if side is Side.INNER else np.inf)
+    fold.at(kept_radii, leader, distinct_radii)
+    return distinct[kept], kept_radii
+
+
+def dedup_corpus(rng, cases):
+    """Seeded witness sets: separated, repeated, near-repeated and chained directions."""
+    for case in range(cases):
+        d, k = int(rng.integers(1, 4)), int(rng.integers(1, 61))
+        dirs = rng.normal(size=(k, d))
+        pattern = case % 4
+        if pattern == 1:  # exact repeats
+            dirs = dirs[rng.integers(0, max(1, k // 3), k)]
+        elif pattern == 2:  # near repeats well within the tolerance
+            dirs = dirs[rng.integers(0, max(1, k // 3), k)]
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            dirs += 3e-11 * rng.normal(size=(k, d))
+        elif pattern == 3:  # chains with links 0.3 to 1.2 tolerances long, in any order
+            steps = rng.normal(size=(k, d))
+            steps *= rng.uniform(0.3, 1.2, (k, 1)) * DIRECTION_DEDUP_TOL \
+                / np.linalg.norm(steps, axis=1, keepdims=True)
+            steps[0] = dirs[0] / np.linalg.norm(dirs[0])
+            dirs = np.cumsum(steps, axis=0)[rng.permutation(k)]
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        radii = rng.uniform(0.0, 2.0, k)
+        radii[rng.random(k) < 0.1] = 0.0
+        radii[rng.random(k) < 0.1] = -0.0
+        yield dirs, radii
+
+
+def test_dedup_matches_the_single_pass_bit_for_bit():
+    rng = np.random.default_rng(35)
+    folded = 0
+    for dirs, radii in dedup_corpus(rng, 600):
+        for side in Side:
+            got = _dedup_samples(dirs, radii, side)
+            want = single_pass_dedup(dirs, radii, side)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            folded += len(got[1]) < len(np.unique(dirs, axis=0))
+    assert folded > 300  # near repeats folded in most sets that have them
+
+
+def test_one_near_pair_among_many_directions_stays_fast():
+    # the greedy pass runs only over the near pair, not over all 1,601 directions
+    rng = np.random.default_rng(36)
+    angles = np.append(rng.uniform(0.0, 2.0 * np.pi, 1600), 0.0)
+    angles[-1] = angles[0] + 1e-13
+    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+    start = time.perf_counter()
+    star = StarSetApprox(np.zeros(2), 1.0, dirs, np.ones(1601), Side.INNER)
+    elapsed = time.perf_counter() - start
+    assert star.n_samples == 1600
+    assert elapsed < 0.5

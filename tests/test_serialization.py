@@ -10,7 +10,6 @@ from cdmkit.degradation import AffineMap
 from cdmkit.errors import ReportParseError
 from cdmkit.geometry import Side
 from cdmkit.identification import (
-    EffectivePair,
     IdentificationConfig,
     build_reconstruction,
     build_reconstruction_from_pairs,
@@ -168,7 +167,7 @@ class TestReconstructionFormat:
     def test_round_trip_empty_outer(self, tmp_path, recon):
         # without unaffected pairs every outer block has no witness rows
         m = recon.input_dim
-        affected = [EffectivePair(row[:m], row[m:]) for mode in recon.modes for row in mode.pairs]
+        affected = [(row[:m], row[m:]) for mode in recon.modes for row in mode.pairs]
         alone = build_reconstruction_from_pairs(affected, TRIAL_CONFIG)
         path = tmp_path / "recon.txt"
         write_reconstruction(path, alone)
@@ -351,6 +350,17 @@ class TestReconstructionFormat:
             with pytest.raises(ReportParseError) as err:
                 reconstruction_from_lines(lines)
         assert err.value.line == bad + 1
+
+    def test_mode_pair_beyond_the_pair_range_reports_the_modes_line(self, heat_run):
+        # push never keeps such a pair, and the rebuild's fit rejects it
+        with open(heat_run[1].artifacts["reconstruction"]) as fh:
+            lines = fh.read().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("pair,"))
+        lines[row] = "pair,1e151" + lines[row][lines[row].index(",", 5):]
+        with pytest.raises(ReportParseError, match="cannot be rebuilt from their pairs: pair "
+                                                   "table has a component") as err:
+            reconstruction_from_lines(lines)
+        assert lines[err.value.line - 1].startswith("modes,")
 
     def test_extra_mode_block_reports_line(self, heat_run):
         # a pair table beyond the header's mode count is not rebuilt, so the
