@@ -86,8 +86,10 @@ class BallRegion:
 
     def __post_init__(self):
         center = np.atleast_1d(np.asarray(self.center, dtype=float))
-        if self.radius < 0:
-            raise ValueError("radius must be non-negative")
+        if not np.isfinite(center).all():
+            raise ValueError("ball center must be finite")
+        if not 0 <= self.radius < math.inf:  # False for NaN
+            raise ValueError("radius must be finite and non-negative")
         object.__setattr__(self, "center", center)
 
     def contains_rows(self, U: np.ndarray) -> np.ndarray:

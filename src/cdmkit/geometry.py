@@ -33,9 +33,9 @@ def as_point_set(points) -> np.ndarray:
     """Coerce a non-empty collection of points to a float array (k, d).
 
     Scalars sequences become column vectors.  Raises ``ValueError`` on empty
-    input or inconsistent dimensions.
+    input, inconsistent dimensions or an entry that is not a real number.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = _real_values(points, "point set")
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -149,9 +149,10 @@ class StarSetApprox:
     side: Side
 
     def __post_init__(self):
-        center = np.array(self.center, dtype=float, ndmin=1)  # a copy: the caller's stays writable
-        directions = np.asarray(self.directions, dtype=float)
-        radii = np.atleast_1d(np.asarray(self.radii, dtype=float))
+        # a copy: the caller's stays writable
+        center = np.array(_real_values(self.center, "center"), ndmin=1)
+        directions = _real_values(self.directions, "directions")
+        radii = np.atleast_1d(_real_values(self.radii, "radii"))
         if directions.size == 0:
             directions = np.empty((0, center.shape[0]))
             radii = np.empty((0,))
@@ -220,7 +221,7 @@ class StarSetApprox:
         directional information and are dropped.  The witnesses go through
         the constructor and its checks like any others.
         """
-        center = np.atleast_1d(np.asarray(center, dtype=float))
+        center = np.atleast_1d(_real_values(center, "center"))
         return cls(center, lipschitz, *_witnesses(points, center), side)
 
 
@@ -266,6 +267,14 @@ def _real(v) -> np.ndarray:
         except OverflowError as exc:  # an int beyond the float range
             raise TypeError(str(exc)) from None
     raise TypeError(f"dtype {arr.dtype}")
+
+
+def _real_values(v, what: str) -> np.ndarray:
+    """:func:`_real` of ``v``, with a ``ValueError`` naming ``what`` for anything not real."""
+    try:
+        return _real(v)
+    except TypeError as exc:
+        raise ValueError(f"{what} must be real numbers, got {exc}") from None
 
 
 def _coords(v, dim: int, what: str) -> list:
@@ -486,12 +495,17 @@ def estimate_mgf_lipschitz(directions, radii) -> float:
     is certainly too small.
     """
     dirs = as_point_set(directions)
-    r = np.atleast_1d(np.asarray(radii, dtype=float))
+    r = np.atleast_1d(_real_values(radii, "radii"))
     if dirs.shape[0] != r.shape[0]:
         raise ValueError("directions and radii disagree in length")
-    gaps = pairwise_distances(dirs, dirs)
-    diffs = np.abs(r[:, None] - r[None, :])
-    mask = gaps > DIRECTION_DEDUP_TOL
-    if not np.any(mask):
+    # one row of the symmetric quotient table at a time, each pair once (j < i)
+    best = None
+    for i in range(1, dirs.shape[0]):
+        gaps = pairwise_distances(dirs[i:i + 1], dirs[:i])[0]
+        mask = gaps > DIRECTION_DEDUP_TOL
+        if mask.any():
+            quotient = np.max(np.abs(r[i] - r[:i])[mask] / gaps[mask])
+            best = quotient if best is None else np.maximum(best, quotient)  # keeps a NaN
+    if best is None:
         raise ValueError("need at least two distinct directions")
-    return float(np.max(diffs[mask] / gaps[mask]))
+    return float(best)

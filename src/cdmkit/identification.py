@@ -212,10 +212,11 @@ class _Linkage:
         self.clusters: dict[frozenset, _Rows] = {}  # by component names, in cluster order
         self._cut_at = 0  # points at the last cut
 
-    def add(self, point: np.ndarray, dist: np.ndarray) -> None:
-        """Add ``point``, whose distances to the points so far are ``dist``."""
+    def add(self, point: np.ndarray) -> None:
+        """Add ``point``, measured against the points so far."""
         n, k = self.n, len(self.firsts)
         row = np.full(k, np.inf)
+        dist = pairwise_distances(point[None, :], self.points[:n])[0]
         np.minimum.at(row, self.labels[:n], dist)
         near = [c for c, d in enumerate(row.tolist()) if d < self.delta]
         self.points = _append_row(self.points, n, point)
@@ -319,8 +320,7 @@ def cluster_pairs(points: np.ndarray, delta: float, n_modes: int) -> list[np.nda
     Deterministic given the input order; each cluster is returned as its
     read-only table of rows, in input order.
     """
-    k = len(points)
-    if not k:
+    if np.shape(points)[:1] == (0,):
         raise ValueError("no pairs to cluster")
     if delta <= 0:
         raise ValueError("separation delta must be positive")
@@ -328,10 +328,9 @@ def cluster_pairs(points: np.ndarray, delta: float, n_modes: int) -> list[np.nda
         raise ValueError("n_modes must be at least 1")
     points = _pair_table(points)
     # the structure the stream grows, one point at a time, cut once
-    dist = pairwise_distances(points, points)
     linkage = _Linkage(delta, n_modes, points.shape[1])
-    for n in range(k):
-        linkage.add(points[n], dist[n, :n])
+    for point in points:
+        linkage.add(point)
     linkage.cut()
     return [rows.pairs for rows in linkage.clusters.values()]
 
@@ -611,7 +610,13 @@ def build_reconstruction_from_pairs(pairs: Sequence[tuple],
     """Cluster, fit, and bound degradation modes from recovered ``(u, v)`` pairs."""
     if not pairs:
         raise ValueError("cannot build a reconstruction from zero pairs")
-    table = np.array([_pair_row(u, v) for u, v in pairs])
+    rows = []
+    for u, v in pairs:
+        row = _pair_row(u, v)
+        if rows and row.shape != rows[0].shape:  # push's message
+            raise ValueError(f"pair dimension {row.shape[0] // 2} != {rows[0].shape[0] // 2}")
+        rows.append(row)
+    table = np.array(rows)
     affected, unaffected = split_pairs(table, config.identity_tol)
     unaffected.setflags(write=False)
     clusters = []
@@ -659,11 +664,10 @@ class Reconstructor:
         if _is_unaffected(point, self.config.identity_tol):
             self._unaffected.append(point)
         else:
-            linkage = self._linkage
-            linkage.add(point, pairwise_distances(point[None, :], linkage.points[:linkage.n])[0])
-            linkage.cut()
+            self._linkage.add(point)
+            self._linkage.cut()
             # picks the basis of each changed cluster
-            self._identified = sum(rows.identified for rows in linkage.clusters.values())
+            self._identified = sum(rows.identified for rows in self._linkage.clusters.values())
 
     @property
     def modes_identified(self) -> int:

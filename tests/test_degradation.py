@@ -143,6 +143,15 @@ class TestNModeCdm:
             IntervalRegion(0, 0.5, 0.5, closed_hi=False)
         assert in_region(IntervalRegion(0, 0.5, 0.5), [0.5])
 
+    @pytest.mark.parametrize("center, radius", [
+        ([0.0, 0.0], np.nan), ([0.0, 0.0], np.inf), ([np.inf, 0.0], 1.0), ([0.0, np.nan], 1.0),
+    ])
+    def test_non_finite_ball_rejected(self, center, radius):
+        # a NaN radius holds no point and overlaps nothing, so two modes
+        # could share a center; configs reject both at the number already
+        with pytest.raises(ValueError, match="must be finite"):
+            BallRegion(center, radius)
+
     def test_single_global_mode_equals_affine(self):
         q = AffineMap(np.array([[2.0, 1.0], [0.0, -1.0]]), np.array([0.3, 0.0]))
         cdm = NModeCdm(modes=((BallRegion([0.0, 0.0], 75.0), q),))

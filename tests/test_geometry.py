@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -375,6 +376,57 @@ class TestLipschitzEstimate:
         with pytest.raises(ValueError):
             estimate_mgf_lipschitz(dirs, [1.0, 2.0])
 
+    def test_matches_the_whole_quotient_table_bit_for_bit(self):
+        rng = np.random.default_rng(36)
+        for case in range(600):
+            k, d = int(rng.integers(1, 25)), int(rng.integers(1, 4))
+            dirs = rng.normal(size=(k, d))
+            dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+            radii = rng.uniform(0.0, 2.0, k)
+            for i in rng.integers(0, k, size=int(rng.integers(0, k + 1))):
+                j = int(rng.integers(0, k))
+                # exact repeats, and near ones on both sides of the dedup tolerance
+                dirs[i] = dirs[j] + rng.choice([0.0, 3e-11, 3e-10]) * rng.normal(size=d)
+                if rng.uniform() < 0.3:
+                    radii[i] = radii[j]
+            if case % 10 == 0:
+                radii[int(rng.integers(0, k))] = rng.choice([np.nan, np.inf])
+            outcomes = []
+            for estimate in (estimate_mgf_lipschitz, whole_table_mgf_lipschitz):
+                try:
+                    with np.errstate(invalid="ignore"):
+                        outcomes.append(np.float64(estimate(dirs, radii)).tobytes())
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], case
+
+    def test_holds_no_quotient_table(self):
+        # a (k, k) table of 2,000 directions is 32 MB, and the whole-table
+        # estimate held four of them
+        th = np.linspace(0.0, 2 * np.pi, 2000, endpoint=False)
+        dirs = np.column_stack([np.cos(th), np.sin(th)])
+        radii = 1.0 + 0.5 * np.sin(3 * th)
+        tracemalloc.start()
+        try:
+            est = estimate_mgf_lipschitz(dirs, radii)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est == whole_table_mgf_lipschitz(dirs, radii)
+        assert peak < 2e6
+
+
+def whole_table_mgf_lipschitz(directions, radii):
+    """The estimate as the largest entry of the whole (k, k) quotient table."""
+    dirs = np.asarray(directions, dtype=float)
+    r = np.asarray(radii, dtype=float)
+    gaps = pairwise_distances(dirs, dirs)
+    diffs = np.abs(r[:, None] - r[None, :])
+    mask = gaps > geometry.DIRECTION_DEDUP_TOL
+    if not np.any(mask):
+        raise ValueError("need at least two distinct directions")
+    return float(np.max(diffs[mask] / gaps[mask]))
+
 
 class TestAffineImagePreservesLipschitzGauge:
     def test_box_image_estimates_stay_bounded(self):
@@ -654,6 +706,25 @@ def test_non_finite_point_is_rejected(u):
      "direction dimension does not match center"),
     (lambda: estimate_mgf_lipschitz([[1.0, 0.0], [0.0, 1.0]], [1.0]),
      "directions and radii disagree in length"),
+    # numeric strings would parse and a complex part would be dropped
+    (lambda: StarSetApprox(["0", "0"], 1.0, [[1.0, 0.0]], [1.0], Side.INNER),
+     "center must be real numbers, got dtype <U1"),
+    (lambda: StarSetApprox(np.array([0j, 1j]), 1.0, [[1.0, 0.0]], [1.0], Side.INNER),
+     "center must be real numbers, got dtype complex128"),
+    (lambda: StarSetApprox(np.zeros(2), 1.0, [["1", "0"]], [1.0], Side.OUTER),
+     "directions must be real numbers, got dtype <U1"),
+    (lambda: StarSetApprox(np.zeros(2), 1.0, [[1.0, 0.0]], ["1"], Side.OUTER),
+     "radii must be real numbers, got dtype <U1"),
+    (lambda: StarSetApprox.from_points([["1", "0"]], np.zeros(2), 1.0, Side.INNER),
+     "point set must be real numbers, got dtype <U1"),
+    (lambda: StarSetApprox.from_points([[1.0, 0.0]], ["0", "0"], 1.0, Side.INNER),
+     "center must be real numbers, got dtype <U1"),
+    (lambda: estimate_mgf_lipschitz([["1", "0"], ["0", "1"]], [1.0, 2.0]),
+     "point set must be real numbers, got dtype <U1"),
+    (lambda: estimate_mgf_lipschitz([[1.0, 0.0], [0.0, 1.0]], ["1", "2"]),
+     "radii must be real numbers, got dtype <U1"),
+    (lambda: as_point_set(np.array([[1.0 + 1j, 0.0]])),
+     "point set must be real numbers, got dtype complex128"),
 ])
 def test_malformed_witnesses_rejected(build, message):
     with pytest.raises(ValueError, match=message):

@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -152,6 +153,19 @@ class TestClusterPairs:
             with pytest.raises(PreconditionError, match=r"^pair table has a component that is "
                                                         r"not finite or beyond 1e\+150"):
                 cluster_pairs(pairs, delta=0.5, n_modes=1)
+
+    def test_batch_build_holds_no_distance_table(self):
+        # each pair is measured against those before it as it is added, as
+        # the stream measures it; a (k, k) table of 2,000 pairs is 32 MB
+        pairs = np.random.default_rng(36).uniform(0.0, 1.0, size=(2000, 2))
+        tracemalloc.start()
+        try:
+            (cluster,) = cluster_pairs(pairs, delta=10.0, n_modes=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(cluster, pairs)
+        assert peak < 2e6
 
     def test_basis_indices_are_independent(self):
         pairs = table([([1.0, 0.0], [2.0, 0.0]), ([2.0, 0.0], [4.0, 0.0]),
@@ -465,6 +479,8 @@ def pushed(*dims):
     (lambda: Reconstructor(CHECK_CONFIG).snapshot(),
      "cannot build a reconstruction from zero pairs"),
     (lambda: pushed(1, 2), "pair dimension 2 != 1"),
+    (lambda: build_reconstruction_from_pairs([([1.0], [2.0]), ([1.0, 2.0], [3.0, 4.0])],
+                                             CHECK_CONFIG), "^pair dimension 2 != 1$"),
 ])
 def test_empty_or_mismatched_pairs_rejected(call, message):
     with pytest.raises(ValueError, match=message):
@@ -479,6 +495,7 @@ MALFORMED_TABLES = {
                "pair table is not a table of real numbers: dtype <U1"),
     "object": (np.array([[Fraction(1), 2.0], [3.0, 4.0]], dtype=object),
                "pair table is not a table of real numbers: dtype object"),
+    "0-d": (np.array(1.0), "pair table must have shape (k, 2m) with m >= 1, got ()"),
     "1-D": (np.array([1.0, 2.0]), "pair table must have shape (k, 2m) with m >= 1, got (2,)"),
     "odd width": (np.array([[1.0, 2.0, 3.0], [1.0, 5.0, 1.0]]),
                   "pair table must have shape (k, 2m) with m >= 1, got (2, 3)"),
