@@ -16,6 +16,8 @@ from typing import Optional
 
 import numpy as np
 
+from .geometry import _frozen
+
 
 @dataclass(frozen=True)
 class AffineMap:
@@ -25,16 +27,14 @@ class AffineMap:
     translation: np.ndarray
 
     def __post_init__(self):
-        linear = np.asarray(self.linear, dtype=float)
-        translation = np.atleast_1d(np.asarray(self.translation, dtype=float))
+        linear = _frozen(self.linear, "linear part", ndmin=0)
+        translation = _frozen(self.translation, "translation")
         if linear.ndim == 0:
             linear = linear.reshape(1, 1)
         if linear.ndim != 2 or linear.shape[0] != linear.shape[1]:
             raise ValueError("linear part must be a square matrix")
         if translation.shape[0] != linear.shape[0]:
             raise ValueError("translation dimension does not match linear part")
-        linear.setflags(write=False)
-        translation.setflags(write=False)
         object.__setattr__(self, "linear", linear)
         object.__setattr__(self, "translation", translation)
 
@@ -85,7 +85,7 @@ class BallRegion:
     radius: float
 
     def __post_init__(self):
-        center = np.atleast_1d(np.asarray(self.center, dtype=float))
+        center = _frozen(self.center, "ball center")
         if not np.isfinite(center).all():
             raise ValueError("ball center must be finite")
         if not 0 <= self.radius < math.inf:  # False for NaN

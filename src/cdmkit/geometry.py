@@ -30,12 +30,12 @@ DIRECTION_DEDUP_TOL = 1e-10
 
 
 def as_point_set(points) -> np.ndarray:
-    """Coerce a non-empty collection of points to a float array (k, d).
+    """Coerce a non-empty collection of points to a read-only float array (k, d).
 
     Scalars sequences become column vectors.  Raises ``ValueError`` on empty
     input, inconsistent dimensions or an entry that is not a real number.
     """
-    pts = _real_values(points, "point set")
+    pts = _frozen(points, "point set")
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -81,12 +81,16 @@ def _generic_axis(dim: int) -> np.ndarray:
     return axis
 
 
-def _dedup_samples(directions, radii, side: Side):
+def _dedup_samples(directions, radii, side: Side, lipschitz: float):
     """Collapse near-identical directions, keeping the most informative radius.
 
     Directions are taken in order: one within ``DIRECTION_DEDUP_TOL`` of a
     kept direction folds its radius into the first such (max for INNER, min
-    for OUTER); any other is kept.  Repeats of a direction always fold into
+    for OUTER); any other is kept.  A folded radius pays the Lipschitz cost
+    of its move, ``lipschitz * |l - l_kept|``: less for INNER, more for
+    OUTER, so the kept witness claims no more than the gauge allows there.
+    A move of cost 0 (a repeat, or ``lipschitz == 0``) leaves the radius's
+    bits as they are.  Repeats of a direction always fold into
     the same kept one, so the distinct directions are found first by a
     stable row sort, O(k log k), each with the fold of its own radii.  Two
     directions within the tolerance project within it on a fixed generic
@@ -111,15 +115,19 @@ def _dedup_samples(directions, radii, side: Side):
         return distinct, distinct_radii
     runs = np.flatnonzero(np.concatenate(([True], breaks, [True])))  # run bounds in by_projection
     leader = np.arange(distinct.shape[0])  # the kept direction each one folds into
+    cost = np.zeros(distinct.shape[0])  # the Lipschitz cost of each one's move
     for r in np.flatnonzero(np.diff(runs) > 1).tolist():
         kept: list[int] = []
         for i in np.sort(by_projection[runs[r]:runs[r + 1]]).tolist():  # in first-appearance order
             for lead in kept:
-                if np.linalg.norm(distinct[i] - distinct[lead]) <= DIRECTION_DEDUP_TOL:
-                    leader[i] = lead
+                gap = np.linalg.norm(distinct[i] - distinct[lead])
+                if gap <= DIRECTION_DEDUP_TOL:
+                    leader[i], cost[i] = lead, lipschitz * gap
                     break
             else:
                 kept.append(i)
+    moved = cost > 0.0
+    distinct_radii[moved] += -cost[moved] if side is Side.INNER else cost[moved]
     is_kept = leader == np.arange(leader.shape[0])
     kept_radii = np.full(int(is_kept.sum()), -np.inf if side is Side.INNER else np.inf)
     fold.at(kept_radii, (np.cumsum(is_kept) - 1)[leader], distinct_radii)
@@ -149,10 +157,9 @@ class StarSetApprox:
     side: Side
 
     def __post_init__(self):
-        # a copy: the caller's stays writable
-        center = np.array(_real_values(self.center, "center"), ndmin=1)
-        directions = _real_values(self.directions, "directions")
-        radii = np.atleast_1d(_real_values(self.radii, "radii"))
+        center = _frozen(self.center, "center")
+        directions = _frozen(self.directions, "directions")
+        radii = _frozen(self.radii, "radii")
         if directions.size == 0:
             directions = np.empty((0, center.shape[0]))
             radii = np.empty((0,))
@@ -170,9 +177,9 @@ class StarSetApprox:
             raise ValueError("witness directions must have unit norm")
         if not np.all((radii >= 0) & (radii < np.inf)):
             raise ValueError("radii must be finite and non-negative")
-        directions, radii = _dedup_samples(directions, radii, self.side)
-        for arr in (center, directions, radii):
-            arr.setflags(write=False)
+        directions, radii = _dedup_samples(directions, radii, self.side, self.lipschitz)
+        directions.setflags(write=False)
+        radii.setflags(write=False)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "lipschitz", float(self.lipschitz))
         object.__setattr__(self, "directions", directions)
@@ -221,7 +228,7 @@ class StarSetApprox:
         directional information and are dropped.  The witnesses go through
         the constructor and its checks like any others.
         """
-        center = np.atleast_1d(_real_values(center, "center"))
+        center = _frozen(center, "center")
         return cls(center, lipschitz, *_witnesses(points, center), side)
 
 
@@ -256,9 +263,13 @@ def _real(v) -> np.ndarray:
     Strings would parse and complex values would lose their imaginary
     part, so bool, integer and float arrays qualify, and so do object
     arrays (an int beyond int64 makes one) of Python or NumPy ints, bools
-    and floats.  The message names the dtype, or an int too large for a float.
+    and floats.  The message names the dtype, an int too large for a
+    float, or rows of different lengths.
     """
-    arr = np.asarray(v)
+    try:
+        arr = np.asarray(v)
+    except ValueError:  # NumPy's "inhomogeneous shape"
+        raise TypeError("rows of different lengths") from None
     if arr.dtype.kind in "biuf":
         return arr.astype(float, copy=False)
     if arr.dtype.kind == "O" and all(isinstance(x, _REAL_SCALARS) for x in arr.flat):
@@ -269,12 +280,18 @@ def _real(v) -> np.ndarray:
     raise TypeError(f"dtype {arr.dtype}")
 
 
-def _real_values(v, what: str) -> np.ndarray:
-    """:func:`_real` of ``v``, with a ``ValueError`` naming ``what`` for anything not real."""
+def _frozen(v, what: str, ndmin: int = 1) -> np.ndarray:
+    """A read-only float copy of ``v`` with at least ``ndmin`` dimensions.
+
+    Anything :func:`_real` rejects is a ``ValueError`` naming ``what``.
+    The copy leaves the caller's array writable and unshared.
+    """
     try:
-        return _real(v)
+        arr = np.array(_real(v), ndmin=ndmin)
     except TypeError as exc:
         raise ValueError(f"{what} must be real numbers, got {exc}") from None
+    arr.setflags(write=False)
+    return arr
 
 
 def _coords(v, dim: int, what: str) -> list:
@@ -327,34 +344,26 @@ def _query_direction(approx: StarSetApprox, direction) -> list:
 def _cone_bound(rows: list, l: list, lipschitz: float, inner: bool) -> float:
     """The gauge bound along the unit direction ``l`` from witness ``rows``.
 
-    Each ``(r_i, l_i)`` row gives ``r_i - L * |l - l_i|`` (inner) or
-    ``r_i + L * |l - l_i|`` (outer), the gap's squares summed in order as
-    :func:`_norm` sums them.  The inner bound is the largest of these and
-    0.0, the outer bound the smallest; ties and NaNs resolve as the
-    builtin ``max``/``min`` resolve them: the first row is kept until a
-    later one compares strictly beyond it.
+    Each ``(r_i, l_i)`` row gives ``r_i + s * |l - l_i|`` with the slope
+    ``s = -L`` (inner) or ``L`` (outer), the gap's squares summed in order
+    as :func:`_norm` sums them; ``r + (-L) * g`` is ``r - L * g`` bit for
+    bit.  The inner bound is the largest of these and 0.0, the outer bound
+    the smallest; ties and NaNs resolve as the builtin ``max``/``min``
+    resolve them: the first row is kept until a later one compares
+    strictly beyond it.
     """
     sqrt = math.sqrt
+    slope = -lipschitz if inner else lipschitz
     bound = None
-    if inner:
-        for r, d in rows:
-            total = 0.0
-            for a, b in zip(d, l):
-                a -= b
-                total += a * a
-            r -= lipschitz * sqrt(total)
-            if bound is None or r > bound:
-                bound = r
-        return bound if bound > 0.0 else 0.0
     for r, d in rows:
         total = 0.0
         for a, b in zip(d, l):
             a -= b
             total += a * a
-        r += lipschitz * sqrt(total)
-        if bound is None or r < bound:
+        r += slope * sqrt(total)
+        if bound is None or (r > bound if inner else r < bound):
             bound = r
-    return bound
+    return (bound if bound > 0.0 else 0.0) if inner else bound
 
 
 def mgf_outer_bound(approx: StarSetApprox, direction) -> float:
@@ -495,7 +504,7 @@ def estimate_mgf_lipschitz(directions, radii) -> float:
     is certainly too small.
     """
     dirs = as_point_set(directions)
-    r = np.atleast_1d(_real_values(radii, "radii"))
+    r = _frozen(radii, "radii")
     if dirs.shape[0] != r.shape[0]:
         raise ValueError("directions and radii disagree in length")
     # one row of the symmetric quotient table at a time, each pair once (j < i)

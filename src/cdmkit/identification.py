@@ -320,7 +320,11 @@ def cluster_pairs(points: np.ndarray, delta: float, n_modes: int) -> list[np.nda
     Deterministic given the input order; each cluster is returned as its
     read-only table of rows, in input order.
     """
-    if np.shape(points)[:1] == (0,):
+    try:
+        empty = len(points) == 0  # np.shape would give a ragged table NumPy's message
+    except TypeError:  # a 0-d table, which the table check rejects
+        empty = False
+    if empty:
         raise ValueError("no pairs to cluster")
     if delta <= 0:
         raise ValueError("separation delta must be positive")
@@ -739,7 +743,7 @@ def _command(recon: CdmReconstruction, u) -> tuple[np.ndarray, list]:
         return u, coords
     try:
         point = np.atleast_1d(_real(u))
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise PreconditionError(f"command is not a vector of real numbers: {exc}") from None
     if point.shape != (recon.input_dim,):
         raise PreconditionError(

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ReportParseError
-from .geometry import StarSetApprox
+from .geometry import StarSetApprox, _frozen
 from .identification import CdmReconstruction, IdentificationConfig, reconstruction_from_clusters
 from .simulation import ControlSample
 
@@ -79,9 +79,9 @@ def read_samples(path) -> list[ControlSample]:
         samples.append(
             ControlSample(
                 time=vals[0],
-                state=np.array(vals[1 : 1 + n]),
-                velocity=np.array(vals[1 + n : 1 + 2 * n]),
-                input=np.array(vals[1 + 2 * n :]),
+                state=vals[1 : 1 + n],
+                velocity=vals[1 + n : 1 + 2 * n],
+                input=vals[1 + 2 * n :],
             )
         )
     return samples
@@ -187,9 +187,7 @@ def _pairs(lines: Sequence[str], start: int, count: int, m: int) -> np.ndarray:
         if len(vals) != 2 * m:
             raise ReportParseError("pair row has wrong arity", line=i + 1)
         rows.append(vals)
-    table = np.array(rows, dtype=float).reshape(count, 2 * m)
-    table.setflags(write=False)
-    return table
+    return _frozen(rows, "pair table").reshape(count, 2 * m)
 
 
 def _field(lines: Sequence[str], index: int, key: str, parse=_count):

@@ -18,6 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .geometry import _frozen
+
 
 @dataclass(frozen=True)
 class ControlSample:
@@ -32,9 +34,7 @@ class ControlSample:
         if not np.isfinite(self.time):
             raise ValueError("sample time must be finite")
         for name in ("state", "velocity", "input"):
-            arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name), name))
         if self.state.shape != self.velocity.shape:
             raise ValueError("state and velocity dimensions disagree")
 
@@ -90,14 +90,12 @@ class SystemModel:
 
 def linear_system(a_matrix, b_matrix, **kwargs) -> SystemModel:
     """Constant-coefficient system ``x' = A x + B u``."""
-    A = np.atleast_2d(np.array(a_matrix, dtype=float))
-    B = np.array(b_matrix, dtype=float)
+    A = _frozen(a_matrix, "A", ndmin=2)
+    B = _frozen(b_matrix, "B")
     if B.ndim == 1:
         B = B.reshape(-1, 1)
     if A.shape[0] != A.shape[1] or B.shape[0] != A.shape[0]:
         raise ValueError("A must be square and B conformable")
-    A.setflags(write=False)
-    B.setflags(write=False)
     return SystemModel(
         dim_state=A.shape[0],
         dim_input=B.shape[1],
@@ -216,10 +214,8 @@ def _heat_model(system: HeatSystem) -> SystemModel:
     B = np.zeros((G + 1, 2))
     B[:G, 0] = system.source_profile()
     B[G, 1] = 1.0
-    lo, hi = np.array([0.0, 0.0]), np.array([10.0, 1.0])
-    lo.setflags(write=False)
-    hi.setflags(write=False)
-    common = dict(input_lo=lo, input_hi=hi, stability_limit=system.stability_limit)
+    common = dict(input_lo=_frozen([0.0, 0.0], "input_lo"),
+                  input_hi=_frozen([10.0, 1.0], "input_hi"), stability_limit=system.stability_limit)
     if not system.nonlinear_depth:
         return linear_system(A, B, **common)
 
@@ -495,7 +491,7 @@ def integrate(model: SystemModel, cdm, x0, input_signal,
         advance = _linear_rk4_advance(model)
 
     times = _checked_times(schedule.sample_times())
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    x = _frozen(x0, "initial state").copy()
     if x.shape[0] != model.dim_state:
         raise ValueError("initial state dimension mismatch")
     starts, n_subs, dts = _interval_steps(times, model.stability_limit)
@@ -510,8 +506,7 @@ def integrate(model: SystemModel, cdm, x0, input_signal,
             begin, end = end, end + (2 * n_sub + 2 if n_sub else 1)
             if n_sub:
                 x = advance(x, dt, E[begin:end - 1])
-            # the sample owns its input row: a view would keep the whole batch alive
-            samples.append(ControlSample(time=float(tk), state=x.copy(),
+            samples.append(ControlSample(time=float(tk), state=x,
                                          velocity=_velocity(model, x, E[end - 1]),
-                                         input=U[end - 1].copy()))
+                                         input=U[end - 1]))
     return samples

@@ -6,6 +6,7 @@ import hashlib
 import io
 import os
 import pathlib
+import platform
 import re
 import subprocess
 import sys
@@ -822,3 +823,36 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
                         for artifact in ("samples.csv", "reconstruction.txt",
                                          "convergence.csv")})
     assert digests[0] == digests[1]
+
+
+# sha256 of the bundled run's artifacts under OpenBLAS's baseline x86-64 kernel
+# (Prescott; Nehalem and Sandybridge write the same bytes).  Any change to
+# them is a change to the artifacts and is recorded in CHANGES.md with its reason.
+GOLDEN_DIGESTS = {
+    "samples.csv": "ca75f769b31b93f9af834e84b022f1c3bff04e756ac932cc071dc4bddc38692c",
+    "reconstruction.txt": "00f8979fdf4cd1e5dc9329fbd9b31ef00b95ae8cd3a93e517759f3320d39b6d0",
+    "convergence.csv": "34c2a9ea86400379ea04a9cdc6ba0e737e7f672120a015e5714c32ce4cde7022",
+}
+
+
+def openblas_picks_its_kernel() -> bool:
+    """Whether NumPy's BLAS is an OpenBLAS built with ``DYNAMIC_ARCH``, so one kernel can be forced."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return ("openblas" in str(blas.get("name", "")).lower()
+            and "DYNAMIC_ARCH" in str(blas.get("openblas configuration", "")))
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")
+                    or not openblas_picks_its_kernel(),
+                    reason="the golden digests are those of OpenBLAS's Prescott kernel, which "
+                           "only an x86-64 OpenBLAS built with DYNAMIC_ARCH can be made to use")
+def test_bundled_artifacts_keep_their_golden_digests(tmp_path):
+    cfg = pathlib.Path(__file__).resolve().parents[1] / "configs" / "heat_electrosurgery.cfg"
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cdmkit.cli", "run", str(cfg), "--output", str(out)],
+        capture_output=True, text=True, timeout=300,
+        env=fresh_env(OPENBLAS_CORETYPE="Prescott", OPENBLAS_NUM_THREADS="1"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert {artifact: hashlib.sha256((out / artifact).read_bytes()).hexdigest()
+            for artifact in GOLDEN_DIGESTS} == GOLDEN_DIGESTS

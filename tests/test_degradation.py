@@ -1,5 +1,7 @@
 """Tests for ground-truth degradation map models."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,17 @@ class TestAffineMap:
             AffineMap(np.ones((2, 3)), np.zeros(2))
 
 
+    def test_keeps_a_read_only_copy_of_the_callers_arrays(self):
+        linear, translation = np.eye(2), np.zeros(2)
+        q = AffineMap(linear, translation)
+        assert linear.flags.writeable and translation.flags.writeable
+        assert not np.shares_memory(q.linear, linear)
+        assert not np.shares_memory(q.translation, translation)
+        assert not q.linear.flags.writeable and not q.translation.flags.writeable
+        linear[0, 0], translation[0] = 5.0, 5.0
+        np.testing.assert_array_equal(q([1.0, 1.0]), [1.0, 1.0])
+
+
 class TestRegions:
     def test_interval_open_closed(self):
         closed = IntervalRegion(axis=0, lo=0.0, hi=1.0)
@@ -67,6 +80,28 @@ class TestRegions:
     def test_ball(self):
         assert in_region(BallRegion([0.0, 0.0], 1.0), [0.6, 0.8])
         assert not in_region(BallRegion([0.0, 0.0], 1.0), [0.8, 0.8])
+
+    def test_ball_does_not_move_with_the_callers_array(self):
+        # a region that NModeCdm checked disjoint from the others stays where it was
+        center = np.array([0.0, 1.0])
+        ball = BallRegion(center, 1.0)
+        center[0] = 5.0
+        np.testing.assert_array_equal(ball.center, [0.0, 1.0])
+        assert in_region(ball, [0.0, 1.5]) and not in_region(ball, [5.0, 1.0])
+        assert not ball.center.flags.writeable
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: AffineMap([["1"]], ["0"]), "linear part must be real numbers, got dtype <U1"),
+    (lambda: AffineMap([[1.0]], ["0"]), "translation must be real numbers, got dtype <U1"),
+    (lambda: AffineMap(np.array([[1 + 1j]]), [0.0]),
+     "linear part must be real numbers, got dtype complex128"),
+    (lambda: BallRegion(["0", "1"], 1.0), "ball center must be real numbers, got dtype <U1"),
+])
+def test_non_real_numbers_rejected(build, message):
+    # a string would parse and a complex entry would lose its imaginary part
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 @pytest.mark.parametrize("build, message", [

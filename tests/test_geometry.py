@@ -253,6 +253,27 @@ class TestStarSetValidation:
         outer = star_from_samples([[1.0, 0.0], [1.0, 0.0]], [1.0, 2.0], Side.OUTER, 0.0)
         assert outer.radii[0] == 1.0  # smaller radius is the better upper bound
 
+    @pytest.mark.parametrize("side, radii, point", [
+        (Side.INNER, [1.0, 2.0], [2.0 - 1e-12, 0.0]),
+        (Side.OUTER, [2.0, 1.0], [1.0 + 1e-12, 0.0]),
+    ])
+    def test_a_folded_radius_pays_its_lipschitz_cost(self, side, radii, point):
+        # l2 is 5e-11 rad from l1 and folds into it.  The 1-Lipschitz gauge
+        # 2 - |l - l2| (inner) or 1 + |l - l2| (outer) fits both witnesses,
+        # and along l1 it lies between the point and the folded radius
+        l1, l2 = np.array([1.0, 0.0]), np.array([math.cos(5e-11), math.sin(5e-11)])
+        gap = np.linalg.norm(l2 - l1)
+        star = star_from_samples([l1, l2], radii, side, 1.0)
+        empty = star_from_samples(np.empty((0, 2)), [], Side.OUTER if side is Side.INNER
+                                  else Side.INNER, 1.0)
+        assert star.directions.tolist() == [[1.0, 0.0]]
+        if side is Side.INNER:
+            assert star.radii.tolist() == [2.0 - gap]
+            assert star_contains(star, empty, point) is Containment.INCONCLUSIVE
+        else:
+            assert star.radii.tolist() == [1.0 + gap]
+            assert star_contains(empty, star, point) is Containment.INCONCLUSIVE
+
     def test_from_points_drops_center(self):
         approx = StarSetApprox.from_points(
             [[0.0, 0.0], [1.0, 0.0]], [0.0, 0.0], 1.0, Side.INNER

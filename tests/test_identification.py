@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from cdmkit.degradation import AffineMap, BallRegion, NModeCdm
 from cdmkit import identification
 from cdmkit.errors import IdentificationError, PreconditionError, UnviableInputError
-from cdmkit.geometry import Containment, Side, StarSetApprox, star_contains
+from cdmkit.geometry import Containment, Side, StarSetApprox, as_point_set, star_contains
 from cdmkit.identification import (
     CdmReconstruction,
     IdentificationConfig,
@@ -514,6 +514,17 @@ def test_malformed_pair_table_rejected(function, kind):
     points, message = MALFORMED_TABLES[kind]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         TABLE_FUNCTIONS[function](points)
+
+
+@pytest.mark.parametrize("call, message", [
+    *((function, "pair table is not a table of real numbers: rows of different lengths")
+      for function in TABLE_FUNCTIONS.values()),
+    (as_point_set, "point set must be real numbers, got rows of different lengths"),
+], ids=[*TABLE_FUNCTIONS, "as_point_set"])
+def test_ragged_table_rejected_with_its_own_message(call, message):
+    # not NumPy's "setting an array element with a sequence"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call([[1.0, 2.0], [1.0]])
 
 
 def test_an_object_vector_of_real_numbers_is_served_as_its_floats(heat_run):

@@ -81,12 +81,15 @@ def test_every_export_is_used_outside_tests():
 # a new coupling to another module's internals is added here on purpose.
 PRIVATE_IMPORTS = {
     ("cli", "serialization", "_fmt"),
+    ("degradation", "geometry", "_frozen"),
     ("experiment", "serialization", "_fmt"),
     ("experiment", "simulation", "_interval_steps"),
     ("identification", "geometry", "_INSIDE_INNER"),
     ("identification", "geometry", "_OUTSIDE_OUTER"),
     ("identification", "geometry", "_classify"),
     ("identification", "geometry", "_real"),
+    ("serialization", "geometry", "_frozen"),
+    ("simulation", "geometry", "_frozen"),
 }
 
 

@@ -616,7 +616,7 @@ def test_dedup_matches_greedy_loop(seed, d, k, side, pattern):
         dirs += rng.choice([0.0, 0.3, 3.0], (k, 1)) * DIRECTION_DEDUP_TOL * rng.normal(size=(k, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = rng.uniform(0, 2, k)
-    got_dirs, got_radii = _dedup_samples(dirs, radii, side)
+    got_dirs, got_radii = _dedup_samples(dirs, radii, side, 0.0)
     want_dirs, want_radii = reference_dedup(dirs, radii, side)
     np.testing.assert_array_equal(got_dirs, want_dirs)
     np.testing.assert_array_equal(got_radii, want_radii)
@@ -684,12 +684,25 @@ def test_dedup_matches_the_single_pass_bit_for_bit():
     folded = 0
     for dirs, radii in dedup_corpus(rng, 600):
         for side in Side:
-            got = _dedup_samples(dirs, radii, side)
+            got = _dedup_samples(dirs, radii, side, 0.0)
             want = single_pass_dedup(dirs, radii, side)
             for a, b in zip(got, want):
                 assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
             folded += len(got[1]) < len(np.unique(dirs, axis=0))
     assert folded > 300  # near repeats folded in most sets that have them
+
+
+def test_exact_repeats_fold_at_no_cost():
+    # a repeat does not move, so at any Lipschitz constant it folds as at 0, -0.0 included
+    rng = np.random.default_rng(37)
+    for case, (dirs, radii) in enumerate(dedup_corpus(rng, 200)):
+        if case % 4 > 1:  # near repeats and chains move
+            continue
+        for side in Side:
+            got = _dedup_samples(dirs, radii, side, 2.5)
+            want = _dedup_samples(dirs, radii, side, 0.0)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_one_near_pair_among_many_directions_stays_fast():

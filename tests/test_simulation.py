@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import re
 import warnings
 from pathlib import Path
 
@@ -763,3 +764,27 @@ class TestControlSample:
         with pytest.raises(ValueError):
             ControlSample(time=np.nan, state=np.zeros(1), velocity=np.zeros(1),
                           input=np.zeros(1))
+
+    def test_keeps_a_read_only_copy_of_the_callers_arrays(self):
+        x, v, u = np.ones(2), np.full(2, 2.0), np.full(1, 3.0)
+        sample = ControlSample(time=0.0, state=x, velocity=v, input=u)
+        for mine, kept in ((x, sample.state), (v, sample.velocity), (u, sample.input)):
+            assert mine.flags.writeable and not kept.flags.writeable
+            assert not np.shares_memory(mine, kept)
+        x[0] = 9.0
+        np.testing.assert_array_equal(sample.state, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ControlSample(0.0, ["1"], ["2"], ["3"]), "state must be real numbers, got dtype <U1"),
+    (lambda: ControlSample(0.0, [1.0], [2.0], ["3"]), "input must be real numbers, got dtype <U1"),
+    (lambda: linear_system([["1"]], [["1"]]), "A must be real numbers, got dtype <U1"),
+    (lambda: linear_system([[1.0]], [[1j]]), "B must be real numbers, got dtype complex128"),
+    (lambda: integrate(linear_system([[0.0]], [[1.0]]), None, ["1"], zero_signal(1),
+                       SamplingSchedule(10.0)),
+     "initial state must be real numbers, got dtype <U1"),
+])
+def test_non_real_numbers_rejected(call, message):
+    # a string would parse and a complex entry would lose its imaginary part
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
