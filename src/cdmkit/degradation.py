@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import _frozen
+from .geometry import _frozen, _positive
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class AffineMap:
 
     def __call__(self, u) -> np.ndarray:
         """Evaluate ``translation + linear @ u``."""
-        vec = np.atleast_1d(np.asarray(u, dtype=float))
+        vec = _frozen(u, "input")
         if vec.shape[0] != self.dim:
             raise ValueError(f"input dimension {vec.shape[0]} != map dimension {self.dim}")
         return self.translation + self.linear @ vec
@@ -67,6 +67,11 @@ class IntervalRegion:
     closed_hi: bool = True
 
     def __post_init__(self):
+        axis = self.axis
+        if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)) or axis < 0:
+            raise ValueError(f"interval axis must be a non-negative integer, got {axis!r}")
+        if _frozen([self.lo, self.hi], "interval ends").shape != (2,):
+            raise ValueError("interval ends must be two real numbers")
         if not (self.lo < self.hi or self.lo == self.hi and self.closed_lo and self.closed_hi):
             raise ValueError(f"interval region [{self.lo}, {self.hi}] is empty")
 
@@ -88,8 +93,7 @@ class BallRegion:
         center = _frozen(self.center, "ball center")
         if not np.isfinite(center).all():
             raise ValueError("ball center must be finite")
-        if not 0 <= self.radius < math.inf:  # False for NaN
-            raise ValueError("radius must be finite and non-negative")
+        _positive(self.radius, "radius", or_zero=True)
         object.__setattr__(self, "center", center)
 
     def contains_rows(self, U: np.ndarray) -> np.ndarray:
@@ -171,7 +175,7 @@ class NModeCdm:
         so its result does not depend on the batch it came in (a BLAS product
         rounds one row differently from several).
         """
-        U = np.array(u, dtype=float, ndmin=2)
+        U = _frozen(u, "input", ndmin=2)
         if self.dim is not None and U.shape[1] != self.dim:
             raise ValueError(f"input dimension {U.shape[1]} != map dimension {self.dim}")
         E = U.copy()
@@ -369,8 +373,7 @@ def mode_separation(cdm: NModeCdm, box_lo, box_hi) -> Optional[tuple]:
     exact (both bounds equal) for interval regions, within
     ``SEPARATION_GAP_TOL`` with a ball.  None when under two modes meet the box.
     """
-    lo = np.atleast_1d(np.asarray(box_lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(box_hi, dtype=float))
+    lo, hi = _frozen(box_lo, "box_lo"), _frozen(box_hi, "box_hi")
     boxes = [_clipped_box(region, lo, hi) for region, _ in cdm.modes]
     pairs = [_pair_bounds(cdm.modes[i], boxes[i], cdm.modes[j], boxes[j])
              for i in range(len(boxes)) for j in range(i + 1, len(boxes))
@@ -388,7 +391,7 @@ def heat_depth_response(p):
     Three branches: ``0.25 + 3 p`` below 0.25, identity on [0.25, 0.75],
     ``2.5 - 2 p`` above 0.75.  Vectorized.
     """
-    p = np.asarray(p, dtype=float)
+    p = _frozen(p, "depth rate", ndmin=0)
     return np.where(p < 0.25, 0.25 + 3.0 * p, np.where(p > 0.75, 2.5 - 2.0 * p, p))
 
 

@@ -32,7 +32,7 @@ from .degradation import (
     mode_separation,
 )
 from .errors import ConfigError, IdentificationError, PreconditionError
-from .geometry import interval_hausdorff, mgf_inner_bound
+from .geometry import _frozen, interval_hausdorff, mgf_inner_bound
 from .identification import (
     CdmReconstruction,
     IdentificationConfig,
@@ -283,7 +283,7 @@ def _parse_signal(parser, dim_input: int):
     if offset.shape[0] != dim_input or amplitude.shape[0] != dim_input:
         raise ConfigError("raised-cosine signal dimension does not match the system")
     return lambda t: offset + amplitude * 0.5 * (
-        1.0 - np.cos(2.0 * np.pi * np.asarray(t, dtype=float)[:, None] / period))
+        1.0 - np.cos(2.0 * np.pi * _frozen(t, "signal times")[:, None] / period))
 
 
 def parse_config_text(text: str) -> ExperimentConfig:

@@ -169,19 +169,17 @@ class StarSetApprox:
             raise ValueError("directions and radii disagree in length")
         if directions.shape[1] != center.shape[0]:
             raise ValueError("direction dimension does not match center")
-        if not (math.isfinite(self.lipschitz) and self.lipschitz >= 0):
-            raise ValueError(f"Lipschitz constant must be finite and non-negative, "
-                             f"got {self.lipschitz}")
+        lipschitz = _positive(self.lipschitz, "Lipschitz constant", or_zero=True)
         norms = np.linalg.norm(directions, axis=1)
         if directions.shape[0] and np.max(np.abs(norms - 1.0)) > DIRECTION_UNIT_TOL:
             raise ValueError("witness directions must have unit norm")
         if not np.all((radii >= 0) & (radii < np.inf)):
             raise ValueError("radii must be finite and non-negative")
-        directions, radii = _dedup_samples(directions, radii, self.side, self.lipschitz)
+        directions, radii = _dedup_samples(directions, radii, self.side, lipschitz)
         directions.setflags(write=False)
         radii.setflags(write=False)
         object.__setattr__(self, "center", center)
-        object.__setattr__(self, "lipschitz", float(self.lipschitz))
+        object.__setattr__(self, "lipschitz", lipschitz)
         object.__setattr__(self, "directions", directions)
         object.__setattr__(self, "radii", radii)
 
@@ -292,6 +290,24 @@ def _frozen(v, what: str, ndmin: int = 1) -> np.ndarray:
         raise ValueError(f"{what} must be real numbers, got {exc}") from None
     arr.setflags(write=False)
     return arr
+
+
+def _positive(x, what: str, or_zero: bool = False) -> float:
+    """``x`` as a float if it is a finite real number above zero, or at zero with ``or_zero``.
+
+    Anything else is a ``ValueError`` naming ``what``, also a string, a complex
+    number or several numbers, which ``float`` would parse, truncate or unwrap.
+    """
+    try:
+        value = x if type(x) is float else (  # a string, a complex number or several: NaN
+            float(x) if not np.ndim(x) and np.asarray(x).dtype.kind in "biufO" else math.nan)
+        if (value > 0.0 or or_zero and value == 0.0) and value < math.inf:
+            return value
+    except (TypeError, ValueError, OverflowError):  # also an int beyond the float range
+        pass
+    shown = repr(x) if isinstance(x, str) else x
+    raise ValueError(f"{what} must be finite and {'non-negative' if or_zero else 'positive'}, "
+                     f"got {shown}")
 
 
 def _coords(v, dim: int, what: str) -> list:

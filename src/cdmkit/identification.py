@@ -33,6 +33,8 @@ from .geometry import (
     StarSetApprox,
     estimate_mgf_lipschitz,
     _classify,
+    _frozen,
+    _positive,
     _real,
     pairwise_distances,
 )
@@ -96,7 +98,7 @@ def recover_effective_input(sample: ControlSample, model: SystemModel) -> np.nda
     degraded input.  Raises with the computed rank when the input matrix is
     rank deficient at the sampled state.
     """
-    G = np.asarray(model.input_map(sample.state), dtype=float)
+    G = _frozen(model.input_map(sample.state), "input map")
     residual_target = sample.velocity - model.drift(sample.state)
     solution, _, rank, sv = np.linalg.lstsq(G, residual_target, rcond=RANK_TOL)
     if rank < model.dim_input:
@@ -406,14 +408,11 @@ class IdentificationConfig:
 
     def __post_init__(self):
         for name in ("delta", "lipschitz"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if not (math.isfinite(self.identity_tol) and self.identity_tol >= 0):
-            raise ValueError(
-                f"identity_tol must be finite and non-negative, got {self.identity_tol}")
-        if self.n_modes < 1:
-            raise ValueError(f"modes must be at least 1, got {self.n_modes}")
+            _positive(getattr(self, name), name)
+        _positive(self.identity_tol, "identity_tol", or_zero=True)
+        n = self.n_modes
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"modes must be an integer of at least 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -792,12 +791,7 @@ def lipschitz_error_bound(recon: CdmReconstruction, u, l_p: float) -> float:
     real number (``ValueError``); a non-numeric, non-finite or
     wrong-dimension ``u`` raises :class:`PreconditionError`.
     """
-    try:
-        admissible = math.isfinite(l_p) and l_p > 0
-    except TypeError:  # not a real number
-        admissible = False
-    if not admissible:
-        raise ValueError(f"Lipschitz constant must be finite and positive, got {l_p}")
+    _positive(l_p, "Lipschitz constant")
     point, coords = _command(recon, u)
     for mode in recon.modes:
         if mode.containment(coords) is not _INSIDE_INNER:

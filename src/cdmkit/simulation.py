@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import _frozen
+from .geometry import _frozen, _positive
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,10 @@ class ControlSample:
     input: np.ndarray
 
     def __post_init__(self):
-        if not np.isfinite(self.time):
-            raise ValueError("sample time must be finite")
+        time = _frozen(self.time, "sample time", ndmin=0)
+        if time.ndim or not np.isfinite(time):
+            raise ValueError(f"sample time must be one finite number, got {self.time!r}")
+        object.__setattr__(self, "time", float(time))
         for name in ("state", "velocity", "input"):
             object.__setattr__(self, name, _frozen(getattr(self, name), name))
         if self.state.shape != self.velocity.shape:
@@ -47,6 +49,8 @@ class SystemModel:
     it must have full column rank wherever the system is observed.
     ``stability_limit`` optionally caps the explicit integration step; it
     must be finite and positive.
+    ``input_lo``/``input_hi`` optionally bound the commands; each is kept
+    as a read-only copy.
     ``a_matrix``/``b_matrix`` are set on linear systems ``x' = A x + B u``
     (see :func:`linear_system`) and must agree with ``drift``/``input_map``;
     :func:`integrate` advances such a system with a precomputed step map.
@@ -68,6 +72,9 @@ class SystemModel:
         limit = self.stability_limit
         if limit is not None and not (math.isfinite(limit) and limit > 0):
             raise ValueError(f"stability limit must be None or finite and positive, got {limit}")
+        for name in ("input_lo", "input_hi"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _frozen(getattr(self, name), name))
 
     @cached_property
     def _rk4_powers(self) -> tuple:
@@ -114,7 +121,7 @@ def _effective_inputs(cdm, U: np.ndarray) -> np.ndarray:
     """
     if cdm is None:
         return U
-    E = np.asarray(cdm(U), dtype=float)
+    E = _frozen(cdm(U), "effective input")
     if E.shape != U.shape:
         raise ValueError("degradation map changed the input dimension")
     return E
@@ -152,8 +159,7 @@ class HeatSystem:
         if not 3 <= self.grid_points <= _MAX_GRID_POINTS:
             raise ValueError(f"grid_points must lie in [3, {_MAX_GRID_POINTS}], "
                              f"got {self.grid_points}")
-        if not (math.isfinite(self.diffusivity) and self.diffusivity > 0):
-            raise ValueError(f"diffusivity must be finite and positive, got {self.diffusivity}")
+        _positive(self.diffusivity, "diffusivity")
         h = self.spacing
         if not h <= self.epsilon <= 1.0:
             raise ValueError(
@@ -214,8 +220,7 @@ def _heat_model(system: HeatSystem) -> SystemModel:
     B = np.zeros((G + 1, 2))
     B[:G, 0] = system.source_profile()
     B[G, 1] = 1.0
-    common = dict(input_lo=_frozen([0.0, 0.0], "input_lo"),
-                  input_hi=_frozen([10.0, 1.0], "input_hi"), stability_limit=system.stability_limit)
+    common = dict(input_lo=[0.0, 0.0], input_hi=[10.0, 1.0], stability_limit=system.stability_limit)
     if not system.nonlinear_depth:
         return linear_system(A, B, **common)
 
@@ -234,7 +239,7 @@ def probe_signal(t):
     Unit source power and a raised-cosine depth rate that sweeps [0, 1]
     with period 0.3 s.
     """
-    t = np.asarray(t, dtype=float)
+    t = _frozen(t, "probe times", ndmin=0)
     return np.column_stack([np.ones_like(t), 0.5 * (1.0 - np.cos(20.0 * np.pi * t / 3.0))])
 
 
@@ -248,14 +253,10 @@ class SamplingSchedule:
     horizon: float = 1.0
 
     def __post_init__(self):
-        for name in ("rate", "jitter", "horizon"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"sampling {name} must be finite")
-        if self.rate <= 0:
-            raise ValueError("sampling rate must be positive")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if self.jitter < 0 or self.jitter >= 0.5 / self.rate:
+        for name in ("rate", "horizon"):
+            _positive(getattr(self, name), f"sampling {name}")
+        _positive(self.jitter, "sampling jitter", or_zero=True)
+        if self.jitter >= 0.5 / self.rate:
             raise ValueError("jitter must lie in [0, 1/(2 rate)) to keep samples ordered")
         if self.seed < 0:
             raise ValueError("sampling seed must be non-negative")
@@ -409,7 +410,7 @@ def _linear_rk4_advance(model: SystemModel):
 
 def _commands(input_signal, times: np.ndarray, dim_input: int) -> np.ndarray:
     """The signal's ``(k, m)`` command rows at the ``k`` times, as a C-ordered float array."""
-    U = np.ascontiguousarray(input_signal(times), dtype=float)
+    U = np.ascontiguousarray(_frozen(input_signal(times), "input signal"))
     expected = (times.shape[0], dim_input)
     if U.shape != expected:
         raise ValueError(f"input signal returned shape {U.shape} for {times.shape[0]} "
@@ -423,7 +424,7 @@ def _checked_times(times) -> np.ndarray:
     A time is bad when it is not finite, negative, or earlier than the one
     before it (equal times are an empty interval).
     """
-    times = np.asarray(times, dtype=float)
+    times = _frozen(times, "sample times")
     previous = np.concatenate([[0.0], times[:-1]])
     bad = np.flatnonzero(~np.isfinite(times) | (times < previous))
     if bad.size:

@@ -104,6 +104,61 @@ def test_non_real_numbers_rejected(build, message):
         build()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: AffineMap([[2.0]], [0.0])("1"), "input must be real numbers, got dtype <U1"),
+    (lambda: heat_example_cdm()([["1", "0.1"]]), "input must be real numbers, got dtype <U3"),
+    (lambda: heat_example_cdm()(np.array([1.0, 0.1j])),
+     "input must be real numbers, got dtype complex128"),
+    (lambda: mode_separation(heat_example_cdm(), ["0", "0"], ["10", "1"]),
+     "box_lo must be real numbers, got dtype <U1"),
+    (lambda: mode_separation(heat_example_cdm(), [0.0, 0.0], ["10", "1"]),
+     "box_hi must be real numbers, got dtype <U2"),
+    (lambda: heat_depth_response("0.1"), "depth rate must be real numbers, got dtype <U3"),
+    (lambda: BallRegion([0.0, 0.0], "1"), "radius must be finite and non-negative, got '1'"),
+    (lambda: BallRegion([0.0, 0.0], 1j), "radius must be finite and non-negative, got 1j"),
+    (lambda: BallRegion([0.0, 0.0], np.complex128(1.0)),
+     "radius must be finite and non-negative, got (1+0j)"),
+])
+def test_numbers_given_at_call_time_are_real(call, message):
+    # a numeric string would parse, and a complex value would lose its imaginary part
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_call_time_numbers_keep_their_answers():
+    assert heat_depth_response(0.1) == heat_depth_response(np.float64(0.1)) == 0.55
+    assert mode_separation(heat_example_cdm(), [0, 0], [10, 1]) == (0.5, 0.5)
+    np.testing.assert_array_equal(heat_example_cdm()([1, 0]), [1.0, 0.25])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: IntervalRegion(axis=0, lo="0", hi="1"),
+     "interval ends must be real numbers, got dtype <U1"),
+    (lambda: IntervalRegion(axis=0, lo=0.0, hi=1j),
+     "interval ends must be real numbers, got dtype complex128"),
+    (lambda: IntervalRegion(axis=0, lo=[0.0, 1.0], hi=[2.0, 3.0]),
+     "interval ends must be two real numbers"),
+    (lambda: IntervalRegion(axis=-1, lo=0.0, hi=1.0),
+     "interval axis must be a non-negative integer, got -1"),
+    (lambda: IntervalRegion(axis=0.5, lo=0.0, hi=1.0),
+     "interval axis must be a non-negative integer, got 0.5"),
+    (lambda: IntervalRegion(axis=True, lo=0.0, hi=1.0),
+     "interval axis must be a non-negative integer, got True"),
+])
+def test_interval_takes_an_axis_index_and_real_ends(build, message):
+    # with a negative axis contains_rows still picks a channel, but _bounds
+    # matches no axis, so mode_separation would read (0.0, 0.0) for (0.5, 0.5)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_interval_keeps_infinite_ends_and_numpy_axes():
+    slab = IntervalRegion(axis=np.int64(1), lo=-np.inf, hi=0.5)
+    assert in_region(slab, [9.0, -1e300]) and not in_region(slab, [0.0, 0.6])
+    with pytest.raises(ValueError, match=r"^interval region \[nan, 1.0\] is empty$"):
+        IntervalRegion(axis=0, lo=np.nan, hi=1.0)
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: AffineMap(np.eye(2), np.zeros(3)), "translation dimension does not match linear part"),
     (lambda: NModeCdm(modes=((IntervalRegion(0, 0.0, 1.0), identity(1)),

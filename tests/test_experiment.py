@@ -330,6 +330,13 @@ def test_signal_kind_matches_per_time_evaluation(kind, times, bundled_stage_time
     np.testing.assert_array_equal(batch.view(np.uint64), expected.view(np.uint64))
 
 
+def test_raised_cosine_signal_takes_real_times():
+    # the strings would parse
+    signal = signal_config(SIGNAL_KINDS["raised-cosine"][0]).signal
+    with pytest.raises(ValueError, match=r"^signal times must be real numbers, got dtype <U3$"):
+        signal(["0.1"])
+
+
 TINY_BALLS_CONFIG = DEFAULT_HEAT_CONFIG.replace("kind = heat-threemode", """kind = modes
 
 [cdm.mode.1]

@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -750,6 +752,39 @@ def test_non_finite_point_is_rejected(u):
 def test_malformed_witnesses_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("x", [3, 2.5, True, np.float32(3.5), np.int64(3), np.array(2.0),
+                               10**30, Fraction(7, 3), Decimal("3")])
+def test_positive_takes_any_one_real_number(x):
+    assert geometry._positive(x, "x") == float(x)
+    assert type(geometry._positive(x, "x")) is float
+
+
+@pytest.mark.parametrize("x, shown", [
+    ("1", "'1'"), (b"1", "b'1'"), (1j, "1j"), (np.complex128(1.0), "(1+0j)"),
+    (np.array(1j), "1j"), ([3.0], "[3.0]"), (np.ones(2), "[1. 1.]"), (None, "None"),
+    (math.nan, "nan"), (math.inf, "inf"), (-1.0, "-1.0"), (np.float64(-0.5), "-0.5"),
+])
+def test_positive_rejects_anything_else(x, shown):
+    # math.isfinite takes a complex NumPy scalar, with a ComplexWarning
+    for or_zero, bound in ((False, "positive"), (True, "non-negative")):
+        message = f"x must be finite and {bound}, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            geometry._positive(x, "x", or_zero)
+    with pytest.raises(ValueError, match=r"^x must be finite and positive, got 0\.0$"):
+        geometry._positive(0.0, "x")
+    assert geometry._positive(0.0, "x", or_zero=True) == 0.0
+
+
+@pytest.mark.parametrize("lipschitz, shown", [
+    ("1", "'1'"), (np.complex128(1.0), "(1+0j)"), ([1.0], "[1.0]")])
+def test_star_lipschitz_constant_is_one_real_number(lipschitz, shown):
+    message = f"Lipschitz constant must be finite and non-negative, got {shown}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        star_from_samples([[1.0, 0.0]], [1.0], Side.INNER, lipschitz)
+    star = star_from_samples([[1.0, 0.0]], [1.0], Side.INNER, np.float32(0.5))
+    assert type(star.lipschitz) is float and star.lipschitz == 0.5
 
 
 def test_bundled_reconstruction_sweep_classifies_like_reference(heat_run):

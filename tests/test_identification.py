@@ -36,8 +36,8 @@ from cdmkit.identification import (
     split_pairs,
     viabilize,
 )
-from cdmkit.serialization import read_reconstruction
-from cdmkit.simulation import ControlSample, linear_system
+from cdmkit.serialization import read_reconstruction, write_reconstruction
+from cdmkit.simulation import ControlSample, SystemModel, linear_system
 
 from test_geometry import near, ref_inner_bound, ref_outer_bound, ref_star_contains
 from trials import TRIAL_DELTA, TRIAL_LIPSCHITZ, in_region, make_trial, match_true_mode
@@ -63,6 +63,37 @@ class TestIdentificationConfig:
 
     def test_admissible_edge_values(self):
         IdentificationConfig(delta=1e-12, n_modes=1, lipschitz=1e-12, identity_tol=0.0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(delta=np.complex128(1.0)), "delta must be finite and positive, got (1+0j)"),
+    (dict(delta="1"), "delta must be finite and positive, got '1'"),
+    (dict(lipschitz=[1.0, 2.0]), "lipschitz must be finite and positive, got [1.0, 2.0]"),
+    (dict(identity_tol=1j), "identity_tol must be finite and non-negative, got 1j"),
+    (dict(n_modes=True), "modes must be an integer of at least 1, got True"),
+    (dict(n_modes=1.5), "modes must be an integer of at least 1, got 1.5"),
+])
+def test_config_takes_real_tunables_and_an_integer_mode_count(kwargs, message):
+    # write_reconstruction would write a mode count of True or 1.5 as a line
+    # that read_reconstruction rejects
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        IdentificationConfig(**{"delta": 0.4, "n_modes": 3, **kwargs})
+
+
+def test_numpy_integer_mode_count_round_trips(tmp_path):
+    pairs = [([1.0, 0.0], [2.0, 0.0]), ([0.0, 1.0], [0.0, 2.0])]
+    config = IdentificationConfig(delta=0.1, n_modes=np.int64(2))
+    write_reconstruction(tmp_path / "reconstruction.txt",
+                         build_reconstruction_from_pairs(pairs, config))
+    assert read_reconstruction(tmp_path / "reconstruction.txt").mode_count == 2
+
+
+def test_recovery_takes_real_input_gains():
+    # the input map's strings would parse
+    model = SystemModel(dim_state=1, dim_input=1, drift=lambda x: np.zeros(1),
+                        input_map=lambda x: [["2"]])
+    with pytest.raises(ValueError, match=r"^input map must be real numbers, got dtype <U1$"):
+        recover_effective_input(scalar_sample(0.2), model)
 
 
 class TestRecoverEffectiveInput:
@@ -779,6 +810,12 @@ class TestLipschitzErrorBound:
         recon = manual_recon([self.make_mode()])
         with pytest.raises(ValueError, match="finite and positive"):
             lipschitz_error_bound(recon, [0.1], l_p)
+
+    def test_complex_numpy_lipschitz_constant_is_value_error(self):
+        # math.isfinite takes it, with a ComplexWarning
+        recon = manual_recon([self.make_mode()])
+        with pytest.raises(ValueError, match=r"^Lipschitz constant must be finite and positive"):
+            lipschitz_error_bound(recon, [0.1], np.complex128(3.0))
 
     @pytest.mark.parametrize("l_p", ["3", None, 1j, [3.0]])
     def test_non_real_lipschitz_constant_is_value_error(self, l_p):

@@ -82,14 +82,19 @@ def test_every_export_is_used_outside_tests():
 PRIVATE_IMPORTS = {
     ("cli", "serialization", "_fmt"),
     ("degradation", "geometry", "_frozen"),
+    ("degradation", "geometry", "_positive"),
+    ("experiment", "geometry", "_frozen"),
     ("experiment", "serialization", "_fmt"),
     ("experiment", "simulation", "_interval_steps"),
     ("identification", "geometry", "_INSIDE_INNER"),
     ("identification", "geometry", "_OUTSIDE_OUTER"),
     ("identification", "geometry", "_classify"),
+    ("identification", "geometry", "_frozen"),
+    ("identification", "geometry", "_positive"),
     ("identification", "geometry", "_real"),
     ("serialization", "geometry", "_frozen"),
     ("simulation", "geometry", "_frozen"),
+    ("simulation", "geometry", "_positive"),
 }
 
 
@@ -101,6 +106,31 @@ def test_private_imports_across_modules_are_the_listed_ones():
                 found |= {(path.stem, node.module, alias.name) for alias in node.names
                           if alias.name.startswith("_")}
     assert found == PRIVATE_IMPORTS
+
+
+def float_coercions(node, module: str, owner: str = "<module>") -> set:
+    """``(module, function)`` of each call under ``node`` that passes ``dtype=float``."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found |= float_coercions(child, module, child.name)
+            continue
+        if isinstance(child, ast.Call) and any(
+                kw.arg == "dtype" and isinstance(kw.value, ast.Name) and kw.value.id == "float"
+                for kw in child.keywords):
+            found.add((module, owner))
+        found |= float_coercions(child, module, owner)
+    return found
+
+
+def test_only_pairwise_distances_coerces_with_dtype_float():
+    # np.asarray(v, dtype=float) parses numeric strings and drops imaginary parts;
+    # every other number a caller passes goes through geometry._frozen or _positive,
+    # and pairwise_distances sees only rows the package has checked already
+    found = set()
+    for path in (REPO_ROOT / "src" / "cdmkit").glob("*.py"):
+        found |= float_coercions(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == {("geometry", "pairwise_distances")}
 
 
 def test_dir_lists_every_public_name():

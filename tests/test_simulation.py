@@ -5,6 +5,7 @@ import dataclasses
 import re
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -788,3 +789,64 @@ def test_non_real_numbers_rejected(call, message):
     # a string would parse and a complex entry would lose its imaginary part
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def ones_signal(t):
+    return np.ones((len(t), 1))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SamplingSchedule(rate="20", horizon=1.0),
+     "sampling rate must be finite and positive, got '20'"),
+    (lambda: SamplingSchedule(rate=20.0, horizon=np.complex128(1.0)),
+     "sampling horizon must be finite and positive, got (1+0j)"),
+    (lambda: SamplingSchedule(rate=20.0, jitter=-0.01),
+     "sampling jitter must be finite and non-negative, got -0.01"),
+    (lambda: HeatSystem(diffusivity="0.1"), "diffusivity must be finite and positive, got '0.1'"),
+    (lambda: probe_signal(["0.1"]), "probe times must be real numbers, got dtype <U3"),
+    (lambda: integrate(linear_system([[0.0]], [[1.0]]), None, [0.0],
+                       lambda t: np.full((len(t), 1), "1"), SamplingSchedule(10.0)),
+     "input signal must be real numbers, got dtype <U1"),
+    (lambda: integrate(linear_system([[0.0]], [[1.0]]), None, [0.0],
+                       lambda t: np.full((len(t), 1), 1j), SamplingSchedule(10.0)),
+     "input signal must be real numbers, got dtype complex128"),
+    (lambda: integrate(linear_system([[0.0]], [[1.0]]), lambda U: U * 1j, [0.0], ones_signal,
+                       SamplingSchedule(10.0)),
+     "effective input must be real numbers, got dtype complex128"),
+    (lambda: integrate(linear_system([[0.0]], [[1.0]]), None, [0.0], ones_signal,
+                       SimpleNamespace(sample_times=lambda: ["0.1"])),
+     "sample times must be real numbers, got dtype <U3"),
+])
+def test_tunables_and_call_time_numbers_are_real(call, message):
+    # a numeric string would parse, and a complex value would lose its
+    # imaginary part with a ComplexWarning
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("time, message", [
+    (1j, "sample time must be real numbers, got dtype complex128"),
+    ("1", "sample time must be real numbers, got dtype <U1"),
+    ([1.0], "sample time must be one finite number, got [1.0]"),
+    (np.inf, "sample time must be one finite number, got inf"),
+])
+def test_sample_time_is_one_finite_real_number(time, message):
+    # write_samples would write a complex time as a row that read_samples rejects
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ControlSample(time=time, state=[0.0], velocity=[0.0], input=[0.0])
+    sample = ControlSample(time=np.float64(0.5), state=[0.0], velocity=[0.0], input=[0.0])
+    assert type(sample.time) is float and sample.time == 0.5
+
+
+def test_system_model_keeps_a_read_only_copy_of_the_input_box():
+    lo, hi = np.zeros(2), np.ones(2)
+    model = linear_system(np.eye(2), np.eye(2), input_lo=lo, input_hi=hi)
+    for mine, kept in ((lo, model.input_lo), (hi, model.input_hi)):
+        assert mine.flags.writeable and not kept.flags.writeable
+        assert not np.shares_memory(mine, kept)
+    lo[0] = -5.0
+    np.testing.assert_array_equal(model.input_lo, [0.0, 0.0])
+    assert linear_system(np.eye(2), np.eye(2)).input_lo is None
+    heat = HeatSystem().model()
+    np.testing.assert_array_equal(heat.input_hi, [10.0, 1.0])
+    assert not heat.input_lo.flags.writeable and not heat.input_hi.flags.writeable
