@@ -32,7 +32,7 @@ from .degradation import (
     mode_separation,
 )
 from .errors import ConfigError, IdentificationError, PreconditionError
-from .geometry import _frozen, interval_hausdorff, mgf_inner_bound
+from .geometry import _frozen, _positive, interval_hausdorff, mgf_inner_bound
 from .identification import (
     CdmReconstruction,
     IdentificationConfig,
@@ -278,8 +278,10 @@ def _parse_signal(parser, dim_input: int):
         return lambda t: np.tile(values, (len(t), 1))
     # per-channel: value_i(t) = offset_i + amplitude_i * (1 - cos(2 pi t / period)) / 2
     offset, amplitude, period = spec["offset"], spec["amplitude"], spec["period"]
-    if not (math.isfinite(period) and period > 0):
-        raise ConfigError(f"[signal] period must be finite and positive, got {period}")
+    try:
+        period = _positive(period, "[signal] period")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if offset.shape[0] != dim_input or amplitude.shape[0] != dim_input:
         raise ConfigError("raised-cosine signal dimension does not match the system")
     return lambda t: offset + amplitude * 0.5 * (

@@ -253,6 +253,7 @@ def _witnesses(points, center: np.ndarray):
 _FLOAT_ONLY = frozenset((float,))
 _NORMAL_MIN = sys.float_info.min  # smallest normal float
 _REAL_SCALARS = (int, float, np.bool_, np.integer, np.floating)  # a bool is an int
+_NOT_REAL = (str, bytes, complex, np.complexfloating)  # what float parses or truncates
 
 
 def _real(v) -> np.ndarray:
@@ -296,11 +297,13 @@ def _positive(x, what: str, or_zero: bool = False) -> float:
     """``x`` as a float if it is a finite real number above zero, or at zero with ``or_zero``.
 
     Anything else is a ``ValueError`` naming ``what``, also a string, a complex
-    number or several numbers, which ``float`` would parse, truncate or unwrap.
+    number or several numbers, which ``float`` would parse, truncate or unwrap,
+    alone or held in an object array.
     """
     try:
         value = x if type(x) is float else (  # a string, a complex number or several: NaN
-            float(x) if not np.ndim(x) and np.asarray(x).dtype.kind in "biufO" else math.nan)
+            float(x) if not np.ndim(x) and np.asarray(x).dtype.kind in "biufO"
+            and not isinstance(np.asarray(x).item(), _NOT_REAL) else math.nan)
         if (value > 0.0 or or_zero and value == 0.0) and value < math.inf:
             return value
     except (TypeError, ValueError, OverflowError):  # also an int beyond the float range

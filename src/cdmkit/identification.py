@@ -114,39 +114,31 @@ def recover_effective_input(sample: ControlSample, model: SystemModel) -> np.nda
 # Clustering
 
 
-def _select_basis(inputs: np.ndarray, m: int, known: tuple = ((), ())):
+def _scores(inputs: np.ndarray, chosen: list, rows) -> np.ndarray:
+    """The smallest singular value of the ``chosen`` inputs over each of ``rows``, batched."""
+    stacked = np.empty((len(rows), len(chosen) + 1), dtype=np.intp)  # row indices
+    stacked[:, :-1] = chosen
+    stacked[:, -1] = rows
+    return np.linalg.svd(inputs[stacked], compute_uv=False)[:, -1]
+
+
+def _select_basis(inputs: np.ndarray, m: int):
     """Greedily pick m inputs maximizing the smallest singular value.
 
-    Round j scores every input by the smallest singular value of the inputs
-    chosen so far stacked over it, in one batched SVD, and picks the first
-    best among the unchosen (chosen ones score -inf).  Returns the basis,
-    empty when rank deficient, and each round's scores.  ``known`` may be
-    what this returned for a prefix of ``inputs``: while its picks agree,
-    only the rows beyond the prefix are scored, and when all m agree the
-    prefix's rank decision, made on the same rows, is returned without
-    another SVD.
+    Round j scores every input against the inputs chosen so far and picks
+    the first best among the unchosen (chosen ones score -inf).  Returns the
+    basis, empty when rank deficient, and each round's ``(pick, best score)``.
     """
     k = inputs.shape[0]
     if k < m:
         return (), []
-    known_basis, known_rounds = known
-    picks = [int(np.argmax(r)) for r in known_rounds]
     chosen: list[int] = []
     rounds = []
-    for j in range(m):
-        reuse = j < len(picks) and chosen == picks[:j]
-        start = known_rounds[j].shape[0] if reuse else 0
-        stacked = np.empty((k - start, j + 1), dtype=np.intp)  # row indices
-        stacked[:, :j] = chosen
-        stacked[:, j] = np.arange(start, k)
-        scores = np.linalg.svd(inputs[stacked], compute_uv=False)[:, -1]
-        if reuse:
-            scores = np.concatenate([known_rounds[j], scores])
+    for _ in range(m):
+        scores = _scores(inputs, chosen, np.arange(k))
         scores[chosen] = -np.inf
         chosen.append(int(np.argmax(scores)))
-        rounds.append(scores)
-    if chosen == picks:
-        return known_basis, rounds
+        rounds.append((chosen[-1], scores[chosen[-1]]))
     sv = np.linalg.svd(inputs[chosen], compute_uv=False)
     if sv[0] == 0.0 or sv[-1] <= RANK_TOL * sv[0]:
         return (), rounds
@@ -157,9 +149,12 @@ class _Rows:
     """A table of ``[u | v]`` rows in pair order, grown by appending.
 
     Rows below the count are never rewritten, and a full buffer is replaced
-    by a copy, so every table :attr:`pairs` hands out keeps its rows.  The
-    basis behind :attr:`identified` is chosen on demand, scoring only the
-    rows appended since the last choice.
+    by a copy, so every table :attr:`pairs` hands out keeps its rows.
+    :attr:`identified` picks the basis by :func:`_select_basis` again only
+    when an appended input scores above a round's best against that
+    round's prefix.  That is the pick from scratch: ties keep the first
+    best, the earlier rows' scores keep their bits, the same picks decide
+    rank alike, and scores are finite (pairs are within 1e150), never NaN.
     """
 
     def __init__(self, table: np.ndarray):
@@ -182,8 +177,12 @@ class _Rows:
         """Whether :func:`fit_affine` identifies the rows so far."""
         if self._scored != self.count:
             m = self.table.shape[1] // 2
-            self._basis, self._rounds = _select_basis(
-                self.table[:self.count, :m], m, (self._basis, self._rounds))
+            inputs = self.table[:self.count, :m]
+            picks = [pick for pick, _ in self._rounds]
+            new = range(self._scored, self.count)
+            if not self._rounds or any(_scores(inputs, picks[:j], new).max() > best
+                                       for j, (_, best) in enumerate(self._rounds)):
+                self._basis, self._rounds = _select_basis(inputs, m)
             self._scored = self.count
         return _unidentifiable(self.count, self._basis) is None
 
@@ -328,10 +327,7 @@ def cluster_pairs(points: np.ndarray, delta: float, n_modes: int) -> list[np.nda
         empty = False
     if empty:
         raise ValueError("no pairs to cluster")
-    if delta <= 0:
-        raise ValueError("separation delta must be positive")
-    if n_modes < 1:
-        raise ValueError("n_modes must be at least 1")
+    IdentificationConfig(delta, n_modes)  # the config's rules for both
     points = _pair_table(points)
     # the structure the stream grows, one point at a time, cut once
     linkage = _Linkage(delta, n_modes, points.shape[1])
@@ -636,8 +632,8 @@ class Reconstructor:
 
     ``push(u, v)`` records a pair at the cost of clustering it: it joins,
     starts or merges threshold components, the clusters are re-cut from
-    them, a cluster that only gains the pair appends it to its table, and
-    the basis of a grown cluster is picked by scoring only its new inputs;
+    them, a cluster that only gains the pair appends it to its table and
+    picks its basis again only if the pair's input beats a greedy round;
     no star set is built and no map is fitted.  ``modes_identified``
     counts the current clusters that :func:`fit_affine` identifies.
     ``snapshot()`` returns the reconstruction of every pair pushed so far,

@@ -69,9 +69,9 @@ class SystemModel:
     def __post_init__(self):
         if self.dim_input > self.dim_state:
             raise ValueError("system must not be overactuated (m <= n)")
-        limit = self.stability_limit
-        if limit is not None and not (math.isfinite(limit) and limit > 0):
-            raise ValueError(f"stability limit must be None or finite and positive, got {limit}")
+        if self.stability_limit is not None:
+            object.__setattr__(self, "stability_limit",
+                               _positive(self.stability_limit, "stability limit"))
         for name in ("input_lo", "input_hi"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _frozen(getattr(self, name), name))

@@ -765,6 +765,9 @@ def test_positive_takes_any_one_real_number(x):
     ("1", "'1'"), (b"1", "b'1'"), (1j, "1j"), (np.complex128(1.0), "(1+0j)"),
     (np.array(1j), "1j"), ([3.0], "[3.0]"), (np.ones(2), "[1. 1.]"), (None, "None"),
     (math.nan, "nan"), (math.inf, "inf"), (-1.0, "-1.0"), (np.float64(-0.5), "-0.5"),
+    # float would parse or truncate what an object array holds
+    (np.array("1", dtype=object), "1"), (np.array(b"1", dtype=object), "b'1'"),
+    (np.array(1j, dtype=object), "1j"),
 ])
 def test_positive_rejects_anything_else(x, shown):
     # math.isfinite takes a complex NumPy scalar, with a ComplexWarning

@@ -502,9 +502,18 @@ def pushed(*dims):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: cluster_pairs(np.empty((0, 2)), 0.1, 1), "no pairs to cluster"),
-    (lambda: cluster_pairs(np.ones((2, 2)), 0.0, 1), "separation delta must be positive"),
-    (lambda: cluster_pairs(np.ones((2, 2)), -1.0, 1), "separation delta must be positive"),
-    (lambda: cluster_pairs(np.ones((2, 2)), 0.1, 0), "n_modes must be at least 1"),
+    (lambda: cluster_pairs(np.ones((2, 2)), 0.0, 1), "delta must be finite and positive"),
+    (lambda: cluster_pairs(np.ones((2, 2)), -1.0, 1), "delta must be finite and positive"),
+    (lambda: cluster_pairs(np.ones((2, 2)), 0.1, 0), "modes must be an integer of at least 1"),
+    # IdentificationConfig's rules: a forced merge "at or above separation delta nan" is no answer
+    (lambda: cluster_pairs(np.ones((2, 2)), math.nan, 1),
+     "^delta must be finite and positive, got nan$"),
+    (lambda: cluster_pairs(np.ones((2, 2)), math.inf, 1),
+     "^delta must be finite and positive, got inf$"),
+    (lambda: cluster_pairs(np.ones((2, 2)), 0.1, 1.5),
+     "^modes must be an integer of at least 1, got 1.5$"),
+    (lambda: cluster_pairs(np.ones((2, 2)), 0.1, True),
+     "^modes must be an integer of at least 1, got True$"),
     (lambda: build_reconstruction_from_pairs([], CHECK_CONFIG),
      "cannot build a reconstruction from zero pairs"),
     (lambda: Reconstructor(CHECK_CONFIG).snapshot(),

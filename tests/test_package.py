@@ -84,6 +84,7 @@ PRIVATE_IMPORTS = {
     ("degradation", "geometry", "_frozen"),
     ("degradation", "geometry", "_positive"),
     ("experiment", "geometry", "_frozen"),
+    ("experiment", "geometry", "_positive"),
     ("experiment", "serialization", "_fmt"),
     ("experiment", "simulation", "_interval_steps"),
     ("identification", "geometry", "_INSIDE_INNER"),
@@ -131,6 +132,38 @@ def test_only_pairwise_distances_coerces_with_dtype_float():
     for path in (REPO_ROOT / "src" / "cdmkit").glob("*.py"):
         found |= float_coercions(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert found == {("geometry", "pairwise_distances")}
+
+
+def positivity_checks(node, module: str, owner: str = "") -> set:
+    """``(module, qualified name)`` of each ``and`` under ``node`` that calls
+    ``isfinite(x)`` and compares ``x > 0`` or ``x >= 0``."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            found |= positivity_checks(child, module, f"{owner}{child.name}.")
+            continue
+        if isinstance(child, ast.BoolOp) and isinstance(child.op, ast.And):
+            finite = {ast.dump(value.args[0]) for value in child.values
+                      if isinstance(value, ast.Call) and value.args
+                      and getattr(value.func, "attr", getattr(value.func, "id", "")) == "isfinite"}
+            signed = {ast.dump(value.left) for value in child.values
+                      if isinstance(value, ast.Compare) and len(value.ops) == 1
+                      and isinstance(value.ops[0], (ast.Gt, ast.GtE))
+                      and isinstance(value.comparators[0], ast.Constant)
+                      and value.comparators[0].value == 0}
+            if finite & signed:
+                found.add((module, owner.rstrip(".") or "<module>"))
+        found |= positivity_checks(child, module, owner)
+    return found
+
+
+def test_positivity_is_checked_only_by_geometry_positive():
+    # a hand-written ``isfinite(x) and x > 0`` takes a complex number with a
+    # ComplexWarning and a string with an untyped TypeError; _positive takes neither
+    found = set()
+    for path in (REPO_ROOT / "src" / "cdmkit").glob("*.py"):
+        found |= positivity_checks(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == set()
 
 
 def test_dir_lists_every_public_name():

@@ -3,7 +3,8 @@
 Every snapshot of a stream, whichever steps it is taken at, must
 serialize exactly like ``build_reconstruction_from_pairs`` on the same
 prefix, and must stay bit for bit as taken while the stream grows on.  A
-push clusters its pair and picks the basis of the cluster it changes; a
+push clusters its pair, and the cluster it grows picks its basis again
+only when the pair's input beats a round of the greedy pick; a
 snapshot builds every mode through the batch build's own builder, and a
 run takes one.  The stream and the batch share their clustering, so both
 are checked against SciPy's single linkage, the stream after every push.
@@ -37,8 +38,10 @@ from cdmkit.geometry import (
     mgf_outer_bound,
 )
 from cdmkit.identification import (
+    RANK_TOL,
     IdentificationConfig,
     Reconstructor,
+    _Rows,
     _select_basis,
     build_reconstruction_from_pairs,
     cluster_pairs,
@@ -264,38 +267,56 @@ def test_bundled_stream_matches_batch_at_sparse_snapshots(heat_run):
 # Structural incrementality
 
 
-def test_a_push_that_grows_one_cluster_scores_only_its_new_pair(heat_run, monkeypatch):
+def test_a_push_that_grows_one_cluster_picks_again_only_when_its_input_beats_a_round(
+        heat_run, monkeypatch):
     """Basis selection after a push that appends the pair to one cluster of the bundled stream.
 
-    The cluster keeps the round scores of its earlier rows and scores the
-    new one alone; below the basis size it has none, and is scored whole.
+    With one appended input, the greedy pick changes exactly when the input
+    beats a round, and then the input takes that round.  So the cluster
+    calls :func:`_select_basis` once, on its whole table, when its new basis
+    rounds pick the new row (or it had no rounds yet), and otherwise scores
+    the new input in at most one SVD per round.
     """
     config, _, _ = heat_run
     pairs = heat_pairs(heat_run)
     m = len(pairs[0][0])
-    scored = []
-    select_basis = ck.identification._select_basis
+    picked, svds = [], []
+    select_basis, svd = ck.identification._select_basis, np.linalg.svd
 
-    def counted(inputs, size, known=((), ())):
-        scored.append((inputs.shape[0], known[1][0].shape[0] if known[1] else 0))
-        return select_basis(inputs, size, known)
+    def counted_pick(inputs, size):
+        picked.append(inputs.shape[0])
+        return select_basis(inputs, size)
 
-    monkeypatch.setattr(ck.identification, "_select_basis", counted)
+    def counted_svd(*args, **kwargs):
+        svds.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(ck.identification, "_select_basis", counted_pick)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     rec = Reconstructor(config.identification)
-    tables, appends = [], 0
+    tables, appends, repicks, picking_pushes = [], 0, 0, 0
     for pair in pairs:
-        scored.clear()
+        picked.clear()
+        svds.clear()
         rec.push(*pair)
-        pushed = list(scored)  # the snapshot's fits score their tables anew
-        now = [mode.pairs for mode in rec.snapshot().modes]
+        picking_pushes += bool(picked)
+        clusters = list(rec._linkage.clusters.values())
+        now = [rows.pairs for rows in clusters]
         grown = [len(new) - len(old) for old, new in zip(tables, now)
                  if np.array_equal(new[:len(old)], old)]
         if len(now) == len(tables) == len(grown) and sorted(grown)[-2:] in ([1], [0, 1]):
-            k = len(now[grown.index(1)])
-            assert pushed == [(k, k - 1 if k > m else 0)]
+            rows = clusters[grown.index(1)]
+            k = rows.count
+            if k <= m or k - 1 in [pick for pick, _ in rows._rounds]:
+                assert picked == [k]
+                repicks += k > m
+            else:
+                assert picked == [] and len(svds) <= m
             appends += 1
         tables = now
-    assert appends > 100
+    assert appends > 100 and repicks > 0
+    # scoring every grown cluster anew would pick on 133 of its pushes
+    assert picking_pushes < 30
 
 
 def test_run_bounds_and_fits_each_final_mode_once(heat_run, tmp_path, monkeypatch):
@@ -563,29 +584,77 @@ def reference_basis(inputs, m):
                 best_idx, best_sv = i, float(sv[-1])
         chosen.append(best_idx)
     sv = np.linalg.svd(inputs[chosen], compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= 1e-10 * sv[0]:
+    if sv[0] == 0.0 or sv[-1] <= RANK_TOL * sv[0]:
         return ()
     return tuple(chosen)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 12),
-       st.sampled_from([0.0, 1.0]))
-def test_select_basis_matches_greedy_loop(seed, m, k, grid):
+def assert_rows_pick_as_from_scratch(inputs):
+    """Rows pushed one at a time into ``_Rows`` decide and pick at every prefix as
+    :func:`_select_basis` on that prefix; returns the decision after each push."""
+    k, m = inputs.shape
+    rows = _Rows(np.empty((0, 2 * m)))
+    decisions = []
+    for cut in range(1, k + 1):
+        rows.append(np.concatenate([inputs[cut - 1], inputs[cut - 1]]))
+        basis, _ = _select_basis(inputs[:cut], m)
+        decisions.append(rows.identified)
+        assert decisions[-1] == (bool(basis) and cut > m)
+        assert rows._basis == basis
+    return decisions
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 24),
+       st.sampled_from(["plain", "grid", "near-degenerate", "one row scaled"]))
+def test_select_basis_matches_greedy_loop(seed, m, k, kind):
     rng = np.random.default_rng(seed)
     inputs = rng.uniform(-2, 2, (k, m))
-    if grid:
-        inputs = np.round(inputs / grid) * grid  # repeats and ties
+    if kind == "grid":
+        inputs = np.round(inputs)  # repeats and ties
+    elif kind == "near-degenerate":  # rank below m, up to a small perturbation
+        rank = int(rng.integers(0, m))
+        inputs = inputs[:, :rank] @ rng.uniform(-2, 2, (rank, m))
+        inputs += rng.normal(0.0, 10.0 ** rng.uniform(-13, -7), (k, m))
+    elif kind == "one row scaled":
+        inputs[rng.integers(k)] *= 1e10
     if k < m:
         assert _select_basis(inputs, m)[0] == ()
-        return
-    basis, _ = _select_basis(inputs, m)
-    assert basis == reference_basis(inputs, m)
-    # scoring only the rows beyond a prefix, and taking its rank decision
-    # when its picks agree, picks the same basis
-    for cut in range(m, k):
-        known = _select_basis(inputs[:cut], m)
-        assert _select_basis(inputs, m, known)[0] == basis
+    else:
+        assert _select_basis(inputs, m)[0] == reference_basis(inputs, m)
+    assert_rows_pick_as_from_scratch(inputs)
+
+
+@pytest.mark.parametrize("inputs, identified", [
+    ([[1.0, 0.0], [0.0, 2e-10], [0.5, 0.0]], False),  # ratio 2e-10, within (1e-10, RANK_TOL]
+    ([[1.0, 0.0], [0.0, 5e-10], [1.0, 0.0]], False),
+    ([[1.0, 0.0], [0.0, 1e-9], [0.5, 0.0]], False),  # ratio RANK_TOL itself
+    ([[1.0, 0.0], [0.0, 2e-9], [0.5, 0.0]], True),
+    # two picked rows at ratio 1e-10, though the ratio over all rows is 3.2e-9:
+    # unidentified after each push, whatever rows follow
+    ([[1e10, 0.0]] + [[0.0, 1.0]] * 1000, False),
+])
+def test_rank_decision_cuts_at_rank_tol(inputs, identified):
+    inputs = np.array(inputs)
+    assert (reference_basis(inputs, 2) != ()) == identified
+    decisions = assert_rows_pick_as_from_scratch(inputs)
+    assert decisions == [False] * (len(inputs) - 1) + [identified]
+
+
+def test_only_an_input_that_beats_a_round_picks_again(monkeypatch):
+    picked = []
+    select_basis = ck.identification._select_basis
+    monkeypatch.setattr(ck.identification, "_select_basis",
+                        lambda inputs, m: picked.append(len(inputs)) or select_basis(inputs, m))
+    rows = _Rows(np.empty((0, 4)))
+    for u in [[1e10, 0.0]] + [[0.0, 1.0]] * 50:
+        rows.append(np.array(u + u))
+        assert not rows.identified
+    assert picked == [1, 2]  # each [0, 1] after the first ties the second round's best
+    rows.append(np.array([0.0, 2.0] * 2))  # beats it, but 2e-10 is below RANK_TOL
+    assert not rows.identified and picked == [1, 2, 52]
+    rows.append(np.array([0.0, 20.0] * 2))
+    assert rows.identified and picked == [1, 2, 52, 53]
 
 
 def reference_dedup(directions, radii, side):

@@ -315,10 +315,15 @@ class TestIntegrate:
             residual = np.linalg.norm(G @ np.linalg.lstsq(G, b, rcond=None)[0] - b)
             assert residual < 1e-10
 
-    @pytest.mark.parametrize("limit", [-1.0, 0.0, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("limit", [-1.0, 0.0, np.nan, np.inf, -np.inf,
+                                       1j, np.complex128(0.1), "0.1", np.array([0.1, 0.2])])
     def test_unusable_stability_limit_rejected(self, limit):
-        with pytest.raises(ValueError, match="stability limit must be None or finite and positive"):
+        with pytest.raises(ValueError, match="stability limit must be finite and positive"):
             linear_system([[1.0]], [[1.0]], stability_limit=limit)
+
+    def test_stability_limit_is_kept_as_a_float(self):
+        limit = linear_system([[1.0]], [[1.0]], stability_limit=np.float32(0.5)).stability_limit
+        assert type(limit) is float and limit == 0.5
 
     @pytest.mark.parametrize("limit", [1e-320, 1e-300])
     def test_step_count_beyond_an_index_names_the_interval(self, limit):
