@@ -250,7 +250,6 @@ def _witnesses(points, center: np.ndarray):
     return offsets, norms
 
 
-_FLOAT_ONLY = frozenset((float,))
 _NORMAL_MIN = sys.float_info.min  # smallest normal float
 _REAL_SCALARS = (int, float, np.bool_, np.integer, np.floating)  # a bool is an int
 _NOT_REAL = (str, bytes, complex, np.complexfloating)  # what float parses or truncates
@@ -308,18 +307,14 @@ def _positive(x, what: str, or_zero: bool = False) -> float:
             return value
     except (TypeError, ValueError, OverflowError):  # also an int beyond the float range
         pass
-    shown = repr(x) if isinstance(x, str) else x
+    item = x.item() if isinstance(x, np.ndarray) and not x.ndim else x
+    shown = repr(item) if isinstance(item, str) else x  # a held string quoted as a plain one
     raise ValueError(f"{what} must be finite and {'non-negative' if or_zero else 'positive'}, "
                      f"got {shown}")
 
 
 def _coords(v, dim: int, what: str) -> list:
-    """``v`` as a list of ``dim`` Python floats; a ``ValueError`` for any other shape or dtype.
-
-    Such a list is returned as it is.
-    """
-    if type(v) is list and len(v) == dim and set(map(type, v)) == _FLOAT_ONLY:
-        return v
+    """``v`` as a list of ``dim`` Python floats; a ``ValueError`` for any other shape or dtype."""
     try:
         arr = np.atleast_1d(_real(v))
     except TypeError as exc:

@@ -187,20 +187,52 @@ class _Rows:
         return _unidentifiable(self.count, self._basis) is None
 
 
+def _kruskal(edges):
+    """Kruskal's minimum spanning forest of ``(height, name, name)`` edges.
+
+    Returns the forest's edges in ascending order and ``find``, which maps
+    a name to the smallest name of its tree.
+    """
+    root: dict = {}  # each merged name's parent; a root has none
+
+    def find(c):
+        while c in root:
+            c = root[c]
+        return c
+
+    forest = []
+    for edge in sorted(edges):
+        a, b = find(edge[1]), find(edge[2])
+        if a != b:
+            root[max(a, b)] = min(a, b)
+            forest.append(edge)
+    return forest, find
+
+
 class _Linkage:
     """Single-linkage clusters of a growing table of graph points.
 
-    Points closer than ``delta`` share a threshold component: a new point
-    joins the one it is near, starts one, or merges those it is near.
-    ``between`` holds the smallest distance between every two components,
-    updated from the new point's distance row by one reduction by label.
-    Components are kept in order of their first point, which names them.
-    :meth:`cut` makes the clusters: the components, or with more than
-    ``n_modes`` of them, their unions along the component graph's minimum
-    spanning tree up to the merge height that leaves ``n_modes``.  A
-    cluster is keyed by the names of its components; one whose components
-    merged only among themselves keeps its table, and one whose component
-    merged with another cluster's is dropped, to be built anew.
+    Points closer than ``delta`` share a threshold component, named by its
+    first point: a new point joins the one it is near, starts one, or
+    merges those it is near into the first of them.  Single linkage needs
+    only a minimum spanning tree (Gower and Ross, 1969), and ``tree`` is
+    one of the component graph, whose edge between two components is
+    their smallest point distance, as ``(height, name, name)`` edges in
+    ascending order.  A new point's distance row, reduced
+    by label, gives one edge per component, and Kruskal's pass over the
+    tree and these edges spans the graph with the point: its minimum
+    spanning tree lies in the old tree plus the point's edges.  The edges
+    below ``delta`` are exactly those to the near components; they are
+    contracted, and contracting tree edges leaves a minimum spanning tree
+    of the contracted graph.  :meth:`cut` makes the clusters: the
+    components, or with more than ``n_modes`` of them, their unions along
+    the tree edges up to the merge height that leaves ``n_modes``.  At any
+    height the tree's edges join what all edges join, and every minimum
+    spanning tree has the same heights, so the clusters and the forced
+    merges are those of the whole component graph.  A cluster is keyed by
+    the names of its components; one whose components merged only among
+    themselves keeps its table, and one whose component merged with
+    another cluster's is dropped, to be built anew.
     """
 
     def __init__(self, delta: float, n_modes: int, width: int):
@@ -208,42 +240,33 @@ class _Linkage:
         self.points = np.empty((8, width))
         self.labels = np.empty(8, dtype=np.intp)  # each point's component
         self.n = 0
-        self.between = np.empty((0, 0))
-        self.firsts: list[int] = []  # per component: its first point
+        self.firsts: list[int] = []  # the component names, ascending
+        self.tree: list[tuple] = []
         self.clusters: dict[frozenset, _Rows] = {}  # by component names, in cluster order
         self._cut_at = 0  # points at the last cut
 
     def add(self, point: np.ndarray) -> None:
         """Add ``point``, measured against the points so far."""
-        n, k = self.n, len(self.firsts)
-        row = np.full(k, np.inf)
+        n = self.n
+        row = np.full(n, np.inf)  # by name
         dist = pairwise_distances(point[None, :], self.points[:n])[0]
         np.minimum.at(row, self.labels[:n], dist)
-        near = [c for c, d in enumerate(row.tolist()) if d < self.delta]
+        edges = [(d, c, n) for d, c in zip(row[self.firsts].tolist(), self.firsts)]
+        self.tree, _ = _kruskal(self.tree + edges)
+        near = [c for d, c, _ in edges if d < self.delta]
+        label = near[0] if near else n
         self.points = _append_row(self.points, n, point)
         if not near:  # a component of its own
-            self.between = np.pad(self.between, (0, 1), constant_values=np.inf)
-            self.between[k, :k] = self.between[:k, k] = row
             self.firsts.append(n)
-            label = k
         else:
-            label = near[0]
-            joined = row
-            for c in near:
-                joined = np.minimum(joined, self.between[c])
-            joined[label] = np.inf  # the diagonal; the other near components are dropped below
-            self.between[label] = self.between[:, label] = joined
+            merged = {n, *near}
+            self.tree = [(h, label if a in merged else a, label if b in merged else b)
+                         for h, a, b in self.tree if h >= self.delta]
             if len(near) > 1:  # the merged component keeps the first one's name
-                keep = np.ones(k, dtype=bool)
-                keep[near[1:]] = False
-                renumber = np.cumsum(keep) - 1
-                renumber[near[1:]] = label
-                self.labels[:n] = renumber[self.labels[:n]]
-                self.between = self.between[np.ix_(keep, keep)]
-                gone = {self.firsts[i] for i in near[1:]}
-                for i in reversed(near[1:]):
-                    del self.firsts[i]
-                touched = [key for key in self.clusters if key & (gone | {self.firsts[label]})]
+                gone = set(near[1:])
+                self.labels[:n][np.isin(self.labels[:n], near[1:])] = label
+                self.firsts = [c for c in self.firsts if c not in gone]
+                touched = [key for key in self.clusters if key & (gone | {label})]
                 for key in touched:
                     rows = self.clusters.pop(key)
                     if len(touched) == 1:
@@ -257,55 +280,37 @@ class _Linkage:
         added = labels[self._cut_at:].tolist()
         old, self.clusters = self.clusters, {}
         for group in self._groups():
-            names = [self.firsts[c] for c in group]
-            rows = old.get(frozenset(name for name in names if name < self._cut_at))
+            rows = old.get(frozenset(name for name in group if name < self._cut_at))
             if rows is None:
                 rows = _Rows(self.points[:self.n][np.isin(labels, group)])
             else:
                 for i, c in enumerate(added):
                     if c in group:
                         rows.append(self.points[self._cut_at + i])
-            self.clusters[frozenset(names)] = rows
+            self.clusters[frozenset(group)] = rows
         self._cut_at = self.n
 
     def _groups(self) -> list[list[int]]:
-        """The components of each cluster at the cut, in order of first point.
+        """The component names of each cluster at the cut, in order of first point.
 
-        Kruskal's pass over the component graph merges its shortest edges up
-        to the (k - n_modes)-th merge height, and every edge tied with it;
-        each such forced merge is logged in ascending order.
+        The tree edges up to the (k - n_modes)-th height, and every edge tied
+        with it, are merged; each such forced merge is logged in ascending
+        order.
         """
         k = len(self.firsts)
         if k <= self.n_modes:
-            return [[c] for c in range(k)]
-        a, b = np.triu_indices(k, 1)
-        heights = self.between[a, b]
-        order = np.argsort(heights).tolist()
-        heights, a, b = heights.tolist(), a.tolist(), b.tolist()
-        root = list(range(k))
-
-        def find(c):
-            while root[c] != c:
-                c = root[c]
-            return c
-
-        merged: list[float] = []
-        for e in order:
-            height = heights[e]
-            if len(merged) >= k - self.n_modes and height > merged[-1]:
-                break
-            ra, rb = find(a[e]), find(b[e])
-            if ra != rb:
-                root[max(ra, rb)] = min(ra, rb)  # a cluster is named by its first component
-                merged.append(height)
-        for height in merged:
+            return [[c] for c in self.firsts]
+        cut = self.tree[k - self.n_modes - 1][0]
+        forced = [edge for edge in self.tree if edge[0] <= cut]
+        for height, _, _ in forced:
             log.info(
                 "forced merge at height %.6g, at or above separation delta %.6g",
                 height, self.delta,
                 extra={"event": "forced_merge", "height": height, "delta": self.delta},
             )
+        _, find = _kruskal(forced)
         groups: dict[int, list[int]] = {}
-        for c in range(k):
+        for c in self.firsts:
             groups.setdefault(find(c), []).append(c)
         return list(groups.values())
 

@@ -504,7 +504,9 @@ def test_stream_clusters_match_linkage_after_every_push(seed, k, d, grid, n_mode
 
     Each cluster holds the same rows in the same order, and the push logs
     one forced merge for each merge height of SciPy's tree above delta's
-    cut and at or below the forced cut, in ascending order.
+    cut and at or below the forced cut, in ascending order.  The stream's
+    tree spans its threshold components with the heights of SciPy's merges
+    above delta's cut.
     """
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-3, 3, (k, 2 * d))
@@ -518,6 +520,10 @@ def test_stream_clusters_match_linkage_after_every_push(seed, k, d, grid, n_mode
             rec.push(pts[n - 1, :d], pts[n - 1, d:])
             prefix = pts[:n]
             assert heights == reference_forced_heights(prefix, 1.0, n_modes)
+            tree = rec._linkage.tree
+            assert len(tree) == len(rec._linkage.firsts) - 1
+            merges = np.sort(linkage(prefix, method="single")[:, 2]) if n > 1 else np.empty(0)
+            assert sorted(h for h, _, _ in tree) == merges[merges > np.nextafter(1.0, 0.0)].tolist()
             tables = [mode.pairs for mode in rec.snapshot().modes]
             expected = reference_labels(prefix, 1.0, n_modes)
             assert len(tables) == len(expected)
