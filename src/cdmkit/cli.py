@@ -39,6 +39,16 @@ EXIT_IDENTIFICATION = 3
 EXIT_UNVIABLE = 4
 
 
+# The kind and exit code of each failure a command ends in; the kinds are disjoint
+_FAILURES = {
+    ConfigError: ("config-error", EXIT_CONFIG),
+    OSError: ("config-error", EXIT_CONFIG),  # an input file that cannot be read
+    ReportParseError: ("parse-error", EXIT_CONFIG),
+    IdentificationError: ("identification-failure", EXIT_IDENTIFICATION),
+    UnviableInputError: ("unviable-input", EXIT_UNVIABLE),
+}
+
+
 def _fail(kind: str, message: str, code: int) -> int:
     print(f"{kind}: {message}", file=sys.stderr)
     return code
@@ -47,15 +57,11 @@ def _fail(kind: str, message: str, code: int) -> int:
 def _cmd_run(args) -> int:
     from .experiment import parse_config, run_experiment
 
+    config = parse_config(args.config)
     try:
-        config = parse_config(args.config)
         result = run_experiment(config, out_dir=args.output)
-    except ConfigError as exc:
-        return _fail("config-error", str(exc), EXIT_CONFIG)
-    except IdentificationError as exc:
-        return _fail("identification-failure", str(exc), EXIT_IDENTIFICATION)
     except OSError as exc:  # the output directory cannot be made or written
-        return _fail("config-error", f"cannot write artifacts: {exc}", EXIT_CONFIG)
+        raise ConfigError(f"cannot write artifacts: {exc}") from exc
     print(result.summary())
     for name in ("samples", "reconstruction", "convergence"):
         print(f"{name}: {result.artifacts[name]}")
@@ -66,13 +72,7 @@ def _cmd_report(args) -> int:
     from .experiment import render_report
     from .serialization import read_reconstruction
 
-    try:
-        recon = read_reconstruction(args.reconstruction)
-    except ReportParseError as exc:
-        return _fail("parse-error", str(exc), EXIT_CONFIG)
-    except OSError as exc:
-        return _fail("config-error", str(exc), EXIT_CONFIG)
-    print(render_report(recon))
+    print(render_report(read_reconstruction(args.reconstruction)))
     return EXIT_OK
 
 
@@ -88,22 +88,15 @@ def _cmd_viabilize(args) -> int:
     from .identification import viabilize
     from .serialization import _fmt, read_reconstruction
 
-    try:
-        recon = read_reconstruction(args.reconstruction)
-    except ReportParseError as exc:
-        return _fail("parse-error", str(exc), EXIT_CONFIG)
-    except OSError as exc:
-        return _fail("config-error", str(exc), EXIT_CONFIG)
+    recon = read_reconstruction(args.reconstruction)
     try:
         u_cmd = _parse_vector(args.vector)
     except ValueError:
-        return _fail("config-error", "commanded input is not numeric", EXIT_CONFIG)
+        raise ConfigError("commanded input is not numeric") from None
     try:
         u_v = viabilize(recon, u_cmd)
     except PreconditionError as exc:
-        return _fail("config-error", f"commanded input rejected: {exc}", EXIT_CONFIG)
-    except UnviableInputError as exc:
-        return _fail("unviable-input", str(exc), EXIT_UNVIABLE)
+        raise ConfigError(f"commanded input rejected: {exc}") from exc
     print(" ".join(_fmt(x) for x in u_v))
     return EXIT_OK
 
@@ -137,7 +130,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BrokenPipeError:  # an OSError, but entry() ends a closed stdout with exit 0
+        raise
+    except tuple(_FAILURES) as exc:
+        kind, code = next(v for t, v in _FAILURES.items() if isinstance(exc, t))
+        return _fail(kind, str(exc), code)
 
 
 def entry() -> None:

@@ -158,6 +158,10 @@ def _intervals(raw: str) -> tuple:
 
 _REQUIRED = object()  # the default of a key that every config must set
 
+# The most samples, and the most integration steps, a config may ask for: some 300 times
+# the 3.2e5 steps of the bundled config at horizon 160.
+_MAX_STEPS = 10**8
+
 # Every key a config may set: (section, kind) -> key -> (parse, default).  A section reads
 # its (section, None) keys and those of its kind; [cdm.mode.N] reads ("cdm.mode.N", None).
 # A parse raises ValueError for a value outside its key's domain, or a ConfigError that
@@ -261,10 +265,7 @@ def _parse_cdm(parser) -> Optional[NModeCdm]:
         modes.append((region, AffineMap(linear.reshape(m, m), translation)))
     if not modes:
         raise ConfigError("cdm kind 'modes' but no [cdm.mode.N] sections found")
-    try:
-        return NModeCdm(modes=tuple(modes))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return NModeCdm(modes=tuple(modes))
 
 
 def _parse_signal(parser, dim_input: int):
@@ -277,11 +278,8 @@ def _parse_signal(parser, dim_input: int):
             raise ConfigError("constant signal dimension does not match the system")
         return lambda t: np.tile(values, (len(t), 1))
     # per-channel: value_i(t) = offset_i + amplitude_i * (1 - cos(2 pi t / period)) / 2
-    offset, amplitude, period = spec["offset"], spec["amplitude"], spec["period"]
-    try:
-        period = _positive(period, "[signal] period")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    offset, amplitude = spec["offset"], spec["amplitude"]
+    period = _positive(spec["period"], "[signal] period")
     if offset.shape[0] != dim_input or amplitude.shape[0] != dim_input:
         raise ConfigError("raised-cosine signal dimension does not match the system")
     return lambda t: offset + amplitude * 0.5 * (
@@ -289,6 +287,16 @@ def _parse_signal(parser, dim_input: int):
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
+    """The config ``text`` describes; every ``ValueError`` of the parse is a ``ConfigError``."""
+    try:
+        return _parse(text)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _parse(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)  # values are literal
     try:
         parser.read_string(text)
@@ -301,12 +309,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     spec = _read(parser, "system")
     if spec["kind"] == "heat":
-        try:
-            system = HeatSystem(diffusivity=spec["diffusivity"], grid_points=spec["grid_points"],
-                                epsilon=spec["source_width"],
-                                nonlinear_depth=spec["nonlinear_depth"])
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        system = HeatSystem(diffusivity=spec["diffusivity"], grid_points=spec["grid_points"],
+                            epsilon=spec["source_width"], nonlinear_depth=spec["nonlinear_depth"])
         x0 = np.full(system.dim_state, spec["initial_temperature"])
         x0[-1] = spec["initial_depth"]
         dim_input = 2
@@ -317,10 +321,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
                               f"got {n} and {m}")
         if spec["a"].shape[0] != n * n or spec["b"].shape[0] != n * m:
             raise ConfigError("A or B entry count does not match declared dimensions")
-        try:
-            system = linear_system(spec["a"].reshape(n, n), spec["b"].reshape(n, m))
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        system = linear_system(spec["a"].reshape(n, n), spec["b"].reshape(n, m))
         x0 = spec["initial"]
         if x0 is None or not x0.size:
             x0 = np.zeros(n)
@@ -333,15 +334,14 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError("cdm input dimension does not match the system")
     signal = _parse_signal(parser, dim_input)
 
-    sampling = _read(parser, "sampling")
-    try:
-        schedule = SamplingSchedule(**sampling)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    try:  # a HeatSystem gives its limit without building its model
-        _interval_steps(schedule.sample_times(), system.stability_limit)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    schedule = SamplingSchedule(**_read(parser, "sampling"))
+    count, what = schedule._count(), "samples"
+    if count <= _MAX_STEPS:  # only then drawn; a HeatSystem gives its limit without a model
+        _, n_subs, _ = _interval_steps(schedule.sample_times(), system.stability_limit)
+        count, what = n_subs.sum(dtype=np.float64), "integration steps"  # a float sum cannot wrap
+    if count > _MAX_STEPS:
+        raise ValueError(f"rate {schedule.rate} over horizon {schedule.horizon} gives {count:.6g} "
+                         f"{what}, more than the {_MAX_STEPS:.0e} a config may ask for")
 
     spec = _read(parser, "identification")
     try:

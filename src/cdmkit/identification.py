@@ -733,18 +733,14 @@ def _command(recon: CdmReconstruction, u) -> tuple[np.ndarray, list]:
     """``u`` as a finite vector of the reconstruction's input dimension.
 
     Returns the vector and its components as a list of Python floats.  A
-    float64 ``ndarray`` of that shape is returned as it is, as the
-    coercion below would return it.
+    1-D float64 ``ndarray`` skips the coercion, which would return it as it is.
     """
-    if type(u) is np.ndarray and u.dtype is _FLOAT64 and u.shape == (recon.input_dim,):
-        coords = u.tolist()
-        if not all(map(math.isfinite, coords)):
-            raise PreconditionError("command has non-finite components")
-        return u, coords
-    try:
-        point = np.atleast_1d(_real(u))
-    except TypeError as exc:
-        raise PreconditionError(f"command is not a vector of real numbers: {exc}") from None
+    point = u
+    if not (type(u) is np.ndarray and u.dtype is _FLOAT64 and u.ndim == 1):
+        try:
+            point = np.atleast_1d(_real(u))
+        except TypeError as exc:
+            raise PreconditionError(f"command is not a vector of real numbers: {exc}") from None
     if point.shape != (recon.input_dim,):
         raise PreconditionError(
             f"command has shape {point.shape}, reconstruction expects ({recon.input_dim},)"

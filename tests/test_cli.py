@@ -218,6 +218,44 @@ class TestRun:
         assert "gives inf samples; a sample count must be finite and fit an index" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit", [("horizon = 10.0", "horizon = 1e12"),
+                                      ("rate = 20.0\njitter = 0.01", "rate = 1e12\njitter = 0.0")])
+    def test_config_over_the_sample_cap_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                         edit):
+        # some 1e13 samples: rejected before the schedule allocates a time for each
+        from cdmkit.experiment import DEFAULT_HEAT_CONFIG
+        from cdmkit.simulation import SamplingSchedule
+
+        def no_draw(self):
+            raise AssertionError("the schedule was drawn for a config over the cap")
+
+        monkeypatch.setattr(SamplingSchedule, "sample_times", no_draw)
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(DEFAULT_HEAT_CONFIG.replace(*edit))
+        assert cfg.read_text() != DEFAULT_HEAT_CONFIG
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config-error: rate ") and err.count("\n") == 1
+        assert "samples, more than the 1e+08 a config may ask for" in err
+        assert not out.exists()
+
+    def test_config_over_the_step_cap_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # 1,000 samples a thousand seconds apart, 2e6 integration steps each
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("integrate ran on a config over the cap")
+
+        monkeypatch.setattr("cdmkit.experiment.integrate", no_simulation)
+        cfg = tmp_path / "sparse.cfg"
+        cfg.write_text(SMALL_HEAT_CONFIG.replace("rate = 20.0", "rate = 0.001")
+                       .replace("horizon = 4.0", "horizon = 1e6"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config-error: rate 0.001 over horizon 1000000.0 gives ")
+        assert err.endswith(" integration steps, more than the 1e+08 a config may ask for\n")
+        assert not out.exists()
+
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "typo.cfg"
         bad.write_text(SMALL_HEAT_CONFIG.replace("horizon =", "horizn ="))
@@ -786,7 +824,8 @@ def test_closed_stdout_exits_0_silently(tmp_path):
     cfg, out = tmp_path / "small.cfg", tmp_path / "out"
     cfg.write_text(SMALL_HEAT_CONFIG.replace("horizon = 4.0", "horizon = 1.0"))
     for argv in (["run", str(cfg), "--output", str(out)],
-                 ["report", str(out / "reconstruction.txt")]):
+                 ["report", str(out / "reconstruction.txt")],
+                 ["viabilize", str(out / "reconstruction.txt"), "1.0", "0.9"]):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:

@@ -166,6 +166,38 @@ def test_positivity_is_checked_only_by_geometry_positive():
     assert found == set()
 
 
+def enclosing_functions(node, match, owner: str = "<module>") -> set:
+    """Names of the innermost functions under ``node`` that hold a node ``match`` accepts."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if match(child):
+            found.add(owner)
+        inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        found |= enclosing_functions(child, match, child.name if inner else owner)
+    return found
+
+
+def raises_config_error_for_value_error(node) -> bool:
+    """Whether ``node`` is an ``except`` handler of ``ValueError`` that raises ``ConfigError``."""
+    return (isinstance(node, ast.ExceptHandler) and node.type is not None
+            and "ValueError" in {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+            and any(isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+                    and getattr(n.exc.func, "id", None) == "ConfigError" for n in ast.walk(node)))
+
+
+def test_each_front_end_types_its_failures_in_one_place():
+    # parse_config_text turns a constructor's ValueError into a ConfigError for the
+    # whole parse; the other conversions add text.  The CLI's main alone maps a
+    # failure to its kind and exit code.
+    source = REPO_ROOT / "src" / "cdmkit"
+    experiment = ast.parse((source / "experiment.py").read_text(encoding="utf-8"))
+    assert enclosing_functions(experiment, raises_config_error_for_value_error) == {
+        "parse_config_text", "_read", "_intervals", "_parse"}
+    cli = ast.parse((source / "cli.py").read_text(encoding="utf-8"))
+    assert enclosing_functions(cli, lambda node: isinstance(node, ast.Call) and getattr(
+        node.func, "id", None) == "_fail") == {"main"}
+
+
 def test_dir_lists_every_public_name():
     names = set(dir(cdmkit))
     for module, attrs in PUBLIC.items():
