@@ -45,6 +45,7 @@ from .simulation import (
     HeatSystem,
     SamplingSchedule,
     SystemModel,
+    _MAX_STEPS,
     _interval_steps,
     integrate,
     linear_system,
@@ -157,10 +158,6 @@ def _intervals(raw: str) -> tuple:
 
 
 _REQUIRED = object()  # the default of a key that every config must set
-
-# The most samples, and the most integration steps, a config may ask for: some 300 times
-# the 3.2e5 steps of the bundled config at horizon 160.
-_MAX_STEPS = 10**8
 
 # Every key a config may set: (section, kind) -> key -> (parse, default).  A section reads
 # its (section, None) keys and those of its kind; [cdm.mode.N] reads ("cdm.mode.N", None).
@@ -336,7 +333,9 @@ def _parse(text: str) -> ExperimentConfig:
 
     schedule = SamplingSchedule(**_read(parser, "sampling"))
     count, what = schedule._count(), "samples"
-    if count <= _MAX_STEPS:  # only then drawn; a HeatSystem gives its limit without a model
+    # drawn only when a bound that needs no draw cannot prove the cap; a HeatSystem gives its
+    # limit without a model
+    if count <= _MAX_STEPS and schedule._step_bound(system.stability_limit) > _MAX_STEPS:
         _, n_subs, _ = _interval_steps(schedule.sample_times(), system.stability_limit)
         count, what = n_subs.sum(dtype=np.float64), "integration steps"  # a float sum cannot wrap
     if count > _MAX_STEPS:

@@ -1,7 +1,8 @@
 """Plain-text persistence for samples and reconstructions.
 
-All writers format floats with ``repr`` (shortest round-trip form), so a
-fixed computation produces byte-identical files across runs.  Readers turn
+All writers format floats as ``repr`` does (shortest round-trip form), so a
+fixed computation produces byte-identical files across runs; every float
+row is formatted by :func:`_fmt_rows`.  Readers turn
 every malformed or inconsistent file into :class:`ReportParseError` with a
 line number.
 """
@@ -32,8 +33,36 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+# repr and orjson print a float alike where neither uses an exponent, 1e-4 <= |x| < 1e16.
+# Below and above it orjson writes 1e-5 as 0.00001 and 1e16 as 1e16 (repr: 1e-05, 1e+16),
+# and NaN and inf as null.  Zero prints alike but lies outside: it costs one repr.
+_ORJSON_LO, _ORJSON_HI = 1e-4, 1e16
+
+
+def _fmt_rows(table) -> list[str]:
+    """Each row of the 2-D float ``table`` as its values' ``repr`` joined by commas.
+
+    One ``orjson`` pass formats the whole table; the values outside the range
+    where its text is ``repr``'s are then re-written with ``repr``.
+    """
+    import orjson  # on first use: a process that only parses a config never loads it
+
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    if not table.shape[0]:
+        return []
+    rows = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY).decode()[2:-2].split("],[")
+    size = np.abs(table)
+    odd = ~((size >= _ORJSON_LO) & (size < _ORJSON_HI))  # NaN compares false
+    for i in np.flatnonzero(odd.any(axis=1)).tolist():
+        tokens = rows[i].split(",")
+        for j in np.flatnonzero(odd[i]).tolist():
+            tokens[j] = _fmt(table[i, j])
+        rows[i] = ",".join(tokens)
+    return rows
+
+
 def _fmt_vec(v) -> str:
-    return ",".join(map(repr, np.atleast_1d(v).tolist()))
+    return _fmt_rows(np.reshape(v, (1, -1)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +76,11 @@ def _samples_header(n: int, m: int) -> str:
     return ",".join(columns)
 
 
+# Samples formatted per table: a whole horizon-40 log at once would hold its text twice
+# over, as one string and as rows, and raise the peak memory of a run.
+_SAMPLE_CHUNK = 64
+
+
 def write_samples(path, samples: Sequence[ControlSample]) -> None:
     """Write observations as CSV rows ``time, state.., velocity.., input..``."""
     if not samples:
@@ -55,8 +89,11 @@ def write_samples(path, samples: Sequence[ControlSample]) -> None:
     m = samples[0].input.shape[0]
     with open(path, "w") as fh:
         fh.write(_samples_header(n, m) + "\n")
-        for s in samples:
-            fh.write(_fmt_vec(np.concatenate([[s.time], s.state, s.velocity, s.input])) + "\n")
+        for start in range(0, len(samples), _SAMPLE_CHUNK):
+            chunk = samples[start:start + _SAMPLE_CHUNK]
+            table = np.column_stack([[s.time for s in chunk], [s.state for s in chunk],
+                                     [s.velocity for s in chunk], [s.input for s in chunk]])
+            fh.write("\n".join(_fmt_rows(table)) + "\n")
 
 
 def read_samples(path) -> list[ControlSample]:
@@ -97,10 +134,8 @@ def star_to_lines(approx: StarSetApprox) -> list[str]:
         _fmt_vec(approx.center)
         + f",{approx.dim},{_fmt(approx.lipschitz)},{approx.side.value}"
     )
-    lines = [STAR_HEADER, meta, f"samples,{approx.n_samples}"]
-    for l, r in zip(approx.directions, approx.radii):
-        lines.append(_fmt_vec(l) + "," + _fmt(r))
-    return lines
+    rows = _fmt_rows(np.column_stack([approx.directions, approx.radii]))
+    return [STAR_HEADER, meta, f"samples,{approx.n_samples}", *rows]
 
 
 def _floats(text: str, lineno: int) -> list[float]:
@@ -160,14 +195,14 @@ def reconstruction_to_lines(recon: CdmReconstruction) -> list[str]:
             lines.append("translation," + _fmt_vec(mode.map.translation))
             lines.append("residual," + _fmt(mode.residual))
         lines.append(f"pairs,{len(mode.pairs)}")
-        lines.extend("pair," + _fmt_vec(row) for row in mode.pairs)
+        lines.extend("pair," + row for row in _fmt_rows(mode.pairs))
         lines.append("[inner]")
         lines.extend(star_to_lines(mode.inner))
         lines.append("[outer]")
         lines.extend(star_to_lines(mode.outer))
         lines.append(f"[end mode {i}]")
     lines.append("[unaffected]")
-    lines.extend("pair," + _fmt_vec(row) for row in recon.unaffected)
+    lines.extend("pair," + row for row in _fmt_rows(recon.unaffected))
     lines.append("[end unaffected]")
     return lines
 

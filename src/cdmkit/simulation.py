@@ -271,6 +271,20 @@ class SamplingSchedule:
                              "samples; a sample count must be finite and fit an index")
         return int(count)
 
+    def _step_bound(self, stability_limit: Optional[float]) -> float:
+        """An upper bound on the RK4 steps of all intervals of :meth:`sample_times`, undrawn.
+
+        A drawn time is ``max(i / rate + eta, 0)`` with ``|eta| <= jitter``, so
+        an interval spans at most ``1 / rate + 2 jitter``, and :func:`_interval_steps`
+        gives it at most ``span / limit + 1`` steps.  The drawn times are each
+        within an ulp of their exact value, ``horizon + 1 / rate`` at most, and
+        their difference rounds once more: 8 ulps of that covers the span's
+        rounding.  The relative 1e-9 covers this bound's own few roundings, each
+        within 2**-53.
+        """
+        span = 1.0 / self.rate + 2.0 * self.jitter + 8.0 * math.ulp(self.horizon + 1.0 / self.rate)
+        return self._count() * (span / _step_limit(stability_limit) + 1.0) * (1.0 + 1e-9)
+
     def sample_times(self) -> np.ndarray:
         count = self._count()
         base = np.arange(count) / self.rate
@@ -280,6 +294,10 @@ class SamplingSchedule:
         eta = rng.uniform(-self.jitter, self.jitter, size=count)
         return np.maximum(base + eta, 0.0)
 
+
+# The most integration steps one integrate call takes, and the most samples and steps a config
+# may ask for: some 300 times the 3.2e5 steps of the bundled config at horizon 160.
+_MAX_STEPS = 10**8
 
 # Padded stage rows a batch of intervals may hold (see _batches); it bounds
 # the batch arrays, so memory stays flat as the horizon grows.
@@ -440,6 +458,11 @@ def _checked_times(times) -> np.ndarray:
     return times
 
 
+def _step_limit(stability_limit: Optional[float]) -> float:
+    """The longest RK4 step: 1 ms, or the stability limit if that is shorter."""
+    return min(1e-3, stability_limit) if stability_limit else 1e-3
+
+
 def _interval_steps(times: np.ndarray, stability_limit: Optional[float]):
     """The RK4 steps of each sampling interval, as ``(starts, n_subs, dts)``.
 
@@ -448,7 +471,7 @@ def _interval_steps(times: np.ndarray, stability_limit: Optional[float]):
     ``stability_limit``.  A step count that is not finite or does not fit
     an index raises ``ValueError`` naming the interval.
     """
-    limit = min(1e-3, stability_limit) if stability_limit else 1e-3
+    limit = _step_limit(stability_limit)
     starts = np.concatenate([[0.0], times[:-1]])
     spans = times - starts
     with np.errstate(over="ignore"):
@@ -483,7 +506,9 @@ def integrate(model: SystemModel, cdm, x0, input_signal,
     classical RK4 solution.  Observed velocities are the exact right-hand
     side at the sampled state.  Sample times that are not finite, negative
     or decreasing raise ``ValueError``, and so does an interval whose step
-    count is not finite (a tiny stability limit, see :func:`_interval_steps`).
+    count is not finite (a tiny stability limit, see :func:`_interval_steps`)
+    and a schedule that needs more than ``_MAX_STEPS`` steps in all, before
+    any stage table is allocated.
     Deterministic for a fixed schedule seed.
     """
     if model.a_matrix is None:
@@ -496,6 +521,10 @@ def integrate(model: SystemModel, cdm, x0, input_signal,
     if x.shape[0] != model.dim_state:
         raise ValueError("initial state dimension mismatch")
     starts, n_subs, dts = _interval_steps(times, model.stability_limit)
+    total = n_subs.sum(dtype=np.float64)  # a float sum cannot wrap
+    if total > _MAX_STEPS:
+        raise ValueError(f"{times.shape[0]} sample times need {total:.6g} integration steps, "
+                         f"more than the {_MAX_STEPS:.0e} one integrate call may take")
     n_list = n_subs.tolist()
     samples = []
     for a, b in _batches(n_list):

@@ -29,7 +29,13 @@ from cdmkit.identification import (
     query,
 )
 from cdmkit.serialization import read_reconstruction, read_samples
-from cdmkit.simulation import HeatSystem, integrate
+from cdmkit.simulation import (
+    HeatSystem,
+    SamplingSchedule,
+    _MAX_STEPS,
+    _interval_steps,
+    integrate,
+)
 
 from interval_loop import assert_batched_calls
 
@@ -254,6 +260,61 @@ class TestConfigParsing:
         bad = DEFAULT_HEAT_CONFIG.replace("0.0:0.25", "zero:0.25")
         with pytest.raises(ConfigError):
             parse_config_text(bad)
+
+
+def drawn_cap_check(system: HeatSystem, schedule: SamplingSchedule) -> None:
+    """The parse's step cap as it was when it drew the schedule of every config within it."""
+    count, what = schedule._count(), "samples"
+    if count <= _MAX_STEPS:
+        _, n_subs, _ = _interval_steps(schedule.sample_times(), system.stability_limit)
+        count, what = n_subs.sum(dtype=np.float64), "integration steps"
+    if count > _MAX_STEPS:
+        raise ValueError(f"rate {schedule.rate} over horizon {schedule.horizon} gives {count:.6g} "
+                         f"{what}, more than the {_MAX_STEPS:.0e} a config may ask for")
+
+
+def heat_sampling_config(diffusivity, grid_points, rate, jitter, seed, horizon) -> str:
+    return (DEFAULT_HEAT_CONFIG
+            .replace("diffusivity = 0.1", f"diffusivity = {diffusivity!r}")
+            .replace("grid_points = 101", f"grid_points = {grid_points}")
+            .replace("source_width = 0.05", "source_width = 0.5")
+            .replace("rate = 20.0", f"rate = {rate!r}")
+            .replace("jitter = 0.01", f"jitter = {jitter!r}")
+            .replace("seed = 7", f"seed = {seed}")
+            .replace("horizon = 10.0", f"horizon = {horizon!r}"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(1e-3, 10.0), st.integers(3, 301), st.floats(0.5, 1.1), st.integers(1, 3000),
+       st.floats(0.0, 0.999), st.integers(0, 10**6))
+def test_parse_decides_the_step_cap_as_the_drawn_check_does(diffusivity, grid_points, factor,
+                                                            count, jitter_share, seed):
+    # horizons whose steps lie within a factor of two of the cap, in at most 3,000
+    # sampling intervals; the bound that spares the draw is never below the drawn steps
+    system = HeatSystem(diffusivity=diffusivity, grid_points=grid_points, epsilon=0.5)
+    horizon = factor * _MAX_STEPS * min(1e-3, system.stability_limit)
+    rate = (count + 0.5) / horizon
+    jitter = jitter_share * 0.5 / rate
+    schedule = SamplingSchedule(rate=rate, jitter=jitter, seed=seed, horizon=horizon)
+    _, n_subs, _ = _interval_steps(schedule.sample_times(), system.stability_limit)
+    assert n_subs.sum() <= schedule._step_bound(system.stability_limit)
+    text = heat_sampling_config(diffusivity, grid_points, rate, jitter, seed, horizon)
+    try:
+        drawn_cap_check(system, schedule)
+    except ValueError as exc:
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(exc))}$"):
+            parse_config_text(text)
+    else:
+        assert parse_config_text(text).schedule == schedule
+
+
+def test_parse_rejects_a_vast_diffusivity_as_the_drawn_check_does():
+    system = HeatSystem(diffusivity=1e300, grid_points=101, epsilon=0.5)
+    schedule = SamplingSchedule(rate=20.0, jitter=0.01, seed=7, horizon=10.0)
+    with pytest.raises(ValueError, match="sampling interval ") as drawn:
+        drawn_cap_check(system, schedule)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(drawn.value))}$"):
+        parse_config_text(heat_sampling_config(1e300, 101, 20.0, 0.01, 7, 10.0))
 
 
 def test_readme_config_reference_is_the_key_table():

@@ -2,7 +2,11 @@
 
 import ast
 import importlib
+import os
+import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,6 +90,7 @@ PRIVATE_IMPORTS = {
     ("experiment", "geometry", "_frozen"),
     ("experiment", "geometry", "_positive"),
     ("experiment", "serialization", "_fmt"),
+    ("experiment", "simulation", "_MAX_STEPS"),
     ("experiment", "simulation", "_interval_steps"),
     ("identification", "geometry", "_INSIDE_INNER"),
     ("identification", "geometry", "_OUTSIDE_OUTER"),
@@ -107,6 +112,41 @@ def test_private_imports_across_modules_are_the_listed_ones():
                 found |= {(path.stem, node.module, alias.name) for alias in node.names
                           if alias.name.startswith("_")}
     assert found == PRIVATE_IMPORTS
+
+
+def imported_top_level_modules(paths) -> set:
+    """The top-level module of each absolute import in ``paths``, inside functions too."""
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found |= {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.add(node.module.partition(".")[0])
+    return found
+
+
+def test_every_module_the_package_imports_is_stdlib_or_a_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    declared = {re.match(r"[A-Za-z0-9_.-]+", requirement).group().lower().replace("-", "_")
+                for requirement in pyproject["project"]["dependencies"]}
+    imported = imported_top_level_modules((REPO_ROOT / "src" / "cdmkit").glob("*.py"))
+    third_party = imported - set(sys.stdlib_module_names)
+    assert "orjson" in third_party  # imported inside the function that uses it
+    assert third_party <= declared
+
+
+def test_parsing_a_config_loads_neither_orjson_nor_numpy_random():
+    # both load on first use: the formatter of the written files, the schedule's draw
+    script = ("import sys; from cdmkit.experiment import parse_config; parse_config(sys.argv[1]); "
+              "print(sorted({'orjson', 'numpy.random'} & set(sys.modules)))")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(REPO_ROOT / "configs" / "heat_electrosurgery.cfg")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def float_coercions(node, module: str, owner: str = "<module>") -> set:

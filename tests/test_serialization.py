@@ -1,10 +1,14 @@
 """Round-trip and parse-error tests for the plain-text file formats."""
 
+import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cdmkit.degradation import AffineMap
 from cdmkit.errors import ReportParseError
@@ -23,6 +27,7 @@ from cdmkit.serialization import (
     _count,
     _float,
     _floats,
+    _fmt_rows,
     read_reconstruction,
     read_samples,
     reconstruction_from_lines,
@@ -60,6 +65,41 @@ def read_empty_log(path):
 def test_empty_sample_logs_rejected(tmp_path, call, error, message):
     with pytest.raises(error, match=message):
         call(tmp_path / "samples.csv")
+
+
+def repr_rows(table) -> list[str]:
+    """The reference the formatter must match: each row's values through ``repr``, by commas."""
+    return [",".join(map(repr, row)) for row in np.asarray(table).tolist()]
+
+
+# The ends of the range where orjson prints a float as repr does, the floats next to them
+# toward zero, and every kind of float outside it
+EDGE_FLOATS = [
+    value for edge in [0.0, 5e-324, 1e-310, sys.float_info.min, 1e-4, np.nextafter(1e-4, 0.0),
+                       1e16, np.nextafter(1e16, 0.0), sys.float_info.max, np.inf, 0.1, 123.0]
+    for value in (float(edge), -float(edge))] + [np.nan]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(arrays(np.float64, st.tuples(st.integers(0, 5), st.integers(1, 6)),
+              elements=st.floats(width=64) | st.sampled_from(EDGE_FLOATS)))
+@example(np.array([EDGE_FLOATS]))
+@example(np.array(EDGE_FLOATS)[:, None])
+@example(np.empty((0, 3)))
+def test_fmt_rows_is_repr_of_each_value(table):
+    assert _fmt_rows(table) == repr_rows(table)
+
+
+def test_fmt_rows_is_repr_of_random_bit_patterns():
+    # 10**6 random doubles, half with exponents in the range where orjson's own text is kept
+    rng = np.random.default_rng(20261020)
+    bits = rng.integers(0, 2**64, size=10**6, dtype=np.uint64)
+    exponents = rng.integers(1023 - 14, 1023 + 54, size=bits.size // 2, dtype=np.uint64)
+    bits[::2] = (bits[::2] & ~np.uint64(0x7FF << 52)) | (exponents << np.uint64(52))
+    table = bits.view(np.float64).reshape(1000, 1000)
+    size = np.abs(table)
+    assert ((size >= 1e-4) & (size < 1e16)).sum() > 5 * 10**5
+    assert _fmt_rows(table) == repr_rows(table)
 
 
 class TestSampleLog:

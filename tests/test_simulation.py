@@ -2,7 +2,11 @@
 
 import ast
 import dataclasses
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -332,6 +336,30 @@ class TestIntegrate:
         sched = SamplingSchedule(rate=10.0, horizon=0.3)
         with pytest.raises(ValueError, match=r"sampling interval 1 \(0\.0 to 0\.1 s\) needs"):
             integrate(model, None, [1.0], zero_signal(1), sched)
+
+    def test_steps_over_the_cap_are_refused_before_any_stage_table(self, monkeypatch):
+        # two intervals of 1e14 steps, each of which fits an index
+        def no_table(*args):
+            raise AssertionError("a stage table was built for steps over the cap")
+
+        monkeypatch.setattr(simulation, "_stage_times", no_table)
+        model = linear_system([[1.0]], [[1.0]], stability_limit=1e-15)
+        sched = SamplingSchedule(rate=10.0, horizon=0.3)
+        with pytest.raises(ValueError, match=r"^3 sample times need 2e\+14 integration steps, "
+                                             r"more than the 1e\+08 one integrate call may take$"):
+            integrate(model, None, [1.0], zero_signal(1), sched)
+
+    @pytest.mark.parametrize("cap, refused", [(300, False), (299, True)])
+    def test_the_step_cap_is_inclusive(self, monkeypatch, cap, refused):
+        # 3 intervals of 0.1 s in steps of 1 ms
+        monkeypatch.setattr(simulation, "_MAX_STEPS", cap)
+        run = (linear_system([[1.0]], [[1.0]]), None, [1.0], zero_signal(1),
+               FixedTimes(0.1, 0.2, 0.3))
+        if refused:
+            with pytest.raises(ValueError, match="need 300 integration steps, more than the"):
+                integrate(*run)
+        else:
+            assert len(integrate(*run)) == 3
 
     def test_linear_growth_accuracy(self):
         # x' = x with x0 = 1: compare against exp(t)
@@ -855,3 +883,28 @@ def test_system_model_keeps_a_read_only_copy_of_the_input_box():
     heat = HeatSystem().model()
     np.testing.assert_array_equal(heat.input_hi, [10.0, 1.0])
     assert not heat.input_lo.flags.writeable and not heat.input_hi.flags.writeable
+
+
+def test_steps_over_the_cap_are_a_typed_error_under_an_address_limit():
+    # the address limit holds in the child only; at 2e14 steps a table of every stage
+    # time would need some 3 PiB
+    pytest.importorskip("resource")
+    script = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+        import numpy as np
+        from cdmkit.simulation import SamplingSchedule, integrate, linear_system
+        model = linear_system([[1.0]], [[1.0]], stability_limit=1e-15)
+        try:
+            integrate(model, None, [1.0], lambda t: np.zeros((len(t), 1)),
+                      SamplingSchedule(rate=10.0, horizon=0.3))
+        except ValueError as exc:
+            print(exc)
+    """)
+    src = str(Path(simulation.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src,
+                                            "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("3 sample times need 2e+14 integration steps, more than the 1e+08 "
+                           "one integrate call may take\n")
