@@ -37,7 +37,7 @@ from .identification import (
     CdmReconstruction,
     IdentificationConfig,
     Reconstructor,
-    recover_effective_input,
+    _recover_each,
 )
 from .serialization import _fmt, write_reconstruction, write_samples
 from .simulation import (
@@ -390,16 +390,21 @@ def stream_reconstructions(samples: Sequence[ControlSample], model: SystemModel,
     that wants the reconstruction of a prefix calls ``snapshot()`` before
     advancing, which builds every mode of the prefix anew.  A run reads
     ``modes_identified`` at each step and takes one snapshot, after the
-    last observation.  An observation whose effective input cannot be
-    recovered (the input matrix is rank deficient at its state), or whose
-    pair has a component beyond the range ``Reconstructor.push`` accepts,
-    stops the stream with an :class:`IdentificationError` that names its
-    index and time.
+    last observation.  The effective inputs are those of
+    ``recover_effective_input``; a model with a constant input matrix of
+    at most one nonzero per row has them recovered in chunks of
+    observations, one solve per chunk.  An observation whose effective
+    input cannot be recovered (the input matrix is rank deficient at its
+    state; for a chunk, at its first observation), or whose pair has a
+    component beyond the range ``Reconstructor.push`` accepts, stops the
+    stream with an :class:`IdentificationError` that names its index and
+    time.
     """
     reconstructor = Reconstructor(ident)
+    effectives = _recover_each(samples, model)
     for i, s in enumerate(samples):
         try:
-            reconstructor.push(s.input, recover_effective_input(s, model))
+            reconstructor.push(s.input, next(effectives))
         except PreconditionError as exc:
             raise IdentificationError(
                 f"observation {i} at t = {s.time!r}: {exc}", detail=i) from exc

@@ -49,9 +49,17 @@ def pairwise_distances(a, b) -> np.ndarray:
     """Euclidean distances between the rows of ``a`` (n, d) and ``b`` (k, d), shape (n, k).
 
     Squares are summed column by column, the order of
-    ``scipy.spatial.distance.cdist``, so the two agree bit for bit.
+    ``scipy.spatial.distance.cdist``, so the two agree bit for bit.  One
+    row of ``a`` takes its differences to every row of ``b`` at once.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape[0] == 1 and a.shape[1:] == b.shape[1:] and a.shape[1]:
+        d = b - a
+        d *= d
+        acc = d[:, 0].copy()
+        for j in range(1, d.shape[1]):
+            acc += d[:, j]
+        return np.sqrt(acc, out=acc)[None, :]
     acc = np.zeros((a.shape[0], b.shape[0]))
     for j in range(a.shape[1]):
         d = a[:, j, None] - b[:, j]

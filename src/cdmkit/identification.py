@@ -19,7 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -48,6 +48,8 @@ RANK_TOL = 1e-9  # relative singular-value cutoff of every rank decision
 # star offset computed from pairs stays finite.
 _PAIR_LIMIT = 1e150
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 def _check_range(values: np.ndarray, name: str) -> None:
     """Raise :class:`PreconditionError` unless every component is within ``_PAIR_LIMIT``."""
@@ -59,7 +61,12 @@ def _check_range(values: np.ndarray, name: str) -> None:
 
 def _pair_row(u, v) -> np.ndarray:
     """``[u | v]`` as floats, if both are 1-D real vectors of one dimension within 1e150."""
-    halves = []
+    if (type(u) is np.ndarray and type(v) is np.ndarray and u.dtype is _FLOAT64
+            and v.dtype is _FLOAT64 and u.ndim == 1 and u.shape == v.shape):
+        row = np.concatenate((u, v))
+        if all([abs(x) <= _PAIR_LIMIT for x in row.tolist()]):  # False for NaN
+            return row
+    halves = []  # the checks that name a failing half
     for name, value in (("input", u), ("effective", v)):
         try:
             value = _real(value)
@@ -99,15 +106,52 @@ def recover_effective_input(sample: ControlSample, model: SystemModel) -> np.nda
     rank deficient at the sampled state.
     """
     G = _frozen(model.input_map(sample.state), "input map")
-    residual_target = sample.velocity - model.drift(sample.state)
-    solution, _, rank, sv = np.linalg.lstsq(G, residual_target, rcond=RANK_TOL)
-    if rank < model.dim_input:
+    return _solve(G, sample.velocity - model.drift(sample.state), model.dim_input)
+
+
+def _solve(G: np.ndarray, targets: np.ndarray, dim_input: int) -> np.ndarray:
+    """The least-squares solution of ``G v = targets``, one column per target column.
+
+    Raises with the computed rank when ``G`` has rank below ``dim_input``.
+    """
+    solution, _, rank, sv = np.linalg.lstsq(G, targets, rcond=RANK_TOL)
+    if rank < dim_input:
         raise PreconditionError(
-            f"input matrix rank {rank} < {model.dim_input} at the sampled state",
+            f"input matrix rank {rank} < {dim_input} at the sampled state",
             rank=int(rank),
             singular_values=sv,
         )
     return solution
+
+
+_CHUNK = 64  # observations recovered by one solve
+
+
+def _recover_each(samples: Sequence[ControlSample], model: SystemModel) -> Iterator[np.ndarray]:
+    """The effective input of each of ``samples``, in order, as :func:`recover_effective_input`.
+
+    A model whose constant input matrix ``b_matrix`` has at most one
+    nonzero entry per row, such as the heat model's and a diagonal ``B``,
+    has ``_CHUNK`` observations at a time recovered by one solve, each
+    target ``velocity - drift(state)`` one of its columns.  Such a matrix
+    has orthogonal columns, so its triangular factor is diagonal and only
+    the solve's Householder products sum more than one nonzero term; on
+    simulated observations each column has had the bits of a solve of its
+    own.  A denser ``B``, whose solve of many columns can differ from one
+    of each in the last bits, and a state-dependent input map have each
+    observation recovered alone.  A rank-deficient matrix raises at the
+    first observation of the chunk, with the message of
+    :func:`recover_effective_input`.
+    """
+    B = model.b_matrix
+    if B is None or (np.count_nonzero(B, axis=1) > 1).any():
+        for sample in samples:
+            yield recover_effective_input(sample, model)
+        return
+    for start in range(0, len(samples), _CHUNK):
+        targets = np.array([s.velocity - model.drift(s.state)
+                            for s in samples[start:start + _CHUNK]])
+        yield from np.ascontiguousarray(_solve(B, targets.T, model.dim_input).T)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +204,7 @@ class _Rows:
     def __init__(self, table: np.ndarray):
         self.table, self.count = table, table.shape[0]
         self._basis, self._rounds, self._scored = (), [], 0
+        self._axes = None  # the picks' orthonormal axes and largest norm, made on first use
 
     def append(self, row: np.ndarray) -> None:
         self.table = _append_row(self.table, self.count, row)
@@ -178,13 +223,44 @@ class _Rows:
         if self._scored != self.count:
             m = self.table.shape[1] // 2
             inputs = self.table[:self.count, :m]
-            picks = [pick for pick, _ in self._rounds]
-            new = range(self._scored, self.count)
-            if not self._rounds or any(_scores(inputs, picks[:j], new).max() > best
-                                       for j, (_, best) in enumerate(self._rounds)):
+            if not self._rounds or self._beaten(inputs):
                 self._basis, self._rounds = _select_basis(inputs, m)
+                self._axes = None
             self._scored = self.count
         return _unidentifiable(self.count, self._basis) is None
+
+    def _beaten(self, inputs: np.ndarray) -> bool:
+        """Whether an input appended since the last scoring scores above a round's best.
+
+        Round j's score of an input ``u``, the smallest singular value of
+        the round's earlier picks over ``u``, is at most the distance from
+        ``u`` to their span: ``|u - Q_j Q_j^T u|`` for the first j columns
+        ``Q_j`` of an orthonormal factor of the picks, kept until they
+        change.  Where every new input's distance plus 1e-9 times the
+        largest norm of the picks and the new inputs (far above the
+        rounding of either) stays below the round's best, no score can
+        beat it and no SVD runs; elsewhere the SVD scores decide, as from
+        scratch.
+        """
+        picks = [pick for pick, _ in self._rounds]
+        if self._axes is None:
+            chosen = inputs[picks]
+            self._axes = (np.linalg.qr(chosen.T)[0].T.tolist(),
+                          float(np.sqrt((chosen * chosen).sum(axis=1)).max()))
+        axes, scale = self._axes
+        offs = inputs[self._scored:].tolist()  # each new input less its part in the span
+        for j, (_, best) in enumerate(self._rounds):
+            bounds = [math.sqrt(sum(x * x for x in u)) for u in offs]
+            if not j:
+                scale = max(scale, *bounds)
+            if (max(bounds) + 1e-9 * scale >= best
+                    and _scores(inputs, picks[:j], range(self._scored, self.count)).max() > best):
+                return True
+            q = axes[j]
+            for u in offs:
+                c = sum(x * y for x, y in zip(u, q))
+                u[:] = [x - c * y for x, y in zip(u, q)]
+        return False
 
 
 def _kruskal(edges):
@@ -242,6 +318,7 @@ class _Linkage:
         self.n = 0
         self.firsts: list[int] = []  # the component names, ascending
         self.tree: list[tuple] = []
+        self.forced: list[tuple] = []  # the tree edges the last cut merged by force
         self.clusters: dict[frozenset, _Rows] = {}  # by component names, in cluster order
         self._cut_at = 0  # points at the last cut
 
@@ -294,20 +371,24 @@ class _Linkage:
         """The component names of each cluster at the cut, in order of first point.
 
         The tree edges up to the (k - n_modes)-th height, and every edge tied
-        with it, are merged; each such forced merge is logged in ascending
-        order.
+        with it, are merged: the cut's forced merges, kept in :attr:`forced`.
+        When they differ from the last cut's, each is logged in ascending
+        order; a cut that repeats them logs nothing.
         """
         k = len(self.firsts)
         if k <= self.n_modes:
+            self.forced = []
             return [[c] for c in self.firsts]
         cut = self.tree[k - self.n_modes - 1][0]
         forced = [edge for edge in self.tree if edge[0] <= cut]
-        for height, _, _ in forced:
-            log.info(
-                "forced merge at height %.6g, at or above separation delta %.6g",
-                height, self.delta,
-                extra={"event": "forced_merge", "height": height, "delta": self.delta},
-            )
+        if forced != self.forced:
+            for height, _, _ in forced:
+                log.info(
+                    "forced merge at height %.6g, at or above separation delta %.6g",
+                    height, self.delta,
+                    extra={"event": "forced_merge", "height": height, "delta": self.delta},
+                )
+            self.forced = forced
         _, find = _kruskal(forced)
         groups: dict[int, list[int]] = {}
         for c in self.firsts:
@@ -523,10 +604,12 @@ class CdmReconstruction:
 
 
 def _is_unaffected(point: np.ndarray, identity_tol: float) -> bool:
-    # one norm per pair, so the stream and the batch decide bit for bit alike
+    # one norm per pair, so the stream and the batch decide bit for bit alike;
+    # each is np.linalg.norm's arithmetic
     m = point.shape[0] // 2
-    dev = np.linalg.norm(point[m:] - point[:m])
-    return bool(dev <= identity_tol * (1.0 + np.linalg.norm(point[:m])))
+    u = point[:m]
+    dev = point[m:] - u
+    return math.sqrt(dev.dot(dev)) <= float(identity_tol) * (1.0 + math.sqrt(u.dot(u)))
 
 
 def split_pairs(points: np.ndarray, identity_tol: float):
@@ -725,8 +808,6 @@ class QueryResult:
     value: Optional[np.ndarray] = None
     mode_index: Optional[int] = None
 
-
-_FLOAT64 = np.dtype(np.float64)
 
 
 def _command(recon: CdmReconstruction, u) -> tuple[np.ndarray, list]:

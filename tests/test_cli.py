@@ -19,8 +19,9 @@ import pytest
 import cdmkit
 from cdmkit.cli import EXIT_CONFIG, EXIT_IDENTIFICATION, EXIT_OK, EXIT_UNVIABLE, entry, main
 from cdmkit.experiment import parse_config_text, run_experiment
-from cdmkit.identification import build_reconstruction_from_pairs
+from cdmkit.identification import build_reconstruction_from_pairs, recover_effective_input
 from cdmkit.serialization import reconstruction_to_lines, write_reconstruction
+from cdmkit.simulation import integrate
 
 SMALL_HEAT_CONFIG = """\
 [system]
@@ -324,6 +325,52 @@ class TestRun:
         assert err.startswith("identification-failure: observation 0 at t = 0.0025")
         assert "rank 1 < 2" in err and err.count("\n") == 1
         assert not out.exists()  # the run stops before writing any artifact
+
+    @pytest.mark.parametrize("b, solve", [("1.0 0.0 0.0 0.0", (2, 10)), ("1.0 1.0 1.0 1.0", (2,))],
+                             ids=["chunked", "one-by-one"])
+    def test_rank_deficient_linear_input_matrix_is_identification_failure(
+            self, tmp_path, capsys, monkeypatch, b, solve):
+        # B has rank 1 < 2: the stream stops at observation 0 with the message of
+        # recover_effective_input, whether it solves the first chunk or the first observation
+        text = textwrap.dedent(f"""\
+            [system]
+            kind = linear
+            state_dim = 2
+            input_dim = 2
+            a = 0.0 0.0 0.0 0.0
+            b = {b}
+
+            [cdm]
+            kind = identity
+
+            [signal]
+            kind = constant
+            values = 1.0 0.5
+
+            [sampling]
+            rate = 10.0
+            horizon = 1.0
+
+            [identification]
+            delta = 0.5
+            modes = 1
+            """)
+        config = parse_config_text(text)
+        model = config.model()
+        first = integrate(model, None, config.x0, config.signal, config.schedule)[0]
+        with pytest.raises(cdmkit.PreconditionError) as failure:
+            recover_effective_input(first, model)
+        cfg = tmp_path / "rank.cfg"
+        cfg.write_text(text)
+        shapes, lstsq = [], np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda a, b, **kw: shapes.append(np.shape(b)) or lstsq(a, b, **kw))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output", str(out)]) == EXIT_IDENTIFICATION
+        assert capsys.readouterr().err == (f"identification-failure: observation 0 at t = "
+                                           f"{first.time!r}: {failure.value}\n")
+        assert "input matrix rank 1 < 2" in str(failure.value)
+        assert shapes == [solve] and not out.exists()
 
     def test_pair_beyond_range_is_identification_failure(self, tmp_path, capsys):
         # every command is 1e200: its squared norm would overflow the unaffected test

@@ -22,11 +22,15 @@ from cdmkit.experiment import (
     stream_reconstructions,
     validate_ground_truth_separation,
 )
+import cdmkit.identification as identification
 from cdmkit.identification import (
+    _CHUNK,
     IdentificationConfig,
     QueryKind,
+    _recover_each,
     build_reconstruction,
     query,
+    recover_effective_input,
 )
 from cdmkit.serialization import read_reconstruction, read_samples
 from cdmkit.simulation import (
@@ -520,6 +524,64 @@ def exact_hausdorff(lo, hi, coords) -> float:
         return np.inf
     gap = float(np.max(np.diff(s))) if s.size > 1 else 0.0
     return max(float(s[0]) - lo, hi - float(s[-1]), gap / 2)
+
+
+class TestChunkedRecovery:
+    """The stream recovers a constant input matrix's observations in chunks, bit for bit."""
+
+    @staticmethod
+    def solves(monkeypatch):
+        """The shape of each right-hand side ``np.linalg.lstsq`` is given from now on."""
+        shapes, lstsq = [], np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda a, b, **kw: shapes.append(np.shape(b)) or lstsq(a, b, **kw))
+        return shapes
+
+    @staticmethod
+    def assert_recovered_as_one_by_one(samples, model):
+        chunked = np.array(list(_recover_each(samples, model)))
+        one_by_one = np.array([recover_effective_input(s, model) for s in samples])
+        assert chunked.tobytes() == one_by_one.tobytes()
+
+    def test_bundled_run_is_recovered_in_chunks_bit_for_bit(self, heat_run, monkeypatch):
+        config, result, _ = heat_run
+        model, samples = config.model(), result.samples
+        assert len(samples) == 3 * _CHUNK + 8  # the last chunk is short
+        shapes = self.solves(monkeypatch)
+        self.assert_recovered_as_one_by_one(samples, model)
+        n = model.dim_state
+        assert shapes[:4] == [(n, _CHUNK)] * 3 + [(n, 8)] and len(shapes) == 4 + len(samples)
+        shapes.clear()
+        assert len(list(stream_reconstructions(samples, model, config.identification))) == 200
+        assert shapes == [(n, _CHUNK)] * 3 + [(n, 8)]
+
+    def test_linear_modes_run_is_recovered_in_chunks_bit_for_bit(self, monkeypatch):
+        config = parse_config_text(LINEAR_MODES_CONFIG)
+        model = config.model()
+        samples = integrate(model, config.cdm, config.x0, config.signal, config.schedule)
+        shapes = self.solves(monkeypatch)
+        self.assert_recovered_as_one_by_one(samples, model)
+        assert shapes[:2] == [(2, _CHUNK), (2, len(samples) - _CHUNK)]
+
+    @pytest.mark.parametrize("config", [
+        DEFAULT_HEAT_CONFIG.replace("[cdm]", "nonlinear_depth = true\n\n[cdm]")
+        .replace("initial_temperature = 0.0", "initial_temperature = 1.0")
+        .replace("horizon = 10.0", "horizon = 2.0"),
+        # a dense B: a solve of many columns may differ in the last bits from one of each
+        LINEAR_MODES_CONFIG.replace("b = 1.0 0.0 0.0 1.0", "b = 1.0 0.5 -0.25 1.0"),
+    ], ids=["nonlinear_depth", "dense-B"])
+    def test_other_models_recover_each_observation_alone(self, config, monkeypatch):
+        config = parse_config_text(config)
+        model = config.model()
+        samples = integrate(model, config.cdm, config.x0, config.signal, config.schedule)
+        recovered, recover = [], identification.recover_effective_input
+        monkeypatch.setattr(identification, "recover_effective_input",
+                            lambda s, m: recovered.append(s) or recover(s, m))
+        shapes = self.solves(monkeypatch)
+        steps = list(stream_reconstructions(samples, model, config.identification))
+        assert len(steps) == len(samples) > 0
+        assert recovered == samples
+        assert shapes == [(model.dim_state,)] * len(samples)
 
 
 @pytest.fixture(scope="module")

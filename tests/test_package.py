@@ -89,6 +89,7 @@ PRIVATE_IMPORTS = {
     ("degradation", "geometry", "_positive"),
     ("experiment", "geometry", "_frozen"),
     ("experiment", "geometry", "_positive"),
+    ("experiment", "identification", "_recover_each"),  # the stream's chunked recovery
     ("experiment", "serialization", "_fmt"),
     ("experiment", "simulation", "_MAX_STEPS"),
     ("experiment", "simulation", "_interval_steps"),

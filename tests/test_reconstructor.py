@@ -15,6 +15,7 @@ direction de-duplication) are checked against the loops they replace.
 import ast
 import contextlib
 import logging
+import math
 import time
 from collections import Counter
 from pathlib import Path
@@ -42,6 +43,7 @@ from cdmkit.identification import (
     IdentificationConfig,
     Reconstructor,
     _Rows,
+    _scores,
     _select_basis,
     build_reconstruction_from_pairs,
     cluster_pairs,
@@ -392,20 +394,26 @@ def test_forced_merges_logged_like_batch(heat_run, caplog):
 
     caplog.set_level(logging.INFO, logger="cdmkit.identification")
     rec = Reconstructor(ident)
-    logged, unaffected = [], 0
+    logged, unaffected, repeats = [], 0, 0
     for k, pair in enumerate(pairs, start=1):
+        before = rec._linkage.forced
         rec.push(*pair)
         snapshot = rec.snapshot()
         step = events()
         build_reconstruction_from_pairs(pairs[:k], ident)
         batch = events()
         if len(snapshot.unaffected) == unaffected:  # affected: the partition was re-cut
-            assert step == batch
+            # the cut forces the batch's merges, and logs them unless the last cut forced them
+            forced = rec._linkage.forced
+            assert [(height, ident.delta) for height, _, _ in forced] == batch
+            assert step == (batch if forced != before else [])
+            repeats += bool(batch) and forced == before
         else:
             assert not step
         unaffected = len(snapshot.unaffected)
         logged += step
     assert logged, "the bundled stream force-merges fragments"
+    assert repeats, "the bundled stream repeats a cut's forced merges"
     assert all(height >= ident.delta and delta == ident.delta for height, delta in logged)
 
 
@@ -502,9 +510,10 @@ def forced_merges():
 def test_stream_clusters_match_linkage_after_every_push(seed, k, d, grid, n_modes):
     """After every push the clusters are SciPy's single linkage at the same cut.
 
-    Each cluster holds the same rows in the same order, and the push logs
-    one forced merge for each merge height of SciPy's tree above delta's
-    cut and at or below the forced cut, in ascending order.  The stream's
+    Each cluster holds the same rows in the same order, and the push
+    forces one merge for each merge height of SciPy's tree above delta's
+    cut and at or below the forced cut, in ascending order; it logs them
+    when they differ from the previous push's forced merges.  The stream's
     tree spans its threshold components with the heights of SciPy's merges
     above delta's cut.
     """
@@ -517,9 +526,12 @@ def test_stream_clusters_match_linkage_after_every_push(seed, k, d, grid, n_mode
     with quiet(), forced_merges() as heights:
         for n in range(1, len(pts) + 1):
             heights.clear()
+            before = rec._linkage.forced
             rec.push(pts[n - 1, :d], pts[n - 1, d:])
             prefix = pts[:n]
-            assert heights == reference_forced_heights(prefix, 1.0, n_modes)
+            forced = rec._linkage.forced
+            assert [h for h, _, _ in forced] == reference_forced_heights(prefix, 1.0, n_modes)
+            assert heights == ([h for h, _, _ in forced] if forced != before else [])
             tree = rec._linkage.tree
             assert len(tree) == len(rec._linkage.firsts) - 1
             merges = np.sort(linkage(prefix, method="single")[:, 2]) if n > 1 else np.empty(0)
@@ -661,6 +673,53 @@ def test_only_an_input_that_beats_a_round_picks_again(monkeypatch):
     assert not rows.identified and picked == [1, 2, 52]
     rows.append(np.array([0.0, 20.0] * 2))
     assert rows.identified and picked == [1, 2, 52, 53]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_rows_pick_as_from_scratch_on_near_ties(m):
+    """Rows whose new input ties a round's best, or whose distance bound lands
+    within the margin of it, from below or from above, pick as from scratch.
+
+    The base rows are orthogonal, so each round's best, ``m - j`` for round
+    j, is the new input's distance to the earlier picks' span itself.
+    """
+    base = np.diag(np.arange(m, 0, -1.0))
+    for j in range(m):
+        for factor in (1.0, 1.0 - 1e-8, 1.0 - 1e-11, 1.0 - 1e-15, 1.0 + 1e-15, 1.0 + 1e-11):
+            new = base[j] * factor
+            new[(j + 1) % m] += 0.5 * (j > 0)  # a part in the span of the earlier picks, or none
+            assert_rows_pick_as_from_scratch(np.vstack([base, new]))
+
+
+@pytest.mark.parametrize("p, axis", [([1.867, 0.536], 0), ([0.007, 0.812], 1),
+                                     ([0.52, 1.11, 1.53], 2), ([1.9, 0.2, 0.3], 0)])
+def test_an_input_whose_rounded_bound_misses_the_best_still_picks_again(p, axis):
+    # u is p one ulp longer: its norm, rounded as the bound takes it, lies below
+    # round 0's best, the SVD score of p, and u's own SVD score above it; only the
+    # margin sends u to the SVD, which makes u round 0's pick
+    p = np.array(p)
+    u = p.copy()
+    u[axis] = np.nextafter(u[axis], np.inf)
+    inputs = np.vstack([p, 0.1 * np.eye(len(p))[1:], u])
+    best, score = _scores(inputs, [], [0, len(p)])
+    assert math.sqrt(sum(x * x for x in u.tolist())) < best < score
+    assert_rows_pick_as_from_scratch(inputs)
+
+
+def test_an_input_near_the_span_of_a_rounds_picks_runs_no_svd(monkeypatch):
+    rows = _Rows(np.empty((0, 4)))
+    for u in ([2.0, 0.0], [0.0, 1.0]):
+        rows.append(np.array(u + u))
+    assert not rows.identified
+    scored, scores = [], ck.identification._scores
+    monkeypatch.setattr(ck.identification, "_scores",
+                        lambda *args: scored.append(args) or scores(*args))
+    # norm 1.5 against round 0's best 2, and distance 0.01 to the first pick's
+    # line against round 1's best 1: neither round needs an SVD to know
+    rows.append(np.array([1.5, 0.01] * 2))
+    assert rows.identified and scored == []
+    rows.append(np.array([0.0, 1.0] * 2))  # ties round 1's best: its SVD decides
+    assert rows.identified and len(scored) == 1
 
 
 def reference_dedup(directions, radii, side):
