@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import _frozen, _positive
+from .geometry import _frozen, _integer, _positive
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,7 @@ class IntervalRegion:
     closed_hi: bool = True
 
     def __post_init__(self):
-        axis = self.axis
-        if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)) or axis < 0:
-            raise ValueError(f"interval axis must be a non-negative integer, got {axis!r}")
+        _integer(self.axis, "interval axis", least=0)
         if _frozen([self.lo, self.hi], "interval ends").shape != (2,):
             raise ValueError("interval ends must be two real numbers")
         if not (self.lo < self.hi or self.lo == self.hi and self.closed_lo and self.closed_hi):

@@ -321,6 +321,20 @@ def _positive(x, what: str, or_zero: bool = False) -> float:
                      f"got {shown}")
 
 
+def _integer(x, what: str, least: int | None = None) -> int:
+    """``x`` as an ``int`` if it is an integer, a NumPy one too, and at least ``least`` (if given).
+
+    Anything else is a ``ValueError`` naming ``what``: a bool, a float even
+    when whole, a string, or an integer below ``least``.
+    """
+    if (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+            and (least is None or x >= least)):
+        return int(x)
+    kind = ("an integer" if least is None else "a non-negative integer" if least == 0
+            else f"an integer of at least {least}")
+    raise ValueError(f"{what} must be {kind}, got {x!r}")
+
+
 def _coords(v, dim: int, what: str) -> list:
     """``v`` as a list of ``dim`` Python floats; a ``ValueError`` for any other shape or dtype."""
     try:

@@ -34,6 +34,7 @@ from .geometry import (
     estimate_mgf_lipschitz,
     _classify,
     _frozen,
+    _integer,
     _positive,
     _real,
     pairwise_distances,
@@ -232,27 +233,42 @@ class _Rows:
     def _beaten(self, inputs: np.ndarray) -> bool:
         """Whether an input appended since the last scoring scores above a round's best.
 
-        Round j's score of an input ``u``, the smallest singular value of
-        the round's earlier picks over ``u``, is at most the distance from
-        ``u`` to their span: ``|u - Q_j Q_j^T u|`` for the first j columns
-        ``Q_j`` of an orthonormal factor of the picks, kept until they
-        change.  Where every new input's distance plus 1e-9 times the
-        largest norm of the picks and the new inputs (far above the
-        rounding of either) stays below the round's best, no score can
-        beat it and no SVD runs; elsewhere the SVD scores decide, as from
-        scratch.
+        Round j's score of an input ``u`` is the smallest singular value of
+        the round's earlier picks over ``u``.  In round 0 that is ``|u|``.
+        In round 1, with the first pick ``p`` and the Gram entries ``a = p.p``,
+        ``b = p.u``, ``c = u.u``, it is ``|p| dist / s`` exactly, where
+        ``dist`` is the distance from ``u`` to the line of ``p`` and
+        ``s^2 = (a + c + sqrt((a - c)^2 + 4 b^2)) / 2`` is the largest
+        singular value's square.  In later rounds it is at most the distance
+        from ``u`` to the span of the earlier picks, ``|u - Q_j Q_j^T u|``
+        for the first j columns ``Q_j`` of an orthonormal factor of the
+        picks, kept until they change.  Where every new input's bound plus
+        1e-9 times the largest norm of the picks and the new inputs (far
+        above the rounding of either) stays below the round's best, no score
+        can beat it and no SVD runs; elsewhere the SVD scores decide, as
+        from scratch.  Below a largest norm of 1e-140 the squares lose
+        digits to underflow, so every round is scored.
         """
         picks = [pick for pick, _ in self._rounds]
         if self._axes is None:
             chosen = inputs[picks]
             self._axes = (np.linalg.qr(chosen.T)[0].T.tolist(),
-                          float(np.sqrt((chosen * chosen).sum(axis=1)).max()))
-        axes, scale = self._axes
-        offs = inputs[self._scored:].tolist()  # each new input less its part in the span
+                          float(np.sqrt((chosen * chosen).sum(axis=1)).max()), chosen[0].tolist())
+        axes, scale, first = self._axes
+        news = inputs[self._scored:].tolist()
+        offs = [u[:] for u in news]  # each new input less its part in the span
         for j, (_, best) in enumerate(self._rounds):
             bounds = [math.sqrt(sum(x * x for x in u)) for u in offs]
             if not j:
                 scale = max(scale, *bounds)
+                if scale < 1e-140:
+                    return True
+            elif j == 1:
+                a = sum(x * x for x in first)
+                for i, u in enumerate(news):
+                    b, c = sum(x * y for x, y in zip(first, u)), sum(x * x for x in u)
+                    s = math.sqrt((a + c + math.hypot(a - c, 2.0 * b)) / 2.0)
+                    bounds[i] *= math.sqrt(a) / s
             if (max(bounds) + 1e-9 * scale >= best
                     and _scores(inputs, picks[:j], range(self._scored, self.count)).max() > best):
                 return True
@@ -492,9 +508,7 @@ class IdentificationConfig:
         for name in ("delta", "lipschitz"):
             _positive(getattr(self, name), name)
         _positive(self.identity_tol, "identity_tol", or_zero=True)
-        n = self.n_modes
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"modes must be an integer of at least 1, got {n!r}")
+        _integer(self.n_modes, "modes", least=1)
 
 
 @dataclass(frozen=True)

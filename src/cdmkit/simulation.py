@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import _frozen, _positive
+from .geometry import _frozen, _integer, _positive
 
 
 @dataclass(frozen=True)
@@ -156,6 +156,7 @@ class HeatSystem:
     nonlinear_depth: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "grid_points", _integer(self.grid_points, "grid_points"))
         if not 3 <= self.grid_points <= _MAX_GRID_POINTS:
             raise ValueError(f"grid_points must lie in [3, {_MAX_GRID_POINTS}], "
                              f"got {self.grid_points}")
@@ -258,8 +259,7 @@ class SamplingSchedule:
         _positive(self.jitter, "sampling jitter", or_zero=True)
         if self.jitter >= 0.5 / self.rate:
             raise ValueError("jitter must lie in [0, 1/(2 rate)) to keep samples ordered")
-        if self.seed < 0:
-            raise ValueError("sampling seed must be non-negative")
+        object.__setattr__(self, "seed", _integer(self.seed, "sampling seed", least=0))
         if self._count() < 1:
             raise ValueError(f"rate {self.rate} over horizon {self.horizon} gives no samples")
 
@@ -347,11 +347,12 @@ def _stage_times(starts, dts, n_subs, tks) -> np.ndarray:
 
 
 def _rk4_advance(model: SystemModel):
-    """Generic path: classical RK4 steps.
+    """Generic path: classical RK4 steps, ``advance(x, dt, E)``.
 
     ``E`` is one interval's slice of its batch's effective inputs: those
     at the interval's step starts and midpoints in turn (the order of
-    :func:`_stage_times`), without the one at its sample time.
+    :func:`_stage_times`), without the one at its sample time.  The step
+    map an interval hands it is its step length ``dt``.
     """
 
     def advance(x, dt, E):
@@ -387,6 +388,41 @@ def _support(powers: tuple) -> np.ndarray:
     return np.flatnonzero(np.logical_or.reduce([p.reshape(-1) != 0 for p in powers]))
 
 
+def _step_maps(dts: np.ndarray, band: tuple, inputs: tuple, entries: np.ndarray,
+               term: np.ndarray):
+    """``R``'s band entries and ``P0``, ``Ph``, ``P1`` for each step length of ``dts``, in one pass.
+
+    ``band`` holds ``I, A, ..., A^4`` on ``R``'s band and ``inputs`` holds
+    ``B, 4 B, A B, A^2 B, A^3 B`` on the forced rows.  The scalars of each
+    interval are Python floats, as a loop over the intervals forms them,
+    and each entry is that loop's elementwise expression in the same order,
+    broadcast over the intervals, so it has that loop's bits.  The band
+    entries go to the first rows of ``entries``, with ``term`` as scratch.
+    Returns one ``(band entries, P0, Ph, P1)`` per interval.
+    """
+    d1, d2, d3, d4, sixth, d3q, d2x = np.array(
+        [(dt, dt**2 / 2.0, dt**3 / 6.0, dt**4 / 24.0, dt / 6.0, dt**3 / 4.0, 2.0 * dt)
+         for dt in dts.tolist()]).T[:, :, None]
+    I_s, A_s, A2_s, A3_s, A4_s = band
+    entries, term = entries[:dts.shape[0]], term[:dts.shape[0]]
+    np.add(I_s, np.multiply(d1, A_s, out=entries), out=entries)
+    for d, power in ((d2, A2_s), (d3, A3_s), (d4, A4_s)):
+        np.add(entries, np.multiply(d, power, out=term), out=entries)
+    B, B4, AB, A2B, A3B = inputs
+    d1, d2, sixth, d3q, d2x = (c[:, :, None] for c in (d1, d2, sixth, d3q, d2x))
+    P0 = sixth * (B + d1 * AB + d2 * A2B + d3q * A3B)
+    Ph = sixth * (B4 + d2x * AB + d2 * A2B)
+    P1 = sixth * B
+    return zip(entries, P0, Ph, P1)
+
+
+# Floats of step maps that one _step_maps pass forms at most: it takes as
+# many intervals at once as fit (at least one; 12 of the bundled heat model,
+# each 890 band entries and 66 entries of P), so its arrays stay under 0.2 MB
+# and do not grow with the intervals of a batch, a dense A or a dense B.
+_MAP_ENTRIES = 12_288
+
+
 def _linear_rk4_advance(model: SystemModel):
     """Linear path: the exact step map of RK4 on ``x' = A x + B e(t)``.
 
@@ -394,36 +430,76 @@ def _linear_rk4_advance(model: SystemModel):
     + P1 e(t + dt)``, where ``R = I + H + H^2/2 + H^3/6 + H^4/24``,
     ``P0 = dt/6 (I + H + H^2/2 + H^3/4) B``, ``Ph = dt/6 (4I + 2H + H^2/2) B``
     and ``P1 = dt/6 B``.  The powers of ``A`` are formed once per model
-    (``SystemModel._rk4_powers``); per sampling interval ``R`` and the ``P``
-    are scalar-weighted sums of them, so no matrix product runs inside the
-    step loop.  ``R`` is summed only on the support of ``I, A, ..., A^4``
+    (``SystemModel._rk4_powers``); ``R`` and the ``P`` are scalar-weighted
+    sums of them, so no matrix product runs inside the step loop.
+
+    Returns ``(maps, advance)``.  ``maps(dts)`` yields the step map of each
+    step length of a batch: they are formed for many intervals at once
+    (:func:`_step_maps`, up to ``_MAP_ENTRIES`` floats of them), and each is
+    valid until the next is drawn.  ``advance(x, step_map, E)`` takes one
+    interval's steps; ``E`` is its slice of the batch's effective inputs,
+    as for :func:`_rk4_advance`.
+
+    ``R`` is summed only on the support of ``I, A, ..., A^4``
     (:func:`_support`), found once per advance, and written into one dense
     ``R`` that stays zero elsewhere: there every term is ``±0`` and the
     identity's is ``+0``, so for ``dt >= 0`` ``R`` is the dense sum bit for
     bit.  Each sub-step is one dense BLAS mat-vec on it
-    (:func:`_affine_steps`).  ``E`` is the interval's slice of the effective
-    inputs of its batch, as for :func:`_rk4_advance`; the signal and
-    ``cdm`` calls are made once per batch of intervals, not here.
+    (:func:`_affine_steps`).  The forcing table is full width, but its three
+    products run only on the rows where an entry of ``B, AB, A^2 B, A^3 B``
+    is other than ``+0`` and on one unreached row.  Every
+    unreached row's ``P`` are ``+0``, so the product gives each of them what
+    it gives that row: ``±0`` by the signs of the inputs, NaN where an input
+    is not finite.  The table holds ``+0`` there and takes that row's value
+    only where it is not ``+0``.
     """
     A, B = model.a_matrix, model.b_matrix
     A2, A3, A4, AB, A2B, A3B = model._rk4_powers
-    powers = (np.eye(A.shape[0]), A, A2, A3, A4)
+    n = A.shape[0]
+    powers = (np.eye(n), A, A2, A3, A4)
     support = _support(powers)
-    I_s, A_s, A2_s, A3_s, A4_s = (p.take(support) for p in powers)
+    band = tuple(p.take(support) for p in powers)
+    # the rows where an entry of B, AB, A^2 B or A^3 B has a bit set (-0 and NaN count)
+    reached = np.logical_or.reduce([(p.view(np.uint64) != 0).any(axis=1)
+                                    for p in (B, AB, A2B, A3B)])
+    rows, rest = np.flatnonzero(reached), np.flatnonzero(~reached)
+    # at least two columns where the full product has them, so NumPy hands
+    # each product to the same kind of BLAS call
+    forced = np.concatenate([rows, rest[:max(1, 2 - rows.size)]])
+    inputs = tuple(p[forced] for p in (B, 4.0 * B, AB, A2B, A3B))
+    chunk = max(1, _MAP_ENTRIES // (support.size + 3 * inputs[0].size))
+    entries, term = np.empty((chunk, support.size)), np.empty((chunk, support.size))
     R = np.zeros(A.shape)
+    R_flat = R.reshape(-1)
+    table = np.zeros((0, n))
+    dirty = False  # whether an unreached column of the table may hold other than +0
 
-    def advance(x, dt, E):
-        R.put(support, I_s + dt * A_s + dt**2 / 2.0 * A2_s + dt**3 / 6.0 * A3_s
-              + dt**4 / 24.0 * A4_s)
-        P0 = dt / 6.0 * (B + dt * AB + dt**2 / 2.0 * A2B + dt**3 / 4.0 * A3B)
-        Ph = dt / 6.0 * (4.0 * B + 2.0 * dt * AB + dt**2 / 2.0 * A2B)
-        P1 = dt / 6.0 * B
-        forcing = E[0:-1:2] @ P0.T
-        forcing += E[1::2] @ Ph.T
-        forcing += E[2::2] @ P1.T
+    def maps(dts):
+        for start in range(0, dts.shape[0], chunk):
+            yield from _step_maps(dts[start:start + chunk], band, inputs, entries, term)
+
+    def advance(x, step_map, E):
+        nonlocal table, dirty
+        band_entries, P0, Ph, P1 = step_map
+        R_flat[support] = band_entries
+        product = E[0:-1:2] @ P0.T
+        product += E[1::2] @ Ph.T
+        product += E[2::2] @ P1.T
+        if product.shape[0] > table.shape[0]:
+            table, dirty = np.zeros((product.shape[0], n)), False
+        forcing = table[:product.shape[0]]
+        forcing[:, rows] = product[:, :rows.size]
+        if rest.size:
+            unreached = product[:, rows.size]
+            if unreached.tobytes().count(0) < unreached.nbytes:  # a byte of some entry is set
+                forcing[:, rest] = unreached[:, None]
+                dirty = True
+            elif dirty:
+                table[:, rest] = 0.0
+                dirty = False
         return _affine_steps(R, forcing, x)
 
-    return advance
+    return maps, advance
 
 
 def _commands(input_signal, times: np.ndarray, dim_input: int) -> np.ndarray:
@@ -511,10 +587,11 @@ def integrate(model: SystemModel, cdm, x0, input_signal,
     any stage table is allocated.
     Deterministic for a fixed schedule seed.
     """
+    # maps(dts) gives the step map of each interval of a batch, for advance
     if model.a_matrix is None:
-        advance = _rk4_advance(model)
+        maps, advance = np.asarray, _rk4_advance(model)  # a generic step map is the step length
     else:
-        advance = _linear_rk4_advance(model)
+        maps, advance = _linear_rk4_advance(model)
 
     times = _checked_times(schedule.sample_times())
     x = _frozen(x0, "initial state").copy()
@@ -532,10 +609,10 @@ def integrate(model: SystemModel, cdm, x0, input_signal,
                       model.dim_input)
         E = _effective_inputs(cdm, U)
         end = 0
-        for n_sub, dt, tk in zip(n_list[a:b], dts[a:b], times[a:b]):
+        for n_sub, step_map, tk in zip(n_list[a:b], maps(dts[a:b]), times[a:b]):
             begin, end = end, end + (2 * n_sub + 2 if n_sub else 1)
             if n_sub:
-                x = advance(x, dt, E[begin:end - 1])
+                x = advance(x, step_map, E[begin:end - 1])
             samples.append(ControlSample(time=float(tk), state=x,
                                          velocity=_velocity(model, x, E[end - 1]),
                                          input=U[end - 1]))

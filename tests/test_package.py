@@ -86,6 +86,7 @@ def test_every_export_is_used_outside_tests():
 PRIVATE_IMPORTS = {
     ("cli", "serialization", "_fmt"),
     ("degradation", "geometry", "_frozen"),
+    ("degradation", "geometry", "_integer"),
     ("degradation", "geometry", "_positive"),
     ("experiment", "geometry", "_frozen"),
     ("experiment", "geometry", "_positive"),
@@ -97,10 +98,12 @@ PRIVATE_IMPORTS = {
     ("identification", "geometry", "_OUTSIDE_OUTER"),
     ("identification", "geometry", "_classify"),
     ("identification", "geometry", "_frozen"),
+    ("identification", "geometry", "_integer"),
     ("identification", "geometry", "_positive"),
     ("identification", "geometry", "_real"),
     ("serialization", "geometry", "_frozen"),
     ("simulation", "geometry", "_frozen"),
+    ("simulation", "geometry", "_integer"),
     ("simulation", "geometry", "_positive"),
 }
 
@@ -205,6 +208,22 @@ def test_positivity_is_checked_only_by_geometry_positive():
     for path in (REPO_ROOT / "src" / "cdmkit").glob("*.py"):
         found |= positivity_checks(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert found == set()
+
+
+def test_integers_are_checked_only_by_geometry_integer():
+    # a hand-written isinstance(x, (int, np.integer)) check let bools through or
+    # compared strings; _integer is the one check for an integer field
+    def integer_check(node) -> bool:
+        return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                and len(node.args) == 2 and isinstance(node.args[1], ast.Tuple)
+                and {getattr(e, "id", getattr(e, "attr", None)) for e in node.args[1].elts}
+                >= {"int", "integer"})
+
+    found = set()
+    for path in (REPO_ROOT / "src" / "cdmkit").glob("*.py"):
+        found |= {(path.stem, name) for name in enclosing_functions(
+            ast.parse(path.read_text(encoding="utf-8")), integer_check)}
+    assert found == {("geometry", "_integer")}
 
 
 def enclosing_functions(node, match, owner: str = "<module>") -> set:

@@ -722,6 +722,84 @@ def test_an_input_near_the_span_of_a_rounds_picks_runs_no_svd(monkeypatch):
     assert rows.identified and len(scored) == 1
 
 
+def round_one_input(score: float, x: float = 0.5) -> list:
+    """The input ``(x, y)`` whose round-1 score, the smaller singular value of
+    ``[[2, 0], [x, y]]``, is ``score`` (``s1 s2 = 2 y``, ``s1^2 + s2^2 = 4 + x^2 + y^2``)."""
+    return [x, math.sqrt((4.0 + x * x - score * score) / (4.0 / (score * score) - 1.0))]
+
+
+def beaten_svds(monkeypatch, base, new) -> list:
+    """The rounds whose SVD ``_Rows._beaten`` runs for ``new`` appended to ``base``."""
+    rows = _Rows(np.hstack([base, base]))
+    rows.identified  # picks the base rows
+    rounds, scores = [], ck.identification._scores
+    monkeypatch.setattr(ck.identification, "_scores", lambda inputs, chosen, scored: (
+        len(scored) == 1 and rounds.append(len(chosen))) or scores(inputs, chosen, scored))
+    rows.append(np.concatenate([new, new]))
+    rows.identified
+    return rounds
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("score, rounds", [
+    (1.0 - 1e-6, []), (1.0 - 3e-9, []),  # below round 1's best by more than the margin 2e-9
+    (1.0 - 1e-9, [1]), (1.0, [1]), (1.0 + 1e-15, [1]), (1.0 + 1e-11, [1]),  # within it, or above
+])
+def test_round_one_near_ties_pick_as_from_scratch(monkeypatch, m, score, rounds):
+    # picks (2, 0) and (0, 1) (and (0, 0, 0.5)): the bests are 2, 1 (and 0.5).
+    # The new input is shorter than 2 and 1.04 from the first pick's line, so
+    # the distance bound sent every one of them to round 1's SVD; the exact
+    # score sends only those within the margin of the best or above it
+    base = np.diag([2.0, 1.0, 0.5][:m])
+    new = np.zeros(m)
+    new[:2] = round_one_input(score)
+    assert np.linalg.norm(new) < 2.0 and new[1] > 1.0
+    assert_rows_pick_as_from_scratch(np.vstack([base, new]))
+    assert beaten_svds(monkeypatch, base, new) == rounds
+
+
+@pytest.mark.parametrize("base, new, rounds", [
+    # orthogonal picks of equal norm: a new input shorter than them has a
+    # distance below round 1's best, so no round runs an SVD
+    ([[1.0, 0.0], [0.0, 1.0]], [0.6, 0.7], []),
+    # orthogonal inputs of equal norm at 45 degrees to the first pick: at 1.2
+    # from its line, above round 1's best 1, but scoring 0.988
+    ([[2.0, 0.0], [0.0, 1.0]], [1.2, 1.2], []),
+    ([[2.0, 0.0], [0.0, 1.0]], [-1.2, 1.2], []),
+    # orthogonal to the first pick: the score is the distance itself, 1.1 > 1
+    ([[2.0, 0.0], [0.0, 1.0]], [0.0, 1.1], [1]),
+])
+def test_round_one_scores_exactly(monkeypatch, base, new, rounds):
+    base, new = np.array(base), np.array(new)
+    assert_rows_pick_as_from_scratch(np.vstack([base, new]))
+    assert beaten_svds(monkeypatch, base, new) == rounds
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-150, 1e-140, 1e140])
+def test_tiny_and_huge_inputs_pick_as_from_scratch(scale):
+    # at 1e-170 every square underflows to 0, so a bound of 0 hid that [2, 0]
+    # beats round 0's best [1, 0]: below 1e-140 every round is scored
+    assert_rows_pick_as_from_scratch(np.array([[1.0, 0.0], [0.0, 0.5], [2.0, 0.0],
+                                               [1.9, 1.2], [0.1, 1.0]]) * scale)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("kind", ["probe", "gaussian", "near-parallel", "3-d", "tiny"])
+def test_random_streams_pick_as_from_scratch(seed, kind):
+    # after every push the picks are _select_basis's on the rows so far
+    rng = np.random.default_rng(seed)
+    k = 80
+    if kind == "probe":  # the heat stream's inputs (1, s)
+        inputs = np.column_stack([np.ones(k), rng.uniform(0.0, 1.0, k)])
+    elif kind == "near-parallel":  # similar norms and directions
+        inputs = np.array([1.0, 0.3]) + rng.normal(0.0, 1e-3, (k, 2))
+    elif kind == "3-d":
+        inputs = rng.normal(size=(k, 3)) * rng.uniform(0.5, 1.0, (k, 1))
+    else:
+        inputs = rng.normal(size=(k, 2)) * (1e-170 if kind == "tiny" else 1.0)
+    assert_rows_pick_as_from_scratch(inputs)
+
+
 def reference_dedup(directions, radii, side):
     """The former greedy de-duplication over all directions."""
     keep_dirs, keep_radii = [], []

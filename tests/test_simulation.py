@@ -135,6 +135,19 @@ class TestHeatSystem:
     def test_largest_grid_accepted(self):
         assert HeatSystem(grid_points=_MAX_GRID_POINTS).dim_state == _MAX_GRID_POINTS + 1
 
+    @pytest.mark.parametrize("grid_points", [101.5, 101.0, np.float64(51.0), "101", True])
+    def test_grid_points_must_be_an_integer(self, grid_points):
+        # 101.5 built a system whose model() raised an untyped TypeError, and
+        # "101" failed inside the range comparison
+        message = f"^grid_points must be an integer, got {re.escape(repr(grid_points))}$"
+        with pytest.raises(ValueError, match=message):
+            HeatSystem(grid_points=grid_points)
+
+    def test_numpy_integer_grid_points_are_kept_as_an_int(self):
+        sys = HeatSystem(grid_points=np.int64(21), epsilon=0.1)
+        assert type(sys.grid_points) is int and sys == HeatSystem(grid_points=21, epsilon=0.1)
+        assert sys.model().dim_state == 22
+
     def test_conservation_without_input(self):
         sys = HeatSystem(diffusivity=0.1, grid_points=101)
         rng = np.random.default_rng(1)
@@ -236,6 +249,20 @@ class TestSamplingSchedule:
         kwargs = dict(rate=20.0, jitter=0.01, seed=0, horizon=1.0)
         with pytest.raises(ValueError, match=f"sampling {field} must be finite"):
             SamplingSchedule(**{**kwargs, field: value})
+
+    @pytest.mark.parametrize("seed", [1.5, 3.0, True, "3", np.float64(2.0)])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # 1.5 failed in NumPy's generator with a TypeError, and True seeded 1
+        with pytest.raises(ValueError, match="^sampling seed must be a non-negative integer, "
+                                             f"got {re.escape(repr(seed))}$"):
+            SamplingSchedule(rate=20.0, jitter=0.01, seed=seed, horizon=1.0)
+
+    def test_numpy_integer_seed_draws_as_the_int(self):
+        sched = SamplingSchedule(rate=20.0, jitter=0.01, seed=np.uint8(3), horizon=1.0)
+        assert type(sched.seed) is int
+        np.testing.assert_array_equal(
+            sched.sample_times(),
+            SamplingSchedule(rate=20.0, jitter=0.01, seed=3, horizon=1.0).sample_times())
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
@@ -570,24 +597,61 @@ class TestLinearPropagator:
     @pytest.mark.parametrize("case", sorted(STEP_MATRIX_CASES))
     def test_step_matrix_matches_expression(self, case, monkeypatch):
         # each R that one advance hands to the mat-vec loop, over sub-step
-        # lengths from far below to above the 1 ms cap and 0; the advance
-        # and its R are reused across the sweep, so stale entries would show
+        # lengths from far below to above the 1 ms cap and 0, taken as batches
+        # of one to all of the lengths; the advance and its R are reused
+        # across batches and the sweep, so stale entries would show
         A = STEP_MATRIX_CASES[case]()
         n = A.shape[0]
         eye = np.eye(n)
         seen = []
         monkeypatch.setattr(simulation, "_affine_steps",
                             lambda R, forcing, x: seen.append(R.copy()) or x)
+        dts = step_lengths(STEP_MATRIX_SEEDS.get(case, n))
         with np.errstate(invalid="ignore", over="ignore"):
             A2 = A @ A
             A3 = A2 @ A
             A4 = A3 @ A
-            advance = simulation._linear_rk4_advance(linear_system(A, np.zeros((n, 1))))
-            for dt in step_lengths(STEP_MATRIX_SEEDS.get(case, n)):
-                advance(np.zeros(n), dt, np.zeros((3, 1)))
-                want = eye + dt * A + dt**2 / 2.0 * A2 + dt**3 / 6.0 * A3 + dt**4 / 24.0 * A4
-                np.testing.assert_array_equal(seen.pop().view(np.uint64), want.view(np.uint64),
-                                              err_msg=f"dt={dt!r}")
+            maps, advance = simulation._linear_rk4_advance(linear_system(A, np.zeros((n, 1))))
+            for batch in np.split(np.array(dts), [1, 3, 10, 41]):
+                for dt, step_map in zip(batch.tolist(), maps(batch)):
+                    advance(np.zeros(n), step_map, np.zeros((3, 1)))
+                    want = eye + dt * A + dt**2 / 2.0 * A2 + dt**3 / 6.0 * A3 + dt**4 / 24.0 * A4
+                    np.testing.assert_array_equal(seen.pop().view(np.uint64),
+                                                  want.view(np.uint64), err_msg=f"dt={dt!r}")
+            assert not seen
+
+    @pytest.mark.parametrize("args", [lambda: block_diagonal_args(None), lambda: heat_args(None)],
+                             ids=["block_diagonal", "heat"])
+    def test_forcing_is_the_full_product(self, monkeypatch, args):
+        # each forcing table one advance hands to the mat-vec loop is the
+        # three full-width products summed, bit for bit: intervals whose inputs
+        # hold NaN, infinities or negative values and -0.0 take turns with
+        # plain ones, over step counts that grow and shrink, so an unreached
+        # row left from an earlier interval would show
+        model = args()[0]
+        B = model.b_matrix
+        _, _, _, AB, A2B, A3B = model._rk4_powers
+        rng = np.random.default_rng(5)
+        seen = []
+        monkeypatch.setattr(simulation, "_affine_steps",
+                            lambda R, forcing, x: seen.append(forcing.copy()) or x)
+        maps, advance = simulation._linear_rk4_advance(model)
+        n_subs = [3, 1, 5, 2, 5, 1, 4, 4]
+        dts = rng.uniform(1e-4, 1e-3, len(n_subs))
+        for i, (n_sub, dt, step_map) in enumerate(zip(n_subs, dts.tolist(), maps(dts))):
+            E = rng.normal(size=(2 * n_sub + 1, B.shape[1]))
+            if i % 2 == 0:
+                E[rng.integers(len(E))] = [np.nan, np.inf, -np.inf][i % 3]
+                E[rng.integers(len(E))] = -0.0
+                E[rng.integers(len(E))] = -np.abs(E[0])
+            with np.errstate(invalid="ignore"):
+                advance(np.zeros(model.dim_state), step_map, E)
+                P0 = dt / 6.0 * (B + dt * AB + dt**2 / 2.0 * A2B + dt**3 / 4.0 * A3B)
+                Ph = dt / 6.0 * (4.0 * B + 2.0 * dt * AB + dt**2 / 2.0 * A2B)
+                P1 = dt / 6.0 * B
+                want = E[0:-1:2] @ P0.T + E[1::2] @ Ph.T + E[2::2] @ P1.T
+            np.testing.assert_array_equal(seen.pop().view(np.uint64), want.view(np.uint64),
+                                          err_msg=f"interval {i}")
 
     def test_bundled_step_matrix_is_built_on_the_band(self, monkeypatch):
         # the spied support leaves out the diagonal, so a sum over the dense
@@ -647,13 +711,54 @@ class TestLinearPropagator:
         assert not A.flags.writeable
 
 
-def heat_args(schedule, nonlinear_depth=False):
-    """``integrate`` arguments: a small heat model, the three-mode map and the probe signal."""
+def heat_args(schedule, nonlinear_depth=False, cdm=None):
+    """``integrate`` arguments: a small heat model, the three-mode map or ``cdm``, the probe."""
     sys = HeatSystem(grid_points=21, epsilon=0.1, nonlinear_depth=nonlinear_depth)
-    return sys.model(), heat_example_cdm(), np.ones(sys.dim_state), probe_signal, schedule
+    return sys.model(), cdm or heat_example_cdm(), np.ones(sys.dim_state), probe_signal, schedule
 
+
+def block_diagonal_args(schedule):
+    """``integrate`` arguments: a linear system whose ``B`` reaches only its first block.
+
+    Every command is negative, and the unreached rows start at ``-0.0``: the
+    full forcing product gives their rows ``±0`` by the inputs' signs, which
+    the product on the reached rows must reproduce.  The second block moves
+    on its own; the last two rows have no dynamics at all.
+    """
+    rng = np.random.default_rng(11)
+    A = np.zeros((7, 7))
+    A[:3, :3] = rng.normal(size=(3, 3))
+    A[3:5, 3:5] = rng.normal(size=(2, 2))
+    B = np.zeros((7, 2))
+    B[:3] = rng.normal(size=(3, 2))
+    x0 = [*rng.normal(size=3), 1.0, -0.5, -0.0, -0.0]
+
+    def signal(t):
+        return -1.0 - np.column_stack([np.sin(3.0 * t), np.cos(7.0 * t)]) ** 2
+
+    return linear_system(A, B), None, x0, signal, schedule
+
+
+def non_finite_cdm(U):
+    """The three-mode map, but ``+inf``, ``-inf`` and NaN where the depth rate nears 1."""
+    E = heat_example_cdm()(U).copy()
+    rate = U[:, 1]
+    E[(rate > 0.99) & (rate <= 0.995), 0] = np.inf
+    E[(rate > 0.995) & (rate <= 0.999), 1] = -np.inf
+    E[rate > 0.999, 1] = np.nan
+    return E
+
+
+# single-step intervals (below 1 ms) between repeated sample times (no steps)
+SINGLE_AND_ZERO_STEPS = FixedTimes(0.0, 0.0004, 0.0004, 0.0011, 0.0011, 0.0011, 0.0019, 0.0023,
+                                   0.0023, 0.05, 0.0504, 0.0504)
 
 RUNS = {
+    "block_diagonal_negative": lambda: block_diagonal_args(SamplingSchedule(20.0, 0.01, 3, 1.0)),
+    "block_diagonal_single_and_zero_steps": lambda: block_diagonal_args(SINGLE_AND_ZERO_STEPS),
+    "non_finite_effective_inputs": lambda: heat_args(SamplingSchedule(20.0, 0.01, 5, 0.5),
+                                                     cdm=non_finite_cdm),
+    "single_and_zero_steps": lambda: heat_args(SINGLE_AND_ZERO_STEPS),
     "nonlinear_depth": lambda: heat_args(SamplingSchedule(20.0, 0.01, 4, 0.5),
                                          nonlinear_depth=True),
     "without_jitter": lambda: heat_args(SamplingSchedule(20.0, 0.0, 0, 1.0)),
@@ -690,9 +795,41 @@ class TestBatchedIntegrate:
             calls.append(t.copy())
             return signal(t)
 
-        assert_samples_identical(integrate(model, cdm, x0, recording, schedule),
-                                 integrate_per_interval(model, cdm, x0, signal, schedule))
+        with np.errstate(invalid="ignore" if name == "non_finite_effective_inputs" else "warn"):
+            assert_samples_identical(integrate(model, cdm, x0, recording, schedule),
+                                     integrate_per_interval(model, cdm, x0, signal, schedule))
         assert_batched_calls(calls, model, schedule)
+
+    @pytest.mark.parametrize("grid_points, horizon, passes", [(21, 5.0, None), (101, 2.0, 12)])
+    def test_step_maps_are_formed_once_per_interval(self, monkeypatch, grid_points, horizon,
+                                                    passes):
+        # _step_maps forms the maps of many intervals of one batch at once: all
+        # of each batch of the 21-point model, and 12 at a time for the 101-point
+        # one, each interval's once.  Each interval with steps makes one mat-vec
+        # loop, on an (n_sub, dim_state) forcing table.
+        model = HeatSystem(grid_points=grid_points, epsilon=0.1).model()
+        schedule = SamplingSchedule(20.0, 0.01, 2, horizon)
+        formed, loops, calls = [], [], []
+        step_maps, affine_steps = simulation._step_maps, simulation._affine_steps
+        monkeypatch.setattr(simulation, "_step_maps",
+                            lambda dts, *args: formed.append(dts.copy()) or step_maps(dts, *args))
+        monkeypatch.setattr(simulation, "_affine_steps", lambda R, forcing, x: loops.append(
+            forcing.shape) or affine_steps(R, forcing, x))
+        integrate(model, heat_example_cdm(), np.ones(model.dim_state),
+                  lambda t: calls.append(len(t)) or probe_signal(t), schedule)
+        _, n_subs, dts = simulation._interval_steps(schedule.sample_times(), model.stability_limit)
+        batches = list(simulation._batches(n_subs.tolist()))
+        assert len(calls) == len(batches)
+        sizes = [len(d) for d in formed]
+        if passes is None:
+            assert len(batches) > 1 and sizes == [b - a for a, b in batches]
+        else:
+            ends = np.cumsum(sizes).tolist()
+            assert max(sizes) == passes and {b for _, b in batches} <= set(ends)
+            assert all(size == passes or end in {b for _, b in batches}
+                       for size, end in zip(sizes, ends))
+        np.testing.assert_array_equal(np.concatenate(formed).view(np.uint64), dts.view(np.uint64))
+        assert loops == [(n, model.dim_state) for n in n_subs.tolist() if n]
 
     def test_long_interval_is_its_own_batch(self):
         model, cdm, x0, signal, schedule = RUNS["long_interval"]()
