@@ -43,7 +43,7 @@ from .simulation import ControlSample, SystemModel
 
 log = logging.getLogger(__name__)
 
-RANK_TOL = 1e-9  # relative singular-value cutoff of every rank decision
+RANK_TOL = 1e-9  # relative cutoff of every rank decision: singular values, fold remainders
 
 # Largest pair component accepted: below it every square, distance and
 # star offset computed from pairs stays finite.
@@ -159,35 +159,43 @@ def _recover_each(samples: Sequence[ControlSample], model: SystemModel) -> Itera
 # Clustering
 
 
-def _scores(inputs: np.ndarray, chosen: list, rows) -> np.ndarray:
-    """The smallest singular value of the ``chosen`` inputs over each of ``rows``, batched."""
-    stacked = np.empty((len(rows), len(chosen) + 1), dtype=np.intp)  # row indices
-    stacked[:, :-1] = chosen
-    stacked[:, -1] = rows
-    return np.linalg.svd(inputs[stacked], compute_uv=False)[:, -1]
+def _select_basis(inputs: np.ndarray, m: int) -> list[int]:
+    """Greedily pick m of ``k >= m`` inputs, maximizing the smallest singular value.
 
-
-def _select_basis(inputs: np.ndarray, m: int):
-    """Greedily pick m inputs maximizing the smallest singular value.
-
-    Round j scores every input against the inputs chosen so far and picks
-    the first best among the unchosen (chosen ones score -inf).  Returns the
-    basis, empty when rank deficient, and each round's ``(pick, best score)``.
+    Round j scores every input by the smallest singular value of the inputs
+    chosen so far over it, in one batched SVD, and picks the first best
+    among the unchosen (chosen ones score -inf).  The picks decide which
+    pairs :func:`fit_affine` fits, not the rank: that is :class:`_Rows`'s fold.
     """
     k = inputs.shape[0]
-    if k < m:
-        return (), []
     chosen: list[int] = []
-    rounds = []
     for _ in range(m):
-        scores = _scores(inputs, chosen, np.arange(k))
+        stacked = np.empty((k, len(chosen) + 1), dtype=np.intp)  # row indices
+        stacked[:, :-1] = chosen
+        stacked[:, -1] = np.arange(k)
+        scores = np.linalg.svd(inputs[stacked], compute_uv=False)[:, -1]
         scores[chosen] = -np.inf
         chosen.append(int(np.argmax(scores)))
-        rounds.append((chosen[-1], scores[chosen[-1]]))
-    sv = np.linalg.svd(inputs[chosen], compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= RANK_TOL * sv[0]:
-        return (), rounds
-    return tuple(chosen), rounds
+    return chosen
+
+
+def _fold(kept: list, inputs: list, cut: float, m: int) -> None:
+    """Fold ``inputs``, lists of floats, into ``kept`` in order, until it holds ``m`` directions.
+
+    Each input less its projections on the kept unit directions, taken one
+    at a time (modified Gram–Schmidt), is kept, normalized and with its
+    norm, when its ``math.hypot`` norm, which neither underflows nor
+    overflows, is above ``cut``.
+    """
+    for u in inputs:
+        if len(kept) == m:
+            return
+        for q, _ in kept:
+            c = sum([x * y for x, y in zip(u, q)])
+            u = [x - c * y for x, y in zip(u, q)]
+        norm = math.hypot(*u)
+        if norm > cut:
+            kept.append(([x / norm for x in u], norm))
 
 
 class _Rows:
@@ -195,17 +203,20 @@ class _Rows:
 
     Rows below the count are never rewritten, and a full buffer is replaced
     by a copy, so every table :attr:`pairs` hands out keeps its rows.
-    :attr:`identified` picks the basis by :func:`_select_basis` again only
-    when an appended input scores above a round's best against that
-    round's prefix.  That is the pick from scratch: ties keep the first
-    best, the earlier rows' scores keep their bits, the same picks decide
-    rank alike, and scores are finite (pairs are within 1e150), never NaN.
+    :attr:`rank` is the one rank rule: :func:`_fold` over the inputs in
+    pair order, with the cut ``RANK_TOL`` times ``scale``, the largest
+    input norm.  The fold goes on over each appended input while it keeps
+    fewer than ``m`` directions.  An input that raises ``scale`` refolds
+    from the first row only if a kept remainder is now at or below the
+    cut; otherwise every decision stands, since a kept remainder is still
+    above the cut and a rejected one further below it.  So the rank is
+    that of a fold from scratch, by construction.
     """
 
     def __init__(self, table: np.ndarray):
         self.table, self.count = table, table.shape[0]
-        self._basis, self._rounds, self._scored = (), [], 0
-        self._axes = None  # the picks' orthonormal axes and largest norm, made on first use
+        self._folded, self._scale = 0, 0.0  # rows whose inputs the fold has seen, and their scale
+        self._kept: list = []  # the kept unit directions, each with its remainder's norm
 
     def append(self, row: np.ndarray) -> None:
         self.table = _append_row(self.table, self.count, row)
@@ -219,64 +230,26 @@ class _Rows:
         return pairs
 
     @property
+    def rank(self) -> int:
+        """How many directions the fold keeps over the inputs so far, at most ``m``."""
+        m = self.table.shape[1] // 2
+        if self._folded != self.count:
+            news = self.table[self._folded:self.count, :m].tolist()
+            scale = max(self._scale, *[math.hypot(*u) for u in news])
+            cut = RANK_TOL * scale
+            if scale > self._scale:
+                self._scale = scale
+                if any(norm <= cut for _, norm in self._kept):
+                    self._kept, news = [], self.table[:self.count, :m].tolist()
+            if len(self._kept) < m:
+                _fold(self._kept, news, cut, m)
+            self._folded = self.count
+        return len(self._kept)
+
+    @property
     def identified(self) -> bool:
         """Whether :func:`fit_affine` identifies the rows so far."""
-        if self._scored != self.count:
-            m = self.table.shape[1] // 2
-            inputs = self.table[:self.count, :m]
-            if not self._rounds or self._beaten(inputs):
-                self._basis, self._rounds = _select_basis(inputs, m)
-                self._axes = None
-            self._scored = self.count
-        return _unidentifiable(self.count, self._basis) is None
-
-    def _beaten(self, inputs: np.ndarray) -> bool:
-        """Whether an input appended since the last scoring scores above a round's best.
-
-        Round j's score of an input ``u`` is the smallest singular value of
-        the round's earlier picks over ``u``.  In round 0 that is ``|u|``.
-        In round 1, with the first pick ``p`` and the Gram entries ``a = p.p``,
-        ``b = p.u``, ``c = u.u``, it is ``|p| dist / s`` exactly, where
-        ``dist`` is the distance from ``u`` to the line of ``p`` and
-        ``s^2 = (a + c + sqrt((a - c)^2 + 4 b^2)) / 2`` is the largest
-        singular value's square.  In later rounds it is at most the distance
-        from ``u`` to the span of the earlier picks, ``|u - Q_j Q_j^T u|``
-        for the first j columns ``Q_j`` of an orthonormal factor of the
-        picks, kept until they change.  Where every new input's bound plus
-        1e-9 times the largest norm of the picks and the new inputs (far
-        above the rounding of either) stays below the round's best, no score
-        can beat it and no SVD runs; elsewhere the SVD scores decide, as
-        from scratch.  Below a largest norm of 1e-140 the squares lose
-        digits to underflow, so every round is scored.
-        """
-        picks = [pick for pick, _ in self._rounds]
-        if self._axes is None:
-            chosen = inputs[picks]
-            self._axes = (np.linalg.qr(chosen.T)[0].T.tolist(),
-                          float(np.sqrt((chosen * chosen).sum(axis=1)).max()), chosen[0].tolist())
-        axes, scale, first = self._axes
-        news = inputs[self._scored:].tolist()
-        offs = [u[:] for u in news]  # each new input less its part in the span
-        for j, (_, best) in enumerate(self._rounds):
-            bounds = [math.sqrt(sum(x * x for x in u)) for u in offs]
-            if not j:
-                scale = max(scale, *bounds)
-                if scale < 1e-140:
-                    return True
-            elif j == 1:
-                a = sum(x * x for x in first)
-                for i, u in enumerate(news):
-                    b, c = sum(x * y for x, y in zip(first, u)), sum(x * x for x in u)
-                    s = math.sqrt((a + c + math.hypot(a - c, 2.0 * b)) / 2.0)
-                    bounds[i] *= math.sqrt(a) / s
-            if (max(bounds) + 1e-9 * scale >= best
-                    and _scores(inputs, picks[:j], range(self._scored, self.count)).max() > best):
-                return True
-            q = axes[j]
-            for u in offs:
-                c = sum(x * y for x, y in zip(u, q))
-                u[:] = [x - c * y for x, y in zip(u, q)]
-        return False
+        return _unidentifiable(self) is None
 
 
 def _kruskal(edges):
@@ -353,8 +326,12 @@ class _Linkage:
             self.firsts.append(n)
         else:
             merged = {n, *near}
-            self.tree = [(h, label if a in merged else a, label if b in merged else b)
-                         for h, a, b in self.tree if h >= self.delta]
+
+            def renamed(edges):  # the last cut's forced edges too, to compare with the next
+                return [(h, label if a in merged else a, label if b in merged else b)
+                        for h, a, b in edges if h >= self.delta]
+
+            self.tree, self.forced = renamed(self.tree), renamed(self.forced)
             if len(near) > 1:  # the merged component keeps the first one's name
                 gone = set(near[1:])
                 self.labels[:n][np.isin(self.labels[:n], near[1:])] = label
@@ -388,8 +365,8 @@ class _Linkage:
 
         The tree edges up to the (k - n_modes)-th height, and every edge tied
         with it, are merged: the cut's forced merges, kept in :attr:`forced`.
-        When they differ from the last cut's, each is logged in ascending
-        order; a cut that repeats them logs nothing.
+        Each one the last cut did not force, compared as ``(height, name,
+        name)`` after :meth:`add`'s renames, is logged, in ascending order.
         """
         k = len(self.firsts)
         if k <= self.n_modes:
@@ -397,14 +374,15 @@ class _Linkage:
             return [[c] for c in self.firsts]
         cut = self.tree[k - self.n_modes - 1][0]
         forced = [edge for edge in self.tree if edge[0] <= cut]
-        if forced != self.forced:
-            for height, _, _ in forced:
+        last = set(self.forced)
+        for height, a, b in forced:
+            if (height, a, b) not in last:
                 log.info(
                     "forced merge at height %.6g, at or above separation delta %.6g",
                     height, self.delta,
                     extra={"event": "forced_merge", "height": height, "delta": self.delta},
                 )
-            self.forced = forced
+        self.forced = forced
         _, find = _kruskal(forced)
         groups: dict[int, list[int]] = {}
         for c in self.firsts:
@@ -443,11 +421,16 @@ def cluster_pairs(points: np.ndarray, delta: float, n_modes: int) -> list[np.nda
 # Affine fitting
 
 
-def _unidentifiable(k: int, basis: Sequence) -> Optional[tuple[str, str]]:
-    """Why :func:`fit_affine` cannot fit ``k`` pairs with ``basis``: (message, detail), or None."""
-    if not basis:
+def _unidentifiable(rows: _Rows) -> Optional[tuple[str, str]]:
+    """Why :func:`fit_affine` cannot fit ``rows``: (message, detail), or None.
+
+    The fold must keep ``m`` directions, and a pair beyond ``m`` anchors
+    the translation.
+    """
+    m = rows.table.shape[1] // 2
+    if rows.rank < m:
         return "cluster lacks linearly independent basis inputs", "basis"
-    if k == len(basis):
+    if rows.count == m:
         return "cluster has no pair beyond the basis to anchor the translation", "anchor"
     return None
 
@@ -455,8 +438,10 @@ def _unidentifiable(k: int, basis: Sequence) -> Optional[tuple[str, str]]:
 def fit_affine(pairs: np.ndarray) -> AffineMap:
     """Fit the affine map of one cluster, a ``(k, 2m)`` table of rows ``[u | v]``, exactly.
 
-    The basis is the greedy pick of :func:`_select_basis`.  Differences
-    from an anchor pair cancel the translation: with anchor
+    The cluster is identified when :class:`_Rows`'s fold over the table
+    keeps ``m`` directions and a pair is left over; the fitted basis pairs
+    are then the greedy picks of :func:`_select_basis`.  Differences from
+    an anchor pair cancel the translation: with anchor
     ``(u_a, v_a)`` and basis pairs ``(u_b, v_b)``, the linear part maps each
     ``u_b - u_a`` to ``v_b - v_a`` and the translation is ``v_a - P u_a``.
     The deviation from identity is the minimum-norm least-squares solution:
@@ -467,11 +452,11 @@ def fit_affine(pairs: np.ndarray) -> AffineMap:
     pairs = _pair_table(pairs)
     m = pairs.shape[1] // 2
     inputs, effectives = pairs[:, :m], pairs[:, m:]
-    basis = list(_select_basis(inputs, m)[0])
-    reason = _unidentifiable(pairs.shape[0], basis)
+    reason = _unidentifiable(_Rows(pairs))
     if reason is not None:
         message, detail = reason
         raise IdentificationError(message, detail=detail)
+    basis = _select_basis(inputs, m)
     # anchor on the most distant extra pair to condition the difference fit
     gaps = pairwise_distances(inputs[basis], inputs).min(axis=0)
     gaps[basis] = -np.inf
@@ -734,10 +719,11 @@ class Reconstructor:
 
     ``push(u, v)`` records a pair at the cost of clustering it: it joins,
     starts or merges threshold components, the clusters are re-cut from
-    them, a cluster that only gains the pair appends it to its table and
-    picks its basis again only if the pair's input beats a greedy round;
-    no star set is built and no map is fitted.  ``modes_identified``
-    counts the current clusters that :func:`fit_affine` identifies.
+    them, and a cluster that only gains the pair appends it to its table
+    and goes on with its rank fold (see :class:`_Rows`), which runs no
+    SVD; no star set is built and no map is fitted.  ``modes_identified``
+    counts the current clusters that :func:`fit_affine` identifies, by
+    the same fold.
     ``snapshot()`` returns the reconstruction of every pair pushed so far,
     equal to ``build_reconstruction_from_pairs`` on them: it builds every
     mode anew by :func:`reconstruction_from_clusters` and raises the
@@ -767,7 +753,7 @@ class Reconstructor:
         else:
             self._linkage.add(point)
             self._linkage.cut()
-            # picks the basis of each changed cluster
+            # folds the new inputs of each changed cluster
             self._identified = sum(rows.identified for rows in self._linkage.clusters.values())
 
     @property

@@ -202,7 +202,7 @@ class TestClusterPairs:
         pairs = table([([1.0, 0.0], [2.0, 0.0]), ([2.0, 0.0], [4.0, 0.0]),
                        ([0.0, 1.0], [0.0, 3.0])])
         (cluster,) = cluster_pairs(pairs, delta=1000.0, n_modes=1)
-        basis_indices, _ = _select_basis(cluster[:, :2], 2)
+        basis_indices = _select_basis(cluster[:, :2], 2)
         assert len(basis_indices) == 2
         basis = cluster[list(basis_indices), :2]
         assert np.linalg.matrix_rank(basis) == 2
@@ -235,7 +235,7 @@ class TestFitLinear:
         truth = AffineMap(np.diag([2.0, 3.0]), np.array([0.25, -1.0]))
         cluster = cluster_of([(u, truth(u))
                               for u in ([1.0, 1.0], [0.0, 1.0], [0.2, -0.3])])
-        assert len(_select_basis(cluster[:, :2], 2)[0]) == 2
+        assert len(_select_basis(cluster[:, :2], 2)) == 2
         q = fit_affine(cluster)
         np.testing.assert_allclose(q.linear, truth.linear, atol=1e-10)
         np.testing.assert_allclose(q.translation, truth.translation, atol=1e-10)

@@ -3,10 +3,10 @@
 Every snapshot of a stream, whichever steps it is taken at, must
 serialize exactly like ``build_reconstruction_from_pairs`` on the same
 prefix, and must stay bit for bit as taken while the stream grows on.  A
-push clusters its pair, and the cluster it grows picks its basis again
-only when the pair's input beats a round of the greedy pick; a
-snapshot builds every mode through the batch build's own builder, and a
-run takes one.  The stream and the batch share their clustering, so both
+push clusters its pair, and the cluster it grows goes on with its rank
+fold, which decides as a fold from scratch and runs no SVD; a snapshot
+builds every mode through the batch build's own builder, and a run
+takes one.  The stream and the batch share their clustering, so both
 are checked against SciPy's single linkage, the stream after every push.
 The other fast paths behind it (batched basis selection, grouped
 direction de-duplication) are checked against the loops they replace.
@@ -43,10 +43,10 @@ from cdmkit.identification import (
     IdentificationConfig,
     Reconstructor,
     _Rows,
-    _scores,
     _select_basis,
     build_reconstruction_from_pairs,
     cluster_pairs,
+    fit_affine,
     recover_effective_input,
 )
 from cdmkit.serialization import reconstruction_to_lines
@@ -269,56 +269,42 @@ def test_bundled_stream_matches_batch_at_sparse_snapshots(heat_run):
 # Structural incrementality
 
 
-def test_a_push_that_grows_one_cluster_picks_again_only_when_its_input_beats_a_round(
-        heat_run, monkeypatch):
-    """Basis selection after a push that appends the pair to one cluster of the bundled stream.
+def test_a_push_runs_no_svd_and_a_full_fold_projects_no_appended_row(heat_run, monkeypatch):
+    """Pushing the bundled stream makes no SVD, QR or least-squares call.
 
-    With one appended input, the greedy pick changes exactly when the input
-    beats a round, and then the input takes that round.  So the cluster
-    calls :func:`_select_basis` once, on its whole table, when its new basis
-    rounds pick the new row (or it had no rounds yet), and otherwise scores
-    the new input in at most one SVD per round.
+    A cluster that only gains the pair and already keeps ``m`` directions
+    folds nothing, unless the pair's input raises its scale so far that a
+    kept remainder falls to the cut, the one case that refolds.
     """
     config, _, _ = heat_run
     pairs = heat_pairs(heat_run)
     m = len(pairs[0][0])
-    picked, svds = [], []
-    select_basis, svd = ck.identification._select_basis, np.linalg.svd
+    calls = Counter()
+    for name in ("svd", "qr", "lstsq"):
+        def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
 
-    def counted_pick(inputs, size):
-        picked.append(inputs.shape[0])
-        return select_basis(inputs, size)
-
-    def counted_svd(*args, **kwargs):
-        svds.append(args[0].shape)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(ck.identification, "_select_basis", counted_pick)
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(np.linalg, name, counted)
+    folded, fold = [], ck.identification._fold
+    monkeypatch.setattr(ck.identification, "_fold",
+                        lambda kept, *args: folded.append((kept, len(kept))) or fold(kept, *args))
     rec = Reconstructor(config.identification)
-    tables, appends, repicks, picking_pushes = [], 0, 0, 0
+    full_appends = 0
     for pair in pairs:
-        picked.clear()
-        svds.clear()
+        before = [(rows, rows.count, rows._scale, rows._kept[:])
+                  for rows in rec._linkage.clusters.values()]
+        folded.clear()
         rec.push(*pair)
-        picking_pushes += bool(picked)
-        clusters = list(rec._linkage.clusters.values())
-        now = [rows.pairs for rows in clusters]
-        grown = [len(new) - len(old) for old, new in zip(tables, now)
-                 if np.array_equal(new[:len(old)], old)]
-        if len(now) == len(tables) == len(grown) and sorted(grown)[-2:] in ([1], [0, 1]):
-            rows = clusters[grown.index(1)]
-            k = rows.count
-            if k <= m or k - 1 in [pick for pick, _ in rows._rounds]:
-                assert picked == [k]
-                repicks += k > m
-            else:
-                assert picked == [] and len(svds) <= m
-            appends += 1
-        tables = now
-    assert appends > 100 and repicks > 0
-    # scoring every grown cluster anew would pick on 133 of its pushes
-    assert picking_pushes < 30
+        kept_on = list(rec._linkage.clusters.values())
+        for rows, count, scale, kept in before:
+            scale = max(scale, math.hypot(*pair[0]))
+            if any(rows is r for r in kept_on) and rows.count == count + 1 and len(kept) == m \
+                    and all(norm > RANK_TOL * scale for _, norm in kept):
+                assert rows._kept == kept and all(f is not rows._kept for f, _ in folded)
+                full_appends += 1
+        assert all(size < m for _, size in folded)  # an entry with m kept folds nothing
+    assert calls == Counter() and full_appends > 100
 
 
 def test_run_bounds_and_fits_each_final_mode_once(heat_run, tmp_path, monkeypatch):
@@ -403,11 +389,11 @@ def test_forced_merges_logged_like_batch(heat_run, caplog):
         build_reconstruction_from_pairs(pairs[:k], ident)
         batch = events()
         if len(snapshot.unaffected) == unaffected:  # affected: the partition was re-cut
-            # the cut forces the batch's merges, and logs them unless the last cut forced them
+            # the cut forces the batch's merges, and logs those the last cut did not force
             forced = rec._linkage.forced
             assert [(height, ident.delta) for height, _, _ in forced] == batch
-            assert step == (batch if forced != before else [])
-            repeats += bool(batch) and forced == before
+            assert step == [(h, ident.delta) for h, _, _ in new_forced(rec, before)]
+            repeats += bool(batch) and not step
         else:
             assert not step
         unaffected = len(snapshot.unaffected)
@@ -415,6 +401,27 @@ def test_forced_merges_logged_like_batch(heat_run, caplog):
     assert logged, "the bundled stream force-merges fragments"
     assert repeats, "the bundled stream repeats a cut's forced merges"
     assert all(height >= ident.delta and delta == ident.delta for height, delta in logged)
+
+
+def test_a_forced_merge_is_logged_once():
+    # graph points 2 * sqrt(2) apart on a line, delta 1, one mode: each push
+    # forces one new merge and keeps the earlier ones, so it logs one record
+    rec = Reconstructor(IdentificationConfig(delta=1.0, n_modes=1))
+    with forced_merges() as heights:
+        for i in range(10):
+            rec.push([2.0 * i], [2.0 * i + 0.5])
+    assert heights == [heights[0]] * 9 and heights[0] == pytest.approx(2.0 * math.sqrt(2.0))
+
+
+def new_forced(rec, before):
+    """The forced edges of the last cut not among ``before``, the cut's before it.
+
+    ``before``'s edges are renamed as ``add`` renames the tree's: a name is a
+    component's first point, and its point's label is its component's name now.
+    """
+    labels = rec._linkage.labels
+    last = {(h, int(labels[a]), int(labels[b])) for h, a, b in before}
+    return [edge for edge in rec._linkage.forced if edge not in last]
 
 
 def test_logging_leaves_artifacts_unchanged(heat_run, tmp_path, caplog):
@@ -512,8 +519,8 @@ def test_stream_clusters_match_linkage_after_every_push(seed, k, d, grid, n_mode
 
     Each cluster holds the same rows in the same order, and the push
     forces one merge for each merge height of SciPy's tree above delta's
-    cut and at or below the forced cut, in ascending order; it logs them
-    when they differ from the previous push's forced merges.  The stream's
+    cut and at or below the forced cut, in ascending order; it logs those
+    the previous push did not force.  The stream's
     tree spans its threshold components with the heights of SciPy's merges
     above delta's cut.
     """
@@ -531,7 +538,7 @@ def test_stream_clusters_match_linkage_after_every_push(seed, k, d, grid, n_mode
             prefix = pts[:n]
             forced = rec._linkage.forced
             assert [h for h, _, _ in forced] == reference_forced_heights(prefix, 1.0, n_modes)
-            assert heights == ([h for h, _, _ in forced] if forced != before else [])
+            assert heights == [h for h, _, _ in new_forced(rec, before)]
             tree = rec._linkage.tree
             assert len(tree) == len(rec._linkage.firsts) - 1
             merges = np.sort(linkage(prefix, method="single")[:, 2]) if n > 1 else np.empty(0)
@@ -589,8 +596,8 @@ def test_snapshots_stay_unchanged_as_their_clusters_grow_and_merge():
     np.testing.assert_array_equal(mode.pairs[:, 0], expected)
 
 
-def reference_basis(inputs, m):
-    """The former greedy basis selection, one SVD per candidate."""
+def reference_picks(inputs, m):
+    """The greedy basis selection as a loop, one SVD per candidate."""
     chosen = []
     for _ in range(m):
         best_idx, best_sv = -1, -1.0
@@ -601,24 +608,47 @@ def reference_basis(inputs, m):
             if sv[-1] > best_sv:
                 best_idx, best_sv = i, float(sv[-1])
         chosen.append(best_idx)
-    sv = np.linalg.svd(inputs[chosen], compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= RANK_TOL * sv[0]:
-        return ()
-    return tuple(chosen)
+    return chosen
 
 
-def assert_rows_pick_as_from_scratch(inputs):
-    """Rows pushed one at a time into ``_Rows`` decide and pick at every prefix as
-    :func:`_select_basis` on that prefix; returns the decision after each push."""
+def reference_rank(inputs, m):
+    """The fold from scratch: modified Gram–Schmidt over the inputs in order, a
+    remainder kept when its ``hypot`` norm is above ``RANK_TOL`` times the largest
+    input norm, stopped at ``m`` directions."""
+    rows = inputs.tolist()
+    cut = RANK_TOL * max(math.hypot(*u) for u in rows)
+    kept = []
+    for u in rows:
+        if len(kept) == m:
+            break
+        for q in kept:
+            c = sum([x * y for x, y in zip(u, q)])
+            u = [x - c * y for x, y in zip(u, q)]
+        norm = math.hypot(*u)
+        if norm > cut:
+            kept.append([x / norm for x in u])
+    return len(kept)
+
+
+def svd_identified(inputs, m):
+    """The singular-value rank rule the fold replaced: the greedy picks' smallest
+    over largest singular value above ``RANK_TOL``, and a pair beyond them."""
+    if len(inputs) <= m:
+        return False
+    sv = np.linalg.svd(inputs[reference_picks(inputs, m)], compute_uv=False)
+    return bool(sv[0] > 0.0 and sv[-1] > RANK_TOL * sv[0])
+
+
+def assert_rows_decide_as_from_scratch(inputs):
+    """Rows pushed one at a time into ``_Rows`` decide at every prefix as the fold
+    from scratch on that prefix; returns the decision after each push."""
     k, m = inputs.shape
     rows = _Rows(np.empty((0, 2 * m)))
     decisions = []
     for cut in range(1, k + 1):
         rows.append(np.concatenate([inputs[cut - 1], inputs[cut - 1]]))
-        basis, _ = _select_basis(inputs[:cut], m)
         decisions.append(rows.identified)
-        assert decisions[-1] == (bool(basis) and cut > m)
-        assert rows._basis == basis
+        assert decisions[-1] == (reference_rank(inputs[:cut], m) == m and cut > m)
     return decisions
 
 
@@ -636,157 +666,87 @@ def test_select_basis_matches_greedy_loop(seed, m, k, kind):
         inputs += rng.normal(0.0, 10.0 ** rng.uniform(-13, -7), (k, m))
     elif kind == "one row scaled":
         inputs[rng.integers(k)] *= 1e10
-    if k < m:
-        assert _select_basis(inputs, m)[0] == ()
-    else:
-        assert _select_basis(inputs, m)[0] == reference_basis(inputs, m)
-    assert_rows_pick_as_from_scratch(inputs)
+    if k >= m:
+        assert _select_basis(inputs, m) == reference_picks(inputs, m)
+    assert_rows_decide_as_from_scratch(inputs)
 
 
 @pytest.mark.parametrize("inputs, identified", [
-    ([[1.0, 0.0], [0.0, 2e-10], [0.5, 0.0]], False),  # ratio 2e-10, within (1e-10, RANK_TOL]
+    ([[1.0, 0.0], [0.0, 2e-10], [0.5, 0.0]], False),  # remainder 2e-10 against the cut 1e-9
     ([[1.0, 0.0], [0.0, 5e-10], [1.0, 0.0]], False),
-    ([[1.0, 0.0], [0.0, 1e-9], [0.5, 0.0]], False),  # ratio RANK_TOL itself
+    ([[1.0, 0.0], [0.0, 1e-9], [0.5, 0.0]], False),  # remainder at the cut itself
     ([[1.0, 0.0], [0.0, 2e-9], [0.5, 0.0]], True),
-    # two picked rows at ratio 1e-10, though the ratio over all rows is 3.2e-9:
-    # unidentified after each push, whatever rows follow
+    # the one (1e10, 0) sets the cut at 10, above every (0, 1): unidentified
+    # after each push, whatever rows follow
     ([[1e10, 0.0]] + [[0.0, 1.0]] * 1000, False),
 ])
 def test_rank_decision_cuts_at_rank_tol(inputs, identified):
     inputs = np.array(inputs)
-    assert (reference_basis(inputs, 2) != ()) == identified
-    decisions = assert_rows_pick_as_from_scratch(inputs)
+    assert (reference_rank(inputs, 2) == 2) == identified == svd_identified(inputs, 2)
+    decisions = assert_rows_decide_as_from_scratch(inputs)
     assert decisions == [False] * (len(inputs) - 1) + [identified]
 
 
-def test_only_an_input_that_beats_a_round_picks_again(monkeypatch):
-    picked = []
-    select_basis = ck.identification._select_basis
-    monkeypatch.setattr(ck.identification, "_select_basis",
-                        lambda inputs, m: picked.append(len(inputs)) or select_basis(inputs, m))
-    rows = _Rows(np.empty((0, 4)))
-    for u in [[1e10, 0.0]] + [[0.0, 1.0]] * 50:
-        rows.append(np.array(u + u))
-        assert not rows.identified
-    assert picked == [1, 2]  # each [0, 1] after the first ties the second round's best
-    rows.append(np.array([0.0, 2.0] * 2))  # beats it, but 2e-10 is below RANK_TOL
-    assert not rows.identified and picked == [1, 2, 52]
-    rows.append(np.array([0.0, 20.0] * 2))
-    assert rows.identified and picked == [1, 2, 52, 53]
-
-
-@pytest.mark.parametrize("m", [2, 3])
-def test_rows_pick_as_from_scratch_on_near_ties(m):
-    """Rows whose new input ties a round's best, or whose distance bound lands
-    within the margin of it, from below or from above, pick as from scratch.
-
-    The base rows are orthogonal, so each round's best, ``m - j`` for round
-    j, is the new input's distance to the earlier picks' span itself.
-    """
-    base = np.diag(np.arange(m, 0, -1.0))
-    for j in range(m):
-        for factor in (1.0, 1.0 - 1e-8, 1.0 - 1e-11, 1.0 - 1e-15, 1.0 + 1e-15, 1.0 + 1e-11):
-            new = base[j] * factor
-            new[(j + 1) % m] += 0.5 * (j > 0)  # a part in the span of the earlier picks, or none
-            assert_rows_pick_as_from_scratch(np.vstack([base, new]))
-
-
-@pytest.mark.parametrize("p, axis", [([1.867, 0.536], 0), ([0.007, 0.812], 1),
-                                     ([0.52, 1.11, 1.53], 2), ([1.9, 0.2, 0.3], 0)])
-def test_an_input_whose_rounded_bound_misses_the_best_still_picks_again(p, axis):
-    # u is p one ulp longer: its norm, rounded as the bound takes it, lies below
-    # round 0's best, the SVD score of p, and u's own SVD score above it; only the
-    # margin sends u to the SVD, which makes u round 0's pick
-    p = np.array(p)
-    u = p.copy()
-    u[axis] = np.nextafter(u[axis], np.inf)
-    inputs = np.vstack([p, 0.1 * np.eye(len(p))[1:], u])
-    best, score = _scores(inputs, [], [0, len(p)])
-    assert math.sqrt(sum(x * x for x in u.tolist())) < best < score
-    assert_rows_pick_as_from_scratch(inputs)
-
-
-def test_an_input_near_the_span_of_a_rounds_picks_runs_no_svd(monkeypatch):
-    rows = _Rows(np.empty((0, 4)))
-    for u in ([2.0, 0.0], [0.0, 1.0]):
-        rows.append(np.array(u + u))
-    assert not rows.identified
-    scored, scores = [], ck.identification._scores
-    monkeypatch.setattr(ck.identification, "_scores",
-                        lambda *args: scored.append(args) or scores(*args))
-    # norm 1.5 against round 0's best 2, and distance 0.01 to the first pick's
-    # line against round 1's best 1: neither round needs an SVD to know
-    rows.append(np.array([1.5, 0.01] * 2))
-    assert rows.identified and scored == []
-    rows.append(np.array([0.0, 1.0] * 2))  # ties round 1's best: its SVD decides
-    assert rows.identified and len(scored) == 1
-
-
-def round_one_input(score: float, x: float = 0.5) -> list:
-    """The input ``(x, y)`` whose round-1 score, the smaller singular value of
-    ``[[2, 0], [x, y]]``, is ``score`` (``s1 s2 = 2 y``, ``s1^2 + s2^2 = 4 + x^2 + y^2``)."""
-    return [x, math.sqrt((4.0 + x * x - score * score) / (4.0 / (score * score) - 1.0))]
-
-
-def beaten_svds(monkeypatch, base, new) -> list:
-    """The rounds whose SVD ``_Rows._beaten`` runs for ``new`` appended to ``base``."""
-    rows = _Rows(np.hstack([base, base]))
-    rows.identified  # picks the base rows
-    rounds, scores = [], ck.identification._scores
-    monkeypatch.setattr(ck.identification, "_scores", lambda inputs, chosen, scored: (
-        len(scored) == 1 and rounds.append(len(chosen))) or scores(inputs, chosen, scored))
-    rows.append(np.concatenate([new, new]))
-    rows.identified
-    return rounds
-
-
-@pytest.mark.parametrize("m", [2, 3])
-@pytest.mark.parametrize("score, rounds", [
-    (1.0 - 1e-6, []), (1.0 - 3e-9, []),  # below round 1's best by more than the margin 2e-9
-    (1.0 - 1e-9, [1]), (1.0, [1]), (1.0 + 1e-15, [1]), (1.0 + 1e-11, [1]),  # within it, or above
+@pytest.mark.parametrize("inputs, identified, by_svd", [
+    # the second input's remainder 1.5e-9 is above the cut 1e-9, where the
+    # picks' singular-value ratio is 7.5e-10: the rules disagree
+    ([[1.0, 0.0], [1.0, 1.5e-9], [0.5, 0.0]], True, False),
+    ([[1.0, 0.0], [1.0, 3e-9], [0.5, 0.0]], True, True),
+    ([[1.0, 0.0], [1.0, 9e-10], [0.5, 0.0]], False, False),
+    # remainders 1.8e-9 against the first input, below the cut 2e-9 of the
+    # largest norm 2, where the picks (2, 1.8e-9) and (1, -1.8e-9) have the
+    # ratio 1.08e-9: the rules disagree the other way
+    ([[1.0, 0.0], [2.0, 1.8e-9], [1.0, -1.8e-9]], False, True),
 ])
-def test_round_one_near_ties_pick_as_from_scratch(monkeypatch, m, score, rounds):
-    # picks (2, 0) and (0, 1) (and (0, 0, 0.5)): the bests are 2, 1 (and 0.5).
-    # The new input is shorter than 2 and 1.04 from the first pick's line, so
-    # the distance bound sent every one of them to round 1's SVD; the exact
-    # score sends only those within the margin of the best or above it
-    base = np.diag([2.0, 1.0, 0.5][:m])
-    new = np.zeros(m)
-    new[:2] = round_one_input(score)
-    assert np.linalg.norm(new) < 2.0 and new[1] > 1.0
-    assert_rows_pick_as_from_scratch(np.vstack([base, new]))
-    assert beaten_svds(monkeypatch, base, new) == rounds
+def test_near_parallel_inputs_decide_by_the_fold(inputs, identified, by_svd):
+    inputs = np.array(inputs)
+    assert assert_rows_decide_as_from_scratch(inputs)[-1] == identified
+    assert svd_identified(inputs, 2) == by_svd
+    pairs = np.hstack([inputs, inputs])
+    if identified:
+        fit_affine(pairs)
+    else:
+        with pytest.raises(IdentificationError, match="lacks linearly independent"):
+            fit_affine(pairs)
 
 
-@pytest.mark.parametrize("base, new, rounds", [
-    # orthogonal picks of equal norm: a new input shorter than them has a
-    # distance below round 1's best, so no round runs an SVD
-    ([[1.0, 0.0], [0.0, 1.0]], [0.6, 0.7], []),
-    # orthogonal inputs of equal norm at 45 degrees to the first pick: at 1.2
-    # from its line, above round 1's best 1, but scoring 0.988
-    ([[2.0, 0.0], [0.0, 1.0]], [1.2, 1.2], []),
-    ([[2.0, 0.0], [0.0, 1.0]], [-1.2, 1.2], []),
-    # orthogonal to the first pick: the score is the distance itself, 1.1 > 1
-    ([[2.0, 0.0], [0.0, 1.0]], [0.0, 1.1], [1]),
-])
-def test_round_one_scores_exactly(monkeypatch, base, new, rounds):
-    base, new = np.array(base), np.array(new)
-    assert_rows_pick_as_from_scratch(np.vstack([base, new]))
-    assert beaten_svds(monkeypatch, base, new) == rounds
+def test_a_scale_jump_refolds_from_the_first_row():
+    rows = _Rows(np.empty((0, 4)))
+    ranks = []
+    for u in ([1e-5, 0.0], [0.0, 1e-5], [1e10, 0.0], [0.0, 1.0], [0.0, 100.0]):
+        rows.append(np.array(u + u))
+        ranks.append((rows.rank, rows.identified))
+    # two directions at the scale 1e-5; the cut 10 of the scale 1e10 rejects
+    # both on a refold, and (0, 1) too; (0, 100) is above it
+    assert ranks == [(1, False), (2, False), (1, False), (1, False), (2, True)]
+    assert_rows_decide_as_from_scratch(np.array([[1e-5, 0.0], [0.0, 1e-5], [1e10, 0.0],
+                                                 [0.0, 1.0], [0.0, 100.0]]))
+
+
+@pytest.mark.parametrize("inputs, decisions", [
+    ([[0.0], [0.0], [2.0], [1e-12]], [False, False, True, True]),  # a zero keeps nothing
+    ([[1e-12], [1.0]], [False, True]),  # 1.0 raises the cut above 1e-12: a refold keeps 1.0
+    # (1, 1, 1e-10) is rejected, (0, 0, 2e-9) kept at the scale sqrt(2); (0, 0, 5)
+    # raises the cut above it, and the refold keeps (0, 0, 5) instead
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1e-10], [0.0, 0.0, 2e-9], [0.0, 0.0, 5.0]],
+     [False, False, False, True, True]),
+], ids=["m=1", "m=1 refold", "m=3"])
+def test_one_and_three_inputs_decide_by_the_fold(inputs, decisions):
+    assert assert_rows_decide_as_from_scratch(np.array(inputs)) == decisions
 
 
 @pytest.mark.parametrize("scale", [1e-170, 1e-150, 1e-140, 1e140])
 def test_tiny_and_huge_inputs_pick_as_from_scratch(scale):
-    # at 1e-170 every square underflows to 0, so a bound of 0 hid that [2, 0]
-    # beats round 0's best [1, 0]: below 1e-140 every round is scored
-    assert_rows_pick_as_from_scratch(np.array([[1.0, 0.0], [0.0, 0.5], [2.0, 0.0],
-                                               [1.9, 1.2], [0.1, 1.0]]) * scale)
+    # at 1e-170 every square underflows to 0, so a sum-of-squares norm would
+    # keep no direction; hypot keeps the two of the unscaled inputs
+    inputs = np.array([[1.0, 0.0], [0.0, 0.5], [2.0, 0.0], [1.9, 1.2], [0.1, 1.0]]) * scale
+    assert assert_rows_decide_as_from_scratch(inputs) == [False, False, True, True, True]
 
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("kind", ["probe", "gaussian", "near-parallel", "3-d", "tiny"])
 def test_random_streams_pick_as_from_scratch(seed, kind):
-    # after every push the picks are _select_basis's on the rows so far
+    # after every push the decision is the fold's from scratch on the rows so far
     rng = np.random.default_rng(seed)
     k = 80
     if kind == "probe":  # the heat stream's inputs (1, s)
@@ -797,8 +757,31 @@ def test_random_streams_pick_as_from_scratch(seed, kind):
         inputs = rng.normal(size=(k, 3)) * rng.uniform(0.5, 1.0, (k, 1))
     else:
         inputs = rng.normal(size=(k, 2)) * (1e-170 if kind == "tiny" else 1.0)
-    assert_rows_pick_as_from_scratch(inputs)
+    assert_rows_decide_as_from_scratch(inputs)
 
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("kind", ["probe", "near-parallel", "rank one"])
+def test_fit_affine_decides_as_the_stream(seed, kind):
+    # fit_affine fits a prefix exactly when the stream's fold identifies it,
+    # so a snapshot identifies the modes modes_identified counts
+    rng = np.random.default_rng(seed)
+    k = 30
+    if kind == "probe":
+        inputs = np.column_stack([np.ones(k), rng.uniform(0.0, 1.0, k)])
+    elif kind == "near-parallel":  # remainders about the cut
+        inputs = np.column_stack([np.ones(k), rng.normal(0.0, 1e-9, k)])
+    else:  # rank one, up to a part far below the cut
+        inputs = np.outer(rng.uniform(0.5, 2.0, k), [0.6, 0.8]) + rng.normal(0.0, 1e-13, (k, 2))
+    decisions = assert_rows_decide_as_from_scratch(inputs)
+    for cut, identified in enumerate(decisions, start=1):
+        pairs = np.hstack([inputs[:cut], 2.0 * inputs[:cut]])
+        if identified:
+            fit_affine(pairs)
+        else:
+            with pytest.raises(IdentificationError):
+                fit_affine(pairs)
 
 def reference_dedup(directions, radii, side):
     """The former greedy de-duplication over all directions."""
