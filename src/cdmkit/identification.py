@@ -14,6 +14,7 @@ a time and builds the same result on demand.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import warnings
@@ -43,7 +44,7 @@ from .simulation import ControlSample, SystemModel
 
 log = logging.getLogger(__name__)
 
-RANK_TOL = 1e-9  # relative cutoff of every rank decision: singular values, fold remainders
+RANK_TOL = 1e-9  # relative cutoff of every rank decision: singular values, fold and fit remainders
 
 # Largest pair component accepted: below it every square, distance and
 # star offset computed from pairs stays finite.
@@ -103,80 +104,77 @@ def recover_effective_input(sample: ControlSample, model: SystemModel) -> np.nda
     """Recover the effective input ``g(x)^+ (x' - f(x))`` of one observation.
 
     Exact observations of an input-degraded system yield exactly the
-    degraded input.  Raises with the computed rank when the input matrix is
-    rank deficient at the sampled state.
+    degraded input.  It is the stream's solve, :func:`_recover_each`, on one
+    observation, and raises with the computed rank where ``g(x)`` is rank deficient.
     """
-    G = _frozen(model.input_map(sample.state), "input map")
-    return _solve(G, sample.velocity - model.drift(sample.state), model.dim_input)
+    return next(_recover_each((sample,), model))
 
 
-def _solve(G: np.ndarray, targets: np.ndarray, dim_input: int) -> np.ndarray:
-    """The least-squares solution of ``G v = targets``, one column per target column.
-
-    Raises with the computed rank when ``G`` has rank below ``dim_input``.
-    """
-    solution, _, rank, sv = np.linalg.lstsq(G, targets, rcond=RANK_TOL)
+def _check_rank(rank, singular_values, dim_input: int) -> None:
     if rank < dim_input:
-        raise PreconditionError(
-            f"input matrix rank {rank} < {dim_input} at the sampled state",
-            rank=int(rank),
-            singular_values=sv,
-        )
-    return solution
+        raise PreconditionError(f"input matrix rank {rank} < {dim_input} at the sampled state",
+                                rank=int(rank), singular_values=singular_values)
 
 
-_CHUNK = 64  # observations recovered by one solve
+@functools.lru_cache(maxsize=8)
+def _column_plan(shape: tuple, data: bytes) -> Optional[tuple]:
+    """``(order, weights, starts, scales)`` of the float ``B`` of ``shape`` and bytes ``data``.
+
+    None when a row of ``B`` has two nonzeros.  ``order`` lists the nonzero
+    rows column by column, from ``starts``.  Each column is scaled by
+    ``2^-e``, ``e`` the ``frexp`` exponent of its largest ``|entry|``, and
+    its scale is ``Σ w²`` times ``2^e``: exact, so ``Σ w t / scale`` has the
+    bits of ``Σ b t / Σ b²``, and no square underflows.  Disjoint columns
+    are orthogonal, so their norms are ``B``'s singular values; a rank
+    below ``shape[1]`` raises.
+    """
+    B = np.frombuffer(data).reshape(shape)
+    if (np.count_nonzero(B, axis=1) > 1).any():
+        return None
+    sv = -np.sort(-np.hypot.reduce(B, axis=0))
+    _check_rank(np.count_nonzero(sv > RANK_TOL * sv[0]), sv, shape[1])
+    cols, order = np.nonzero(B.T)
+    _, exponents = np.frexp(np.abs(B).max(axis=0))
+    weights = np.ldexp(B[order, cols], -exponents[cols])
+    starts = np.searchsorted(cols, np.arange(shape[1]))
+    plan = order, weights, starts, np.ldexp(np.add.reduceat(weights * weights, starts), exponents)
+    for array in plan:
+        array.setflags(write=False)
+    return plan
+
+
+_CHUNK = 64  # observations whose targets one closed-form pass takes
 
 
 def _recover_each(samples: Sequence[ControlSample], model: SystemModel) -> Iterator[np.ndarray]:
-    """The effective input of each of ``samples``, in order, as :func:`recover_effective_input`.
+    """The effective input of each of ``samples``, in order: the one effective-input solve.
 
-    A model whose constant input matrix ``b_matrix`` has at most one
-    nonzero entry per row, such as the heat model's and a diagonal ``B``,
-    has ``_CHUNK`` observations at a time recovered by one solve, each
-    target ``velocity - drift(state)`` one of its columns.  Such a matrix
-    has orthogonal columns, so its triangular factor is diagonal and only
-    the solve's Householder products sum more than one nonzero term; on
-    simulated observations each column has had the bits of a solve of its
-    own.  A denser ``B``, whose solve of many columns can differ from one
-    of each in the last bits, and a state-dependent input map have each
-    observation recovered alone.  A rank-deficient matrix raises at the
-    first observation of the chunk, with the message of
-    :func:`recover_effective_input`.
+    A constant ``b_matrix`` with at most one nonzero per row, such as the
+    heat model's, has the closed form ``v_j = Σ b_ij t_i / Σ b_ij²`` over
+    column ``j``'s rows, ``t = velocity - drift(state)`` (:func:`_column_plan`).
+    ``_CHUNK`` targets take one row-wise ``np.add.reduceat`` and a divide:
+    no BLAS routine, and bits that do not depend on the chunking.  Any other
+    input map has an ``lstsq`` per observation.  A rank-deficient matrix raises.
     """
     B = model.b_matrix
-    if B is None or (np.count_nonzero(B, axis=1) > 1).any():
+    plan = None if B is None else _column_plan(B.shape, _frozen(B, "input map").tobytes())
+    if plan is None:
         for sample in samples:
-            yield recover_effective_input(sample, model)
+            G = _frozen(model.input_map(sample.state), "input map")
+            solution, _, rank, sv = np.linalg.lstsq(
+                G, sample.velocity - model.drift(sample.state), rcond=RANK_TOL)
+            _check_rank(rank, sv, model.dim_input)
+            yield solution
         return
+    order, weights, starts, scales = plan
     for start in range(0, len(samples), _CHUNK):
         targets = np.array([s.velocity - model.drift(s.state)
                             for s in samples[start:start + _CHUNK]])
-        yield from np.ascontiguousarray(_solve(B, targets.T, model.dim_input).T)
+        yield from np.add.reduceat(targets[:, order] * weights, starts, axis=1) / scales
 
 
 # ---------------------------------------------------------------------------
 # Clustering
-
-
-def _select_basis(inputs: np.ndarray, m: int) -> list[int]:
-    """Greedily pick m of ``k >= m`` inputs, maximizing the smallest singular value.
-
-    Round j scores every input by the smallest singular value of the inputs
-    chosen so far over it, in one batched SVD, and picks the first best
-    among the unchosen (chosen ones score -inf).  The picks decide which
-    pairs :func:`fit_affine` fits, not the rank: that is :class:`_Rows`'s fold.
-    """
-    k = inputs.shape[0]
-    chosen: list[int] = []
-    for _ in range(m):
-        stacked = np.empty((k, len(chosen) + 1), dtype=np.intp)  # row indices
-        stacked[:, :-1] = chosen
-        stacked[:, -1] = np.arange(k)
-        scores = np.linalg.svd(inputs[stacked], compute_uv=False)[:, -1]
-        scores[chosen] = -np.inf
-        chosen.append(int(np.argmax(scores)))
-    return chosen
 
 
 def _fold(kept: list, inputs: list, cut: float, m: int) -> None:
@@ -439,35 +437,35 @@ def fit_affine(pairs: np.ndarray) -> AffineMap:
     """Fit the affine map of one cluster, a ``(k, 2m)`` table of rows ``[u | v]``, exactly.
 
     The cluster is identified when :class:`_Rows`'s fold over the table
-    keeps ``m`` directions and a pair is left over; the fitted basis pairs
-    are then the greedy picks of :func:`_select_basis`.  Differences from
-    an anchor pair cancel the translation: with anchor
-    ``(u_a, v_a)`` and basis pairs ``(u_b, v_b)``, the linear part maps each
-    ``u_b - u_a`` to ``v_b - v_a`` and the translation is ``v_a - P u_a``.
-    The deviation from identity is the minimum-norm least-squares solution:
-    exact when the differences have full rank, and when they span a strict
-    subspace (inputs confined to an affine subspace) it still reproduces
-    consistent data exactly and leaves unobserved directions untouched.
+    keeps ``m`` directions and a pair is left over.  Differences from the
+    first pair cancel the translation; a modified Gram–Schmidt pass over
+    them, pivoted on the largest remainder and cut at ``RANK_TOL`` times
+    the largest difference, fits the deviation from the identity.  That is
+    the minimum-norm solution: exact on consistent data, the identity along
+    unspanned directions, and elementwise NumPy, so no BLAS kernel changes it.
     """
     pairs = _pair_table(pairs)
     m = pairs.shape[1] // 2
-    inputs, effectives = pairs[:, :m], pairs[:, m:]
     reason = _unidentifiable(_Rows(pairs))
     if reason is not None:
         message, detail = reason
         raise IdentificationError(message, detail=detail)
-    basis = _select_basis(inputs, m)
-    # anchor on the most distant extra pair to condition the difference fit
-    gaps = pairwise_distances(inputs[basis], inputs).min(axis=0)
-    gaps[basis] = -np.inf
-    anchor = int(np.argmax(gaps))
-    u_a, v_a = inputs[anchor], effectives[anchor]
-    U_diff = inputs[basis] - u_a  # one row per basis pair
-    V_diff = effectives[basis] - v_a
-    deviation, *_ = np.linalg.lstsq(U_diff, V_diff - U_diff, rcond=RANK_TOL)
-    linear = np.eye(m) + deviation.T
-    translation = v_a - linear @ u_a
-    return AffineMap(linear, translation)
+    u0, v0 = pairs[0, :m], pairs[0, m:]
+    X = pairs[:, :m] - u0
+    Y = pairs[:, m:] - v0 - X  # what the deviation maps each difference to
+    linear = np.eye(m)
+    cut = RANK_TOL * np.hypot.reduce(X, axis=1).max()
+    for _ in range(m):
+        norms = np.hypot.reduce(X, axis=1)
+        i = int(np.argmax(norms))
+        if norms[i] <= cut:
+            break
+        q, z = X[i] / norms[i], Y[i] / norms[i]
+        c = (X * q).sum(axis=1)[:, None]
+        X -= c * q
+        Y -= c * z
+        linear += z[:, None] * q
+    return AffineMap(linear, v0 - (linear * u0).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -720,15 +718,15 @@ class Reconstructor:
     ``push(u, v)`` records a pair at the cost of clustering it: it joins,
     starts or merges threshold components, the clusters are re-cut from
     them, and a cluster that only gains the pair appends it to its table
-    and goes on with its rank fold (see :class:`_Rows`), which runs no
-    SVD; no star set is built and no map is fitted.  ``modes_identified``
+    and goes on with its rank fold (see :class:`_Rows`), in Python floats;
+    no star set is built and no map is fitted.  ``modes_identified``
     counts the current clusters that :func:`fit_affine` identifies, by
     the same fold.
     ``snapshot()`` returns the reconstruction of every pair pushed so far,
-    equal to ``build_reconstruction_from_pairs`` on them: it builds every
-    mode anew by :func:`reconstruction_from_clusters` and raises the
-    Lipschitz-slope warnings of the batch build.  A run takes one snapshot,
-    after its last observation.
+    equal to ``build_reconstruction_from_pairs`` on them: it builds and
+    fits every mode anew by :func:`reconstruction_from_clusters` and raises
+    the Lipschitz-slope warnings of the batch build.  A run takes one
+    snapshot, after its last observation.
     """
 
     def __init__(self, config: IdentificationConfig):

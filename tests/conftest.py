@@ -2,6 +2,7 @@
 
 import time
 
+import numpy as np
 import pytest
 
 import cdmkit as ck
@@ -25,3 +26,16 @@ def heat_stream(heat_run):
     model = config.model()
     return [r.snapshot()
             for r in ck.stream_reconstructions(result.samples, model, config.identification)]
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """The name and right-hand-side shape of each ``np.linalg`` call from now on."""
+    calls = []
+    for name in sorted(set(np.linalg.__all__) - {"LinAlgError"}):
+        def spy(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(args[1]) if len(args) > 1 else None))
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls

@@ -326,12 +326,14 @@ class TestRun:
         assert "rank 1 < 2" in err and err.count("\n") == 1
         assert not out.exists()  # the run stops before writing any artifact
 
-    @pytest.mark.parametrize("b, solve", [("1.0 0.0 0.0 0.0", (2, 10)), ("1.0 1.0 1.0 1.0", (2,))],
+    @pytest.mark.parametrize("b, solves", [("1.0 0.0 0.0 0.0", []),
+                                           ("1.0 1.0 1.0 1.0", [("lstsq", (2,))])],
                              ids=["chunked", "one-by-one"])
     def test_rank_deficient_linear_input_matrix_is_identification_failure(
-            self, tmp_path, capsys, monkeypatch, b, solve):
+            self, tmp_path, capsys, linalg_calls, b, solves):
         # B has rank 1 < 2: the stream stops at observation 0 with the message of
-        # recover_effective_input, whether it solves the first chunk or the first observation
+        # recover_effective_input, whether B's closed form or the observation's lstsq
+        # finds the rank
         text = textwrap.dedent(f"""\
             [system]
             kind = linear
@@ -362,15 +364,13 @@ class TestRun:
             recover_effective_input(first, model)
         cfg = tmp_path / "rank.cfg"
         cfg.write_text(text)
-        shapes, lstsq = [], np.linalg.lstsq
-        monkeypatch.setattr(np.linalg, "lstsq",
-                            lambda a, b, **kw: shapes.append(np.shape(b)) or lstsq(a, b, **kw))
+        linalg_calls.clear()
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--output", str(out)]) == EXIT_IDENTIFICATION
         assert capsys.readouterr().err == (f"identification-failure: observation 0 at t = "
                                            f"{first.time!r}: {failure.value}\n")
         assert "input matrix rank 1 < 2" in str(failure.value)
-        assert shapes == [solve] and not out.exists()
+        assert linalg_calls == solves and not out.exists()
 
     def test_pair_beyond_range_is_identification_failure(self, tmp_path, capsys):
         # every command is 1e200: its squared norm would overflow the unaffected test
@@ -914,17 +914,19 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
 # sha256 of the bundled run's artifacts under OpenBLAS's baseline x86-64 kernel
 # (Prescott; Nehalem and Sandybridge write the same bytes), by the run's delta:
 # the bundled 0.4, and 0.001, which leaves up to 77 threshold components and
-# forces thousands of merges.  Any change to them is a change to the artifacts
-# and is recorded in CHANGES.md with its reason.
+# forces thousands of merges.  reconstruction.txt is the same under every
+# kernel (see test_reconstruction_is_written_and_read_alike_under_two_kernels);
+# samples.csv is not.  Any change to them is a change to the artifacts and is
+# recorded in CHANGES.md with its reason.
 GOLDEN_DIGESTS = {
     "0.4": {
         "samples.csv": "ca75f769b31b93f9af834e84b022f1c3bff04e756ac932cc071dc4bddc38692c",
-        "reconstruction.txt": "00f8979fdf4cd1e5dc9329fbd9b31ef00b95ae8cd3a93e517759f3320d39b6d0",
+        "reconstruction.txt": "097e3ad4cf6710dacd7bea6a4583746d46b3053a7181d827d997f51f7f93d6f2",
         "convergence.csv": "34c2a9ea86400379ea04a9cdc6ba0e737e7f672120a015e5714c32ce4cde7022",
     },
     "0.001": {
         "samples.csv": "ca75f769b31b93f9af834e84b022f1c3bff04e756ac932cc071dc4bddc38692c",
-        "reconstruction.txt": "08b2752f3abf8e262b6b2a7c966009ed6e1c3d57bdc0855406bcb3783b3d4d2a",
+        "reconstruction.txt": "fb5efc27367212a4e466960f873f4efb901ca17e2eedf601b57221a260a754d7",
         "convergence.csv": "34c2a9ea86400379ea04a9cdc6ba0e737e7f672120a015e5714c32ce4cde7022",
     },
 }
@@ -937,20 +939,45 @@ def openblas_picks_its_kernel() -> bool:
             and "DYNAMIC_ARCH" in str(blas.get("openblas configuration", "")))
 
 
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")
-                    or not openblas_picks_its_kernel(),
-                    reason="the golden digests are those of OpenBLAS's Prescott kernel, which "
-                           "only an x86-64 OpenBLAS built with DYNAMIC_ARCH can be made to use")
-@pytest.mark.parametrize("delta", GOLDEN_DIGESTS)
-def test_bundled_artifacts_keep_their_golden_digests(tmp_path, delta):
+kernel_forced = pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64") or not openblas_picks_its_kernel(),
+    reason="the golden digests are those of OpenBLAS's Prescott kernel, which "
+           "only an x86-64 OpenBLAS built with DYNAMIC_ARCH can be made to use")
+
+
+def run_bundled(out, delta="0.4", kernel="Prescott") -> pathlib.Path:
+    """Run the bundled config at ``delta`` under the OpenBLAS ``kernel`` into ``out``."""
     bundled = pathlib.Path(__file__).resolve().parents[1] / "configs" / "heat_electrosurgery.cfg"
-    cfg = tmp_path / "run.cfg"
+    out.mkdir()
+    cfg = out / "run.cfg"
     cfg.write_text(bundled.read_text().replace("delta = 0.4", f"delta = {delta}"))
-    out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "cdmkit.cli", "run", str(cfg), "--output", str(out)],
         capture_output=True, text=True, timeout=300,
-        env=fresh_env(OPENBLAS_CORETYPE="Prescott", OPENBLAS_NUM_THREADS="1"))
+        env=fresh_env(OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1"))
     assert proc.returncode == EXIT_OK, proc.stderr
+    return out
+
+
+@kernel_forced
+@pytest.mark.parametrize("delta", GOLDEN_DIGESTS)
+def test_bundled_artifacts_keep_their_golden_digests(tmp_path, delta):
+    out = run_bundled(tmp_path / "out", delta)
     assert {artifact: hashlib.sha256((out / artifact).read_bytes()).hexdigest()
             for artifact in GOLDEN_DIGESTS[delta]} == GOLDEN_DIGESTS[delta]
+
+
+@kernel_forced
+def test_reconstruction_is_written_and_read_alike_under_two_kernels(tmp_path):
+    # the recovery and the fit call no BLAS or LAPACK routine, so the written
+    # fits do not depend on the kernel, and each file reads back under the other
+    kernels = ("Haswell", "Prescott")
+    written = {kernel: run_bundled(tmp_path / kernel, kernel=kernel) / "reconstruction.txt"
+               for kernel in kernels}
+    assert len({path.read_bytes() for path in written.values()}) == 1
+    for kernel, other in zip(kernels, reversed(kernels)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cdmkit.cli", "report", str(written[kernel])],
+            capture_output=True, text=True, timeout=120,
+            env=fresh_env(OPENBLAS_CORETYPE=other, OPENBLAS_NUM_THREADS="1"))
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, ""), (kernel, other)

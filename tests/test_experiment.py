@@ -34,11 +34,13 @@ from cdmkit.identification import (
 )
 from cdmkit.serialization import read_reconstruction, read_samples
 from cdmkit.simulation import (
+    ControlSample,
     HeatSystem,
     SamplingSchedule,
     _MAX_STEPS,
     _interval_steps,
     integrate,
+    linear_system,
 )
 
 from interval_loop import assert_batched_calls
@@ -527,61 +529,75 @@ def exact_hausdorff(lo, hi, coords) -> float:
 
 
 class TestChunkedRecovery:
-    """The stream recovers a constant input matrix's observations in chunks, bit for bit."""
+    """A constant input matrix of one nonzero per row is solved in closed form, chunk by chunk."""
 
-    @staticmethod
-    def solves(monkeypatch):
-        """The shape of each right-hand side ``np.linalg.lstsq`` is given from now on."""
-        shapes, lstsq = [], np.linalg.lstsq
-        monkeypatch.setattr(np.linalg, "lstsq",
-                            lambda a, b, **kw: shapes.append(np.shape(b)) or lstsq(a, b, **kw))
-        return shapes
+    @pytest.mark.parametrize("horizon", ["10.0", "40.0"])
+    def test_bundled_runs_recover_every_effective_input_exactly(self, horizon, heat_run,
+                                                                 long_run):
+        config, result = heat_run[:2] if horizon == "10.0" else long_run
+        samples = result.samples
+        recovered = np.array(list(_recover_each(samples, config.model())))
+        truth = np.array([config.cdm(s.input) for s in samples])
+        assert recovered.tobytes() == truth.tobytes()
+        one_by_one = np.array([recover_effective_input(s, config.model()) for s in samples])
+        assert one_by_one.tobytes() == recovered.tobytes()
+        # so every bundled map is fitted exactly
+        for mode in result.reconstruction.modes:
+            assert mode.identified and mode.residual == 0.0
 
-    @staticmethod
-    def assert_recovered_as_one_by_one(samples, model):
-        chunked = np.array(list(_recover_each(samples, model)))
-        one_by_one = np.array([recover_effective_input(s, model) for s in samples])
-        assert chunked.tobytes() == one_by_one.tobytes()
+    @pytest.mark.parametrize("seed", range(3))
+    def test_chunking_does_not_change_a_bit(self, seed, monkeypatch):
+        # random states and velocities against a B whose columns have disjoint
+        # supports of different sizes and scales: each row's sums are its own
+        rng = np.random.default_rng(seed)
+        B = np.zeros((40, 3))
+        B[:25, 0] = rng.normal(size=25)
+        B[25:26, 1] = 7.0
+        B[27:, 2] = rng.normal(size=13) * 1e-3
+        model = linear_system(rng.normal(size=(40, 40)), B)
+        samples = [ControlSample(time=0.0, state=rng.normal(size=40), velocity=rng.normal(size=40),
+                                 input=np.zeros(3)) for _ in range(150)]
+        bits = set()
+        for chunk in (1, 8, 37, 64):
+            monkeypatch.setattr(identification, "_CHUNK", chunk)
+            bits.add(np.array(list(_recover_each(samples, model))).tobytes())
+        assert len(bits) == 1
 
-    def test_bundled_run_is_recovered_in_chunks_bit_for_bit(self, heat_run, monkeypatch):
-        config, result, _ = heat_run
-        model, samples = config.model(), result.samples
-        assert len(samples) == 3 * _CHUNK + 8  # the last chunk is short
-        shapes = self.solves(monkeypatch)
-        self.assert_recovered_as_one_by_one(samples, model)
-        n = model.dim_state
-        assert shapes[:4] == [(n, _CHUNK)] * 3 + [(n, 8)] and len(shapes) == 4 + len(samples)
-        shapes.clear()
-        assert len(list(stream_reconstructions(samples, model, config.identification))) == 200
-        assert shapes == [(n, _CHUNK)] * 3 + [(n, 8)]
-
-    def test_linear_modes_run_is_recovered_in_chunks_bit_for_bit(self, monkeypatch):
-        config = parse_config_text(LINEAR_MODES_CONFIG)
+    @pytest.mark.parametrize("config", [DEFAULT_HEAT_CONFIG, LINEAR_MODES_CONFIG],
+                             ids=["bundled", "linear-modes"])
+    def test_constant_input_matrix_makes_no_linalg_call(self, config, linalg_calls):
+        config = parse_config_text(config)
         model = config.model()
         samples = integrate(model, config.cdm, config.x0, config.signal, config.schedule)
-        shapes = self.solves(monkeypatch)
-        self.assert_recovered_as_one_by_one(samples, model)
-        assert shapes[:2] == [(2, _CHUNK), (2, len(samples) - _CHUNK)]
+        linalg_calls.clear()
+        assert len(list(stream_reconstructions(samples, model, config.identification))) \
+            == len(samples) > _CHUNK  # more than one chunk
+        assert linalg_calls == []
+
+    def test_tiny_input_matrix_runs_and_identifies(self, tmp_path):
+        # every square of 1e-170 underflows; the closed form scales each
+        # column by a power of two first, so the rank stays 2
+        config = parse_config_text(
+            LINEAR_MODES_CONFIG.replace("b = 1.0 0.0 0.0 1.0", "b = 1e-170 0.0 0.0 1e-170"))
+        result = run_experiment(config, out_dir=str(tmp_path))
+        modes = result.reconstruction.modes
+        assert len(modes) == 3 and all(mode.identified for mode in modes)
+        assert result.records[-1].modes_identified == 3
 
     @pytest.mark.parametrize("config", [
         DEFAULT_HEAT_CONFIG.replace("[cdm]", "nonlinear_depth = true\n\n[cdm]")
         .replace("initial_temperature = 0.0", "initial_temperature = 1.0")
         .replace("horizon = 10.0", "horizon = 2.0"),
-        # a dense B: a solve of many columns may differ in the last bits from one of each
         LINEAR_MODES_CONFIG.replace("b = 1.0 0.0 0.0 1.0", "b = 1.0 0.5 -0.25 1.0"),
     ], ids=["nonlinear_depth", "dense-B"])
-    def test_other_models_recover_each_observation_alone(self, config, monkeypatch):
+    def test_other_models_recover_each_observation_alone(self, config, linalg_calls):
         config = parse_config_text(config)
         model = config.model()
         samples = integrate(model, config.cdm, config.x0, config.signal, config.schedule)
-        recovered, recover = [], identification.recover_effective_input
-        monkeypatch.setattr(identification, "recover_effective_input",
-                            lambda s, m: recovered.append(s) or recover(s, m))
-        shapes = self.solves(monkeypatch)
+        linalg_calls.clear()
         steps = list(stream_reconstructions(samples, model, config.identification))
         assert len(steps) == len(samples) > 0
-        assert recovered == samples
-        assert shapes == [(model.dim_state,)] * len(samples)
+        assert linalg_calls == [("lstsq", (model.dim_state,))] * len(samples)
 
 
 @pytest.fixture(scope="module")

@@ -24,7 +24,6 @@ from cdmkit.identification import (
     ModeReconstruction,
     QueryKind,
     Reconstructor,
-    _select_basis,
     build_reconstruction,
     build_reconstruction_from_pairs,
     cluster_pairs,
@@ -198,15 +197,6 @@ class TestClusterPairs:
         np.testing.assert_array_equal(cluster, pairs)
         assert peak < 2e6
 
-    def test_basis_indices_are_independent(self):
-        pairs = table([([1.0, 0.0], [2.0, 0.0]), ([2.0, 0.0], [4.0, 0.0]),
-                       ([0.0, 1.0], [0.0, 3.0])])
-        (cluster,) = cluster_pairs(pairs, delta=1000.0, n_modes=1)
-        basis_indices = _select_basis(cluster[:, :2], 2)
-        assert len(basis_indices) == 2
-        basis = cluster[list(basis_indices), :2]
-        assert np.linalg.matrix_rank(basis) == 2
-
 
 def cluster_of(pairs):
     return cluster_pairs(table(pairs), delta=1e9, n_modes=1)[0]
@@ -235,7 +225,8 @@ class TestFitLinear:
         truth = AffineMap(np.diag([2.0, 3.0]), np.array([0.25, -1.0]))
         cluster = cluster_of([(u, truth(u))
                               for u in ([1.0, 1.0], [0.0, 1.0], [0.2, -0.3])])
-        assert len(_select_basis(cluster[:, :2], 2)) == 2
+        # the differences from the first pair span the plane: both directions are fitted
+        assert np.linalg.matrix_rank(cluster[1:, :2] - cluster[0, :2]) == 2
         q = fit_affine(cluster)
         np.testing.assert_allclose(q.linear, truth.linear, atol=1e-10)
         np.testing.assert_allclose(q.translation, truth.translation, atol=1e-10)
@@ -270,6 +261,45 @@ class TestFitAffine:
         q = fit_affine(cluster_of(pairs))
         np.testing.assert_allclose(q.linear, truth.linear, atol=1e-10)
         np.testing.assert_allclose(q.translation, truth.translation, atol=1e-10)
+
+    def test_unspanned_direction_keeps_the_identity(self):
+        # the bundled probe's line u0 = 1: the differences span only the second
+        # axis, so the first column of the linear part stays the identity's,
+        # whatever the truth does along it
+        truth = AffineMap(np.diag([2.0, 3.0]), np.array([0.0, 0.25]))
+        pairs = [([1.0, s], truth([1.0, s])) for s in (0.05, 0.15, 0.2, 0.5)]
+        q = fit_affine(cluster_of(pairs))
+        np.testing.assert_array_equal(q.linear[:, 0], [1.0, 0.0])
+        np.testing.assert_allclose(q.linear[:, 1], [0.0, 3.0], atol=1e-14)
+        np.testing.assert_allclose(q.translation, [1.0, 0.25], atol=1e-14)
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-5, 1e-7])
+    def test_nearly_coincident_first_inputs_fit_as_lstsq(self, gap):
+        # the fit pivots on the largest difference, not on the first pairs: a
+        # basis of the two nearly equal first inputs would err by up to 1e-7
+        rng = np.random.default_rng(int(-math.log10(gap)))
+        for _ in range(200):
+            truth = AffineMap(rng.normal(size=(2, 2)), rng.normal(size=2))
+            inputs = rng.uniform(-1.0, 1.0, (5, 2))
+            direction = rng.normal(size=2)
+            inputs[1] = inputs[0] + gap * direction / np.linalg.norm(direction)
+            effectives = np.array([truth(u) for u in inputs])
+            q = fit_affine(np.hstack([inputs, effectives]))
+            # the affine least-squares reference over every pair
+            solution, *_ = np.linalg.lstsq(np.hstack([inputs, np.ones((5, 1))]), effectives,
+                                           rcond=None)
+            np.testing.assert_allclose(q.linear, solution[:2].T, rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(q.translation, solution[2], rtol=0.0, atol=1e-13)
+
+    def test_fit_makes_no_linear_algebra_call(self, linalg_calls):
+        # an elementwise Gram–Schmidt pass: no BLAS or LAPACK kernel reaches the bits
+        rng = np.random.default_rng(4)
+        truth = AffineMap(rng.normal(size=(3, 3)), rng.normal(size=3))
+        pairs = table([(u, truth(u)) for u in rng.normal(size=(6, 3))])
+        linalg_calls.clear()
+        q = fit_affine(pairs)
+        assert linalg_calls == []
+        np.testing.assert_allclose(q.linear, truth.linear, atol=1e-13)
 
     def test_residuals_are_per_pair_norms(self):
         # the written residuals and the reader's check both come from these bits

@@ -90,7 +90,7 @@ PRIVATE_IMPORTS = {
     ("degradation", "geometry", "_positive"),
     ("experiment", "geometry", "_frozen"),
     ("experiment", "geometry", "_positive"),
-    ("experiment", "identification", "_recover_each"),  # the stream's chunked recovery
+    ("experiment", "identification", "_recover_each"),  # the one effective-input solve
     ("experiment", "serialization", "_fmt"),
     ("experiment", "simulation", "_MAX_STEPS"),
     ("experiment", "simulation", "_interval_steps"),
