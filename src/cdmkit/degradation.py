@@ -171,12 +171,19 @@ class NModeCdm:
         batch of one and comes back as a vector.  Each row is evaluated as
         ``translation + sum_j linear[:, j] * u_j`` with elementwise operations,
         so its result does not depend on the batch it came in (a BLAS product
-        rounds one row differently from several).
+        rounds one row differently from several).  The operations run on
+        contiguous columns of the inputs, each restricted by ``where=`` to the
+        mode's rows, so a row in no region is never multiplied.  The result
+        is C-ordered: :func:`~cdmkit.simulation.integrate` hands its row slices
+        to BLAS, and NumPy multiplies Fortran-ordered ones in its own loop,
+        which rounds differently.
         """
         U = _frozen(u, "input", ndmin=2)
         if self.dim is not None and U.shape[1] != self.dim:
             raise ValueError(f"input dimension {U.shape[1]} != map dimension {self.dim}")
         E = U.copy()
+        columns = U.T.copy()  # columns[j] is every row's u_j, contiguous
+        image, term = np.empty_like(columns), np.empty_like(columns)
         taken = np.zeros(U.shape[0], dtype=bool)
         for region, q in self.modes:
             mask = region.contains_rows(U)
@@ -185,11 +192,12 @@ class NModeCdm:
             if (taken & mask).any():
                 raise ValueError("input belongs to multiple mode regions")
             taken |= mask
-            rows = U[mask]
-            image = rows[:, :1] * q.linear[:, 0]
+            # image[i] = u_0 L[i, 0] + u_1 L[i, 1] + ..., summed in that order
+            np.multiply(columns[0], q.linear[:, :1], out=image, where=mask)
             for j in range(1, q.dim):
-                image += rows[:, j:j + 1] * q.linear[:, j]
-            E[mask] = q.translation + image
+                np.multiply(columns[j], q.linear[:, j:j + 1], out=term, where=mask)
+                np.add(image, term, out=image, where=mask)
+            np.add(q.translation[:, None], image, out=E.T, where=mask)
         return E if np.ndim(u) == 2 else E[0]
 
 

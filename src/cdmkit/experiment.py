@@ -39,7 +39,7 @@ from .identification import (
     Reconstructor,
     _recover_each,
 )
-from .serialization import _fmt, write_reconstruction, write_samples
+from .serialization import _fmt, _fmt_rows, write_reconstruction, write_samples
 from .simulation import (
     ControlSample,
     HeatSystem,
@@ -521,14 +521,20 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None) -> E
 
 
 def _write_convergence(path, config: ExperimentConfig, records) -> None:
+    """One row per record: its time, ``modes_identified`` and each region's distance.
+
+    The float columns are formatted as one table; the integer column is
+    spliced in after the time.
+    """
     header = ["time", "modes_identified"]
     header += [f"hausdorff_r{i}" for i in range(len(config.regions))]
+    table = np.reshape([(rec.time, *rec.region_hausdorff) for rec in records],
+                       (len(records), 1 + len(config.regions)))
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for rec in records:
-            row = [_fmt(rec.time), str(rec.modes_identified)]
-            row += [_fmt(h) for h in rec.region_hausdorff]
-            fh.write(",".join(row) + "\n")
+        for rec, row in zip(records, _fmt_rows(table)):
+            time, comma, distances = row.partition(",")
+            fh.write(f"{time},{rec.modes_identified}{comma}{distances}\n")
 
 
 # ---------------------------------------------------------------------------

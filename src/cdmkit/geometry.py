@@ -261,6 +261,7 @@ def _witnesses(points, center: np.ndarray):
 _NORMAL_MIN = sys.float_info.min  # smallest normal float
 _REAL_SCALARS = (int, float, np.bool_, np.integer, np.floating)  # a bool is an int
 _NOT_REAL = (str, bytes, complex, np.complexfloating)  # what float parses or truncates
+_FLOAT64 = np.dtype(np.float64)
 
 
 def _real(v) -> np.ndarray:
@@ -290,12 +291,17 @@ def _frozen(v, what: str, ndmin: int = 1) -> np.ndarray:
     """A read-only float copy of ``v`` with at least ``ndmin`` dimensions.
 
     Anything :func:`_real` rejects is a ``ValueError`` naming ``what``.
-    The copy leaves the caller's array writable and unshared.
+    The copy leaves the caller's array writable and unshared.  A plain
+    native float64 array of ``ndmin`` or more dimensions is copied as it
+    is, which is what the general path gives for it.
     """
-    try:
-        arr = np.array(_real(v), ndmin=ndmin)
-    except TypeError as exc:
-        raise ValueError(f"{what} must be real numbers, got {exc}") from None
+    if type(v) is np.ndarray and v.dtype is _FLOAT64 and v.ndim >= ndmin:
+        arr = v.copy(order="K")
+    else:
+        try:
+            arr = np.array(_real(v), ndmin=ndmin)
+        except TypeError as exc:
+            raise ValueError(f"{what} must be real numbers, got {exc}") from None
     arr.setflags(write=False)
     return arr
 

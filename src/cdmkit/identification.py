@@ -300,7 +300,8 @@ class _Linkage:
 
     def __init__(self, delta: float, n_modes: int, width: int):
         self.delta, self.n_modes = delta, n_modes
-        self.points = np.empty((8, width))
+        # column-major, so each coordinate of the points is contiguous for pairwise_distances
+        self.points = np.empty((8, width), order="F")
         self.labels = np.empty(8, dtype=np.intp)  # each point's component
         self.n = 0
         self.firsts: list[int] = []  # the component names, ascending
@@ -350,7 +351,7 @@ class _Linkage:
         for group in self._groups():
             rows = old.get(frozenset(name for name in group if name < self._cut_at))
             if rows is None:
-                rows = _Rows(self.points[:self.n][np.isin(labels, group)])
+                rows = _Rows(self.points[:self.n][np.isin(labels, group)])  # a C-ordered copy
             else:
                 for i, c in enumerate(added):
                     if c in group:
@@ -771,9 +772,12 @@ class Reconstructor:
 
 
 def _append_row(buffer: np.ndarray, n: int, row) -> np.ndarray:
-    """Write ``row`` at index ``n``, doubling the buffer when it is full (an empty one to 8)."""
+    """Write ``row`` at index ``n``, doubling the buffer when it is full (an empty one to 8).
+
+    A grown buffer keeps the old one's dtype and memory order.
+    """
     if n == buffer.shape[0]:
-        grown = np.empty((2 * n or 8,) + buffer.shape[1:], dtype=buffer.dtype)
+        grown = np.empty_like(buffer, shape=(2 * n or 8,) + buffer.shape[1:])
         grown[:n] = buffer
         buffer = grown
     buffer[n] = row

@@ -2,9 +2,10 @@
 
 All writers format floats as ``repr`` does (shortest round-trip form), so a
 fixed computation produces byte-identical files across runs; every float
-row is formatted by :func:`_fmt_rows`.  Readers turn
-every malformed or inconsistent file into :class:`ReportParseError` with a
-line number.
+row of the three artifacts (the sample log, the reconstruction and
+``experiment``'s convergence table) is formatted by :func:`_fmt_rows`.
+Readers turn every malformed or inconsistent file into
+:class:`ReportParseError` with a line number.
 """
 
 from __future__ import annotations

@@ -31,10 +31,11 @@ class ControlSample:
     input: np.ndarray
 
     def __post_init__(self):
-        time = _frozen(self.time, "sample time", ndmin=0)
-        if time.ndim or not np.isfinite(time):
-            raise ValueError(f"sample time must be one finite number, got {self.time!r}")
-        object.__setattr__(self, "time", float(time))
+        if type(self.time) is not float or not math.isfinite(self.time):
+            time = _frozen(self.time, "sample time", ndmin=0)
+            if time.ndim or not np.isfinite(time):
+                raise ValueError(f"sample time must be one finite number, got {self.time!r}")
+            object.__setattr__(self, "time", float(time))
         for name in ("state", "velocity", "input"):
             object.__setattr__(self, name, _frozen(getattr(self, name), name))
         if self.state.shape != self.velocity.shape:

@@ -1,6 +1,7 @@
 """Tests for ground-truth degradation map models."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -400,6 +401,25 @@ def random_map(rng, m):
     return AffineMap(rng.normal(size=(m, m)), rng.normal(size=m))
 
 
+def row_compaction_call(cdm, u):
+    """``NModeCdm.__call__`` compacting each mode's rows by a boolean index: the reference."""
+    U = np.array(u, dtype=float, ndmin=2)
+    E = U.copy()
+    taken = np.zeros(U.shape[0], dtype=bool)
+    for region, q in cdm.modes:
+        mask = region.contains_rows(U)
+        if not mask.any():
+            continue
+        assert not (taken & mask).any()
+        taken |= mask
+        rows = U[mask]
+        image = rows[:, :1] * q.linear[:, 0]
+        for j in range(1, q.dim):
+            image += rows[:, j:j + 1] * q.linear[:, j]
+        E[mask] = q.translation + image
+    return E if np.ndim(u) == 2 else E[0]
+
+
 def reference_bvls(A, b, lo, hi):
     """SciPy's BVLS; it needs ``lo < hi``, so pinned coordinates are substituted."""
     x = lo.copy()
@@ -513,6 +533,50 @@ class TestBatchEvaluation:
         batch = cdm(U)
         assert batch.shape == U.shape
         assert batch.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("closed_lo, closed_hi",
+                             [(True, True), (True, False), (False, True), (False, False)])
+    def test_batch_matches_row_compaction_bit_for_bit(self, m, closed_lo, closed_hi):
+        rng = np.random.default_rng(100 * m + 10 * closed_lo + closed_hi)
+        axis, center, radius = m - 1, np.full(m, 2.0), 1.0
+        cdm = NModeCdm(modes=(
+            (IntervalRegion(axis, -1.0, 0.5, closed_lo, closed_hi), random_map(rng, m)),
+            (IntervalRegion(axis, 0.5, 0.75, not closed_hi, closed_lo), random_map(rng, m)),
+            (BallRegion(center, radius), AffineMap(1e3 * rng.normal(size=(m, m)),
+                                                   rng.normal(size=m))),
+        ))
+        ends = [-1.0, 0.5, 0.75, 1.0, 2.0, 3.0]  # interval ends, the ball's extent and center
+        specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e308, -1e308]
+        for _ in range(40):
+            k = int(rng.integers(0, 30))
+            U = rng.normal(size=(k, m)) * 2.0
+            on_end = rng.random((k, m)) < 0.3
+            U[on_end] = rng.choice(ends, size=on_end.sum())
+            special = rng.random((k, m)) < 0.15
+            U[special] = rng.choice(specials, size=special.sum())
+            if k:  # a point on the sphere
+                U[0] = center
+                U[0, rng.integers(m)] += radius * rng.choice([-1.0, 1.0])
+            for batch in (U, np.asfortranarray(U)):
+                with np.errstate(all="ignore"):
+                    got, want = cdm(batch), row_compaction_call(cdm, batch)
+                assert got.shape == U.shape and got.flags.c_contiguous  # advance's BLAS slices
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            for u in U[:3]:
+                with np.errstate(all="ignore"):
+                    got, want = cdm(u), row_compaction_call(cdm, u)
+                assert got.shape == (m,)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_rows_in_no_region_are_never_multiplied(self):
+        cdm = NModeCdm(modes=(
+            (IntervalRegion(1, 0.0, 1.0), AffineMap(np.full((2, 2), 10.0), np.zeros(2))),))
+        U = np.array([[1e308, 2.0], [0.5, 0.5], [-1e308, 1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            E = cdm(U)
+        np.testing.assert_array_equal(E, [[1e308, 2.0], [10.0, 10.0], [-1e308, 1e308]])
 
     def test_row_in_two_overlapping_regions_raises(self):
         slab, ball = IntervalRegion(0, -1.0, 1.0), BallRegion([1.0, 1.0], 1.0)

@@ -519,6 +519,35 @@ class TestRunExperiment:
         assert header[2:] == [f"hausdorff_r{i}" for i in range(len(cfg.regions))]
 
 
+def per_value_convergence(cfg, records) -> bytes:
+    """``convergence.csv`` written one ``repr`` at a time: the reference for the table writer."""
+    header = ["time", "modes_identified"] + [f"hausdorff_r{i}" for i in range(len(cfg.regions))]
+    lines = [",".join(header)]
+    for rec in records:
+        lines.append(",".join([repr(float(rec.time)), str(rec.modes_identified)]
+                              + [repr(float(h)) for h in rec.region_hausdorff]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("edit", [
+    None,
+    ("regions = 0.0:0.25 0.5:0.75 0.75:1.0", "regions = 0.0:0.25 1.5:2.0 0.75:1.0"),
+    ("delta = 0.4", "delta = 0.001"),
+], ids=["bundled", "never-observed-region", "delta-0.001"])
+def test_convergence_csv_is_each_value_repr(edit, heat_run, tmp_path):
+    if edit is None:
+        cfg, result, _ = heat_run
+    else:
+        text = DEFAULT_HEAT_CONFIG.replace(*edit)
+        assert text != DEFAULT_HEAT_CONFIG
+        cfg = parse_config_text(text)
+        result = run_experiment(cfg, out_dir=str(tmp_path))
+    written = pathlib.Path(result.artifacts["convergence"]).read_bytes()
+    assert written == per_value_convergence(cfg, result.records)
+    if edit and edit[1].startswith("regions"):
+        assert all(rec.region_hausdorff[1] == np.inf for rec in result.records)
+
+
 def exact_hausdorff(lo, hi, coords) -> float:
     """Closed-form Hausdorff distance from [lo, hi] to the coordinates inside it."""
     s = np.sort([c for c in coords if lo <= c <= hi])

@@ -761,6 +761,54 @@ def test_positive_takes_any_one_real_number(x):
     assert type(geometry._positive(x, "x")) is float
 
 
+def frozen_reference(v, ndmin=1):
+    """``_frozen``'s general path: every input through ``_real``, then ``np.array``."""
+    arr = np.array(geometry._real(v), ndmin=ndmin)
+    arr.setflags(write=False)
+    return arr
+
+
+class SubArray(np.ndarray):
+    pass
+
+
+_GRID = np.arange(24.0).reshape(4, 6) - 11.5
+
+
+@pytest.mark.parametrize("v, ndmin", [
+    (_GRID, 1), (_GRID, 2), (np.asfortranarray(_GRID), 1), (_GRID[::2, 1::3], 1),
+    (_GRID.T[::-1], 2), (_GRID[:, 2], 1), (np.array([-0.0, np.nan, np.inf, 1e308]), 1),
+    (np.array(2.5), 0), (np.empty((0, 3)), 2)])
+def test_frozen_copies_a_plain_float64_array_as_the_general_path_does(v, ndmin, monkeypatch):
+    expected = frozen_reference(v, ndmin)
+    seen = []
+    monkeypatch.setattr(geometry, "_real", lambda x: seen.append(x))  # never called
+    arr = geometry._frozen(v, "v", ndmin)
+    assert not seen
+    assert type(arr) is np.ndarray and arr.dtype == expected.dtype
+    assert arr.shape == expected.shape and arr.strides == expected.strides
+    assert arr.tobytes() == expected.tobytes()
+    assert not arr.flags.writeable and v.flags.writeable
+    assert not np.shares_memory(arr, v)
+
+
+@pytest.mark.parametrize("v, ndmin", [
+    (np.ma.array([1.0, 2.0], mask=[False, True]), 1), (_GRID.view(SubArray), 1),
+    (_GRID.astype(">f8"), 1), (_GRID.astype(np.float32), 1), (np.arange(6), 1),
+    (np.array([1.0, 2], dtype=object), 1), (np.array([1.0, 2.0]), 2), (np.array(2.5), 1),
+    (2.5, 0), ([1.0, 2.0], 1)])
+def test_frozen_takes_every_other_input_through_real(v, ndmin, monkeypatch):
+    expected = frozen_reference(v, ndmin)
+    real, seen = geometry._real, []
+    monkeypatch.setattr(geometry, "_real", lambda x: seen.append(x) or real(x))
+    arr = geometry._frozen(v, "v", ndmin)
+    assert len(seen) == 1
+    assert type(arr) is np.ndarray and arr.dtype == np.float64 and arr.dtype.isnative
+    assert arr.shape == expected.shape and arr.strides == expected.strides
+    assert arr.tobytes() == expected.tobytes()
+    assert not arr.flags.writeable
+
+
 @pytest.mark.parametrize("x, shown", [
     ("1", "'1'"), (b"1", "b'1'"), (1j, "1j"), (np.complex128(1.0), "(1+0j)"),
     (np.array(1j), "1j"), (np.array("1"), "'1'"), ([3.0], "[3.0]"), (np.ones(2), "[1. 1.]"),

@@ -92,6 +92,7 @@ PRIVATE_IMPORTS = {
     ("experiment", "geometry", "_positive"),
     ("experiment", "identification", "_recover_each"),  # the one effective-input solve
     ("experiment", "serialization", "_fmt"),
+    ("experiment", "serialization", "_fmt_rows"),  # the one float-table formatter, for convergence.csv
     ("experiment", "simulation", "_MAX_STEPS"),
     ("experiment", "simulation", "_interval_steps"),
     ("identification", "geometry", "_INSIDE_INNER"),

@@ -549,6 +549,31 @@ def test_stream_clusters_match_linkage_after_every_push(seed, k, d, grid, n_mode
                 np.testing.assert_array_equal(table, prefix[members])  # same rows, same order
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 3),
+       st.sampled_from([0.0, 0.5]), st.integers(1, 5))
+def test_stream_and_batch_cluster_tables_agree_bit_for_bit_and_are_c_ordered(
+        seed, k, d, grid, n_modes):
+    # the linkage keeps its points column by column; the tables it hands out are row-major
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-3, 3, (k, 2 * d))
+    if grid:
+        pts = np.round(pts / grid) * grid
+    pts = pts[(pts[:, :d] != pts[:, d:]).any(axis=1)]
+    if not len(pts):
+        return
+    rec = Reconstructor(IdentificationConfig(delta=1.0, n_modes=n_modes))
+    with quiet():
+        for point in pts:
+            rec.push(point[:d], point[d:])
+    stream = [rows.pairs for rows in rec._linkage.clusters.values()]
+    batch = cluster_pairs(pts, delta=1.0, n_modes=n_modes)
+    assert len(stream) == len(batch)
+    for a, b in zip(stream, batch):
+        assert a.flags.c_contiguous and b.flags.c_contiguous
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_snapshots_stay_unchanged_as_their_clusters_grow_and_merge():
     """A snapshot's pair tables and residuals stay bit for bit as taken.
 

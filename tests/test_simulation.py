@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import math
 import os
 import re
 import subprocess
@@ -998,14 +999,30 @@ def test_tunables_and_call_time_numbers_are_real(call, message):
     (1j, "sample time must be real numbers, got dtype complex128"),
     ("1", "sample time must be real numbers, got dtype <U1"),
     ([1.0], "sample time must be one finite number, got [1.0]"),
+    (np.array([0.5]), "sample time must be one finite number, got array([0.5])"),
     (np.inf, "sample time must be one finite number, got inf"),
+    (-math.inf, "sample time must be one finite number, got -inf"),
+    (math.nan, "sample time must be one finite number, got nan"),
+    (np.float64(np.nan), "sample time must be one finite number, got np.float64(nan)"),
+    (np.float64(-np.inf), "sample time must be one finite number, got np.float64(-inf)"),
+    (np.array(np.nan), "sample time must be one finite number, got array(nan)"),
+    (np.array(np.inf), "sample time must be one finite number, got array(inf)"),
 ])
 def test_sample_time_is_one_finite_real_number(time, message):
     # write_samples would write a complex time as a row that read_samples rejects
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ControlSample(time=time, state=[0.0], velocity=[0.0], input=[0.0])
-    sample = ControlSample(time=np.float64(0.5), state=[0.0], velocity=[0.0], input=[0.0])
-    assert type(sample.time) is float and sample.time == 0.5
+
+
+@pytest.mark.parametrize("time, value", [
+    (0.5, 0.5), (-0.0, -0.0), (np.float64(0.5), 0.5), (np.float32(0.1), 0.10000000149011612),
+    (2, 2.0), (np.int64(3), 3.0), (2**70, 1.1805916207174113e+21), (True, 1.0),
+    (np.array(0.25), 0.25),
+])
+def test_sample_time_becomes_a_python_float(time, value):
+    sample = ControlSample(time=time, state=[0.0], velocity=[0.0], input=[0.0])
+    assert type(sample.time) is float
+    assert sample.time == value and math.copysign(1.0, sample.time) == math.copysign(1.0, value)
 
 
 def test_system_model_keeps_a_read_only_copy_of_the_input_box():
