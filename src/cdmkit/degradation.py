@@ -95,7 +95,9 @@ class BallRegion:
         object.__setattr__(self, "center", center)
 
     def contains_rows(self, U: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(U - self.center, axis=1) <= self.radius
+        # a row too far out for its norm's squares to stay finite is outside
+        with np.errstate(over="ignore"):
+            return np.linalg.norm(U - self.center, axis=1) <= self.radius
 
 
 def _ball_meets(ball: BallRegion, lo, hi, closed_lo, closed_hi) -> bool:

@@ -416,16 +416,19 @@ class _RegionMetrics:
 
     Each region keeps its coordinates sorted and a heap of the gaps between
     neighbours, a split gap dropped when it reaches the top: an observation
-    costs O(log n) heap work.  Regions without observations report infinity.
+    costs O(log n) heap work.  Only the regions that hold the coordinate
+    change, so only their distances are computed again; the others keep
+    theirs.  Regions without observations report infinity.
     """
 
     def __init__(self, regions: Sequence[tuple]):
         self.regions = [(lo, hi, [], []) for lo, hi in regions]
+        self.distances = (math.inf,) * len(self.regions)
 
     def add(self, coord: float) -> tuple:
         """Fold in one observed coordinate; return the distance of each region."""
-        distances = []
-        for lo, hi, seen, gaps in self.regions:
+        distances = self.distances
+        for r, (lo, hi, seen, gaps) in enumerate(self.regions):
             if lo <= coord <= hi:
                 i = bisect.bisect_right(seen, coord)
                 seen.insert(i, coord)
@@ -436,10 +439,11 @@ class _RegionMetrics:
                 # a gap is current while its ends are still neighbours
                 while gaps and seen[bisect.bisect_right(seen, gaps[0][1])] != gaps[0][2]:
                     heapq.heappop(gaps)
-            gap = -gaps[0][0] if gaps else 0.0
-            distances.append(interval_hausdorff(lo, hi, seen[0], seen[-1], gap)
-                             if seen else math.inf)
-        return tuple(distances)
+                gap = -gaps[0][0] if gaps else 0.0
+                distances = (*distances[:r], interval_hausdorff(lo, hi, seen[0], seen[-1], gap),
+                             *distances[r + 1:])
+        self.distances = distances
+        return distances
 
 
 def validate_ground_truth_separation(config: ExperimentConfig) -> None:

@@ -309,6 +309,7 @@ class _Linkage:
         self.forced: list[tuple] = []  # the tree edges the last cut merged by force
         self.clusters: dict[frozenset, _Rows] = {}  # by component names, in cluster order
         self._cut_at = 0  # points at the last cut
+        self._regrouped = False  # whether a point started or merged components since then
 
     def add(self, point: np.ndarray) -> None:
         """Add ``point``, measured against the points so far."""
@@ -321,6 +322,7 @@ class _Linkage:
         near = [c for d, c, _ in edges if d < self.delta]
         label = near[0] if near else n
         self.points = _append_row(self.points, n, point)
+        self._regrouped = self._regrouped or len(near) != 1
         if not near:  # a component of its own
             self.firsts.append(n)
         else:
@@ -344,20 +346,29 @@ class _Linkage:
         self.n += 1
 
     def cut(self) -> None:
-        """Re-cut the clusters; remake those whose components merged or regrouped."""
+        """Re-cut the clusters; remake those whose components merged or regrouped.
+
+        When every point since the last cut joined one component and there
+        are at most ``n_modes`` components, the clusters are still the
+        components, and each point is appended to its own cluster.
+        """
         labels = self.labels[:self.n]
         added = labels[self._cut_at:].tolist()
-        old, self.clusters = self.clusters, {}
-        for group in self._groups():
-            rows = old.get(frozenset(name for name in group if name < self._cut_at))
-            if rows is None:
-                rows = _Rows(self.points[:self.n][np.isin(labels, group)])  # a C-ordered copy
-            else:
-                for i, c in enumerate(added):
-                    if c in group:
-                        rows.append(self.points[self._cut_at + i])
-            self.clusters[frozenset(group)] = rows
-        self._cut_at = self.n
+        if not self._regrouped and len(self.firsts) <= self.n_modes:
+            for i, c in enumerate(added):
+                self.clusters[frozenset((c,))].append(self.points[self._cut_at + i])
+        else:
+            old, self.clusters = self.clusters, {}
+            for group in self._groups():
+                rows = old.get(frozenset(name for name in group if name < self._cut_at))
+                if rows is None:
+                    rows = _Rows(self.points[:self.n][np.isin(labels, group)])  # a C-ordered copy
+                else:
+                    for i, c in enumerate(added):
+                        if c in group:
+                            rows.append(self.points[self._cut_at + i])
+                self.clusters[frozenset(group)] = rows
+        self._cut_at, self._regrouped = self.n, False
 
     def _groups(self) -> list[list[int]]:
         """The component names of each cluster at the cut, in order of first point.

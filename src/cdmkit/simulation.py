@@ -368,13 +368,15 @@ def _rk4_advance(model: SystemModel):
     return advance
 
 
-def _affine_steps(R: np.ndarray, forcing: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``x = R @ x + f`` for each row ``f`` of ``forcing``, in place in ``x``.
+def _affine_steps(R: np.ndarray, forcing, x: np.ndarray) -> np.ndarray:
+    """``x = R @ x + f`` for each float row ``f`` of the sequence ``forcing``, in place in ``x``.
 
     Each step is one dense BLAS mat-vec on ``R``.  The products go to one
     scratch buffer, so the loop allocates nothing; ``R.dot`` and ``np.add``
     are bound once and given their outputs by position, which skips NumPy's
-    per-call dispatch.  The floats are those of ``R @ x + f``.
+    per-call dispatch.  ``forcing`` may be a list of row views made in
+    advance, which spares the loop a new view per step.  The floats are
+    those of ``R @ x + f``.
     """
     y = np.empty_like(x)
     dot, add = R.dot, np.add
@@ -446,13 +448,14 @@ def _linear_rk4_advance(model: SystemModel):
     ``R`` that stays zero elsewhere: there every term is ``±0`` and the
     identity's is ``+0``, so for ``dt >= 0`` ``R`` is the dense sum bit for
     bit.  Each sub-step is one dense BLAS mat-vec on it
-    (:func:`_affine_steps`).  The forcing table is full width, but its three
-    products run only on the rows where an entry of ``B, AB, A^2 B, A^3 B``
-    is other than ``+0`` and on one unreached row.  Every
-    unreached row's ``P`` are ``+0``, so the product gives each of them what
-    it gives that row: ``±0`` by the signs of the inputs, NaN where an input
-    is not finite.  The table holds ``+0`` there and takes that row's value
-    only where it is not ``+0``.
+    (:func:`_affine_steps`), over row views of one forcing table that are
+    made when the table is allocated and see every write to it.  The table
+    is full width, but its three products run only on the rows where an
+    entry of ``B, AB, A^2 B, A^3 B`` is other than ``+0`` and on one
+    unreached row.  Every unreached row's ``P`` are ``+0``, so the product
+    gives each of them what it gives that row: ``±0`` by the signs of the
+    inputs, NaN where an input is not finite.  The table holds ``+0`` there
+    and takes that row's value only where it is not ``+0``.
     """
     A, B = model.a_matrix, model.b_matrix
     A2, A3, A4, AB, A2B, A3B = model._rk4_powers
@@ -473,6 +476,7 @@ def _linear_rk4_advance(model: SystemModel):
     R = np.zeros(A.shape)
     R_flat = R.reshape(-1)
     table = np.zeros((0, n))
+    table_rows: list = []  # a view of each row of the table
     dirty = False  # whether an unreached column of the table may hold other than +0
 
     def maps(dts):
@@ -480,15 +484,17 @@ def _linear_rk4_advance(model: SystemModel):
             yield from _step_maps(dts[start:start + chunk], band, inputs, entries, term)
 
     def advance(x, step_map, E):
-        nonlocal table, dirty
+        nonlocal table, table_rows, dirty
         band_entries, P0, Ph, P1 = step_map
         R_flat[support] = band_entries
         product = E[0:-1:2] @ P0.T
         product += E[1::2] @ Ph.T
         product += E[2::2] @ P1.T
-        if product.shape[0] > table.shape[0]:
-            table, dirty = np.zeros((product.shape[0], n)), False
-        forcing = table[:product.shape[0]]
+        k = product.shape[0]
+        if k > table.shape[0]:
+            table, dirty = np.zeros((k, n)), False
+            table_rows = list(table)
+        forcing = table[:k]
         forcing[:, rows] = product[:, :rows.size]
         if rest.size:
             unreached = product[:, rows.size]
@@ -498,7 +504,7 @@ def _linear_rk4_advance(model: SystemModel):
             elif dirty:
                 table[:, rest] = 0.0
                 dirty = False
-        return _affine_steps(R, forcing, x)
+        return _affine_steps(R, table_rows[:k], x)
 
     return maps, advance
 

@@ -919,15 +919,20 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
 # samples.csv is not.  Any change to them is a change to the artifacts and is
 # recorded in CHANGES.md with its reason.
 GOLDEN_DIGESTS = {
-    "0.4": {
+    ("0.4", "10.0"): {
         "samples.csv": "ca75f769b31b93f9af834e84b022f1c3bff04e756ac932cc071dc4bddc38692c",
         "reconstruction.txt": "097e3ad4cf6710dacd7bea6a4583746d46b3053a7181d827d997f51f7f93d6f2",
         "convergence.csv": "34c2a9ea86400379ea04a9cdc6ba0e737e7f672120a015e5714c32ce4cde7022",
     },
-    "0.001": {
+    ("0.001", "10.0"): {
         "samples.csv": "ca75f769b31b93f9af834e84b022f1c3bff04e756ac932cc071dc4bddc38692c",
         "reconstruction.txt": "fb5efc27367212a4e466960f873f4efb901ca17e2eedf601b57221a260a754d7",
         "convergence.csv": "34c2a9ea86400379ea04a9cdc6ba0e737e7f672120a015e5714c32ce4cde7022",
+    },
+    ("0.4", "40.0"): {
+        "samples.csv": "5dd97003db18f365cb610787080b5ff5546982b7ae94a7c8ab259a8e97752161",
+        "reconstruction.txt": "663047358d3795940df37536e882d2a9468c56fd9ce1b985f4f6d4e341f90fe2",
+        "convergence.csv": "48a6f4b383b66a241d3f226c66d718cb515a189208767b7e750d02a718f220b1",
     },
 }
 
@@ -945,12 +950,13 @@ kernel_forced = pytest.mark.skipif(
            "only an x86-64 OpenBLAS built with DYNAMIC_ARCH can be made to use")
 
 
-def run_bundled(out, delta="0.4", kernel="Prescott") -> pathlib.Path:
-    """Run the bundled config at ``delta`` under the OpenBLAS ``kernel`` into ``out``."""
+def run_bundled(out, delta="0.4", kernel="Prescott", horizon="10.0") -> pathlib.Path:
+    """Run the bundled config at ``delta`` and ``horizon`` under the OpenBLAS ``kernel`` into ``out``."""
     bundled = pathlib.Path(__file__).resolve().parents[1] / "configs" / "heat_electrosurgery.cfg"
     out.mkdir()
     cfg = out / "run.cfg"
-    cfg.write_text(bundled.read_text().replace("delta = 0.4", f"delta = {delta}"))
+    cfg.write_text(bundled.read_text().replace("delta = 0.4", f"delta = {delta}")
+                   .replace("horizon = 10.0", f"horizon = {horizon}"))
     proc = subprocess.run(
         [sys.executable, "-m", "cdmkit.cli", "run", str(cfg), "--output", str(out)],
         capture_output=True, text=True, timeout=300,
@@ -960,11 +966,12 @@ def run_bundled(out, delta="0.4", kernel="Prescott") -> pathlib.Path:
 
 
 @kernel_forced
-@pytest.mark.parametrize("delta", GOLDEN_DIGESTS)
-def test_bundled_artifacts_keep_their_golden_digests(tmp_path, delta):
-    out = run_bundled(tmp_path / "out", delta)
+@pytest.mark.parametrize("delta, horizon", GOLDEN_DIGESTS, ids=[
+    delta if horizon == "10.0" else f"{delta}-horizon{horizon}" for delta, horizon in GOLDEN_DIGESTS])
+def test_bundled_artifacts_keep_their_golden_digests(tmp_path, delta, horizon):
+    out = run_bundled(tmp_path / "out", delta, horizon=horizon)
     assert {artifact: hashlib.sha256((out / artifact).read_bytes()).hexdigest()
-            for artifact in GOLDEN_DIGESTS[delta]} == GOLDEN_DIGESTS[delta]
+            for artifact in GOLDEN_DIGESTS[delta, horizon]} == GOLDEN_DIGESTS[delta, horizon]
 
 
 @kernel_forced

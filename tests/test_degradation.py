@@ -82,6 +82,30 @@ class TestRegions:
         assert in_region(BallRegion([0.0, 0.0], 1.0), [0.6, 0.8])
         assert not in_region(BallRegion([0.0, 0.0], 1.0), [0.8, 0.8])
 
+    @pytest.mark.parametrize("center, radius", [([0.0, 0.0], 1.0), ([0.5, -2.0], 3.0),
+                                                ([0.0, 0.0], 0.0)])
+    def test_ball_rows_far_out_are_outside_without_a_warning(self, center, radius):
+        # the mask of the plain norm, taken with its warnings silenced, on
+        # random rows, rows on the sphere, and rows at ±1e308, ±inf and NaN
+        ball = BallRegion(center, radius)
+        rng = np.random.default_rng(4)
+        specials = [1e308, -1e308, np.inf, -np.inf, np.nan, 0.0]
+        U = np.vstack([
+            rng.normal(scale=radius + 1.0, size=(64, 2)) + center,
+            np.add(center, [[radius, 0.0], [0.0, -radius], [-0.6 * radius, 0.8 * radius]]),
+            np.add(center, [[1e-170, 0.0], [0.0, -1e-170]]),
+            [[a, b] for a in specials for b in specials],
+        ])
+        with np.errstate(all="ignore"):
+            want = np.linalg.norm(U - ball.center, axis=1) <= radius
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ball.contains_rows(U)
+            cdm = NModeCdm(((ball, AffineMap(np.eye(2), np.zeros(2))),))
+            cdm(U)
+        np.testing.assert_array_equal(got, want)
+        assert want[64:67].all() and want[67:69].all()  # on the sphere; underflowed squares
+
     def test_ball_does_not_move_with_the_callers_array(self):
         # a region that NModeCdm checked disjoint from the others stays where it was
         center = np.array([0.0, 1.0])

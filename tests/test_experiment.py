@@ -1,7 +1,9 @@
 """Tests for config parsing, experiment orchestration, and report rendering."""
 
+import bisect
 import csv
 import dataclasses
+import math
 import pathlib
 import re
 import warnings
@@ -22,6 +24,7 @@ from cdmkit.experiment import (
     stream_reconstructions,
     validate_ground_truth_separation,
 )
+from cdmkit.geometry import interval_hausdorff
 import cdmkit.identification as identification
 from cdmkit.identification import (
     _CHUNK,
@@ -707,6 +710,35 @@ def test_region_metric_matches_brute_force(lo_idx, width, idx):
             continue
         brute = np.max(np.min(np.abs(brute_grid[:, None] - np.array(inside)[None, :]), axis=1))
         assert abs(value - brute) <= 1e-12
+
+
+def full_recompute(regions, coords) -> list[tuple]:
+    """Each region's distance after each coordinate, every region computed anew each time."""
+    seen = [[] for _ in regions]
+    out = []
+    for coord in coords:
+        for (lo, hi), points in zip(regions, seen):
+            if lo <= coord <= hi:
+                bisect.insort(points, coord)
+        out.append(tuple(
+            interval_hausdorff(lo, hi, points[0], points[-1],
+                               max((b - a for a, b in zip(points, points[1:])), default=0.0))
+            if points else math.inf for (lo, hi), points in zip(regions, seen)))
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([-0.5, 0.0, 0.125, 0.25, 0.5, 0.55, 0.6, 0.75, 1.0, 1.5])
+                | st.floats(-0.25, 1.25) | st.just(math.nan), min_size=1, max_size=40))
+def test_region_metrics_keep_the_full_recompute(coords):
+    # regions that share ends and overlap, coordinates on the shared ends,
+    # inside one or two regions and outside all of them: each tuple has the
+    # bits of one that computes every region again
+    regions = [(0.0, 0.25), (0.25, 0.75), (0.75, 1.0), (0.5, 0.6), (0.55, 0.55)]
+    metrics = _RegionMetrics(regions)
+    got = [metrics.add(coord) for coord in coords]
+    assert [tuple(map(float.hex, t)) for t in got] == [
+        tuple(map(float.hex, t)) for t in full_recompute(regions, coords)]
 
 
 class TestRenderReport:

@@ -14,6 +14,7 @@ direction de-duplication) are checked against the loops they replace.
 
 import ast
 import contextlib
+import dataclasses
 import logging
 import math
 import time
@@ -304,6 +305,44 @@ def test_a_push_runs_no_svd_and_a_full_fold_projects_no_appended_row(heat_run, m
                 full_appends += 1
         assert all(size < m for _, size in folded)  # an entry with m kept folds nothing
     assert calls == Counter() and full_appends > 100
+
+
+def test_a_pure_join_push_never_regroups(heat_run, monkeypatch):
+    """A push whose point joins one component, with at most ``n_modes`` of them, skips the regroup.
+
+    Every other affected push of the bundled stream regroups.
+    """
+    config, _, _ = heat_run
+    n_modes = config.identification.n_modes
+    grouped, groups = [], ck.identification._Linkage._groups
+    monkeypatch.setattr(ck.identification._Linkage, "_groups",
+                        lambda self: grouped.append(self.n) or groups(self))
+    rec = Reconstructor(config.identification)
+    kinds = Counter()
+    for pair in heat_pairs(heat_run):
+        firsts, n = rec._linkage.firsts[:], rec._linkage.n
+        grouped.clear()
+        rec.push(*pair)
+        if rec._linkage.n == n:  # unaffected
+            assert not grouped
+            continue
+        joined = rec._linkage.firsts == firsts
+        kind = "join" if joined and len(firsts) <= n_modes else "other"
+        kinds[kind] += 1
+        assert grouped == ([] if kind == "join" else [n + 1])
+    assert kinds["join"] > 50 and kinds["other"] > 3
+
+
+@pytest.mark.parametrize("n_modes, delta", [(1, 0.4), (3, 0.001)],
+                         ids=["one-mode", "forced-merges"])
+def test_bundled_variants_stream_like_batch_at_every_step(heat_run, n_modes, delta):
+    # one mode: the first component's joins take the short cut until a second
+    # one starts; delta 0.001: nearly every point starts a component, and
+    # each cut forces merges
+    config, _, _ = heat_run
+    ident = dataclasses.replace(config.identification, n_modes=n_modes, delta=delta)
+    with quiet():
+        assert_snapshots_match_batch(heat_pairs(heat_run), ident)
 
 
 def test_run_bounds_and_fits_each_final_mode_once(heat_run, tmp_path, monkeypatch):

@@ -585,6 +585,9 @@ class TestLinearPropagator:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 101, 102])
     def test_buffered_steps_match_plain_loop(self, n):
+        # a table, then row views of it made once and taken over prefixes
+        # while the table is rewritten between calls; the last rewrite puts
+        # -0.0, NaN and infinities in the final rows, where they reach the result
         rng = np.random.default_rng(n)
         R = rng.normal(size=(n, n)) / np.sqrt(n)
         forcing = rng.normal(size=(60, n))
@@ -594,6 +597,43 @@ class TestLinearPropagator:
             reference = R @ reference + f
         np.testing.assert_array_equal(_affine_steps(R, forcing, x).view(np.uint64),
                                       reference.view(np.uint64))
+        views = list(forcing)
+        for k, special in ((60, False), (37, False), (60, True)):
+            forcing[:] = rng.normal(size=forcing.shape)
+            if special:
+                forcing[-2, ::2] = -0.0
+                forcing[-1] = np.resize([-0.0, np.nan, np.inf, -np.inf], n)
+            x = rng.normal(size=n)
+            reference = x.copy()
+            for f in forcing[:k]:
+                reference = R @ reference + f
+            np.testing.assert_array_equal(_affine_steps(R, views[:k], x).view(np.uint64),
+                                          reference.view(np.uint64), err_msg=f"{k} rows")
+
+    def test_longer_interval_reallocates_the_forcing_rows(self):
+        # step counts that grow past every earlier one reallocate the forcing
+        # table, and shorter ones reuse it: a loop over the views of an
+        # outgrown table would take too few or stale rows
+        rng = np.random.default_rng(3)
+        model = linear_system(rng.normal(size=(4, 4)), rng.normal(size=(4, 2)))
+        A, B = model.a_matrix, model.b_matrix
+        A2, A3, A4, AB, A2B, A3B = model._rk4_powers
+        maps, advance = simulation._linear_rk4_advance(model)
+        n_subs = [2, 5, 3, 9, 1, 9, 12, 4]
+        dts = rng.uniform(1e-4, 1e-3, len(n_subs))
+        x = rng.normal(size=4)
+        reference = x.copy()
+        for n_sub, dt, step_map in zip(n_subs, dts.tolist(), maps(dts)):
+            E = rng.normal(size=(2 * n_sub + 1, 2))
+            x = advance(x, step_map, E)
+            R = np.eye(4) + dt * A + dt**2 / 2.0 * A2 + dt**3 / 6.0 * A3 + dt**4 / 24.0 * A4
+            P0 = dt / 6.0 * (B + dt * AB + dt**2 / 2.0 * A2B + dt**3 / 4.0 * A3B)
+            Ph = dt / 6.0 * (4.0 * B + 2.0 * dt * AB + dt**2 / 2.0 * A2B)
+            P1 = dt / 6.0 * B
+            for f in E[0:-1:2] @ P0.T + E[1::2] @ Ph.T + E[2::2] @ P1.T:
+                reference = R @ reference + f
+            np.testing.assert_array_equal(x.view(np.uint64), reference.view(np.uint64),
+                                          err_msg=f"{n_sub} steps")
 
     @pytest.mark.parametrize("case", sorted(STEP_MATRIX_CASES))
     def test_step_matrix_matches_expression(self, case, monkeypatch):
@@ -635,7 +675,7 @@ class TestLinearPropagator:
         rng = np.random.default_rng(5)
         seen = []
         monkeypatch.setattr(simulation, "_affine_steps",
-                            lambda R, forcing, x: seen.append(forcing.copy()) or x)
+                            lambda R, forcing, x: seen.append(np.array(forcing)) or x)
         maps, advance = simulation._linear_rk4_advance(model)
         n_subs = [3, 1, 5, 2, 5, 1, 4, 4]
         dts = rng.uniform(1e-4, 1e-3, len(n_subs))
@@ -815,7 +855,7 @@ class TestBatchedIntegrate:
         monkeypatch.setattr(simulation, "_step_maps",
                             lambda dts, *args: formed.append(dts.copy()) or step_maps(dts, *args))
         monkeypatch.setattr(simulation, "_affine_steps", lambda R, forcing, x: loops.append(
-            forcing.shape) or affine_steps(R, forcing, x))
+            (len(forcing), forcing[0].shape[0])) or affine_steps(R, forcing, x))
         integrate(model, heat_example_cdm(), np.ones(model.dim_state),
                   lambda t: calls.append(len(t)) or probe_signal(t), schedule)
         _, n_subs, dts = simulation._interval_steps(schedule.sample_times(), model.stability_limit)
