@@ -45,8 +45,6 @@ from .simulation import (
     HeatSystem,
     SamplingSchedule,
     SystemModel,
-    _MAX_STEPS,
-    _interval_steps,
     integrate,
     linear_system,
     probe_signal,
@@ -332,15 +330,7 @@ def _parse(text: str) -> ExperimentConfig:
     signal = _parse_signal(parser, dim_input)
 
     schedule = SamplingSchedule(**_read(parser, "sampling"))
-    count, what = schedule._count(), "samples"
-    # drawn only when a bound that needs no draw cannot prove the cap; a HeatSystem gives its
-    # limit without a model
-    if count <= _MAX_STEPS and schedule._step_bound(system.stability_limit) > _MAX_STEPS:
-        _, n_subs, _ = _interval_steps(schedule.sample_times(), system.stability_limit)
-        count, what = n_subs.sum(dtype=np.float64), "integration steps"  # a float sum cannot wrap
-    if count > _MAX_STEPS:
-        raise ValueError(f"rate {schedule.rate} over horizon {schedule.horizon} gives {count:.6g} "
-                         f"{what}, more than the {_MAX_STEPS:.0e} a config may ask for")
+    schedule._check_steps(system.stability_limit)  # a HeatSystem gives its limit without a model
 
     spec = _read(parser, "identification")
     try:
@@ -392,13 +382,13 @@ def stream_reconstructions(samples: Sequence[ControlSample], model: SystemModel,
     ``modes_identified`` at each step and takes one snapshot, after the
     last observation.  The effective inputs are those of
     ``recover_effective_input``; a model with a constant input matrix of
-    at most one nonzero per row has them recovered in chunks of
-    observations, one solve per chunk.  An observation whose effective
+    at most one nonzero per row has them in closed form, a chunk of
+    observations at a time, with no solve.  An observation whose effective
     input cannot be recovered (the input matrix is rank deficient at its
-    state; for a chunk, at its first observation), or whose pair has a
-    component beyond the range ``Reconstructor.push`` accepts, stops the
-    stream with an :class:`IdentificationError` that names its index and
-    time.
+    state; a constant one is checked once, at the first observation), or
+    whose pair has a component beyond the range ``Reconstructor.push``
+    accepts, stops the stream with an :class:`IdentificationError` that
+    names its index and time.
     """
     reconstructor = Reconstructor(ident)
     effectives = _recover_each(samples, model)

@@ -45,26 +45,17 @@ def as_point_set(points) -> np.ndarray:
     return pts
 
 
-def pairwise_distances(a, b) -> np.ndarray:
-    """Euclidean distances between the rows of ``a`` (n, d) and ``b`` (k, d), shape (n, k).
+def pairwise_distances(point, table) -> np.ndarray:
+    """Euclidean distances from ``point`` (d,) to each row of ``table`` (k, d), shape (k,).
 
     Squares are summed column by column, the order of
-    ``scipy.spatial.distance.cdist``, so the two agree bit for bit.  One
-    row of ``a`` takes its differences to every row of ``b`` at once.
+    ``scipy.spatial.distance.cdist``, so the two agree bit for bit.
     """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if a.shape[0] == 1 and a.shape[1:] == b.shape[1:] and a.shape[1]:
-        d = b - a
-        d *= d
-        acc = d[:, 0].copy()
-        for j in range(1, d.shape[1]):
-            acc += d[:, j]
-        return np.sqrt(acc, out=acc)[None, :]
-    acc = np.zeros((a.shape[0], b.shape[0]))
-    for j in range(a.shape[1]):
-        d = a[:, j, None] - b[:, j]
-        d *= d
-        acc += d
+    d = np.asarray(table, dtype=float) - np.asarray(point, dtype=float)
+    d *= d
+    acc = d[:, 0].copy()
+    for j in range(1, d.shape[1]):
+        acc += d[:, j]
     return np.sqrt(acc, out=acc)
 
 
@@ -84,7 +75,7 @@ _INNER, _OUTER = Side.INNER, Side.OUTER
 def _generic_axis(dim: int) -> np.ndarray:
     """A fixed unit axis in ``dim`` dimensions along which no two coordinates weigh alike."""
     axis = np.sqrt(np.arange(1.0, dim + 1.0))
-    axis /= np.linalg.norm(axis)
+    axis /= _norm(axis.tolist())
     axis.setflags(write=False)
     return axis
 
@@ -116,7 +107,10 @@ def _dedup_samples(directions, radii, side: Side, lipschitz: float):
     by_first = np.argsort(first)  # distinct directions by first appearance
     distinct = directions[first[by_first]]
     distinct_radii = fold.reduceat(radii[order], starts)[by_first]
-    projection = distinct @ _generic_axis(distinct.shape[1])
+    axis = _generic_axis(distinct.shape[1])
+    projection = distinct[:, 0] * axis[0]
+    for j in range(1, axis.shape[0]):
+        projection += distinct[:, j] * axis[j]
     by_projection = np.argsort(projection, kind="stable")
     breaks = np.diff(projection[by_projection]) > 2.0 * DIRECTION_DEDUP_TOL
     if breaks.all():  # also a single distinct direction
@@ -128,7 +122,7 @@ def _dedup_samples(directions, radii, side: Side, lipschitz: float):
         kept: list[int] = []
         for i in np.sort(by_projection[runs[r]:runs[r + 1]]).tolist():  # in first-appearance order
             for lead in kept:
-                gap = np.linalg.norm(distinct[i] - distinct[lead])
+                gap = _norm((distinct[i] - distinct[lead]).tolist())
                 if gap <= DIRECTION_DEDUP_TOL:
                     leader[i], cost[i] = lead, lipschitz * gap
                     break
@@ -552,7 +546,7 @@ def estimate_mgf_lipschitz(directions, radii) -> float:
     # one row of the symmetric quotient table at a time, each pair once (j < i)
     best = None
     for i in range(1, dirs.shape[0]):
-        gaps = pairwise_distances(dirs[i:i + 1], dirs[:i])[0]
+        gaps = pairwise_distances(dirs[i], dirs[:i])
         mask = gaps > DIRECTION_DEDUP_TOL
         if mask.any():
             quotient = np.max(np.abs(r[i] - r[:i])[mask] / gaps[mask])

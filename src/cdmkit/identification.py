@@ -36,6 +36,7 @@ from .geometry import (
     _classify,
     _frozen,
     _integer,
+    _norm,
     _positive,
     _real,
     pairwise_distances,
@@ -293,9 +294,11 @@ class _Linkage:
     height the tree's edges join what all edges join, and every minimum
     spanning tree has the same heights, so the clusters and the forced
     merges are those of the whole component graph.  A cluster is keyed by
-    the names of its components; one whose components merged only among
-    themselves keeps its table, and one whose component merged with
-    another cluster's is dropped, to be built anew.
+    the names of its components, and one cut rule keeps its table: a
+    cluster whose names are unchanged since the last cut appends the points
+    added to it, and any other is built anew, in pair order.  A merge
+    drops every cluster with a merged component, which gained earlier
+    points that appending cannot place.
     """
 
     def __init__(self, delta: float, n_modes: int, width: int):
@@ -309,20 +312,17 @@ class _Linkage:
         self.forced: list[tuple] = []  # the tree edges the last cut merged by force
         self.clusters: dict[frozenset, _Rows] = {}  # by component names, in cluster order
         self._cut_at = 0  # points at the last cut
-        self._regrouped = False  # whether a point started or merged components since then
 
     def add(self, point: np.ndarray) -> None:
         """Add ``point``, measured against the points so far."""
         n = self.n
         row = np.full(n, np.inf)  # by name
-        dist = pairwise_distances(point[None, :], self.points[:n])[0]
-        np.minimum.at(row, self.labels[:n], dist)
+        np.minimum.at(row, self.labels[:n], pairwise_distances(point, self.points[:n]))
         edges = [(d, c, n) for d, c in zip(row[self.firsts].tolist(), self.firsts)]
         self.tree, _ = _kruskal(self.tree + edges)
         near = [c for d, c, _ in edges if d < self.delta]
         label = near[0] if near else n
         self.points = _append_row(self.points, n, point)
-        self._regrouped = self._regrouped or len(near) != 1
         if not near:  # a component of its own
             self.firsts.append(n)
         else:
@@ -337,38 +337,32 @@ class _Linkage:
                 gone = set(near[1:])
                 self.labels[:n][np.isin(self.labels[:n], near[1:])] = label
                 self.firsts = [c for c in self.firsts if c not in gone]
-                touched = [key for key in self.clusters if key & (gone | {label})]
-                for key in touched:
-                    rows = self.clusters.pop(key)
-                    if len(touched) == 1:
-                        self.clusters[key - gone] = rows
+                for key in [key for key in self.clusters if key & merged]:
+                    del self.clusters[key]  # it gained earlier points: the cut builds it anew
         self.labels = _append_row(self.labels, n, label)
         self.n += 1
 
     def cut(self) -> None:
-        """Re-cut the clusters; remake those whose components merged or regrouped.
+        """Re-cut the clusters: the one cut rule.
 
-        When every point since the last cut joined one component and there
-        are at most ``n_modes`` components, the clusters are still the
-        components, and each point is appended to its own cluster.
+        A cluster whose component names are those of a cluster at the last
+        cut keeps that table and appends the points added since; any other
+        is built anew from the points, in pair order.
         """
         labels = self.labels[:self.n]
         added = labels[self._cut_at:].tolist()
-        if not self._regrouped and len(self.firsts) <= self.n_modes:
-            for i, c in enumerate(added):
-                self.clusters[frozenset((c,))].append(self.points[self._cut_at + i])
-        else:
-            old, self.clusters = self.clusters, {}
-            for group in self._groups():
-                rows = old.get(frozenset(name for name in group if name < self._cut_at))
-                if rows is None:
-                    rows = _Rows(self.points[:self.n][np.isin(labels, group)])  # a C-ordered copy
-                else:
-                    for i, c in enumerate(added):
-                        if c in group:
-                            rows.append(self.points[self._cut_at + i])
-                self.clusters[frozenset(group)] = rows
-        self._cut_at, self._regrouped = self.n, False
+        old, self.clusters = self.clusters, {}
+        for group in self._groups():
+            key = frozenset(group)
+            rows = old.get(key)
+            if rows is None:
+                rows = _Rows(self.points[:self.n][np.isin(labels, group)])  # a C-ordered copy
+            else:
+                for i, c in enumerate(added):
+                    if c in key:
+                        rows.append(self.points[self._cut_at + i])
+            self.clusters[key] = rows
+        self._cut_at = self.n
 
     def _groups(self) -> list[list[int]]:
         """The component names of each cluster at the cut, in order of first point.
@@ -613,12 +607,11 @@ class CdmReconstruction:
 
 
 def _is_unaffected(point: np.ndarray, identity_tol: float) -> bool:
-    # one norm per pair, so the stream and the batch decide bit for bit alike;
-    # each is np.linalg.norm's arithmetic
+    # one norm per pair in Python floats, so the stream and the batch decide
+    # bit for bit alike and no BLAS kernel changes the decision
     m = point.shape[0] // 2
-    u = point[:m]
-    dev = point[m:] - u
-    return math.sqrt(dev.dot(dev)) <= float(identity_tol) * (1.0 + math.sqrt(u.dot(u)))
+    u, v = point[:m].tolist(), point[m:].tolist()
+    return _norm([y - x for x, y in zip(u, v)]) <= float(identity_tol) * (1.0 + _norm(u))
 
 
 def split_pairs(points: np.ndarray, identity_tol: float):
@@ -634,12 +627,17 @@ def split_pairs(points: np.ndarray, identity_tol: float):
 def fit_residuals(affine: AffineMap, pairs: np.ndarray) -> np.ndarray:
     """Residuals ``|affine(u) - v|`` of a pair table, row by row.
 
-    The row-by-row arithmetic fixes the floats of every ``residual,`` line
-    of a written reconstruction, so it is kept as it is.
+    The image is :class:`~cdmkit.degradation.NModeCdm`'s elementwise sum
+    ``u_0 L[:, 0] + u_1 L[:, 1] + ...``, and each norm is elementwise, so
+    no BLAS kernel changes the floats of a ``residual,`` line.
     """
     m = pairs.shape[1] // 2
-    gaps = (affine.translation + affine.linear @ u - v for u, v in zip(pairs[:, :m], pairs[:, m:]))
-    return np.array([math.sqrt(g.dot(g)) for g in gaps])  # np.linalg.norm's arithmetic
+    linear = affine.linear
+    image = pairs[:, :1] * linear[:, 0]
+    for j in range(1, m):
+        image += pairs[:, j:j + 1] * linear[:, j]
+    gaps = affine.translation + image - pairs[:, m:]
+    return np.sqrt(np.add.reduce(gaps * gaps, axis=1))  # np.linalg.norm's arithmetic
 
 
 def _mode_from_cluster(pairs: np.ndarray, unaffected_inputs: np.ndarray,

@@ -286,6 +286,20 @@ class SamplingSchedule:
         span = 1.0 / self.rate + 2.0 * self.jitter + 8.0 * math.ulp(self.horizon + 1.0 / self.rate)
         return self._count() * (span / _step_limit(stability_limit) + 1.0) * (1.0 + 1e-9)
 
+    def _check_steps(self, stability_limit: Optional[float]) -> None:
+        """Raise ``ValueError`` unless the samples and their RK4 steps are within ``_MAX_STEPS``.
+
+        The times are drawn only when :meth:`_step_bound`, which needs no
+        draw, cannot prove the cap.
+        """
+        count, what = self._count(), "samples"
+        if count <= _MAX_STEPS and self._step_bound(stability_limit) > _MAX_STEPS:
+            _, n_subs, _ = _interval_steps(self.sample_times(), stability_limit)
+            count, what = n_subs.sum(dtype=np.float64), "integration steps"  # a float sum cannot wrap
+        if count > _MAX_STEPS:
+            raise ValueError(f"rate {self.rate} over horizon {self.horizon} gives {count:.6g} "
+                             f"{what}, more than the {_MAX_STEPS:.0e} a config may ask for")
+
     def sample_times(self) -> np.ndarray:
         count = self._count()
         base = np.arange(count) / self.rate

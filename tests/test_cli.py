@@ -988,3 +988,54 @@ def test_reconstruction_is_written_and_read_alike_under_two_kernels(tmp_path):
             capture_output=True, text=True, timeout=120,
             env=fresh_env(OPENBLAS_CORETYPE=other, OPENBLAS_NUM_THREADS="1"))
         assert (proc.returncode, proc.stderr) == (EXIT_OK, ""), (kernel, other)
+
+
+# One mode of a Lipschitz (not affine) truth: u on [0, 1]^2, degraded where
+# u1 < 0.5.  The fit is inexact, so each residual line carries rounding of
+# its own; these seeds' residuals rounded differently under Haswell's and
+# Prescott's BLAS kernels while the residual was a BLAS product.
+LIPSCHITZ_TRUTH_BUILD = textwrap.dedent("""
+    import sys, warnings
+    import numpy as np
+    from cdmkit.identification import IdentificationConfig, build_reconstruction_from_pairs
+    from cdmkit.serialization import write_reconstruction
+
+    warnings.simplefilter("ignore")
+    config = IdentificationConfig(delta=0.4, n_modes=1)
+    for seed in (0, 442, 505):
+        rng = np.random.default_rng(seed)
+        a, b, c = rng.uniform(-0.5, 0.5, 3)
+        pairs = []
+        for u in rng.uniform(0.0, 1.0, (30, 2)):
+            v = u.copy()
+            if u[1] < 0.5:
+                v = np.array([u[0] + a * u[1], 0.2 * np.sin(3 * u[0]) + b * u[1] + 2 + c])
+            pairs.append((u, v))
+        recon = build_reconstruction_from_pairs(pairs, config)
+        write_reconstruction(f"{sys.argv[1]}/{seed}.txt", recon)
+""")
+
+
+@kernel_forced
+def test_inexact_fits_are_written_and_read_alike_under_two_kernels(tmp_path):
+    # the residuals, the unaffected split and the witness dedup call no BLAS
+    # routine, so an inexact fit's file does not depend on the kernel either
+    kernels = ("Haswell", "Prescott")
+    for kernel in kernels:
+        (tmp_path / kernel).mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", LIPSCHITZ_TRUTH_BUILD, str(tmp_path / kernel)],
+            capture_output=True, text=True, timeout=120,
+            env=fresh_env(OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1"))
+        assert proc.returncode == 0, proc.stderr
+    names = sorted(path.name for path in (tmp_path / kernels[0]).iterdir())
+    assert len(names) == 3
+    for name in names:
+        written = {kernel: tmp_path / kernel / name for kernel in kernels}
+        assert len({path.read_bytes() for path in written.values()}) == 1, name
+        for kernel, other in zip(kernels, reversed(kernels)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "cdmkit.cli", "report", str(written[kernel])],
+                capture_output=True, text=True, timeout=120,
+                env=fresh_env(OPENBLAS_CORETYPE=other, OPENBLAS_NUM_THREADS="1"))
+            assert (proc.returncode, proc.stderr) == (EXIT_OK, ""), (name, kernel, other)

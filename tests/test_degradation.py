@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import lsq_linear
+from scipy.spatial.distance import cdist
 
 from cdmkit.degradation import (
     AffineMap,
@@ -22,7 +23,6 @@ from cdmkit.degradation import (
     mode_separation,
     regions_overlap,
 )
-from cdmkit.geometry import pairwise_distances
 
 from trials import in_region
 
@@ -412,7 +412,7 @@ def test_ball_pair_bounds_against_brute_force(m, balls, seed):
         assert min(len(g) for g in graphs) == 0
         return
     lower, upper = bounds
-    brute = min(float(pairwise_distances(graphs[0][k:k + 2000], graphs[1]).min())
+    brute = min(float(cdist(graphs[0][k:k + 2000], graphs[1]).min())
                 for k in range(0, len(graphs[0]), 2000))
     M = np.block([[np.eye(m), -np.eye(m)], [maps[0].linear, -maps[1].linear]])
     reach = 2.0 * np.sqrt(m) / (count - 1)

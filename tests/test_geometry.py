@@ -51,8 +51,9 @@ def test_pairwise_distances_bit_equal_to_cdist(seed, d, n, k, n_dup):
     a, b = rows(n), rows(k)
     for _ in range(n_dup):  # shared rows are at distance 0
         b[rng.integers(k)] = a[rng.integers(n)]
-    assert np.array_equal(pairwise_distances(a, b), cdist(a, b))
-    assert np.array_equal(pairwise_distances(a, a), cdist(a, a))
+    for i in range(n):
+        assert np.array_equal(pairwise_distances(a[i], b), cdist(a[i:i + 1], b)[0])
+        assert np.array_equal(pairwise_distances(a[i], a), cdist(a[i:i + 1], a)[0])
 
 
 def star_from_samples(dirs, radii, side, lipschitz):
@@ -443,7 +444,7 @@ def whole_table_mgf_lipschitz(directions, radii):
     """The estimate as the largest entry of the whole (k, k) quotient table."""
     dirs = np.asarray(directions, dtype=float)
     r = np.asarray(radii, dtype=float)
-    gaps = pairwise_distances(dirs, dirs)
+    gaps = cdist(dirs, dirs)
     diffs = np.abs(r[:, None] - r[None, :])
     mask = gaps > geometry.DIRECTION_DEDUP_TOL
     if not np.any(mask):

@@ -307,7 +307,20 @@ class TestFitAffine:
         q = AffineMap(rng.normal(size=(3, 3)), rng.normal(size=3))
         pairs = table([(u, q(u) + 1e-9 * rng.normal(size=3))
                        for u in rng.normal(size=(20, 3))])
-        expected = [np.linalg.norm(q(row[:3]) - row[3:]) for row in pairs]
+        # in Python floats: the image u_0 L[:, 0] + u_1 L[:, 1] + ..., plus the
+        # translation, less v, and the squares summed in order
+        L, t = q.linear.tolist(), q.translation.tolist()
+        expected = []
+        for row in pairs.tolist():
+            u, v = row[:3], row[3:]
+            total = 0.0
+            for i in range(3):
+                image = u[0] * L[i][0]
+                for j in range(1, 3):
+                    image += u[j] * L[i][j]
+                gap = t[i] + image - v[i]
+                total += gap * gap
+            expected.append(math.sqrt(total))
         residuals = fit_residuals(q, pairs)
         np.testing.assert_array_equal(residuals, expected)
         # a stream scores one-row slices, the batch whole tables: the same bits

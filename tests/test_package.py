@@ -93,13 +93,12 @@ PRIVATE_IMPORTS = {
     ("experiment", "identification", "_recover_each"),  # the one effective-input solve
     ("experiment", "serialization", "_fmt"),
     ("experiment", "serialization", "_fmt_rows"),  # the one float-table formatter, for convergence.csv
-    ("experiment", "simulation", "_MAX_STEPS"),
-    ("experiment", "simulation", "_interval_steps"),
     ("identification", "geometry", "_INSIDE_INNER"),
     ("identification", "geometry", "_OUTSIDE_OUTER"),
     ("identification", "geometry", "_classify"),
     ("identification", "geometry", "_frozen"),
     ("identification", "geometry", "_integer"),
+    ("identification", "geometry", "_norm"),
     ("identification", "geometry", "_positive"),
     ("identification", "geometry", "_real"),
     ("serialization", "geometry", "_frozen"),
@@ -177,6 +176,58 @@ def test_only_pairwise_distances_coerces_with_dtype_float():
     for path in (REPO_ROOT / "src" / "cdmkit").glob("*.py"):
         found |= float_coercions(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert found == {("geometry", "pairwise_distances")}
+
+
+# The functions whose floats or decisions reach reconstruction.txt when the
+# effective inputs are recovered in closed form, with the helpers they call
+# for norms; no BLAS routine may round inside them, so the file is the same
+# under every BLAS kernel.
+KERNEL_FREE = {
+    ("identification", "fit_affine"),
+    ("identification", "fit_residuals"),
+    ("identification", "_is_unaffected"),
+    ("identification", "_fold"),
+    ("identification", "_Rows.rank"),
+    ("identification", "_column_plan"),
+    ("identification", "_Linkage.add"),
+    ("geometry", "_witnesses"),
+    ("geometry", "_dedup_samples"),
+    ("geometry", "_generic_axis"),
+    ("geometry", "_norm"),
+    ("geometry", "pairwise_distances"),
+}
+
+
+def functions(node, module: str, owner: str = "") -> dict:
+    """``(module, qualified name)`` of each function under ``node``, to its node."""
+    found = {}
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not isinstance(child, ast.ClassDef):
+                found[module, owner + child.name] = child
+            found |= functions(child, module, f"{owner}{child.name}.")
+    return found
+
+
+def blas_calls(node) -> list:
+    """The source of each ``@``, ``.dot(`` call and ``np.linalg`` call under ``node``."""
+    found = []
+    for child in ast.walk(node):
+        if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.MatMult):
+            found.append(ast.unparse(child))
+        elif isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+            owner = child.func.value
+            if child.func.attr == "dot" or (isinstance(owner, ast.Attribute) and owner.attr == "linalg"):
+                found.append(ast.unparse(child))
+    return found
+
+
+def test_what_reaches_the_reconstruction_file_calls_no_blas():
+    found = {}
+    for path in (REPO_ROOT / "src" / "cdmkit").glob("*.py"):
+        found |= functions(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert KERNEL_FREE <= found.keys()
+    assert {name: blas_calls(found[name]) for name in KERNEL_FREE} == {name: [] for name in KERNEL_FREE}
 
 
 def positivity_checks(node, module: str, owner: str = "") -> set:
