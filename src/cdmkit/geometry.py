@@ -359,10 +359,7 @@ def _norm(v) -> float:
 
 
 class _UnitDirection(list):
-    """A unit direction of Python floats that :func:`_classify` made and normalized.
-
-    The gauge bounds take it as it is; any other direction is checked.
-    """
+    """A unit direction that :func:`_classify` normalized; the gauge bounds take it unchecked."""
 
     __slots__ = ()
 
@@ -481,41 +478,44 @@ def star_contains(inner: StarSetApprox, outer: StarSetApprox, u) -> Containment:
 def _classify(inner: StarSetApprox, outer: StarSetApprox, point: list) -> Containment:
     """:func:`star_contains` of ``point``, a list of ``inner.dim`` Python floats.
 
-    The offset, radius and unit direction are computed once; the direction
-    is normalized as :func:`_query_direction` normalizes it, its norm
-    summed in :func:`_norm`'s order, and handed to both gauge bounds as a
-    :class:`_UnitDirection`, so neither checks it again.  A bound is
-    evaluated only where its side's ``reach`` leaves the answer open: an
-    inner bound is at most ``inner.reach`` and an outer bound at least
-    ``outer.reach``, since ``L·|l − l_i|`` is finite and non-negative and
-    rounding is monotone.  The bounds are called through this module's
-    names, so a profiler that rebinds them still sees every call.
+    One pass forms the offset and its squared norm; one divides it by the
+    radius (by 1.0 for :func:`_polar`'s direction) into a :class:`_UnitDirection`
+    and sums its squares in :func:`_norm`'s order, renormalized only off 1.0.
+    A bound is evaluated only where its side's ``reach`` leaves the answer
+    open (``L·|l − l_i|`` is finite and non-negative, rounding monotone), and
+    through this module's names, so a profiler that rebinds them sees each call.
     """
-    sqrt = math.sqrt
     center = inner.center_coords
-    offset = [x - c for x, c in zip(point, center)]
+    inner_reach, outer_reach = inner.reach, outer.reach
+    offset = []
     total = 0.0
-    for x in offset:
+    for x, c in zip(point, center):
+        x -= c
+        offset.append(x)
         total += x * x
     if _NORMAL_MIN <= total < math.inf:
-        r = sqrt(total)
-        if inner.reach < r <= outer.reach:  # neither cone can change the answer
+        r = scale = math.sqrt(total)
+        if inner_reach < r <= outer_reach:  # neither cone can change the answer
             return _INCONCLUSIVE
-        l = [x / r for x in offset]
     else:  # the center, or squares that underflow, lose precision or overflow
         if not all(map(math.isfinite, point)):
             raise ValueError(f"point has non-finite components: {point}")
         if not any(offset):
-            return _INSIDE_INNER if inner.reach > 0.0 else _INCONCLUSIVE
-        r, l = _polar(point, center, offset)
+            return _INSIDE_INNER if inner_reach > 0.0 else _INCONCLUSIVE
+        r, offset = _polar(point, center, offset)
+        scale = 1.0  # x / 1.0 is x, bit for bit
+    l = _UnitDirection()
     total = 0.0
-    for x in l:
+    for x in offset:
+        x /= scale
+        l.append(x)
         total += x * x
-    n = sqrt(total)
-    l = _UnitDirection(l if n == 1.0 else [x / n for x in l])  # x / 1.0 is x, bit for bit
-    if r <= inner.reach and r <= mgf_inner_bound(inner, l):
+    n = math.sqrt(total)
+    if n != 1.0:
+        l = _UnitDirection([x / n for x in l])
+    if r <= inner_reach and r <= mgf_inner_bound(inner, l):
         return _INSIDE_INNER
-    if r > outer.reach and r > mgf_outer_bound(outer, l):
+    if r > outer_reach and r > mgf_outer_bound(outer, l):
         return _OUTSIDE_OUTER
     return _INCONCLUSIVE
 
@@ -535,9 +535,9 @@ def estimate_mgf_lipschitz(directions, radii) -> float:
     """Empirical lower estimate of a gauge's Lipschitz constant.
 
     Largest pairwise difference quotient ``|r_i - r_j| / |l_i - l_j|`` over
-    witnesses with distinct directions.  Useful as a sanity check on a
-    user-supplied constant: if the estimate exceeds it, the supplied value
-    is certainly too small.
+    witnesses with distinct directions.  It disproves a smaller constant only
+    for exact gauge values: inner radii bound the gauge from below only, so
+    the slope warning a snapshot takes from them is not certified.
     """
     dirs = as_point_set(directions)
     r = _frozen(radii, "radii")

@@ -571,17 +571,17 @@ class ModeReconstruction:
         ``coords`` is not checked again: callers pass a command that
         ``_command`` checked, or a finite candidate made from one.
 
-        The last point asked and its answer are remembered, so a command's
-        ``viabilize``, ``query`` and error bound classify it once.  Key and
-        answer are stored as one tuple, so concurrent callers always read a
-        matching pair; the memo is not a field, so ``replace`` drops it.
+        The last point asked (a copy, compared as a list) and its answer are
+        remembered, so a command's ``viabilize``, ``query`` and error bound
+        classify it once.  Point and answer are stored as one tuple, so
+        concurrent callers always read a matching pair; the memo is not a
+        field, so ``replace`` drops it.
         """
-        key = tuple(coords)
         last = self.__dict__.get("_last_containment")
-        if last is not None and last[0] == key:
+        if last is not None and last[0] == coords:
             return last[1]
         answer = _classify(self.inner, self.outer, coords)
-        self.__dict__["_last_containment"] = (key, answer)
+        self.__dict__["_last_containment"] = (coords[:], answer)
         return answer
 
 

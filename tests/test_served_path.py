@@ -367,6 +367,71 @@ def test_classify_at_each_reach_matches_the_reference_bit_for_bit():
             Containment.INCONCLUSIVE} == {key[1] for key in seen}
 
 
+def negative_zeros(point):
+    return [-0.0 if x == 0.0 else x for x in point]
+
+
+def signed_zeros(inner, outer):
+    """Points whose zero components are ``-0.0``: at the center and along each witness."""
+    center = inner.center_coords
+    dim = len(center)
+    points = [negative_zeros(center), [-0.0] * dim]
+    points += [center[:k] + [-0.0] + center[k + 1:] for k in range(dim)]
+    for r, d in inner.rows + outer.rows:
+        for s in (1.0 - 2.0**-52, 1.0, 1.0 + 2.0**-52):
+            points.append(negative_zeros([c + x * r * s for c, x in zip(center, d)]))
+            points.append(negative_zeros([x * r * s for x in d]))
+    return points
+
+
+def far_points(inner, rng):
+    """Points off the normal range of squared offsets, split by their direction's norm.
+
+    Returns the points whose :func:`_polar` direction has norm exactly 1.0
+    and those whose direction has another norm.
+    """
+    center = inner.center_coords
+    dim = len(center)
+    axes = [[float(j == k) for j in range(dim)] for k in range(dim)]
+    exact, other = [], []
+    for l in unit_directions(rng, 60, dim) + axes + [d for _, d in inner.rows]:
+        for scale in (5e-324, 1e-300, 1e-170, 1e-160, 1e160, 1e200, 1e300, 1.7e308):
+            for point in ([c + x * scale for c, x in zip(center, l)],
+                          [x * scale for x in l], [-x * scale for x in l]):
+                offset = [x - c for x, c in zip(point, center)]
+                total = 0.0
+                for x in offset:
+                    total += x * x
+                if (_NORMAL_MIN <= total < math.inf or not any(offset)
+                        or not all(map(math.isfinite, point))):
+                    continue  # not a far point
+                _, direction = _polar(point, center, offset)
+                (exact if _norm(direction) == 1.0 else other).append(point)
+    return exact, other
+
+
+def test_classify_at_signed_zeros_and_far_points_matches_the_reference_bit_for_bit(bundled):
+    # the core's two passes: an offset of -0.0, the origin written as
+    # [-0.0, ...], and far points whose polar direction is or is not
+    # renormalized
+    rng = np.random.default_rng(14)
+    pairs = [(mode.inner, mode.outer) for mode in bundled.modes]
+    pairs += synthetic_pairs() + reach_pairs()
+    seen = set()
+    negative_offsets = exact_far = other_far = 0
+    for inner, outer in pairs:
+        exact, other = far_points(inner, rng)
+        exact_far += len(exact)
+        other_far += len(other)
+        for point in signed_zeros(inner, outer) + exact + other:
+            negative_offsets += any(math.copysign(1.0, x - c) < 0.0 and x - c == 0.0
+                                    for x, c in zip(point, inner.center_coords))
+            seen.add(assert_same(geometry._classify, old_classify, inner, outer, point))
+    assert negative_offsets > 100 and exact_far > 100 and other_far > 100
+    assert {Containment.INSIDE_INNER, Containment.OUTSIDE_OUTER,
+            Containment.INCONCLUSIVE} == {key[1] for key in seen}
+
+
 def test_public_bounds_match_the_reference_bit_for_bit(bundled):
     rng = np.random.default_rng(6)
     stars = [star for mode in bundled.modes for star in (mode.inner, mode.outer)]
@@ -464,3 +529,53 @@ def test_error_bound_takes_any_lipschitz_constant_as_before(bundled, l_p):
                                   old_lipschitz_error_bound, bundled, target, l_p)[0])
     # a rejected constant, or some points certified and scaled and some not
     assert kinds in ({ValueError}, {"float", PreconditionError}, {TypeError, PreconditionError})
+
+
+def test_a_point_changed_in_place_is_classified_anew(bundled):
+    # a mode remembers the last point it classified; a caller that changes
+    # a component of its list after a call must get the changed point's answer
+    changed = 0
+    for mode in bundled.modes:
+        center = mode.inner.center_coords
+        coords = list(center)
+        targets = [[c + x * r * f for c, x in zip(center, d)]
+                   for r, d in mode.inner.rows + mode.outer.rows for f in (0.5, 1.5, 3.0)]
+        for target in targets + targets[::-1]:
+            for k, x in enumerate(target):
+                before = mode.containment(coords)
+                coords[k] = x
+                after = mode.containment(coords)
+                assert after is geometry._classify(mode.inner, mode.outer, coords)
+                changed += after is not before
+    assert changed >= 20
+
+
+def test_each_point_is_classified_once_per_served_command(bundled, monkeypatch):
+    # viabilize, query and the error bound share each mode's one-point memo,
+    # so no (mode, point) pair is classified twice within one command
+    index = {id(mode.inner): i for i, mode in enumerate(bundled.modes)}
+    keys = []
+    classify = identification._classify
+
+    def recorded(inner, outer, point):
+        keys.append((index[id(inner)], tuple(point)))
+        return classify(inner, outer, point)
+
+    monkeypatch.setattr(identification, "_classify", recorded)
+    rng = np.random.default_rng(16)
+    served = [np.array([1.0, s]) for s in rng.random(1500)]  # the benchmark's commands
+    served += list(rng.uniform([0.0, 0.0], [10.0, 1.0], size=(1500, 2)))  # the input box
+    kinds = set()
+    for u in served:
+        keys.clear()
+        try:
+            v = identification.viabilize(bundled, u)
+        except UnviableInputError:
+            kinds.add("unviable")
+        else:
+            kind = identification.query(bundled, v).kind
+            kinds.add(kind)
+            if kind == QueryKind.MAPPED:
+                identification.lipschitz_error_bound(bundled, v, 3.0)
+        assert keys and len(set(keys)) == len(keys), (u, keys)
+    assert kinds == {"unviable", QueryKind.MAPPED, QueryKind.PASSTHROUGH}
