@@ -12,11 +12,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .geometry import _frozen, _integer, _positive
+
+
+def _affine_image(shift: list, rows: list, u: list) -> list:
+    """``shift + rows @ u`` for lists of Python floats, in no BLAS kernel's rounding.
+
+    Each row is summed in :class:`NModeCdm`'s order (and OpenBLAS
+    Prescott's): its first product, ``+=`` the others in order, then the
+    shift.  An overflow gives ``inf`` or ``nan`` without a warning.
+    """
+    image = []
+    columns = range(1, len(u))
+    for t, row in zip(shift, rows):
+        acc = row[0] * u[0]
+        for j in columns:
+            acc += row[j] * u[j]
+        image.append(t + acc)
+    return image
 
 
 @dataclass(frozen=True)
@@ -42,12 +60,17 @@ class AffineMap:
     def dim(self) -> int:
         return self.linear.shape[0]
 
+    @cached_property
+    def tables(self) -> tuple:
+        """The translation and the linear rows as lists for :func:`_affine_image`, built on first use."""
+        return self.translation.tolist(), self.linear.tolist()
+
     def __call__(self, u) -> np.ndarray:
-        """Evaluate ``translation + linear @ u``."""
+        """Evaluate ``translation + linear @ u`` at the vector ``u`` by :func:`_affine_image`."""
         vec = _frozen(u, "input")
-        if vec.shape[0] != self.dim:
-            raise ValueError(f"input dimension {vec.shape[0]} != map dimension {self.dim}")
-        return self.translation + self.linear @ vec
+        if vec.shape != (self.dim,):
+            raise ValueError(f"input shape {vec.shape} != map dimension ({self.dim},)")
+        return np.array(_affine_image(*self.tables, vec.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -573,7 +573,7 @@ def render_report(recon: CdmReconstruction) -> str:
             lines.append(f"  affected axis {axis}: [{_fmt(lo)}, {_fmt(hi)}]")
         if mode.identified:
             corners = _extent_corners(extents)
-            images = np.array([mode.map.translation + mode.map.linear @ c for c in corners])
+            images = np.array([mode.map(c) for c in corners])
             for axis in range(images.shape[1]):
                 lines.append(
                     f"  viable image axis {axis}: "
@@ -582,11 +582,11 @@ def render_report(recon: CdmReconstruction) -> str:
     return "\n".join(lines)
 
 
-def _extent_corners(extents) -> np.ndarray:
+def _extent_corners(extents) -> list:
     corners = [[]]
     for lo, hi in extents:
         corners = [c + [v] for c in corners for v in (lo, hi)]
-    return np.array(corners)
+    return corners
 
 
 # ---------------------------------------------------------------------------

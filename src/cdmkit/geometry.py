@@ -365,8 +365,6 @@ class _UnitDirection(list):
 
 
 def _query_direction(approx: StarSetApprox, direction) -> list:
-    if type(direction) is _UnitDirection:
-        return direction
     d = _coords(direction, approx.center.shape[0], "query direction")
     n = _norm(d)
     if not abs(n - 1.0) <= 1e-9:  # also rejects a non-finite direction
@@ -446,6 +444,22 @@ def _polar(point: list, center: list, offset: list):
     return math.inf if far else scale * n, [x / n for x in unit]
 
 
+def _offset(point: list, center: list) -> tuple:
+    """``point - center`` as a list, and its radius: the root of its squares summed as :func:`_norm` sums them.
+
+    The radius is None where that sum is not a normal float (it underflows,
+    loses precision or overflows; the center and a non-finite point too),
+    and :func:`_classify` measures the offset by :func:`_polar` instead.
+    """
+    offset = []
+    total = 0.0
+    for x, c in zip(point, center):
+        x -= c
+        offset.append(x)
+        total += x * x
+    return offset, (math.sqrt(total) if _NORMAL_MIN <= total < math.inf else None)
+
+
 class Containment(enum.Enum):
     INSIDE_INNER = "inside-inner"
     OUTSIDE_OUTER = "outside-outer"
@@ -478,7 +492,7 @@ def star_contains(inner: StarSetApprox, outer: StarSetApprox, u) -> Containment:
 def _classify(inner: StarSetApprox, outer: StarSetApprox, point: list) -> Containment:
     """:func:`star_contains` of ``point``, a list of ``inner.dim`` Python floats.
 
-    One pass forms the offset and its squared norm; one divides it by the
+    One pass (:func:`_offset`) forms the offset and its radius; one divides it by the
     radius (by 1.0 for :func:`_polar`'s direction) into a :class:`_UnitDirection`
     and sums its squares in :func:`_norm`'s order, renormalized only off 1.0.
     A bound is evaluated only where its side's ``reach`` leaves the answer
@@ -487,14 +501,9 @@ def _classify(inner: StarSetApprox, outer: StarSetApprox, point: list) -> Contai
     """
     center = inner.center_coords
     inner_reach, outer_reach = inner.reach, outer.reach
-    offset = []
-    total = 0.0
-    for x, c in zip(point, center):
-        x -= c
-        offset.append(x)
-        total += x * x
-    if _NORMAL_MIN <= total < math.inf:
-        r = scale = math.sqrt(total)
+    offset, r = _offset(point, center)
+    if r is not None:
+        scale = r
         if inner_reach < r <= outer_reach:  # neither cone can change the answer
             return _INCONCLUSIVE
     else:  # the center, or squares that underflow, lose precision or overflow

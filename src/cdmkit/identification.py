@@ -24,7 +24,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .degradation import AffineMap
+from .degradation import AffineMap, _affine_image
 from .errors import IdentificationError, PreconditionError, UnviableInputError
 from .geometry import (
     _INSIDE_INNER,
@@ -37,6 +37,7 @@ from .geometry import (
     _frozen,
     _integer,
     _norm,
+    _offset,
     _positive,
     _real,
     pairwise_distances,
@@ -549,21 +550,21 @@ class ModeReconstruction:
         return inverse
 
     @cached_property
-    def _command_limit(self) -> float:
-        """Commands within this bound in every component invert without overflow.
+    def _solve_tables(self) -> Optional[tuple]:
+        """The translation, a zero shift and the inverse's rows: ``viabilize``'s :func:`_affine_image` tables.
 
-        ``|inverse @ (cmd - translation)|`` is at most the inverse's largest
-        absolute row sum times ``max|cmd| + max|translation|``; the bound
-        keeps both that and ``max|cmd| + max|translation|`` below 1e300, far
-        enough from the float range to absorb rounding.  -inf when the mode
-        is not invertible or its inverse is not finite.
+        A candidate ``inverse @ (cmd - translation)`` takes the zero shift,
+        since ``0.0 + x`` makes a zero positive as a BLAS product's zeroed
+        output does.  None when the mode has no inverse.
         """
         if self.inverse is None:
-            return -math.inf
-        gain = float(np.abs(self.inverse).sum(axis=1).max())
-        if not gain < math.inf:
-            return -math.inf
-        return 1e300 / max(gain, 1.0) - float(np.abs(self.map.translation).max())
+            return None
+        return self.map.tables[0], [0.0] * self.inverse.shape[0], self.inverse.tolist()
+
+    @cached_property
+    def _error_table(self) -> np.ndarray:
+        """The cluster's inputs, column-major, for :func:`pairwise_distances`; built on first use."""
+        return np.asfortranarray(self.pairs[:, :self.inner.dim])
 
     def containment(self, coords: list) -> Containment:
         """``star_contains`` of the point ``coords``, a list of ``inner.dim`` floats.
@@ -862,10 +863,9 @@ def query(recon: CdmReconstruction, u) -> QueryResult:
             outside_all = False
     if len(inside) == 1 and recon.modes[inside[0]].identified:
         idx = inside[0]
-        q = recon.modes[idx].map
         # AffineMap.__call__'s arithmetic on the command checked above
-        return QueryResult(kind=QueryKind.MAPPED, value=q.translation + q.linear @ point,
-                           mode_index=idx)
+        value = _affine_image(*recon.modes[idx].map.tables, coords)
+        return QueryResult(kind=QueryKind.MAPPED, value=np.array(value), mode_index=idx)
     if not inside and outside_all:
         return QueryResult(kind=QueryKind.PASSTHROUGH, value=point.copy())
     return QueryResult(kind=QueryKind.INCONCLUSIVE)
@@ -889,12 +889,9 @@ def lipschitz_error_bound(recon: CdmReconstruction, u, l_p: float) -> float:
             raise PreconditionError(
                 "point lies in a detected but unidentified mode; no fit to bound"
             )
-        gaps = mode.pairs[:, :recon.input_dim] - point
-        gaps *= gaps
-        dists = np.sqrt(np.add.reduce(gaps, axis=1))  # np.linalg.norm's arithmetic
-        dists = l_p * dists  # not in place: a Fraction l_p makes an object array
+        dists = l_p * pairwise_distances(point, mode._error_table)  # a Fraction l_p: an object array
         dists += mode.residuals
-        return float(dists.min())
+        return float(np.minimum.reduce(dists))
     raise PreconditionError(
         "point is not certified inside any mode's inner approximation"
     )
@@ -905,7 +902,8 @@ def viabilize(recon: CdmReconstruction, u_cmd) -> np.ndarray:
 
     Returns the command itself when it provably passes through unchanged;
     otherwise inverts each identified affine mode and returns the first
-    solution certified inside that mode's affected set.  Non-invertible
+    solution certified inside that mode's affected set; a solution past
+    the mode's inner reach cannot be, and is not classified.  Non-invertible
     modes (e.g. constant maps) are skipped with a diagnostic.  A non-numeric,
     non-finite or wrong-dimension command raises :class:`PreconditionError`.
     """
@@ -916,24 +914,21 @@ def viabilize(recon: CdmReconstruction, u_cmd) -> np.ndarray:
             break
     else:
         return cmd.copy()
-    size = max(map(abs, coords))
     for i, mode in enumerate(recon.modes):
-        inverse = mode.inverse  # None for an unidentified mode too
-        if inverse is None:
+        tables = mode._solve_tables  # None for an unidentified mode too
+        if tables is None:
             if mode.identified:
                 log.info("mode %d skipped during viabilization: linear part is singular", i)
             continue
-        if size <= mode._command_limit:  # the candidate is finite
-            candidate = inverse @ (cmd - mode.map.translation)
-            coords = candidate.tolist()
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                candidate = inverse @ (cmd - mode.map.translation)
-            coords = candidate.tolist()
-            if not all(map(math.isfinite, coords)):  # overflowed
-                continue
-        if mode.containment(coords) is _INSIDE_INNER:
-            return candidate
+        translation, zeros, rows = tables
+        candidate = _affine_image(zeros, rows, [c - t for c, t in zip(coords, translation)])
+        if not all(map(math.isfinite, candidate)):  # overflowed
+            continue
+        r = _offset(candidate, mode.inner.center_coords)[1]
+        if r is not None and r > mode.inner.reach:
+            continue  # _classify certifies no point beyond the inner reach
+        if mode.containment(candidate) is _INSIDE_INNER:
+            return np.array(candidate)
     raise UnviableInputError(
         "commanded input is outside the reconstructed viable range", u_cmd=cmd
     )

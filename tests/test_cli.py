@@ -1039,3 +1039,48 @@ def test_inexact_fits_are_written_and_read_alike_under_two_kernels(tmp_path):
                 capture_output=True, text=True, timeout=120,
                 env=fresh_env(OPENBLAS_CORETYPE=other, OPENBLAS_NUM_THREADS="1"))
             assert (proc.returncode, proc.stderr) == (EXIT_OK, ""), (name, kernel, other)
+
+
+# Under one kernel, for each reconstruction file: its report, each mode's
+# AffineMap images over a grid of [0, 1]^2, and the query of each grid point
+# and each cluster input, with every float as its bytes.
+SERVED_VALUES = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from cdmkit.experiment import render_report
+    from cdmkit.identification import query
+    from cdmkit.serialization import read_reconstruction
+
+    grid = [np.array([a, b]) for a in np.linspace(0.0, 1.0, 41) for b in np.linspace(0.0, 1.0, 41)]
+    for path in sys.argv[1:]:
+        recon = read_reconstruction(path)
+        print(render_report(recon))
+        for mode in recon.modes:
+            print(*(mode.map(u).tobytes().hex() for u in grid))
+        for u in grid + [pair[:2] for mode in recon.modes for pair in mode.pairs]:
+            result = query(recon, u)
+            print(result.kind, None if result.value is None else result.value.tobytes().hex())
+""")
+
+
+@kernel_forced
+def test_served_values_of_dense_fits_are_alike_under_two_kernels(tmp_path):
+    # query's mapped values, AffineMap images and the report's corner images
+    # are evaluated in Python floats, so a dense fit serves the same bits under
+    # both kernels (Haswell's product fuses multiply and add, Prescott's does not)
+    proc = subprocess.run(
+        [sys.executable, "-c", LIPSCHITZ_TRUTH_BUILD, str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env=fresh_env(OPENBLAS_CORETYPE="Prescott", OPENBLAS_NUM_THREADS="1"))
+    assert proc.returncode == 0, proc.stderr
+    files = sorted(str(path) for path in tmp_path.glob("*.txt"))
+    assert len(files) == 3
+    served = {}
+    for kernel in ("Haswell", "Prescott"):
+        proc = subprocess.run(
+            [sys.executable, "-c", SERVED_VALUES, *files], capture_output=True, text=True,
+            timeout=120, env=fresh_env(OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1"))
+        assert (proc.returncode, proc.stderr) == (0, ""), kernel
+        served[kernel] = proc.stdout
+    assert served["Haswell"] == served["Prescott"]
+    assert served["Prescott"].count("\nmapped ") > 100

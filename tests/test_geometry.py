@@ -123,9 +123,10 @@ class TestMgfBounds:
 
     @pytest.mark.parametrize("bound, side", [(mgf_inner_bound, Side.INNER),
                                              (mgf_outer_bound, Side.OUTER)])
-    def test_only_the_core_direction_skips_the_checks(self, bound, side):
+    def test_only_the_core_direction_skips_the_checks(self, bound, side, monkeypatch):
         # a list of floats, or a list subtype of the caller's own, is checked
-        # whatever its type; only the core's direction is taken as it is
+        # whatever its type; only the core's direction is taken as it is, by
+        # the bounds themselves: _query_direction checks every direction
         class Floats(list):
             pass
 
@@ -135,9 +136,13 @@ class TestMgfBounds:
                 with pytest.raises(ValueError):
                     bound(star, make(l))
             assert bound(star, make([0.6, 0.8])) == bound(star, [0.6, 0.8])
-        unit = geometry._UnitDirection([0.6, 0.8])
-        assert geometry._query_direction(star, unit) is unit
-        assert bound(star, unit) == bound(star, [0.6, 0.8])
+        with pytest.raises(ValueError, match="unit vector"):
+            geometry._query_direction(star, geometry._UnitDirection([2.0, 0.0]))
+        expected = bound(star, [0.6, 0.8])
+        monkeypatch.setattr(geometry, "_query_direction", None)  # a checked direction fails
+        assert bound(star, geometry._UnitDirection([0.6, 0.8])) == expected
+        with pytest.raises(TypeError):
+            bound(star, [0.6, 0.8])
 
     def test_the_core_normalizes_as_the_bounds_do(self, monkeypatch):
         # offsets whose quotient by the radius is a few ulps from unit norm

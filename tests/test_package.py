@@ -93,12 +93,14 @@ PRIVATE_IMPORTS = {
     ("experiment", "identification", "_recover_each"),  # the one effective-input solve
     ("experiment", "serialization", "_fmt"),
     ("experiment", "serialization", "_fmt_rows"),  # the one float-table formatter, for convergence.csv
+    ("identification", "degradation", "_affine_image"),  # the one affine evaluator of served values
     ("identification", "geometry", "_INSIDE_INNER"),
     ("identification", "geometry", "_OUTSIDE_OUTER"),
     ("identification", "geometry", "_classify"),
     ("identification", "geometry", "_frozen"),
     ("identification", "geometry", "_integer"),
     ("identification", "geometry", "_norm"),
+    ("identification", "geometry", "_offset"),  # the core's radius, for viabilize's pre-test
     ("identification", "geometry", "_positive"),
     ("identification", "geometry", "_real"),
     ("serialization", "geometry", "_frozen"),
@@ -228,6 +230,37 @@ def test_what_reaches_the_reconstruction_file_calls_no_blas():
         found |= functions(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert KERNEL_FREE <= found.keys()
     assert {name: blas_calls(found[name]) for name in KERNEL_FREE} == {name: [] for name in KERNEL_FREE}
+
+
+# The functions whose floats reach a served value (a query's mapped value, a
+# viabilized input, an error bound) or the report's corner images, with the
+# tables they evaluate: no BLAS routine may round inside them, so a served
+# value is the same under every BLAS kernel.  ModeReconstruction.inverse is
+# left out: viabilize still inverts a mode's linear part by LAPACK.
+SERVED_KERNEL_FREE = {
+    ("identification", "query"),
+    ("identification", "viabilize"),
+    ("identification", "lipschitz_error_bound"),
+    ("identification", "_command"),
+    ("identification", "ModeReconstruction._solve_tables"),
+    ("identification", "ModeReconstruction._error_table"),
+    ("degradation", "_affine_image"),
+    ("degradation", "AffineMap.tables"),
+    ("degradation", "AffineMap.__call__"),
+    ("experiment", "render_report"),
+    ("experiment", "_extent_corners"),
+    ("geometry", "pairwise_distances"),
+}
+
+
+def test_what_serves_a_command_calls_no_blas():
+    found = {}
+    for path in (REPO_ROOT / "src" / "cdmkit").glob("*.py"):
+        found |= functions(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert SERVED_KERNEL_FREE <= found.keys()
+    assert ({name: blas_calls(found[name]) for name in SERVED_KERNEL_FREE}
+            == {name: [] for name in SERVED_KERNEL_FREE})
+    assert blas_calls(found["identification", "ModeReconstruction.inverse"])  # LAPACK, still
 
 
 def positivity_checks(node, module: str, owner: str = "") -> set:

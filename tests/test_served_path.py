@@ -5,14 +5,22 @@ gauge bounds) and the three served calls (``viabilize``, ``query`` and
 ``lipschitz_error_bound``) were tightened to do the same arithmetic with
 less interpreter work around it.  The ``old_*`` functions below are the
 earlier code, verbatim but for their names and for classifying a point
-through ``old_classify`` where the served calls use a mode's memo.  Every
-outcome must match them bit for bit: the same containment, the same bound
-floats, the same returned arrays and the same errors.
+through ``old_classify`` where the served calls use a mode's memo.  Two
+later changes are folded in: ``old_query`` maps by the earlier
+``AffineMap.__call__`` arithmetic, a BLAS product, and ``old_viabilize``
+inverts every command with NumPy's overflow warnings off and drops a
+non-finite candidate, which is what its earlier per-mode overflow bound
+chose between, with the same outcomes.  Every outcome must match them bit
+for bit: the same containment, the same bound floats, the same returned
+arrays and the same errors.  ``viabilize`` classifies no candidate its
+mode cannot certify, which the reference still classifies.
 """
 
 import logging
 import math
 import struct
+import sys
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
@@ -20,6 +28,7 @@ import numpy as np
 import pytest
 
 from cdmkit import geometry, identification, read_reconstruction
+from cdmkit.degradation import AffineMap
 from cdmkit.errors import PreconditionError, UnviableInputError
 from cdmkit.geometry import (
     _NORMAL_MIN,
@@ -31,7 +40,7 @@ from cdmkit.geometry import (
     _polar,
     _UnitDirection,
 )
-from cdmkit.identification import CdmReconstruction, QueryKind, QueryResult
+from cdmkit.identification import CdmReconstruction, ModeReconstruction, QueryKind, QueryResult
 
 log = logging.getLogger(__name__)
 
@@ -152,9 +161,10 @@ def old_query(recon: CdmReconstruction, u) -> QueryResult:
             outside_all = False
     if len(inside) == 1 and recon.modes[inside[0]].identified:
         idx = inside[0]
+        q = recon.modes[idx].map
         return QueryResult(
             kind=QueryKind.MAPPED,
-            value=recon.modes[idx].map(point),
+            value=q.translation + q.linear @ point,  # the earlier AffineMap.__call__
             mode_index=idx,
         )
     if not inside and outside_all:
@@ -193,22 +203,17 @@ def old_viabilize(recon: CdmReconstruction, u_cmd) -> np.ndarray:
     if all(old_classify(mode.inner, mode.outer, coords) is Containment.OUTSIDE_OUTER
            for mode in recon.modes):
         return cmd.copy()
-    size = max(map(abs, coords))
     for i, mode in enumerate(recon.modes):
         inverse = mode.inverse  # None for an unidentified mode too
         if inverse is None:
             if mode.identified:
                 log.info("mode %d skipped during viabilization: linear part is singular", i)
             continue
-        if size <= mode._command_limit:  # the candidate is finite
+        with np.errstate(over="ignore", invalid="ignore"):
             candidate = inverse @ (cmd - mode.map.translation)
-            coords = candidate.tolist()
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                candidate = inverse @ (cmd - mode.map.translation)
-            coords = candidate.tolist()
-            if not all(map(math.isfinite, coords)):  # overflowed
-                continue
+        coords = candidate.tolist()
+        if not all(map(math.isfinite, coords)):  # overflowed
+            continue
         if old_classify(mode.inner, mode.outer, coords) is Containment.INSIDE_INNER:
             return candidate
     raise UnviableInputError(
@@ -579,3 +584,125 @@ def test_each_point_is_classified_once_per_served_command(bundled, monkeypatch):
                 identification.lipschitz_error_bound(bundled, v, 3.0)
         assert keys and len(set(keys)) == len(keys), (u, keys)
     assert kinds == {"unviable", QueryKind.MAPPED, QueryKind.PASSTHROUGH}
+
+
+# ---------------------------------------------------------------------------
+# viabilize's pre-test: a candidate whose radius is past its mode's inner
+# reach is not classified
+
+
+def record_classify(monkeypatch, module, name: str) -> list:
+    """Each ``(inner, point)`` that the classifier ``module.name`` is called with from now on."""
+    calls = []
+    classify = getattr(module, name)
+
+    def recorded(inner, outer, point):
+        calls.append((inner, list(point)))
+        return classify(inner, outer, point)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def squared_offset(inner, point) -> float:
+    total = 0.0
+    for x, c in zip(point, inner.center_coords):
+        total += (x - c) * (x - c)
+    return total
+
+
+def beyond_inner_reach(inner, point) -> bool:
+    """Whether ``point``'s squared offset is a normal float and its radius exceeds the inner reach."""
+    total = squared_offset(inner, point)
+    return _NORMAL_MIN <= total < math.inf and math.sqrt(total) > inner.reach
+
+
+def reach_reconstructions():
+    """A reconstruction per reach pair: a gate mode, then the pair under three maps.
+
+    The gate is unidentified and has no witnesses: it certifies nothing and
+    excludes nothing, so every command goes on to the candidates.  The pair
+    then serves under the identity, whose candidate is the command itself,
+    under diagonal gains of 2 and 1/2, and under gains of 2**-1000, whose
+    inverse overflows a large command.  A power-of-two gain keeps a radius
+    exact.
+    """
+    for inner, outer in reach_pairs():
+        dim = inner.dim
+        origin, none, pairs = np.zeros(dim), np.empty((0, dim)), np.zeros((1, 2 * dim))
+        modes = [ModeReconstruction(None, StarSetApprox(origin, 1.0, none, [], Side.INNER),
+                                    StarSetApprox(origin, 1.0, none, [], Side.OUTER), pairs, None)]
+        for gains in (np.ones(dim), 2.0 ** np.resize([1.0, -1.0], dim), np.full(dim, 2.0**-1000)):
+            modes.append(ModeReconstruction(AffineMap(np.diag(gains), origin), inner, outer,
+                                            pairs, np.zeros(1)))
+        yield CdmReconstruction(tuple(modes), np.empty((0, 2 * dim)), 1.0, len(modes), dim)
+
+
+def reach_commands(inner, outer):
+    """Axis points at each witness radius and one ulp either side, and points whose squares
+    underflow or overflow, along an axis and along the diagonal, with either zero's sign."""
+    dim = inner.dim
+    radii = {r for r, _ in inner.rows + outer.rows}
+    radii = [r for v in radii for r in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))]
+    radii += [5e-324, 1e-300, 1e-170, 1e-160, 1e160, 1e200, 1e300, 1.7e308]
+    points = []
+    for r in radii:
+        for k in range(dim):
+            for sign in (1.0, -1.0):
+                point = [-0.0] * dim
+                point[k] = sign * r
+                points += [point, [abs(x) if x == 0.0 else x for x in point]]
+        points.append([r] * dim)
+    return points + [[0.0] * dim, [-0.0] * dim]
+
+
+def test_viabilize_pre_test_matches_the_reference_bit_for_bit(monkeypatch):
+    old_calls = record_classify(monkeypatch, sys.modules[__name__], "old_classify")
+    new_calls = record_classify(monkeypatch, identification, "_classify")
+    seen = set()
+    at_reach = near_reach = skipped = far = 0
+    for recon in reach_reconstructions():
+        gate, inner = recon.modes[0].inner, recon.modes[1].inner
+        near = {math.nextafter(inner.reach, -math.inf), math.nextafter(inner.reach, math.inf)}
+        for point in reach_commands(inner, recon.modes[1].outer):
+            old_calls.clear()
+            new_calls.clear()
+            seen.add(assert_same(identification.viabilize, old_viabilize, recon, point)[0])
+            candidates = [p for i, p in old_calls if i is not gate]
+            at_reach += sum(math.sqrt(squared_offset(inner, p)) == inner.reach for p in candidates)
+            near_reach += sum(math.sqrt(squared_offset(inner, p)) in near for p in candidates)
+            skipped += sum(beyond_inner_reach(inner, p) for p in candidates)
+            far += sum(not _NORMAL_MIN <= squared_offset(inner, p) < math.inf
+                       for i, p in new_calls if i is not gate)
+            assert not [p for i, p in new_calls if i is not gate and beyond_inner_reach(i, p)]
+    assert at_reach > 100 and near_reach > 100 and skipped > 1000 and far > 100
+    assert seen == {"array", UnviableInputError}
+
+
+def test_viabilize_classifies_no_candidate_beyond_its_modes_inner_reach(bundled, monkeypatch):
+    calls = record_classify(monkeypatch, identification, "_classify")
+    rng = np.random.default_rng(17)
+    served = [np.array([1.0, s]) for s in rng.random(1500)]  # the benchmark's commands
+    served += list(rng.uniform([0.0, 0.0], [10.0, 1.0], size=(1500, 2)))  # the input box
+    classified = 0
+    for u in served:
+        for mode in bundled.modes:  # the command's own answers: only candidates are classified below
+            mode.containment(u.tolist())
+        calls.clear()
+        try:
+            identification.viabilize(bundled, u)
+        except UnviableInputError:
+            pass
+        assert not [p for inner, p in calls if beyond_inner_reach(inner, p)], u
+        classified += len(calls)
+    assert classified > 300
+    # an unviable command (1, s) classified itself and its three candidates, 4
+    # or 5 points; now its candidates lie beyond their modes' inner reach
+    counts = Counter()
+    for s in rng.random(1500):
+        calls.clear()
+        try:
+            identification.viabilize(bundled, np.array([1.0, s]))
+        except UnviableInputError:
+            counts[len(calls)] += 1
+    assert sum(counts.values()) > 200 and set(counts) <= {1, 2}, counts
